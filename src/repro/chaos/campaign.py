@@ -18,6 +18,7 @@ resolve by sample index, so the ranking is total and stable.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -170,6 +171,38 @@ def _read_trace_if_any(
         raise
 
 
+def _judge(
+    index: int, run: RunSpec, result: Dict[str, Any],
+    records: Optional[List[Dict[str, Any]]], oracles: Sequence[Any],
+    baseline: Optional[Dict[str, Any]],
+) -> Dict[str, Any]:
+    """One run's report entry: every oracle's verdict, and a severity."""
+    outcome = RunOutcome(
+        index=index,
+        run_id=run.run_id,
+        params=run.params_dict,
+        result=result,
+        trace_records=records,
+        baseline=baseline,
+    )
+    violations = []
+    oracle_details: Dict[str, Any] = {}
+    for oracle in oracles:
+        report = oracle.judge(outcome)
+        violations.extend(report.violations)
+        oracle_details[oracle.name] = report.details
+    degradation = oracle_details["latency"]["degradation"]
+    severity = 100.0 * len(violations) + (degradation or 0.0)
+    return {
+        "index": index,
+        "run_id": run.run_id,
+        "params": run.params_dict,
+        "severity": severity,
+        "violations": [v.as_dict() for v in violations],
+        "oracles": oracle_details,
+    }
+
+
 def _journal_header(
     scenario: str, sample: int, seed: int, benign: bool,
     times: Sequence[VirtualTime], outage_length: VirtualTime,
@@ -223,8 +256,9 @@ def run_campaign(
     The report is deterministic in (scenario, sample, seed, benign, times,
     window sizes, thresholds): worker count, trace directory and hash seed
     leave its bytes unchanged.  ``keep_traces`` preserves the per-run trace
-    files in the given directory (by sample index) instead of a temporary
-    one; ``progress`` is called with global ``(done, total)`` counts.
+    files in the given directory (by sample index); without it they go to a
+    temporary directory and each is deleted as soon as it has been read back
+    for judging.  ``progress`` is called with global ``(done, total)`` counts.
 
     ``journal_path`` journals *judged* entries (keyed by the digest of the
     untraced run spec) as they land — per-run traces live in a temporary
@@ -300,23 +334,17 @@ def run_campaign(
             # caller's stack depth, which would break the serial==parallel
             # byte-identity of the report and its reproducibility from
             # tests vs the CLI.
+            baseline_run = RunSpec(scenario=scenario)
             baseline_result = run_with_stable_stack(
-                execute_run, _traced(RunSpec(scenario=scenario), baseline_path)
+                execute_run, _traced(baseline_run, baseline_path)
             ).result
             baseline_records = _read_trace_if_any(baseline_path)
-            baseline_outcome = RunOutcome(
-                index=-1,
-                run_id=scenario,
-                params={},
-                result=baseline_result,
-                trace_records=baseline_records,
-            )
-            baseline_violations = [
-                violation.as_dict()
-                for oracle in oracles
-                for violation in oracle.judge(baseline_outcome).violations
-            ]
             baseline_trace_records = len(baseline_records or ())
+            baseline_violations = _judge(
+                -1, baseline_run, baseline_result, baseline_records,
+                oracles, None,
+            )["violations"]
+            del baseline_records  # else it lives as long as the campaign
             if journal is not None:
                 journal.record("baseline", {
                     "result": baseline_result,
@@ -352,34 +380,19 @@ def run_campaign(
         ):
             index = index_map[sub_index]
             run = runs[index]
-            records = _read_trace_if_any(
-                os.path.join(trace_dir, f"{index:04d}.jsonl"),
-                tolerant=tolerant,
+            trace_path = os.path.join(trace_dir, f"{index:04d}.jsonl")
+            # The records are bound nowhere in this frame: a judged trace is
+            # garbage before the stream starts the next run.
+            entry = _judge(
+                index, run, result.result,
+                _read_trace_if_any(trace_path, tolerant=tolerant),
+                oracles, baseline_result,
             )
-            outcome = RunOutcome(
-                index=index,
-                run_id=run.run_id,
-                params=run.params_dict,
-                result=result.result,
-                trace_records=records,
-                baseline=baseline_result,
-            )
-            violations = []
-            oracle_details: Dict[str, Any] = {}
-            for oracle in oracles:
-                report = oracle.judge(outcome)
-                violations.extend(report.violations)
-                oracle_details[oracle.name] = report.details
-            degradation = oracle_details["latency"]["degradation"]
-            severity = 100.0 * len(violations) + (degradation or 0.0)
-            entry = {
-                "index": index,
-                "run_id": run.run_id,
-                "params": run.params_dict,
-                "severity": severity,
-                "violations": [v.as_dict() for v in violations],
-                "oracles": oracle_details,
-            }
+            if keep_traces is None:
+                # A campaign's disk footprint stays at the runs in flight,
+                # not the whole sample.
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(trace_path)
             entries.append(entry)
             if journal is not None and journalable(result):
                 journal.record(run_digest(run), {"entry": entry})

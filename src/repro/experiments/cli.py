@@ -215,23 +215,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # declarative *and* function scenarios (the components capture it while
     # the scenario builds its world).  Declarative scenarios can alternatively
     # enable observability through their spec (-p observability.enabled=True).
-    from repro.obs import Observer, observing, trace_digest, write_trace
+    from repro.obs import Observer, observing, write_trace
 
     observer = Observer(metrics=bool(args.metrics), trace=bool(args.trace))
     with observing(observer):
         results = execute_many([run], workers=1)
     payload = results[0].result
-    if isinstance(payload, dict):
-        if observer.metrics is not None:
-            payload.setdefault("metrics", observer.metrics.as_dict())
-        if observer.trace is not None:
-            records = observer.trace.records
-            payload.setdefault(
-                "trace",
-                {"records": len(records), "digest": trace_digest(records)},
-            )
-    if args.trace and observer.trace is not None:
-        write_trace(observer.trace.records, args.trace)
+    if observer.metrics is not None and isinstance(payload, dict):
+        payload.setdefault("metrics", observer.metrics.as_dict())
+    if observer.trace is not None:  # exactly when --trace PATH was given
+        records = observer.trace.records
+        digest = write_trace(records, args.trace)
+        if isinstance(payload, dict):
+            payload.setdefault("trace", {"records": len(records), "digest": digest})
         print(f"trace: {args.trace}", file=sys.stderr)
     _emit(results, args)
     return 0

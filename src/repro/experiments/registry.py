@@ -20,6 +20,7 @@ lookup so that importing :mod:`repro` stays cheap and cycle-free.
 from __future__ import annotations
 
 import inspect
+import threading
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -41,7 +42,9 @@ __all__ = [
 ]
 
 _REGISTRY: Dict[str, "Scenario"] = {}
-_builtin_loaded = False
+_builtin_loaded = False  # the catalogue import has started
+_builtin_ready = False  # ... and finished
+_builtin_lock = threading.RLock()
 _version = 0
 
 
@@ -57,11 +60,21 @@ def registry_version() -> int:
 
 
 def _ensure_builtin() -> None:
-    """Import the built-in catalogue exactly once (idempotent)."""
-    global _builtin_loaded
-    if not _builtin_loaded:
-        _builtin_loaded = True
-        import repro.experiments.catalogue  # noqa: F401  (registers on import)
+    """Import the built-in catalogue exactly once (idempotent, thread-safe)."""
+    global _builtin_loaded, _builtin_ready
+    if _builtin_ready:
+        # Lock-free once loaded: a pool forked while another thread held the
+        # lock would leave its workers a lock nobody can release.
+        return
+    # ``_builtin_loaded`` goes up *before* the import so the catalogue's own
+    # registry calls re-enter (same thread, re-entrant lock) without
+    # importing again; any other thread waits here until the catalogue is
+    # complete instead of seeing the flag beside an empty registry.
+    with _builtin_lock:
+        if not _builtin_loaded:
+            _builtin_loaded = True
+            import repro.experiments.catalogue  # noqa: F401  (registers on import)
+            _builtin_ready = True
 
 
 class Scenario:

@@ -1134,12 +1134,13 @@ def run_spec(spec: ScenarioSpec) -> Dict[str, Any]:
         result["metrics"] = observer.metrics.as_dict()
     if observer.trace is not None:
         records = observer.trace.records
+        # A trace that goes to disk is encoded once: write_trace returns the
+        # digest of the bytes it wrote.
+        path = spec.observability.trace_path
         result["trace"] = {
             "records": len(records),
-            "digest": trace_digest(records),
+            "digest": write_trace(records, path) if path else trace_digest(records),
         }
-        if spec.observability.trace_path:
-            write_trace(records, spec.observability.trace_path)
     return result
 
 

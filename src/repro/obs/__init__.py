@@ -62,6 +62,7 @@ from repro.obs.trace import (
     TRACE_CATEGORIES,
     TRACE_PHASES,
     TraceRecorder,
+    ValidatedTrace,
     read_trace,
     trace_digest,
     trace_lines,
@@ -86,6 +87,7 @@ __all__ = [
     "trace_digest",
     "write_trace",
     "read_trace",
+    "ValidatedTrace",
     "validate_record",
     "to_chrome_trace",
     "write_chrome_trace",

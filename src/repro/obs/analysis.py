@@ -38,11 +38,14 @@ findings, verdict *ok*.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+)
 
 from repro.errors import ConfigurationError
-from repro.obs.trace import validate_record
+from repro.obs.trace import ValidatedTrace, validate_record
 
 __all__ = [
     "TraceEvent",
@@ -52,15 +55,14 @@ __all__ = [
     "check_trace_invariants",
 ]
 
-_EMPTY_ARGS: Mapping[str, Any] = {}
+_EMPTY_ARGS: Mapping[str, Any] = MappingProxyType({})
 
 #: Trailing integer of a quorum phase name ("phase1" -> 1); phases without
 #: one ("probe", "gossip") opt out of the ordering check.
 _PHASE_INDEX = re.compile(r"(\d+)$")
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     """One trace record, parsed into a typed, attribute-addressable event."""
 
     seq: int
@@ -69,7 +71,7 @@ class TraceEvent:
     name: str
     ph: str
     actor: str = ""
-    args: Mapping[str, Any] = field(default_factory=dict)
+    args: Mapping[str, Any] = _EMPTY_ARGS
     flow: Optional[int] = None
 
     @property
@@ -85,6 +87,28 @@ class TraceEvent:
         return self.ph in ("s", "f")
 
 
+def _iter_events(records: Iterable[Mapping[str, Any]]) -> Iterator[TraceEvent]:
+    """One :class:`TraceEvent` per record, validating unless already done.
+
+    A :class:`~repro.obs.trace.ValidatedTrace` was validated record by
+    record as ``read_trace`` decoded it; every other input is validated here.
+    """
+    validated = type(records) is ValidatedTrace
+    make = TraceEvent._make
+    for index, record in enumerate(records):
+        if not validated:
+            problems = validate_record(record, expect_seq=index)
+            if problems:
+                raise ConfigurationError(
+                    f"trace record {index}: invalid: " + "; ".join(problems)
+                )
+        get = record.get
+        yield make((
+            record["seq"], record["ts"], record["cat"], record["name"],
+            record["ph"], get("actor", ""), get("args", _EMPTY_ARGS), get("id"),
+        ))
+
+
 def parse_events(records: Iterable[Mapping[str, Any]]) -> List[TraceEvent]:
     """Parse flat trace records into a typed event stream.
 
@@ -92,26 +116,7 @@ def parse_events(records: Iterable[Mapping[str, Any]]) -> List[TraceEvent]:
     the first invalid record raises :class:`ConfigurationError` with its
     position.  An empty input parses to an empty stream.
     """
-    events: List[TraceEvent] = []
-    for record in records:
-        problems = validate_record(record, expect_seq=len(events))
-        if problems:
-            raise ConfigurationError(
-                f"trace record {len(events)}: invalid: " + "; ".join(problems)
-            )
-        events.append(
-            TraceEvent(
-                seq=record["seq"],
-                ts=record["ts"],
-                cat=record["cat"],
-                name=record["name"],
-                ph=record["ph"],
-                actor=record.get("actor", ""),
-                args=record.get("args", _EMPTY_ARGS),
-                flow=record.get("id"),
-            )
-        )
-    return events
+    return list(_iter_events(records))
 
 
 @dataclass(frozen=True)
@@ -173,37 +178,156 @@ def check_trace_invariants(
     (pass the threshold the run was built with to make the check sharp;
     the default ``1`` only rejects degenerate empty quorums).
     """
-    events = parse_events(records)
     findings: List[Finding] = []
-
-    # -- structural: monotone virtual time ---------------------------------
+    total = 0
     previous_ts = 0.0
-    for event in events:
-        if event.ts < previous_ts:
-            findings.append(Finding(
-                "error", "monotone-ts", event.seq,
-                f"ts went backwards: {event.ts} after {previous_ts}",
-            ))
-        previous_ts = max(previous_ts, event.ts)
-
-    # -- structural: balanced B/E spans per (actor, name) ------------------
     open_spans: Dict[Tuple[str, str], List[TraceEvent]] = {}
     closed_spans = 0
-    for event in events:
-        key = (event.actor, event.name)
-        if event.is_span_begin:
-            open_spans.setdefault(key, []).append(event)
-        elif event.is_span_end:
-            stack = open_spans.get(key)
+    flow_starts: Dict[int, TraceEvent] = {}
+    finished_flows = 0
+    # The innermost open op span per actor, as an explicit stack; quorum
+    # instants must land inside one and agree on the protocol.
+    op_stack: Dict[str, List[TraceEvent]] = {}
+    round_phase: Dict[str, int] = {}  # innermost round's highest phase index
+    quorum_phases = 0
+    transfer_stack: Dict[str, List[TraceEvent]] = {}
+    net_weight: Dict[str, float] = {}
+    effective_transfers = 0
+
+    # One pass: each event is built, put to every invariant and dropped
+    # (open spans and flows keep theirs), so no second copy of the trace
+    # exists beside the caller's records.
+    for event in _iter_events(records):
+        seq, ts, cat, name, ph, actor, args, flow = event
+        total += 1
+
+        # -- structural: monotone virtual time -----------------------------
+        if ts < previous_ts:
+            findings.append(Finding(
+                "error", "monotone-ts", seq,
+                f"ts went backwards: {ts} after {previous_ts}",
+            ))
+        elif ts > previous_ts:
+            previous_ts = ts
+
+        # -- structural: balanced B/E spans per (actor, name), flow pairing --
+        if ph == "B":
+            open_spans.setdefault((actor, name), []).append(event)
+        elif ph == "E":
+            stack = open_spans.get((actor, name))
             if not stack:
                 findings.append(Finding(
-                    "error", "span-balance", event.seq,
-                    f"E record for {event.cat}/{event.name} on actor "
-                    f"{event.actor!r} closes no open span",
+                    "error", "span-balance", seq,
+                    f"E record for {cat}/{name} on actor "
+                    f"{actor!r} closes no open span",
                 ))
             else:
                 stack.pop()
                 closed_spans += 1
+        elif ph == "s":
+            assert flow is not None  # schema: a flow record carries an id
+            if flow in flow_starts:
+                findings.append(Finding(
+                    "error", "flow-pairing", seq,
+                    f"flow id {flow} started twice "
+                    f"(first at seq {flow_starts[flow].seq})",
+                ))
+            else:
+                flow_starts[flow] = event
+        elif ph == "f":
+            assert flow is not None
+            start = flow_starts.pop(flow, None)
+            if start is None:
+                findings.append(Finding(
+                    "error", "flow-pairing", seq,
+                    f"flow id {flow} finishes without a start "
+                    "(or finished twice)",
+                ))
+            else:
+                finished_flows += 1
+                if start.name != name:
+                    findings.append(Finding(
+                        "error", "flow-pairing", seq,
+                        f"flow id {flow} finishes as {name!r} "
+                        f"but started as {start.name!r}",
+                    ))
+
+        if cat == "op":
+            # -- semantic: operation spans delimit quorum rounds -----------
+            if ph == "B":
+                op_stack.setdefault(actor, []).append(event)
+                round_phase[actor] = 0
+            elif ph == "E":
+                stack = op_stack.get(actor)
+                if stack:
+                    stack.pop()
+                round_phase[actor] = 0
+            elif name == "restart":
+                # A restart abandons the current round: phase ordering restarts.
+                round_phase[actor] = 0
+        elif cat == "quorum":
+            # -- semantic: quorum phases nest inside operation spans -------
+            quorum_phases += 1
+            stack = op_stack.get(actor)
+            if not stack:
+                findings.append(Finding(
+                    "error", "quorum-nesting", seq,
+                    f"quorum phase {name!r} on actor {actor!r} "
+                    "outside any operation span",
+                ))
+            else:
+                enclosing = stack[-1].args.get("protocol")
+                recorded = args.get("protocol")
+                if (enclosing is not None and recorded is not None
+                        and enclosing != recorded):
+                    findings.append(Finding(
+                        "error", "quorum-nesting", seq,
+                        f"quorum phase protocol {recorded!r} does not match "
+                        f"enclosing operation protocol {enclosing!r}",
+                    ))
+            match = _PHASE_INDEX.search(name)
+            if match:
+                index = int(match.group(1))
+                if index < round_phase.get(actor, 0):
+                    findings.append(Finding(
+                        "error", "quorum-phase-order", seq,
+                        f"phase {name!r} after phase"
+                        f"{round_phase[actor]} in the same round",
+                    ))
+                round_phase[actor] = max(round_phase.get(actor, 0), index)
+            size = args.get("size")
+            if isinstance(size, int) and size < min_quorum:
+                findings.append(Finding(
+                    "error", "quorum-size", seq,
+                    f"quorum size {size} below configured minimum "
+                    f"{min_quorum}",
+                ))
+        elif cat == "transfer":
+            # -- semantic: transfer span consistency + weight conservation --
+            if ph == "B":
+                transfer_stack.setdefault(actor, []).append(event)
+            elif ph == "E":
+                stack = transfer_stack.get(actor)
+                begin = stack.pop() if stack else None
+                if begin is not None:
+                    for key in ("delta", "target"):
+                        if begin.args.get(key) != args.get(key):
+                            findings.append(Finding(
+                                "error", "transfer-balance", seq,
+                                f"transfer end {key}={args.get(key)!r} "
+                                f"disagrees with its begin "
+                                f"{key}={begin.args.get(key)!r} "
+                                f"(seq {begin.seq})",
+                            ))
+                if args.get("effective"):
+                    delta = float(args.get("delta", 0.0))
+                    target = str(args.get("target", ""))
+                    net_weight[actor] = net_weight.get(actor, 0.0) - delta
+                    net_weight[target] = net_weight.get(target, 0.0) + delta
+                    effective_transfers += 1
+
+    # Spans and flows still open when the trace ends are legal (operations
+    # and messages in flight when the run stopped), hence warnings.
     unclosed = sorted(
         (stack_event.seq, key)
         for key, stack in open_spans.items()
@@ -214,38 +338,6 @@ def check_trace_invariants(
             "warning", "span-balance", seq,
             f"span {name!r} on actor {actor!r} still open at end of trace",
         ))
-
-    # -- structural: flow pairing ------------------------------------------
-    flow_starts: Dict[int, TraceEvent] = {}
-    finished_flows = 0
-    for event in events:
-        if event.ph == "s":
-            assert event.flow is not None  # schema-validated above
-            if event.flow in flow_starts:
-                findings.append(Finding(
-                    "error", "flow-pairing", event.seq,
-                    f"flow id {event.flow} started twice "
-                    f"(first at seq {flow_starts[event.flow].seq})",
-                ))
-            else:
-                flow_starts[event.flow] = event
-        elif event.ph == "f":
-            assert event.flow is not None
-            start = flow_starts.pop(event.flow, None)
-            if start is None:
-                findings.append(Finding(
-                    "error", "flow-pairing", event.seq,
-                    f"flow id {event.flow} finishes without a start "
-                    "(or finished twice)",
-                ))
-            else:
-                finished_flows += 1
-                if start.name != event.name:
-                    findings.append(Finding(
-                        "error", "flow-pairing", event.seq,
-                        f"flow id {event.flow} finishes as {event.name!r} "
-                        f"but started as {start.name!r}",
-                    ))
     open_flows = len(flow_starts)
     if open_flows:
         findings.append(Finding(
@@ -253,91 +345,6 @@ def check_trace_invariants(
             f"{open_flows} flow(s) never finished "
             "(dropped or in flight at end of trace)",
         ))
-
-    # -- semantic: quorum phases nest inside operation spans ----------------
-    # Track the innermost open op span per actor with an explicit stack;
-    # quorum instants must land inside one and agree on the protocol.
-    op_stack: Dict[str, List[TraceEvent]] = {}
-    round_phase: Dict[str, int] = {}  # innermost round's highest phase index
-    quorum_phases = 0
-    for event in events:
-        if event.cat == "op" and event.is_span_begin:
-            op_stack.setdefault(event.actor, []).append(event)
-            round_phase[event.actor] = 0
-        elif event.cat == "op" and event.is_span_end:
-            stack = op_stack.get(event.actor)
-            if stack:
-                stack.pop()
-            round_phase[event.actor] = 0
-        elif event.cat == "op" and event.name == "restart":
-            # A restart abandons the current round: phase ordering restarts.
-            round_phase[event.actor] = 0
-        elif event.cat == "quorum":
-            quorum_phases += 1
-            stack = op_stack.get(event.actor)
-            if not stack:
-                findings.append(Finding(
-                    "error", "quorum-nesting", event.seq,
-                    f"quorum phase {event.name!r} on actor {event.actor!r} "
-                    "outside any operation span",
-                ))
-            else:
-                enclosing = stack[-1].args.get("protocol")
-                recorded = event.args.get("protocol")
-                if (enclosing is not None and recorded is not None
-                        and enclosing != recorded):
-                    findings.append(Finding(
-                        "error", "quorum-nesting", event.seq,
-                        f"quorum phase protocol {recorded!r} does not match "
-                        f"enclosing operation protocol {enclosing!r}",
-                    ))
-            match = _PHASE_INDEX.search(event.name)
-            if match:
-                index = int(match.group(1))
-                if index < round_phase.get(event.actor, 0):
-                    findings.append(Finding(
-                        "error", "quorum-phase-order", event.seq,
-                        f"phase {event.name!r} after phase"
-                        f"{round_phase[event.actor]} in the same round",
-                    ))
-                round_phase[event.actor] = max(
-                    round_phase.get(event.actor, 0), index
-                )
-            size = event.args.get("size")
-            if isinstance(size, int) and size < min_quorum:
-                findings.append(Finding(
-                    "error", "quorum-size", event.seq,
-                    f"quorum size {size} below configured minimum "
-                    f"{min_quorum}",
-                ))
-
-    # -- semantic: transfer span consistency + weight conservation ----------
-    transfer_stack: Dict[str, List[TraceEvent]] = {}
-    net_weight: Dict[str, float] = {}
-    effective_transfers = 0
-    for event in events:
-        if event.cat != "transfer":
-            continue
-        if event.is_span_begin:
-            transfer_stack.setdefault(event.actor, []).append(event)
-        elif event.is_span_end:
-            stack = transfer_stack.get(event.actor)
-            begin = stack.pop() if stack else None
-            if begin is not None:
-                for key in ("delta", "target"):
-                    if begin.args.get(key) != event.args.get(key):
-                        findings.append(Finding(
-                            "error", "transfer-balance", event.seq,
-                            f"transfer end {key}={event.args.get(key)!r} "
-                            f"disagrees with its begin "
-                            f"{key}={begin.args.get(key)!r} (seq {begin.seq})",
-                        ))
-            if event.args.get("effective"):
-                delta = float(event.args.get("delta", 0.0))
-                target = str(event.args.get("target", ""))
-                net_weight[event.actor] = net_weight.get(event.actor, 0.0) - delta
-                net_weight[target] = net_weight.get(target, 0.0) + delta
-                effective_transfers += 1
     imbalance = sum(net_weight.values())
     if abs(imbalance) > weight_tolerance:
         findings.append(Finding(
@@ -346,7 +353,7 @@ def check_trace_invariants(
         ))
 
     counters = {
-        "records": len(events),
+        "records": total,
         "closed_spans": closed_spans,
         "open_spans": len(unclosed),
         "finished_flows": finished_flows,
@@ -355,6 +362,6 @@ def check_trace_invariants(
         "effective_transfers": effective_transfers,
         "net_weight": imbalance,
     }
-    findings.sort(key=lambda f: (f.seq if f.seq is not None else len(events),
+    findings.sort(key=lambda f: (f.seq if f.seq is not None else total,
                                  f.check, f.message))
     return InvariantReport(findings=findings, counters=counters)

@@ -49,6 +49,7 @@ __all__ = [
     "trace_digest",
     "write_trace",
     "read_trace",
+    "ValidatedTrace",
     "validate_record",
 ]
 
@@ -114,38 +115,69 @@ class TraceRecorder:
 # Canonical serialisation, digest, JSONL sink
 # ---------------------------------------------------------------------------
 
+# One encoder and one decoder for every record of every trace: the
+# ``json.dumps`` / ``json.loads`` front doors build (or look up) one per call,
+# which costs more than a short record does.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_decode = json.JSONDecoder().raw_decode
+
 
 def trace_lines(records: Iterable[Dict[str, Any]]) -> List[str]:
     """The canonical one-record-per-line serialisation."""
-    return [
-        json.dumps(record, sort_keys=True, separators=(",", ":"))
-        for record in records
-    ]
+    return [_encode(record) for record in records]
+
+
+def _canonical_bytes(records: Iterable[Dict[str, Any]]) -> bytes:
+    """The bytes of a trace file: every canonical line, newline-terminated."""
+    lines = trace_lines(records)
+    lines.append("")  # the join then ends the last line too; no records, no bytes
+    return "\n".join(lines).encode("utf-8")
 
 
 def trace_digest(records: Iterable[Dict[str, Any]]) -> str:
     """SHA-256 over the canonical JSONL bytes (trailing newline included)."""
-    payload = "".join(line + "\n" for line in trace_lines(records))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical_bytes(records)).hexdigest()
 
 
-def write_trace(records: Iterable[Dict[str, Any]], path: str) -> None:
-    """Write the canonical JSONL to ``path``."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in trace_lines(records):
-            handle.write(line + "\n")
+def write_trace(records: Iterable[Dict[str, Any]], path: str) -> str:
+    """Write the canonical JSONL to ``path``; return its digest.
+
+    The digest is the SHA-256 of exactly the bytes written, so it equals
+    :func:`trace_digest` of the same records without encoding them again.
+    """
+    payload = _canonical_bytes(records)
+    with open(path, "wb") as handle:
+        handle.write(payload)
+    return hashlib.sha256(payload).hexdigest()
 
 
-def read_trace(path: str) -> List[Dict[str, Any]]:
+class ValidatedTrace(list):
+    """The records of one trace file, as :func:`read_trace` returns them.
+
+    A plain list in every respect but its type, which records where the
+    list came from: every record in it passed :func:`validate_record`,
+    ``seq`` order included, when it was decoded from the file's bytes.
+    :func:`repro.obs.analysis.parse_events` relies on exactly this type to
+    skip a second validation, so treat an instance as read-only; any copy
+    (``list(trace)``, a slice, a concatenation) is a plain list again and is
+    validated like any other input.
+    """
+
+    __slots__ = ()
+
+
+def read_trace(path: str) -> ValidatedTrace:
     """Load a JSONL trace, validating every record against the schema."""
-    records: List[Dict[str, Any]] = []
+    records = ValidatedTrace()
     with open(path, "r", encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record, end = _decode(line)
+                if end != len(line):
+                    json.loads(line)  # words the "Extra data" error
             except json.JSONDecodeError as exc:
                 raise ConfigurationError(
                     f"{path}:{number}: not valid JSON: {exc}"
@@ -166,12 +198,66 @@ def read_trace(path: str) -> List[Dict[str, Any]]:
 
 _ALLOWED_KEYS = frozenset({"seq", "ts", "cat", "name", "ph", "actor", "args", "id"})
 _REQUIRED_KEYS = ("seq", "ts", "cat", "name", "ph")
+_CATEGORY_SET = frozenset(TRACE_CATEGORIES)
+_PHASE_SET = frozenset(TRACE_PHASES)
+
+
+def _plainly_valid(record: Any, expect_seq: Optional[int]) -> bool:
+    """Whether ``record`` is valid by exact-type tests alone.
+
+    ``True`` only when :func:`_problems` would find nothing; ``False`` means
+    "ask :func:`_problems`", not "invalid" (a dict subclass or an ``int``
+    subclass can still be valid).  Exact types also keep ``bool`` out of the
+    integer fields and unhashable values out of the set lookups.
+    """
+    if type(record) is not dict:
+        return False
+    try:
+        seq = record["seq"]
+        ts = record["ts"]
+        cat = record["cat"]
+        name = record["name"]
+        ph = record["ph"]
+    except KeyError:
+        return False
+    if not (
+        type(seq) is int and seq >= 0
+        and (expect_seq is None or seq == expect_seq)
+        and (type(ts) is float or type(ts) is int) and not ts < 0
+        and type(cat) is str and cat in _CATEGORY_SET
+        and type(name) is str and name
+        and type(ph) is str and ph in _PHASE_SET
+    ):
+        return False
+    known = 5
+    if "actor" in record:
+        if type(record["actor"]) is not str:
+            return False
+        known += 1
+    if "args" in record:
+        if type(record["args"]) is not dict:
+            return False
+        known += 1
+    if "id" in record:
+        if type(record["id"]) is not int:
+            return False
+        known += 1
+    elif ph == "s" or ph == "f":
+        return False
+    return len(record) == known
 
 
 def validate_record(
     record: Any, expect_seq: Optional[int] = None
 ) -> List[str]:
     """Schema problems with one record (empty list = valid)."""
+    if _plainly_valid(record, expect_seq):
+        return []
+    return _problems(record, expect_seq)
+
+
+def _problems(record: Any, expect_seq: Optional[int]) -> List[str]:
+    """Every schema problem with ``record``, in words (the reference check)."""
     if not isinstance(record, dict):
         return [f"record is {type(record).__name__}, expected object"]
     problems: List[str] = []

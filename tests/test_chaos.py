@@ -40,6 +40,7 @@ from repro.experiments.executor import execute_run, run_with_stable_stack
 from repro.experiments.registry import get_scenario, register_spec
 from repro.experiments.spec import load_spec_file
 from repro.experiments.sweep import RunSpec, Sweep
+from repro.obs import read_trace
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CAMPAIGN_REPORT = os.path.join(
@@ -339,6 +340,79 @@ class TestCommittedCampaign:
         )
         baseline = header["baseline"]
         assert result["read_latency"]["p99"] >= 2.0 * baseline["read_p99"]
+
+
+    def test_the_committed_report_reproduces_byte_for_byte(self):
+        # The knobs the report's own header records (the CLI's defaults).
+        campaign = run_campaign("quickstart", sample=16, seed=0,
+                                times=(4, 8, 12))
+        with open(CAMPAIGN_REPORT, encoding="utf-8") as handle:
+            committed = handle.read()
+        assert "".join(line + "\n" for line in campaign.jsonl_lines()) == (
+            committed)
+
+
+class TestCampaignTraces:
+    """Where a campaign's per-run traces live, and for how long."""
+
+    def test_a_judged_run_leaves_no_trace_file_behind(
+        self, tmp_path, monkeypatch
+    ):
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(
+            "repro.chaos.campaign.tempfile.mkdtemp", lambda prefix: str(scratch)
+        )
+        seen = []
+        campaign = run_campaign(
+            "quickstart", sample=3, seed=3,
+            progress=lambda done, total: seen.append(sorted(os.listdir(scratch))),
+        )
+        # Serial execution: by the time run k is judged its trace is gone and
+        # run k+1 has not started, so only the baseline's file is ever seen.
+        assert seen == [["baseline.jsonl"]] * 3
+        assert not scratch.exists()  # and the directory goes at the end
+        assert all(entry["oracles"]["trace-invariants"]["checked"]
+                   for entry in campaign.entries)
+
+    def test_keep_traces_keeps_every_file(self, tmp_path):
+        kept = tmp_path / "kept"
+        campaign = run_campaign("quickstart", sample=3, seed=3,
+                                keep_traces=str(kept))
+        assert sorted(os.listdir(kept)) == [
+            "0000.jsonl", "0001.jsonl", "0002.jsonl", "baseline.jsonl",
+        ]
+        by_index = {entry["index"]: entry for entry in campaign.entries}
+        for index in range(3):
+            records = read_trace(str(kept / f"{index:04d}.jsonl"))
+            assert len(records) == (
+                by_index[index]["oracles"]["trace-invariants"]["records"])
+
+    def test_a_trace_cut_mid_line_is_no_trace_only_when_tolerated(
+        self, tmp_path
+    ):
+        from repro.chaos.campaign import _read_trace_if_any
+
+        whole = tmp_path / "whole.jsonl"
+        execute_run(RunSpec("quickstart", (
+            ("observability.enabled", True),
+            ("observability.trace", True),
+            ("observability.trace_path", str(whole)),
+            ("workload.operations_per_client", 2),
+        )))
+        data = whole.read_bytes()
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(data[: len(data) - 20])  # a SIGKILL mid-write
+        assert _read_trace_if_any(str(whole)) == read_trace(str(whole))
+        assert _read_trace_if_any(str(tmp_path / "absent.jsonl")) is None
+        # The watchdog path judges it as "no trace" ...
+        assert _read_trace_if_any(str(cut), tolerant=True) is None
+        report = TraceInvariantOracle().judge(RunOutcome(
+            index=0, run_id="r", params={}, result={}, trace_records=None))
+        assert report.details == {"checked": False}
+        # ... the strict path refuses to judge half a trace.
+        with pytest.raises(ConfigurationError, match=r"cut\.jsonl:\d+: "):
+            _read_trace_if_any(str(cut))
 
 
 class TestChaosCli:

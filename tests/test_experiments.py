@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -42,6 +46,10 @@ from repro.experiments import (
     write_json,
 )
 from repro.experiments.registry import FunctionScenario
+
+SRC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +104,42 @@ class TestRegistry:
     def test_function_scenario_requires_defaults(self):
         with pytest.raises(ConfigurationError, match="default"):
             FunctionScenario(lambda x: {"x": x}, "test-no-default")
+
+    def test_first_ever_lookups_may_race(self):
+        """Two threads' first lookups in a fresh interpreter both succeed.
+
+        The catalogue import takes tens of milliseconds; a second thread
+        arriving meanwhile must wait for it, not find "(none)" registered.
+        """
+        script = textwrap.dedent("""
+            import sys, threading
+            from repro.experiments.registry import get_scenario
+
+            sys.setswitchinterval(1e-6)
+            barrier = threading.Barrier(4)
+            outcomes = []
+
+            def lookup():
+                barrier.wait(timeout=30)
+                try:
+                    outcomes.append(get_scenario("quickstart").name)
+                except Exception as error:
+                    outcomes.append(f"{type(error).__name__}: {error}")
+
+            threads = [threading.Thread(target=lookup) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            print(outcomes)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": SRC_DIR},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(["quickstart"] * 4)
 
     def test_unknown_parameter_rejected(self):
         entry = get_scenario("fig1-walkthrough")

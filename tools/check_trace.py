@@ -14,7 +14,9 @@ four things about the trace file it produced:
 * **digest** — the SHA-256 of the file matches the golden digest committed
   in ``benchmarks/baselines/fig1-walkthrough.trace.sha256``.  Because the
   digest is defined over the canonical JSONL bytes, this pins the *exact*
-  artifact bytes, not just record count or shape;
+  artifact bytes, not just record count or shape.  The digest the run
+  itself reported and ``trace_digest`` of the records read back must both
+  equal it: "bytes written" and "bytes hashed" may not drift apart;
 * **exporter** — the Chrome ``trace_event`` conversion succeeds and yields
   one event per record plus thread-name metadata (the file Perfetto loads).
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -53,13 +56,23 @@ SCENARIO = "fig1-walkthrough"
 
 def check_trace(trace_path: str) -> int:
     from repro.experiments.cli import main as repro_main
-    from repro.obs import check_trace_invariants, read_trace, to_chrome_trace
+    from repro.obs import (
+        check_trace_invariants,
+        read_trace,
+        to_chrome_trace,
+        trace_digest,
+    )
 
-    status = repro_main(["run", SCENARIO, "--trace", trace_path, "--quiet"])
-    if status != 0:
-        print(f"error: `repro run {SCENARIO} --trace` exited {status}",
-              file=sys.stderr)
-        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        result_path = os.path.join(tmp, "result.json")
+        status = repro_main(["run", SCENARIO, "--trace", trace_path,
+                             "--quiet", "--json", result_path])
+        if status != 0:
+            print(f"error: `repro run {SCENARIO} --trace` exited {status}",
+                  file=sys.stderr)
+            return 1
+        with open(result_path, "r", encoding="utf-8") as handle:
+            reported = json.load(handle)[0]["result"]["trace"]["digest"]
 
     # Schema: read_trace validates every record and raises on the first bad
     # line with its line number.
@@ -80,6 +93,21 @@ def check_trace(trace_path: str) -> int:
         golden = handle.read().strip()
     with open(trace_path, "rb") as handle:
         actual = hashlib.sha256(handle.read()).hexdigest()
+    # The run reports the digest ``write_trace`` took of the bytes it wrote
+    # and never encodes the records a second time, so hold it against both
+    # the file and a fresh encoding of the records read back.
+    recomputed = trace_digest(records)
+    if not reported == recomputed == actual:
+        print(
+            f"error: three digests of one {SCENARIO} trace disagree:\n"
+            f"  reported by the run          {reported}\n"
+            f"  trace_digest(read_trace())   {recomputed}\n"
+            f"  sha256 of the file           {actual}\n"
+            "The bytes written and the bytes hashed have diverged "
+            "(repro.obs.trace: write_trace / trace_digest).",
+            file=sys.stderr,
+        )
+        return 1
     if actual != golden:
         print(
             f"error: trace digest mismatch for {SCENARIO}:\n"
