@@ -158,9 +158,9 @@ def _read_trace_if_any(
 ) -> Optional[List[Dict[str, Any]]]:
     # A run that died raised before run_spec wrote its trace; an absent file
     # simply means "nothing to check" for the trace oracle.  ``tolerant``
-    # additionally swallows unreadable files: a watchdog can SIGKILL a
-    # worker *while* it writes its trace, and the truncated file must judge
-    # as "no trace" rather than kill the campaign.
+    # additionally swallows unreadable files: a worker can be SIGKILLed
+    # *while* it writes its trace, and the truncated file must judge as
+    # "no trace" rather than kill the campaign.
     if not os.path.exists(path):
         return None
     try:
@@ -306,9 +306,6 @@ def run_campaign(
             resume=resume,
         )
     resilient = journal is not None or policy.needs_pool
-    # Watchdog kills can truncate a trace mid-write; judge those as
-    # "no trace" instead of failing the whole campaign.
-    tolerant = policy.needs_pool
     total = len(runs)
     done = 0
 
@@ -381,11 +378,15 @@ def run_campaign(
             index = index_map[sub_index]
             run = runs[index]
             trace_path = os.path.join(trace_dir, f"{index:04d}.jsonl")
+            # A killed worker (watchdog, crash) can leave a trace truncated
+            # mid-write; judge that run as "no trace" instead of failing the
+            # whole campaign.  Every run that completed is read strictly.
+            completed = journalable(result)
             # The records are bound nowhere in this frame: a judged trace is
             # garbage before the stream starts the next run.
             entry = _judge(
                 index, run, result.result,
-                _read_trace_if_any(trace_path, tolerant=tolerant),
+                _read_trace_if_any(trace_path, tolerant=not completed),
                 oracles, baseline_result,
             )
             if keep_traces is None:
@@ -394,7 +395,7 @@ def run_campaign(
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(trace_path)
             entries.append(entry)
-            if journal is not None and journalable(result):
+            if journal is not None and completed:
                 journal.record(run_digest(run), {"entry": entry})
             tick()
     finally:

@@ -11,12 +11,12 @@
   :func:`scenario` decorator and :func:`register_spec`.
 * :mod:`repro.experiments.sweep` — parameter-grid expansion into
   :class:`RunSpec` lists (seed lists are just another axis).
-* :mod:`repro.experiments.executor` — serial / multiprocessing execution;
-  results are identical for any worker count because every run is
+* :mod:`repro.experiments.executor` — in-process execution, or the one
+  stream-lifetime worker pool (per-run wall-clock watchdog, bounded worker
+  retry); results are identical for any worker count because every run is
   deterministic in virtual time.
-* :mod:`repro.experiments.resilience` — journaled resume, per-run
-  wall-clock watchdogs, bounded worker retry with quarantine, and graceful
-  SIGINT/SIGTERM handling for long executions.
+* :mod:`repro.experiments.resilience` — journaled resume, the quarantine
+  sidecar, and graceful SIGINT/SIGTERM handling for long executions.
 * :mod:`repro.experiments.results` — JSON/CSV sinks and baseline comparison.
 * :mod:`repro.experiments.catalogue` — the built-in scenarios (the paper's
   headline experiments plus declarative storage workloads).

@@ -61,7 +61,7 @@ from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.experiments.executor import RunResult, execute_many
+from repro.experiments.executor import RunResult, execute_many, forks_workers
 from repro.experiments.resilience import (
     INTERRUPT_EXIT_CODE,
     GracefulInterrupt,
@@ -164,29 +164,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_scenario(args: argparse.Namespace) -> str:
+def _resolve_scenario(args: argparse.Namespace, forks: bool = False) -> str:
     """The scenario to execute: a registered name, or a --spec file.
 
     A spec file is parsed strictly (unknown keys rejected), validated, and
     registered under its own name — replacing a same-named catalogue entry
     for this process — so the sweep machinery and fork-based workers treat
     it exactly like a built-in scenario.  Spawn-based workers re-import only
-    the built-in catalogue and would not see the runtime registration, so
-    parallel ``sweep --spec`` is rejected where fork is unavailable.
+    the built-in catalogue and would not see the runtime registration, so a
+    ``--spec`` execution that ``forks`` (:func:`forks_workers`) is rejected
+    where fork is unavailable.
     """
     spec_path = getattr(args, "spec_path", None)
     if spec_path and args.scenario:
         raise ReproError("give a registered scenario name or --spec, not both")
     if spec_path:
-        workers = getattr(args, "workers", 1)
-        # The watchdog/retry pool also runs in worker processes, even with
-        # --workers 1, so it needs fork for the same reason.
-        needs_workers = (
-            workers > 1
-            or getattr(args, "run_timeout", None) is not None
-            or getattr(args, "retry", 1) > 1
-        )
-        if needs_workers and "fork" not in multiprocessing.get_all_start_methods():
+        if forks and "fork" not in multiprocessing.get_all_start_methods():
             raise ReproError(
                 "sweep --spec needs fork-based workers (spawn-only platforms "
                 "cannot see the runtime-registered spec); use --workers 1 "
@@ -309,25 +302,30 @@ def _resilience_options(
     return policy, journal_path, args.resume is not None, quarantine_path
 
 
-def _resilience_summary(
-    telemetry: StreamTelemetry, quarantine_path: Optional[str]
-) -> str:
+def _print_resilience_summary(
+    telemetry: StreamTelemetry, journal_path: Optional[str],
+    quarantine_path: Optional[str],
+) -> None:
+    """One stderr line when a journal was active or anything went wrong —
+    a killed worker in a plain ``--workers N`` execution is never silent."""
+    if journal_path is None and not telemetry.suffix():
+        return
     counts = telemetry.as_dict()
     line = (f"resilience: resumed {telemetry.resumed}, "
             f"retries {counts['retries']}, timeouts {counts['timeouts']}, "
             f"quarantined {counts['quarantined']}")
     if counts["quarantined"] and quarantine_path:
         line += f" (see {quarantine_path})"
-    return line
+    print(line, file=sys.stderr)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _resolve_scenario(args)
+    policy, journal_path, resume, quarantine_path = _resilience_options(args)
+    scenario = _resolve_scenario(args, forks_workers(args.workers, policy))
     runs = _sweep_runs(args, scenario)
     if args.trace_dir:
         runs = _traced_runs(runs, args.trace_dir, scenario)
     total = len(runs)
-    policy, journal_path, resume, quarantine_path = _resilience_options(args)
     telemetry = StreamTelemetry()
     quarantine = Quarantine(quarantine_path)
     journal: Optional[RunJournal] = None
@@ -337,7 +335,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             {"kind": "sweep", "version": 1, "scenario": scenario},
             resume=resume,
         )
-    resilient = journal is not None or policy.needs_pool
     # Buffer results only for sinks that need the complete, input-ordered
     # list; a --jsonl-only sweep streams in constant memory.
     need_buffer = bool(args.json or args.csv) or not args.quiet
@@ -380,8 +377,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         quarantine.close()
         if journal is not None:
             journal.close()
-    if resilient:
-        print(_resilience_summary(telemetry, quarantine_path), file=sys.stderr)
+    _print_resilience_summary(telemetry, journal_path, quarantine_path)
     if buffer is not None:
         _emit([result for result in buffer if result is not None], args)
     if getattr(args, "quiet", False):
@@ -596,11 +592,11 @@ def _cmd_trace_series(args: argparse.Namespace) -> int:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_campaign
 
-    scenario = _resolve_scenario(args)
+    policy, journal_path, resume, quarantine_path = _resilience_options(args)
+    scenario = _resolve_scenario(args, forks_workers(args.workers, policy))
     times = tuple(
         _parse_value(value) for value in args.times.split(",") if value != ""
     )
-    policy, journal_path, resume, quarantine_path = _resilience_options(args)
     telemetry = StreamTelemetry()
     progress = None
     if not args.no_progress:
@@ -637,9 +633,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return INTERRUPT_EXIT_CODE
-    if journal_path is not None or policy.needs_pool:
-        print(_resilience_summary(telemetry, quarantine_path),
-              file=sys.stderr)
+    _print_resilience_summary(telemetry, journal_path, quarantine_path)
     if args.report:
         campaign.write(args.report)
         print(f"report: {args.report}", file=sys.stderr)

@@ -1,49 +1,58 @@
-"""Serial and parallel execution of run specs.
+"""Execution of run specs: in-process, or on a pool of worker processes.
 
 Every run is deterministic in *virtual* time (the simulation kernel is a
-seeded, single-threaded event queue), so fanning runs out across
-``multiprocessing`` workers changes wall-clock time only: the results are
-bit-identical to a serial execution regardless of scheduling.  That property
-is what makes the parallel executor safe to use for paper-style sweeps —
-and it is asserted by the test-suite.
+seeded, single-threaded event queue), so fanning runs out across worker
+processes changes wall-clock time only: the results are bit-identical to a
+serial execution regardless of scheduling.  That property is what makes
+parallel execution safe for paper-style sweeps — and it is asserted by the
+test-suite.
 
 Two consumption styles:
 
 * :func:`execute_many` — returns the full result list in the order of its
   ``runs`` argument, for any worker count.
 * :func:`execute_stream` — a generator yielding ``(index, result)`` pairs in
-  *completion* order (via ``imap_unordered`` when parallel), calling an
-  optional ``progress(done, total)`` after each run.  Long sweeps stream
-  into chunked sinks without holding every result in memory, and the index
-  lets order-sensitive consumers reassemble the input order.
+  *completion* order, calling an optional ``progress(done, total)`` after
+  each run.  Long sweeps stream into chunked sinks without holding every
+  result in memory, and the index lets order-sensitive consumers reassemble
+  the input order.
 
-Worker pools are *warm*: the first parallel call forks a pool, and chained
-sweeps within the same process reuse it instead of re-forking — short
-repeated sweeps no longer pay a fork + import per call.  The pool is
-invalidated (and re-forked on next use) when the requested worker count or
-the scenario registry changes, and torn down at interpreter exit (or
-explicitly via :func:`shutdown_pool`).
+Both are :func:`dispatch` under the inert :class:`ResiliencePolicy` ("no
+deadline, one attempt"): in-process when ``workers == 1``, otherwise on a
+pool of pipe-managed worker processes forked for the stream and stopped
+with it — workers see the registry as it is when the stream starts, and a
+closed stream leaves no process behind.  The pool kills a run that hangs
+past its deadline and outlives a worker that dies, so it never hangs on one.
+:mod:`repro.experiments.resilience` adds journaled resume on top.
 """
 
 from __future__ import annotations
 
-import atexit
+import heapq
 import multiprocessing
+import os
 import sys
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing import connection
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
-from repro.experiments.registry import get_scenario, registry_version
+from repro.errors import ConfigurationError, ReproError, WorkerError
+from repro.experiments.registry import get_scenario
 from repro.experiments.sweep import RunSpec
 
 __all__ = [
+    "ResiliencePolicy",
     "RunResult",
+    "StreamTelemetry",
+    "dispatch",
     "execute_run",
     "execute_run_captured",
     "execute_many",
     "execute_stream",
+    "forks_workers",
     "run_with_stable_stack",
     "shutdown_pool",
 ]
@@ -72,6 +81,15 @@ def execute_run(run: RunSpec) -> RunResult:
     return RunResult(scenario=run.scenario, params=run.params, result=result)
 
 
+def _error_result(run: RunSpec, error: Dict[str, Any]) -> RunResult:
+    """A failing run as a result: the one ``{"error": ...}`` shape."""
+    return RunResult(
+        scenario=run.scenario,
+        params=run.params,
+        result={"scenario": run.scenario, "error": error},
+    )
+
+
 def execute_run_captured(run: RunSpec) -> RunResult:
     """Like :func:`execute_run`, but a failing run *is* a result.
 
@@ -80,7 +98,7 @@ def execute_run_captured(run: RunSpec) -> RunResult:
     builder rejects — comes back as ``{"error": {"type", "message"}}``
     instead of propagating.  Chaos campaigns deliberately sample
     configurations that kill the run; with plain :func:`execute_run` the
-    first such run would tear down the whole ``imap_unordered`` stream.
+    first such run would tear down the whole stream.
     The captured dict is deterministic (exception type and message only),
     so campaign reports stay byte-identical across serial and parallel
     execution.
@@ -92,32 +110,18 @@ def execute_run_captured(run: RunSpec) -> RunResult:
     the library never anticipated.  ``KeyboardInterrupt``/``SystemExit``
     (and other ``BaseException``\\ s) still propagate.
     """
-    from repro.errors import ReproError
-
     try:
         return execute_run(run)
     except ReproError as error:
-        return RunResult(
-            scenario=run.scenario,
-            params=run.params,
-            result={
-                "scenario": run.scenario,
-                "error": {"type": type(error).__name__, "message": str(error)},
-            },
+        return _error_result(
+            run, {"type": type(error).__name__, "message": str(error)}
         )
     except Exception as error:
-        return RunResult(
-            scenario=run.scenario,
-            params=run.params,
-            result={
-                "scenario": run.scenario,
-                "error": {
-                    "type": type(error).__name__,
-                    "message": str(error),
-                    "unexpected": True,
-                },
-            },
-        )
+        return _error_result(run, {
+            "type": type(error).__name__,
+            "message": str(error),
+            "unexpected": True,
+        })
 
 
 #: Python recursion limit inside stable-stack threads: the CPython default,
@@ -160,50 +164,108 @@ def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
     return box[0]
 
 
-def _execute_indexed(indexed: Tuple[int, RunSpec]) -> Tuple[int, RunResult]:
-    index, run = indexed
-    return index, execute_run(run)
+def _execute(run: RunSpec, capture_errors: bool, stable_stack: bool) -> RunResult:
+    """One run under the stream's two flags — in-process and in a worker."""
+    execute = execute_run_captured if capture_errors else execute_run
+    if stable_stack:
+        return run_with_stable_stack(execute, run)
+    return execute(run)
 
 
-def _execute_indexed_captured(
-    indexed: Tuple[int, RunSpec]
-) -> Tuple[int, RunResult]:
-    index, run = indexed
-    return index, execute_run_captured(run)
+def shutdown_pool() -> None:
+    """No-op (no pool outlives its stream), kept only because the frozen
+    ``benchmarks/perf`` calls it between repetitions."""
 
 
-def _execute_stable(run: RunSpec) -> RunResult:
-    return run_with_stable_stack(execute_run, run)
+# ---------------------------------------------------------------------------
+# Policy and telemetry of one stream
+# ---------------------------------------------------------------------------
 
 
-def _execute_stable_captured(run: RunSpec) -> RunResult:
-    return run_with_stable_stack(execute_run_captured, run)
+@dataclass(frozen=True)
+class ResiliencePolicy:
+    """Watchdog and retry knobs for one execution stream.
+
+    The default policy is inert — no deadline, one attempt — and is what
+    :func:`execute_stream` runs under.  ``run_timeout`` is *wall-clock*
+    seconds per run; ``max_attempts`` counts total dispatches of one run
+    across worker deaths.  Backoff before the ``k``-th retry is
+    ``backoff_base * backoff_factor**(k-1)``, capped at ``backoff_max`` —
+    wall-clock pacing only, results are unaffected.
+    """
+
+    run_timeout: Optional[float] = None
+    max_attempts: int = 1
+    backoff_base: float = 0.05
+    backoff_factor: float = 2.0
+    backoff_max: float = 2.0
+
+    def validate(self) -> None:
+        if self.run_timeout is not None and self.run_timeout <= 0:
+            raise ConfigurationError(
+                f"run_timeout must be positive, got {self.run_timeout!r}"
+            )
+        if self.max_attempts < 1:
+            raise ConfigurationError(
+                f"max_attempts must be >= 1, got {self.max_attempts!r}"
+            )
+
+    @property
+    def needs_pool(self) -> bool:
+        """Whether the policy needs worker processes even at ``workers=1``
+        (only a separate process can be killed at a deadline or outlived)."""
+        return self.run_timeout is not None or self.max_attempts > 1
+
+    def backoff(self, attempt: int) -> float:
+        """Seconds to wait before re-dispatching after ``attempt`` failures."""
+        delay = self.backoff_base * self.backoff_factor ** max(0, attempt - 1)
+        return min(delay, self.backoff_max)
+
+    def as_dict(self) -> Dict[str, Any]:
+        """The policy knobs for report metadata (deterministic)."""
+        return {"run_timeout": self.run_timeout,
+                "max_attempts": self.max_attempts}
 
 
-def _execute_indexed_stable(
-    indexed: Tuple[int, RunSpec]
-) -> Tuple[int, RunResult]:
-    index, run = indexed
-    return index, _execute_stable(run)
+@dataclass
+class StreamTelemetry:
+    """Counters a stream accumulates, for progress lines and report
+    metadata.
+
+    ``resumed`` is deliberately excluded from :meth:`as_dict`: a resumed run
+    and an uninterrupted run must produce byte-identical reports, and only
+    the former has a nonzero resumed count.  It still shows in
+    :meth:`suffix` (stderr is not part of the report).
+    """
+
+    resumed: int = 0
+    retries: int = 0
+    timeouts: int = 0
+    quarantined: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {"retries": self.retries, "timeouts": self.timeouts,
+                "quarantined": self.quarantined}
+
+    def suffix(self) -> str:
+        """A progress-line suffix like `` (resumed 3, retries 1)``; empty
+        while every counter is zero, so undegraded output is unchanged."""
+        parts = [f"{name} {value}" for name, value in (
+            ("resumed", self.resumed), ("retries", self.retries),
+            ("timeouts", self.timeouts), ("quarantined", self.quarantined),
+        ) if value]
+        return f" ({', '.join(parts)})" if parts else ""
 
 
-def _execute_indexed_stable_captured(
-    indexed: Tuple[int, RunSpec]
-) -> Tuple[int, RunResult]:
-    index, run = indexed
-    return index, _execute_stable_captured(run)
+def forks_workers(workers: int, policy: ResiliencePolicy) -> bool:
+    """Whether a stream with these inputs executes on worker processes (the
+    one selection :func:`dispatch` makes; the CLI's fork check asks it too)."""
+    return workers > 1 or policy.needs_pool
 
 
-#: (capture_errors, stable_stack) -> (per-run executor, indexed executor).
-_EXECUTORS: Dict[
-    Tuple[bool, bool],
-    Tuple[Callable[[RunSpec], RunResult], Callable[..., Tuple[int, RunResult]]],
-] = {
-    (False, False): (execute_run, _execute_indexed),
-    (True, False): (execute_run_captured, _execute_indexed_captured),
-    (False, True): (_execute_stable, _execute_indexed_stable),
-    (True, True): (_execute_stable_captured, _execute_indexed_stable_captured),
-}
+# ---------------------------------------------------------------------------
+# The worker pool
+# ---------------------------------------------------------------------------
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
@@ -216,76 +278,221 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-# The warm pool: one live Pool per process, keyed by (worker count, registry
-# version at fork time).  Chained sweeps with the same shape reuse it; the
-# active-stream refcount keeps a mid-stream pool from being torn down when a
-# differently-shaped stream starts concurrently (that stream gets a private,
-# stream-lifetime pool instead).
-_warm_pool: Optional[multiprocessing.pool.Pool] = None
-_warm_key: Optional[Tuple[int, int]] = None
-_warm_active = 0
-_atexit_registered = False
+def _worker_main(conn: Any, capture_errors: bool, stable_stack: bool) -> None:
+    """Worker loop: receive ``(index, run)`` tasks, send back results.
 
-
-def shutdown_pool() -> None:
-    """Tear down the warm worker pool (no-op when none is alive).
-
-    Called automatically at interpreter exit; exposed for tests and for
-    long-lived embedders that want to reclaim the workers earlier.  Any
-    execute_stream generator still consuming the pool is abandoned.
+    Runs until the parent closes the pipe, sends ``None`` or dies.  Exceptions
+    a run raises are shipped back as pickled objects when possible (so the
+    parent re-raises the original type) and as ``(name, text)`` otherwise.
     """
-    global _warm_pool, _warm_key, _warm_active
-    pool, _warm_pool, _warm_key, _warm_active = _warm_pool, None, None, 0
-    if pool is not None:
-        # terminate() rather than close(): an abandoned execute_stream
-        # generator may have left tasks queued that nobody will consume.
-        pool.terminate()
-        pool.join()
+    parent = os.getppid()
+    while True:
+        try:
+            # A SIGKILLed parent closes nothing, and forked siblings hold
+            # copies of its end of this pipe, so EOF may never arrive: an
+            # idle worker checks once a second that it is not an orphan.
+            while not conn.poll(1.0):
+                if os.getppid() != parent:
+                    return
+            task = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        if task is None:
+            return
+        index, run = task
+        try:
+            message: Tuple[Any, ...] = (
+                "ok", index, _execute(run, capture_errors, stable_stack)
+            )
+        except BaseException as exc:  # shipped to the parent, never lost
+            message = ("raise", index, exc)
+        try:
+            conn.send(message)
+        except (BrokenPipeError, OSError):
+            return
+        except Exception:  # the exception object itself did not pickle
+            exc = message[2]
+            conn.send(("raise-text", index, type(exc).__name__, str(exc)))
 
 
-def _checkout_pool(processes: int) -> Tuple[multiprocessing.pool.Pool, bool]:
-    """Return ``(pool, private)`` for one stream's lifetime.
+class _PoolWorker:
+    """One kill-capable worker process plus its duplex pipe and state."""
 
-    The warm pool is reused when its key matches (several same-shape streams
-    may share it — ``imap_unordered`` jobs are independent) and re-forked
-    when it is stale *and idle*.  A stale pool with live consumers must not
-    be torn down under them, so a differently-shaped concurrent stream gets
-    a private pool that dies with the stream (``private=True``).
+    def __init__(self, capture_errors: bool, stable_stack: bool) -> None:
+        ctx = _pool_context()
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        self.conn = parent_conn
+        self.process = ctx.Process(
+            target=_worker_main,
+            args=(child_conn, capture_errors, stable_stack),
+            daemon=True, name="repro-worker",
+        )
+        self.process.start()
+        child_conn.close()
+        self.task: Optional[Tuple[int, RunSpec]] = None
+        self.deadline: Optional[float] = None
+
+    def assign(self, task: Tuple[int, RunSpec],
+               run_timeout: Optional[float]) -> None:
+        self.conn.send(task)
+        self.task = task
+        self.deadline = (
+            time.monotonic() + run_timeout if run_timeout is not None else None
+        )
+
+    def kill(self) -> None:
+        if self.process.is_alive():
+            self.process.kill()
+        self.process.join()
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+    def stop(self) -> None:
+        """Polite shutdown for idle workers; kill() for busy/hung ones."""
+        if self.task is not None:
+            self.kill()
+            return
+        try:
+            self.conn.send(None)
+            self.conn.close()
+        except (BrokenPipeError, OSError):
+            pass
+        self.process.join(timeout=5.0)
+        if self.process.is_alive():  # pragma: no cover - defensive
+            self.process.kill()
+            self.process.join()
+
+
+def _watchdog_result(run: RunSpec, run_timeout: float) -> RunResult:
+    # Deterministic fields only: the configured timeout, not the measured
+    # wall time, so journaled/reported bytes are stable.
+    return _error_result(run, {
+        "type": "WatchdogTimeout",
+        "message": (f"run exceeded the per-run watchdog timeout "
+                    f"({run_timeout:g}s wall-clock) and was killed"),
+        "run_timeout": run_timeout,
+    })
+
+
+def _quarantine_result(run: RunSpec, attempts: int) -> RunResult:
+    return _error_result(run, {
+        "type": "WorkerCrashed",
+        "message": (f"worker process died executing this run "
+                    f"{attempts} time(s); configuration quarantined"),
+        "attempts": attempts,
+        "quarantined": True,
+    })
+
+
+def dispatch(
+    pending: List[Tuple[int, RunSpec]],
+    workers: int,
+    capture_errors: bool,
+    stable_stack: bool,
+    policy: ResiliencePolicy,
+    telemetry: StreamTelemetry,
+) -> Iterator[Tuple[int, RunResult]]:
+    """Execute ``pending`` ``(index, run)`` pairs; yield ``(index, result)``.
+
+    In-process and in input order unless :func:`forks_workers`; otherwise in
+    completion order, on worker processes that live exactly as long as this
+    generator.  Every index is yielded exactly once: as its result, as a
+    ``WatchdogTimeout`` error (hung past ``policy.run_timeout``) or as a
+    ``WorkerCrashed`` error (worker died ``policy.max_attempts`` times).
+    Worker deaths re-dispatch the lost run after an exponential backoff; the
+    pool respawns workers as needed and the stream keeps draining throughout.
     """
-    global _warm_pool, _warm_key, _warm_active, _atexit_registered
-    key = (processes, registry_version())
-    if _warm_pool is not None and _warm_key == key:
-        _warm_active += 1
-        return _warm_pool, False
-    if _warm_pool is not None and _warm_active > 0:
-        return _pool_context().Pool(processes=processes), True
-    shutdown_pool()
-    if not _atexit_registered:
-        _atexit_registered = True
-        atexit.register(shutdown_pool)
-    _warm_pool = _pool_context().Pool(processes=processes)
-    _warm_key = key
-    _warm_active = 1
-    return _warm_pool, False
-
-
-def _release_pool(
-    pool: multiprocessing.pool.Pool, private: bool, completed: bool
-) -> None:
-    global _warm_active
-    if private:
-        pool.terminate()
-        pool.join()
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    if not forks_workers(workers, policy):
+        for index, run in pending:
+            yield index, _execute(run, capture_errors, stable_stack)
         return
-    if pool is _warm_pool:
-        # (An explicit shutdown_pool() mid-stream already zeroed the count.)
-        _warm_active = max(0, _warm_active - 1)
-        if not completed and _warm_active == 0:
-            # An abandoned stream leaves queued runs nobody will consume;
-            # match the old per-call-pool semantics and cancel them rather
-            # than burning CPU in the background.  (If another stream still
-            # shares the pool we must keep it alive; its orphans drain.)
-            shutdown_pool()
+    queue: deque = deque(pending)
+    waiting: List[Tuple[float, int, RunSpec]] = []  # (ready_at, index, run)
+    attempts: Dict[int, int] = {}
+    pool = [_PoolWorker(capture_errors, stable_stack)
+            for _ in range(min(workers, len(pending)))]
+
+    def respawn(worker: _PoolWorker) -> None:
+        worker.kill()
+        pool[pool.index(worker)] = _PoolWorker(capture_errors, stable_stack)
+
+    def fail(worker: _PoolWorker) -> Iterator[Tuple[int, RunResult]]:
+        """Handle a dead worker: respawn it, retry or quarantine its run."""
+        index, run = worker.task  # type: ignore[misc]
+        respawn(worker)
+        made = attempts.get(index, 0) + 1
+        attempts[index] = made
+        if made >= policy.max_attempts:
+            telemetry.quarantined += 1
+            yield index, _quarantine_result(run, made)
+        else:
+            telemetry.retries += 1
+            heapq.heappush(
+                waiting, (time.monotonic() + policy.backoff(made), index, run)
+            )
+
+    try:
+        while queue or waiting or any(w.task is not None for w in pool):
+            now = time.monotonic()
+            while waiting and waiting[0][0] <= now:
+                _, index, run = heapq.heappop(waiting)
+                queue.append((index, run))
+            for worker in pool:
+                if worker.task is None and queue:
+                    task = queue.popleft()
+                    try:
+                        worker.assign(task, policy.run_timeout)
+                    except (BrokenPipeError, OSError):
+                        # Found dead at assignment (died after its last
+                        # result): respawn and requeue, not an attempt.
+                        respawn(worker)
+                        queue.appendleft(task)
+
+            busy = {worker.conn: worker for worker in pool
+                    if worker.task is not None}
+            if not busy:
+                if waiting:
+                    time.sleep(
+                        max(0.0, min(waiting[0][0] - time.monotonic(), 0.05))
+                    )
+                continue
+            tick = 0.1
+            deadlines = [w.deadline for w in busy.values()
+                         if w.deadline is not None]
+            if deadlines:
+                tick = min(tick, max(0.0, min(deadlines) - time.monotonic()))
+            if waiting:
+                tick = min(tick, max(0.0, waiting[0][0] - time.monotonic()))
+            for conn in connection.wait(list(busy), timeout=tick):
+                worker = busy[conn]
+                try:
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    yield from fail(worker)
+                    continue
+                worker.task = None
+                worker.deadline = None
+                if message[0] == "ok":
+                    yield message[1], message[2]
+                elif message[0] == "raise":
+                    raise message[2]
+                else:  # "raise-text": the original exception did not pickle
+                    raise WorkerError(f"{message[2]}: {message[3]}")
+            now = time.monotonic()
+            for worker in list(pool):
+                if (worker.task is not None and worker.deadline is not None
+                        and now >= worker.deadline):
+                    index, run = worker.task
+                    respawn(worker)
+                    telemetry.timeouts += 1
+                    yield index, _watchdog_result(run, policy.run_timeout)
+    finally:
+        for worker in pool:
+            worker.stop()
 
 
 def execute_stream(
@@ -306,35 +513,19 @@ def execute_stream(
     — the mode chaos campaigns stream in, where lethal configurations are
     findings rather than failures.  ``stable_stack`` executes each run via
     :func:`run_with_stable_stack`, making recursion-limited trace tails
-    identical across serial and parallel execution.
+    identical across serial and parallel execution.  A worker process that
+    dies mid-run yields a ``WorkerCrashed`` error result for that run (this
+    is :func:`dispatch` under the inert policy) and the stream keeps draining.
     """
-    run_list = list(runs)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    execute, execute_indexed = _EXECUTORS[(capture_errors, stable_stack)]
-    total = len(run_list)
-    done = 0
-    if workers == 1 or total <= 1:
-        for index, run in enumerate(run_list):
-            result = execute(run)
-            done += 1
-            if progress is not None:
-                progress(done, total)
-            yield index, result
-        return
-    pool, private = _checkout_pool(min(workers, total))
-    try:
-        for index, result in pool.imap_unordered(
-            execute_indexed, list(enumerate(run_list))
-        ):
-            done += 1
-            if progress is not None:
-                progress(done, total)
-            yield index, result
-    finally:
-        # Runs on exhaustion and on generator close/GC, so the refcount (or
-        # the private pool) is released even for abandoned streams.
-        _release_pool(pool, private, completed=done == total)
+    pending = list(enumerate(runs))
+    total = len(pending)
+    for done, (index, result) in enumerate(dispatch(
+        pending, workers, capture_errors, stable_stack,
+        ResiliencePolicy(), StreamTelemetry(),
+    ), 1):
+        if progress is not None:
+            progress(done, total)
+        yield index, result
 
 
 def execute_many(

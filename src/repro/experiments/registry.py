@@ -38,25 +38,12 @@ __all__ = [
     "scenario_names",
     "all_scenarios",
     "catalogue_payload",
-    "registry_version",
 ]
 
 _REGISTRY: Dict[str, "Scenario"] = {}
 _builtin_loaded = False  # the catalogue import has started
 _builtin_ready = False  # ... and finished
 _builtin_lock = threading.RLock()
-_version = 0
-
-
-def registry_version() -> int:
-    """A counter bumped on every registration change.
-
-    The parallel executor's warm worker pool snapshots this when it forks:
-    forked workers inherit the registry as of that moment, so a pool is only
-    reused while the registry is unchanged (a runtime-registered scenario
-    must trigger a re-fork to be visible in the workers).
-    """
-    return _version
 
 
 def _ensure_builtin() -> None:
@@ -159,11 +146,9 @@ class SpecScenario(Scenario):
 
 def register(entry: Scenario, replace: bool = False) -> Scenario:
     """Add a scenario to the global registry."""
-    global _version
     if not replace and entry.name in _REGISTRY:
         raise ConfigurationError(f"scenario {entry.name!r} is already registered")
     _REGISTRY[entry.name] = entry
-    _version += 1
     return entry
 
 
@@ -178,9 +163,7 @@ def register_spec(
 
 def unregister(name: str) -> None:
     """Remove a scenario (used by tests; unknown names are ignored)."""
-    global _version
-    if _REGISTRY.pop(name, None) is not None:
-        _version += 1
+    _REGISTRY.pop(name, None)
 
 
 def scenario(

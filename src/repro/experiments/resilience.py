@@ -1,8 +1,16 @@
-"""Resilient execution: journaled resume, watchdogs, retry, quarantine.
+"""Resilient execution: journaled resume, quarantine, graceful interruption.
 
 The executor guarantees serial == parallel results; this module makes long
 executions survive the failures they study, without weakening that
-guarantee.  Four cooperating pieces:
+guarantee.  The executor's one worker pool
+(:func:`~repro.experiments.executor.dispatch`) already kills a run that
+hangs past :attr:`ResiliencePolicy.run_timeout` (a deterministic
+``{"error": {"type": "WatchdogTimeout", ...}}`` result), re-dispatches a run
+whose worker process died — SIGKILLed, OOM-killed, segfaulted — up to
+:attr:`ResiliencePolicy.max_attempts` times with exponential backoff, and
+turns a run that failed every attempt into a deterministic
+``{"error": {"type": "WorkerCrashed", ...}}`` result while the stream keeps
+draining.  What lives here is what outlasts the process:
 
 * :class:`RunJournal` — an append-only JSONL record of completed runs keyed
   by :func:`run_digest`, a stable digest of ``(scenario, params)``.  Sweeps
@@ -10,46 +18,27 @@ guarantee.  Four cooperating pieces:
   journaled configurations and reassembles a final report byte-identical to
   an uninterrupted run (results are deterministic, so a journaled result
   *is* the result a re-run would produce).
-* a **per-run wall-clock watchdog** (:attr:`ResiliencePolicy.run_timeout`)
-  — a run that hangs past the deadline is killed (its worker process is
-  SIGKILLed and respawned), recorded as a deterministic
-  ``{"error": {"type": "WatchdogTimeout", ...}}`` result, and the stream
-  keeps draining.
-* **bounded retry with exponential backoff**
-  (:attr:`ResiliencePolicy.max_attempts`) — a worker process that dies
-  (SIGKILLed, OOM-killed, segfaulted) loses its in-flight run; the run is
-  re-dispatched to a respawned worker after a backoff, at most
-  ``max_attempts`` times.  Configurations that fail every attempt are
-  *quarantined* to a JSONL sidecar (:class:`Quarantine`) and surface as
-  deterministic ``{"error": {"type": "WorkerCrashed", ...}}`` results, so
-  the campaign degrades gracefully instead of dying.
+* :class:`Quarantine` — a JSONL sidecar of the configurations that failed
+  every attempt, so the campaign degrades gracefully instead of dying and
+  the poison configs can be reproduced by hand.
+* :func:`execute_stream_resilient` — the executor's dispatch under a
+  caller-chosen policy, plus journal replay and the two sidecars.  With no
+  journal and the default (inert) policy it yields exactly what
+  :func:`~repro.experiments.executor.execute_stream` yields.
 * :func:`interruptible` — SIGINT/SIGTERM handlers that raise
   :class:`GracefulInterrupt`, letting the CLI flush sinks and exit with
   :data:`INTERRUPT_EXIT_CODE` so CI can distinguish "interrupted,
   resumable" from "failed".
-
-The off-path is inert: with no journal and a default policy,
-:func:`execute_stream_resilient` delegates straight to
-:func:`~repro.experiments.executor.execute_stream` (same warm pool, same
-bytes).  With a policy that needs kill-capable workers (watchdog or retry),
-execution moves to a private pipe-managed worker pool — results are still
-bit-identical because every run is deterministic in virtual time; only the
-execution vehicle changes.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
 import os
 import signal
 import threading
-import time
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
-from multiprocessing import connection
 from typing import (
     Any,
     Callable,
@@ -61,12 +50,12 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError, WorkerError
+from repro.errors import ConfigurationError
 from repro.experiments.executor import (
-    _EXECUTORS,
-    _pool_context,
+    ResiliencePolicy,
     RunResult,
-    execute_stream,
+    StreamTelemetry,
+    dispatch,
 )
 from repro.experiments.sweep import RunSpec
 
@@ -207,82 +196,8 @@ def _json_roundtrip(value: Any) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Policy, telemetry, quarantine
+# Quarantine
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Watchdog and retry knobs for one execution stream.
-
-    The default policy is inert (no timeout, single attempt):
-    :func:`execute_stream_resilient` then delegates to the plain executor.
-    ``run_timeout`` is *wall-clock* seconds per run; ``max_attempts`` counts
-    total dispatches of one run across worker deaths.  Backoff before the
-    ``k``-th retry is ``backoff_base * backoff_factor**(k-1)``, capped at
-    ``backoff_max`` — wall-clock pacing only, results are unaffected.
-    """
-
-    run_timeout: Optional[float] = None
-    max_attempts: int = 1
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-
-    def validate(self) -> None:
-        if self.run_timeout is not None and self.run_timeout <= 0:
-            raise ConfigurationError(
-                f"run_timeout must be positive, got {self.run_timeout!r}"
-            )
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts!r}"
-            )
-
-    @property
-    def needs_pool(self) -> bool:
-        """Whether the policy needs kill-capable (pipe-managed) workers."""
-        return self.run_timeout is not None or self.max_attempts > 1
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before re-dispatching after ``attempt`` failures."""
-        delay = self.backoff_base * self.backoff_factor ** max(0, attempt - 1)
-        return min(delay, self.backoff_max)
-
-    def as_dict(self) -> Dict[str, Any]:
-        """The policy knobs for report metadata (deterministic)."""
-        return {"run_timeout": self.run_timeout,
-                "max_attempts": self.max_attempts}
-
-
-@dataclass
-class StreamTelemetry:
-    """Counters a resilient stream accumulates, for progress lines and
-    report metadata.
-
-    ``resumed`` is deliberately excluded from :meth:`as_dict`: a resumed run
-    and an uninterrupted run must produce byte-identical reports, and only
-    the former has a nonzero resumed count.  It still shows in
-    :meth:`suffix` (stderr is not part of the report).
-    """
-
-    resumed: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {"retries": self.retries, "timeouts": self.timeouts,
-                "quarantined": self.quarantined}
-
-    def suffix(self) -> str:
-        """A progress-line suffix like `` (resumed 3, retries 1)``; empty
-        while every counter is zero, so undegraded output is unchanged."""
-        parts = [f"{name} {value}" for name, value in (
-            ("resumed", self.resumed), ("retries", self.retries),
-            ("timeouts", self.timeouts), ("quarantined", self.quarantined),
-        ) if value]
-        return f" ({', '.join(parts)})" if parts else ""
 
 
 class Quarantine:
@@ -298,13 +213,11 @@ class Quarantine:
 
     def __init__(self, path: Optional[str]) -> None:
         self.path = path
-        self.count = 0
         self._handle = None
 
     def record(self, index: int, run: RunSpec, attempts: int,
                error: Dict[str, Any],
                traceback_text: Optional[str] = None) -> None:
-        self.count += 1
         if self.path is None:
             return
         if self._handle is None:
@@ -378,230 +291,6 @@ def interruptible() -> Iterator[None]:
 
 
 # ---------------------------------------------------------------------------
-# The kill-capable worker pool
-# ---------------------------------------------------------------------------
-
-
-def _worker_main(conn: Any, execute_indexed: Any) -> None:
-    """Worker loop: receive ``(index, run)`` tasks, send back results.
-
-    Runs until the parent closes the pipe or sends ``None``.  Exceptions a
-    run raises are shipped back as pickled objects when possible (so the
-    parent re-raises the original type) and as ``(name, text)`` otherwise.
-    """
-    while True:
-        try:
-            task = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
-            return
-        if task is None:
-            return
-        index, run = task
-        try:
-            message: Tuple[Any, ...] = ("ok", execute_indexed((index, run)))
-        except BaseException as exc:  # shipped to the parent, never lost
-            message = ("raise", index, exc)
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            return
-        except Exception:  # the exception object itself did not pickle
-            index = task[0]
-            exc = message[2]
-            conn.send(("raise-text", index, type(exc).__name__, str(exc)))
-
-
-class _PoolWorker:
-    """One kill-capable worker process plus its duplex pipe and state."""
-
-    def __init__(self, ctx: Any, execute_indexed: Any) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.conn = parent_conn
-        self.process = ctx.Process(
-            target=_worker_main, args=(child_conn, execute_indexed),
-            daemon=True, name="repro-resilient-worker",
-        )
-        self.process.start()
-        child_conn.close()
-        self.task: Optional[Tuple[int, RunSpec]] = None
-        self.deadline: Optional[float] = None
-
-    def assign(self, task: Tuple[int, RunSpec],
-               run_timeout: Optional[float]) -> None:
-        self.conn.send(task)
-        self.task = task
-        self.deadline = (
-            time.monotonic() + run_timeout if run_timeout is not None else None
-        )
-
-    def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.kill()
-        self.process.join()
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-
-    def stop(self) -> None:
-        """Polite shutdown for idle workers; kill() for busy/hung ones."""
-        if self.task is not None:
-            self.kill()
-            return
-        try:
-            self.conn.send(None)
-            self.conn.close()
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.kill()
-            self.process.join()
-
-
-def _error_result(run: RunSpec, error: Dict[str, Any]) -> RunResult:
-    """A captured-error result shaped like :func:`execute_run_captured`'s."""
-    return RunResult(
-        scenario=run.scenario,
-        params=run.params,
-        result={"scenario": run.scenario, "error": error},
-    )
-
-
-def _watchdog_result(run: RunSpec, run_timeout: float) -> RunResult:
-    # Deterministic fields only: the configured timeout, not the measured
-    # wall time, so journaled/reported bytes are stable.
-    return _error_result(run, {
-        "type": "WatchdogTimeout",
-        "message": (f"run exceeded the per-run watchdog timeout "
-                    f"({run_timeout:g}s wall-clock) and was killed"),
-        "run_timeout": run_timeout,
-    })
-
-
-def _quarantine_result(run: RunSpec, attempts: int) -> RunResult:
-    return _error_result(run, {
-        "type": "WorkerCrashed",
-        "message": (f"worker process died executing this run "
-                    f"{attempts} time(s); configuration quarantined"),
-        "attempts": attempts,
-        "quarantined": True,
-    })
-
-
-def _execute_resilient_pool(
-    pending: List[Tuple[int, RunSpec]],
-    workers: int,
-    capture_errors: bool,
-    stable_stack: bool,
-    policy: ResiliencePolicy,
-    telemetry: StreamTelemetry,
-    quarantine: Quarantine,
-) -> Iterator[Tuple[int, RunResult]]:
-    """Run ``pending`` on kill-capable workers; yield in completion order.
-
-    Every input index is yielded exactly once: as its result, as a
-    ``WatchdogTimeout`` error (hung past ``policy.run_timeout``) or as a
-    ``WorkerCrashed`` error (worker died ``policy.max_attempts`` times —
-    also recorded in ``quarantine``).  Worker deaths re-dispatch the lost
-    run after an exponential backoff; the pool respawns workers as needed
-    and the stream keeps draining throughout.
-    """
-    _, execute_indexed = _EXECUTORS[(capture_errors, stable_stack)]
-    ctx = _pool_context()
-    queue: deque = deque(pending)
-    waiting: List[Tuple[float, int, RunSpec]] = []  # (ready_at, index, run)
-    attempts: Dict[int, int] = {}
-    pool = [_PoolWorker(ctx, execute_indexed)
-            for _ in range(max(1, min(workers, len(pending))))]
-
-    def fail(worker: _PoolWorker) -> Iterator[Tuple[int, RunResult]]:
-        """Handle a dead worker: respawn it, retry or quarantine its run."""
-        index, run = worker.task  # type: ignore[misc]
-        worker.kill()
-        pool[pool.index(worker)] = _PoolWorker(ctx, execute_indexed)
-        made = attempts.get(index, 0) + 1
-        attempts[index] = made
-        if made >= policy.max_attempts:
-            telemetry.quarantined += 1
-            result = _quarantine_result(run, made)
-            quarantine.record(index, run, made,
-                              dict(result.result["error"]))
-            yield index, result
-        else:
-            telemetry.retries += 1
-            heapq.heappush(
-                waiting, (time.monotonic() + policy.backoff(made), index, run)
-            )
-
-    try:
-        while queue or waiting or any(w.task is not None for w in pool):
-            now = time.monotonic()
-            while waiting and waiting[0][0] <= now:
-                _, index, run = heapq.heappop(waiting)
-                queue.append((index, run))
-            for worker in pool:
-                if worker.task is None and queue:
-                    task = queue.popleft()
-                    try:
-                        worker.assign(task, policy.run_timeout)
-                    except (BrokenPipeError, OSError):
-                        # Found dead at assignment (died after its last
-                        # result): respawn and requeue, not an attempt.
-                        worker.kill()
-                        pool[pool.index(worker)] = _PoolWorker(
-                            ctx, execute_indexed
-                        )
-                        queue.appendleft(task)
-
-            busy = {worker.conn: worker for worker in pool
-                    if worker.task is not None}
-            if not busy:
-                if waiting:
-                    time.sleep(
-                        max(0.0, min(waiting[0][0] - time.monotonic(), 0.05))
-                    )
-                continue
-            tick = 0.1
-            deadlines = [w.deadline for w in busy.values()
-                         if w.deadline is not None]
-            if deadlines:
-                tick = min(tick, max(0.0, min(deadlines) - time.monotonic()))
-            if waiting:
-                tick = min(tick, max(0.0, waiting[0][0] - time.monotonic()))
-            for conn in connection.wait(list(busy), timeout=tick):
-                worker = busy[conn]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    yield from fail(worker)
-                    continue
-                worker.task = None
-                worker.deadline = None
-                if message[0] == "ok":
-                    index, result = message[1]
-                    yield index, result
-                elif message[0] == "raise":
-                    raise message[2]
-                else:  # "raise-text": the original exception did not pickle
-                    raise WorkerError(f"{message[2]}: {message[3]}")
-            now = time.monotonic()
-            for worker in list(pool):
-                if (worker.task is not None and worker.deadline is not None
-                        and now >= worker.deadline):
-                    index, run = worker.task
-                    worker.kill()
-                    pool[pool.index(worker)] = _PoolWorker(
-                        ctx, execute_indexed
-                    )
-                    telemetry.timeouts += 1
-                    yield index, _watchdog_result(run, policy.run_timeout)
-    finally:
-        for worker in pool:
-            worker.stop()
-
-
-# ---------------------------------------------------------------------------
 # The resilient stream
 # ---------------------------------------------------------------------------
 
@@ -619,17 +308,16 @@ def execute_stream_resilient(
 ) -> Iterator[Tuple[int, RunResult]]:
     """:func:`execute_stream` with journaled resume, watchdog and retry.
 
-    With no journal and an inert policy this *is* ``execute_stream`` — the
-    call delegates unconditionally, so the off-path shares the warm pool
-    and its exact semantics.  Otherwise:
+    The same :func:`~repro.experiments.executor.dispatch` as the plain
+    stream, under ``policy`` instead of the inert one, plus the sidecars:
 
     * runs whose digest is already journaled yield their journaled result
       first (in input order), without executing — ``telemetry.resumed``
       counts them;
-    * remaining runs execute through the plain executor, or through the
-      kill-capable pool when the policy needs a watchdog or retries;
     * every fresh result is journaled as it lands (quarantined and
-      timed-out runs are **not** journaled: a resume retries them).
+      timed-out runs are **not** journaled: a resume retries them);
+    * a run whose worker died on every attempt is recorded in
+      ``quarantine``.
 
     Every input index is yielded exactly once and ``progress(done, total)``
     fires after each, journaled or fresh — same contract as the plain
@@ -637,31 +325,13 @@ def execute_stream_resilient(
     """
     policy = policy or ResiliencePolicy()
     policy.validate()
-    if journal is None and not policy.needs_pool:
-        yield from execute_stream(
-            runs, workers=workers, progress=progress,
-            capture_errors=capture_errors, stable_stack=stable_stack,
-        )
-        return
     run_list = list(runs)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     telemetry = telemetry if telemetry is not None else StreamTelemetry()
-    quarantine = quarantine if quarantine is not None else Quarantine(None)
     total = len(run_list)
     done = 0
 
-    def emit(index: int, run: RunSpec, result: RunResult,
-             fresh: bool) -> Tuple[int, RunResult]:
+    def tick(index: int, result: RunResult) -> Tuple[int, RunResult]:
         nonlocal done
-        if fresh and journal is not None and journalable(result):
-            journal.record(run_digest(run), {
-                "index": index,
-                "run_id": run.run_id,
-                "scenario": run.scenario,
-                "params": {key: repr(value) for key, value in run.params},
-                "result": result.result,
-            })
         done += 1
         if progress is not None:
             progress(done, total)
@@ -674,29 +344,28 @@ def execute_stream_resilient(
             telemetry.resumed += 1
             # Reconstruct from the *original* spec (not the journal's params
             # rendering) so run_id/params round-trip exactly.
-            yield emit(index, run,
-                       RunResult(run.scenario, run.params, record["result"]),
-                       fresh=False)
+            yield tick(
+                index, RunResult(run.scenario, run.params, record["result"])
+            )
         else:
             pending.append((index, run))
-    if not pending:
-        return
-
-    if not policy.needs_pool:
-        index_map = [index for index, _ in pending]
-        for sub_index, result in execute_stream(
-            [run for _, run in pending], workers=workers,
-            capture_errors=capture_errors, stable_stack=stable_stack,
-        ):
-            index = index_map[sub_index]
-            yield emit(index, run_list[index], result, fresh=True)
-        return
-
-    for index, result in _execute_resilient_pool(
-        pending, workers, capture_errors, stable_stack,
-        policy, telemetry, quarantine,
+    for index, result in dispatch(
+        pending, workers, capture_errors, stable_stack, policy, telemetry,
     ):
-        yield emit(index, run_list[index], result, fresh=True)
+        run = run_list[index]
+        if journalable(result):
+            if journal is not None:
+                journal.record(run_digest(run), {
+                    "index": index,
+                    "run_id": run.run_id,
+                    "scenario": run.scenario,
+                    "params": {key: repr(value) for key, value in run.params},
+                    "result": result.result,
+                })
+        elif quarantine is not None and result.result["error"].get("quarantined"):
+            error = result.result["error"]
+            quarantine.record(index, run, error["attempts"], dict(error))
+        yield tick(index, result)
 
 
 def journalable(result: RunResult) -> bool:

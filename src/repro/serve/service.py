@@ -181,9 +181,11 @@ class Job:
 
 
 class ExperimentService:
-    """Job store + scheduler: multi-user submissions over one warm pool.
+    """Job store + scheduler for multi-user submissions.
 
-    ``workers`` is the default per-job executor parallelism;
+    ``workers`` is the default per-job executor parallelism (each running
+    job forks its own workers for the life of its stream, so concurrent
+    jobs share no pool and no registry snapshot);
     ``job_concurrency`` is how many jobs execute at once (each on its own
     worker thread).  ``queue_limit`` bounds *queued* (not running) jobs —
     beyond it submissions fail fast with :class:`QueueFullError` instead of

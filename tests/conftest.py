@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -23,6 +24,22 @@ def loop() -> SimLoop:
 @pytest.fixture
 def network(loop: SimLoop) -> Network:
     return Network(loop, ConstantLatency(1.0))
+
+
+@pytest.fixture
+def leaked_children() -> Callable[[], List[Any]]:
+    """``leaked_children()``: child processes started since the test began
+    that are still alive (each is given 5 s to finish exiting first)."""
+    before = {child.pid for child in multiprocessing.active_children()}
+
+    def check() -> List[Any]:
+        fresh = [child for child in multiprocessing.active_children()
+                 if child.pid not in before]
+        for child in fresh:
+            child.join(timeout=5.0)
+        return [child for child in fresh if child.is_alive()]
+
+    return check
 
 
 def make_net(latency: Optional[LatencyModel] = None) -> Tuple[SimLoop, Network]:

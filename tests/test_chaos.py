@@ -18,7 +18,9 @@ The load-bearing guarantees under test:
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -413,6 +415,42 @@ class TestCampaignTraces:
         # ... the strict path refuses to judge half a trace.
         with pytest.raises(ConfigurationError, match=r"cut\.jsonl:\d+: "):
             _read_trace_if_any(str(cut))
+
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the patched run_spec reaches workers by fork",
+    )
+    def test_a_crashed_worker_in_a_plain_campaign_is_judged_no_trace(
+        self, monkeypatch
+    ):
+        # What the OOM killer does to one worker of a plain `--workers 2`
+        # campaign, mid-trace-write: that run is "no trace", quarantined;
+        # every other run is still read strictly and judged in full.
+        import repro.experiments.registry as registry_module
+
+        real_run_spec = registry_module.run_spec
+
+        def run_spec_or_die(spec):
+            path = spec.observability.trace_path or ""
+            if path.endswith("0001.jsonl"):
+                with open(path, "w", encoding="utf-8") as handle:
+                    handle.write('{"kind": "torn')
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_run_spec(spec)
+
+        monkeypatch.setattr(registry_module, "run_spec", run_spec_or_die)
+        telemetry = StreamTelemetry()
+        campaign = run_campaign("quickstart", sample=3, seed=3, workers=2,
+                                telemetry=telemetry)
+        assert telemetry.quarantined == 1
+        assert "resilience" not in campaign.header["campaign"]
+        by_index = {entry["index"]: entry for entry in campaign.entries}
+        crashed = by_index[1]
+        assert [v["check"] for v in crashed["violations"]] == ["run-quarantined"]
+        assert crashed["oracles"]["trace-invariants"] == {"checked": False}
+        for index in (0, 2):
+            assert by_index[index]["oracles"]["trace-invariants"]["checked"]
 
 
 class TestChaosCli:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -645,33 +646,34 @@ class TestWorkloadSpecIntegration:
         assert dumps_json(serial) == dumps_json(parallel)
 
 
+def _child_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 class TestWarmPool:
-    """The executor keeps one worker pool alive across chained sweeps."""
+    """Workers live and die with their stream: what the warm pool's tests
+    pinned, minus pool reuse.  (The class keeps its name so the surviving
+    test ids stay stable.)"""
 
-    def test_pool_is_reused_across_calls(self):
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import shutdown_pool
-
+    def test_chained_parallel_calls_return_identical_results(
+        self, leaked_children
+    ):
         runs = expand_grid(
             "quickstart",
             grid={"seed": [0, 1]},
             base={"workload.operations_per_client": 2},
         )
-        try:
-            first = execute_many(runs, workers=2)
-            pool_after_first = executor_module._warm_pool
-            second = execute_many(runs, workers=2)
-            pool_after_second = executor_module._warm_pool
-            assert pool_after_first is not None
-            assert pool_after_first is pool_after_second
-            assert dumps_json(first) == dumps_json(second)
-        finally:
-            shutdown_pool()
-            assert executor_module._warm_pool is None
+        first = execute_many(runs, workers=2)
+        second = execute_many(runs, workers=2)
+        assert dumps_json(first) == dumps_json(second)
+        assert dumps_json(first) == dumps_json(execute_many(runs, workers=1))
+        assert leaked_children() == []
 
-    def test_pool_invalidated_by_worker_count_and_registry_changes(self):
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import shutdown_pool
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="spawned workers re-import only the built-in catalogue",
+    )
+    def test_scenario_registered_between_calls_is_visible_to_workers(self):
         from repro.experiments.registry import register, unregister
 
         runs = expand_grid(
@@ -679,80 +681,62 @@ class TestWarmPool:
             grid={"seed": [0, 1, 2]},
             base={"workload.operations_per_client": 2},
         )
+        execute_many(runs, workers=2)
+        # Workers are forked per stream, so they see the registry as it is
+        # when the stream starts, whatever ran before.
+        register(FunctionScenario(lambda seed=0: {"ok": seed}, name="late-probe"))
         try:
-            execute_many(runs, workers=2)
-            pool_two = executor_module._warm_pool
-            execute_many(runs, workers=3)
-            pool_three = executor_module._warm_pool
-            assert pool_two is not pool_three
-
-            # A registry change must re-fork, so workers see the new entry.
-            entry = FunctionScenario(lambda: {"ok": 1}, name="warm-pool-probe")
-            register(entry)
-            try:
-                execute_many(runs, workers=3)
-                assert executor_module._warm_pool is not pool_three
-            finally:
-                unregister("warm-pool-probe")
+            probes = [RunSpec("late-probe", params=(("seed", seed),))
+                      for seed in range(3)]
+            results = execute_many(probes, workers=3)
+            assert [result.result for result in results] == [
+                {"ok": 0}, {"ok": 1}, {"ok": 2},
+            ]
         finally:
-            shutdown_pool()
+            unregister("late-probe")
 
     def test_serial_execution_never_forks_a_pool(self):
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import shutdown_pool
-
-        shutdown_pool()
         runs = expand_grid(
-            "quickstart",
-            grid={"seed": [0]},
-            base={"workload.operations_per_client": 2},
-        )
-        execute_many(runs, workers=1)
-        assert executor_module._warm_pool is None
-
-    def test_interleaved_streams_with_different_shapes_both_complete(self):
-        # A stream must never have its pool torn down by a concurrently
-        # started stream with a different worker count (or registry
-        # version): the second stream gets a private pool instead.
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import execute_stream, shutdown_pool
-        from repro.experiments.sweep import expand_grid as grid
-
-        runs = grid(
             "quickstart",
             grid={"seed": [0, 1]},
             base={"workload.operations_per_client": 2},
         )
-        try:
-            first = execute_stream(runs, workers=2)
-            head_index, _ = next(first)  # first stream is now mid-consumption
-            second = execute_stream(runs, workers=3)
-            second_results = sorted(index for index, _ in second)
-            first_results = sorted(
-                [head_index] + [index for index, _ in first]
-            )
-            assert second_results == [0, 1]
-            assert first_results == [0, 1]
-            assert executor_module._warm_pool is not None
-        finally:
-            shutdown_pool()
+        before = _child_pids()
+        stream = execute_stream(runs, workers=1)
+        next(stream)  # mid-stream: a forked worker would be alive now
+        assert _child_pids() == before
+        stream.close()
 
-    def test_abandoned_stream_cancels_queued_runs(self):
-        # Closing a stream mid-consumption must tear the warm pool down (no
-        # orphaned runs burning CPU), matching the old per-call semantics.
-        import repro.experiments.executor as executor_module
-        from repro.experiments.executor import execute_stream, shutdown_pool
-        from repro.experiments.sweep import expand_grid as grid
+    def test_interleaved_streams_with_different_shapes_both_complete(
+        self, leaked_children
+    ):
+        # Each stream owns its workers, so a concurrently started stream
+        # with a different worker count cannot disturb one mid-consumption.
+        runs = expand_grid(
+            "quickstart",
+            grid={"seed": [0, 1]},
+            base={"workload.operations_per_client": 2},
+        )
+        first = execute_stream(runs, workers=2)
+        head_index, _ = next(first)  # first stream is now mid-consumption
+        second = execute_stream(runs, workers=3)
+        second_results = sorted(index for index, _ in second)
+        first_results = sorted([head_index] + [index for index, _ in first])
+        assert second_results == [0, 1]
+        assert first_results == [0, 1]
+        assert leaked_children() == []
 
-        runs = grid(
+    def test_abandoned_stream_cancels_queued_runs(self, leaked_children):
+        # Closing a stream mid-consumption must stop its workers (no
+        # orphaned runs burning CPU).
+        runs = expand_grid(
             "quickstart",
             grid={"seed": [0, 1, 2, 3]},
             base={"workload.operations_per_client": 2},
         )
-        try:
-            stream = execute_stream(runs, workers=2)
-            next(stream)
-            stream.close()  # abandoned: generator finally must release
-            assert executor_module._warm_pool is None
-        finally:
-            shutdown_pool()
+        before = _child_pids()
+        stream = execute_stream(runs, workers=2)
+        next(stream)
+        assert len(_child_pids() - before) == 2
+        stream.close()  # abandoned: generator finally must stop the pool
+        assert leaked_children() == []

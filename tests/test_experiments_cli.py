@@ -175,7 +175,8 @@ class TestSweepResilienceCli:
         journaled = tmp_path / "journaled.json"
         journal = tmp_path / "sweep.journal.jsonl"
         assert main([*args, "--json", str(plain)]) == 0
-        capsys.readouterr()
+        # No journal and nothing went wrong: no summary line.
+        assert "resilience:" not in capsys.readouterr().err
         assert main([*args, "--json", str(journaled),
                      "--journal", str(journal)]) == 0
         err = capsys.readouterr().err

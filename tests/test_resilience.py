@@ -12,11 +12,13 @@ import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 
 import pytest
 
-import repro.experiments.executor as executor_module
 from repro.errors import ConfigurationError
 from repro.experiments import (
     INTERRUPT_EXIT_CODE,
@@ -33,8 +35,14 @@ from repro.experiments import (
     run_digest,
 )
 from repro.experiments.cli import main
-from repro.experiments.executor import execute_run_captured, shutdown_pool
-from repro.experiments.registry import FunctionScenario, register, unregister
+from repro.experiments.executor import execute_run_captured, forks_workers
+from repro.experiments.registry import (
+    FunctionScenario,
+    get_scenario,
+    register,
+    register_spec,
+    unregister,
+)
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
@@ -90,7 +98,6 @@ def misbehaving_scenarios():
     finally:
         for entry in entries:
             unregister(entry.name)
-        shutdown_pool()
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +215,10 @@ class TestPolicy:
         assert not ResiliencePolicy().needs_pool
         assert ResiliencePolicy(run_timeout=1.0).needs_pool
         assert ResiliencePolicy(max_attempts=2).needs_pool
+        # ... and in-process execution is exactly workers == 1 under it.
+        assert not forks_workers(1, ResiliencePolicy())
+        assert forks_workers(2, ResiliencePolicy())
+        assert forks_workers(1, ResiliencePolicy(max_attempts=2))
 
     def test_inert_call_matches_plain_stream(self):
         runs = expand_grid(
@@ -399,9 +410,8 @@ class TestRetryAndQuarantine:
         assert load_quarantine(path) == []
 
     def test_abandoned_resilient_stream_stops_workers(
-        self, misbehaving_scenarios
+        self, misbehaving_scenarios, leaked_children
     ):
-        before = {child.pid for child in multiprocessing.active_children()}
         runs = [RunSpec("resilience-ok", params=(("seed", seed),))
                 for seed in range(4)]
         stream = execute_stream_resilient(
@@ -409,67 +419,170 @@ class TestRetryAndQuarantine:
         )
         next(stream)
         stream.close()  # generator finally must stop the pool workers
-        leaked = [
-            child for child in multiprocessing.active_children()
-            if child.pid not in before
-        ]
-        for child in leaked:
-            child.join(timeout=5.0)
-        assert not any(child.is_alive() for child in leaked)
+        assert leaked_children() == []
 
 
 # ---------------------------------------------------------------------------
-# The warm pool keeps its contract around the resilience layer
+# One pool: plain and resilient streams are the same dispatch
 # ---------------------------------------------------------------------------
+
+# A plain parallel call whose worker is SIGKILLed mid-run (what the OOM
+# killer does).  Run in a subprocess under a hard timeout: on mp.Pool this
+# hung forever, and a hang must fail the test, not stall the suite.
+_SIGKILL_SCRIPT = """
+import json, os, signal
+from repro.experiments import RunSpec, execute_many
+from repro.experiments.registry import FunctionScenario, register
+
+def die_on_one(seed=0):
+    if seed == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"ok": True, "seed": seed}
+
+register(FunctionScenario(die_on_one, name="die-on-one"))
+runs = [RunSpec("die-on-one", params=(("seed", seed),)) for seed in range(4)]
+print(json.dumps([r.result for r in execute_many(runs, workers=2)]))
+"""
+
+
+# The scripts import repro the way this process does.
+_SCRIPT_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+# A parallel stream whose parent process is SIGKILLed mid-stream: prints its
+# workers' pids after the first result, then idles until killed.
+_ORPHAN_SCRIPT = """
+import multiprocessing, time
+from repro.experiments import execute_stream, expand_grid
+
+runs = expand_grid("quickstart", grid={"seed": list(range(8))},
+                   base={"workload.operations_per_client": 2})
+stream = execute_stream(runs, workers=2)
+next(stream)
+print(*[child.pid for child in multiprocessing.active_children()], flush=True)
+time.sleep(120)
+"""
+
+
+def _gone(pid):
+    """Exited (a zombie awaiting its reaper counts) or never existed."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
 
 
 @needs_fork
-class TestWarmPoolSharing:
-    def test_same_shape_concurrent_streams_share_the_warm_pool(self):
-        runs = expand_grid(
-            "quickstart",
-            grid={"seed": [0, 1]},
-            base={"workload.operations_per_client": 2},
+class TestOnePool:
+    def test_plain_parallel_call_survives_a_sigkilled_worker(self):
+        completed = subprocess.run(
+            [sys.executable, "-c", _SIGKILL_SCRIPT], env=_SCRIPT_ENV,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        results = json.loads(completed.stdout)
+        assert [r for i, r in enumerate(results) if i != 1] == [
+            {"ok": True, "seed": seed} for seed in (0, 2, 3)
+        ]
+        error = results[1]["error"]
+        assert error["type"] == "WorkerCrashed"
+        assert error["attempts"] == 1 and error["quarantined"] is True
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+    def test_workers_do_not_outlive_a_sigkilled_parent(self):
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SCRIPT], env=_SCRIPT_ENV,
+            stdout=subprocess.PIPE, text=True,
         )
         try:
-            first = execute_stream(runs, workers=2)
-            first_head = next(first)
-            pool = executor_module._warm_pool
-            assert pool is not None
-            second = execute_stream(runs, workers=2)
-            second_head = next(second)
-            # Same (workers, registry) shape: one shared pool, refcounted.
-            assert executor_module._warm_pool is pool
-            assert executor_module._warm_active == 2
-            rest = sorted([first_head[0]] + [i for i, _ in first])
-            rest_second = sorted([second_head[0]] + [i for i, _ in second])
-            assert rest == rest_second == [0, 1]
-            assert executor_module._warm_pool is pool  # still warm
-            assert executor_module._warm_active == 0
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(workers) == 2
         finally:
-            shutdown_pool()
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+        deadline = time.monotonic() + 15.0
+        while not all(_gone(pid) for pid in workers):
+            assert time.monotonic() < deadline, "orphaned workers still alive"
+            time.sleep(0.1)
 
-    def test_inert_resilient_stream_uses_the_warm_pool(self):
+    def test_inert_resilient_stream_equals_plain_stream(self):
         runs = expand_grid(
             "quickstart",
-            grid={"seed": [0, 1]},
+            grid={"seed": [0, 1, 2]},
             base={"workload.operations_per_client": 2},
         )
-        try:
-            list(execute_stream_resilient(runs, workers=2))
-            assert executor_module._warm_pool is not None
-        finally:
-            shutdown_pool()
+        plain = sorted(
+            (index, result.result)
+            for index, result in execute_stream(runs, workers=2)
+        )
+        resilient = sorted(
+            (index, result.result)
+            for index, result in execute_stream_resilient(runs, workers=2)
+        )
+        assert plain == resilient
+        assert [index for index, _ in plain] == [0, 1, 2]
 
-    def test_resilient_pool_does_not_touch_the_warm_pool(
-        self, misbehaving_scenarios
+    def test_concurrent_streams_across_a_registry_change_match_serial(
+        self, leaked_children
     ):
-        shutdown_pool()
-        runs = [RunSpec("resilience-ok", params=(("seed", 0),))]
-        list(execute_stream_resilient(
-            runs, workers=2, policy=ResiliencePolicy(run_timeout=30.0),
-        ))
-        assert executor_module._warm_pool is None
+        # The shape `repro serve --workers 2 --job-concurrency 2` drives:
+        # two threads each consuming a parallel stream, with an inline spec
+        # re-registered (replace=True) between their starts.
+        old = get_scenario("quickstart").spec.with_overrides(
+            {"name": "one-pool-probe", "workload.operations_per_client": 2})
+        new = old.with_overrides({"workload.operations_per_client": 3})
+        runs = expand_grid("one-pool-probe", grid={"seed": [0, 1, 2, 3]})
+        started, replaced = threading.Event(), threading.Event()
+        got = {}
+
+        def first_tenant():
+            stream = execute_stream(runs, workers=2)
+            head = next(stream)  # workers forked: they hold the old spec
+            started.set()
+            assert replaced.wait(30.0)
+            got["first"] = sorted([head, *stream], key=lambda pair: pair[0])
+
+        def second_tenant():
+            got["second"] = sorted(
+                execute_stream(runs, workers=2), key=lambda pair: pair[0])
+
+        register_spec(old)
+        try:
+            serial_old = list(execute_stream(runs, workers=1))
+            threads = [threading.Thread(target=first_tenant),
+                       threading.Thread(target=second_tenant)]
+            threads[0].start()
+            assert started.wait(30.0)
+            register_spec(new, replace=True)
+            replaced.set()
+            threads[1].start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert not any(thread.is_alive() for thread in threads)
+            serial_new = list(execute_stream(runs, workers=1))
+        finally:
+            unregister("one-pool-probe")
+        assert got["first"] == serial_old
+        assert got["second"] == serial_new
+        assert serial_old != serial_new
+        assert leaked_children() == []
+
+    def test_cli_sweep_reports_a_crashed_worker_without_resilience_flags(
+        self, misbehaving_scenarios, tmp_path, capsys
+    ):
+        out = tmp_path / "out.jsonl"
+        marked = tmp_path / "marked"  # present: only always=True dies
+        marked.write_text("")
+        assert main(["sweep", "resilience-die", "-g", "always=True,False",
+                     "-p", f"sentinel={marked}", "--workers", "2", "--jsonl", str(out), "--quiet",
+                     "--no-progress"]) == 0
+        err = capsys.readouterr().err
+        assert "resilience: resumed 0, retries 0, timeouts 0, quarantined 1" in err
+        errors = [json.loads(line)["result"].get("error")
+                  for line in out.read_text().splitlines()]
+        assert sorted(error["type"] for error in errors if error) == [
+            "WorkerCrashed"]
 
 
 # ---------------------------------------------------------------------------

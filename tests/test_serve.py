@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.cli import main
-from repro.experiments.registry import catalogue_payload
+from repro.experiments.registry import catalogue_payload, unregister
 from repro.experiments.results import compare_payloads, load_payload
 from repro.serve.app import ExperimentServer
 from repro.serve.client import ServeClient, ServeClientError
@@ -198,6 +198,48 @@ class TestServiceExecution:
             assert {entry["params"]["seed"] for entry in payloads[1]} == {1, 11}
         finally:
             service.shutdown()
+
+    def test_concurrent_parallel_jobs_match_the_cli(
+        self, tmp_path, leaked_children
+    ):
+        # Two job threads each driving a --workers 2 stream at once, one of
+        # them registering an inline spec: every job forks its own workers,
+        # so neither sees the other's registry change or pool.
+        spec = json.load(open(QUICKSTART_SPEC))
+        spec["name"] = "serve-inline-probe"
+        spec_path = tmp_path / "inline.json"
+        spec_path.write_text(json.dumps(spec))
+        seeds = [0, 1, 2, 3]
+        service = ExperimentService(
+            str(tmp_path / "jobs"), workers=2, job_concurrency=2
+        )
+        service.start()
+        try:
+            jobs = [
+                service.submit(JobRequest.from_dict(
+                    {"kind": "sweep", "params": FAST, "seeds": seeds, **target}
+                ))
+                for target in ({"scenario": "quickstart"}, {"spec": spec})
+            ]
+            for job in jobs:
+                assert job.finished_event.wait(120)
+                assert job.state == "done"
+            argv = ["--seeds", "0,1,2,3", "-p", "workload.operations_per_client=2"]
+            wants = [
+                cli_sweep_bytes(tmp_path, "named.jsonl", ["quickstart", *argv]),
+                cli_sweep_bytes(tmp_path, "inline.jsonl",
+                                ["--spec", str(spec_path), *argv]),
+            ]
+            for job, want in zip(jobs, wants):
+                # Parallel results land in completion order; the lines are
+                # the CLI's bytes.
+                served = open(job.results_path, "rb").read()
+                assert sorted(served.splitlines()) == sorted(want.splitlines())
+                assert len(served) == len(want)
+        finally:
+            service.shutdown()
+            unregister("serve-inline-probe")
+        assert leaked_children() == []
 
     def test_queue_limit_rejects_submissions(self, tmp_path):
         service = ExperimentService(str(tmp_path / "jobs"), queue_limit=1)
