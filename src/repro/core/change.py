@@ -66,13 +66,18 @@ class ChangeSet:
     messages.
     """
 
-    __slots__ = ("_changes", "_sorted")
+    __slots__ = ("_changes", "_sorted", "_weight_map", "_covered")
 
     def __init__(self, changes: Iterable[Change] = ()) -> None:
         self._changes: FrozenSet[Change] = frozenset(changes)
         # Lazily-built canonical order; reused by every weight query so float
         # sums are independent of set iteration order (PYTHONHASHSEED).
         self._sorted: Optional[Tuple[Change, ...]] = None
+        self._weight_map: Optional[Dict[ProcessId, Weight]] = None
+        # id(tuple) -> tuple for the tuples covers() has proved to be subsets.
+        # Holding the tuple keeps its id from being reused.  Per instance and
+        # never copied: a set built by union()/add() starts with none.
+        self._covered: Dict[int, Tuple[Change, ...]] = {}
 
     # -- set behaviour ---------------------------------------------------------
     def __contains__(self, change: Change) -> bool:
@@ -110,6 +115,26 @@ class ChangeSet:
     def issuperset(self, other: "ChangeSet") -> bool:
         return self._changes >= other._changes
 
+    def covers(self, changes: Iterable[Change]) -> bool:
+        """Whether every change in ``changes`` belongs to this set.
+
+        Equal to ``ChangeSet(changes).issubset(self)`` without building the
+        set.  A *tuple* found covered is remembered by identity, so asking
+        again about the same object is one dict lookup: storage servers
+        piggyback their cached :meth:`sorted` tuple on every reply, and a
+        reader sees the same handful of tuples thousands of times between
+        two reassignments.  Only tuples are remembered (they cannot change
+        afterwards); the memo holds at most one entry per distinct subset
+        the servers ever reported while this set was somebody's view.
+        """
+        if self._covered.get(id(changes)) is changes:
+            return True
+        if not self._changes.issuperset(changes):
+            return False
+        if type(changes) is tuple:
+            self._covered[id(changes)] = changes
+        return True
+
     # -- weight queries -----------------------------------------------------------
     def for_server(self, server: ProcessId) -> "ChangeSet":
         """The subset of changes created *for* ``server`` (its weight history)."""
@@ -125,6 +150,24 @@ class ChangeSet:
         weight depend on ``PYTHONHASHSEED``.
         """
         return sum(c.delta for c in self.sorted() if c.server == server)
+
+    def weight_map(self) -> Mapping[ProcessId, Weight]:
+        """``server -> W_s`` for every server that appears in some change.
+
+        Built once per instance; each entry is the same ``sum`` over the same
+        deltas in the same canonical order as :meth:`weight_of`, so the
+        floats are bit-identical.  Shared by every caller: read, never
+        mutate.  A server without changes is absent (its weight is 0).
+        """
+        weight_map = self._weight_map
+        if weight_map is None:
+            deltas: Dict[ProcessId, list] = {}
+            for change in self.sorted():
+                deltas.setdefault(change.server, []).append(change.delta)
+            weight_map = self._weight_map = {
+                server: sum(values) for server, values in deltas.items()
+            }
+        return weight_map
 
     def weights(self, servers: Optional[Iterable[ProcessId]] = None) -> Dict[ProcessId, Weight]:
         """The full weight map derived from this change set.

@@ -37,7 +37,7 @@ others) intersect correctly with old ones (Lemma 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Iterable, List, Set
 
 from repro.core.change import Change, ChangeSet
 from repro.core.protocol import ReassignmentServer
@@ -120,25 +120,14 @@ async def _read_write(
     while True:
         known = view.current_changes()
 
-        def quorum_or_news(replies: List[Message]) -> bool:
-            if any(
-                not ChangeSet(reply.payload["changes"]).issubset(known)
-                for reply in replies
-            ):
-                return True
-            # Sum in sorted order: float addition is order-sensitive and set
-            # iteration order varies per process, so an unordered sum would
-            # let the quorum test flip on last-ulp ties between runs.
-            senders = {reply.sender for reply in replies}
-            weight = sum(known.weight_of(server) for server in sorted(senders))
-            return strictly_greater(weight, half_total)
-
         # ----------------------------------------------------------- phase 1
         op_counter[0] += 1
         collector = process.request_all(
             config.servers, R, {"cnt": op_counter[0]}
         )
-        replies = await collector.wait_until(quorum_or_news, name="phase1")
+        replies = await collector.wait_until(
+            _quorum_or_news(known, half_total), name="phase1"
+        )
         news = _collect_news(replies, known)
         if news:
             await view.merge_changes(news)
@@ -174,7 +163,9 @@ async def _read_write(
             W,
             {"cnt": op_counter[0], "stored": StoredValue(tag=tag, value=value_to_write)},
         )
-        replies = await collector.wait_until(quorum_or_news, name="phase2")
+        replies = await collector.wait_until(
+            _quorum_or_news(known, half_total), name="phase2"
+        )
         news = _collect_news(replies, known)
         if news:
             await view.merge_changes(news)
@@ -210,10 +201,45 @@ async def _read_write(
         )
 
 
+def _quorum_or_news(
+    known: ChangeSet, half_total: float
+) -> Callable[[List[Message]], bool]:
+    """The ``wait until`` test of one phase: news for ``known``, or a quorum.
+
+    Holds once some reply carries a change ``known`` lacks (the caller must
+    merge and restart), or once the senders' weights under ``known`` exceed
+    ``half_total``.  The returned predicate belongs to one collector: each
+    call folds in only the replies that arrived since the previous one —
+    the earlier ones were found covered then, or the wait would have ended.
+    """
+    weights = known.weight_map()
+    senders: Set[ProcessId] = set()
+    seen = 0
+
+    def predicate(replies: List[Message]) -> bool:
+        nonlocal seen
+        while seen < len(replies):
+            reply = replies[seen]
+            if not known.covers(reply.payload["changes"]):
+                return True  # ``seen`` stays on the news: asked again, same answer
+            senders.add(reply.sender)
+            seen += 1
+        # Sum in sorted order: float addition is order-sensitive and set
+        # iteration order varies per process, so an unordered sum would
+        # let the quorum test flip on last-ulp ties between runs.
+        weight = sum([weights.get(server, 0) for server in sorted(senders)])
+        return strictly_greater(weight, half_total)
+
+    return predicate
+
+
 def _collect_news(replies: List[Message], known: ChangeSet) -> List[Change]:
     news: List[Change] = []
     for reply in replies:
-        for change in reply.payload["changes"]:
+        changes = reply.payload["changes"]
+        if known.covers(changes):
+            continue
+        for change in changes:
             if change not in known:
                 news.append(change)
     return news

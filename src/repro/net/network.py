@@ -163,12 +163,13 @@ class Network:
             if self.obs is not None:
                 self.obs.message_dropped(message, self.loop.now, "sender-crashed")
             return
-        message.sent_at = self.loop.now
+        # The clock field, read once — not the ``now`` property per use.
+        now = message.sent_at = self.loop._now
         self.messages_sent += 1
         self.sent_by_kind[message.kind] += 1
         if self.obs is not None:
-            self.obs.message_sent(message, self.loop.now)
-        delay = self.latency.delay(message.sender, message.receiver, self.loop.now)
+            self.obs.message_sent(message, now)
+        delay = self.latency.delay(message.sender, message.receiver, now)
         self._schedule_delivery(message, extra_delay=delay)
 
     def _schedule_delivery(self, message: Message, extra_delay: VirtualTime) -> None:
@@ -186,10 +187,10 @@ class Network:
             # Hold until the partition heals; links stay reliable.
             self._held.append(message)
             return
-        message.delivered_at = self.loop.now
+        now = message.delivered_at = self.loop._now
         self.messages_delivered += 1
         if self.obs is not None:
-            self.obs.message_delivered(message, self.loop.now)
+            self.obs.message_delivered(message, now)
         receiver = self._processes[message.receiver]
         receiver.deliver(message)
 

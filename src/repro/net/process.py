@@ -52,6 +52,8 @@ class ResponseCollector:
     def add(self, message: Message) -> None:
         """Record a newly arrived reply and re-evaluate pending wait conditions."""
         self.responses.append(message)
+        if not self._waiters:
+            return
         still_waiting = []
         for predicate, future in self._waiters:
             if future.done():
@@ -133,13 +135,15 @@ class Process:
         is_reply: bool = False,
     ) -> None:
         """Send a one-way message (no reply expected by the transport layer)."""
-        if self.crashed or self.network.is_crashed(self.pid):
+        # The network's crashed set itself, here and in reply()/deliver():
+        # these run once per message, is_crashed() is one call too many.
+        if self.crashed or self.pid in self.network._crashed:
             return
         message = Message(
             sender=self.pid,
             receiver=receiver,
             kind=kind,
-            payload=payload or {},
+            payload=payload,
             request_id=request_id,
             is_reply=is_reply,
         )
@@ -147,14 +151,14 @@ class Process:
 
     def reply(self, to: Message, kind: str, payload: Optional[Dict[str, Any]] = None) -> None:
         """Send a reply correlated with the request ``to``."""
-        if self.crashed or self.network.is_crashed(self.pid):
+        if self.crashed or self.pid in self.network._crashed:
             return
         self.network.send(
             Message(
                 sender=self.pid,
                 receiver=to.sender,
                 kind=kind,
-                payload=payload or {},
+                payload=payload,
                 request_id=to.request_id,
                 is_reply=True,
             )
@@ -179,10 +183,13 @@ class Process:
         """Send a correlated request to every receiver; collect the replies.
 
         Responders must answer with :meth:`reply` (or ``Message.reply``) so
-        the correlation id round-trips.  The process keeps the collector
-        registered forever — late replies are still recorded, which matches
-        the asynchronous model (there is no notion of "the request timed
-        out"), and the memory cost is irrelevant for simulations.
+        the correlation id round-trips.  The collector stays registered
+        until every receiver has answered — replies arriving after the
+        caller stopped waiting are still recorded, which matches the
+        asynchronous model (there is no notion of "the request timed out")
+        — and is forgotten with the last one (see :meth:`deliver`).  A
+        request to a receiver that never answers (it crashed) stays
+        registered for the life of the process.
         """
         self._ensure_alive()
         receivers = list(receivers)
@@ -196,11 +203,18 @@ class Process:
     # -- receiving -----------------------------------------------------------
     def deliver(self, message: Message) -> None:
         """Entry point called by the network when a message arrives."""
-        if self.crashed or self.network.is_crashed(self.pid):
+        if self.crashed or self.pid in self.network._crashed:
             return
-        if message.is_reply and message.request_id in self._pending:
-            self._pending[message.request_id].add(message)
-            return
+        if message.is_reply:
+            collector = self._pending.get(message.request_id)
+            if collector is not None:
+                collector.add(message)
+                # Links deliver exactly once and a handler replies once, so
+                # nothing more can arrive: the process lets go, and the
+                # collector lives as long as its requester holds it.
+                if len(collector.responses) >= collector.expected:
+                    del self._pending[message.request_id]
+                return
         handler = self._handlers.get(message.kind)
         if handler is None:
             self.on_unhandled(message)

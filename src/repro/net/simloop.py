@@ -297,7 +297,6 @@ class SimLoop:
         self._sequence = 0
         self._events: List[Tuple[VirtualTime, int, Callable[..., None], tuple]] = []
         self._ready: Deque[Tuple[int, Callable[..., None], tuple]] = deque()
-        self._tasks: List[SimTask] = []
         #: Total events dispatched over the loop's lifetime (a deterministic
         #: counter: same run -> same count; the bench harness reports it).
         self.events_processed = 0
@@ -340,7 +339,6 @@ class SimLoop:
     ) -> SimTask:
         """Wrap a coroutine into a task and schedule its first step."""
         task = SimTask(coro, self, name=name)
-        self._tasks.append(task)
         self._schedule_step(task, None, None)
         return task
 

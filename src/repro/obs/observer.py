@@ -101,7 +101,7 @@ class Observer:
             m.counter("net.delivered").inc()
         t = self.trace
         if t is not None and self.trace_messages:
-            flow = getattr(message, "trace_flow", None)
+            flow = message.trace_flow
             if flow is not None:
                 t.emit(
                     ts=now,

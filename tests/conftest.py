@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.spec import SystemConfig
 from repro.core.storage import OperationRecord
+from repro.experiments import registry
 from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.net.network import Network
 from repro.net.simloop import SimLoop
@@ -24,6 +25,22 @@ def loop() -> SimLoop:
 @pytest.fixture
 def network(loop: SimLoop) -> Network:
     return Network(loop, ConstantLatency(1.0))
+
+
+@pytest.fixture(autouse=True)
+def scenario_registry_restored():
+    """Put the process-global scenario registry back after every test.
+
+    ``--spec`` runs and served inline specs register under their own name
+    with ``replace=True``; without this a test that re-registers
+    ``quickstart`` (other tags, other defaults) changes what every later
+    test in the process sees, so modules only pass in some orders.
+    """
+    registry.scenario_names()  # the snapshot includes the built-in catalogue
+    before = dict(registry._REGISTRY)
+    yield
+    registry._REGISTRY.clear()
+    registry._REGISTRY.update(before)
 
 
 @pytest.fixture

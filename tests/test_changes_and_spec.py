@@ -125,6 +125,64 @@ class TestChangeSet:
         assert a.issubset(a.union(b))
         assert b.issubset(a.union(b))
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        known=st.sets(st.integers(min_value=0, max_value=12), max_size=10),
+        asked=st.lists(st.integers(min_value=0, max_value=12), max_size=10),
+    )
+    def test_covers_is_the_subset_test(self, known, asked):
+        change = lambda i: Change(f"s{i % 3}", i + 2, f"s{i % 4}", 0.1)  # noqa: E731
+        known_set = ChangeSet(change(i) for i in known)
+        as_tuple = tuple(change(i) for i in asked)
+        expected = ChangeSet(as_tuple).issubset(known_set)
+        # Twice: the second answer about a covered tuple comes from the memo.
+        assert known_set.covers(as_tuple) is expected
+        assert known_set.covers(as_tuple) is expected
+        # An equal but distinct tuple, and a list (never remembered: it
+        # could change afterwards), get the same answer.
+        assert known_set.covers(tuple(list(as_tuple))) is expected
+        as_list = list(as_tuple)
+        assert known_set.covers(as_list) is expected
+        as_list.append(Change("intruder", 99, "s0", 1.0))
+        assert known_set.covers(as_list) is False
+
+    def test_covered_memo_is_per_instance(self):
+        base = initial_changes({"s1": 1.0, "s2": 1.0})
+        reported = base.sorted()
+        assert base.covers(reported)
+        assert base._covered == {id(reported): reported}
+        extra = Change("s1", 2, "s2", 0.25)
+        grown, merged = base.add(extra), base.union([extra])
+        assert grown._covered == {} and merged._covered == {}
+        # ... and the fresh sets still answer correctly in both directions.
+        assert grown.covers(reported) and merged.covers(reported)
+        assert not base.covers(grown.sorted())
+        assert base._covered == {id(reported): reported}  # only proven subsets
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        deltas=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=4),
+                st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+            ),
+            max_size=16,
+        )
+    )
+    def test_weight_map_is_bit_identical_to_weight_of(self, deltas):
+        changes = ChangeSet(
+            Change(f"a{i % 3}", i + 2, f"s{server}", delta)
+            for i, (server, delta) in enumerate(deltas)
+        )
+        weight_map = changes.weight_map()
+        assert set(weight_map) == {f"s{server}" for server, _ in deltas}
+        for server in weight_map:
+            assert repr(weight_map[server]) == repr(changes.weight_of(server))
+        assert changes.weight_map() is weight_map  # built once per instance
+        grown = changes.add(Change("late", 99, "s1", 0.1))
+        assert repr(grown.weight_map()["s1"]) == repr(grown.weight_of("s1"))
+        assert grown.weight_map() is not weight_map
+
 
 class TestIntegrityCheckers:
     def test_integrity_equivalent_to_property_one(self):

@@ -2,17 +2,36 @@
 
 from __future__ import annotations
 
-import pytest
+import gc
+import math
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.change import Change, ChangeSet, initial_changes
 from repro.core.spec import SystemConfig
 from repro.core.storage import (
     DynamicWeightedStorageClient,
     DynamicWeightedStorageServer,
+    _collect_news,
+    _quorum_or_news,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.spec import (
+    ClusterSpec,
+    KeySpec,
+    LatencySpec,
+    MixSpec,
+    ScenarioSpec,
+    WorkloadSpec,
+)
 from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.message import Message
 from repro.net.network import Network
+from repro.net.process import ResponseCollector
 from repro.net.simloop import SimLoop, gather
+from repro.numerics import EPSILON, strictly_greater
+from repro.sim.runner import run_workload
 
 from tests.conftest import check_atomic_history, history_from_records
 
@@ -240,3 +259,189 @@ class TestWeightAwareQuorums:
             return await servers["s3"].storage_read()
 
         assert loop.run_until_complete(go()) == "shared"
+
+
+# ---------------------------------------------------------------------------
+# The incremental phase predicate against the full re-scan it replaced
+# ---------------------------------------------------------------------------
+
+
+def rescan_quorum_or_news(known, half_total):
+    """The phase predicate as it was before it became incremental (the body
+    is verbatim): every call re-reads every reply and rebuilds its set."""
+
+    def quorum_or_news(replies):
+        if any(
+            not ChangeSet(reply.payload["changes"]).issubset(known)
+            for reply in replies
+        ):
+            return True
+        # Sum in sorted order: float addition is order-sensitive and set
+        # iteration order varies per process, so an unordered sum would
+        # let the quorum test flip on last-ulp ties between runs.
+        senders = {reply.sender for reply in replies}
+        weight = sum(known.weight_of(server) for server in sorted(senders))
+        return strictly_greater(weight, half_total)
+
+    return quorum_or_news
+
+
+def rescan_collect_news(replies, known):
+    news = []
+    for reply in replies:
+        for change in reply.payload["changes"]:
+            if change not in known:
+                news.append(change)
+    return news
+
+
+_SERVERS = ("s1", "s2", "s3", "s4", "s5")
+# Transfers some of which ``known`` has merged and some of which it has not.
+_TRANSFERS = tuple(
+    Change(author, counter, server, delta)
+    for counter, (author, server, delta) in enumerate(
+        [
+            ("s1", "s1", -0.1), ("s1", "s2", 0.1), ("s2", "s2", -0.2),
+            ("s2", "s3", 0.2), ("s4", "s4", -0.3), ("s4", "s5", 0.3),
+            ("s3", "s3", 0.0), ("s5", "s1", 0.7),
+        ],
+        start=2,
+    )
+)
+
+
+@st.composite
+def phase_cases(draw):
+    weights = draw(
+        st.lists(
+            st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1.1, 1.5]),
+            min_size=len(_SERVERS), max_size=len(_SERVERS),
+        )
+    )
+    initial = initial_changes(dict(zip(_SERVERS, weights)))
+    merged = draw(st.sets(st.sampled_from(_TRANSFERS)))
+    known = initial.union(merged)
+    # A few distinct reported tuples, as servers cache and resend theirs:
+    # stale ones (subsets of known) and newer ones (changes known lacks).
+    universe = initial.sorted() + _TRANSFERS
+    reported = [
+        ChangeSet(subset).sorted()
+        for subset in draw(
+            st.lists(st.sets(st.sampled_from(universe)), min_size=1, max_size=4)
+        )
+    ]
+    if draw(st.booleans()):
+        reported.append(known.sorted())
+    replies = [
+        Message(
+            sender=draw(st.sampled_from(_SERVERS)),  # repeats allowed
+            receiver="c1",
+            kind="R_ACK",
+            payload={"changes": reported[draw(st.integers(0, len(reported) - 1))]},
+            request_id=1,
+            is_reply=True,
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=8)))
+    ]
+    # Put the threshold where the weight of the senders of some prefix ties
+    # it to the ulp: strictly_greater(w, h) is ``w > h + EPSILON``, so find
+    # the h with ``h + EPSILON == w`` and step a few floats off it.
+    prefix = draw(st.integers(min_value=0, max_value=len(replies)))
+    quorum = {reply.sender for reply in replies[:prefix]} or set(_SERVERS)
+    weight = sum(known.weight_of(server) for server in sorted(quorum))
+    half_total = weight - EPSILON
+    while half_total + EPSILON < weight:
+        half_total = math.nextafter(half_total, math.inf)
+    while half_total + EPSILON > weight:
+        half_total = math.nextafter(half_total, -math.inf)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        half_total = math.nextafter(
+            half_total, draw(st.sampled_from([-math.inf, math.inf]))
+        )
+    return known, half_total, replies
+
+
+class TestIncrementalPhasePredicate:
+    @settings(max_examples=300, deadline=None)
+    @given(case=phase_cases())
+    def test_fires_on_the_same_reply_with_the_same_list(self, case):
+        known, half_total, replies = case
+        new, old = ResponseCollector(1, len(replies)), ResponseCollector(1, len(replies))
+        new_wait = new.wait_until(_quorum_or_news(known, half_total))
+        old_wait = old.wait_until(rescan_quorum_or_news(known, half_total))
+        for reply in replies:
+            assert new_wait.done() == old_wait.done()
+            new.add(reply)
+            old.add(reply)
+        assert new_wait.done() == old_wait.done()
+        if old_wait.done():
+            fired_with = old_wait.result()
+            assert [id(r) for r in new_wait.result()] == [id(r) for r in fired_with]
+        else:
+            fired_with = replies
+        assert _collect_news(fired_with, known) == rescan_collect_news(fired_with, known)
+
+    def test_news_is_sticky_and_only_new_replies_are_read(self):
+        known = initial_changes({"s1": 1.0, "s2": 1.0, "s3": 1.0})
+        stale = Message("s1", "c1", "R_ACK", {"changes": known.sorted()})
+        newer = Message(
+            "s2", "c1", "R_ACK",
+            {"changes": known.add(Change("s1", 2, "s2", 0.25)).sorted()},
+        )
+        predicate = _quorum_or_news(known, 1.5)
+        replies = [stale]
+        assert predicate(replies) is False
+        # Folded in once: a reply the predicate already passed is not read
+        # again, even if (against the rules) it changed afterwards.
+        stale.payload = None
+        replies.append(newer)
+        assert predicate(replies) is True
+        assert predicate(replies + [stale]) is True
+
+
+# ---------------------------------------------------------------------------
+# A finished request is garbage
+# ---------------------------------------------------------------------------
+
+
+def _live(kind):
+    return sum(1 for obj in gc.get_objects() if type(obj) is kind)
+
+
+def _live_after_steady_run(operations_per_client):
+    """Run the steady read-mostly spec (n=5 f=1, 8 clients) to quiescence and
+    count what it still holds, with the whole world kept alive."""
+    spec = ScenarioSpec(
+        name="steady-lifetime",
+        cluster=ClusterSpec(flavour="dynamic-weighted", n=5, f=1, client_count=8),
+        workload=WorkloadSpec(
+            operations_per_client=operations_per_client,
+            keys=KeySpec(kind="zipfian", space=64, zipf_s=1.1),
+            mix=MixSpec(read_ratio=0.9),
+        ),
+        latency=LatencySpec(kind="uniform", low=0.5, high=1.5),
+        seed=3,
+    ).validate()
+    gc.collect()
+    before = _live(Message), _live(ResponseCollector)
+    cluster = spec.cluster.build(
+        spec.cluster.system_config(), spec.latency.build(seed=spec.seed, shards=1)
+    )
+    workload = spec.workload.build(tuple(cluster.clients), seed=spec.seed)
+    report = run_workload(cluster, workload)
+    cluster.loop.run()
+    assert report.operations == 8 * operations_per_client
+    processes = list(cluster.servers.values()) + list(cluster.clients.values())
+    assert [process._pending for process in processes] == [{}] * len(processes)
+    gc.collect()
+    return _live(Message) - before[0], _live(ResponseCollector) - before[1]
+
+
+class TestFinishedRequestsDie:
+    def test_live_messages_do_not_grow_with_the_number_of_operations(self):
+        short = _live_after_steady_run(operations_per_client=25)  # 200 ops
+        long = _live_after_steady_run(operations_per_client=250)  # 2 000 ops
+        # 2 000 ops are 4 000 requests and 20 000 replies; holding on to
+        # them shows as a 10x difference, letting go as (nearly) none.
+        assert abs(long[0] - short[0]) <= 16, (short, long)
+        assert abs(long[1] - short[1]) <= 4, (short, long)

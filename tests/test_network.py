@@ -14,6 +14,7 @@ from repro.net.latency import (
     WanMatrixLatency,
     wan_latency_matrix,
 )
+from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimLoop
@@ -282,6 +283,84 @@ class TestResponseCollector:
         collector = loop.run_until_complete(go())
         loop.run()
         assert len(collector.responses) == 5
+
+    def test_a_fully_answered_request_is_forgotten(self):
+        loop, net = make_net(UniformLatency(0.5, 3.0, seed=11))
+        client = Process("client", net)
+        servers = [EchoServer(f"s{i}", net) for i in range(1, 6)]
+        seen_pending = []
+
+        async def go():
+            collector = client.request_all([s.pid for s in servers], "PING", {"n": 0})
+            await collector.wait_for_count(2)
+            # The caller moved on; three replies are still in flight.
+            seen_pending.append(dict(client._pending))
+            return collector
+
+        collector = loop.run_until_complete(go())
+        assert seen_pending == [{collector.request_id: collector}]
+        loop.run()
+        # The n-th reply was recorded, and with it the process let go.
+        assert len(collector.responses) == collector.expected == 5
+        assert client._pending == {}
+
+    def test_an_unanswered_request_stays_for_late_replies(self):
+        loop, net = make_net(ConstantLatency(1.0))
+        client = Process("client", net)
+        servers = [EchoServer(f"s{i}", net) for i in range(1, 5)]
+        net.crash("s4")  # never answers
+        net.partition([["client", "s1", "s2", "s4"], ["s3"]])  # answers late
+        collector = client.request_all([s.pid for s in servers], "PING", {"n": 0})
+        loop.run()
+        assert sorted(collector.senders()) == ["s1", "s2"]
+        assert client._pending == {collector.request_id: collector}
+        net.heal()
+        loop.run()
+        # The reply heal() released still found its collector ...
+        assert sorted(collector.senders()) == ["s1", "s2", "s3"]
+        # ... which stays registered: s4's answer can never be ruled out.
+        assert client._pending == {collector.request_id: collector}
+
+
+class TestMessage:
+    def test_keyword_construction_and_defaults(self):
+        message = Message(sender="a", receiver="b", kind="PING")
+        assert (message.payload, message.request_id, message.is_reply) == ({}, None, False)
+        assert (message.sent_at, message.delivered_at) == (0.0, 0.0)
+        assert message.trace_flow is None
+        later = Message(sender="a", receiver="b", kind="PING")
+        assert later.msg_id > message.msg_id
+        assert later.payload is not message.payload
+
+    def test_instances_are_slotted(self):
+        message = Message("a", "b", "PING", {"n": 1}, 7, True)
+        assert not hasattr(message, "__dict__")
+        with pytest.raises(AttributeError):
+            message.scratch = 1
+        message.trace_flow = 12  # the one extra slot, for the observer
+        assert message.trace_flow == 12
+
+    def test_equality_is_by_field_and_ignores_the_flow_stamp(self):
+        fields = dict(sender="a", receiver="b", kind="PING", payload={"n": 1},
+                      request_id=7, is_reply=True, sent_at=1.0, delivered_at=2.0,
+                      msg_id=99)
+        first, second = Message(**fields), Message(**fields)
+        assert first == second
+        second.trace_flow = 3
+        assert first == second
+        for name, other in [("kind", "PONG"), ("payload", {}), ("msg_id", 100),
+                            ("delivered_at", 2.5), ("request_id", None)]:
+            assert first != Message(**{**fields, name: other}), name
+        assert first != ("a", "b", "PING")
+        with pytest.raises(TypeError):
+            hash(first)
+
+    def test_reply_swaps_the_ends_and_keeps_the_correlation_id(self):
+        request = Message("a", "b", "PING", {"n": 1}, request_id=7)
+        answer = request.reply("PONG", {"echo": 1})
+        assert (answer.sender, answer.receiver, answer.kind) == ("b", "a", "PONG")
+        assert (answer.request_id, answer.is_reply) == (7, True)
+        assert answer.payload == {"echo": 1}
 
 
 class TestUnhandledMessages:
