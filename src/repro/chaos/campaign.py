@@ -32,7 +32,7 @@ from repro.chaos.space import fault_axes
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.executor import run_with_stable_stack
 from repro.experiments.executor import execute_run
-from repro.experiments.registry import get_scenario
+from repro.experiments.registry import Scenario, get_scenario
 from repro.experiments.resilience import (
     Quarantine,
     ResiliencePolicy,
@@ -134,8 +134,9 @@ class Campaign:
         return rows
 
 
-def _base_spec(scenario: str) -> ScenarioSpec:
-    entry = get_scenario(scenario)
+def _base_spec(scenario: str, entry: Optional[Scenario]) -> ScenarioSpec:
+    if entry is None or entry.name != scenario:
+        entry = get_scenario(scenario)
     if entry.kind != "spec":
         raise ConfigurationError(
             f"chaos campaigns need a declarative (spec) scenario; "
@@ -250,6 +251,7 @@ def run_campaign(
     resume: bool = False,
     quarantine_path: Optional[str] = None,
     telemetry: Optional[StreamTelemetry] = None,
+    entry: Optional[Scenario] = None,
 ) -> Campaign:
     """LHS-sample ``scenario``'s fault space, execute it, and rank the runs.
 
@@ -269,9 +271,11 @@ def run_campaign(
     byte-identical to an uninterrupted one.  ``policy`` adds the per-run
     watchdog and worker retry of :mod:`repro.experiments.resilience`;
     watchdog/quarantine outcomes are reported but never journaled, so a
-    resume retries them.
+    resume retries them.  ``entry`` is the planned scenario named
+    ``scenario`` (:func:`repro.experiments.plan.plan`), used in place of the
+    registry's — how ``chaos --spec`` campaigns over an unregistered spec.
     """
-    base = _base_spec(scenario)
+    base = _base_spec(scenario, entry)
     axes = fault_axes(
         base,
         benign=benign,
@@ -333,7 +337,7 @@ def run_campaign(
             # tests vs the CLI.
             baseline_run = RunSpec(scenario=scenario)
             baseline_result = run_with_stable_stack(
-                execute_run, _traced(baseline_run, baseline_path)
+                execute_run, _traced(baseline_run, baseline_path), entry
             ).result
             baseline_records = _read_trace_if_any(baseline_path)
             baseline_trace_records = len(baseline_records or ())
@@ -374,6 +378,7 @@ def run_campaign(
             traced_pending, workers=workers,
             capture_errors=True, stable_stack=True,
             policy=policy, quarantine=quarantine, telemetry=telemetry,
+            entry=entry,
         ):
             index = index_map[sub_index]
             run = runs[index]

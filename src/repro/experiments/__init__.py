@@ -11,6 +11,9 @@
   :func:`scenario` decorator and :func:`register_spec`.
 * :mod:`repro.experiments.sweep` — parameter-grid expansion into
   :class:`RunSpec` lists (seed lists are just another axis).
+* :mod:`repro.experiments.plan` — the front door: the strict
+  :class:`~repro.experiments.plan.JobRequest` schema and the one
+  :func:`~repro.experiments.plan.plan` the CLI and the service both call.
 * :mod:`repro.experiments.executor` — in-process execution, or the one
   stream-lifetime worker pool (per-run wall-clock watchdog, bounded worker
   retry); results are identical for any worker count because every run is

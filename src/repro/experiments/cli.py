@@ -53,7 +53,6 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import multiprocessing
 import os
 import re
 import sys
@@ -61,7 +60,8 @@ from contextlib import nullcontext
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
-from repro.experiments.executor import RunResult, execute_many, forks_workers
+from repro.experiments.executor import RunResult, execute_many
+from repro.experiments.plan import JobRequest, plan
 from repro.experiments.resilience import (
     INTERRUPT_EXIT_CODE,
     GracefulInterrupt,
@@ -72,14 +72,8 @@ from repro.experiments.resilience import (
     execute_stream_resilient,
     interruptible,
 )
-from repro.experiments.registry import (
-    all_scenarios,
-    catalogue_payload,
-    get_scenario,
-    register_spec,
-    scenario_names,
-)
-from repro.experiments.spec import load_spec_file
+from repro.experiments.registry import Scenario, all_scenarios, catalogue_payload
+from repro.experiments.spec import read_spec_file
 from repro.experiments.results import (
     compare_payloads,
     dumps_json,
@@ -89,7 +83,7 @@ from repro.experiments.results import (
     write_json,
     write_jsonl_line,
 )
-from repro.experiments.sweep import RunSpec, Sweep, expand_grid, expand_points
+from repro.experiments.sweep import RunSpec, expand_points
 
 __all__ = ["main"]
 
@@ -164,43 +158,20 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_scenario(args: argparse.Namespace, forks: bool = False) -> str:
-    """The scenario to execute: a registered name, or a --spec file.
+def _job_request(args: argparse.Namespace, **fields: Any) -> JobRequest:
+    """``argv`` as the request a ``POST /jobs`` body would carry.
 
-    A spec file is parsed strictly (unknown keys rejected), validated, and
-    registered under its own name — replacing a same-named catalogue entry
-    for this process — so the sweep machinery and fork-based workers treat
-    it exactly like a built-in scenario.  Spawn-based workers re-import only
-    the built-in catalogue and would not see the runtime registration, so a
-    ``--spec`` execution that ``forks`` (:func:`forks_workers`) is rejected
-    where fork is unavailable.
+    ``--spec FILE`` becomes ``spec=<the file's object>``: the planner parses
+    and validates it like an uploaded spec, and nothing is registered.
     """
-    spec_path = getattr(args, "spec_path", None)
-    if spec_path and args.scenario:
-        raise ReproError("give a registered scenario name or --spec, not both")
-    if spec_path:
-        if forks and "fork" not in multiprocessing.get_all_start_methods():
-            raise ReproError(
-                "sweep --spec needs fork-based workers (spawn-only platforms "
-                "cannot see the runtime-registered spec); use --workers 1 "
-                "without --run-timeout/--retry"
-            )
-        scenario_names()  # load the built-in catalogue first, so a spec file
-        spec = load_spec_file(spec_path)  # shadowing a name wins (replace=True)
-        register_spec(spec, tags=("spec-file",), replace=True)
-        return spec.name
-    if not args.scenario:
-        raise ReproError("a scenario name (or --spec path.json) is required")
-    get_scenario(args.scenario)  # fail fast with the list of known names
-    return args.scenario
+    spec = read_spec_file(args.spec_path) if args.spec_path else None
+    return JobRequest(scenario=args.scenario, spec=spec, **fields)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    params = _parse_params(args.param)
-    scenario = _resolve_scenario(args)
-    run = RunSpec(scenario=scenario, params=tuple(sorted(params.items())))
+    planned = plan(_job_request(args, params=_parse_params(args.param)))
     if not args.trace and not args.metrics:
-        results = execute_many([run], workers=1)
+        results = execute_many(planned.runs, workers=1, entry=planned.entry)
         _emit(results, args)
         return 0
 
@@ -212,7 +183,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     observer = Observer(metrics=bool(args.metrics), trace=bool(args.trace))
     with observing(observer):
-        results = execute_many([run], workers=1)
+        results = execute_many(planned.runs, workers=1, entry=planned.entry)
     payload = results[0].result
     if observer.metrics is not None and isinstance(payload, dict):
         payload.setdefault("metrics", observer.metrics.as_dict())
@@ -226,25 +197,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_runs(args: argparse.Namespace, scenario: str) -> List[RunSpec]:
-    grid = _parse_grid(args.grid)
-    if args.seeds:
-        grid["seed"] = [_parse_value(value) for value in args.seeds.split(",") if value != ""]
-    base = _parse_params(args.param)
-    if args.point:
-        if grid or args.sample is not None:
-            raise ReproError("--point cannot be combined with -g/--seeds/--sample")
-        points = [_parse_params(point.split()) for point in args.point]
-        return expand_points(scenario, points, base=base)
-    if args.sample is not None:
-        sweep = Sweep.of(scenario, grid=grid, base=base)
-        return sweep.sample(args.sample, seed=args.sample_seed,
-                            method=args.sample_method)
-    return expand_grid(scenario, grid=grid, base=base)
+def _sweep_request(args: argparse.Namespace) -> JobRequest:
+    seeds = tuple(_parse_grid([f"seed={args.seeds}"])["seed"]) if args.seeds else None
+    return _job_request(
+        args, kind="sweep", params=_parse_params(args.param),
+        grid=_parse_grid(args.grid), seeds=seeds, sample=args.sample,
+        sample_seed=args.sample_seed, sample_method=args.sample_method,
+    )
 
 
 def _traced_runs(
-    runs: List[RunSpec], trace_dir: str, scenario: str
+    runs: List[RunSpec], trace_dir: str, entry: Scenario
 ) -> List[RunSpec]:
     """Rewrite each run to trace itself into ``trace_dir/<nnnn>-<run_id>.jsonl``.
 
@@ -254,11 +217,10 @@ def _traced_runs(
     the worker process by :func:`~repro.experiments.spec.run_spec`, which is
     what makes per-run files compose with the multiprocessing executor.
     """
-    entry = get_scenario(scenario)
     if entry.kind != "spec":
         raise ReproError(
             "--trace-dir requires a declarative (spec) scenario; "
-            f"{scenario!r} is a {entry.kind} scenario — use "
+            f"{entry.name!r} is a {entry.kind} scenario — use "
             "`run <name> --trace PATH` for single function-scenario traces"
         )
     os.makedirs(trace_dir, exist_ok=True)
@@ -321,10 +283,16 @@ def _print_resilience_summary(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     policy, journal_path, resume, quarantine_path = _resilience_options(args)
-    scenario = _resolve_scenario(args, forks_workers(args.workers, policy))
-    runs = _sweep_runs(args, scenario)
+    request = _sweep_request(args)
+    scenario, entry, runs = plan(request)
+    # --point and --trace-dir have no request field: steps over the plan.
+    if args.point:
+        if request.grid or request.seeds is not None or request.sample is not None:
+            raise ReproError("--point cannot be combined with -g/--seeds/--sample")
+        points = [_parse_params(point.split()) for point in args.point]
+        runs = expand_points(scenario, points, base=request.params)
     if args.trace_dir:
-        runs = _traced_runs(runs, args.trace_dir, scenario)
+        runs = _traced_runs(runs, args.trace_dir, entry)
     total = len(runs)
     telemetry = StreamTelemetry()
     quarantine = Quarantine(quarantine_path)
@@ -348,7 +316,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         with interruptible() if journal is not None else nullcontext():
             for index, result in execute_stream_resilient(
                 runs, workers=args.workers, policy=policy, journal=journal,
-                quarantine=quarantine, telemetry=telemetry,
+                quarantine=quarantine, telemetry=telemetry, entry=entry,
             ):
                 done += 1
                 if jsonl_handle is not None:
@@ -593,7 +561,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_campaign
 
     policy, journal_path, resume, quarantine_path = _resilience_options(args)
-    scenario = _resolve_scenario(args, forks_workers(args.workers, policy))
+    scenario, entry, _ = plan(_job_request(args))
     times = tuple(
         _parse_value(value) for value in args.times.split(",") if value != ""
     )
@@ -625,6 +593,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                 resume=resume,
                 quarantine_path=quarantine_path,
                 telemetry=telemetry,
+                entry=entry,
             )
     except GracefulInterrupt as interrupt:
         print(

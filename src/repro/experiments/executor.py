@@ -19,11 +19,16 @@ Two consumption styles:
 
 Both are :func:`dispatch` under the inert :class:`ResiliencePolicy` ("no
 deadline, one attempt"): in-process when ``workers == 1``, otherwise on a
-pool of pipe-managed worker processes forked for the stream and stopped
-with it — workers see the registry as it is when the stream starts, and a
-closed stream leaves no process behind.  The pool kills a run that hangs
-past its deadline and outlives a worker that dies, so it never hangs on one.
-:mod:`repro.experiments.resilience` adds journaled resume on top.
+pool of pipe-managed worker processes started for the stream and stopped
+with it — a closed stream leaves no process behind.  The pool kills a run
+that hangs past its deadline and outlives a worker that dies, so it never
+hangs on one.  :mod:`repro.experiments.resilience` adds journaled resume on
+top.
+
+Every entry point takes an optional ``entry`` — the planned scenario of
+:func:`repro.experiments.plan.plan` — that executes the runs naming it in
+place of a registry lookup; it reaches worker processes as a start
+argument, so an unregistered inline spec runs under any start method.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from multiprocessing import connection
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError, WorkerError
-from repro.experiments.registry import get_scenario
+from repro.experiments.registry import Scenario, get_scenario
 from repro.experiments.sweep import RunSpec
 
 __all__ = [
@@ -74,9 +79,11 @@ class RunResult:
         return RunSpec(self.scenario, self.params).run_id
 
 
-def execute_run(run: RunSpec) -> RunResult:
-    """Resolve ``run.scenario`` in the registry and execute it."""
-    entry = get_scenario(run.scenario)
+def execute_run(run: RunSpec, entry: Optional[Scenario] = None) -> RunResult:
+    """Execute ``run`` on ``entry`` if that is the scenario it names, else on
+    the registry's scenario of that name."""
+    if entry is None or entry.name != run.scenario:
+        entry = get_scenario(run.scenario)
     result = entry.execute(run.params_dict)
     return RunResult(scenario=run.scenario, params=run.params, result=result)
 
@@ -90,7 +97,9 @@ def _error_result(run: RunSpec, error: Dict[str, Any]) -> RunResult:
     )
 
 
-def execute_run_captured(run: RunSpec) -> RunResult:
+def execute_run_captured(
+    run: RunSpec, entry: Optional[Scenario] = None
+) -> RunResult:
     """Like :func:`execute_run`, but a failing run *is* a result.
 
     Any :class:`~repro.errors.ReproError` the run raises — a deadlocked
@@ -111,7 +120,7 @@ def execute_run_captured(run: RunSpec) -> RunResult:
     (and other ``BaseException``\\ s) still propagate.
     """
     try:
-        return execute_run(run)
+        return execute_run(run, entry)
     except ReproError as error:
         return _error_result(
             run, {"type": type(error).__name__, "message": str(error)}
@@ -164,12 +173,15 @@ def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
     return box[0]
 
 
-def _execute(run: RunSpec, capture_errors: bool, stable_stack: bool) -> RunResult:
-    """One run under the stream's two flags — in-process and in a worker."""
+def _execute(
+    run: RunSpec, entry: Optional[Scenario], capture_errors: bool,
+    stable_stack: bool,
+) -> RunResult:
+    """One run under the stream's settings — in-process and in a worker."""
     execute = execute_run_captured if capture_errors else execute_run
     if stable_stack:
-        return run_with_stable_stack(execute, run)
-    return execute(run)
+        return run_with_stable_stack(execute, run, entry)
+    return execute(run, entry)
 
 
 def shutdown_pool() -> None:
@@ -259,7 +271,7 @@ class StreamTelemetry:
 
 def forks_workers(workers: int, policy: ResiliencePolicy) -> bool:
     """Whether a stream with these inputs executes on worker processes (the
-    one selection :func:`dispatch` makes; the CLI's fork check asks it too)."""
+    one selection :func:`dispatch` makes)."""
     return workers > 1 or policy.needs_pool
 
 
@@ -270,16 +282,15 @@ def forks_workers(workers: int, policy: ResiliencePolicy) -> bool:
 
 def _pool_context() -> multiprocessing.context.BaseContext:
     # fork inherits the already-populated registry; spawn re-imports only the
-    # built-in catalogue inside execute_run via the registry's lazy loader.
-    # Caveat: on spawn-only platforms (e.g. Windows), scenarios registered at
-    # runtime by the caller are unknown to the workers — register them at
-    # import time of a module the workers also import, or use workers=1.
+    # built-in catalogue (the registry's lazy loader), so there a scenario
+    # registered at runtime must travel as the stream's ``entry``.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _worker_main(conn: Any, capture_errors: bool, stable_stack: bool) -> None:
-    """Worker loop: receive ``(index, run)`` tasks, send back results.
+def _worker_main(conn: Any, *settings: Any) -> None:
+    """Worker loop: receive ``(index, run)`` tasks, send back results of
+    :func:`_execute` under the stream's ``settings``.
 
     Runs until the parent closes the pipe, sends ``None`` or dies.  Exceptions
     a run raises are shipped back as pickled objects when possible (so the
@@ -301,9 +312,7 @@ def _worker_main(conn: Any, capture_errors: bool, stable_stack: bool) -> None:
             return
         index, run = task
         try:
-            message: Tuple[Any, ...] = (
-                "ok", index, _execute(run, capture_errors, stable_stack)
-            )
+            message: Tuple[Any, ...] = ("ok", index, _execute(run, *settings))
         except BaseException as exc:  # shipped to the parent, never lost
             message = ("raise", index, exc)
         try:
@@ -318,13 +327,13 @@ def _worker_main(conn: Any, capture_errors: bool, stable_stack: bool) -> None:
 class _PoolWorker:
     """One kill-capable worker process plus its duplex pipe and state."""
 
-    def __init__(self, capture_errors: bool, stable_stack: bool) -> None:
+    def __init__(self, *settings: Any) -> None:
         ctx = _pool_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, capture_errors, stable_stack),
+            args=(child_conn, *settings),
             daemon=True, name="repro-worker",
         )
         self.process.start()
@@ -393,6 +402,7 @@ def dispatch(
     stable_stack: bool,
     policy: ResiliencePolicy,
     telemetry: StreamTelemetry,
+    entry: Optional[Scenario] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Execute ``pending`` ``(index, run)`` pairs; yield ``(index, result)``.
 
@@ -406,19 +416,19 @@ def dispatch(
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    settings = (entry, capture_errors, stable_stack)
     if not forks_workers(workers, policy):
         for index, run in pending:
-            yield index, _execute(run, capture_errors, stable_stack)
+            yield index, _execute(run, *settings)
         return
     queue: deque = deque(pending)
     waiting: List[Tuple[float, int, RunSpec]] = []  # (ready_at, index, run)
     attempts: Dict[int, int] = {}
-    pool = [_PoolWorker(capture_errors, stable_stack)
-            for _ in range(min(workers, len(pending)))]
+    pool = [_PoolWorker(*settings) for _ in range(min(workers, len(pending)))]
 
     def respawn(worker: _PoolWorker) -> None:
         worker.kill()
-        pool[pool.index(worker)] = _PoolWorker(capture_errors, stable_stack)
+        pool[pool.index(worker)] = _PoolWorker(*settings)
 
     def fail(worker: _PoolWorker) -> Iterator[Tuple[int, RunResult]]:
         """Handle a dead worker: respawn it, retry or quarantine its run."""
@@ -501,6 +511,7 @@ def execute_stream(
     progress: Optional[ProgressCallback] = None,
     capture_errors: bool = False,
     stable_stack: bool = False,
+    entry: Optional[Scenario] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Yield ``(input_index, result)`` pairs as runs complete.
 
@@ -521,7 +532,7 @@ def execute_stream(
     total = len(pending)
     for done, (index, result) in enumerate(dispatch(
         pending, workers, capture_errors, stable_stack,
-        ResiliencePolicy(), StreamTelemetry(),
+        ResiliencePolicy(), StreamTelemetry(), entry,
     ), 1):
         if progress is not None:
             progress(done, total)
@@ -534,6 +545,7 @@ def execute_many(
     progress: Optional[ProgressCallback] = None,
     capture_errors: bool = False,
     stable_stack: bool = False,
+    entry: Optional[Scenario] = None,
 ) -> List[RunResult]:
     """Execute every run, optionally fanning out across worker processes.
 
@@ -543,7 +555,7 @@ def execute_many(
     results: List[Optional[RunResult]] = [None] * len(run_list)
     for index, result in execute_stream(
         run_list, workers=workers, progress=progress,
-        capture_errors=capture_errors, stable_stack=stable_stack,
+        capture_errors=capture_errors, stable_stack=stable_stack, entry=entry,
     ):
         results[index] = result
     return [result for result in results if result is not None]

@@ -87,6 +87,11 @@ class Scenario:
         """Run the scenario with ``params`` layered over its defaults."""
         raise NotImplementedError
 
+    def check_params(self, params: Mapping[str, Any]) -> None:
+        """Raise :class:`ConfigurationError` for a name :meth:`execute` would
+        reject — the same rule, without running anything."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
@@ -116,17 +121,18 @@ class FunctionScenario(Scenario):
         super().__init__(name, description, tags, defaults)
         self._fn = fn
 
-    def execute(self, params: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
-        """Call the function with ``params`` merged over its keyword defaults."""
-        merged = dict(self.defaults)
-        unknown = set(params or {}) - set(self.defaults)
+    def check_params(self, params: Mapping[str, Any]) -> None:
+        unknown = set(params) - set(self.defaults)
         if unknown:
             raise ConfigurationError(
                 f"scenario {self.name!r} has no parameters {sorted(unknown)}; "
                 f"available: {sorted(self.defaults)}"
             )
-        merged.update(params or {})
-        return dict(self._fn(**merged))
+
+    def execute(self, params: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
+        """Call the function with ``params`` merged over its keyword defaults."""
+        self.check_params(params or {})
+        return dict(self._fn(**{**self.defaults, **(params or {})}))
 
 
 class SpecScenario(Scenario):
@@ -138,6 +144,9 @@ class SpecScenario(Scenario):
         # The uniform section protocol supplies the sweepable parameter map.
         super().__init__(spec.name, spec.description, tags, spec.flatten())
         self.spec = spec
+
+    def check_params(self, params: Mapping[str, Any]) -> None:
+        self.spec.with_overrides(params)
 
     def execute(self, params: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Apply ``params`` as dotted-path overrides and run the spec."""

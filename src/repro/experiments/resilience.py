@@ -57,6 +57,7 @@ from repro.experiments.executor import (
     StreamTelemetry,
     dispatch,
 )
+from repro.experiments.registry import Scenario
 from repro.experiments.sweep import RunSpec
 
 __all__ = [
@@ -305,6 +306,7 @@ def execute_stream_resilient(
     journal: Optional[RunJournal] = None,
     quarantine: Optional[Quarantine] = None,
     telemetry: Optional[StreamTelemetry] = None,
+    entry: Optional[Scenario] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """:func:`execute_stream` with journaled resume, watchdog and retry.
 
@@ -351,6 +353,7 @@ def execute_stream_resilient(
             pending.append((index, run))
     for index, result in dispatch(
         pending, workers, capture_errors, stable_stack, policy, telemetry,
+        entry,
     ):
         run = run_list[index]
         if journalable(result):

@@ -107,6 +107,7 @@ __all__ = [
     "run_spec",
     "flatten_spec",
     "load_spec_file",
+    "read_spec_file",
 ]
 
 CLUSTER_FLAVOURS = ("dynamic-weighted", "static-majority", "static-weighted")
@@ -998,14 +999,8 @@ def flatten_spec(spec: ScenarioSpec) -> Dict[str, Any]:
     return spec.flatten()
 
 
-def load_spec_file(path: str) -> ScenarioSpec:
-    """Load a :class:`ScenarioSpec` from a JSON spec file and validate it.
-
-    The file holds exactly the :meth:`ScenarioSpec.to_dict` shape (see
-    ``examples/specs/``); unknown keys are rejected, lists become tuples,
-    nested sections may use the positional shorthand (``"transfers":
-    [[5.0, "s1", "s2", 0.25]]``).
-    """
+def read_spec_file(path: str) -> Dict[str, Any]:
+    """The JSON object a spec file holds, unparsed (an inline ``spec``)."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -1020,7 +1015,18 @@ def load_spec_file(path: str) -> ScenarioSpec:
             f"spec file {path!r} must contain a JSON object, "
             f"got {type(data).__name__}"
         )
-    return ScenarioSpec.from_dict(data).validate()
+    return data
+
+
+def load_spec_file(path: str) -> ScenarioSpec:
+    """Load a :class:`ScenarioSpec` from a JSON spec file and validate it.
+
+    The file holds exactly the :meth:`ScenarioSpec.to_dict` shape (see
+    ``examples/specs/``); unknown keys are rejected, lists become tuples,
+    nested sections may use the positional shorthand (``"transfers":
+    [[5.0, "s1", "s2", 0.25]]``).
+    """
+    return ScenarioSpec.from_dict(read_spec_file(path)).validate()
 
 
 def _summary_dict(summary: Optional[LatencySummary]) -> Optional[Dict[str, float]]:

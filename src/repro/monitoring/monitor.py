@@ -14,7 +14,7 @@ can come from two sources:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Deque, Dict, Iterable, Mapping, Optional, Sequence
+from typing import Deque, Dict, Iterable, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.net.message import Message
@@ -68,10 +68,6 @@ class LatencyMonitor:
             self._ewma[server] = (
                 self.ewma_alpha * latency + (1 - self.ewma_alpha) * previous
             )
-
-    def record_many(self, samples: Mapping[ProcessId, VirtualTime]) -> None:
-        for server, latency in samples.items():
-            self.record(server, latency)
 
     # -- active probing ---------------------------------------------------------------
     async def probe(self, prober: Process, timeout: Optional[VirtualTime] = None) -> Dict[ProcessId, VirtualTime]:

@@ -77,10 +77,6 @@ class Network:
     def process_ids(self) -> Sequence[ProcessId]:
         return tuple(self._processes)
 
-    def has_process(self, pid: ProcessId) -> bool:
-        """Whether ``pid`` is registered (fault targets are checked up front)."""
-        return pid in self._processes
-
     def get_process(self, pid: ProcessId) -> "ProcessLike":
         try:
             return self._processes[pid]
@@ -111,9 +107,6 @@ class Network:
 
     def is_crashed(self, pid: ProcessId) -> bool:
         return pid in self._crashed
-
-    def crashed_processes(self) -> Set[ProcessId]:
-        return set(self._crashed)
 
     def partition(self, groups: Iterable[Iterable[ProcessId]]) -> None:
         """Split processes into groups; cross-group messages are held.

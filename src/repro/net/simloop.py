@@ -301,8 +301,7 @@ class SimLoop:
         #: counter: same run -> same count; the bench harness reports it).
         self.events_processed = 0
         #: Ambient observer captured at construction (None = observability
-        #: off).  Checked once per run()/run_until_complete() call — not per
-        #: event — so the disabled-mode dispatch loops stay untouched.
+        #: off); :meth:`_dispatch` reports its counters to it.
         self.obs = current_observer()
 
     # -- clock ---------------------------------------------------------------
@@ -404,98 +403,7 @@ class SimLoop:
             target = awaitable
         else:
             target = self.create_task(awaitable)
-        if self.obs is not None:
-            return self._run_target_observed(target, max_time)
-
-        # Inlined dispatch (see _pop_and_run_one): this loop is the hot path
-        # of every run, so it binds the stores once and only computes the
-        # time-budget check on heap dispatches (ready events run at `now`,
-        # which already passed the check when it was reached).
-        events = self._events
-        ready = self._ready
-        heappop = heapq.heappop
-        processed = 0
-        try:
-            # target._state is only ever rebound to the module-level state
-            # constants, so the string comparison is an identity fast path.
-            while target._state == _PENDING:
-                if ready and (
-                    not events
-                    or events[0][0] > self._now
-                    or events[0][1] > ready[0][0]
-                ):
-                    _seq, callback, args = ready.popleft()
-                elif events:
-                    when = events[0][0]
-                    if max_time is not None and when > max_time:
-                        raise SimTimeoutError(
-                            f"virtual-time budget {max_time} exhausted "
-                            f"(next event at {when})"
-                        )
-                    when, _seq, callback, args = heappop(events)
-                    self._now = when
-                else:
-                    raise DeadlockError(
-                        f"simulation deadlocked at t={self._now}: "
-                        f"no pending events but {target.name!r} is not done"
-                    )
-                processed += 1
-                callback(*args)
-        finally:
-            self.events_processed += processed
-            SimLoop.total_events_processed += processed
-        return target.result()
-
-    def _run_target_observed(
-        self, target: SimFuture, max_time: Optional[VirtualTime]
-    ) -> Any:
-        """Observed twin of the :meth:`run_until_complete` dispatch loop.
-
-        Same ordering, same error behaviour; additionally splits the dispatch
-        count into ready-deque vs heap hits, tracks the peak queue depth, and
-        folds the totals into the observer at loop exit.  Kept as a separate
-        copy so the disabled-mode loop carries zero per-event overhead.
-        """
-        obs = self.obs
-        events = self._events
-        ready = self._ready
-        heappop = heapq.heappop
-        ready_hits = 0
-        heap_hits = 0
-        max_depth = 0
-        try:
-            while target._state == _PENDING:
-                depth = len(events) + len(ready)
-                if depth > max_depth:
-                    max_depth = depth
-                if ready and (
-                    not events
-                    or events[0][0] > self._now
-                    or events[0][1] > ready[0][0]
-                ):
-                    _seq, callback, args = ready.popleft()
-                    ready_hits += 1
-                elif events:
-                    when = events[0][0]
-                    if max_time is not None and when > max_time:
-                        raise SimTimeoutError(
-                            f"virtual-time budget {max_time} exhausted "
-                            f"(next event at {when})"
-                        )
-                    when, _seq, callback, args = heappop(events)
-                    self._now = when
-                    heap_hits += 1
-                else:
-                    raise DeadlockError(
-                        f"simulation deadlocked at t={self._now}: "
-                        f"no pending events but {target.name!r} is not done"
-                    )
-                callback(*args)
-        finally:
-            processed = ready_hits + heap_hits
-            self.events_processed += processed
-            SimLoop.total_events_processed += processed
-            obs.kernel_run(ready_hits, heap_hits, max_depth)
+        self._dispatch(target, max_time)
         return target.result()
 
     def run(self, until: Optional[VirtualTime] = None) -> VirtualTime:
@@ -505,72 +413,76 @@ class SimLoop:
         :meth:`run_until_complete` this never raises on an empty queue — it
         is the natural way to "let the system settle".
         """
-        if self.obs is not None:
-            return self._run_observed(until)
+        self._dispatch(None, until)
+        if until is not None and until > self._now:
+            self._now = until
+        return self._now
+
+    def _dispatch(
+        self, target: Optional[SimFuture], horizon: Optional[VirtualTime]
+    ) -> None:
+        """The one dispatch loop: pop events in ``(time, sequence)`` order.
+
+        Runs until ``target`` is done, raising on an empty queue or a next
+        event past ``horizon``; with ``target=None`` (drain mode) it stops
+        quietly at either, clamping the clock to ``horizon``.  Keep it
+        exactly one frame below its two callers: recursion-limited runs
+        abort at a depth that counts this frame, and the committed chaos
+        campaign pins their traces (``docs/ARCHITECTURE.md``, "Performance").
+        """
+        # The hot path of every run: the stores are bound once, the budget
+        # check only runs on heap dispatches (ready events run at `now`,
+        # which already passed it), and queue depth — a len() pair per
+        # event — is only tracked when observed.
+        obs = self.obs
+        observed = obs is not None
         events = self._events
         ready = self._ready
         heappop = heapq.heappop
         processed = 0
+        heap_hits = 0
+        max_depth = 0
         try:
-            while events or ready:
+            # target._state is only ever rebound to the module-level state
+            # constants, so the string comparison is an identity fast path.
+            while target is None or target._state == _PENDING:
+                if observed:
+                    depth = len(events) + len(ready)
+                    if depth > max_depth:
+                        max_depth = depth
                 if ready and (
                     not events
                     or events[0][0] > self._now
                     or events[0][1] > ready[0][0]
                 ):
                     _seq, callback, args = ready.popleft()
-                elif until is not None and events[0][0] > until:
-                    self._now = until
-                    return self._now
+                elif not events:
+                    if target is None:
+                        break
+                    raise DeadlockError(
+                        f"simulation deadlocked at t={self._now}: "
+                        f"no pending events but {target.name!r} is not done"
+                    )
                 else:
+                    when = events[0][0]
+                    if horizon is not None and when > horizon:
+                        if target is None:
+                            self._now = horizon
+                            break
+                        raise SimTimeoutError(
+                            f"virtual-time budget {horizon} exhausted "
+                            f"(next event at {when})"
+                        )
                     when, _seq, callback, args = heappop(events)
                     self._now = when
+                    heap_hits += 1
                 processed += 1
                 callback(*args)
         finally:
             self.events_processed += processed
             SimLoop.total_events_processed += processed
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
-
-    def _run_observed(self, until: Optional[VirtualTime]) -> VirtualTime:
-        """Observed twin of the :meth:`run` dispatch loop (see above)."""
-        obs = self.obs
-        events = self._events
-        ready = self._ready
-        heappop = heapq.heappop
-        ready_hits = 0
-        heap_hits = 0
-        max_depth = 0
-        try:
-            while events or ready:
-                depth = len(events) + len(ready)
-                if depth > max_depth:
-                    max_depth = depth
-                if ready and (
-                    not events
-                    or events[0][0] > self._now
-                    or events[0][1] > ready[0][0]
-                ):
-                    _seq, callback, args = ready.popleft()
-                    ready_hits += 1
-                elif until is not None and events[0][0] > until:
-                    self._now = until
-                    return self._now
-                else:
-                    when, _seq, callback, args = heappop(events)
-                    self._now = when
-                    heap_hits += 1
-                callback(*args)
-        finally:
-            processed = ready_hits + heap_hits
-            self.events_processed += processed
-            SimLoop.total_events_processed += processed
-            obs.kernel_run(ready_hits, heap_hits, max_depth)
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+            if observed:
+                obs.kernel_run(processed - heap_hits, heap_hits, max_depth)
 
     def pending_event_count(self) -> int:
         """Number of not-yet-processed events (useful for tests)."""

@@ -10,7 +10,7 @@ expensive for large ``n``.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import ProcessId
@@ -53,14 +53,6 @@ class QuorumSystem:
                     continue
                 minimal.append(candidate)
         return minimal
-
-    def all_quorums(self) -> Iterator[FrozenSet[ProcessId]]:
-        """Yield every quorum (exponential in ``n``; for tests/analysis only)."""
-        for size in range(1, len(self.servers) + 1):
-            for combo in itertools.combinations(self.servers, size):
-                candidate = frozenset(combo)
-                if self.is_quorum(candidate):
-                    yield candidate
 
     def smallest_quorum_size(self) -> int:
         """Cardinality of the smallest quorum."""

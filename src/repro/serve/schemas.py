@@ -1,12 +1,11 @@
 """Typed request/response schemas for the serving layer.
 
-The request side reuses the Spec v2 section protocol
-(:class:`~repro.experiments.sections.SpecSection`): :class:`JobRequest` is a
-frozen dataclass whose :meth:`~repro.experiments.sections.SpecSection.
-from_dict` rejects unknown keys — a typo'd field in a ``POST /jobs`` body
-fails with a 400 naming the key, exactly like a typo'd spec-file key fails
-the CLI — and whose ``_validate`` raises dotted-``path`` errors the routes
-render uniformly with ``POST /specs/validate``.
+The request side is :class:`~repro.experiments.plan.JobRequest` — the one
+description of "which scenario, which parameters, which runs" the CLI builds
+from ``argv`` too — re-exported here because it is the ``POST /jobs`` body:
+a typo'd field fails with a 400 naming the key, and ``_validate`` raises
+dotted-``path`` errors the routes render uniformly with
+``POST /specs/validate``.
 
 The response side is deliberately plain: responses are dicts assembled by
 the service (:meth:`~repro.serve.service.Job.payload`) and serialised by the
@@ -16,115 +15,11 @@ routes, with :func:`error_payload` as the one shared error shape
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict
 
-from repro.errors import ConfigurationError
-from repro.experiments.sections import SpecSection
+from repro.experiments.plan import JOB_KINDS, SAMPLE_METHODS, JobRequest
 
 __all__ = ["JobRequest", "JOB_KINDS", "SAMPLE_METHODS", "error_payload"]
-
-JOB_KINDS = ("run", "sweep")
-SAMPLE_METHODS = ("uniform", "lhs")
-
-
-@dataclass(frozen=True)
-class JobRequest(SpecSection):
-    """One ``POST /jobs`` body: what to run and how to expand it.
-
-    Exactly one of ``scenario`` (a registered name) or ``spec`` (an inline
-    :meth:`~repro.experiments.spec.ScenarioSpec.to_dict` object — the
-    "uploaded spec file") selects the scenario.  ``kind="run"`` executes the
-    single point described by ``params``; ``kind="sweep"`` expands ``grid``
-    / ``seeds`` / ``sample`` exactly like ``python -m repro sweep`` does, so
-    the streamed results are byte-identical to the CLI's ``--jsonl`` sink.
-
-    ``workers`` / ``run_timeout`` / ``retry`` override the server's
-    defaults per job (``None`` inherits them).
-    """
-
-    kind: str = "run"
-    scenario: Optional[str] = None
-    spec: Optional[Dict[str, Any]] = None
-    params: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    grid: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    seeds: Optional[Tuple[int, ...]] = None
-    sample: Optional[int] = None
-    sample_seed: int = 0
-    sample_method: str = "uniform"
-    workers: Optional[int] = None
-    run_timeout: Optional[float] = None
-    retry: Optional[int] = None
-
-    def _validate(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise ConfigurationError(
-                f"unknown job kind {self.kind!r}; expected run or sweep",
-                path="kind",
-            )
-        if (self.scenario is None) == (self.spec is None):
-            raise ConfigurationError(
-                "give exactly one of 'scenario' (a registered name) or "
-                "'spec' (an inline spec object)",
-                path="scenario",
-            )
-        if self.spec is not None and not isinstance(self.spec, Mapping):
-            raise ConfigurationError(
-                f"'spec' must be a spec object, got {self.spec!r}", path="spec"
-            )
-        if not isinstance(self.params, Mapping):
-            raise ConfigurationError(
-                f"'params' must be a parameter mapping, got {self.params!r}",
-                path="params",
-            )
-        if not isinstance(self.grid, Mapping):
-            raise ConfigurationError(
-                f"'grid' must map axis names to value lists, got {self.grid!r}",
-                path="grid",
-            )
-        for axis in sorted(self.grid):
-            values = self.grid[axis]
-            if isinstance(values, (str, bytes)) or not isinstance(
-                values, Sequence
-            ):
-                raise ConfigurationError(
-                    f"grid axis {axis!r} must be a list of values, "
-                    f"got {values!r}",
-                    path=f"grid.{axis}",
-                )
-        if self.kind == "run" and (
-            self.grid or self.seeds is not None or self.sample is not None
-        ):
-            raise ConfigurationError(
-                "a run job takes 'params' only; use kind='sweep' for "
-                "grid/seeds/sample",
-                path="kind",
-            )
-        if self.sample is not None and self.sample < 1:
-            raise ConfigurationError(
-                f"sample size must be at least 1, got {self.sample}",
-                path="sample",
-            )
-        if self.sample_method not in SAMPLE_METHODS:
-            raise ConfigurationError(
-                f"unknown sample method {self.sample_method!r}; "
-                "expected uniform or lhs",
-                path="sample_method",
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}", path="workers"
-            )
-        if self.run_timeout is not None and self.run_timeout <= 0:
-            raise ConfigurationError(
-                f"run_timeout must be positive, got {self.run_timeout!r}",
-                path="run_timeout",
-            )
-        if self.retry is not None and self.retry < 1:
-            raise ConfigurationError(
-                f"retry must be >= 1, got {self.retry}", path="retry"
-            )
 
 
 def error_payload(error: BaseException) -> Dict[str, Any]:

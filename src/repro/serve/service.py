@@ -2,21 +2,24 @@
 
 This is the serving layer's core and it is transport-free — no HTTP in this
 module.  :class:`ExperimentService` owns a jobs directory; each submitted
-:class:`~repro.serve.schemas.JobRequest` becomes a :class:`Job` with its own
-subdirectory holding a :class:`~repro.experiments.resilience.RunJournal` and
-a ``results.jsonl`` written with the exact
+:class:`~repro.experiments.plan.JobRequest` is planned by
+:func:`~repro.experiments.plan.plan` — the function the CLI plans with — and
+becomes a :class:`Job` with its own subdirectory holding a
+:class:`~repro.experiments.resilience.RunJournal` and a ``results.jsonl``
+written with the exact
 :func:`~repro.experiments.results.write_jsonl_line` sink the CLI uses, so a
 job's results are byte-identical to the equivalent ``python -m repro run`` /
 ``sweep --jsonl`` invocation.  The server is a transport, not new execution
 semantics.
 
 Durability mirrors the PR 9 resume contract: the store appends job events to
-``jobs.jsonl``; a restarted service replays the log, re-expands each job's
-runs deterministically from its request, and re-enqueues every non-terminal
-job.  Because those jobs re-execute against their existing run journal,
-already-completed runs stream back from the journal in input order and the
-rewritten ``results.jsonl`` comes out byte-identical to an uninterrupted
-execution (single-worker jobs; parallel jobs are value-identical under
+``jobs.jsonl``; a restarted service replays the log, re-plans each job from
+its own logged request (deterministic, and independent of every other job
+in the log), and re-enqueues every non-terminal job.  Because those jobs
+re-execute against their existing run journal, already-completed runs stream
+back from the journal in input order and the rewritten ``results.jsonl``
+comes out byte-identical to an uninterrupted execution (single-worker jobs;
+parallel jobs are value-identical under
 :func:`~repro.experiments.results.compare_payloads`).
 """
 
@@ -32,7 +35,8 @@ from contextlib import closing
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.registry import get_scenario, register_spec, scenario_names
+from repro.experiments.plan import JobRequest, plan
+from repro.experiments.registry import Scenario
 from repro.experiments.resilience import (
     Quarantine,
     ResiliencePolicy,
@@ -41,10 +45,8 @@ from repro.experiments.resilience import (
     execute_stream_resilient,
 )
 from repro.experiments.results import write_jsonl_line
-from repro.experiments.spec import ScenarioSpec
-from repro.experiments.sweep import RunSpec, Sweep, expand_grid
+from repro.experiments.sweep import RunSpec
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.schemas import JobRequest
 
 __all__ = [
     "ExperimentService",
@@ -54,8 +56,6 @@ __all__ = [
     "UnknownJobError",
     "JOB_STATES",
     "TERMINAL_STATES",
-    "expand_runs",
-    "resolve_scenario",
 ]
 
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -74,70 +74,6 @@ class JobStateError(ReproError):
     """The job is in a state that forbids the operation (HTTP 409)."""
 
 
-def resolve_scenario(request: JobRequest) -> str:
-    """Resolve the request's scenario, registering an inline spec if given.
-
-    Inline specs are validated exactly like spec files
-    (:func:`~repro.experiments.spec.load_spec_file`) and registered under
-    their own name with ``replace=True`` — resubmitting the same spec (or a
-    revised one under the same name) is an update, not a conflict, matching
-    the CLI's ``--spec`` semantics.
-    """
-    scenario_names()  # load the builtin catalogue before any registration
-    if request.spec is not None:
-        spec = ScenarioSpec.from_dict(request.spec).validate()
-        register_spec(spec, tags=("serve-job",), replace=True)
-        return spec.name
-    return get_scenario(request.scenario).name
-
-
-def check_parameters(request: JobRequest, scenario: str) -> None:
-    """Reject params/grid axes the scenario does not declare, with paths."""
-    known = set(get_scenario(scenario).defaults)
-    for key in sorted(request.params):
-        if key not in known:
-            raise ConfigurationError(
-                f"scenario {scenario!r} has no parameter {key!r}; "
-                f"sweepable: {', '.join(sorted(known)) or '(none)'}",
-                path=f"params.{key}",
-            )
-    for axis in sorted(request.grid):
-        if axis not in known:
-            raise ConfigurationError(
-                f"scenario {scenario!r} has no parameter {axis!r}; "
-                f"sweepable: {', '.join(sorted(known)) or '(none)'}",
-                path=f"grid.{axis}",
-            )
-    if request.seeds is not None and "seed" not in known:
-        raise ConfigurationError(
-            f"scenario {scenario!r} has no 'seed' parameter",
-            path="seeds",
-        )
-
-
-def expand_runs(request: JobRequest, scenario: str) -> List[RunSpec]:
-    """Expand a request into concrete runs, exactly as the CLI would.
-
-    ``kind="run"`` is the single point of ``params``; ``kind="sweep"``
-    builds the same :class:`~repro.experiments.sweep.Sweep` the ``sweep``
-    subcommand does (``seeds`` becomes a ``seed`` axis, ``sample`` draws
-    from the grid), so run order — and therefore the JSONL byte stream —
-    matches the CLI.
-    """
-    base = dict(request.params)
-    if request.kind == "run":
-        return [RunSpec(scenario, tuple(sorted(base.items())))]
-    grid: Dict[str, Any] = {axis: list(values) for axis, values in request.grid.items()}
-    if request.seeds is not None:
-        grid["seed"] = list(request.seeds)
-    if request.sample is not None:
-        sweep = Sweep.of(scenario, grid=grid, base=base)
-        return sweep.sample(
-            request.sample, seed=request.sample_seed, method=request.sample_method
-        )
-    return expand_grid(scenario, grid=grid, base=base)
-
-
 @dataclasses.dataclass
 class Job:
     """One submitted request plus its execution state and on-disk home."""
@@ -145,6 +81,7 @@ class Job:
     id: str
     request: JobRequest
     scenario: str
+    entry: Scenario
     runs: List[RunSpec]
     directory: str
     state: str = "queued"
@@ -184,8 +121,9 @@ class ExperimentService:
     """Job store + scheduler for multi-user submissions.
 
     ``workers`` is the default per-job executor parallelism (each running
-    job forks its own workers for the life of its stream, so concurrent
-    jobs share no pool and no registry snapshot);
+    job starts its own workers for the life of its stream and hands them
+    its own planned scenario, so concurrent jobs share no pool and cannot
+    see each other's inline specs);
     ``job_concurrency`` is how many jobs execute at once (each on its own
     worker thread).  ``queue_limit`` bounds *queued* (not running) jobs —
     beyond it submissions fail fast with :class:`QueueFullError` instead of
@@ -237,7 +175,7 @@ class ExperimentService:
     def _load(self) -> None:
         """Replay the jobs event log; re-enqueue every non-terminal job.
 
-        Runs are re-expanded from each request — expansion is deterministic,
+        Each job is re-planned from its request — planning is deterministic,
         so a resumed job executes the same run list in the same order, and
         its run journal replays completed runs without re-executing them.
         A partial final line (the previous process died mid-append) is
@@ -257,14 +195,12 @@ class ExperimentService:
                     break  # partial final line from a killed process
                 if "job" in event:
                     record = event["job"]
-                    request = JobRequest.from_dict(record["request"]).validate()
-                    scenario = resolve_scenario(request)
+                    request = JobRequest.from_dict(record["request"])
                     jobs[record["id"]] = Job(
                         id=record["id"],
                         request=request,
-                        scenario=scenario,
-                        runs=expand_runs(request, scenario),
                         directory=os.path.join(self.jobs_dir, record["id"]),
+                        **plan(request)._asdict(),
                     )
                 elif "state" in event:
                     record = event["state"]
@@ -304,11 +240,8 @@ class ExperimentService:
     # -- submission / queries ----------------------------------------------------
 
     def submit(self, request: JobRequest) -> Job:
-        """Validate, expand and enqueue one request; returns the new job."""
-        request.validate()
-        scenario = resolve_scenario(request)
-        check_parameters(request, scenario)
-        runs = expand_runs(request, scenario)
+        """Plan (validate, resolve, expand) and enqueue one request."""
+        planned = plan(request)
         with self._wake:
             if self._stop:
                 raise JobStateError("the service is shutting down")
@@ -321,17 +254,16 @@ class ExperimentService:
             job = Job(
                 id=job_id,
                 request=request,
-                scenario=scenario,
-                runs=runs,
                 directory=os.path.join(self.jobs_dir, job_id),
+                **planned._asdict(),
             )
             os.makedirs(job.directory, exist_ok=True)
             self._log_event({
                 "job": {
                     "id": job.id,
                     "request": request.to_dict(),
-                    "scenario": scenario,
-                    "total": len(runs),
+                    "scenario": planned.scenario,
+                    "total": len(planned.runs),
                 }
             })
             self._jobs[job.id] = job
@@ -488,6 +420,7 @@ class ExperimentService:
                 journal=journal,
                 quarantine=quarantine,
                 telemetry=job.telemetry,
+                entry=job.entry,
             )
             with open(job.results_path, "w", encoding="utf-8") as handle:
                 job.started_event.set()

@@ -343,10 +343,6 @@ class ShardedStore:
             shard = memo[key] = shard_for_key(key, self.shards)
         return shard
 
-    def client_for(self, key: Optional[str]) -> Any:
-        """The per-shard client handle serving ``key``."""
-        return self.shard_clients[self.shard_of(key)]
-
     def _begin(self) -> None:
         if self._in_flight:
             raise ConfigurationError(

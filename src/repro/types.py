@@ -38,10 +38,6 @@ class Tag:
     ts: int
     pid: ProcessId
 
-    def next_for(self, writer: ProcessId) -> "Tag":
-        """Return the tag a writer with id ``writer`` should use after this tag."""
-        return Tag(ts=self.ts + 1, pid=writer)
-
     @staticmethod
     def zero() -> "Tag":
         """The initial tag associated with the register's initial value."""

@@ -31,10 +31,10 @@ def network(loop: SimLoop) -> Network:
 def scenario_registry_restored():
     """Put the process-global scenario registry back after every test.
 
-    ``--spec`` runs and served inline specs register under their own name
-    with ``replace=True``; without this a test that re-registers
-    ``quickstart`` (other tags, other defaults) changes what every later
-    test in the process sees, so modules only pass in some orders.
+    Tests register throwaway scenarios (some with ``replace=True``); without
+    this a test that re-registers ``quickstart`` (other tags, other
+    defaults) changes what every later test in the process sees, so modules
+    only pass in some orders.
     """
     registry.scenario_names()  # the snapshot includes the built-in catalogue
     before = dict(registry._REGISTRY)

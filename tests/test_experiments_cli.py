@@ -3,13 +3,24 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.experiments.cli import main
+from repro.errors import ReproError
+from repro.experiments import cli, executor
+from repro.experiments.cli import _parse_grid, _parse_params, _parse_value, main
+from repro.experiments.plan import JobRequest, plan
+from repro.experiments.sweep import Sweep, expand_grid, expand_points
+
+SPEC_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "examples", "specs"
+)
 
 FAST = ["-p", "workload.operations_per_client=2"]
 
@@ -142,6 +153,75 @@ class TestSweepSamplingCli:
         assert main(["sweep", "quickstart", "-g", "seed=0,1",
                      "--point", "cluster.n=4"]) == 2
         assert "--point" in capsys.readouterr().err
+
+
+def _sweep_runs(args, scenario):
+    """The CLI's run expansion as it stood before ``plan`` (PR 14), verbatim:
+    the reference the one planner must reproduce run for run."""
+    grid = _parse_grid(args.grid)
+    if args.seeds:
+        grid["seed"] = [_parse_value(value) for value in args.seeds.split(",") if value != ""]
+    base = _parse_params(args.param)
+    if args.point:
+        if grid or args.sample is not None:
+            raise ReproError("--point cannot be combined with -g/--seeds/--sample")
+        points = [_parse_params(point.split()) for point in args.point]
+        return expand_points(scenario, points, base=base)
+    if args.sample is not None:
+        sweep = Sweep.of(scenario, grid=grid, base=base)
+        return sweep.sample(args.sample, seed=args.sample_seed,
+                            method=args.sample_method)
+    return expand_grid(scenario, grid=grid, base=base)
+
+
+_AXES = ("cluster.n", "cluster.f", "latency.low", "seed",
+         "workload.operations_per_client", "failures.crashes")
+_values = st.lists(st.integers(-3, 40), min_size=1, max_size=4)
+
+
+@st.composite
+def sweep_argv(draw):
+    argv = []
+    for axis in draw(st.lists(st.sampled_from(_AXES), unique=True, max_size=3)):
+        argv += ["-g", f"{axis}={','.join(map(str, draw(_values)))}"]
+    for key in draw(st.lists(st.sampled_from(_AXES), unique=True, max_size=3)):
+        argv += ["-p", f"{key}={draw(st.integers(-3, 40))}"]
+    if draw(st.booleans()):
+        argv += ["--seeds=" + ",".join(map(str, draw(_values)))]  # "=": may start with "-"
+    if draw(st.booleans()):
+        argv += ["--sample", str(draw(st.integers(1, 12))),
+                 "--sample-seed", str(draw(st.integers(0, 5))),
+                 "--sample-method", draw(st.sampled_from(["uniform", "lhs"]))]
+    return argv
+
+
+class TestOnePlanner:
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_argv())
+    def test_the_request_built_from_argv_plans_the_runs_the_cli_expanded(self, argv):
+        args = cli.build_parser().parse_args(["sweep", "quickstart", *argv])
+        request = cli._sweep_request(args)
+        # Through the wire shape: what a POST /jobs body would carry.
+        planned = plan(JobRequest.from_dict(request.to_dict()))
+        assert planned.runs == _sweep_runs(args, "quickstart")
+
+    def test_spec_sweep_on_spawned_workers_equals_serial(self, tmp_path, monkeypatch):
+        # Spawned workers re-import only the built-in catalogue; the planned
+        # entry reaches them as a start argument, so an unregistered spec runs.
+        with open(os.path.join(SPEC_DIR, "quickstart.json")) as handle:
+            spec = json.load(handle)
+        spec["name"] = "spawn-probe"
+        path = tmp_path / "spawn-probe.json"
+        path.write_text(json.dumps(spec))
+        argv = ["sweep", "--spec", str(path), "--seeds", "0,1,2", *FAST,
+                "--quiet", "--no-progress"]
+        serial, spawned = tmp_path / "serial.json", tmp_path / "spawned.json"
+        assert main([*argv, "--workers", "1", "--json", str(serial)]) == 0
+        monkeypatch.setattr(
+            executor, "_pool_context", lambda: multiprocessing.get_context("spawn"))
+        assert main([*argv, "--workers", "2", "--json", str(spawned)]) == 0
+        assert spawned.read_bytes() == serial.read_bytes()
+        assert len(json.loads(serial.read_text())) == 3
 
 
 class TestSweepStreamingCli:

@@ -4,8 +4,9 @@ The contract under test:
 
 * **Passivity** — an installed observer only records; enabled runs produce
   exactly the same simulation results as disabled runs.
-* **Zero disabled overhead** — without an observer, ``SimLoop`` runs the
-  original uninstrumented dispatch loops (checked structurally, and via the
+* **One dispatch loop** — observed and unobserved loops run the same events,
+  stop at the same instant and abort with the same text; the observer only
+  receives the counters (checked on a scripted schedule, and via the
   ``event-loop`` / ``event-loop-obs`` benchmark twins doing identical work).
 * **Determinism** — traces are byte-stable across repeats, hash seeds, and
   serial vs parallel execution (for churn-free runs; see ARCHITECTURE.md on
@@ -25,7 +26,7 @@ import sys
 import pytest
 
 from repro.core.spec import SystemConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, DeadlockError, SimTimeoutError
 from repro.experiments.cli import main
 from repro.experiments.spec import ObservabilitySpec, ScenarioSpec
 from repro.net.latency import UniformLatency
@@ -121,27 +122,6 @@ class TestPassivity:
 
 
 class TestDisabledPathIsUntouched:
-    def test_unobserved_loop_never_enters_instrumented_dispatch(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("instrumented loop used without an observer")
-
-        monkeypatch.setattr(SimLoop, "_run_target_observed", boom)
-        monkeypatch.setattr(SimLoop, "_run_observed", boom)
-        _, report = _small_run(observer=None)  # must not touch the copies
-        assert report.operations == 15
-
-    def test_observed_loop_delegates_to_instrumented_dispatch(self, monkeypatch):
-        sentinel = {"hit": 0}
-        original = SimLoop._run_target_observed
-
-        def spy(self, target, max_time):
-            sentinel["hit"] += 1
-            return original(self, target, max_time)
-
-        monkeypatch.setattr(SimLoop, "_run_target_observed", spy)
-        _small_run(observer=Observer())
-        assert sentinel["hit"] >= 1
-
     def test_benchmark_twins_do_identical_work(self):
         # The expectations file pins both, but assert the linkage directly:
         # the instrumented benchmark must process exactly as many events as
@@ -155,6 +135,120 @@ class TestDisabledPathIsUntouched:
             assert obs["ops"] == plain["ops"]
             assert (obs["counters"]["ready_dispatches"]
                     + obs["counters"]["heap_dispatches"]) == obs["events"]
+
+
+class _KernelSpy(Observer):
+    """An observer that also keeps every ``kernel_run`` report it receives."""
+
+    def __init__(self):
+        super().__init__(trace=False)
+        self.reports = []
+
+    def kernel_run(self, ready_hits, heap_hits, max_depth):
+        self.reports.append((ready_hits, heap_hits, max_depth))
+        super().kernel_run(ready_hits, heap_hits, max_depth)
+
+
+def _scripted_loop(spy=None):
+    """A loop with a fixed schedule: timers at t=1,2,4, a fan of zero-delay
+    callbacks at t=2 and a task sleeping until t=3 (last event at t=4)."""
+    with observing(spy):
+        loop = SimLoop()
+    log = []
+
+    def fan():
+        log.append(("fan", loop.now))
+        for number in range(3):
+            loop.call_later(0.0, log.append, ("zero", number, loop.now))
+
+    async def sleeper():
+        await loop.sleep(3.0)
+        log.append(("woke", loop.now))
+        return "slept"
+
+    loop.call_later(1.0, log.append, ("timer", 1.0))
+    loop.call_later(2.0, fan)
+    loop.call_later(4.0, log.append, ("timer", 4.0))
+    return loop, log, sleeper
+
+
+class TestObservedAndUnobservedDispatchAgree:
+    """One loop serves both modes: observing it changes what is *reported*,
+    never what runs, where the clock stops or what an abort says."""
+
+    def _both(self, drive):
+        outcomes = []
+        for spy in (None, _KernelSpy()):
+            loop, log, sleeper = _scripted_loop(spy)
+            try:
+                value = drive(loop, sleeper)
+            except Exception as error:  # compared, not swallowed
+                value = (type(error), str(error))
+            outcomes.append((value, loop.now, loop.events_processed,
+                             loop.pending_event_count(), log))
+            if spy is not None:
+                (ready, heap, depth), = spy.reports  # once per call
+                assert ready + heap == loop.events_processed
+                assert depth >= 1
+        assert outcomes[0] == outcomes[1]
+        return outcomes[0]
+
+    def test_completion_and_drain_process_the_same_events(self):
+        value, now, processed, pending, _ = self._both(
+            lambda loop, sleeper: loop.run_until_complete(sleeper()))
+        assert (value, now, pending) == ("slept", 3.0, 1)
+        _, now, drained, pending, log = self._both(
+            lambda loop, sleeper: loop.run())
+        assert (now, pending) == (4.0, 0)
+        assert drained == len(log) == 6  # two timers, the fan, its three callbacks
+
+    @pytest.mark.parametrize("until, expected_now, expected_pending", [
+        (1.5, 1.5, 2),   # between events
+        (4.0, 4.0, 0),   # exactly at the last event: it still runs
+        (9.0, 9.0, 0),   # past the last event: the clock is carried forward
+    ])
+    def test_run_until_stops_at_the_same_instant(
+        self, until, expected_now, expected_pending
+    ):
+        value, now, _, pending, _ = self._both(
+            lambda loop, sleeper: loop.run(until=until))
+        assert value == now == expected_now
+        assert pending == expected_pending
+
+    def test_budget_and_deadlock_abort_with_the_same_text(self):
+        (kind, text), now, _, _, _ = self._both(
+            lambda loop, sleeper: loop.run_until_complete(sleeper(), max_time=2.5))
+        assert kind is SimTimeoutError
+        assert text == "virtual-time budget 2.5 exhausted (next event at 3.0)"
+        assert now == 2.0
+
+        from repro.net.simloop import SimFuture
+
+        (kind, text), now, _, _, _ = self._both(
+            lambda loop, sleeper: loop.run_until_complete(SimFuture(name="never")))
+        assert kind is DeadlockError
+        assert text == ("simulation deadlocked at t=4.0: no pending events "
+                        "but 'never' is not done")
+
+    def test_a_raising_callback_is_counted_and_reported_once(self):
+        def drive(loop, sleeper):
+            loop.call_later(2.5, lambda: 1 / 0)
+            loop.run()
+
+        (kind, _), now, processed, pending, _ = self._both(drive)
+        assert kind is ZeroDivisionError
+        # timer@1, fan@2, 3 zero-delay, the raising callback itself
+        assert (now, processed, pending) == (2.5, 6, 1)  # timer@4 is left
+
+    def test_a_full_workload_is_unchanged_by_observation(self):
+        plain_cluster, plain = _small_run(observer=None)
+        spy = _KernelSpy()
+        seen_cluster, seen = _small_run(observer=spy)
+        assert seen.operations == plain.operations == 15
+        assert seen_cluster.loop.events_processed == plain_cluster.loop.events_processed
+        assert seen_cluster.loop.now == plain_cluster.loop.now
+        assert sum(ready + heap for ready, heap, _ in spy.reports) == (
+            seen_cluster.loop.events_processed)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +390,7 @@ class TestCliTracing:
             read_trace(str(serial / name))  # every per-run file is schema-valid
 
     def test_sweep_trace_dir_requires_spec_scenario(self, tmp_path, capsys):
-        assert main(["sweep", "fig1-walkthrough", "--seeds", "0",
+        assert main(["sweep", "fig1-walkthrough",
                      "--trace-dir", str(tmp_path / "t")]) == 2
         assert "declarative" in capsys.readouterr().err
 

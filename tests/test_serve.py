@@ -22,7 +22,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.cli import main
-from repro.experiments.registry import catalogue_payload, unregister
+from repro.experiments import registry
+from repro.experiments.plan import plan
+from repro.experiments.registry import catalogue_payload
 from repro.experiments.results import compare_payloads, load_payload
 from repro.serve.app import ExperimentServer
 from repro.serve.client import ServeClient, ServeClientError
@@ -33,7 +35,6 @@ from repro.serve.service import (
     JobStateError,
     QueueFullError,
     UnknownJobError,
-    expand_runs,
 )
 
 FAST = {"workload.operations_per_client": 2}
@@ -112,7 +113,7 @@ class TestSchemas:
             "kind": "sweep", "scenario": "quickstart",
             "grid": {"cluster.n": [4, 5]}, "seeds": [0, 1],
         }).validate()
-        runs = expand_runs(request, "quickstart")
+        runs = plan(request).runs
         assert [run.params_dict["cluster.n"] for run in runs] == [4, 4, 5, 5]
         assert [run.params_dict["seed"] for run in runs] == [0, 1, 0, 1]
 
@@ -203,8 +204,8 @@ class TestServiceExecution:
         self, tmp_path, leaked_children
     ):
         # Two job threads each driving a --workers 2 stream at once, one of
-        # them registering an inline spec: every job forks its own workers,
-        # so neither sees the other's registry change or pool.
+        # them on an inline spec: every job starts its own workers and hands
+        # them its own planned scenario, so neither sees the other's.
         spec = json.load(open(QUICKSTART_SPEC))
         spec["name"] = "serve-inline-probe"
         spec_path = tmp_path / "inline.json"
@@ -238,7 +239,6 @@ class TestServiceExecution:
                 assert len(served) == len(want)
         finally:
             service.shutdown()
-            unregister("serve-inline-probe")
         assert leaked_children() == []
 
     def test_queue_limit_rejects_submissions(self, tmp_path):
@@ -290,6 +290,123 @@ class TestServiceExecution:
     def test_unknown_job_raises(self, service):
         with pytest.raises(UnknownJobError):
             service.job("job-999999")
+
+
+def same_name_request(seed):
+    """A run job on an inline spec named ``same-name-probe`` with ``seed``."""
+    with open(QUICKSTART_SPEC) as handle:
+        spec = json.load(handle)
+    spec.update(name="same-name-probe", seed=seed)
+    return JobRequest.from_dict({"kind": "run", "spec": spec, "params": FAST})
+
+
+def served_seeds(job):
+    assert job.finished_event.wait(120) and job.state == "done"
+    return [entry["result"]["seed"] for entry in load_payload(job.results_path)]
+
+
+class TestInlineSpecsArePerJob:
+    """ROADMAP 4d: an inline spec is the job's own scenario, not a registry
+    entry — two queued jobs uploading different specs under one name used to
+    both run whichever was registered last."""
+
+    def test_queued_jobs_sharing_a_spec_name_each_run_their_own(self, tmp_path):
+        before = dict(registry._REGISTRY)
+        service = ExperimentService(str(tmp_path / "jobs"))
+        try:
+            # Not started: both are planned and queued before either runs.
+            jobs = [service.submit(same_name_request(seed)) for seed in (101, 202)]
+            assert registry._REGISTRY == before
+            service.start()
+            assert [served_seeds(job) for job in jobs] == [[101], [202]]
+        finally:
+            service.shutdown()
+        assert registry._REGISTRY == before
+
+    def test_restart_replans_every_job_from_its_own_request(self, tmp_path):
+        jobs_dir = str(tmp_path / "jobs")
+        first = ExperimentService(jobs_dir)
+        ids = [first.submit(same_name_request(seed)).id for seed in (101, 202)]
+        first.shutdown()  # never started: both jobs are still queued
+        second = ExperimentService(jobs_dir)
+        try:
+            second.start()
+            assert [served_seeds(second.job(job_id)) for job_id in ids] == [
+                [101], [202]]
+        finally:
+            second.shutdown()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_cli_spec_runs_register_nothing(self, command, tmp_path):
+        before = dict(registry._REGISTRY)
+        with open(QUICKSTART_SPEC) as handle:
+            spec = json.load(handle)
+        spec["name"] = "never-registered-probe"
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "out.json"
+        assert main([command, "--spec", str(path), "--json", str(out), "--quiet",
+                     "-p", "workload.operations_per_client=2"]
+                    + (["--no-progress"] if command == "sweep" else [])) == 0
+        assert json.loads(out.read_text())[0]["scenario"] == "never-registered-probe"
+        assert registry._REGISTRY == before
+
+
+class TestParameterNamesFollowExecution:
+    """The planner accepts exactly the names execution binds: a legacy alias
+    the CLI always ran (``failures.*``) is no longer a 400 from the service,
+    and a typo the CLI used to discover mid-run fails before any run."""
+
+    CRASH = [["s4", 10.0]]
+
+    def served_bytes(self, service, body):
+        job = service.submit(JobRequest.from_dict(
+            {"scenario": "crash-resilience", **body}))
+        assert job.finished_event.wait(120) and job.state == "done"
+        with open(job.results_path, "rb") as handle:
+            return handle.read()
+
+    def test_alias_as_a_param_runs_the_canonical_bytes(self, service):
+        alias = self.served_bytes(
+            service, {"kind": "run", "params": {"failures.crashes": self.CRASH}})
+        canonical = self.served_bytes(
+            service, {"kind": "run", "params": {"faults.crashes": self.CRASH}})
+        assert json.loads(alias)["result"] == json.loads(canonical)["result"]
+        assert alias == canonical.replace(b"faults.crashes", b"failures.crashes")
+
+    def test_alias_as_a_grid_axis_runs_the_canonical_bytes(self, service):
+        alias = self.served_bytes(
+            service, {"kind": "sweep", "grid": {"failures.crashes": [self.CRASH, []]}})
+        canonical = self.served_bytes(
+            service, {"kind": "sweep", "grid": {"faults.crashes": [self.CRASH, []]}})
+        assert alias.count(b"\n") == 2
+        assert alias == canonical.replace(b"faults.crashes", b"failures.crashes")
+
+    @pytest.mark.parametrize("body, path", [
+        ({"kind": "run", "params": {"cluster.bogus": 3}}, "params.cluster.bogus"),
+        ({"kind": "sweep", "grid": {"cluster.bogus": [3]}}, "grid.cluster.bogus"),
+        ({"kind": "sweep", "scenario": "fig1-walkthrough", "seeds": [1]},
+         "seeds"),
+    ])
+    def test_unknown_names_fail_at_submit_with_the_request_path(
+        self, service, body, path
+    ):
+        with pytest.raises(ConfigurationError) as excinfo:
+            service.submit(JobRequest.from_dict({"scenario": "quickstart", **body}))
+        assert excinfo.value.path == path
+        assert service.jobs() == []
+
+    def test_cli_rejects_an_unknown_param_before_any_run(self, capsys, monkeypatch):
+        from repro.experiments import cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(cli, "execute_many", never)
+        assert main(["run", "quickstart", "-p", "cluster.bogus=1"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter 'cluster.bogus'" in err
+        assert "at: params.cluster.bogus" in err
 
 
 class TestRestartResume:
