@@ -1,7 +1,7 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_*`` module regenerates one experiment from DESIGN.md's index
-(E1-E11).  Because the paper reports no absolute numbers, every benchmark
+Each ``bench_*`` module regenerates one experiment of the E1-E11 index (the
+README's scenario catalogue names the registered ones).  Because the paper reports no absolute numbers, every benchmark
 
 * prints the rows/series it regenerates (visible with ``pytest -s`` and
   captured in ``bench_output.txt``), and

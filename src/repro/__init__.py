@@ -21,96 +21,41 @@ Quick start::
 
     print(cluster.loop.run_until_complete(demo()))
 
-See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for the
-paper-versus-measured record of every experiment.
+See ``docs/ARCHITECTURE.md`` ("Modules ↔ paper sections") for the full system
+inventory and the README's scenario catalogue for every experiment.
 """
 
-from repro.core.change import Change, ChangeSet, initial_changes
-from repro.core.protocol import ReassignmentServer, TransferOutcome, read_changes
-from repro.core.reductions import (
-    OraclePairwiseReassignment,
-    OracleWeightReassignment,
-    algorithm1_propose,
-    algorithm2_propose,
-    paper_initial_weights,
-)
-from repro.core.spec import (
-    SystemConfig,
-    check_integrity,
-    check_p_integrity,
-    check_rp_integrity,
-)
-from repro.core.storage import (
-    DynamicWeightedStorageClient,
-    DynamicWeightedStorageServer,
-)
-from repro.net.latency import (
-    ConstantLatency,
-    LogNormalLatency,
-    PerLinkLatency,
-    SlowdownLatency,
-    UniformLatency,
-    WanMatrixLatency,
-)
-from repro.net.network import Network
-from repro.net.process import Process
-from repro.net.simloop import SimLoop, gather
-from repro.quorum import (
-    GridQuorumSystem,
-    MajorityQuorumSystem,
-    TreeQuorumSystem,
-    WeightedMajorityQuorumSystem,
-    wmqs_is_available,
-)
-from repro.sim.cluster import build_dynamic_cluster, build_static_cluster
-from repro.sim.runner import run_workload
-from repro.sim.workload import uniform_workload
-from repro.workloads import WorkloadGenerator, workload_stats
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # core
-    "Change",
-    "ChangeSet",
-    "initial_changes",
-    "SystemConfig",
-    "check_integrity",
-    "check_p_integrity",
-    "check_rp_integrity",
-    "ReassignmentServer",
-    "TransferOutcome",
-    "read_changes",
-    "DynamicWeightedStorageServer",
-    "DynamicWeightedStorageClient",
-    "OracleWeightReassignment",
-    "OraclePairwiseReassignment",
-    "algorithm1_propose",
-    "algorithm2_propose",
-    "paper_initial_weights",
-    # simulation substrate
-    "SimLoop",
-    "gather",
-    "Network",
-    "Process",
-    "ConstantLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "PerLinkLatency",
-    "WanMatrixLatency",
-    "SlowdownLatency",
-    # quorum systems
-    "MajorityQuorumSystem",
-    "WeightedMajorityQuorumSystem",
-    "GridQuorumSystem",
-    "TreeQuorumSystem",
-    "wmqs_is_available",
-    # harness
-    "build_dynamic_cluster",
-    "build_static_cluster",
-    "uniform_workload",
-    "WorkloadGenerator",
-    "workload_stats",
-    "run_workload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "core.change": ("Change", "ChangeSet", "initial_changes"),
+    "core.spec": (
+        "SystemConfig", "check_integrity", "check_p_integrity", "check_rp_integrity",
+    ),
+    "core.protocol": ("ReassignmentServer", "TransferOutcome", "read_changes"),
+    "core.storage": ("DynamicWeightedStorageServer", "DynamicWeightedStorageClient"),
+    "core.reductions": (
+        "OracleWeightReassignment", "OraclePairwiseReassignment", "algorithm1_propose",
+        "algorithm2_propose", "paper_initial_weights",
+    ),
+    "net.simloop": ("SimLoop", "gather"),
+    "net.network": ("Network",),
+    "net.process": ("Process",),
+    "net.latency": (
+        "ConstantLatency", "UniformLatency", "LogNormalLatency", "PerLinkLatency",
+        "WanMatrixLatency", "SlowdownLatency",
+    ),
+    "quorum.majority": ("MajorityQuorumSystem",),
+    "quorum.weighted": ("WeightedMajorityQuorumSystem",),
+    "quorum.grid": ("GridQuorumSystem",),
+    "quorum.tree": ("TreeQuorumSystem",),
+    "quorum.availability": ("wmqs_is_available",),
+    "sim.cluster": ("build_dynamic_cluster", "build_static_cluster"),
+    "sim.workload": ("uniform_workload",),
+    "workloads.generator": ("WorkloadGenerator",),
+    "workloads.stats": ("workload_stats",),
+    "sim.runner": ("run_workload",),
+})
+__all__.insert(0, "__version__")

@@ -7,20 +7,11 @@ given weight assignment.  Experiment E5 uses them to reproduce the
 "WMQS beats MQS on heterogeneous WANs" claim.
 """
 
-from repro.analysis.quorum_latency import (
-    expected_quorum_latency,
-    quorum_latency_table,
-    fastest_quorum,
-)
-from repro.analysis.weights import (
-    inverse_latency_weights,
-    quorum_size_after_reassignment,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "expected_quorum_latency",
-    "quorum_latency_table",
-    "fastest_quorum",
-    "inverse_latency_weights",
-    "quorum_size_after_reassignment",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "quorum_latency": (
+        "expected_quorum_latency", "quorum_latency_table", "fastest_quorum",
+    ),
+    "weights": ("inverse_latency_weights", "quorum_size_after_reassignment"),
+})

@@ -14,8 +14,10 @@ sides of [12]'s dichotomy:
   total-order (sequencer) primitive.
 """
 
-from repro.assettransfer.accounts import AccountBook
-from repro.assettransfer.one_asset import OneAssetServer
-from repro.assettransfer.k_asset import KAssetReplica
+from repro._lazy import lazy_exports
 
-__all__ = ["AccountBook", "OneAssetServer", "KAssetReplica"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "accounts": ("AccountBook",),
+    "one_asset": ("OneAssetServer",),
+    "k_asset": ("KAssetReplica",),
+})

@@ -12,42 +12,16 @@ noise, counters are invariants), :mod:`repro.bench.suite` for the built-in
 benchmarks, and :mod:`repro.bench.runner` for the file formats.
 """
 
-from repro.bench.core import (
-    BenchResult,
-    Benchmark,
-    all_benchmarks,
-    benchmark,
-    benchmark_names,
-    get_benchmark,
-    register_benchmark,
-    run_benchmark,
-)
-from repro.bench.runner import (
-    append_trajectory,
-    check_expectations,
-    compare_results,
-    expectations_payload,
-    load_results_json,
-    run_benchmarks,
-    trajectory_path,
-    write_results_json,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchResult",
-    "Benchmark",
-    "all_benchmarks",
-    "benchmark",
-    "benchmark_names",
-    "get_benchmark",
-    "register_benchmark",
-    "run_benchmark",
-    "run_benchmarks",
-    "trajectory_path",
-    "append_trajectory",
-    "write_results_json",
-    "load_results_json",
-    "compare_results",
-    "expectations_payload",
-    "check_expectations",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "core": (
+        "BenchResult", "Benchmark", "all_benchmarks", "benchmark", "benchmark_names",
+        "get_benchmark", "register_benchmark", "run_benchmark",
+    ),
+    "runner": (
+        "run_benchmarks", "trajectory_path", "append_trajectory", "write_results_json",
+        "load_results_json", "compare_results", "expectations_payload",
+        "check_expectations",
+    ),
+})

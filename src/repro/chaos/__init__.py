@@ -23,25 +23,13 @@ the worst configurations are emitted as ready-to-run ``--spec`` files.
 CLI entry point.
 """
 
-from repro.chaos.campaign import Campaign, run_campaign
-from repro.chaos.oracles import (
-    LatencyDegradationOracle,
-    OracleViolation,
-    ResultOracle,
-    RunOutcome,
-    TraceInvariantOracle,
-    default_oracles,
-)
-from repro.chaos.space import fault_axes
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "run_campaign",
-    "fault_axes",
-    "RunOutcome",
-    "OracleViolation",
-    "TraceInvariantOracle",
-    "ResultOracle",
-    "LatencyDegradationOracle",
-    "default_oracles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "campaign": ("Campaign", "run_campaign"),
+    "space": ("fault_axes",),
+    "oracles": (
+        "RunOutcome", "OracleViolation", "TraceInvariantOracle", "ResultOracle",
+        "LatencyDegradationOracle", "default_oracles",
+    ),
+})

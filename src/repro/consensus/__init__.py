@@ -13,8 +13,10 @@ need a consensus (or total-order) primitive to run on.  This package provides:
   built on it.
 """
 
-from repro.consensus.spec import ConsensusResult
-from repro.consensus.paxos import PaxosNode
-from repro.consensus.sequencer import Sequencer, TotalOrderClient
+from repro._lazy import lazy_exports
 
-__all__ = ["ConsensusResult", "PaxosNode", "Sequencer", "TotalOrderClient"]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "spec": ("ConsensusResult",),
+    "paxos": ("PaxosNode",),
+    "sequencer": ("Sequencer", "TotalOrderClient"),
+})

@@ -14,41 +14,18 @@
   reductions behind Theorems 1 and 2 (Sections IV and V).
 """
 
-from repro.core.change import Change, ChangeSet, initial_changes
-from repro.core.spec import (
-    SystemConfig,
-    check_integrity,
-    check_p_integrity,
-    check_rp_integrity,
-    weights_from_changes,
-)
-from repro.core.protocol import ReassignmentServer, TransferOutcome, read_changes
-from repro.core.storage import DynamicWeightedStorageServer, DynamicWeightedStorageClient
-from repro.core.reductions import (
-    OracleWeightReassignment,
-    OraclePairwiseReassignment,
-    algorithm1_propose,
-    algorithm2_propose,
-    paper_initial_weights,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Change",
-    "ChangeSet",
-    "initial_changes",
-    "SystemConfig",
-    "check_integrity",
-    "check_p_integrity",
-    "check_rp_integrity",
-    "weights_from_changes",
-    "ReassignmentServer",
-    "TransferOutcome",
-    "read_changes",
-    "DynamicWeightedStorageServer",
-    "DynamicWeightedStorageClient",
-    "OracleWeightReassignment",
-    "OraclePairwiseReassignment",
-    "algorithm1_propose",
-    "algorithm2_propose",
-    "paper_initial_weights",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "change": ("Change", "ChangeSet", "initial_changes"),
+    "spec": (
+        "SystemConfig", "check_integrity", "check_p_integrity", "check_rp_integrity",
+        "weights_from_changes",
+    ),
+    "protocol": ("ReassignmentServer", "TransferOutcome", "read_changes"),
+    "storage": ("DynamicWeightedStorageServer", "DynamicWeightedStorageClient"),
+    "reductions": (
+        "OracleWeightReassignment", "OraclePairwiseReassignment", "algorithm1_propose",
+        "algorithm2_propose", "paper_initial_weights",
+    ),
+})

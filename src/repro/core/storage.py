@@ -16,7 +16,8 @@ The register protocol is the classical ABD algorithm extended in two ways
    ``W_{S,0} / 2`` — a constant, because pairwise reassignment preserves the
    total weight.
 
-One refinement over the paper's pseudo-code, recorded here and in DESIGN.md:
+One refinement over the paper's pseudo-code, recorded here and in
+docs/ARCHITECTURE.md ("Modules ↔ paper sections"):
 Algorithm 5 restarts whenever a reply's change set *differs* from the
 caller's, replacing the caller's set with the reply's.  Replacing can move the
 caller's view backwards when it has already merged newer changes from another

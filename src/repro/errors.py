@@ -94,3 +94,30 @@ class TransferRejected(ReproError):
 
 class UnknownProcessError(ConfigurationError):
     """A message was addressed to a process the network does not know about."""
+
+
+#: Process exit status for "interrupted but resumable" (journal flushed),
+#: distinct from 0 (ok), 1 (diff/violations) and 2 (error).
+INTERRUPT_EXIT_CODE = 3
+
+
+class GracefulInterrupt(BaseException):
+    """SIGINT/SIGTERM, re-raised so sinks flush before a distinct exit.
+
+    A ``BaseException`` (like :class:`KeyboardInterrupt`) so that
+    error-capturing paths never swallow it: an interrupt must always reach
+    the CLI, which exits with :data:`INTERRUPT_EXIT_CODE`.
+    """
+
+    def __init__(self, signum: int) -> None:
+        self.signum = signum
+        super().__init__(self.signal_name)
+
+    @property
+    def signal_name(self) -> str:
+        import signal
+
+        try:
+            return signal.Signals(self.signum).name
+        except ValueError:  # pragma: no cover - unknown platform signal
+            return f"signal {self.signum}"

@@ -26,132 +26,33 @@
 * :mod:`repro.experiments.cli` — the ``python -m repro`` entry point.
 """
 
-from repro.experiments.executor import (
-    RunResult,
-    execute_many,
-    execute_run,
-    execute_run_captured,
-    execute_stream,
-)
-from repro.experiments.resilience import (
-    INTERRUPT_EXIT_CODE,
-    GracefulInterrupt,
-    Quarantine,
-    ResiliencePolicy,
-    RunJournal,
-    StreamTelemetry,
-    execute_stream_resilient,
-    interruptible,
-    journalable,
-    run_digest,
-)
-from repro.experiments.registry import (
-    FunctionScenario,
-    Scenario,
-    SpecScenario,
-    all_scenarios,
-    get_scenario,
-    register,
-    register_spec,
-    scenario,
-    scenario_names,
-    unregister,
-)
-from repro.experiments.results import (
-    compare_payloads,
-    dumps_json,
-    load_payload,
-    load_quarantine,
-    payload_entry,
-    to_payload,
-    write_csv,
-    write_json,
-    write_jsonl_line,
-)
-from repro.experiments.sections import SpecSection, unflatten
-from repro.experiments.spec import (
-    ArrivalSpec,
-    ClusterSpec,
-    FailureSpec,
-    FaultSpec,
-    KeySpec,
-    LatencySpec,
-    MixSpec,
-    MonitoringSpec,
-    PartitionSpec,
-    PhaseSpec,
-    PolicySpec,
-    ScenarioSpec,
-    TransferEvent,
-    WorkloadSpec,
-    flatten_spec,
-    load_spec_file,
-    run_spec,
-)
-from repro.experiments.sweep import RunSpec, Sweep, expand_grid, expand_points
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # section protocol
-    "SpecSection",
-    "unflatten",
-    # spec
-    "ScenarioSpec",
-    "ClusterSpec",
-    "WorkloadSpec",
-    "KeySpec",
-    "ArrivalSpec",
-    "MixSpec",
-    "PhaseSpec",
-    "LatencySpec",
-    "MonitoringSpec",
-    "PolicySpec",
-    "FaultSpec",
-    "FailureSpec",
-    "PartitionSpec",
-    "TransferEvent",
-    "run_spec",
-    "flatten_spec",
-    "load_spec_file",
-    # registry
-    "Scenario",
-    "FunctionScenario",
-    "SpecScenario",
-    "scenario",
-    "register",
-    "register_spec",
-    "unregister",
-    "get_scenario",
-    "scenario_names",
-    "all_scenarios",
-    # sweep + executor
-    "RunSpec",
-    "Sweep",
-    "expand_grid",
-    "expand_points",
-    "RunResult",
-    "execute_run",
-    "execute_run_captured",
-    "execute_many",
-    "execute_stream",
-    # resilience
-    "INTERRUPT_EXIT_CODE",
-    "GracefulInterrupt",
-    "Quarantine",
-    "ResiliencePolicy",
-    "RunJournal",
-    "StreamTelemetry",
-    "execute_stream_resilient",
-    "interruptible",
-    "journalable",
-    "run_digest",
-    # results
-    "payload_entry",
-    "to_payload",
-    "dumps_json",
-    "write_json",
-    "write_jsonl_line",
-    "write_csv",
-    "load_payload",
-    "load_quarantine",
-    "compare_payloads",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "sections": ("SpecSection", "unflatten"),
+    "spec": (
+        "ScenarioSpec", "ClusterSpec", "WorkloadSpec", "KeySpec", "ArrivalSpec",
+        "MixSpec", "PhaseSpec", "LatencySpec", "MonitoringSpec", "PolicySpec",
+        "FaultSpec", "FailureSpec", "PartitionSpec", "TransferEvent", "run_spec",
+        "flatten_spec", "load_spec_file",
+    ),
+    "registry": (
+        "Scenario", "FunctionScenario", "SpecScenario", "scenario", "register",
+        "register_spec", "unregister", "get_scenario", "scenario_names",
+        "all_scenarios",
+    ),
+    "sweep": ("RunSpec", "Sweep", "expand_grid", "expand_points"),
+    "executor": (
+        "RunResult", "execute_run", "execute_run_captured", "execute_many",
+        "execute_stream",
+    ),
+    "resilience": (
+        "INTERRUPT_EXIT_CODE", "GracefulInterrupt", "Quarantine", "ResiliencePolicy",
+        "RunJournal", "StreamTelemetry", "execute_stream_resilient", "interruptible",
+        "journalable", "run_digest",
+    ),
+    "results": (
+        "payload_entry", "to_payload", "dumps_json", "write_json", "write_jsonl_line",
+        "write_csv", "load_payload", "load_quarantine", "compare_payloads",
+    ),
+})

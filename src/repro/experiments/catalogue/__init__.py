@@ -1,0 +1,41 @@
+"""The built-in scenario catalogue, one module per scenario family.
+
+The paper's headline experiments — the Fig. 1 walkthrough, WMQS-vs-MQS,
+epoch-vs-epochless reassignment, dynamic-storage-vs-reconfiguration, asset
+transfer — and the declarative storage workloads each live in a family
+module that registers its scenarios on import:
+
+* :mod:`~repro.experiments.catalogue.reassignment` — E1 ``fig1-walkthrough``,
+  E7 ``epoch-vs-epochless``;
+* :mod:`~repro.experiments.catalogue.quorums` — E5 ``wmqs-vs-mqs``;
+* :mod:`~repro.experiments.catalogue.case_studies` — E8
+  ``storage-vs-reconfig``, E6 ``dynamic-storage-adaptation``;
+* :mod:`~repro.experiments.catalogue.declarative` — ``quickstart``, the
+  static baselines, ``crash-resilience`` and the workload-driven specs;
+* :mod:`~repro.experiments.catalogue.sharded` — the two key-sharded
+  scenarios;
+* :mod:`~repro.experiments.catalogue.monitoring` —
+  ``hotspot-shift-monitoring``;
+* :mod:`~repro.experiments.catalogue.assets` — E9 ``asset-transfer``.
+
+Nothing imports them all up front:
+:data:`repro.experiments.registry.BUILTIN_FAMILIES` maps each scenario name
+to its family, ``get_scenario`` imports that one module, and this package
+re-exports the scenario functions lazily.  The function scenarios are the
+single source of truth for the corresponding ``benchmarks/bench_*.py``
+modules, which execute a registered scenario and assert the paper's shape
+claims on its result dict.  Everything a scenario returns is
+JSON-serialisable, so the sweep engine, the result sinks and the CLI can
+all consume it unchanged.
+"""
+
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "reassignment": ("fig1_walkthrough", "epoch_vs_epochless"),
+    "quorums": ("wmqs_vs_mqs",),
+    "case_studies": ("storage_vs_reconfig", "dynamic_storage_adaptation"),
+    "monitoring": ("hotspot_shift_monitoring",),
+    "sharded": ("sharded_zipfian_imbalance", "sharded_hotspot_reassignment"),
+    "assets": ("AssetTransferSpec", "asset_transfer"),
+})

@@ -46,6 +46,11 @@ Parameter values (``-p key=value`` and grid axis values) are parsed with
 ``ast.literal_eval`` and fall back to plain strings, so ``-p seed=3``,
 ``-p workload.mix.read_ratio=0.9`` and ``-p cluster.flavour=static-majority``
 all do what they look like.
+
+Module-level imports stop at the standard library and :mod:`repro.errors`:
+each ``_cmd_*`` imports the machinery it runs when it is chosen, so
+``--help``, ``compare`` and ``trace`` never load the simulator and ``run``
+never loads the worker pool's dependencies (ARCHITECTURE "Cold start").
 """
 
 from __future__ import annotations
@@ -57,33 +62,20 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from typing import Any, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.errors import ReproError
-from repro.experiments.executor import RunResult, execute_many
-from repro.experiments.plan import JobRequest, plan
-from repro.experiments.resilience import (
-    INTERRUPT_EXIT_CODE,
-    GracefulInterrupt,
-    Quarantine,
-    ResiliencePolicy,
-    RunJournal,
-    StreamTelemetry,
-    execute_stream_resilient,
-    interruptible,
-)
-from repro.experiments.registry import Scenario, all_scenarios, catalogue_payload
-from repro.experiments.spec import read_spec_file
-from repro.experiments.results import (
-    compare_payloads,
-    dumps_json,
-    load_payload,
-    to_payload,
-    write_csv,
-    write_json,
-    write_jsonl_line,
-)
-from repro.experiments.sweep import RunSpec, expand_points
+from repro.errors import INTERRUPT_EXIT_CODE, GracefulInterrupt, ReproError
+
+if TYPE_CHECKING:
+    from repro.experiments.executor import (
+        ResiliencePolicy,
+        RunResult,
+        StreamTelemetry,
+    )
+    from repro.experiments.plan import JobRequest
+    from repro.experiments.registry import Scenario
+    from repro.experiments.resilience import RunJournal
+    from repro.experiments.sweep import RunSpec
 
 __all__ = ["main"]
 
@@ -129,6 +121,8 @@ def _print_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> Non
 
 
 def _emit(results: List[RunResult], args: argparse.Namespace) -> None:
+    from repro.experiments.results import dumps_json, write_csv, write_json
+
     if getattr(args, "json", None):
         write_json(results, args.json)
     if getattr(args, "csv", None):
@@ -138,6 +132,8 @@ def _emit(results: List[RunResult], args: argparse.Namespace) -> None:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
+    from repro.experiments.registry import all_scenarios, catalogue_payload
+
     entries = all_scenarios()
     if args.tag:
         entries = [entry for entry in entries if args.tag in entry.tags]
@@ -164,11 +160,17 @@ def _job_request(args: argparse.Namespace, **fields: Any) -> JobRequest:
     ``--spec FILE`` becomes ``spec=<the file's object>``: the planner parses
     and validates it like an uploaded spec, and nothing is registered.
     """
+    from repro.experiments.plan import JobRequest
+    from repro.experiments.spec import read_spec_file
+
     spec = read_spec_file(args.spec_path) if args.spec_path else None
     return JobRequest(scenario=args.scenario, spec=spec, **fields)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.experiments.executor import execute_many
+    from repro.experiments.plan import plan
+
     planned = plan(_job_request(args, params=_parse_params(args.param)))
     if not args.trace and not args.metrics:
         results = execute_many(planned.runs, workers=1, entry=planned.entry)
@@ -217,6 +219,8 @@ def _traced_runs(
     the worker process by :func:`~repro.experiments.spec.run_spec`, which is
     what makes per-run files compose with the multiprocessing executor.
     """
+    from repro.experiments.sweep import RunSpec
+
     if entry.kind != "spec":
         raise ReproError(
             "--trace-dir requires a declarative (spec) scenario; "
@@ -249,6 +253,8 @@ def _resilience_options(
     defaults to ``<journal>.quarantine.jsonl`` next to the journal (the
     file is only created if something is actually quarantined).
     """
+    from repro.experiments.executor import ResiliencePolicy
+
     journal_path = args.resume or args.journal
     if args.resume and args.journal and args.resume != args.journal:
         raise ReproError(
@@ -282,6 +288,17 @@ def _print_resilience_summary(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.plan import plan
+    from repro.experiments.resilience import (
+        Quarantine,
+        RunJournal,
+        StreamTelemetry,
+        execute_stream_resilient,
+        interruptible,
+    )
+    from repro.experiments.results import write_jsonl_line
+    from repro.experiments.sweep import expand_points
+
     policy, journal_path, resume, quarantine_path = _resilience_options(args)
     request = _sweep_request(args)
     scenario, entry, runs = plan(request)
@@ -559,6 +576,8 @@ def _cmd_trace_series(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_campaign
+    from repro.experiments.plan import plan
+    from repro.experiments.resilience import StreamTelemetry, interruptible
 
     policy, journal_path, resume, quarantine_path = _resilience_options(args)
     scenario, entry, _ = plan(_job_request(args))
@@ -633,6 +652,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.experiments.results import compare_payloads, load_payload
+
     diffs = compare_payloads(
         load_payload(args.current),
         load_payload(args.baseline),

@@ -34,14 +34,12 @@ argument, so an unregistered inline spec runs under any start method.
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 import os
 import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import connection
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError, WorkerError
@@ -280,10 +278,13 @@ def forks_workers(workers: int, policy: ResiliencePolicy) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _pool_context() -> multiprocessing.context.BaseContext:
+def _pool_context() -> Any:
     # fork inherits the already-populated registry; spawn re-imports only the
-    # built-in catalogue (the registry's lazy loader), so there a scenario
-    # registered at runtime must travel as the stream's ``entry``.
+    # catalogue family of the scenario it runs (the registry's lazy loader),
+    # so there a scenario registered at runtime must travel as the stream's
+    # ``entry``.
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
@@ -421,6 +422,11 @@ def dispatch(
         for index, run in pending:
             yield index, _execute(run, *settings)
         return
+    # Imported here, by the parent, before the first worker starts: the
+    # serial path never pays for multiprocessing (socket, selectors, pickle,
+    # subprocess), and a forked worker never imports what its parent skipped.
+    from multiprocessing import connection
+
     queue: deque = deque(pending)
     waiting: List[Tuple[float, int, RunSpec]] = []  # (ready_at, index, run)
     attempts: Dict[int, int] = {}

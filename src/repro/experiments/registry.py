@@ -13,14 +13,16 @@ Two kinds of entries live here:
 
 Every scenario executes to a JSON-serialisable dict, which is what the
 executor, the result sinks and the CLI all operate on.  The built-in
-catalogue (:mod:`repro.experiments.catalogue`) is imported lazily on first
-lookup so that importing :mod:`repro` stays cheap and cycle-free.
+catalogue (:mod:`repro.experiments.catalogue`) is a package of scenario
+families behind the static name index :data:`BUILTIN_FAMILIES`: looking one
+scenario up imports the one family that registers it, listing them imports
+every family.
 """
 
 from __future__ import annotations
 
 import inspect
-import threading
+from importlib import import_module
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -41,27 +43,45 @@ __all__ = [
 ]
 
 _REGISTRY: Dict[str, "Scenario"] = {}
-_builtin_loaded = False  # the catalogue import has started
-_builtin_ready = False  # ... and finished
-_builtin_lock = threading.RLock()
+
+#: Built-in scenario name -> the :mod:`repro.experiments.catalogue` module
+#: that registers it.  Static, so a lookup knows which family to import
+#: without importing any; ``tests/test_lazy_imports.py`` holds it equal to
+#: what importing every family registers.
+BUILTIN_FAMILIES: Dict[str, str] = {
+    "asset-transfer": "assets",
+    "crash-resilience": "declarative",
+    "dynamic-storage-adaptation": "case_studies",
+    "epoch-vs-epochless": "reassignment",
+    "fig1-walkthrough": "reassignment",
+    "hotspot-shift": "declarative",
+    "hotspot-shift-monitoring": "monitoring",
+    "open-loop-saturation": "declarative",
+    "quickstart": "declarative",
+    "sharded-hotspot-reassignment": "sharded",
+    "sharded-zipfian-imbalance": "sharded",
+    "skewed-reassignment": "declarative",
+    "static-majority-baseline": "declarative",
+    "static-weighted-baseline": "declarative",
+    "storage-vs-reconfig": "case_studies",
+    "wmqs-vs-mqs": "quorums",
+}
 
 
-def _ensure_builtin() -> None:
-    """Import the built-in catalogue exactly once (idempotent, thread-safe)."""
-    global _builtin_loaded, _builtin_ready
-    if _builtin_ready:
-        # Lock-free once loaded: a pool forked while another thread held the
-        # lock would leave its workers a lock nobody can release.
-        return
-    # ``_builtin_loaded`` goes up *before* the import so the catalogue's own
-    # registry calls re-enter (same thread, re-entrant lock) without
-    # importing again; any other thread waits here until the catalogue is
-    # complete instead of seeing the flag beside an empty registry.
-    with _builtin_lock:
-        if not _builtin_loaded:
-            _builtin_loaded = True
-            import repro.experiments.catalogue  # noqa: F401  (registers on import)
-            _builtin_ready = True
+def _load_family(family: str) -> None:
+    """Import one catalogue family, which registers its scenarios.
+
+    The import system's per-module lock is the only lock: a thread arriving
+    while another imports the family waits for the finished module, and once
+    it is imported this is a dictionary hit that takes no lock at all (so a
+    pool forked later inherits nothing held).
+    """
+    import_module(f"repro.experiments.catalogue.{family}")
+
+
+def _load_builtin() -> None:
+    for family in sorted(set(BUILTIN_FAMILIES.values())):
+        _load_family(family)
 
 
 class Scenario:
@@ -195,26 +215,28 @@ def scenario(
 
 
 def get_scenario(name: str) -> Scenario:
-    """Look a scenario up by name, loading the built-in catalogue on demand."""
-    _ensure_builtin()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """Look a scenario up by name, importing its catalogue family on demand."""
+    entry = _REGISTRY.get(name)
+    if entry is None and name in BUILTIN_FAMILIES:
+        _load_family(BUILTIN_FAMILIES[name])
+        entry = _REGISTRY.get(name)
+    if entry is None:
         raise ConfigurationError(
             f"unknown scenario {name!r}; registered scenarios: "
             f"{', '.join(scenario_names()) or '(none)'}"
-        ) from None
+        )
+    return entry
 
 
 def scenario_names() -> List[str]:
     """Sorted names of every registered scenario (catalogue included)."""
-    _ensure_builtin()
+    _load_builtin()
     return sorted(_REGISTRY)
 
 
 def all_scenarios() -> List[Scenario]:
     """Every registered scenario, sorted by name (catalogue included)."""
-    _ensure_builtin()
+    _load_builtin()
     return [_REGISTRY[name] for name in sorted(_REGISTRY)]
 
 

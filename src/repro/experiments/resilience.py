@@ -50,7 +50,11 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError
+from repro.errors import (
+    INTERRUPT_EXIT_CODE,
+    ConfigurationError,
+    GracefulInterrupt,
+)
 from repro.experiments.executor import (
     ResiliencePolicy,
     RunResult,
@@ -74,10 +78,6 @@ __all__ = [
 ]
 
 ProgressCallback = Callable[[int, int], None]
-
-#: Process exit status for "interrupted but resumable" (journal flushed),
-#: distinct from 0 (ok), 1 (diff/violations) and 2 (error).
-INTERRUPT_EXIT_CODE = 3
 
 
 def run_digest(run: RunSpec) -> str:
@@ -244,26 +244,6 @@ class Quarantine:
 # ---------------------------------------------------------------------------
 # Graceful interruption
 # ---------------------------------------------------------------------------
-
-
-class GracefulInterrupt(BaseException):
-    """SIGINT/SIGTERM, re-raised so sinks flush before a distinct exit.
-
-    A ``BaseException`` (like :class:`KeyboardInterrupt`) so that
-    error-capturing paths never swallow it: an interrupt must always reach
-    the CLI, which exits with :data:`INTERRUPT_EXIT_CODE`.
-    """
-
-    def __init__(self, signum: int) -> None:
-        self.signum = signum
-        super().__init__(self.signal_name)
-
-    @property
-    def signal_name(self) -> str:
-        try:
-            return signal.Signals(self.signum).name
-        except ValueError:  # pragma: no cover - unknown platform signal
-            return f"signal {self.signum}"
 
 
 @contextmanager

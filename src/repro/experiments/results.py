@@ -18,14 +18,23 @@ spreadsheet-style analysis.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 from numbers import Number
-from typing import Any, Dict, Iterable, List, Mapping, Sequence, TextIO
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Sequence,
+    TextIO,
+)
 
-from repro.experiments.executor import RunResult
+if TYPE_CHECKING:  # annotations only: `compare` must not load the executor
+    from repro.experiments.executor import RunResult
 
 __all__ = [
     "payload_entry",
@@ -120,6 +129,8 @@ def flatten_values(value: Any, prefix: str = "") -> Dict[str, Any]:
 
 def write_csv(results: Iterable[RunResult], path: str) -> None:
     """One row per run; params and flattened scalar result leaves as columns."""
+    import csv  # only --csv pays for it
+
     rows: List[Dict[str, Any]] = []
     for result in results:
         row: Dict[str, Any] = {"run_id": result.run_id, "scenario": result.scenario}

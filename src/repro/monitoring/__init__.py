@@ -19,21 +19,14 @@ by a monitoring system".  This package supplies that missing piece:
   section and the catalogue scenarios both build).
 """
 
-from repro.monitoring.monitor import LatencyMonitor, install_probe_responder
-from repro.monitoring.policy import (
-    proportional_inverse_latency_weights,
-    wheat_style_weights,
-    clip_to_rp_integrity,
-)
-from repro.monitoring.controller import WeightController
-from repro.monitoring.loop import install_monitoring_control
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LatencyMonitor",
-    "install_probe_responder",
-    "proportional_inverse_latency_weights",
-    "wheat_style_weights",
-    "clip_to_rp_integrity",
-    "WeightController",
-    "install_monitoring_control",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "monitor": ("LatencyMonitor", "install_probe_responder"),
+    "policy": (
+        "proportional_inverse_latency_weights", "wheat_style_weights",
+        "clip_to_rp_integrity",
+    ),
+    "controller": ("WeightController",),
+    "loop": ("install_monitoring_control",),
+})

@@ -17,49 +17,17 @@ that the protocols need to run:
   the consensus reductions of Algorithms 1 and 2.
 """
 
-from repro.net.simloop import (
-    SimFuture,
-    SimLoop,
-    SimTask,
-    Event,
-    Queue,
-    gather,
-)
-from repro.net.latency import (
-    ConstantLatency,
-    UniformLatency,
-    LogNormalLatency,
-    WanMatrixLatency,
-    PerLinkLatency,
-    SlowdownLatency,
-    LatencyModel,
-)
-from repro.net.message import Message
-from repro.net.network import Network
-from repro.net.process import Process, ResponseCollector
-from repro.net.broadcast import BestEffortBroadcast, ReliableBroadcast
-from repro.net.registers import SWMRRegisterArray, SharedRegister
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SimFuture",
-    "SimLoop",
-    "SimTask",
-    "Event",
-    "Queue",
-    "gather",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "LogNormalLatency",
-    "WanMatrixLatency",
-    "PerLinkLatency",
-    "SlowdownLatency",
-    "Message",
-    "Network",
-    "Process",
-    "ResponseCollector",
-    "BestEffortBroadcast",
-    "ReliableBroadcast",
-    "SWMRRegisterArray",
-    "SharedRegister",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "simloop": ("SimFuture", "SimLoop", "SimTask", "Event", "Queue", "gather"),
+    "latency": (
+        "LatencyModel", "ConstantLatency", "UniformLatency", "LogNormalLatency",
+        "WanMatrixLatency", "PerLinkLatency", "SlowdownLatency",
+    ),
+    "message": ("Message",),
+    "network": ("Network",),
+    "process": ("Process", "ResponseCollector"),
+    "broadcast": ("BestEffortBroadcast", "ReliableBroadcast"),
+    "registers": ("SWMRRegisterArray", "SharedRegister"),
+})

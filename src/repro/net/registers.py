@@ -6,7 +6,8 @@ proposal.  The reduction only needs register semantics — regular SWMR
 registers are implementable on top of the asynchronous message-passing model
 (that is exactly what the ABD protocol in :mod:`repro.storage.abd` does) — so
 this module provides the simplest faithful substitute: a linearizable
-in-memory register array.  ``DESIGN.md`` records this substitution.
+in-memory register array.  docs/ARCHITECTURE.md ("Modules ↔ paper sections")
+records this substitution.
 
 Two classes are provided:
 

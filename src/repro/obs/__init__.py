@@ -27,83 +27,28 @@ kernel, network, protocols, and shards record into it; install nothing and
 every instrumentation site is a single ``None`` check.
 """
 
-from repro.obs.analysis import (
-    Finding,
-    InvariantReport,
-    TraceEvent,
-    check_trace_invariants,
-    parse_events,
-)
-from repro.obs.causal import (
-    ATTRIBUTION_CATEGORIES,
-    Operation,
-    PathStep,
-    critical_path,
-    critical_path_report,
-    extract_operations,
-)
-from repro.obs.diff import diff_traces, format_divergence
-from repro.obs.export import summarize_trace, to_chrome_trace, write_chrome_trace
-from repro.obs.series import trace_series
-from repro.obs.metrics import (
-    DEFAULT_TIME_BOUNDS,
-    MetricCounter,
-    MetricGauge,
-    MetricHistogram,
-    MetricsRegistry,
-)
-from repro.obs.observer import (
-    Observer,
-    current_observer,
-    install_observer,
-    observing,
-)
-from repro.obs.trace import (
-    TRACE_CATEGORIES,
-    TRACE_PHASES,
-    TraceRecorder,
-    ValidatedTrace,
-    read_trace,
-    trace_digest,
-    trace_lines,
-    validate_record,
-    write_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Observer",
-    "current_observer",
-    "install_observer",
-    "observing",
-    "MetricsRegistry",
-    "MetricCounter",
-    "MetricGauge",
-    "MetricHistogram",
-    "DEFAULT_TIME_BOUNDS",
-    "TraceRecorder",
-    "TRACE_PHASES",
-    "TRACE_CATEGORIES",
-    "trace_lines",
-    "trace_digest",
-    "write_trace",
-    "read_trace",
-    "ValidatedTrace",
-    "validate_record",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "summarize_trace",
-    "TraceEvent",
-    "Finding",
-    "InvariantReport",
-    "parse_events",
-    "check_trace_invariants",
-    "ATTRIBUTION_CATEGORIES",
-    "Operation",
-    "PathStep",
-    "extract_operations",
-    "critical_path",
-    "critical_path_report",
-    "diff_traces",
-    "format_divergence",
-    "trace_series",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "observer": ("Observer", "current_observer", "install_observer", "observing"),
+    "metrics": (
+        "MetricsRegistry", "MetricCounter", "MetricGauge", "MetricHistogram",
+        "DEFAULT_TIME_BOUNDS",
+    ),
+    "trace": (
+        "TraceRecorder", "TRACE_PHASES", "TRACE_CATEGORIES", "trace_lines",
+        "trace_digest", "write_trace", "read_trace", "ValidatedTrace",
+        "validate_record",
+    ),
+    "export": ("to_chrome_trace", "write_chrome_trace", "summarize_trace"),
+    "analysis": (
+        "TraceEvent", "Finding", "InvariantReport", "parse_events",
+        "check_trace_invariants",
+    ),
+    "causal": (
+        "ATTRIBUTION_CATEGORIES", "Operation", "PathStep", "extract_operations",
+        "critical_path", "critical_path_report",
+    ),
+    "diff": ("diff_traces", "format_divergence"),
+    "series": ("trace_series",),
+})

@@ -35,7 +35,6 @@ the exact bytes CI uploads as an artifact.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
@@ -136,6 +135,8 @@ def _canonical_bytes(records: Iterable[Dict[str, Any]]) -> bytes:
 
 def trace_digest(records: Iterable[Dict[str, Any]]) -> str:
     """SHA-256 over the canonical JSONL bytes (trailing newline included)."""
+    import hashlib  # here, not at module level: untraced runs never hash
+
     return hashlib.sha256(_canonical_bytes(records)).hexdigest()
 
 
@@ -145,6 +146,8 @@ def write_trace(records: Iterable[Dict[str, Any]], path: str) -> str:
     The digest is the SHA-256 of exactly the bytes written, so it equals
     :func:`trace_digest` of the same records without encoding them again.
     """
+    import hashlib
+
     payload = _canonical_bytes(records)
     with open(path, "wb") as handle:
         handle.write(payload)

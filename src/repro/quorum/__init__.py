@@ -15,26 +15,16 @@ package provides:
   related analysis helpers.
 """
 
-from repro.quorum.base import QuorumSystem
-from repro.quorum.majority import MajorityQuorumSystem
-from repro.quorum.weighted import WeightedMajorityQuorumSystem
-from repro.quorum.grid import GridQuorumSystem
-from repro.quorum.tree import TreeQuorumSystem
-from repro.quorum.availability import (
-    wmqs_is_available,
-    max_tolerable_failures,
-    assert_wmqs_available,
-    minimum_quorum_cardinality,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QuorumSystem",
-    "MajorityQuorumSystem",
-    "WeightedMajorityQuorumSystem",
-    "GridQuorumSystem",
-    "TreeQuorumSystem",
-    "wmqs_is_available",
-    "max_tolerable_failures",
-    "assert_wmqs_available",
-    "minimum_quorum_cardinality",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ("QuorumSystem",),
+    "majority": ("MajorityQuorumSystem",),
+    "weighted": ("WeightedMajorityQuorumSystem",),
+    "grid": ("GridQuorumSystem",),
+    "tree": ("TreeQuorumSystem",),
+    "availability": (
+        "wmqs_is_available", "max_tolerable_failures", "assert_wmqs_available",
+        "minimum_quorum_cardinality",
+    ),
+})

@@ -18,17 +18,11 @@ The shared :class:`~repro.reassign.base.ReassignmentEndpoint` interface lets
 the E7 benchmark drive all of them with the same workload.
 """
 
-from repro.reassign.base import ReassignmentEndpoint, ReassignmentResult
-from repro.reassign.restricted import RestrictedPairwiseEndpoint
-from repro.reassign.epoch_based import EpochBasedServer, EpochBasedEndpoint
-from repro.reassign.consensus_based import ConsensusBasedServer, ConsensusBasedEndpoint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ReassignmentEndpoint",
-    "ReassignmentResult",
-    "RestrictedPairwiseEndpoint",
-    "EpochBasedServer",
-    "EpochBasedEndpoint",
-    "ConsensusBasedServer",
-    "ConsensusBasedEndpoint",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ("ReassignmentEndpoint", "ReassignmentResult"),
+    "restricted": ("RestrictedPairwiseEndpoint",),
+    "epoch_based": ("EpochBasedServer", "EpochBasedEndpoint"),
+    "consensus_based": ("ConsensusBasedServer", "ConsensusBasedEndpoint"),
+})

@@ -11,7 +11,8 @@ properties:
    losing voting power.
 
 We do not have the full text of [11], so this module implements a *synthetic
-but behaviour-preserving* stand-in (recorded in DESIGN.md): a coordinator
+but behaviour-preserving* stand-in (recorded in
+docs/ARCHITECTURE.md ("Modules ↔ paper sections")): a coordinator
 closes epochs every ``epoch_length`` time units; a transfer's **decrement** is
 applied at the end of the epoch in which it was issued, while its
 **increment** is only applied at the end of the *next* epoch and only if the

@@ -17,28 +17,14 @@ here: the client must stay importable (and ``-m``-runnable) without pulling
 in the server stack.
 """
 
-from repro.serve.app import ExperimentHandler, ExperimentServer, serve
-from repro.serve.routes import Response, dispatch
-from repro.serve.schemas import JobRequest, error_payload
-from repro.serve.service import (
-    ExperimentService,
-    Job,
-    JobStateError,
-    QueueFullError,
-    UnknownJobError,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentHandler",
-    "ExperimentServer",
-    "ExperimentService",
-    "Job",
-    "JobRequest",
-    "JobStateError",
-    "QueueFullError",
-    "Response",
-    "UnknownJobError",
-    "dispatch",
-    "error_payload",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "app": ("ExperimentHandler", "ExperimentServer", "serve"),
+    "service": (
+        "ExperimentService", "Job", "JobStateError", "QueueFullError",
+        "UnknownJobError",
+    ),
+    "schemas": ("JobRequest", "error_payload"),
+    "routes": ("Response", "dispatch"),
+})

@@ -12,48 +12,19 @@
   cluster is sharded).
 """
 
-from repro.sim.cluster import (
-    Cluster,
-    ReassignmentFleet,
-    ShardGroup,
-    ShardedCluster,
-    build_dynamic_cluster,
-    build_reassignment_fleet,
-    build_sharded_cluster,
-    build_static_cluster,
-)
-from repro.sim.workload import Operation, Workload, uniform_workload
-from repro.sim.failures import FailureSchedule, CrashEvent
-from repro.sim.metrics import (
-    ImbalanceSummary,
-    LatencySummary,
-    ShardLoadSummary,
-    imbalance_summary,
-    summarize,
-    summarize_shard_loads,
-)
-from repro.sim.runner import RunReport, run_workload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Cluster",
-    "ReassignmentFleet",
-    "ShardGroup",
-    "ShardedCluster",
-    "build_dynamic_cluster",
-    "build_reassignment_fleet",
-    "build_sharded_cluster",
-    "build_static_cluster",
-    "Operation",
-    "Workload",
-    "uniform_workload",
-    "FailureSchedule",
-    "CrashEvent",
-    "ImbalanceSummary",
-    "LatencySummary",
-    "ShardLoadSummary",
-    "imbalance_summary",
-    "summarize",
-    "summarize_shard_loads",
-    "RunReport",
-    "run_workload",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "cluster": (
+        "Cluster", "ReassignmentFleet", "ShardGroup", "ShardedCluster",
+        "build_dynamic_cluster", "build_reassignment_fleet", "build_sharded_cluster",
+        "build_static_cluster",
+    ),
+    "workload": ("Operation", "Workload", "uniform_workload"),
+    "failures": ("FailureSchedule", "CrashEvent"),
+    "metrics": (
+        "ImbalanceSummary", "LatencySummary", "ShardLoadSummary", "imbalance_summary",
+        "summarize", "summarize_shard_loads",
+    ),
+    "runner": ("RunReport", "run_workload"),
+})

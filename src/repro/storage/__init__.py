@@ -14,41 +14,15 @@
   carrying its own quorum weights and reassignment state.
 """
 
-from repro.storage.abd import StaticQuorumStorageServer, StaticQuorumStorageClient
-from repro.storage.reconfigurable import (
-    ReconfigurableStorageServer,
-    ReconfigurableStorageClient,
-)
-from repro.storage.sharded import (
-    DynamicWeightedShardFactory,
-    ReconfigurableShardFactory,
-    ShardFactory,
-    ShardedRecord,
-    ShardedStore,
-    StaticQuorumShardFactory,
-    base_process_name,
-    expand_process_names,
-    shard_config,
-    shard_factory,
-    shard_for_key,
-    shard_process_name,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StaticQuorumStorageServer",
-    "StaticQuorumStorageClient",
-    "ReconfigurableStorageServer",
-    "ReconfigurableStorageClient",
-    "ShardFactory",
-    "DynamicWeightedShardFactory",
-    "StaticQuorumShardFactory",
-    "ReconfigurableShardFactory",
-    "ShardedRecord",
-    "ShardedStore",
-    "base_process_name",
-    "expand_process_names",
-    "shard_config",
-    "shard_factory",
-    "shard_for_key",
-    "shard_process_name",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "abd": ("StaticQuorumStorageServer", "StaticQuorumStorageClient"),
+    "reconfigurable": ("ReconfigurableStorageServer", "ReconfigurableStorageClient"),
+    "sharded": (
+        "ShardFactory", "DynamicWeightedShardFactory", "StaticQuorumShardFactory",
+        "ReconfigurableShardFactory", "ShardedRecord", "ShardedStore",
+        "base_process_name", "expand_process_names", "shard_config", "shard_factory",
+        "shard_for_key", "shard_process_name",
+    ),
+})

@@ -26,7 +26,8 @@ on config chains):
   one), after transferring the register state read from the old
   configurations.
 
-DESIGN.md records this simplification.
+docs/ARCHITECTURE.md ("Modules ↔ paper sections") records this
+simplification.
 """
 
 from __future__ import annotations

@@ -21,44 +21,18 @@ workloads as JSONL.  The declarative experiment layer
 dotted paths (``workload.keys.zipf_s``, ``workload.arrivals.rate`` ...).
 """
 
-from repro.workloads.arrivals import (
-    ArrivalProcess,
-    ClosedLoopArrivals,
-    OnOffArrivals,
-    PoissonArrivals,
-)
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.keys import (
-    HotspotKeys,
-    KeyDistribution,
-    UniformKeys,
-    ZipfianKeys,
-    key_name,
-)
-from repro.workloads.mix import OperationMix
-from repro.workloads.phases import Phase, PhaseSchedule
-from repro.workloads.stats import workload_stats
-from repro.workloads.trace import read_trace, write_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # keys
-    "KeyDistribution",
-    "UniformKeys",
-    "ZipfianKeys",
-    "HotspotKeys",
-    "key_name",
-    # arrivals
-    "ArrivalProcess",
-    "ClosedLoopArrivals",
-    "PoissonArrivals",
-    "OnOffArrivals",
-    # mix + phases
-    "OperationMix",
-    "Phase",
-    "PhaseSchedule",
-    # generator + stats + trace
-    "WorkloadGenerator",
-    "workload_stats",
-    "write_trace",
-    "read_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "keys": (
+        "KeyDistribution", "UniformKeys", "ZipfianKeys", "HotspotKeys", "key_name",
+    ),
+    "arrivals": (
+        "ArrivalProcess", "ClosedLoopArrivals", "PoissonArrivals", "OnOffArrivals",
+    ),
+    "mix": ("OperationMix",),
+    "phases": ("Phase", "PhaseSchedule"),
+    "generator": ("WorkloadGenerator",),
+    "stats": ("workload_stats",),
+    "trace": ("write_trace", "read_trace"),
+})

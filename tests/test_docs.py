@@ -59,3 +59,22 @@ def test_table_parser_reads_backticked_first_cells(tmp_path):
         "| `alpha` | a |\n| `beta` | b |\n\n## Next\n\n| `gamma` | not counted |\n"
     )
     assert check_docs.readme_scenario_names(readme) == {"alpha", "beta"}
+
+
+def test_source_docstrings_name_only_existing_markdown_files():
+    assert check_docs.check_docstring_references() == []
+
+
+def test_docstring_check_catches_a_missing_markdown_file(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text("# x\n")
+    (tmp_path / "src" / "module.py").write_text(
+        '"""See ``DESIGN.md`` and docs/ARCHITECTURE.md."""\n\n'
+        'def f():\n    """Recorded in EXPERIMENTS.md."""\n'
+    )
+    problems = check_docs.check_docstring_references(root=tmp_path)
+    assert [problem.split(": ")[1] for problem in problems] == [
+        "docstring names DESIGN.md, which does not exist",
+        "docstring names EXPERIMENTS.md, which does not exist",
+    ]

@@ -397,12 +397,13 @@ class TestParameterNamesFollowExecution:
         assert service.jobs() == []
 
     def test_cli_rejects_an_unknown_param_before_any_run(self, capsys, monkeypatch):
-        from repro.experiments import cli
+        from repro.experiments import executor
 
         def never(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(cli, "execute_many", never)
+        # `_cmd_run` imports its machinery when chosen, so patch the owner.
+        monkeypatch.setattr(executor, "execute_many", never)
         assert main(["run", "quickstart", "-p", "cluster.bogus=1"]) == 2
         err = capsys.readouterr().err
         assert "unknown parameter 'cluster.bogus'" in err

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (the CI docs job).
 
-Three checks, all pure standard library:
+Four checks, all pure standard library:
 
 * **link check** — every relative markdown link in the repository's ``*.md``
   files must point at an existing file or directory (external ``http(s)``/
@@ -13,6 +13,9 @@ Three checks, all pure standard library:
 * **required-sections check** — load-bearing sections other docs and tools
   link into (see ``REQUIRED_SECTIONS``) must keep their exact headings, so
   renaming one fails CI instead of silently breaking anchors.
+* **docstring reference check** — a ``*.md`` file named in a docstring under
+  ``src/`` (``DESIGN.md``, ``docs/ARCHITECTURE.md`` ...) must exist, as a
+  path from the repository root.
 
 Run from anywhere::
 
@@ -23,6 +26,7 @@ Exit status 0 means the docs are consistent; 1 lists every problem found.
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -39,10 +43,14 @@ _SCENARIO_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 _SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
+# Markdown files named in source docstrings: DESIGN.md, docs/ARCHITECTURE.md.
+_MD_NAME = re.compile(r"[\w./-]+\.md\b")
+
 # Sections other documentation (and CI jobs) deep-link into.  Paths are
 # repo-relative; headings must appear verbatim at line start.
 REQUIRED_SECTIONS = {
     "docs/ARCHITECTURE.md": [
+        "### Cold start",
         "## Observability",
         "## Trace analytics",
         "## Chaos campaigns",
@@ -155,10 +163,29 @@ def check_required_sections(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
+def check_docstring_references(root: Path = REPO_ROOT) -> List[str]:
+    """``*.md`` files named in ``src/`` docstrings that do not exist."""
+    problems = []
+    for path in sorted((root / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                continue
+            for name in _MD_NAME.findall(ast.get_docstring(node) or ""):
+                if not (root / name).exists():
+                    problems.append(
+                        f"{path.relative_to(root)}: docstring names {name}, "
+                        "which does not exist"
+                    )
+    return problems
+
+
 def main() -> int:
     problems: List[str] = []
     for path in markdown_files():
         problems.extend(check_links(path))
+    problems.extend(check_docstring_references())
     problems.extend(check_scenario_table())
     problems.extend(check_required_sections())
     if problems:
@@ -167,7 +194,7 @@ def main() -> int:
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
     print("docs ok: links resolve, scenario table matches the registry, "
-          "required sections present")
+          "required sections present, docstring references exist")
     return 0
 
 
