@@ -24,8 +24,8 @@ from repro.experiments.catalogue import asset_transfer
 from benchmarks.conftest import print_table
 
 
-def test_asset_transfer_relationship(benchmark):
-    result = benchmark.pedantic(asset_transfer, rounds=3, iterations=1)
+def test_asset_transfer_relationship():
+    result = asset_transfer()
     one, k, pairwise = result["one_asset"], result["k_asset"], result["pairwise"]
 
     print_table(

@@ -23,8 +23,8 @@ def run_comparison():
     )["rows"]
 
 
-def test_dynamic_storage_adapts(benchmark):
-    rows = benchmark.pedantic(run_comparison, rounds=2, iterations=1)
+def test_dynamic_storage_adapts():
+    rows = run_comparison()
 
     print_table(
         "E6: client op latency before/after the fast servers degrade (median)",

@@ -23,8 +23,8 @@ def run_comparison():
     )["rows"]
 
 
-def test_epoch_vs_epochless(benchmark):
-    rows = benchmark.pedantic(run_comparison, rounds=3, iterations=1)
+def test_epoch_vs_epochless():
+    rows = run_comparison()
 
     print_table(
         "E7: reassignment completion latency and weight preservation (n=7, f=2)",

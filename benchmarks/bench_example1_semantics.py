@@ -38,10 +38,8 @@ def run_example1():
     return config, oracle, steps, read_s1, read_s2
 
 
-def test_example1_semantics(benchmark):
-    config, oracle, steps, read_s1, read_s2 = benchmark.pedantic(
-        run_example1, rounds=3, iterations=1
-    )
+def test_example1_semantics():
+    config, oracle, steps, read_s1, read_s2 = run_example1()
 
     paper_expectations = ["1.5 (effective)", "2.5", "0.0 (aborted)", "1.0"]
     print_table(

@@ -17,8 +17,8 @@ def run_fig1_scenario():
     return get_scenario("fig1-walkthrough").execute()
 
 
-def test_fig1_example2(benchmark):
-    result = benchmark.pedantic(run_fig1_scenario, rounds=3, iterations=1)
+def test_fig1_example2():
+    result = run_fig1_scenario()
 
     print_table(
         "E1 / Fig. 1: transfer outcomes (n=7, f=2, bound=0.70)",

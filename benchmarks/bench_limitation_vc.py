@@ -63,10 +63,8 @@ def run_scenario():
     return config, attempts, before, after, after_weights
 
 
-def test_limitation_with_slow_heavy_servers(benchmark):
-    config, attempts, before, after, after_weights = benchmark.pedantic(
-        run_scenario, rounds=3, iterations=1
-    )
+def test_limitation_with_slow_heavy_servers():
+    config, attempts, before, after, after_weights = run_scenario()
 
     print_table(
         "E9 / Sec. V-C: smallest quorum avoiding the slow servers s1, s2",

@@ -63,8 +63,8 @@ def run_sweep():
     return rows
 
 
-def test_protocol_costs(benchmark):
-    rows = benchmark.pedantic(run_sweep, rounds=3, iterations=1)
+def test_protocol_costs():
+    rows = run_sweep()
 
     print_table(
         "E11: cost of transfer and read_changes vs. cluster size (unit link delay)",

@@ -56,8 +56,8 @@ def run_sweep():
     return rows
 
 
-def test_algorithm1_reduction(benchmark):
-    rows = benchmark.pedantic(run_sweep, rounds=3, iterations=1)
+def test_algorithm1_reduction():
+    rows = run_sweep()
 
     print_table(
         "E3 / Algorithm 1: consensus from weight reassignment",

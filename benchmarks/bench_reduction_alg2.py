@@ -62,8 +62,8 @@ def run_sweep():
     return rows
 
 
-def test_algorithm2_reduction(benchmark):
-    rows = benchmark.pedantic(run_sweep, rounds=3, iterations=1)
+def test_algorithm2_reduction():
+    rows = run_sweep()
 
     print_table(
         "E4 / Algorithm 2: consensus from pairwise weight reassignment",

@@ -19,8 +19,8 @@ def run_comparison():
     return get_scenario("storage-vs-reconfig").execute()["rows"]
 
 
-def test_storage_vs_reconfigurable(benchmark):
-    rows = benchmark.pedantic(run_comparison, rounds=2, iterations=1)
+def test_storage_vs_reconfigurable():
+    rows = run_comparison()
 
     print_table(
         "E8: does the store stay live under the crash schedule?",

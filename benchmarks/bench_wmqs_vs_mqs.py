@@ -17,8 +17,8 @@ def run_comparison():
     return get_scenario("wmqs-vs-mqs").execute()["rows"]
 
 
-def test_wmqs_vs_mqs(benchmark):
-    rows = benchmark.pedantic(run_comparison, rounds=5, iterations=1)
+def test_wmqs_vs_mqs():
+    rows = run_comparison()
 
     print_table(
         "E5: expected quorum latency, MQS vs WMQS (inverse-latency weights)",

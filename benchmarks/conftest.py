@@ -1,13 +1,17 @@
 """Shared helpers for the benchmark harness.
 
 Each ``bench_*`` module regenerates one experiment of the E1-E11 index (the
-README's scenario catalogue names the registered ones).  Because the paper reports no absolute numbers, every benchmark
+README's scenario catalogue names the registered ones).  Because the paper
+reports no absolute numbers, every benchmark runs its experiment once and
 
-* prints the rows/series it regenerates (visible with ``pytest -s`` and
-  captured in ``bench_output.txt``), and
+* prints the rows/series it regenerates (visible with ``pytest -s``), and
 * asserts the *shape* of the result — who wins, by roughly what factor,
   where the crossover falls — so a regression in the reproduction fails the
   benchmark suite, not just changes a number.
+
+Nothing here is timed, so plain ``pytest`` runs it (CI passes
+``-p no:benchmark`` to keep it that way); wall-clock measurement belongs to
+``benchmarks/perf``.
 """
 
 from __future__ import annotations

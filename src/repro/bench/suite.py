@@ -1,44 +1,22 @@
-"""The built-in microbenchmark suite.
+"""The determinism gate: six fixed, seeded workloads and their exact counts.
 
-Six benchmarks — one per layer of the hot path, an instrumented twin of
-the kernel benchmark, and one for the trace-analytics layer:
-
-* ``event-loop`` — pure kernel dispatch: tasks ping-ponging through
-  zero-delay sleeps and queue handoffs, no network.  This is the benchmark
-  the ready-deque fast path targets; its events/sec is the kernel's
-  dispatch throughput ceiling.
-* ``event-loop-obs`` — the same workload with a metrics-collecting
-  :class:`~repro.obs.Observer` installed.  Comparing its events/sec
-  against ``event-loop`` measures the *enabled* observability overhead;
-  the disabled overhead is gated separately (the plain ``event-loop``
-  benchmark runs the untouched dispatch loop — ``SimLoop`` checks for an
-  observer once per ``run`` call, not per event).
-* ``abd-round`` — protocol traffic: closed-loop read/write rounds of the
-  classical ABD register over a majority quorum system, exercising the
-  network send/deliver path, response collectors and latency summaries.
-* ``sharded-zipfian`` — the sharded data plane: a zipfian-keyed workload
-  routed across independent shard groups through the keyed facade
-  (FNV-1a routing memo, per-shard metrics).
-* ``sweep`` — the experiment layer: a small serial parameter sweep through
-  the registry/executor/result plumbing, measuring per-run orchestration
-  overhead on top of the simulation itself.
-* ``trace-analyze`` — the trace-analytics layer: records/sec through the
-  invariant checker and the critical-path attributor over a synthetic
-  well-formed trace (no simulation; this measures the analysis code the
-  ``trace check`` / ``trace critical-path`` subcommands run).
-
-Every benchmark builds its world from fixed seeds, so the reported event /
-op / message counts are bit-deterministic; only wall time varies.  Scales
-are fixed per mode (``quick`` for CI smoke, full for real measurements) —
-see :mod:`repro.bench.core` for the contract.
+One workload per layer of the hot path (kernel dispatch, ABD protocol
+rounds, the sharded data plane, the sweep layer, the trace analyses) plus an
+observed twin of the kernel one.  Each builds its world from fixed seeds,
+runs once and returns what it did — ``{"events", "ops", "counters"}``, all
+exact integers — and :func:`check_expectations` compares that with the
+committed ``benchmarks/bench_expectations.json``: any difference means the
+simulation changed.  Nothing here is timed; wall-clock measurement belongs
+to ``benchmarks/perf``, which runs the workloads ``BENCHMARK.json`` names.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+import json
+from typing import Any, Callable, Dict, List, Mapping, Sequence
 
-from repro.bench.core import benchmark
 from repro.core.spec import SystemConfig
+from repro.errors import ConfigurationError
 from repro.net.latency import UniformLatency
 from repro.net.simloop import Queue, SimLoop, gather
 from repro.sim.cluster import build_sharded_cluster, build_static_cluster
@@ -46,14 +24,14 @@ from repro.sim.runner import run_workload
 from repro.sim.workload import uniform_workload
 from repro.workloads import WorkloadGenerator, ZipfianKeys
 
+__all__ = ["WORKLOADS", "run_benchmarks", "check_expectations"]
 
-def _config(n: int = 5, f: int = 1) -> SystemConfig:
-    return SystemConfig(servers=tuple(f"s{i}" for i in range(1, n + 1)), f=f)
+_CONFIG = SystemConfig(servers=("s1", "s2", "s3", "s4", "s5"), f=1)
 
 
-@benchmark("event-loop", "kernel dispatch: zero-delay sleeps + queue handoffs")
-def bench_event_loop(quick: bool) -> Mapping[str, Any]:
-    tasks, iterations = (10, 200) if quick else (50, 400)
+def bench_event_loop() -> Dict[str, Any]:
+    """kernel dispatch: zero-delay sleeps + queue handoffs, no network"""
+    tasks, iterations = 10, 200
     loop = SimLoop()
     queue = Queue()
 
@@ -71,49 +49,30 @@ def bench_event_loop(quick: bool) -> Mapping[str, Any]:
     }
 
 
-@benchmark("event-loop-obs", "kernel dispatch with a metrics observer installed")
-def bench_event_loop_obs(quick: bool) -> Mapping[str, Any]:
+def bench_event_loop_obs() -> Dict[str, Any]:
+    """the same kernel dispatch with a metrics observer installed"""
     from repro.obs import Observer, observing
 
-    tasks, iterations = (10, 200) if quick else (50, 400)
     observer = Observer(metrics=True, trace=False)
-    with observing(observer):
-        loop = SimLoop()
-        queue = Queue()
-
-        async def worker(index: int) -> None:
-            for i in range(iterations):
-                await loop.sleep(0)
-                queue.put(index * iterations + i)
-                await queue.get()
-
-        loop.run_until_complete(gather(loop, [worker(t) for t in range(tasks)]))
-    registry = observer.metrics
-    assert registry is not None
-    counters = registry.as_dict()["counters"]
-    # The dispatch split is part of the deterministic gate: a change here
-    # means the ready-deque fast path's hit pattern moved.
-    return {
-        "events": loop.events_processed,
-        "ops": tasks * iterations * 2,  # two awaits per iteration
-        "counters": {
-            "tasks": tasks,
-            "iterations": iterations,
-            "ready_dispatches": counters["kernel.ready_dispatches"],
-            "heap_dispatches": counters["kernel.heap_dispatches"],
-        },
-    }
+    with observing(observer):  # the loop captures it when it is built
+        counts = bench_event_loop()
+    assert observer.metrics is not None
+    kernel = observer.metrics.as_dict()["counters"]
+    # The dispatch split is part of the gate: a change here means the
+    # ready-deque fast path's hit pattern moved.
+    counts["counters"]["ready_dispatches"] = kernel["kernel.ready_dispatches"]
+    counts["counters"]["heap_dispatches"] = kernel["kernel.heap_dispatches"]
+    return counts
 
 
-@benchmark("abd-round", "ABD read/write rounds over a majority quorum")
-def bench_abd_round(quick: bool) -> Mapping[str, Any]:
-    clients, ops_per_client = (2, 25) if quick else (4, 150)
+def bench_abd_round() -> Dict[str, Any]:
+    """ABD read/write rounds over a majority quorum"""
     cluster = build_static_cluster(
-        _config(), latency=UniformLatency(0.5, 1.5, seed=11), client_count=clients
+        _CONFIG, latency=UniformLatency(0.5, 1.5, seed=11), client_count=2
     )
     workload = uniform_workload(
         list(cluster.clients),
-        operations_per_client=ops_per_client,
+        operations_per_client=25,
         read_ratio=0.5,
         mean_think_time=0.1,
         seed=11,
@@ -126,19 +85,18 @@ def bench_abd_round(quick: bool) -> Mapping[str, Any]:
     }
 
 
-@benchmark("sharded-zipfian", "zipfian keyed workload across shard groups")
-def bench_sharded_zipfian(quick: bool) -> Mapping[str, Any]:
-    shards, clients, ops_per_client = (2, 2, 20) if quick else (4, 4, 100)
+def bench_sharded_zipfian() -> Dict[str, Any]:
+    """zipfian keyed workload across shard groups"""
     cluster = build_sharded_cluster(
-        _config(),
-        shards=shards,
+        _CONFIG,
+        shards=2,
         latency=UniformLatency(0.5, 1.5, seed=23),
-        client_count=clients,
+        client_count=2,
         flavour="static-majority",
     )
     generator = WorkloadGenerator(keys=ZipfianKeys(space=64, s=1.1))
     workload = generator.generate(
-        list(cluster.clients), operations_per_client=ops_per_client, seed=23
+        list(cluster.clients), operations_per_client=20, seed=23
     )
     report = run_workload(cluster, workload)
     assert report.imbalance is not None
@@ -158,7 +116,7 @@ def _synthetic_trace(clients: int, ops_each: int):
     Shaped like a real recorded run (operation spans around request/reply
     flows with quorum instants, occasional restarts and weight transfers)
     so the analyses exercise their real code paths, but built directly so
-    the benchmark measures analysis throughput, not simulation.
+    the workload is the analysis code alone, not a simulation.
     """
     from repro.obs import TraceRecorder
 
@@ -219,21 +177,18 @@ def _synthetic_trace(clients: int, ops_each: int):
     return recorder.records
 
 
-@benchmark("trace-analyze",
-           "invariant checking + critical-path attribution over a trace")
-def bench_trace_analyze(quick: bool) -> Mapping[str, Any]:
+def bench_trace_analyze() -> Dict[str, Any]:
+    """invariant checking + critical-path attribution over a trace"""
     from repro.obs import check_trace_invariants, critical_path_report
 
-    clients, ops_each = (4, 25) if quick else (8, 250)
-    records = _synthetic_trace(clients, ops_each)
+    records = _synthetic_trace(clients=4, ops_each=25)
     report = check_trace_invariants(records)
     assert report.ok, report.findings
     cpath = critical_path_report(records)
     path_steps = sum(op["path_length"] for op in cpath["operations"])
     return {
         # Two full passes over the record stream: one for the invariant
-        # checker, one for the attributor.  events/sec is records/sec
-        # through the analyses.
+        # checker, one for the attributor.
         "events": 2 * len(records),
         "ops": len(cpath["operations"]),
         "counters": {
@@ -244,18 +199,17 @@ def bench_trace_analyze(quick: bool) -> Mapping[str, Any]:
     }
 
 
-@benchmark("sweep", "serial parameter sweep through the experiment layer")
-def bench_sweep(quick: bool) -> Mapping[str, Any]:
+def bench_sweep() -> Dict[str, Any]:
+    """serial parameter sweep through the experiment layer"""
     from repro.experiments.executor import execute_many
     from repro.experiments.sweep import expand_grid
 
-    seeds = [0, 1] if quick else [0, 1, 2, 3, 4, 5]
     # static-majority: the dynamic-weighted flavour's weight-gain refresh
     # recursion (see ROADMAP) aborts at a stack-depth-dependent point, which
     # would make the event count here depend on the caller's stack depth.
     runs = expand_grid(
         "quickstart",
-        grid={"seed": seeds},
+        grid={"seed": [0, 1]},
         base={
             "cluster.flavour": "static-majority",
             "transfers": (),
@@ -274,3 +228,50 @@ def bench_sweep(quick: bool) -> Mapping[str, Any]:
         "ops": operations,
         "counters": {"runs": len(results), "messages": messages},
     }
+
+
+#: The gate's workloads, by the name ``python -m repro bench`` takes; a
+#: function's docstring is its ``--list`` description.
+WORKLOADS: Dict[str, Callable[[], Dict[str, Any]]] = {
+    "abd-round": bench_abd_round,
+    "event-loop": bench_event_loop,
+    "event-loop-obs": bench_event_loop_obs,
+    "sharded-zipfian": bench_sharded_zipfian,
+    "sweep": bench_sweep,
+    "trace-analyze": bench_trace_analyze,
+}
+
+
+def run_benchmarks(names: Sequence[str]) -> Dict[str, Dict[str, Any]]:
+    """Run the named workloads once each, in order: ``name -> counts``, the
+    layout of the expectations file.  An unknown name fails before any runs."""
+    for name in names:
+        if name not in WORKLOADS:
+            raise ConfigurationError(
+                f"unknown benchmark {name!r}; known: {', '.join(WORKLOADS)}"
+            )
+    return {name: WORKLOADS[name]() for name in names}
+
+
+def check_expectations(
+    results: Mapping[str, Mapping[str, Any]], path: str
+) -> List[str]:
+    """Compare ``results`` with a committed expectations file (``name -> counts``).
+
+    Returns human-readable mismatch lines (empty = all good).  A workload
+    the file does not know is reported too, so the file stays in lockstep
+    with the suite.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        expected = json.load(handle)
+    problems: List[str] = []
+    for name, got in results.items():
+        want = expected.get(name)
+        if want is None:
+            problems.append(f"{name}: no committed expectation")
+        elif got != want:
+            problems.append(
+                f"{name}: deterministic counters diverge: "
+                f"got {got}, expected {want}"
+            )
+    return problems

@@ -389,7 +389,7 @@ def run_campaign(
             completed = journalable(result)
             # The records are bound nowhere in this frame: a judged trace is
             # garbage before the stream starts the next run.
-            entry = _judge(
+            judged = _judge(
                 index, run, result.result,
                 _read_trace_if_any(trace_path, tolerant=not completed),
                 oracles, baseline_result,
@@ -399,9 +399,9 @@ def run_campaign(
                 # not the whole sample.
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(trace_path)
-            entries.append(entry)
+            entries.append(judged)
             if journal is not None and completed:
-                journal.record(run_digest(run), {"entry": entry})
+                journal.record(run_digest(run), {"entry": judged})
             tick()
     finally:
         if keep_traces is None:
@@ -411,8 +411,8 @@ def run_campaign(
             journal.close()
 
     entries.sort(key=lambda entry: (-entry["severity"], entry["index"]))
-    for rank, entry in enumerate(entries, 1):
-        entry["rank"] = rank
+    for rank, judged in enumerate(entries, 1):
+        judged["rank"] = rank
 
     degraded = sum(
         1 for entry in entries if entry["oracles"]["latency"]["degraded"]

@@ -30,10 +30,10 @@ Subcommands:
   restarting the server on the same ``--jobs-dir`` resumes them.
 * ``compare``  — diff a result JSON/JSONL against a baseline (runs are
   matched by ``run_id``, so completion order does not matter).
-* ``bench``    — run the registered microbenchmarks (events/sec, ops/sec,
-  wall time), append ``BENCH_<name>.json`` trajectory files, ``--compare``
-  against a prior dump, or ``--check`` deterministic counters against the
-  committed expectations (the CI determinism smoke).
+* ``bench``    — the determinism gate: run six fixed, seeded micro-workloads
+  once each, print their exact event / op counts, and ``--check`` them
+  against the committed expectations.  It times nothing; performance is
+  measured by ``benchmarks/perf/run.py``.
 * ``trace``    — trace analytics over a recorded JSONL trace:
   ``summary`` (aggregates + digest + Chrome export), ``digest``
   (``--check`` gates against a committed sha256 file), ``check``
@@ -77,33 +77,40 @@ if TYPE_CHECKING:
     from repro.experiments.resilience import RunJournal
     from repro.experiments.sweep import RunSpec
 
-__all__ = ["main"]
+__all__ = ["main", "parse_value", "parse_params", "parse_grid"]
 
 
-def _parse_value(text: str) -> Any:
+# The three argv parsers below are also `python -m repro.serve.client`'s, so
+# both front ends accept and reject the same text; they need only the stdlib.
+
+
+def parse_value(text: str) -> Any:
+    """A Python literal when ``text`` is one, else ``text`` itself."""
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
         return text
 
 
-def _parse_params(pairs: Sequence[str]) -> Dict[str, Any]:
+def parse_params(pairs: Sequence[str]) -> Dict[str, Any]:
+    """``["key=value", ...]`` (``-p``) as a parameter mapping."""
     params: Dict[str, Any] = {}
     for pair in pairs:
         key, separator, value = pair.partition("=")
         if not separator or not key:
             raise ReproError(f"expected key=value, got {pair!r}")
-        params[key] = _parse_value(value)
+        params[key] = parse_value(value)
     return params
 
 
-def _parse_grid(axes: Sequence[str]) -> Dict[str, List[Any]]:
+def parse_grid(axes: Sequence[str]) -> Dict[str, List[Any]]:
+    """``["axis=v1,v2,...", ...]`` (``-g``) as axis -> values; empty items drop."""
     grid: Dict[str, List[Any]] = {}
     for axis in axes:
         key, separator, values = axis.partition("=")
         if not separator or not key:
             raise ReproError(f"expected axis=v1,v2,..., got {axis!r}")
-        grid[key] = [_parse_value(value) for value in values.split(",") if value != ""]
+        grid[key] = [parse_value(value) for value in values.split(",") if value != ""]
     return grid
 
 
@@ -171,7 +178,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.executor import execute_many
     from repro.experiments.plan import plan
 
-    planned = plan(_job_request(args, params=_parse_params(args.param)))
+    planned = plan(_job_request(args, params=parse_params(args.param)))
     if not args.trace and not args.metrics:
         results = execute_many(planned.runs, workers=1, entry=planned.entry)
         _emit(results, args)
@@ -200,10 +207,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _sweep_request(args: argparse.Namespace) -> JobRequest:
-    seeds = tuple(_parse_grid([f"seed={args.seeds}"])["seed"]) if args.seeds else None
+    seeds = tuple(parse_grid([f"seed={args.seeds}"])["seed"]) if args.seeds else None
     return _job_request(
-        args, kind="sweep", params=_parse_params(args.param),
-        grid=_parse_grid(args.grid), seeds=seeds, sample=args.sample,
+        args, kind="sweep", params=parse_params(args.param),
+        grid=parse_grid(args.grid), seeds=seeds, sample=args.sample,
         sample_seed=args.sample_seed, sample_method=args.sample_method,
     )
 
@@ -306,7 +313,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.point:
         if request.grid or request.seeds is not None or request.sample is not None:
             raise ReproError("--point cannot be combined with -g/--seeds/--sample")
-        points = [_parse_params(point.split()) for point in args.point]
+        points = [parse_params(point.split()) for point in args.point]
         runs = expand_points(scenario, points, base=request.params)
     if args.trace_dir:
         runs = _traced_runs(runs, args.trace_dir, entry)
@@ -373,48 +380,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro import bench
 
-    names = args.benchmark or bench.benchmark_names()
     if args.list_benchmarks:
         _print_table(
             ["benchmark", "description"],
-            [(entry.name, entry.description) for entry in bench.all_benchmarks()],
+            [(name, workload.__doc__) for name, workload in bench.WORKLOADS.items()],
         )
         return 0
-    for name in names:
-        bench.get_benchmark(name)  # fail fast with the list of known names
-    results = bench.run_benchmarks(names, quick=args.quick, repeat=args.repeat)
-    for result in results:
-        print(result.as_row())
-    if not args.no_trajectory:
-        for result in results:
-            path = bench.append_trajectory(result, args.out_dir)
-            print(f"trajectory: {path}", file=sys.stderr)
-    if args.json:
-        bench.write_results_json(results, args.json)
-    status = 0
-    if args.compare:
-        prior = bench.load_results_json(args.compare)
-        rows = bench.compare_results(results, prior)
-        if not rows:
-            print(f"no overlapping benchmarks with {args.compare}")
-        for row in rows:
-            marker = "" if row["counters_match"] else "  [COUNTERS DIVERGE]"
-            print(
-                f"{row['benchmark']:<16s} {row['speedup']:6.2f}x  "
-                f"(current {row['current_wall']:.4f}s vs prior "
-                f"{row['prior_wall']:.4f}s){marker}"
-            )
-            if not row["counters_match"]:
-                status = 1
-    if args.check:
-        problems = bench.check_expectations(results, args.check, quick=args.quick)
-        if problems:
-            for problem in problems:
-                print(f"MISMATCH: {problem}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"deterministic counters match {args.check}")
-    return status
+    results = bench.run_benchmarks(args.benchmark or list(bench.WORKLOADS))
+    for name, counts in results.items():
+        extra = "  ".join(f"{k}={v}" for k, v in counts["counters"].items())
+        print(f"{name:<16s} events={counts['events']:<6d} "
+              f"ops={counts['ops']:<6d} {extra}")
+    if not args.check:
+        return 0
+    problems = bench.check_expectations(results, args.check)
+    for problem in problems:
+        print(f"MISMATCH: {problem}", file=sys.stderr)
+    if not problems:
+        print(f"deterministic counters match {args.check}")
+    return 1 if problems else 0
 
 
 def _cmd_trace_summary(args: argparse.Namespace) -> int:
@@ -582,7 +566,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     policy, journal_path, resume, quarantine_path = _resilience_options(args)
     scenario, entry, _ = plan(_job_request(args))
     times = tuple(
-        _parse_value(value) for value in args.times.split(",") if value != ""
+        parse_value(value) for value in args.times.split(",") if value != ""
     )
     telemetry = StreamTelemetry()
     progress = None
@@ -956,43 +940,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="run the registered microbenchmarks",
-        description="Run the microbenchmark suite (kernel dispatch, ABD "
-        "rounds, sharded data plane, sweep layer) and report events/sec, "
-        "ops/sec and wall time.  Wall time is hardware noise; the event / "
-        "op / message counts are deterministic and double as an end-to-end "
-        "determinism check (--check).  Each run appends to per-benchmark "
-        "BENCH_<name>.json trajectory files so the performance history "
-        "stays next to the code.",
+        help="determinism gate: exact counters of six fixed micro-workloads",
+        description="Run the gate's fixed, seeded micro-workloads (kernel "
+        "dispatch with and without an observer, ABD rounds, sharded data "
+        "plane, sweep layer, trace analyses) once each and print their event "
+        "/ op / message counts.  The counts are exact: --check compares them "
+        "with a committed expectations file, so any difference means the "
+        "simulation changed.  Nothing is timed and no file is written; "
+        "measure performance with `python3 benchmarks/perf/run.py`.",
         epilog="quickstart:\n"
-        "  python -m repro bench\n"
-        "  python -m repro bench event-loop --repeat 5\n"
-        "  python -m repro bench --json now.json   # ... later ...\n"
-        "  python -m repro bench --compare now.json\n"
-        "  python -m repro bench --quick --check benchmarks/bench_expectations.json\n",
+        "  python -m repro bench --list\n"
+        "  python -m repro bench event-loop abd-round\n"
+        "  python -m repro bench --check benchmarks/bench_expectations.json\n",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p_bench.add_argument("benchmark", nargs="*",
-                         help="benchmarks to run (default: all registered)")
+                         help="workloads to run (default: all six)")
     p_bench.add_argument("--list", dest="list_benchmarks", action="store_true",
-                         help="list registered benchmarks and exit")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI scale: much smaller fixed workloads")
-    p_bench.add_argument("--repeat", type=int, default=1, metavar="N",
-                         help="run each benchmark N times, report best wall time")
-    p_bench.add_argument("--out-dir", default=".", metavar="DIR",
-                         help="directory for BENCH_<name>.json trajectories "
-                         "(default: current directory)")
-    p_bench.add_argument("--no-trajectory", action="store_true",
-                         help="do not append trajectory files")
-    p_bench.add_argument("--json", metavar="PATH",
-                         help="write this invocation's results to a JSON file")
-    p_bench.add_argument("--compare", metavar="PATH",
-                         help="compare against a prior --json dump "
-                         "(exit 1 if deterministic counters diverge)")
+                         help="list the workloads and exit")
     p_bench.add_argument("--check", metavar="PATH",
-                         help="assert deterministic counters against an "
-                         "expectations file (exit 1 on mismatch)")
+                         help="compare the counters with an expectations "
+                         "file (exit 1 on mismatch)")
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_trace = sub.add_parser(

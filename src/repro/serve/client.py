@@ -17,7 +17,6 @@ wants before ``cmp``-gating the file against a direct CLI run.
 from __future__ import annotations
 
 import argparse
-import ast
 import http.client
 import json
 import sys
@@ -26,6 +25,7 @@ import urllib.parse
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
+from repro.experiments.cli import parse_grid, parse_params
 
 __all__ = ["ServeClient", "ServeClientError", "main"]
 
@@ -159,35 +159,23 @@ class ServeClient:
 # -- command line --------------------------------------------------------------
 
 
-def _parse_value(text: str) -> Any:
-    """`--p key=value` values: Python literals when possible, else strings."""
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        return text
-
-
 def _build_request(args: argparse.Namespace) -> Dict[str, Any]:
+    """``argv`` as a ``POST /jobs`` body, parsed by the CLI's own helpers so
+    ``submit`` accepts and rejects exactly what ``run`` / ``sweep`` do."""
     request: Dict[str, Any] = {"kind": "sweep" if args.sweep else "run"}
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
             request["spec"] = json.load(handle)
     else:
         request["scenario"] = args.scenario
-    params = {}
-    for item in args.param or []:
-        key, _, value = item.partition("=")
-        params[key] = _parse_value(value)
+    params = parse_params(args.param)
     if params:
         request["params"] = params
-    grid = {}
-    for item in args.grid or []:
-        axis, _, values = item.partition("=")
-        grid[axis] = [_parse_value(value) for value in values.split(",")]
+    grid = parse_grid(args.grid)
     if grid:
         request["grid"] = grid
     if args.seeds:
-        request["seeds"] = [int(seed) for seed in args.seeds.split(",")]
+        request["seeds"] = parse_grid([f"seed={args.seeds}"])["seed"]
     if args.sample is not None:
         request["sample"] = args.sample
         request["sample_seed"] = args.sample_seed
@@ -222,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     what.add_argument("--spec", help="path to a JSON spec file to upload")
     submit.add_argument("--sweep", action="store_true", help="submit a sweep")
     submit.add_argument(
-        "-p", "--param", action="append", metavar="KEY=VALUE",
+        "-p", "--param", action="append", default=[], metavar="KEY=VALUE",
         help="fixed parameter (repeatable)",
     )
     submit.add_argument(
-        "--grid", action="append", metavar="AXIS=V1,V2,...",
+        "--grid", action="append", default=[], metavar="AXIS=V1,V2,...",
         help="sweep axis values (repeatable)",
     )
     submit.add_argument("--seeds", help="comma-separated seed axis")

@@ -1,177 +1,96 @@
-"""Tests for the ``repro.bench`` continuous-benchmarking subsystem.
+"""Tests for ``repro.bench``, the determinism gate.
 
-The contract under test: benchmarks are registered and discoverable, their
-deterministic counters are invariant across invocations (wall time is the
-only noise), trajectory files accumulate run history, ``--compare`` reports
-speedups and flags counter divergence, and ``--check`` is a working CI gate
-against the committed expectations file.
+The contract under test: six fixed workloads behind one ``name -> function``
+mapping, exact counters that are invariant across invocations, orderings,
+hash seeds and garbage collections, ``--check`` as a working CI gate against
+the committed expectations file — and nothing written anywhere, because
+nothing is timed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import bench
-from repro.bench.core import BenchResult, _BENCHMARKS, register_benchmark
 from repro.errors import ConfigurationError
 from repro.experiments.cli import main
 
-
-@pytest.fixture
-def scratch_benchmark():
-    """Register a tiny throwaway benchmark; unregister on teardown."""
-    calls = {"count": 0}
-
-    def fn(quick):
-        calls["count"] += 1
-        return {"events": 10, "ops": 5, "counters": {"width": 2}}
-
-    entry = register_benchmark("scratch", "throwaway", fn)
-    yield entry, calls
-    _BENCHMARKS.pop("scratch", None)
+REPO_ROOT = Path(__file__).resolve().parent.parent
+EXPECTATIONS = str(REPO_ROOT / "benchmarks" / "bench_expectations.json")
 
 
-class TestRegistry:
-    def test_suite_registers_at_least_four_benchmarks(self):
-        names = bench.benchmark_names()
+def _python(*argv, cwd=REPO_ROOT, **env):
+    """``python <argv>`` in a fresh interpreter that can import ``repro``."""
+    environ = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), **env)
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=cwd, env=environ, capture_output=True, text=True, timeout=120,
+    )
+
+
+class TestSuite:
+    def test_suite_lists_at_least_four_workloads(self):
+        names = set(bench.WORKLOADS)
         assert len(names) >= 4
-        assert {"event-loop", "abd-round", "sharded-zipfian", "sweep"} <= set(names)
+        assert {"event-loop", "abd-round", "sharded-zipfian", "sweep"} <= names
 
     def test_unknown_benchmark_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown benchmark"):
-            bench.get_benchmark("nope")
+            bench.run_benchmarks(["event-loop", "nope"])
 
-    def test_duplicate_registration_rejected(self, scratch_benchmark):
-        with pytest.raises(ConfigurationError, match="already registered"):
-            register_benchmark("scratch", "again", lambda quick: {})
-
-
-class TestHarness:
     def test_counters_are_invariant_across_invocations(self):
-        first = bench.run_benchmark("event-loop", quick=True)
-        second = bench.run_benchmark("event-loop", quick=True)
-        assert first.deterministic_view() == second.deterministic_view()
-        assert first.events > 0
-        assert first.ops > 0
+        first = bench.WORKLOADS["event-loop"]()
+        second = bench.WORKLOADS["event-loop"]()
+        assert first == second
+        assert first["events"] > 0
+        assert first["ops"] > 0
 
-    def test_repeat_takes_best_wall_and_checks_determinism(self, scratch_benchmark):
-        entry, calls = scratch_benchmark
-        result = bench.run_benchmark("scratch", quick=True, repeat=3)
-        assert calls["count"] == 3
-        assert result.repeat == 3
-        assert result.events == 10 and result.ops == 5
-
-    def test_nondeterministic_benchmark_rejected(self):
-        drifting = iter(range(100))
-
-        def fn(quick):
-            return {"events": next(drifting), "ops": 1}
-
-        register_benchmark("drift", "bad", fn)
-        try:
-            with pytest.raises(ConfigurationError, match="non-deterministic"):
-                bench.run_benchmark("drift", repeat=2)
-        finally:
-            _BENCHMARKS.pop("drift", None)
-
-    def test_missing_counts_rejected(self):
-        register_benchmark("hollow", "bad", lambda quick: {"events": 1})
-        try:
-            with pytest.raises(ConfigurationError, match="ops"):
-                bench.run_benchmark("hollow")
-        finally:
-            _BENCHMARKS.pop("hollow", None)
-
-    def test_rates_derive_from_wall_time(self):
-        result = BenchResult(
-            name="x", quick=True, repeat=1, wall_seconds=2.0, events=100, ops=10
+    def test_counters_survive_order_hash_seed_and_the_collector(self):
+        # The old harness paused the GC around every run; the gate does not,
+        # so this is the proof it never needed to: three shuffled passes in
+        # one fresh interpreter, hash seed randomised, collector on.
+        script = (
+            "import gc, json, random\n"
+            "from repro import bench\n"
+            "assert gc.isenabled()\n"
+            "names = list(bench.WORKLOADS)\n"
+            "passes = []\n"
+            "for _ in range(3):\n"
+            "    random.shuffle(names)\n"
+            "    results = bench.run_benchmarks(names)\n"
+            "    passes.append({name: results[name] for name in sorted(results)})\n"
+            "print(json.dumps(passes))\n"
         )
-        assert result.events_per_sec == 50.0
-        assert result.ops_per_sec == 5.0
-
-
-class TestTrajectory:
-    def _result(self, wall=0.5):
-        return BenchResult(
-            name="event-loop", quick=True, repeat=1,
-            wall_seconds=wall, events=100, ops=50, counters={"tasks": 2},
-        )
-
-    def test_appends_runs_over_invocations(self, tmp_path):
-        path = bench.append_trajectory(self._result(0.5), str(tmp_path))
-        bench.append_trajectory(self._result(0.4), str(tmp_path))
-        with open(path) as handle:
-            payload = json.load(handle)
-        assert payload["benchmark"] == "event-loop"
-        assert [run["wall_seconds"] for run in payload["runs"]] == [0.5, 0.4]
-        assert all("timestamp" in run for run in payload["runs"])
-
-    def test_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "BENCH_event-loop.json"
-        path.write_text('{"benchmark": "other", "runs": []}')
-        with pytest.raises(ConfigurationError, match="not a trajectory"):
-            bench.append_trajectory(self._result(), str(tmp_path))
-
-    def test_load_results_accepts_dumps_and_trajectories(self, tmp_path):
-        dump = tmp_path / "results.json"
-        bench.write_results_json([self._result(0.3)], str(dump))
-        assert bench.load_results_json(str(dump))[0]["benchmark"] == "event-loop"
-        trajectory = bench.append_trajectory(self._result(0.2), str(tmp_path))
-        loaded = bench.load_results_json(trajectory)
-        assert len(loaded) == 1 and loaded[0]["wall_seconds"] == 0.2
-
-
-class TestCompare:
-    def test_speedup_and_counter_flags(self):
-        current = BenchResult(
-            name="event-loop", quick=True, repeat=1,
-            wall_seconds=0.5, events=100, ops=50,
-        )
-        prior_ok = current.as_dict() | {"wall_seconds": 1.0}
-        prior_bad = current.as_dict() | {"wall_seconds": 1.0, "events": 999}
-        rows = bench.compare_results([current], [prior_ok])
-        assert rows[0]["speedup"] == pytest.approx(2.0)
-        assert rows[0]["counters_match"]
-        rows = bench.compare_results([current], [prior_bad])
-        assert not rows[0]["counters_match"]
-
-    def test_disjoint_benchmarks_yield_no_rows(self):
-        current = BenchResult(
-            name="event-loop", quick=True, repeat=1,
-            wall_seconds=0.5, events=1, ops=1,
-        )
-        assert bench.compare_results([current], [{"benchmark": "other"}]) == []
+        completed = _python("-c", script, PYTHONHASHSEED="random")
+        assert completed.returncode == 0, completed.stderr
+        first, second, third = json.loads(completed.stdout)
+        assert first == second == third
+        with open(EXPECTATIONS, encoding="utf-8") as handle:
+            assert first == json.load(handle)
 
 
 class TestExpectations:
-    def test_committed_expectations_match_a_quick_run(self):
-        # The CI gate end-to-end: a fresh quick run must match the committed
-        # expectations byte-for-byte.
-        results = bench.run_benchmarks(bench.benchmark_names(), quick=True)
-        problems = bench.check_expectations(
-            results, "benchmarks/bench_expectations.json", quick=True
-        )
-        assert problems == []
+    def test_committed_expectations_match_a_run(self):
+        # The CI gate end-to-end: a fresh run of every workload must match
+        # the committed expectations value for value.
+        results = bench.run_benchmarks(list(bench.WORKLOADS))
+        assert bench.check_expectations(results, EXPECTATIONS) == []
 
     def test_divergence_and_unknown_benchmarks_reported(self, tmp_path):
-        result = BenchResult(
-            name="event-loop", quick=True, repeat=1,
-            wall_seconds=0.1, events=1, ops=1,
-        )
+        counts = {"events": 1, "ops": 1, "counters": {}}
         path = tmp_path / "expect.json"
         path.write_text(json.dumps(
-            {"quick": {"event-loop": {"events": 2, "ops": 1, "counters": {}}}}
+            {"event-loop": {"events": 2, "ops": 1, "counters": {}}}
         ))
-        problems = bench.check_expectations([result], str(path), quick=True)
+        problems = bench.check_expectations({"event-loop": counts}, str(path))
         assert len(problems) == 1 and "diverge" in problems[0]
-        stranger = BenchResult(
-            name="stranger", quick=True, repeat=1,
-            wall_seconds=0.1, events=1, ops=1,
-        )
-        problems = bench.check_expectations([stranger], str(path), quick=True)
+        problems = bench.check_expectations({"stranger": counts}, str(path))
         assert "no committed expectation" in problems[0]
 
 
@@ -181,49 +100,56 @@ class TestBenchCli:
         out = capsys.readouterr().out
         assert "event-loop" in out and "sweep" in out
 
-    def test_quick_run_writes_json_and_trajectories(self, tmp_path, capsys):
-        json_path = tmp_path / "results.json"
-        code = main([
-            "bench", "event-loop", "--quick",
-            "--out-dir", str(tmp_path), "--json", str(json_path),
-        ])
-        assert code == 0
-        assert json.loads(json_path.read_text())[0]["benchmark"] == "event-loop"
-        assert os.path.exists(tmp_path / "BENCH_event-loop.json")
-        assert "event-loop" in capsys.readouterr().out
-
     def test_check_gate_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.json"
         bad = tmp_path / "bad.json"
-        result = bench.run_benchmark("event-loop", quick=True)
-        good.write_text(json.dumps(
-            {"quick": bench.expectations_payload([result])}
-        ))
+        good.write_text(json.dumps(bench.run_benchmarks(["event-loop"])))
         bad.write_text(json.dumps(
-            {"quick": {"event-loop": {"events": 1, "ops": 1, "counters": {}}}}
+            {"event-loop": {"events": 1, "ops": 1, "counters": {}}}
         ))
-        assert main([
-            "bench", "event-loop", "--quick", "--no-trajectory",
-            "--check", str(good),
-        ]) == 0
-        assert main([
-            "bench", "event-loop", "--quick", "--no-trajectory",
-            "--check", str(bad),
-        ]) == 1
-
-    def test_compare_flags_divergent_counters(self, tmp_path, capsys):
-        prior = tmp_path / "prior.json"
-        result = bench.run_benchmark("event-loop", quick=True)
-        record = result.as_dict()
-        record["events"] += 1  # simulate a semantic drift
-        prior.write_text(json.dumps([record]))
-        code = main([
-            "bench", "event-loop", "--quick", "--no-trajectory",
-            "--compare", str(prior),
-        ])
-        assert code == 1
-        assert "COUNTERS DIVERGE" in capsys.readouterr().out
+        assert main(["bench", "event-loop", "--check", str(good)]) == 0
+        assert "counters match" in capsys.readouterr().out
+        assert main(["bench", "event-loop", "--check", str(bad)]) == 1
+        assert "MISMATCH: event-loop" in capsys.readouterr().err
 
     def test_unknown_benchmark_is_a_cli_error(self, capsys):
-        assert main(["bench", "nope", "--quick", "--no-trajectory"]) == 2
-        assert "unknown benchmark" in capsys.readouterr().err
+        assert main(["bench", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown benchmark" in err and "event-loop" in err
+
+    @pytest.mark.parametrize("flag", [
+        "--quick", "--repeat=2", "--out-dir=x", "--no-trajectory",
+        "--json=x.json", "--compare=x.json",
+    ])
+    def test_the_timing_options_are_gone(self, flag, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["bench", flag])
+        assert usage.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_the_gate_writes_no_file(self, tmp_path):
+        completed = _python(
+            "-m", "repro", "bench", "--check", EXPECTATIONS, cwd=tmp_path)
+        assert completed.returncode == 0, completed.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_gate_leaves_the_checkout_clean(self):
+        def porcelain():
+            try:
+                status = subprocess.run(
+                    ["git", "status", "--porcelain"], cwd=REPO_ROOT,
+                    capture_output=True, text=True, timeout=60,
+                )
+            except OSError:
+                pytest.skip("git is not installed")
+            if status.returncode != 0:
+                pytest.skip("not a git checkout")
+            return status.stdout
+
+        before = porcelain()
+        completed = _python(
+            "-m", "repro", "bench", "--check",
+            "benchmarks/bench_expectations.json", PYTHONDONTWRITEBYTECODE="1",
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert porcelain() == before

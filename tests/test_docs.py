@@ -78,3 +78,32 @@ def test_docstring_check_catches_a_missing_markdown_file(tmp_path):
         "docstring names DESIGN.md, which does not exist",
         "docstring names EXPERIMENTS.md, which does not exist",
     ]
+
+
+def test_documented_cli_flags_are_accepted():
+    assert check_docs.check_cli_flags() == []
+
+
+def test_cli_flag_check_catches_a_removed_option(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text(
+        "Inline: `python -m repro bench --no-trajectory` and the old\n"
+        "`python -m repro.serve.client submit --not-this-parser`.\n"
+    )
+    (tmp_path / "README.md").write_text(
+        "```sh\n"
+        "python -m repro bench --quick --check expectations.json\n"
+        "PYTHONPATH=src python -m repro sweep quickstart -g cluster.n=4,5 \\\n"
+        "    --seeds 0,1 --workers 2 --jobs 4 | tee out.txt --not-a-repro-flag\n"
+        "python -m repro trace out.jsonl --export out.chrome.json\n"
+        "python -m repro trace check out.jsonl --min-quorum=2 --export x\n"
+        "python -m repro list --json   # == `GET /scenarios`\n"
+        "```\n"
+    )
+    assert check_docs.check_cli_flags(root=tmp_path) == [
+        "README.md: `python -m repro bench` does not accept --quick",
+        "README.md: `python -m repro sweep` does not accept --jobs",
+        "README.md: `python -m repro trace check` does not accept --export",
+        "docs/ARCHITECTURE.md: `python -m repro bench` does not accept "
+        "--no-trajectory",
+    ]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.experiments import cli, executor
-from repro.experiments.cli import _parse_grid, _parse_params, _parse_value, main
+from repro.experiments.cli import parse_grid, parse_params, parse_value, main
 from repro.experiments.plan import JobRequest, plan
 from repro.experiments.sweep import Sweep, expand_grid, expand_points
 
@@ -158,14 +158,14 @@ class TestSweepSamplingCli:
 def _sweep_runs(args, scenario):
     """The CLI's run expansion as it stood before ``plan`` (PR 14), verbatim:
     the reference the one planner must reproduce run for run."""
-    grid = _parse_grid(args.grid)
+    grid = parse_grid(args.grid)
     if args.seeds:
-        grid["seed"] = [_parse_value(value) for value in args.seeds.split(",") if value != ""]
-    base = _parse_params(args.param)
+        grid["seed"] = [parse_value(value) for value in args.seeds.split(",") if value != ""]
+    base = parse_params(args.param)
     if args.point:
         if grid or args.sample is not None:
             raise ReproError("--point cannot be combined with -g/--seeds/--sample")
-        points = [_parse_params(point.split()) for point in args.point]
+        points = [parse_params(point.split()) for point in args.point]
         return expand_points(scenario, points, base=base)
     if args.sample is not None:
         sweep = Sweep.of(scenario, grid=grid, base=base)

@@ -559,12 +559,11 @@ class TestTraceAnalyzeBenchmark:
     def test_registered_and_deterministic(self):
         from repro import bench
 
-        assert "trace-analyze" in bench.benchmark_names()
-        first = bench.run_benchmark("trace-analyze", quick=True)
-        second = bench.run_benchmark("trace-analyze", quick=True)
-        assert first.deterministic_view() == second.deterministic_view()
-        assert first.counters["findings"] == 0
-        assert first.ops == 100
+        first = bench.WORKLOADS["trace-analyze"]()
+        second = bench.WORKLOADS["trace-analyze"]()
+        assert first == second
+        assert first["counters"]["findings"] == 0
+        assert first["ops"] == 100
 
     def test_synthetic_trace_is_invariant_clean(self):
         from repro.bench.suite import _synthetic_trace

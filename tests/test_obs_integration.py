@@ -125,16 +125,15 @@ class TestDisabledPathIsUntouched:
     def test_benchmark_twins_do_identical_work(self):
         # The expectations file pins both, but assert the linkage directly:
         # the instrumented benchmark must process exactly as many events as
-        # the uninstrumented one, at both scales.
-        from repro.bench.core import run_benchmark
+        # the uninstrumented one.
+        from repro.bench import WORKLOADS
 
-        for quick in (True, False):
-            plain = run_benchmark("event-loop", quick=quick).deterministic_view()
-            obs = run_benchmark("event-loop-obs", quick=quick).deterministic_view()
-            assert obs["events"] == plain["events"]
-            assert obs["ops"] == plain["ops"]
-            assert (obs["counters"]["ready_dispatches"]
-                    + obs["counters"]["heap_dispatches"]) == obs["events"]
+        plain = WORKLOADS["event-loop"]()
+        obs = WORKLOADS["event-loop-obs"]()
+        assert obs["events"] == plain["events"]
+        assert obs["ops"] == plain["ops"]
+        assert (obs["counters"]["ready_dispatches"]
+                + obs["counters"]["heap_dispatches"]) == obs["events"]
 
 
 class _KernelSpy(Observer):

@@ -21,11 +21,13 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import cli as repro_cli
 from repro.experiments.cli import main
 from repro.experiments import registry
 from repro.experiments.plan import plan
 from repro.experiments.registry import catalogue_payload
 from repro.experiments.results import compare_payloads, load_payload
+from repro.serve import client as serve_client
 from repro.serve.app import ExperimentServer
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.routes import dispatch
@@ -536,6 +538,88 @@ class TestHTTPServer:
         with pytest.raises(ServeClientError) as excinfo:
             http_client.job("job-424242")
         assert excinfo.value.status == 404
+
+
+def client_body(argv):
+    """The ``POST /jobs`` body `client submit --scenario quickstart --sweep` builds."""
+    args = serve_client.build_parser().parse_args(
+        ["submit", "--scenario", "quickstart", "--sweep", *argv])
+    return serve_client._build_request(args)
+
+
+def cli_body(argv):
+    """The request `python -m repro sweep quickstart` builds, as a body."""
+    args = repro_cli.build_parser().parse_args(["sweep", "quickstart", *argv])
+    return repro_cli._sweep_request(args).to_dict()
+
+
+class TestClientArgvMatchesTheCli:
+    """`client submit` parses argv with the CLI's helpers, not a copy."""
+
+    @pytest.mark.parametrize("client_argv, cli_argv", [
+        pytest.param(
+            ["--grid", "cluster.n=4,5,"], ["-g", "cluster.n=4,5,"],
+            id="grid-trailing-comma"),
+        pytest.param(["--seeds", "0,1,"], ["--seeds", "0,1,"],
+                     id="seeds-trailing-comma"),
+        pytest.param(
+            ["-p", "workload.operations_per_client=2", "-p",
+             "cluster.flavour=static-majority", "--grid", "cluster.n=4,5",
+             "--seeds", "0,1", "--sample", "2", "--sample-method", "lhs"],
+            ["-p", "workload.operations_per_client=2", "-p",
+             "cluster.flavour=static-majority", "-g", "cluster.n=4,5",
+             "--seeds", "0,1", "--sample", "2", "--sample-method", "lhs"],
+            id="well-formed"),
+    ])
+    def test_same_argv_same_request(self, client_argv, cli_argv):
+        sent = client_body(client_argv)
+        planned = cli_body(cli_argv)
+        assert sent == {key: planned[key] for key in sent}
+        # ... and the server reads the body back into that very request.
+        assert JobRequest.from_dict(sent).to_dict() == planned
+
+    def test_trailing_commas_drop_the_empty_value(self):
+        sent = client_body(["--grid", "cluster.n=4,5,", "--seeds", "0,1,"])
+        assert sent["grid"] == {"cluster.n": [4, 5]}
+        assert sent["seeds"] == [0, 1]
+
+    def test_a_well_formed_body_is_byte_for_byte_what_it_was(self):
+        sent = client_body([
+            "-p", "workload.operations_per_client=2", "--grid",
+            "cluster.n=4,5", "--seeds", "0,1", "--workers", "2",
+        ])
+        assert json.dumps(sent) == (
+            '{"kind": "sweep", "scenario": "quickstart", '
+            '"params": {"workload.operations_per_client": 2}, '
+            '"grid": {"cluster.n": [4, 5]}, "seeds": [0, 1], "workers": 2}'
+        )
+
+    def test_a_param_without_equals_is_the_clis_error(self, capsys):
+        argv = ["-p", "workload.operations_per_client"]
+        assert main(["sweep", "quickstart", *argv]) == 2
+        cli_error = capsys.readouterr().err
+        assert "expected key=value" in cli_error
+        # No server is listening: the request must be refused before it is sent.
+        assert serve_client.main([
+            "--url", f"http://127.0.0.1:{free_port()}", "submit",
+            "--scenario", "quickstart", *argv,
+        ]) == 2
+        assert capsys.readouterr().err == cli_error
+
+    def test_served_bytes_equal_cli_bytes_for_the_same_sloppy_argv(
+        self, http_client, tmp_path, capsys
+    ):
+        argv = ["--seeds", "0,1,", "-p", "workload.operations_per_client=2"]
+        served = tmp_path / "served.jsonl"
+        assert serve_client.main([
+            "--url", f"http://{http_client.host}:{http_client.port}", "submit",
+            "--scenario", "quickstart", "--sweep", "--grid", "cluster.n=4,5,",
+            *argv, "--results", str(served),
+        ]) == 0
+        capsys.readouterr()
+        want = cli_sweep_bytes(
+            tmp_path, "direct.jsonl", ["quickstart", "-g", "cluster.n=4,5,", *argv])
+        assert served.read_bytes() == want
 
 
 def free_port():

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks (the CI docs job).
 
-Four checks, all pure standard library:
+Five checks, all pure standard library:
 
 * **link check** — every relative markdown link in the repository's ``*.md``
   files must point at an existing file or directory (external ``http(s)``/
@@ -16,6 +16,10 @@ Four checks, all pure standard library:
 * **docstring reference check** — a ``*.md`` file named in a docstring under
   ``src/`` (``DESIGN.md``, ``docs/ARCHITECTURE.md`` ...) must exist, as a
   path from the repository root.
+* **CLI flag check** — every ``python -m repro <subcommand> ... --flag`` that
+  ``CLI_DOCS`` show (fenced block or inline) must name a flag that
+  subcommand's parser accepts, so removing an option fails CI until the docs
+  stop showing it.
 
 Run from anywhere::
 
@@ -26,11 +30,13 @@ Exit status 0 means the docs are consistent; 1 lists every problem found.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
+import shlex
 import sys
 from pathlib import Path
-from typing import List, Set
+from typing import Dict, Iterator, List, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,6 +51,15 @@ _SKIP_SCHEMES = ("http://", "https://", "mailto:")
 
 # Markdown files named in source docstrings: DESIGN.md, docs/ARCHITECTURE.md.
 _MD_NAME = re.compile(r"[\w./-]+\.md\b")
+
+# Documents that show `python -m repro` commands to copy.
+CLI_DOCS = ("README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md")
+
+# One documented invocation: `python -m repro <rest of the shell command>`
+# (not `python -m repro.serve.client`, which has its own parser).
+_REPRO_COMMAND = re.compile(r"python3? -m repro[ \t]+([^|;&>#`\n]*)")
+
+_FLAG = re.compile(r"--?[A-Za-z][A-Za-z0-9-]*")
 
 # Sections other documentation (and CI jobs) deep-link into.  Paths are
 # repo-relative; headings must appear verbatim at line start.
@@ -181,6 +196,63 @@ def check_docstring_references(root: Path = REPO_ROOT) -> List[str]:
     return problems
 
 
+def _documented_commands(text: str) -> Iterator[List[str]]:
+    """The argv after ``python -m repro`` of every command ``text`` shows.
+
+    A command runs to the end of its line (backslash continuations joined),
+    or to the shell operator, comment or closing backtick that ends it.
+    """
+    for match in _REPRO_COMMAND.finditer(text.replace("\\\n", " ")):
+        try:
+            yield shlex.split(match.group(1))
+        except ValueError:  # an unbalanced quote: prose, not a command
+            yield match.group(1).split()
+
+
+def _cli_flags() -> Dict[str, Set[str]]:
+    """``subcommand -> accepted option strings`` (``trace`` ones as ``trace X``)."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    from repro.experiments.cli import build_parser
+
+    flags: Dict[str, Set[str]] = {}
+
+    def walk(parser: argparse.ArgumentParser, prefix: str) -> None:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    flags[f"{prefix}{name}"] = set(child._option_string_actions)
+                    walk(child, f"{prefix}{name} ")
+
+    walk(build_parser(), "")
+    return flags
+
+
+def check_cli_flags(root: Path = REPO_ROOT) -> List[str]:
+    """Documented ``python -m repro`` flags the parser does not accept."""
+    flags = _cli_flags()
+    problems = []
+    for relative in CLI_DOCS:
+        path = root / relative
+        if not path.exists():
+            continue
+        for argv in _documented_commands(path.read_text(encoding="utf-8")):
+            command = argv[0] if argv else ""
+            if command not in flags:
+                continue  # `python -m repro --help`, a placeholder, prose
+            if len(argv) > 1 and f"{command} {argv[1]}" in flags:
+                command = f"{command} {argv[1]}"
+            elif command == "trace":
+                command = "trace summary"  # `trace FILE` is its shorthand
+            for token in argv[1:]:
+                flag = _FLAG.match(token)
+                if flag and flag.group() not in flags[command]:
+                    problems.append(
+                        f"{relative}: `python -m repro {command}` does not "
+                        f"accept {flag.group()}"
+                    )
+    return problems
+
+
 def main() -> int:
     problems: List[str] = []
     for path in markdown_files():
@@ -188,13 +260,15 @@ def main() -> int:
     problems.extend(check_docstring_references())
     problems.extend(check_scenario_table())
     problems.extend(check_required_sections())
+    problems.extend(check_cli_flags())
     if problems:
         for problem in problems:
             print(f"error: {problem}", file=sys.stderr)
         print(f"{len(problems)} documentation problem(s)", file=sys.stderr)
         return 1
     print("docs ok: links resolve, scenario table matches the registry, "
-          "required sections present, docstring references exist")
+          "required sections present, docstring references exist, "
+          "documented CLI flags are accepted")
     return 0
 
 
