@@ -4,7 +4,8 @@
 fault axes (:func:`~repro.chaos.space.fault_axes`), Latin-hypercube samples
 ``sample`` configurations, executes them — traced — through the existing
 serial/parallel executor with run errors captured, and judges every run
-with the oracle stack (:mod:`repro.chaos.oracles`).  The result is a
+with the oracle stack (:mod:`repro.chaos.oracles`) in the process that
+recorded its trace, from the live records.  The result is a
 :class:`Campaign`: a ranked, deterministic report whose JSONL form is
 byte-identical for any worker count and any ``PYTHONHASHSEED`` (the same
 guarantee the sweep executor makes), plus ready-to-run spec files for the
@@ -18,21 +19,18 @@ resolve by sample index, so the ranking is total and stable.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import os
-import shutil
-import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.chaos.oracles import RunOutcome, default_oracles
 from repro.chaos.space import fault_axes
-from repro.errors import ConfigurationError, ReproError
-from repro.experiments.executor import run_with_stable_stack
+from repro.errors import ConfigurationError
+from repro.experiments.executor import RunResult, run_with_stable_stack
 from repro.experiments.executor import execute_run
-from repro.experiments.registry import Scenario, get_scenario
+from repro.experiments.registry import Scenario, SpecScenario, get_scenario
 from repro.experiments.resilience import (
     Quarantine,
     ResiliencePolicy,
@@ -42,9 +40,12 @@ from repro.experiments.resilience import (
     journalable,
     run_digest,
 )
-from repro.experiments.spec import ScenarioSpec
+from repro.experiments.spec import ObservabilitySpec, ScenarioSpec
 from repro.experiments.sweep import RunSpec, Sweep
-from repro.obs import read_trace
+from repro.obs import Observer, observing, write_trace
+# Unused: a campaign reads no trace back.  Kept, like ``shutdown_pool()``,
+# because the frozen ``benchmarks/perf`` binds ``campaign.read_trace`` by name.
+from repro.obs import read_trace  # noqa: F401
 from repro.types import VirtualTime
 
 __all__ = ["Campaign", "run_campaign"]
@@ -146,62 +147,74 @@ def _base_spec(scenario: str, entry: Optional[Scenario]) -> ScenarioSpec:
     return entry.spec
 
 
-def _traced(run: RunSpec, trace_path: str) -> RunSpec:
-    params = run.params_dict
-    params["observability.enabled"] = True
-    params["observability.trace"] = True
-    params["observability.trace_path"] = trace_path
-    return RunSpec(scenario=run.scenario, params=tuple(sorted(params.items())))
+@dataclass(frozen=True)
+class _JudgedResult(RunResult):
+    """A run's result plus its report entry: all that leaves the worker."""
+
+    judged: Dict[str, Any]
 
 
-def _read_trace_if_any(
-    path: str, tolerant: bool = False
-) -> Optional[List[Dict[str, Any]]]:
-    # A run that died raised before run_spec wrote its trace; an absent file
-    # simply means "nothing to check" for the trace oracle.  ``tolerant``
-    # additionally swallows unreadable files: a worker can be SIGKILLed
-    # *while* it writes its trace, and the truncated file must judge as
-    # "no trace" rather than kill the campaign.
-    if not os.path.exists(path):
-        return None
-    try:
-        return read_trace(path)
-    except (ReproError, ValueError):
-        if tolerant:
-            return None
-        raise
+@dataclass(frozen=True)
+class _Judge:
+    """A campaign's oracle stack, and what its stream applies to each run
+    where it executes (``dispatch``'s ``around``; a plain value, so it pickles
+    to spawned workers).  ``indices`` maps the stream's positions to sample
+    indices: a resumed stream has gaps, and -1 is the baseline."""
 
+    oracles: Sequence[Any]
+    baseline: Optional[Dict[str, Any]]
+    indices: Sequence[int]
+    keep_traces: Optional[str]
 
-def _judge(
-    index: int, run: RunSpec, result: Dict[str, Any],
-    records: Optional[List[Dict[str, Any]]], oracles: Sequence[Any],
-    baseline: Optional[Dict[str, Any]],
-) -> Dict[str, Any]:
-    """One run's report entry: every oracle's verdict, and a severity."""
-    outcome = RunOutcome(
-        index=index,
-        run_id=run.run_id,
-        params=run.params_dict,
-        result=result,
-        trace_records=records,
-        baseline=baseline,
-    )
-    violations = []
-    oracle_details: Dict[str, Any] = {}
-    for oracle in oracles:
-        report = oracle.judge(outcome)
-        violations.extend(report.violations)
-        oracle_details[oracle.name] = report.details
-    degradation = oracle_details["latency"]["degradation"]
-    severity = 100.0 * len(violations) + (degradation or 0.0)
-    return {
-        "index": index,
-        "run_id": run.run_id,
-        "params": run.params_dict,
-        "severity": severity,
-        "violations": [v.as_dict() for v in violations],
-        "oracles": oracle_details,
-    }
+    def verdict(
+        self, index: int, run: RunSpec, result: Dict[str, Any],
+        records: Optional[List[Dict[str, Any]]],
+    ) -> Dict[str, Any]:
+        """One run's report entry: every oracle's verdict, and a severity."""
+        outcome = RunOutcome(
+            index=index,
+            run_id=run.run_id,
+            params=run.params_dict,
+            result=result,
+            trace_records=records,
+            baseline=self.baseline,
+        )
+        violations = []
+        oracle_details: Dict[str, Any] = {}
+        for oracle in self.oracles:
+            report = oracle.judge(outcome)
+            violations.extend(report.violations)
+            oracle_details[oracle.name] = report.details
+        degradation = oracle_details["latency"]["degradation"]
+        severity = 100.0 * len(violations) + (degradation or 0.0)
+        return {
+            "index": index,
+            "run_id": run.run_id,
+            "params": run.params_dict,
+            "severity": severity,
+            "violations": [v.as_dict() for v in violations],
+            "oracles": oracle_details,
+        }
+
+    def __call__(
+        self, execute: Callable[..., RunResult], position: int, run: RunSpec,
+        entry: Optional[Scenario],
+    ) -> _JudgedResult:
+        index = self.indices[position]
+        # On a stable stack: recursion-limited trace tails (weight-gain
+        # refresh churn) otherwise depend on the caller's stack depth, and the
+        # report's serial == parallel == tests == CLI bytes on those tails.
+        observer = Observer(metrics=False)
+        with observing(observer):
+            result = run_with_stable_stack(execute, run, entry)
+        assert observer.trace is not None
+        # A run that died is judged with no trace, as a worker's that died is.
+        records = None if "error" in result.result else observer.trace.records
+        if records is not None and self.keep_traces is not None:
+            stem = "baseline" if index < 0 else f"{index:04d}"
+            write_trace(records, os.path.join(self.keep_traces, f"{stem}.jsonl"))
+        judged = self.verdict(index, run, result.result, records)
+        return _JudgedResult(result.scenario, result.params, result.result, judged)
 
 
 def _journal_header(
@@ -257,15 +270,18 @@ def run_campaign(
 
     The report is deterministic in (scenario, sample, seed, benign, times,
     window sizes, thresholds): worker count, trace directory and hash seed
-    leave its bytes unchanged.  ``keep_traces`` preserves the per-run trace
-    files in the given directory (by sample index); without it they go to a
-    temporary directory and each is deleted as soon as it has been read back
-    for judging.  ``progress`` is called with global ``(done, total)`` counts.
+    leave its bytes unchanged.  Every run executes under an observer the
+    campaign installs (the spec's own ``observability`` section is switched
+    off for it) and is judged from the live trace records by the process
+    that recorded them — a worker sends back its verdict, not its trace.
+    ``keep_traces`` additionally writes each completed run's trace to the
+    given directory (``baseline.jsonl``, then ``NNNN.jsonl`` by sample
+    index); without it no trace is encoded and no file is created.
+    ``progress`` is called with global ``(done, total)`` counts.
 
     ``journal_path`` journals *judged* entries (keyed by the digest of the
-    untraced run spec) as they land — per-run traces live in a temporary
-    directory and do not survive an interruption, so the journal records
-    the oracle verdicts, not the raw traces.  ``resume=True`` reloads an
+    run spec) as they land — the oracle verdicts, not the raw traces, which
+    never leave the run that recorded them.  ``resume=True`` reloads an
     existing journal and skips its runs (and the baseline); because every
     run and every oracle is deterministic, the resumed report is
     byte-identical to an uninterrupted one.  ``policy`` adds the per-run
@@ -276,6 +292,12 @@ def run_campaign(
     registry's — how ``chaos --spec`` campaigns over an unregistered spec.
     """
     base = _base_spec(scenario, entry)
+    # The campaign holds the only observer of its runs: one the spec switched
+    # on itself would be installed over it by ``run_spec``, and every run
+    # judged on an empty trace.
+    entry = SpecScenario(
+        dataclasses.replace(base, observability=ObservabilitySpec())
+    )
     axes = fault_axes(
         base,
         benign=benign,
@@ -319,47 +341,32 @@ def run_campaign(
         if progress is not None:
             progress(done, total)
 
-    trace_dir = keep_traces or tempfile.mkdtemp(prefix="repro-chaos-")
-    os.makedirs(trace_dir, exist_ok=True)
+    if keep_traces is not None:
+        os.makedirs(keep_traces, exist_ok=True)
     try:
         # -- baseline: the un-faulted scenario, traced and judged -----------
-        baseline_record = journal.get("baseline") if journal else None
-        if baseline_record is not None:
-            baseline_result = baseline_record["result"]
-            baseline_violations = baseline_record["violations"]
-            baseline_trace_records = baseline_record["trace_records"]
-        else:
-            baseline_path = os.path.join(trace_dir, "baseline.jsonl")
-            # Stable-stack execution everywhere: recursion-limited trace
-            # tails (weight-gain refresh churn) otherwise depend on the
-            # caller's stack depth, which would break the serial==parallel
-            # byte-identity of the report and its reproducibility from
-            # tests vs the CLI.
-            baseline_run = RunSpec(scenario=scenario)
-            baseline_result = run_with_stable_stack(
-                execute_run, _traced(baseline_run, baseline_path), entry
-            ).result
-            baseline_records = _read_trace_if_any(baseline_path)
-            baseline_trace_records = len(baseline_records or ())
-            baseline_violations = _judge(
-                -1, baseline_run, baseline_result, baseline_records,
-                oracles, None,
-            )["violations"]
-            del baseline_records  # else it lives as long as the campaign
+        baseline = journal.get("baseline") if journal else None
+        if baseline is None:
+            ran = _Judge(oracles, None, (-1,), keep_traces)(
+                execute_run, 0, RunSpec(scenario=scenario), entry
+            )
+            trace_oracle = ran.judged["oracles"]["trace-invariants"]
+            baseline = {
+                "result": ran.result,
+                "violations": ran.judged["violations"],
+                "trace_records": trace_oracle["records"],
+            }
             if journal is not None:
-                journal.record("baseline", {
-                    "result": baseline_result,
-                    "violations": baseline_violations,
-                    "trace_records": baseline_trace_records,
-                })
+                journal.record("baseline", baseline)
+        baseline_result = baseline["result"]
 
         # -- the sampled fault space, traced, errors captured ---------------
         # Journaled runs are skipped (their judged entries are replayed);
-        # fresh runs execute through the resilient stream and are judged —
-        # and journaled — as each one completes, so an interruption at any
-        # point loses at most the in-flight runs.
+        # fresh runs execute through the resilient stream, are judged where
+        # they ran and journaled as each one lands, so an interruption at
+        # any point loses at most the in-flight runs.
         entries = []
-        pending: List[Tuple[int, RunSpec]] = []
+        pending: List[int] = []
         for index, run in enumerate(runs):
             record = journal.get(run_digest(run)) if journal else None
             if record is not None:
@@ -367,45 +374,27 @@ def run_campaign(
                 entries.append(record["entry"])
                 tick()
             else:
-                pending.append((index, run))
+                pending.append(index)
 
-        index_map = [index for index, _ in pending]
-        traced_pending = [
-            _traced(run, os.path.join(trace_dir, f"{index:04d}.jsonl"))
-            for index, run in pending
-        ]
-        for sub_index, result in execute_stream_resilient(
-            traced_pending, workers=workers,
-            capture_errors=True, stable_stack=True,
-            policy=policy, quarantine=quarantine, telemetry=telemetry,
-            entry=entry,
+        judge = _Judge(oracles, baseline_result, pending, keep_traces)
+        for position, result in execute_stream_resilient(
+            [runs[index] for index in pending], workers=workers,
+            capture_errors=True, policy=policy, quarantine=quarantine,
+            telemetry=telemetry, entry=entry, around=judge,
         ):
-            index = index_map[sub_index]
+            index = pending[position]
             run = runs[index]
-            trace_path = os.path.join(trace_dir, f"{index:04d}.jsonl")
-            # A killed worker (watchdog, crash) can leave a trace truncated
-            # mid-write; judge that run as "no trace" instead of failing the
-            # whole campaign.  Every run that completed is read strictly.
-            completed = journalable(result)
-            # The records are bound nowhere in this frame: a judged trace is
-            # garbage before the stream starts the next run.
-            judged = _judge(
-                index, run, result.result,
-                _read_trace_if_any(trace_path, tolerant=not completed),
-                oracles, baseline_result,
-            )
-            if keep_traces is None:
-                # A campaign's disk footprint stays at the runs in flight,
-                # not the whole sample.
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(trace_path)
+            if isinstance(result, _JudgedResult):
+                judged = result.judged
+            else:
+                # Made by the parent for a worker it killed (watchdog) or
+                # lost (crash): whatever that worker recorded died with it.
+                judged = judge.verdict(index, run, result.result, None)
             entries.append(judged)
-            if journal is not None and completed:
+            if journal is not None and journalable(result):
                 journal.record(run_digest(run), {"entry": judged})
             tick()
     finally:
-        if keep_traces is None:
-            shutil.rmtree(trace_dir, ignore_errors=True)
         quarantine.close()
         if journal is not None:
             journal.close()
@@ -450,8 +439,8 @@ def run_campaign(
             "read_p99": (baseline_result.get("read_latency") or {}).get("p99"),
             "write_p99": (baseline_result.get("write_latency") or {}).get("p99"),
             "operations": baseline_result.get("operations"),
-            "violations": baseline_violations,
-            "trace_records": baseline_trace_records,
+            "violations": baseline["violations"],
+            "trace_records": baseline["trace_records"],
         },
     }
     return Campaign(header=header, entries=entries, base_spec=base)

@@ -880,8 +880,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="how many worst configurations to emit/show "
                          "(default 3)")
     p_chaos.add_argument("--keep-traces", metavar="DIR",
-                         help="keep per-run traces in DIR (by sample index) "
-                         "instead of a temporary directory")
+                         help="also write each run's trace to DIR "
+                         "(baseline.jsonl, then NNNN.jsonl by sample index)")
     p_chaos.add_argument("--fail-on-violations", action="store_true",
                          help="exit 1 if any sampled run violates an oracle "
                          "(the CI smoke gate for --benign campaigns)")

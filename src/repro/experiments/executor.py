@@ -45,6 +45,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 from repro.errors import ConfigurationError, ReproError, WorkerError
 from repro.experiments.registry import Scenario, get_scenario
 from repro.experiments.sweep import RunSpec
+from repro.obs.observer import current_observer, install_observer
 
 __all__ = [
     "ResiliencePolicy",
@@ -148,12 +149,17 @@ def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
     across serial/parallel execution need a stable starting depth.  A fresh
     thread starts from a constant base depth, and pinning the recursion
     limit removes the embedder's ``sys.setrecursionlimit`` as a variable.
-    Exceptions propagate unchanged.
+    Exceptions propagate unchanged, and the hop carries the caller's ambient
+    observer (per-thread: the fresh thread would start with none).
     """
     box: List[Any] = []
     error: List[BaseException] = []
+    observer = current_observer()
 
     def target() -> None:
+        # Installed here rather than by a wrapper around ``fn``: a frame
+        # between ``target`` and ``fn`` moves where recursion-limited runs die.
+        install_observer(observer)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_STABLE_STACK_LIMIT)
         try:
@@ -172,14 +178,14 @@ def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
 
 
 def _execute(
-    run: RunSpec, entry: Optional[Scenario], capture_errors: bool,
-    stable_stack: bool,
+    index: int, run: RunSpec, entry: Optional[Scenario], capture_errors: bool,
+    around: Optional[Callable[..., RunResult]],
 ) -> RunResult:
-    """One run under the stream's settings — in-process and in a worker."""
+    """One task under the stream's settings — in-process and in a worker."""
     execute = execute_run_captured if capture_errors else execute_run
-    if stable_stack:
-        return run_with_stable_stack(execute, run, entry)
-    return execute(run, entry)
+    if around is None:
+        return execute(run, entry)
+    return around(execute, index, run, entry)
 
 
 def shutdown_pool() -> None:
@@ -311,9 +317,9 @@ def _worker_main(conn: Any, *settings: Any) -> None:
             return
         if task is None:
             return
-        index, run = task
+        index = task[0]
         try:
-            message: Tuple[Any, ...] = ("ok", index, _execute(run, *settings))
+            message: Tuple[Any, ...] = ("ok", index, _execute(*task, *settings))
         except BaseException as exc:  # shipped to the parent, never lost
             message = ("raise", index, exc)
         try:
@@ -400,10 +406,10 @@ def dispatch(
     pending: List[Tuple[int, RunSpec]],
     workers: int,
     capture_errors: bool,
-    stable_stack: bool,
     policy: ResiliencePolicy,
     telemetry: StreamTelemetry,
     entry: Optional[Scenario] = None,
+    around: Optional[Callable[..., RunResult]] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Execute ``pending`` ``(index, run)`` pairs; yield ``(index, result)``.
 
@@ -414,13 +420,21 @@ def dispatch(
     ``WorkerCrashed`` error (worker died ``policy.max_attempts`` times).
     Worker deaths re-dispatch the lost run after an exponential backoff; the
     pool respawns workers as needed and the stream keeps draining throughout.
+
+    With ``capture_errors`` a run that raises is a result, not the end of the
+    stream (:func:`execute_run_captured`).  ``around`` names what the stream
+    applies to each run where it executes: ``around(execute, index, run,
+    entry)`` — ``execute(run, entry)`` being the run — returns the run's
+    result, all that crosses the worker pipe.  It reaches workers as a start
+    argument, like ``entry``: a module-level callable, not a closure.  The
+    watchdog and crash results are the parent's and never pass through it.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    settings = (entry, capture_errors, stable_stack)
+    settings = (entry, capture_errors, around)
     if not forks_workers(workers, policy):
         for index, run in pending:
-            yield index, _execute(run, *settings)
+            yield index, _execute(index, run, *settings)
         return
     # Imported here, by the parent, before the first worker starts: the
     # serial path never pays for multiprocessing (socket, selectors, pickle,
@@ -515,8 +529,6 @@ def execute_stream(
     runs: Iterable[RunSpec],
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
-    capture_errors: bool = False,
-    stable_stack: bool = False,
     entry: Optional[Scenario] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Yield ``(input_index, result)`` pairs as runs complete.
@@ -524,21 +536,14 @@ def execute_stream(
     Serial execution (``workers=1``) yields in input order; parallel
     execution yields in completion order.  Either way every input index
     appears exactly once, and ``progress`` (if given) is called with
-    ``(completed, total)`` after each run.  With ``capture_errors`` a run
-    raising :class:`~repro.errors.ReproError` yields an ``{"error": ...}``
-    result instead of killing the stream (see :func:`execute_run_captured`)
-    — the mode chaos campaigns stream in, where lethal configurations are
-    findings rather than failures.  ``stable_stack`` executes each run via
-    :func:`run_with_stable_stack`, making recursion-limited trace tails
-    identical across serial and parallel execution.  A worker process that
-    dies mid-run yields a ``WorkerCrashed`` error result for that run (this
-    is :func:`dispatch` under the inert policy) and the stream keeps draining.
+    ``(completed, total)`` after each run.  A worker process that dies mid-run
+    yields a ``WorkerCrashed`` error result for that run (this is
+    :func:`dispatch` under the inert policy) and the stream keeps draining.
     """
     pending = list(enumerate(runs))
     total = len(pending)
     for done, (index, result) in enumerate(dispatch(
-        pending, workers, capture_errors, stable_stack,
-        ResiliencePolicy(), StreamTelemetry(), entry,
+        pending, workers, False, ResiliencePolicy(), StreamTelemetry(), entry,
     ), 1):
         if progress is not None:
             progress(done, total)
@@ -549,8 +554,6 @@ def execute_many(
     runs: Iterable[RunSpec],
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
-    capture_errors: bool = False,
-    stable_stack: bool = False,
     entry: Optional[Scenario] = None,
 ) -> List[RunResult]:
     """Execute every run, optionally fanning out across worker processes.
@@ -560,8 +563,7 @@ def execute_many(
     run_list = list(runs)
     results: List[Optional[RunResult]] = [None] * len(run_list)
     for index, result in execute_stream(
-        run_list, workers=workers, progress=progress,
-        capture_errors=capture_errors, stable_stack=stable_stack, entry=entry,
+        run_list, workers=workers, progress=progress, entry=entry,
     ):
         results[index] = result
     return [result for result in results if result is not None]

@@ -281,17 +281,18 @@ def execute_stream_resilient(
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
     capture_errors: bool = False,
-    stable_stack: bool = False,
     policy: Optional[ResiliencePolicy] = None,
     journal: Optional[RunJournal] = None,
     quarantine: Optional[Quarantine] = None,
     telemetry: Optional[StreamTelemetry] = None,
     entry: Optional[Scenario] = None,
+    around: Optional[Callable[..., RunResult]] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """:func:`execute_stream` with journaled resume, watchdog and retry.
 
     The same :func:`~repro.experiments.executor.dispatch` as the plain
-    stream, under ``policy`` instead of the inert one, plus the sidecars:
+    stream, under ``policy`` instead of the inert one and with its ``around``
+    passed through, plus the sidecars:
 
     * runs whose digest is already journaled yield their journaled result
       first (in input order), without executing — ``telemetry.resumed``
@@ -332,8 +333,7 @@ def execute_stream_resilient(
         else:
             pending.append((index, run))
     for index, result in dispatch(
-        pending, workers, capture_errors, stable_stack, policy, telemetry,
-        entry,
+        pending, workers, capture_errors, policy, telemetry, entry, around,
     ):
         run = run_list[index]
         if journalable(result):

@@ -641,7 +641,8 @@ class ObservabilitySpec(SpecSection):
 
     Every field is sweepable (``observability.enabled``,
     ``observability.trace_path``), which is how ``python -m repro sweep
-    --trace-dir`` turns tracing on per run.
+    --trace-dir`` turns tracing on per run.  A chaos campaign switches the
+    section off for its runs: it observes them itself, from outside.
     """
 
     enabled: bool = False

@@ -13,7 +13,7 @@ records, never schedule events, send messages, or mutate component state.
 That is what makes an instrumented run produce bit-identical results and
 event interleavings to an uninstrumented one.
 
-Installation is process-local and explicit::
+Installation is per-thread and explicit::
 
     observer = Observer()
     with observing(observer):
@@ -27,6 +27,7 @@ building a cluster observes nothing — :func:`observing` must wrap the build.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional, Sequence
 
@@ -330,25 +331,28 @@ class Observer:
 # Ambient installation
 # ---------------------------------------------------------------------------
 
-_current: Optional[Observer] = None
+# Per thread, so two jobs of one service observing at once record their own
+# runs.  A new thread starts with none installed: a hop onto one carries the
+# caller's over itself (``run_with_stable_stack``).
+_ambient = threading.local()
 
 
 def current_observer() -> Optional[Observer]:
-    """The ambient observer, or ``None`` (the default: observability off)."""
-    return _current
+    """This thread's ambient observer, or ``None`` (the default: off)."""
+    return getattr(_ambient, "observer", None)
 
 
 def install_observer(observer: Optional[Observer]) -> Optional[Observer]:
-    """Install ``observer`` as ambient; returns the previously installed one."""
-    global _current
-    previous = _current
-    _current = observer
+    """Install ``observer`` as this thread's ambient one; returns the
+    previously installed one."""
+    previous = current_observer()
+    _ambient.observer = observer
     return previous
 
 
 @contextmanager
 def observing(observer: Optional[Observer]) -> Iterator[Optional[Observer]]:
-    """Install ``observer`` for the duration of the block.
+    """Install ``observer`` on this thread for the duration of the block.
 
     Components built inside the block capture it; the previous observer is
     restored on exit even if the block raises.  Passing ``None`` disables

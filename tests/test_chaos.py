@@ -17,6 +17,7 @@ The load-bearing guarantees under test:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -26,6 +27,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.chaos import Campaign, fault_axes, run_campaign
 from repro.chaos.oracles import (
@@ -38,19 +41,22 @@ from repro.chaos.oracles import (
 from repro.errors import ConfigurationError
 from repro.experiments import StreamTelemetry
 from repro.experiments.cli import main
-from repro.experiments.executor import execute_run, run_with_stable_stack
+from repro.experiments.executor import (
+    execute_run,
+    execute_run_captured,
+    run_with_stable_stack,
+)
 from repro.experiments.registry import get_scenario, register_spec
-from repro.experiments.spec import load_spec_file
+from repro.experiments.spec import load_spec_file, run_spec
 from repro.experiments.sweep import RunSpec, Sweep
-from repro.obs import read_trace
+from repro.obs import Observer, observing, read_trace, write_trace
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CAMPAIGN_REPORT = os.path.join(
     REPO_ROOT, "examples", "campaigns", "quickstart-campaign.jsonl"
 )
-WORST_SPEC = os.path.join(
-    REPO_ROOT, "examples", "specs", "quickstart-chaos-1.json"
-)
+SPECS_DIR = os.path.join(REPO_ROOT, "examples", "specs")
+WORST_SPEC = os.path.join(SPECS_DIR, "quickstart-chaos-1.json")
 
 
 def quickstart_spec():
@@ -354,95 +360,119 @@ class TestCommittedCampaign:
             committed)
 
 
-class TestCampaignTraces:
-    """Where a campaign's per-run traces live, and for how long."""
+def _raise_if_called(name):
+    def raiser(*args, **kwargs):
+        raise AssertionError(f"a campaign without keep_traces called {name}")
+    return raiser
 
-    def test_a_judged_run_leaves_no_trace_file_behind(
+
+class TestCampaignTraces:
+    """A trace is judged where it was recorded; only ``keep_traces`` makes a
+    file of it, and nothing ever reads one back."""
+
+    def test_a_campaign_without_keep_traces_touches_no_file(
         self, tmp_path, monkeypatch
     ):
+        import tempfile
+
         scratch = tmp_path / "scratch"
         scratch.mkdir()
-        monkeypatch.setattr(
-            "repro.chaos.campaign.tempfile.mkdtemp", lambda prefix: str(scratch)
-        )
+        monkeypatch.setenv("TMPDIR", str(scratch))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # re-read TMPDIR
+        monkeypatch.setattr(tempfile, "mkdtemp", _raise_if_called("mkdtemp"))
+        monkeypatch.chdir(scratch)
         seen = []
         campaign = run_campaign(
             "quickstart", sample=3, seed=3,
-            progress=lambda done, total: seen.append(sorted(os.listdir(scratch))),
+            progress=lambda done, total: seen.append(os.listdir(scratch)),
         )
-        # Serial execution: by the time run k is judged its trace is gone and
-        # run k+1 has not started, so only the baseline's file is ever seen.
-        assert seen == [["baseline.jsonl"]] * 3
-        assert not scratch.exists()  # and the directory goes at the end
+        assert seen == [[]] * 3 and os.listdir(scratch) == []
         assert all(entry["oracles"]["trace-invariants"]["checked"]
                    for entry in campaign.entries)
 
-    def test_keep_traces_keeps_every_file(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_campaign_without_keep_traces_encodes_and_decodes_nothing(
+        self, campaign, workers, monkeypatch
+    ):
+        # Patched wherever the name is bound (forked workers inherit it).
+        for module in ("repro.obs.trace", "repro.experiments.spec",
+                       "repro.chaos.campaign"):
+            for name in ("write_trace", "read_trace", "trace_digest",
+                         "trace_lines"):
+                if hasattr(sys.modules[module], name):
+                    monkeypatch.setattr(
+                        f"{module}.{name}", _raise_if_called(name))
+        again = run_campaign("quickstart", sample=6, seed=3, min_quorum=3,
+                             workers=workers)
+        assert list(again.jsonl_lines()) == list(campaign.jsonl_lines())
+        assert all(entry["oracles"]["trace-invariants"]["records"] > 0
+                   for entry in again.entries)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_keep_traces_keeps_the_bytes_a_traced_run_writes(
+        self, tmp_path, workers
+    ):
         kept = tmp_path / "kept"
         campaign = run_campaign("quickstart", sample=3, seed=3,
-                                keep_traces=str(kept))
+                                workers=workers, keep_traces=str(kept))
         assert sorted(os.listdir(kept)) == [
             "0000.jsonl", "0001.jsonl", "0002.jsonl", "baseline.jsonl",
         ]
-        by_index = {entry["index"]: entry for entry in campaign.entries}
-        for index in range(3):
-            records = read_trace(str(kept / f"{index:04d}.jsonl"))
-            assert len(records) == (
-                by_index[index]["oracles"]["trace-invariants"]["records"])
 
-    def test_a_trace_cut_mid_line_is_no_trace_only_when_tolerated(
-        self, tmp_path
-    ):
-        from repro.chaos.campaign import _read_trace_if_any
+        def traced_digest(execute, params):
+            # What the run's own ``observability`` section digests (and, with
+            # a trace_path, writes) for the same run at the same stack depth.
+            params = dict(params, **{"observability.enabled": True,
+                                     "observability.trace": True})
+            run = RunSpec("quickstart", tuple(sorted(params.items())))
+            return run_with_stable_stack(execute, run).result["trace"]
 
-        whole = tmp_path / "whole.jsonl"
-        execute_run(RunSpec("quickstart", (
-            ("observability.enabled", True),
-            ("observability.trace", True),
-            ("observability.trace_path", str(whole)),
-            ("workload.operations_per_client", 2),
-        )))
-        data = whole.read_bytes()
-        cut = tmp_path / "cut.jsonl"
-        cut.write_bytes(data[: len(data) - 20])  # a SIGKILL mid-write
-        assert _read_trace_if_any(str(whole)) == read_trace(str(whole))
-        assert _read_trace_if_any(str(tmp_path / "absent.jsonl")) is None
-        # The watchdog path judges it as "no trace" ...
-        assert _read_trace_if_any(str(cut), tolerant=True) is None
-        report = TraceInvariantOracle().judge(RunOutcome(
-            index=0, run_id="r", params={}, result={}, trace_records=None))
-        assert report.details == {"checked": False}
-        # ... the strict path refuses to judge half a trace.
-        with pytest.raises(ConfigurationError, match=r"cut\.jsonl:\d+: "):
-            _read_trace_if_any(str(cut))
+        def kept_file(stem):
+            data = (kept / f"{stem}.jsonl").read_bytes()
+            return {"records": data.count(b"\n"),
+                    "digest": hashlib.sha256(data).hexdigest()}
 
+        assert kept_file("baseline") == traced_digest(execute_run, {})
+        assert kept_file("baseline")["records"] == (
+            campaign.header["baseline"]["trace_records"])
+        for entry in campaign.entries:
+            on_disk = kept_file(f"{entry['index']:04d}")
+            assert on_disk == traced_digest(
+                execute_run_captured, entry["params"])
+            assert on_disk["records"] == (
+                entry["oracles"]["trace-invariants"]["records"])
 
     @pytest.mark.skipif(
         "fork" not in multiprocessing.get_all_start_methods(),
         reason="the patched run_spec reaches workers by fork",
     )
-    def test_a_crashed_worker_in_a_plain_campaign_is_judged_no_trace(
-        self, monkeypatch
+    def test_a_worker_killed_mid_run_is_judged_no_trace(
+        self, tmp_path, monkeypatch
     ):
         # What the OOM killer does to one worker of a plain `--workers 2`
-        # campaign, mid-trace-write: that run is "no trace", quarantined;
-        # every other run is still read strictly and judged in full.
+        # campaign, mid-run: whatever it had recorded dies with it, the run
+        # is quarantined and judged "no trace"; every other run is judged in
+        # full, by the worker that ran it.
         import repro.experiments.registry as registry_module
 
         real_run_spec = registry_module.run_spec
+        sampled = Sweep.of(
+            "quickstart", grid=fault_axes(quickstart_spec())
+        ).sample_lhs(3, seed=3)
+        doomed = quickstart_spec().with_overrides(sampled[1].params_dict)
+        parent = os.getpid()
 
         def run_spec_or_die(spec):
-            path = spec.observability.trace_path or ""
-            if path.endswith("0001.jsonl"):
-                with open(path, "w", encoding="utf-8") as handle:
-                    handle.write('{"kind": "torn')
-                os.kill(os.getpid(), signal.SIGKILL)
-            return real_run_spec(spec)
+            result = real_run_spec(spec)
+            if os.getpid() != parent and spec == doomed:
+                os.kill(os.getpid(), signal.SIGKILL)  # recorded, not yet judged
+            return result
 
         monkeypatch.setattr(registry_module, "run_spec", run_spec_or_die)
         telemetry = StreamTelemetry()
+        kept = tmp_path / "kept"
         campaign = run_campaign("quickstart", sample=3, seed=3, workers=2,
-                                telemetry=telemetry)
+                                telemetry=telemetry, keep_traces=str(kept))
         assert telemetry.quarantined == 1
         assert "resilience" not in campaign.header["campaign"]
         by_index = {entry["index"]: entry for entry in campaign.entries}
@@ -451,6 +481,147 @@ class TestCampaignTraces:
         assert crashed["oracles"]["trace-invariants"] == {"checked": False}
         for index in (0, 2):
             assert by_index[index]["oracles"]["trace-invariants"]["checked"]
+            assert by_index[index]["oracles"]["trace-invariants"]["records"] > 0
+        assert sorted(os.listdir(kept)) == [
+            "0000.jsonl", "0002.jsonl", "baseline.jsonl",
+        ]
+
+
+def _live_records(spec, params):
+    """The recorder's own list after one run of ``spec`` under ``params`` at
+    the campaign's stack depth; a lethal configuration's partial trace is
+    still a trace (and the one most likely to carry findings)."""
+    observer = Observer()
+    with observing(observer):
+        try:
+            run_with_stable_stack(run_spec, spec.with_overrides(params))
+        except Exception:  # noqa: BLE001 - whatever the faults did to it
+            pass
+    return observer.trace.records
+
+
+def _same_with_exact_types(left, right):
+    if type(left) is not type(right):
+        return False
+    if type(left) is dict:
+        return left.keys() == right.keys() and all(
+            type(key) is str and _same_with_exact_types(left[key], right[key])
+            for key in left)
+    if type(left) is list:
+        return len(left) == len(right) and all(
+            map(_same_with_exact_types, left, right))
+    return type(left) in (str, int, float, bool) and left == right
+
+
+class TestSpawnedWorkersJudge:
+    def test_an_unregistered_spec_on_spawned_workers_equals_serial(
+        self, monkeypatch
+    ):
+        # What the stream applies to a run reaches a spawned worker pickled,
+        # as a start argument beside the planned entry — nothing is inherited.
+        import dataclasses
+
+        from repro.experiments import executor
+        from repro.experiments.registry import SpecScenario
+
+        entry = SpecScenario(
+            dataclasses.replace(quickstart_spec(), name="spawned-chaos"))
+        serial = run_campaign("spawned-chaos", sample=3, seed=3, entry=entry)
+        monkeypatch.setattr(
+            executor, "_pool_context",
+            lambda: multiprocessing.get_context("spawn"))
+        spawned = run_campaign(
+            "spawned-chaos", sample=3, seed=3, workers=2, entry=entry)
+        assert list(spawned.jsonl_lines()) == list(serial.jsonl_lines())
+        assert all(judged["oracles"]["trace-invariants"]["records"] > 0
+                   for judged in spawned.entries)
+
+
+class TestLiveRecordsAreTheFile:
+    """Skipping the write/read round trip is safe because it is the identity:
+    what the ``Observer`` emits is already what ``read_trace`` would return,
+    and the oracle says the same about both — the old path is the oracle."""
+
+    def assert_judged_alike(self, spec, params, tmp_path_factory):
+        live = _live_records(spec, params)
+        assert type(live) is list and live
+        for record in live:
+            assert _same_with_exact_types(json.loads(json.dumps(record)), record)
+        path = str(tmp_path_factory.mktemp("trace") / "run.jsonl")
+        write_trace(live, path)
+        from_file = read_trace(path)
+        assert _same_with_exact_types(list(from_file), live)
+        # Stricter than any of these clusters' smallest quorum: real findings,
+        # so the messages compared are not two empty lists.
+        oracle = TraceInvariantOracle(min_quorum=4)
+        outcome = dict(index=0, run_id="r", params=params, result={})
+        on_live = oracle.judge(RunOutcome(trace_records=live, **outcome))
+        on_file = oracle.judge(RunOutcome(trace_records=from_file, **outcome))
+        assert on_live.details == on_file.details
+        assert on_live.details["records"] == len(live)
+        assert on_live.violations == on_file.violations  # messages included
+        return on_live
+
+    @pytest.mark.parametrize("name, examples", [
+        ("quickstart", 12), ("fig1-walkthrough", 4),
+    ])
+    def test_the_oracle_cannot_tell_live_records_from_the_file(
+        self, name, examples, tmp_path_factory
+    ):
+        spec = load_spec_file(os.path.join(SPECS_DIR, f"{name}.json"))
+        axes = fault_axes(spec)
+
+        @settings(max_examples=examples, deadline=None, database=None,
+                  suppress_health_check=list(HealthCheck))
+        @given(st.fixed_dictionaries(
+            {path: st.sampled_from(values) for path, values in axes.items()}))
+        def check(params):
+            self.assert_judged_alike(spec, params, tmp_path_factory)
+
+        check()
+
+    def test_a_sharded_trace_with_findings_is_judged_alike(
+        self, tmp_path_factory
+    ):
+        spec = load_spec_file(
+            os.path.join(SPECS_DIR, "sharded-global-monitoring.json"))
+        report = self.assert_judged_alike(
+            spec, {"workload.operations_per_client": 4}, tmp_path_factory)
+        assert report.details["records"] > 1000 and report.violations
+
+
+class TestASpecWithItsOwnObserver:
+    """``run_spec`` installs a spec's own observer over the ambient one; the
+    campaign must hold the only observer of its runs or it judges nothing."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_report_equals_the_unobserved_specs(
+        self, tmp_path, capsys, workers
+    ):
+        reports = {}
+        for label in ("plain", "observed"):
+            body = quickstart_spec().to_dict()
+            body["name"] = "self-observed"
+            if label == "observed":
+                body["observability"] = {"enabled": True, "trace": True}
+            else:
+                body.pop("observability", None)
+            spec_path = tmp_path / f"{label}.json"
+            spec_path.write_text(json.dumps(body), encoding="utf-8")
+            report = tmp_path / f"{label}.jsonl"
+            assert main([
+                "chaos", "--spec", str(spec_path), "--sample", "3", "--seed",
+                "1", "--workers", str(workers), "--report", str(report),
+                "--quiet", "--no-progress",
+            ]) == 0
+            reports[label] = report.read_text(encoding="utf-8")
+        capsys.readouterr()
+        assert reports["observed"] == reports["plain"]
+        header, *entries = map(json.loads, reports["observed"].splitlines())
+        assert header["baseline"]["trace_records"] > 0
+        assert len(entries) == 3
+        for entry in entries:
+            assert entry["oracles"]["trace-invariants"]["records"] > 0
 
 
 class TestChaosCli:

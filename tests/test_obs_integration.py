@@ -42,19 +42,24 @@ GOLDEN_TRACE_FILE = os.path.join(
 )
 
 
+def _small_run_in_ambient():
+    """One small dynamic-cluster workload under whatever observer is ambient."""
+    config = SystemConfig(servers=("s1", "s2", "s3", "s4", "s5"), f=1)
+    cluster = build_dynamic_cluster(
+        config, latency=UniformLatency(0.5, 1.5, seed=7), client_count=3
+    )
+    workload = uniform_workload(
+        list(cluster.clients), operations_per_client=5,
+        read_ratio=0.7, mean_think_time=0.3, seed=7,
+    )
+    report = run_workload(cluster, workload)
+    return cluster, report
+
+
 def _small_run(observer=None):
     """One small dynamic-cluster workload, optionally observed."""
     with observing(observer):
-        config = SystemConfig(servers=("s1", "s2", "s3", "s4", "s5"), f=1)
-        cluster = build_dynamic_cluster(
-            config, latency=UniformLatency(0.5, 1.5, seed=7), client_count=3
-        )
-        workload = uniform_workload(
-            list(cluster.clients), operations_per_client=5,
-            read_ratio=0.7, mean_think_time=0.3, seed=7,
-        )
-        report = run_workload(cluster, workload)
-    return cluster, report
+        return _small_run_in_ambient()
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +124,71 @@ class TestPassivity:
         assert counters["storage.weight_gain_refreshes"] >= 1
         depth = observer.metrics.as_dict()["gauges"]["storage.weight_gain_refresh_depth"]
         assert depth["max"] >= 1.0
+
+
+class TestAmbientObserverIsPerThread:
+    """Two threads inside ``observing(...)`` at once (two traced jobs of a
+    ``job_concurrency=2`` service) must each record their own run."""
+
+    def test_a_world_built_after_another_thread_installs_keeps_its_observer(self):
+        import threading
+
+        first, second = Observer(), Observer()
+        first_installed, second_installed = threading.Event(), threading.Event()
+        first_done = threading.Event()
+        failures = []
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except BaseException as error:  # reported on the main thread
+                    failures.append(error)
+                    for event in (first_installed, second_installed, first_done):
+                        event.set()
+            return run
+
+        def build_first():
+            with observing(first):
+                first_installed.set()
+                # The other thread installs its own observer *between* this
+                # thread's install and its cluster build.
+                assert second_installed.wait(10.0)
+                _small_run_in_ambient()
+            first_done.set()
+
+        def install_second():
+            assert first_installed.wait(10.0)
+            with observing(second):
+                second_installed.set()
+                assert first_done.wait(10.0)
+
+        threads = [threading.Thread(target=guarded(body))
+                   for body in (build_first, install_second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+        assert not failures, failures
+        alone = Observer()
+        _small_run(observer=alone)
+        assert first.trace.records == alone.trace.records
+        assert second.trace.records == []
+        assert first.metrics.as_dict() == alone.metrics.as_dict()
+
+    def test_the_stable_stack_hop_carries_the_callers_observer(self):
+        from repro.experiments.executor import run_with_stable_stack
+        from repro.obs import current_observer
+
+        observer = Observer()
+        with observing(observer):
+            assert run_with_stable_stack(current_observer) is observer
+            with observing(None):
+                assert run_with_stable_stack(current_observer) is None
+        assert run_with_stable_stack(current_observer) is None
+        # ... and what the hop's thread installs stays on that thread.
+        run_with_stable_stack(lambda: observing(Observer()).__enter__())
+        assert current_observer() is None
 
 
 class TestDisabledPathIsUntouched:

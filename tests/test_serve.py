@@ -513,6 +513,66 @@ class TestHTTPServer:
             http_client.cancel(job["id"])
         assert excinfo.value.status == 409
 
+    def test_concurrent_traced_jobs_each_stream_the_clis_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        # Two tenants, two job threads in one process, both runs observed at
+        # once: the ambient observer is per-thread, so each job's metrics and
+        # trace digest are its own run's — the bytes the CLI prints for it.
+        # The scenario has no transfers: without the weight-gain refresh churn
+        # its trace does not depend on the stack depth it is recorded at.
+        import repro.experiments.spec as spec_module
+
+        def request(seed):
+            return {"kind": "run", "scenario": "crash-resilience",
+                    "params": {"seed": seed, "observability.enabled": True}}
+
+        want = {
+            seed: cli_sweep_bytes(
+                tmp_path, f"direct-{seed}.jsonl",
+                ["crash-resilience", "-p", f"seed={seed}",
+                 "-p", "observability.enabled=True"],
+            )
+            for seed in (3, 4)
+        }
+        assert json.loads(want[3])["result"]["trace"]["records"] > 0
+
+        # Each run has installed its observer when it gets here; it builds
+        # its world only once the other has too, and keeps observing until
+        # the other is done.
+        both_there = threading.Barrier(2, timeout=30.0)
+        run_inner = spec_module._run_spec_inner
+
+        def run_inner_together(spec):
+            both_there.wait()
+            try:
+                return run_inner(spec)
+            finally:
+                both_there.wait()
+
+        monkeypatch.setattr(spec_module, "_run_spec_inner", run_inner_together)
+        service = ExperimentService(
+            str(tmp_path / "jobs"), workers=1, job_concurrency=2
+        )
+        server = ExperimentServer(("127.0.0.1", 0), service, quiet=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.05},
+            daemon=True,
+        )
+        thread.start()
+        client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
+        try:
+            # Queued while no job thread runs: each thread then takes one.
+            jobs = {seed: client.submit(request(seed))["id"] for seed in (3, 4)}
+            service.start()
+            served = {seed: client.results_bytes(job) for seed, job in jobs.items()}
+            assert all(client.wait(job)["state"] == "done" for job in jobs.values())
+        finally:
+            server.shutdown()
+            server.server_close()
+            service.shutdown()
+        assert served == want
+
     def test_jobs_listing_and_status(self, http_client):
         job = http_client.submit(
             {"kind": "run", "scenario": "quickstart", "params": FAST})
