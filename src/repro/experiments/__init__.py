@@ -33,8 +33,8 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "spec": (
         "ScenarioSpec", "ClusterSpec", "WorkloadSpec", "KeySpec", "ArrivalSpec",
         "MixSpec", "PhaseSpec", "LatencySpec", "MonitoringSpec", "PolicySpec",
-        "FaultSpec", "FailureSpec", "PartitionSpec", "TransferEvent", "run_spec",
-        "flatten_spec", "load_spec_file",
+        "FaultSpec", "FailureSpec", "OutageSpec", "PartitionSpec", "TransferEvent",
+        "run_spec", "load_spec_file",
     ),
     "registry": (
         "Scenario", "FunctionScenario", "SpecScenario", "scenario", "register",

@@ -143,11 +143,13 @@ class Plan(NamedTuple):
 def plan(request: JobRequest) -> Plan:
     """Validate ``request``, resolve its scenario and expand its runs.
 
-    Every ``params`` key and ``grid`` / ``seeds`` axis is checked with the
-    rule execution itself applies (:meth:`Scenario.check_params`: the spec's
-    override paths, aliases included, or the function's keyword set); a
-    rejected name fails here, before any run starts, with its request path
-    (``params.<key>``, ``grid.<axis>``, ``seeds``) attached.
+    Every ``params`` value and every value of every ``grid`` / ``seeds``
+    axis is checked with the rule execution itself applies
+    (:meth:`Scenario.check_params`: the spec's override paths, aliases
+    included, each value typed by the section it lands in — or the
+    function's keyword set); a rejected name or a malformed shape fails
+    here, before any run starts, with its request path (``params.<key>``,
+    ``grid.<axis>``, ``seeds``) attached.
     """
     request.validate()
     if request.spec is not None:
@@ -162,10 +164,10 @@ def plan(request: JobRequest) -> Plan:
     named = [(f"params.{key}", key, value) for key, value in request.params.items()]
     named += [
         ("seeds" if axis == "seed" and request.seeds is not None else f"grid.{axis}",
-         axis, values[0])
-        for axis, values in grid.items() if values  # expansion rejects an empty axis
+         axis, value)
+        for axis, values in grid.items() for value in values
     ]
-    for path, key, value in sorted(named):
+    for path, key, value in sorted(named, key=lambda item: item[0]):
         try:
             entry.check_params({key: value})
         except ConfigurationError as error:

@@ -108,8 +108,9 @@ class Scenario:
         raise NotImplementedError
 
     def check_params(self, params: Mapping[str, Any]) -> None:
-        """Raise :class:`ConfigurationError` for a name :meth:`execute` would
-        reject — the same rule, without running anything."""
+        """Raise :class:`ConfigurationError` for a name — or, for a spec, a
+        value shape — :meth:`execute` would reject: the same rule, without
+        running anything."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

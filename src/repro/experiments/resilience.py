@@ -74,6 +74,7 @@ __all__ = [
     "execute_stream_resilient",
     "interruptible",
     "journalable",
+    "load_jsonl_log",
     "run_digest",
 ]
 
@@ -101,6 +102,46 @@ def run_digest(run: RunSpec) -> str:
 # ---------------------------------------------------------------------------
 
 
+def load_jsonl_log(path: str, what: str) -> List[Dict[str, Any]]:
+    """The committed records of an append-only JSONL log, in file order.
+
+    The loader of both durable logs, a :class:`RunJournal` and the service's
+    ``jobs.jsonl``.  Each appends ``record + "\\n"`` in one write, so the
+    newline is the commit mark: whatever follows the last newline is the
+    append a dying process did not finish.  It is dropped *and cut off the
+    file*, so the next append starts on a line boundary instead of welding
+    itself to the fragment.  An undecodable line before that is damage, not
+    an interruption, and raises :class:`ConfigurationError` naming the file
+    and the line — resuming past it would silently forget what followed.
+
+    The writers promise different things, and one loader serves both: the
+    jobs log ``fsync``s every line (an acknowledged job survives a crash of
+    the host), a run journal only ``flush``es (a completed run survives the
+    death of the process; after a host crash the tail may be missing, which
+    costs re-running those runs, never a wrong result).
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    committed, _, unfinished = data.rpartition(b"\n")
+    if unfinished:
+        os.truncate(path, len(data) - len(unfinished))
+    records: List[Dict[str, Any]] = []
+    for number, line in enumerate(committed.split(b"\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(record)
+        except ValueError:
+            raise ConfigurationError(
+                f"{what} {path}: undecodable record on line {number} "
+                "(only an unfinished final line is tolerated)"
+            ) from None
+        records.append(record)
+    return records
+
+
 class RunJournal:
     """An append-only JSONL journal of completed runs, keyed by digest.
 
@@ -108,8 +149,9 @@ class RunJournal:
     journal belongs to; every later line is an entry record carrying a
     ``"digest"`` key.  Records are flushed line-by-line as they are written,
     so a SIGKILLed process loses at most the line it was in the middle of —
-    and the loader tolerates exactly that: an undecodable *final* line is
-    discarded, an undecodable earlier line is an error.
+    and the loader (:func:`load_jsonl_log`) tolerates exactly that: an
+    unfinished *final* line is discarded, an undecodable earlier line is an
+    error.
 
     ``resume=True`` loads an existing journal (validating its header against
     ``header``) and appends to it; a missing file starts fresh, so blind
@@ -129,21 +171,7 @@ class RunJournal:
             self._write({"journal": self.header})
 
     def _load(self) -> None:
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        records: List[Dict[str, Any]] = []
-        for number, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                if number == len(lines) - 1:
-                    continue  # the interrupted write; everything before is whole
-                raise ConfigurationError(
-                    f"journal {self.path}: undecodable record on line "
-                    f"{number + 1} (only the final line may be partial)"
-                )
+        records = load_jsonl_log(self.path, "journal")
         if not records or "journal" not in records[0]:
             raise ConfigurationError(
                 f"journal {self.path}: missing header record on line 1"

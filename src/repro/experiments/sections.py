@@ -9,7 +9,8 @@ ScenarioSpec` root itself — is a frozen dataclass inheriting
   (nested sections become dicts, tuples become lists);
 * :meth:`SpecSection.from_dict` — the exact inverse, rejecting unknown keys
   so a typo in a spec file fails loudly instead of silently running the
-  defaults;
+  defaults (it also accepts the positional shorthand for nested sections,
+  which ``to_dict`` never emits);
 * :meth:`SpecSection.flatten` — the section's sweepable parameters as one
   flat dotted-path dict (``cluster.n``, ``workload.keys.zipf_s``,
   ``monitoring.policy.threshold``), shared by the sweep engine, the registry
@@ -19,6 +20,11 @@ ScenarioSpec` root itself — is a frozen dataclass inheriting
 * ``build(...)`` — section-specific: construct the runtime objects the
   section describes (a latency model, a cluster, a failure schedule, a
   monitoring harness).
+
+A section types its own fields when it is constructed, so a value has one
+in-memory shape whichever door it came through — the constructor,
+``dataclasses.replace`` / ``with_overrides`` or ``from_dict`` — and no reader
+coerces (see :class:`SpecSection`).
 
 Because the protocol is uniform, composition is free: a section nests other
 sections to arbitrary depth and serialization / flattening / validation
@@ -30,6 +36,7 @@ turned back into the nested ``from_dict`` form.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import typing
 from typing import Any, ClassVar, Dict, Mapping, Tuple, Type, TypeVar
 
@@ -39,16 +46,23 @@ __all__ = ["SpecSection", "unflatten"]
 
 S = TypeVar("S", bound="SpecSection")
 
-# typing.get_type_hints walks the MRO and evaluates string annotations; cache
-# per class so from_dict stays cheap in sweeps that parse many spec files.
-_HINTS_CACHE: Dict[type, Dict[str, Any]] = {}
+# One field's annotation, evaluated on first use.  typing.get_type_hints
+# evaluates a whole class (100-400 us for a dozen string annotations), and a
+# cold ``run quickstart`` needs about one field each of six classes.
+_HINTS: Dict[Tuple[type, str], Any] = {}
 
 
-def _field_hints(cls: type) -> Dict[str, Any]:
-    hints = _HINTS_CACHE.get(cls)
-    if hints is None:
-        hints = _HINTS_CACHE[cls] = typing.get_type_hints(cls)
-    return hints
+def _field_hint(cls: type, name: str) -> Any:
+    hint = _HINTS.get((cls, name))
+    if hint is None:
+        for owner in cls.__mro__:
+            hint = vars(owner).get("__annotations__", {}).get(name)
+            if hint is not None:
+                break
+        if isinstance(hint, str):  # ``from __future__ import annotations``
+            hint = eval(hint, vars(sys.modules[owner.__module__]))
+        _HINTS[cls, name] = hint
+    return hint
 
 
 def _deep_tuple(value: Any) -> Any:
@@ -66,26 +80,48 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _section_from(section: Type[S], value: Any, context: str) -> S:
-    """Build a nested section from a dict (by name) or a sequence (positional)."""
+def _shorthand(section: Type[S]) -> str:
+    """A section's positional input form: ``(at, source, target, delta[, shard])``."""
+    tail = ""
+    for field in reversed(dataclasses.fields(section)):
+        if (
+            field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING
+        ):
+            tail = f", {field.name}{tail}"
+        else:
+            tail = f"[, {field.name}{tail}]"
+    return f"({tail})".replace("(, ", "(").replace("([, ", "([")
+
+
+def _section_from(section: Type[S], value: Any, path: str) -> S:
+    """Build a nested section from a dict (by name) or a sequence (positional).
+
+    ``path`` locates the value inside the section being constructed; an
+    error from further down keeps its own location, prefixed with this one.
+    """
     if isinstance(value, section):
         return value
-    if isinstance(value, Mapping):
-        return section.from_dict(value)
-    if isinstance(value, (list, tuple)):
-        try:
-            return section(*(_deep_tuple(item) for item in value))
-        except TypeError as error:
-            raise ConfigurationError(
-                f"{context}: cannot build {section.__name__} from {value!r}"
-            ) from error
+    cause = None
+    try:
+        if isinstance(value, Mapping):
+            return section.from_dict(value)
+        if isinstance(value, (list, tuple)):
+            return section(*value)
+    except ConfigurationError as error:
+        error.path = f"{path}.{error.path}" if error.path else path
+        raise
+    except TypeError as error:  # too few or too many positional values
+        cause = error
     raise ConfigurationError(
-        f"{context}: expected a {section.__name__} mapping, got {value!r}"
-    )
+        f"{path}: cannot build {section.__name__} from {value!r}; expected a "
+        f"mapping or {_shorthand(section)}",
+        path=path,
+    ) from cause
 
 
-def _coerce(hint: Any, value: Any, context: str) -> Any:
-    """Convert one JSON-shaped field value into its declared spec type."""
+def _coerce(hint: Any, value: Any, path: str) -> Any:
+    """Convert one input-shaped field value into its declared spec type."""
     origin = typing.get_origin(hint)
     if origin is typing.Union:
         if value is None:
@@ -94,11 +130,11 @@ def _coerce(hint: Any, value: Any, context: str) -> Any:
         hint = args[0]
         origin = typing.get_origin(hint)
     if isinstance(hint, type) and issubclass(hint, SpecSection):
-        return _section_from(hint, value, context)
+        return _section_from(hint, value, path)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigurationError(
-                f"{context}: expected a list, got {value!r}"
+                f"{path}: expected a list, got {value!r}", path=path
             )
         args = typing.get_args(hint)
         element = args[0] if len(args) == 2 and args[1] is Ellipsis else None
@@ -107,14 +143,34 @@ def _coerce(hint: Any, value: Any, context: str) -> Any:
             and issubclass(element, SpecSection)
         ):
             return tuple(
-                _section_from(element, item, context) for item in value
+                _section_from(element, item, f"{path}[{index}]")
+                for index, item in enumerate(value)
             )
         return _deep_tuple(value)
     return _deep_tuple(value) if isinstance(value, list) else value
 
 
+# Scalar types.  __post_init__ passes a scalar in a scalar field, an empty
+# tuple and a section instance by without looking at the field's annotation,
+# so the all-default instances built while ``spec.py`` is imported evaluate
+# none.
+_ATOMS = frozenset({type(None), bool, int, float, str})
+
+
 class SpecSection:
     """Mixin giving every (frozen dataclass) spec section one uniform protocol.
+
+    **Invariant: after construction through any door, every field holds
+    exactly its declared type.**  A section types its own fields when it is
+    constructed (:meth:`__post_init__`), so the constructor,
+    :func:`dataclasses.replace` (and with it ``with_overrides``) and
+    :meth:`from_dict` yield the same value from the same input: equal,
+    hashable, and equal again after a trip through :meth:`to_dict`.  Readers
+    never coerce.  The positional shorthand (``[5.0, "s1", "s2", 0.25]`` for
+    a nested section) and lists are *input-only*: :meth:`to_dict` always
+    emits the object form.  A value that cannot take its field's shape is
+    rejected there and then, with the dotted ``path`` of the offending item
+    (``transfers[0]``, ``faults.outages[1]``) on the error.
 
     Subclasses may declare:
 
@@ -129,6 +185,24 @@ class SpecSection:
     _non_sweepable: ClassVar[Tuple[str, ...]] = ()
     _aliases: ClassVar[Dict[str, str]] = {}
 
+    def __post_init__(self) -> None:
+        """Type every field: nested sections from dicts or sequences, tuples
+        from lists — the one place a spec value's in-memory shape is decided."""
+        cls = type(self)
+        for name, value in vars(self).items():
+            if type(value) in _ATOMS:
+                # A scalar is at home where the field's default is one (or
+                # there is none); in a tuple or section field it is a shape
+                # error, which the typed path below words.
+                if type(getattr(cls, name, None)) in _ATOMS:
+                    continue
+            elif isinstance(value, SpecSection) or value == ():
+                continue
+            # Replacing the value of an existing key is safe mid-iteration.
+            object.__setattr__(
+                self, name, _coerce(_field_hint(cls, name), value, name)
+            )
+
     # -- serialization -----------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """The section as a JSON-serialisable plain dict (recursive)."""
@@ -141,16 +215,14 @@ class SpecSection:
     def from_dict(cls: Type[S], data: Mapping[str, Any]) -> S:
         """The inverse of :meth:`to_dict`; unknown keys are rejected.
 
-        Nested sections may be given as dicts (by field name) or sequences
-        (positional — the CLI/JSON shorthand for transfers and phases);
-        lists become tuples throughout.
+        Only the keys are checked here (unknown, aliased, duplicated); the
+        values take their types in the constructor, like any other input.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"{cls.__name__} expects a mapping, got {data!r}"
             )
         field_names = {field.name for field in dataclasses.fields(cls)}
-        hints = _field_hints(cls)
         kwargs: Dict[str, Any] = {}
         for key in data:
             name = cls._aliases.get(key, key)
@@ -167,7 +239,7 @@ class SpecSection:
                     f"duplicate key for {cls.__name__}.{name}: {key!r} "
                     "collides with an earlier spelling of the same section"
                 )
-            kwargs[name] = _coerce(hints[name], data[key], f"{cls.__name__}.{key}")
+            kwargs[name] = data[key]
         try:
             return cls(**kwargs)
         except TypeError as error:
@@ -180,7 +252,7 @@ class SpecSection:
         """The section's sweepable parameters as a flat dotted-path dict.
 
         Nested sections recurse to arbitrary depth; tuple-valued fields
-        (transfers, phases, crashes) stay single leaves with their raw
+        (transfers, phases, crashes) stay single leaves holding their typed
         values, exactly addressable by one override.
         """
         flat: Dict[str, Any] = {}

@@ -42,7 +42,7 @@ import dataclasses
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
@@ -58,9 +58,8 @@ from repro.net.latency import (
 from repro.sim.cluster import (
     Cluster,
     ShardedCluster,
-    build_dynamic_cluster,
+    build_cluster,
     build_sharded_cluster,
-    build_static_cluster,
 )
 from repro.sim.failures import FailureSchedule, windows_overlap
 from repro.sim.metrics import LatencySummary
@@ -99,23 +98,44 @@ __all__ = [
     "PolicySpec",
     "MonitoringSpec",
     "ObservabilitySpec",
+    "OutageSpec",
     "PartitionSpec",
     "FaultSpec",
     "FailureSpec",
     "TransferEvent",
     "ScenarioSpec",
     "run_spec",
-    "flatten_spec",
     "load_spec_file",
     "read_spec_file",
 ]
 
 CLUSTER_FLAVOURS = ("dynamic-weighted", "static-majority", "static-weighted")
-LATENCY_KINDS = ("constant", "uniform", "lognormal")
-KEY_KINDS = ("uniform", "zipfian", "hotspot")
-ARRIVAL_KINDS = ("closed", "poisson", "onoff")
-POLICY_KINDS = ("inverse-latency", "wheat")
 MONITORING_SCOPES = ("per-shard", "global")
+
+
+class _Kinds(Dict[str, Callable[..., Any]]):
+    """A ``kind -> builder`` table; looking up an unknown kind raises the one
+    shared error, so ``validate()`` and ``build()`` both just index it."""
+
+    def __init__(
+        self, what: str, builders: Mapping[str, Callable[..., Any]]
+    ) -> None:
+        super().__init__(builders)
+        self.what = what
+
+    def __missing__(self, kind: str) -> Callable[..., Any]:
+        raise ConfigurationError(
+            f"unknown {self.what} {kind!r}; expected one of {', '.join(self)}"
+        )
+
+
+_LATENCY_MODELS = _Kinds("latency kind", {
+    "constant": lambda spec, seed: ConstantLatency(spec.value),
+    "uniform": lambda spec, seed: UniformLatency(spec.low, spec.high, seed=seed),
+    "lognormal": lambda spec, seed: LogNormalLatency(
+        spec.median, spec.sigma, seed=seed
+    ),
+})
 
 
 @dataclass(frozen=True)
@@ -160,11 +180,7 @@ class LatencySpec(SpecSection):
     degraded_end: Optional[VirtualTime] = None
 
     def _validate(self) -> None:
-        if self.kind not in LATENCY_KINDS:
-            raise ConfigurationError(
-                f"unknown latency kind {self.kind!r}; "
-                "expected constant, uniform or lognormal"
-            )
+        _LATENCY_MODELS[self.kind]  # raises for an unknown kind
         if self.degraded_factor < 1.0:
             raise ConfigurationError(
                 "latency.degraded_factor must be >= 1 (gray nodes are slow, "
@@ -195,21 +211,11 @@ class LatencySpec(SpecSection):
         scenarios keep degrading the right processes when swept over
         ``cluster.shards``.
         """
-        if self.kind == "constant":
-            model: LatencyModel = ConstantLatency(self.value)
-        elif self.kind == "uniform":
-            model = UniformLatency(self.low, self.high, seed=seed)
-        elif self.kind == "lognormal":
-            model = LogNormalLatency(self.median, self.sigma, seed=seed)
-        else:
-            raise ConfigurationError(
-                f"unknown latency kind {self.kind!r}; "
-                "expected constant, uniform or lognormal"
-            )
+        model = _LATENCY_MODELS[self.kind](self, seed)
         if self.slow:
             model = SlowdownLatency(
                 model,
-                slow=expand_process_names(tuple(self.slow), shards),
+                slow=expand_process_names(self.slow, shards),
                 factor=self.slow_factor,
                 start_at=self.slow_start,
                 end_at=self.slow_end,
@@ -217,7 +223,7 @@ class LatencySpec(SpecSection):
         if self.degraded:
             model = GrayFailureLatency(
                 model,
-                degraded=expand_process_names(tuple(self.degraded), shards),
+                degraded=expand_process_names(self.degraded, shards),
                 factor=self.degraded_factor,
                 stall=self.degraded_stall,
                 start_at=self.degraded_start,
@@ -291,16 +297,19 @@ class ClusterSpec(SpecSection):
                 client_count=self.client_count,
                 flavour=self.flavour,
             )
-        if self.flavour == "dynamic-weighted":
-            return build_dynamic_cluster(
-                config, latency=latency, client_count=self.client_count
-            )
-        return build_static_cluster(
-            config,
-            latency=latency,
-            client_count=self.client_count,
-            weighted=(self.flavour == "static-weighted"),
-        )
+        return build_cluster(config, self.flavour, latency, self.client_count)
+
+
+_KEY_DISTRIBUTIONS = _Kinds("key distribution kind", {
+    "uniform": lambda spec: UniformKeys(spec.space),
+    "zipfian": lambda spec: ZipfianKeys(spec.space, s=spec.zipf_s),
+    "hotspot": lambda spec: HotspotKeys(
+        spec.space,
+        hot_fraction=spec.hot_fraction,
+        hot_weight=spec.hot_weight,
+        offset=spec.offset,
+    ),
+})
 
 
 @dataclass(frozen=True)
@@ -320,11 +329,7 @@ class KeySpec(SpecSection):
     offset: int = 0
 
     def _validate(self) -> None:
-        if self.kind not in KEY_KINDS:
-            raise ConfigurationError(
-                f"unknown key distribution kind {self.kind!r}; "
-                "expected uniform, zipfian or hotspot"
-            )
+        _KEY_DISTRIBUTIONS[self.kind]  # raises for an unknown kind
         if self.space < 1:
             raise ConfigurationError(
                 f"workload.keys.space must be at least 1, got {self.space}"
@@ -332,21 +337,18 @@ class KeySpec(SpecSection):
 
     def build(self) -> KeyDistribution:
         """Construct the configured key-popularity distribution."""
-        if self.kind == "uniform":
-            return UniformKeys(self.space)
-        if self.kind == "zipfian":
-            return ZipfianKeys(self.space, s=self.zipf_s)
-        if self.kind == "hotspot":
-            return HotspotKeys(
-                self.space,
-                hot_fraction=self.hot_fraction,
-                hot_weight=self.hot_weight,
-                offset=self.offset,
-            )
-        raise ConfigurationError(
-            f"unknown key distribution kind {self.kind!r}; "
-            "expected uniform, zipfian or hotspot"
-        )
+        return _KEY_DISTRIBUTIONS[self.kind](self)
+
+
+_ARRIVAL_PROCESSES = _Kinds("arrival kind", {
+    "closed": lambda spec: ClosedLoopArrivals(spec.mean_think_time),
+    "poisson": lambda spec: PoissonArrivals(spec.rate),
+    "onoff": lambda spec: OnOffArrivals(
+        burst_rate=spec.burst_rate,
+        burst_length=spec.burst_length,
+        idle_time=spec.idle_time,
+    ),
+})
 
 
 @dataclass(frozen=True)
@@ -366,26 +368,11 @@ class ArrivalSpec(SpecSection):
     idle_time: VirtualTime = 10.0
 
     def _validate(self) -> None:
-        if self.kind not in ARRIVAL_KINDS:
-            raise ConfigurationError(
-                f"unknown arrival kind {self.kind!r}; expected closed, poisson or onoff"
-            )
+        _ARRIVAL_PROCESSES[self.kind]  # raises for an unknown kind
 
     def build(self) -> ArrivalProcess:
         """Construct the configured arrival process."""
-        if self.kind == "closed":
-            return ClosedLoopArrivals(self.mean_think_time)
-        if self.kind == "poisson":
-            return PoissonArrivals(self.rate)
-        if self.kind == "onoff":
-            return OnOffArrivals(
-                burst_rate=self.burst_rate,
-                burst_length=self.burst_length,
-                idle_time=self.idle_time,
-            )
-        raise ConfigurationError(
-            f"unknown arrival kind {self.kind!r}; expected closed, poisson or onoff"
-        )
+        return _ARRIVAL_PROCESSES[self.kind](self)
 
 
 @dataclass(frozen=True)
@@ -465,13 +452,7 @@ class WorkloadSpec(SpecSection):
     def _phase(self, spec: "PhaseSpec") -> Phase:
         overridden = self
         for key, value in spec.overrides:
-            parts = key.split(".")
-            if parts[0] not in _PHASE_AXES or len(parts) < 2:
-                raise ConfigurationError(
-                    f"phase override {key!r} must target a field inside one of "
-                    f"the workload axes {_PHASE_AXES} (e.g. 'keys.offset')"
-                )
-            overridden = _replace_path(overridden, key, parts, value)
+            overridden = _replace_path(overridden, key, key.split("."), value)
         return Phase(
             start=spec.at,
             keys=overridden.keys.build(),
@@ -487,11 +468,21 @@ class WorkloadSpec(SpecSection):
             keys=self.keys.build(),
             arrivals=self.arrivals.build(),
             mix=self.mix.build(),
-            phases=tuple(self._phase(phase) for phase in _coerce_phases(self.phases)),
+            phases=tuple(self._phase(phase) for phase in self.phases),
         )
         return generator.generate(
             clients, operations_per_client=self.operations_per_client, seed=seed
         )
+
+
+_POLICIES = _Kinds("policy kind", {
+    "inverse-latency": lambda spec: functools.partial(
+        proportional_inverse_latency_weights, margin=spec.margin
+    ),
+    "wheat": lambda spec: functools.partial(
+        wheat_style_weights, extra_servers=spec.extra_servers, margin=spec.margin
+    ),
+})
 
 
 @dataclass(frozen=True)
@@ -513,11 +504,7 @@ class PolicySpec(SpecSection):
     extra_servers: int = 1
 
     def _validate(self) -> None:
-        if self.kind not in POLICY_KINDS:
-            raise ConfigurationError(
-                f"unknown policy kind {self.kind!r}; "
-                "expected inverse-latency or wheat"
-            )
+        _POLICIES[self.kind]  # raises for an unknown kind
         if self.threshold <= 0:
             raise ConfigurationError(
                 f"monitoring.policy.threshold must be positive, got {self.threshold}"
@@ -529,19 +516,7 @@ class PolicySpec(SpecSection):
 
     def build(self):
         """The policy as a ``(latency_summary, config) -> targets`` callable."""
-        if self.kind == "inverse-latency":
-            return functools.partial(
-                proportional_inverse_latency_weights, margin=self.margin
-            )
-        if self.kind == "wheat":
-            return functools.partial(
-                wheat_style_weights,
-                extra_servers=self.extra_servers,
-                margin=self.margin,
-            )
-        raise ConfigurationError(
-            f"unknown policy kind {self.kind!r}; expected inverse-latency or wheat"
-        )
+        return _POLICIES[self.kind](self)
 
 
 @dataclass(frozen=True)
@@ -677,6 +652,16 @@ class ObservabilitySpec(SpecSection):
 
 
 @dataclass(frozen=True)
+class OutageSpec(SpecSection):
+    """A crash with its matching recovery: ``process`` is down during
+    ``[at, until)``; ``until=None`` never recovers."""
+
+    process: ProcessId
+    at: VirtualTime
+    until: Optional[VirtualTime] = None
+
+
+@dataclass(frozen=True)
 class PartitionSpec(SpecSection):
     """A partition window: split into ``groups`` at ``at``, heal at ``heal_at``.
 
@@ -713,10 +698,10 @@ class FaultSpec(SpecSection):
     """The fault-injection section: crash/recover schedules, partition windows.
 
     ``crashes`` and ``recoveries`` are ``(process, virtual_time)`` pairs;
-    ``outages`` are self-contained ``(process, at, until)`` triples — a
-    crash with its matching recovery (``until=None`` never recovers) in one
-    value, which is what lets a chaos campaign sample a fault window as a
-    single sweep axis; ``partitions`` are :class:`PartitionSpec` windows.
+    ``outages`` are self-contained :class:`OutageSpec` windows — a crash
+    with its matching recovery in one value, which is what lets a chaos
+    campaign sample a fault window as a single sweep axis; ``partitions``
+    are :class:`PartitionSpec` windows.
     On a sharded cluster a canonical process name (``s4``) targets that
     server's instance in every shard (the machine hosting them); a
     qualified name (``s4#2``) targets one shard's instance only — the same
@@ -741,7 +726,7 @@ class FaultSpec(SpecSection):
     partitions: Tuple[PartitionSpec, ...] = ()
     # Appended after partitions so positional construction of older specs
     # keeps meaning what it meant.
-    outages: Tuple[Tuple[ProcessId, VirtualTime, Optional[VirtualTime]], ...] = ()
+    outages: Tuple[OutageSpec, ...] = ()
 
     def _validate(self) -> None:
         for label, entries in (("crashes", self.crashes),
@@ -759,25 +744,24 @@ class FaultSpec(SpecSection):
                         f"got {entry[1]}",
                         path=f"faults.{label}[{index}]",
                     )
-        for index, entry in enumerate(_coerce_outages(self.outages)):
-            process, at, until = entry
-            if at < 0:
+        for index, outage in enumerate(self.outages):
+            if outage.at < 0:
                 raise ConfigurationError(
                     f"faults.outages[{index}] times must be non-negative, "
-                    f"got {at}",
+                    f"got {outage.at}",
                     path=f"faults.outages[{index}]",
                 )
-            if until is not None and until <= at:
+            if outage.until is not None and outage.until <= outage.at:
                 raise ConfigurationError(
-                    f"faults.outages[{index}] recovers at until={until}, at or "
-                    f"before its crash at={at}",
+                    f"faults.outages[{index}] recovers at until={outage.until}, "
+                    f"at or before its crash at={outage.at}",
                     path=f"faults.outages[{index}]",
                 )
         self._check_recovery_order()
-        windows = list(_coerce_partitions(self.partitions))
-        for index, window in enumerate(windows):
-            window._validate()
-            for other_index, other in enumerate(windows[index + 1:], index + 1):
+        for index, window in enumerate(self.partitions):
+            for other_index, other in enumerate(
+                self.partitions[index + 1:], index + 1
+            ):
                 if window.overlaps(other):
                     raise ConfigurationError(
                         f"partition windows faults.partitions[{index}] and "
@@ -803,12 +787,11 @@ class FaultSpec(SpecSection):
             timeline.append((at, 1, process, f"faults.crashes[{index}]"))
         for index, (process, at) in enumerate(self.recoveries):
             timeline.append((at, 0, process, f"faults.recoveries[{index}]"))
-        for index, (process, at, until) in enumerate(
-            _coerce_outages(self.outages)
-        ):
-            timeline.append((at, 1, process, f"faults.outages[{index}]"))
-            if until is not None:
-                timeline.append((until, 0, process, f"faults.outages[{index}]"))
+        for index, outage in enumerate(self.outages):
+            path = f"faults.outages[{index}]"
+            timeline.append((outage.at, 1, outage.process, path))
+            if outage.until is not None:
+                timeline.append((outage.until, 0, outage.process, path))
         down = set()
         for at, is_crash, process, path in sorted(
             timeline, key=lambda entry: (entry[0], entry[1], entry[2])
@@ -852,9 +835,9 @@ class FaultSpec(SpecSection):
             check(f"faults.crashes[{index}]", process)
         for index, (process, _) in enumerate(self.recoveries):
             check(f"faults.recoveries[{index}]", process)
-        for index, (process, _, _) in enumerate(_coerce_outages(self.outages)):
-            check(f"faults.outages[{index}]", process)
-        for index, window in enumerate(_coerce_partitions(self.partitions)):
+        for index, outage in enumerate(self.outages):
+            check(f"faults.outages[{index}]", outage.process)
+        for index, window in enumerate(self.partitions):
             for group_index, group in enumerate(window.groups):
                 for process in group:
                     check(
@@ -874,27 +857,16 @@ class FaultSpec(SpecSection):
         for process, at in self.recoveries:
             for pid in expand_process_names((process,), shards):
                 schedule.recover(pid, at)
-        for process, at, until in _coerce_outages(self.outages):
-            for pid in expand_process_names((process,), shards):
-                schedule.outage(pid, at, until=until)
-        for window in _coerce_partitions(self.partitions):
-            resolved = _partition_window(window, shards)
+        for outage in self.outages:
+            for pid in expand_process_names((outage.process,), shards):
+                schedule.outage(pid, outage.at, until=outage.until)
+        for window in self.partitions:
             schedule.partition_window(
-                resolved.groups, at=resolved.at, heal_at=resolved.heal_at
+                [expand_process_names(group, shards) for group in window.groups],
+                at=window.at,
+                heal_at=window.heal_at,
             )
         return schedule
-
-
-def _partition_window(window: PartitionSpec, shards: int):
-    from repro.sim.failures import PartitionWindow
-
-    return PartitionWindow(
-        groups=tuple(
-            expand_process_names(tuple(group), shards) for group in window.groups
-        ),
-        at=window.at,
-        heal_at=window.heal_at,
-    )
 
 
 # Deprecation shim: the pre-v2 name of the fault section.  ``FailureSpec(
@@ -979,25 +951,16 @@ def _replace_path(obj: Any, full_key: str, parts: List[str], value: Any) -> Any:
             f"(fields: {', '.join(sorted(field_names))})",
             path=full_key,
         )
-    if len(parts) == 1:
-        if isinstance(value, list):  # CLI/JSON hand tuples in as lists
-            value = tuple(tuple(item) if isinstance(item, list) else item for item in value)
+    if len(parts) > 1:
+        value = _replace_path(getattr(obj, head), full_key, parts[1:], value)
+    try:
         return dataclasses.replace(obj, **{head: value})
-    child = _replace_path(getattr(obj, head), full_key, parts[1:], value)
-    return dataclasses.replace(obj, **{head: child})
-
-
-def flatten_spec(spec: ScenarioSpec) -> Dict[str, Any]:
-    """The sweepable parameters of a spec as a flat dotted-path dict.
-
-    A thin wrapper over the uniform :meth:`SpecSection.flatten` protocol
-    (kept for pre-v2 callers): nested spec sections recurse to arbitrary
-    depth, so the composable workload axes come out as
-    ``workload.keys.zipf_s``, the monitoring loop as
-    ``monitoring.policy.threshold`` and so on.  Tuple-valued fields
-    (transfers, phases, crashes) stay single leaves.
-    """
-    return spec.flatten()
+    except ConfigurationError as error:
+        # The section located the bad item among its own fields; the
+        # request knows where that section sits.
+        above = full_key[: len(full_key) - len(".".join(parts))]
+        error.path = f"{above}{error.path or head}"
+        raise
 
 
 def read_spec_file(path: str) -> Dict[str, Any]:
@@ -1032,87 +995,6 @@ def load_spec_file(path: str) -> ScenarioSpec:
 
 def _summary_dict(summary: Optional[LatencySummary]) -> Optional[Dict[str, float]]:
     return None if summary is None else summary.as_dict()
-
-
-def _coerce_transfers(transfers: Tuple[Any, ...]) -> Tuple[TransferEvent, ...]:
-    # Overrides arriving from the CLI/JSON are plain sequences, not events.
-    coerced = []
-    for entry in transfers:
-        if isinstance(entry, TransferEvent):
-            coerced.append(entry)
-        else:
-            try:
-                coerced.append(TransferEvent(*entry))
-            except TypeError as error:
-                raise ConfigurationError(
-                    f"invalid transfer {entry!r}: expected "
-                    "(at, source, target, delta[, shard])"
-                ) from error
-    return tuple(coerced)
-
-
-def _coerce_phases(phases: Tuple[Any, ...]) -> Tuple[PhaseSpec, ...]:
-    # Overrides arriving from the CLI/JSON are plain sequences, not PhaseSpecs.
-    coerced = []
-    for entry in phases:
-        if isinstance(entry, PhaseSpec):
-            coerced.append(entry)
-            continue
-        try:
-            at, overrides = entry
-            coerced.append(
-                PhaseSpec(at=at, overrides=tuple((key, value) for key, value in overrides))
-            )
-        except (TypeError, ValueError) as error:
-            raise ConfigurationError(
-                f"invalid phase {entry!r}: expected (at, ((path, value), ...))"
-            ) from error
-    return tuple(coerced)
-
-
-def _coerce_outages(
-    outages: Tuple[Any, ...],
-) -> Tuple[Tuple[ProcessId, VirtualTime, Optional[VirtualTime]], ...]:
-    # Overrides arriving from the CLI/JSON are plain sequences; an omitted
-    # third element means "never recovers".
-    coerced = []
-    for entry in outages:
-        try:
-            if isinstance(entry, str) or not 2 <= len(entry) <= 3:
-                raise ValueError(entry)
-            process, at = entry[0], entry[1]
-            until = entry[2] if len(entry) > 2 else None
-            coerced.append((process, at, until))
-        except (TypeError, ValueError) as error:
-            raise ConfigurationError(
-                f"invalid outage {entry!r}: expected (process, at[, until])"
-            ) from error
-    return tuple(coerced)
-
-
-def _coerce_partitions(partitions: Tuple[Any, ...]) -> Tuple[PartitionSpec, ...]:
-    # Overrides arriving from the CLI/JSON are plain sequences, not specs.
-    coerced = []
-    for entry in partitions:
-        if isinstance(entry, PartitionSpec):
-            coerced.append(entry)
-            continue
-        try:
-            at, groups = entry[0], entry[1]
-            heal_at = entry[2] if len(entry) > 2 else None
-            coerced.append(
-                PartitionSpec(
-                    at=at,
-                    groups=tuple(tuple(group) for group in groups),
-                    heal_at=heal_at,
-                )
-            )
-        except (TypeError, ValueError, IndexError) as error:
-            raise ConfigurationError(
-                f"invalid partition {entry!r}: expected "
-                "(at, ((pid, ...), ...)[, heal_at])"
-            ) from error
-    return tuple(coerced)
 
 
 def run_spec(spec: ScenarioSpec) -> Dict[str, Any]:
@@ -1152,8 +1034,7 @@ def run_spec(spec: ScenarioSpec) -> Dict[str, Any]:
 
 
 def _run_spec_inner(spec: ScenarioSpec) -> Dict[str, Any]:
-    transfers = _coerce_transfers(spec.transfers)
-    if transfers and spec.cluster.flavour != "dynamic-weighted":
+    if spec.transfers and spec.cluster.flavour != "dynamic-weighted":
         raise ConfigurationError(
             "scheduled transfers require the dynamic-weighted flavour, "
             f"got {spec.cluster.flavour!r}"
@@ -1164,7 +1045,7 @@ def _run_spec_inner(spec: ScenarioSpec) -> Dict[str, Any]:
             f"flavour, got {spec.cluster.flavour!r}"
         )
     sharded = spec.cluster.shards > 1
-    for event in transfers:
+    for event in spec.transfers:
         if not 0 <= event.shard < spec.cluster.shards:
             raise ConfigurationError(
                 f"transfer at t={event.at} targets shard {event.shard}, but the "
@@ -1214,7 +1095,7 @@ def _run_spec_inner(spec: ScenarioSpec) -> Dict[str, Any]:
             entry["shard"] = event.shard
         transfer_outcomes.append(entry)
 
-    for event in transfers:
+    for event in spec.transfers:
         cluster.loop.create_task(fire(event), name=f"transfer@{event.at}")
 
     report = run_workload(

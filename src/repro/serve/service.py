@@ -43,6 +43,7 @@ from repro.experiments.resilience import (
     RunJournal,
     StreamTelemetry,
     execute_stream_resilient,
+    load_jsonl_log,
 )
 from repro.experiments.results import write_jsonl_line
 from repro.experiments.sweep import RunSpec
@@ -178,37 +179,30 @@ class ExperimentService:
         Each job is re-planned from its request — planning is deterministic,
         so a resumed job executes the same run list in the same order, and
         its run journal replays completed runs without re-executing them.
-        A partial final line (the previous process died mid-append) is
-        dropped, same as the run journal's loader.
+        The log is read by the run journal's loader: an unfinished final
+        line (the previous process died mid-append) is dropped, a damaged
+        earlier line refuses the start instead of forgetting what followed.
         """
         if not os.path.exists(self._events_path):
             return
         jobs: "collections.OrderedDict[str, Job]" = collections.OrderedDict()
-        with open(self._events_path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # partial final line from a killed process
-                if "job" in event:
-                    record = event["job"]
-                    request = JobRequest.from_dict(record["request"])
-                    jobs[record["id"]] = Job(
-                        id=record["id"],
-                        request=request,
-                        directory=os.path.join(self.jobs_dir, record["id"]),
-                        **plan(request)._asdict(),
-                    )
-                elif "state" in event:
-                    record = event["state"]
-                    job = jobs.get(record["id"])
-                    if job is not None:
-                        job.state = record["state"]
-                        job.done_runs = record.get("done", job.done_runs)
-                        job.error = record.get("error")
+        for event in load_jsonl_log(self._events_path, "jobs log"):
+            if "job" in event:
+                record = event["job"]
+                request = JobRequest.from_dict(record["request"])
+                jobs[record["id"]] = Job(
+                    id=record["id"],
+                    request=request,
+                    directory=os.path.join(self.jobs_dir, record["id"]),
+                    **plan(request)._asdict(),
+                )
+            elif "state" in event:
+                record = event["state"]
+                job = jobs.get(record["id"])
+                if job is not None:
+                    job.state = record["state"]
+                    job.done_runs = record.get("done", job.done_runs)
+                    job.error = record.get("error")
         for job in jobs.values():
             number = int(job.id.rsplit("-", 1)[-1])
             self._next_id = max(self._next_id, number + 1)

@@ -17,8 +17,8 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "cluster": (
         "Cluster", "ReassignmentFleet", "ShardGroup", "ShardedCluster",
-        "build_dynamic_cluster", "build_reassignment_fleet", "build_sharded_cluster",
-        "build_static_cluster",
+        "build_cluster", "build_dynamic_cluster", "build_reassignment_fleet",
+        "build_sharded_cluster", "build_static_cluster",
     ),
     "workload": ("Operation", "Workload", "uniform_workload"),
     "failures": ("FailureSchedule", "CrashEvent"),

@@ -1,7 +1,8 @@
 """Cluster builders: one call to wire up a loop, network, servers and clients.
 
-Three single-register storage flavours are supported, matching the benchmark
-matrix:
+``build_cluster`` wires one register of any storage flavour, from the
+per-flavour factory in :mod:`repro.storage.sharded`; two names for the
+flavours of the benchmark matrix call it:
 
 * ``build_dynamic_cluster`` — the paper's dynamic-weighted storage
   (:mod:`repro.core.storage`) whose servers also run the reassignment
@@ -9,7 +10,7 @@ matrix:
 * ``build_static_cluster`` — classical ABD over a static quorum system
   (majority or static-weighted), the baselines of experiment E6.
 
-Both return a :class:`Cluster`, a small bag of handles the runner and the
+All return a :class:`Cluster`, a small bag of handles the runner and the
 examples operate on.  ``build_sharded_cluster`` scales any flavour out by
 key: it wires N independent replica groups (one per shard) onto a *single*
 loop and network, and hands every logical client a keyed
@@ -30,9 +31,6 @@ from repro.errors import ConfigurationError
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.network import Network
 from repro.net.simloop import SimLoop
-from repro.quorum.base import QuorumSystem
-from repro.quorum.majority import MajorityQuorumSystem
-from repro.quorum.weighted import WeightedMajorityQuorumSystem
 from repro.storage.abd import StaticQuorumStorageClient, StaticQuorumStorageServer
 from repro.storage.sharded import (
     ShardedStore,
@@ -48,6 +46,7 @@ __all__ = [
     "ReassignmentFleet",
     "ShardGroup",
     "ShardedCluster",
+    "build_cluster",
     "build_dynamic_cluster",
     "build_static_cluster",
     "build_sharded_cluster",
@@ -108,31 +107,42 @@ def build_reassignment_fleet(
     return ReassignmentFleet(loop=loop, network=network, config=config, servers=servers)
 
 
-def build_dynamic_cluster(
+def build_cluster(
     config: SystemConfig,
+    flavour: str,
     latency: Optional[LatencyModel] = None,
     client_count: int = 2,
 ) -> Cluster:
-    """A cluster running the paper's dynamic-weighted atomic storage."""
+    """A single-register cluster of ``flavour``: servers, then clients, built
+    by the :func:`~repro.storage.sharded.shard_factory` the sharded builder
+    uses per shard, under canonical (unqualified) process names."""
     if client_count < 1:
         raise ConfigurationError("need at least one client")
+    factory = shard_factory(flavour)
     loop = SimLoop()
     network = Network(loop, latency or ConstantLatency(1.0))
-    servers: Dict[ProcessId, DynamicWeightedStorageServer] = {
-        pid: DynamicWeightedStorageServer(pid, network, config) for pid in config.servers
-    }
-    clients: Dict[ProcessId, DynamicWeightedStorageClient] = {}
+    servers = factory.build_servers(config, network)
+    clients: Dict[ProcessId, StorageClient] = {}
     for index in range(1, client_count + 1):
         pid = client_name(index)
-        clients[pid] = DynamicWeightedStorageClient(pid, network, config)
+        clients[pid] = factory.build_client(pid, network, config)
     return Cluster(
         loop=loop,
         network=network,
         config=config,
         servers=servers,
         clients=clients,
-        flavour="dynamic-weighted",
+        flavour=flavour,
     )
+
+
+def build_dynamic_cluster(
+    config: SystemConfig,
+    latency: Optional[LatencyModel] = None,
+    client_count: int = 2,
+) -> Cluster:
+    """A cluster running the paper's dynamic-weighted atomic storage."""
+    return build_cluster(config, "dynamic-weighted", latency, client_count)
 
 
 def build_static_cluster(
@@ -147,29 +157,9 @@ def build_static_cluster(
     with ``weighted=True`` it is a static WMQS built from the config's initial
     weights (the WHEAT-style baseline).
     """
-    if client_count < 1:
-        raise ConfigurationError("need at least one client")
-    loop = SimLoop()
-    network = Network(loop, latency or ConstantLatency(1.0))
-    servers: Dict[ProcessId, StaticQuorumStorageServer] = {
-        pid: StaticQuorumStorageServer(pid, network) for pid in config.servers
-    }
-    quorum_system: QuorumSystem
-    if weighted:
-        quorum_system = WeightedMajorityQuorumSystem(config.initial_weights)
-    else:
-        quorum_system = MajorityQuorumSystem(config.servers)
-    clients: Dict[ProcessId, StaticQuorumStorageClient] = {}
-    for index in range(1, client_count + 1):
-        pid = client_name(index)
-        clients[pid] = StaticQuorumStorageClient(pid, network, quorum_system)
-    return Cluster(
-        loop=loop,
-        network=network,
-        config=config,
-        servers=servers,
-        clients=clients,
-        flavour="static-weighted" if weighted else "static-majority",
+    return build_cluster(
+        config, "static-weighted" if weighted else "static-majority",
+        latency, client_count,
     )
 
 

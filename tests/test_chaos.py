@@ -350,14 +350,24 @@ class TestCommittedCampaign:
         assert result["read_latency"]["p99"] >= 2.0 * baseline["read_p99"]
 
 
-    def test_the_committed_report_reproduces_byte_for_byte(self):
+    @pytest.fixture(scope="class")
+    def rerun(self):
         # The knobs the report's own header records (the CLI's defaults).
-        campaign = run_campaign("quickstart", sample=16, seed=0,
-                                times=(4, 8, 12))
+        return run_campaign("quickstart", sample=16, seed=0, times=(4, 8, 12))
+
+    def test_the_committed_report_reproduces_byte_for_byte(self, rerun):
         with open(CAMPAIGN_REPORT, encoding="utf-8") as handle:
             committed = handle.read()
-        assert "".join(line + "\n" for line in campaign.jsonl_lines()) == (
+        assert "".join(line + "\n" for line in rerun.jsonl_lines()) == (
             committed)
+
+    def test_the_committed_worst_spec_is_the_emitted_one(self, rerun, tmp_path):
+        # Object form, like its neighbours in examples/specs/: what
+        # `chaos --out-dir` writes today is the file that is checked in.
+        (emitted,) = rerun.write_worst_specs(str(tmp_path), top=1)
+        assert os.path.basename(emitted) == os.path.basename(WORST_SPEC)
+        with open(emitted, "rb") as fresh, open(WORST_SPEC, "rb") as committed:
+            assert fresh.read() == committed.read()
 
 
 def _raise_if_called(name):

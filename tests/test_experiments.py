@@ -33,7 +33,6 @@ from repro.experiments import (
     execute_many,
     execute_run,
     expand_grid,
-    flatten_spec,
     get_scenario,
     load_payload,
     register,
@@ -180,7 +179,7 @@ class TestScenarioSpec:
             SMALL_SPEC.with_overrides({"nonsense": 1})
 
     def test_flatten_spec_exposes_dotted_parameters(self):
-        flat = flatten_spec(SMALL_SPEC)
+        flat = SMALL_SPEC.flatten()
         assert flat["cluster.n"] == 4
         assert flat["workload.operations_per_client"] == 3
         assert flat["workload.keys.zipf_s"] == 1.1
@@ -234,9 +233,13 @@ class TestScenarioSpec:
         assert result["weights"]["s2"] == pytest.approx(1.2)
 
     def test_malformed_transfer_override_rejected(self):
-        spec = SMALL_SPEC.with_overrides({"transfers": [[2.0, "s1"]]})
-        with pytest.raises(ConfigurationError, match="invalid transfer"):
-            run_spec(spec)
+        # At construction, not inside the run: the section types its fields.
+        with pytest.raises(
+            ConfigurationError,
+            match=r"cannot build TransferEvent.*\(at, source, target, delta\[, shard\]\)",
+        ) as caught:
+            SMALL_SPEC.with_overrides({"transfers": [[2.0, "s1"]]})
+        assert caught.value.path == "transfers[0]"
 
     def test_cluster_n_must_match_explicit_weights(self):
         cluster = ClusterSpec(
@@ -605,9 +608,13 @@ class TestWorkloadSpecIntegration:
             run_spec(spec)
 
     def test_malformed_phase_rejected(self):
-        spec = SMALL_SPEC.with_overrides({"workload.phases": [[1.0]]})
-        with pytest.raises(ConfigurationError, match="invalid phase"):
-            run_spec(spec)
+        # ``[1.0]`` is a phase with no overrides under the positional
+        # shorthand; three positional values are one too many.
+        with pytest.raises(
+            ConfigurationError, match="cannot build PhaseSpec"
+        ) as caught:
+            SMALL_SPEC.with_overrides({"workload.phases": [[1.0, 2, 3]]})
+        assert caught.value.path == "workload.phases[0]"
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ConfigurationError, match="key distribution"):

@@ -179,13 +179,22 @@ _AXES = ("cluster.n", "cluster.f", "latency.low", "seed",
 _values = st.lists(st.integers(-3, 40), min_size=1, max_size=4)
 
 
+def _axis_value(axis):
+    # The planner applies every value, so a list field needs a list: two
+    # spellings of "no crashes" (``-g`` splits on commas, so no pairs here).
+    if axis == "failures.crashes":
+        return st.sampled_from(["[]", "()"])
+    return st.integers(-3, 40).map(str)
+
+
 @st.composite
 def sweep_argv(draw):
     argv = []
     for axis in draw(st.lists(st.sampled_from(_AXES), unique=True, max_size=3)):
-        argv += ["-g", f"{axis}={','.join(map(str, draw(_values)))}"]
+        values = draw(st.lists(_axis_value(axis), min_size=1, max_size=4))
+        argv += ["-g", f"{axis}={','.join(values)}"]
     for key in draw(st.lists(st.sampled_from(_AXES), unique=True, max_size=3)):
-        argv += ["-p", f"{key}={draw(st.integers(-3, 40))}"]
+        argv += ["-p", f"{key}={draw(_axis_value(key))}"]
     if draw(st.booleans()):
         argv += ["--seeds=" + ",".join(map(str, draw(_values)))]  # "=": may start with "-"
     if draw(st.booleans()):

@@ -157,6 +157,20 @@ class TestRunJournal:
         assert journal.get("d2") is None
         journal.close()
 
+    def test_resuming_twice_after_a_partial_line_loses_nothing(self, tmp_path):
+        # The fragment is cut off the file on load; appending behind it
+        # used to weld the next record to it — mid-file damage that made
+        # the second resume refuse a journal the first had accepted.
+        path = str(tmp_path / "j.jsonl")
+        with RunJournal(path, HEADER) as journal:
+            journal.record("d1", {"result": {"ok": 1}})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"digest": "d2", "result": {"ok"')
+        with RunJournal(path, HEADER, resume=True) as journal:
+            journal.record("d2", {"result": {"ok": 2}})
+        with RunJournal(path, HEADER, resume=True) as journal:
+            assert sorted(journal.entries) == ["d1", "d2"]
+
     def test_mid_file_corruption_is_an_error(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         with RunJournal(path, HEADER) as journal:

@@ -443,6 +443,89 @@ class TestRestartResume:
         second.shutdown()
 
 
+class TestJobsLogDurability:
+    """``jobs.jsonl`` is read by the run journal's loader: an unfinished
+    final line costs that record only, a damaged earlier line refuses the
+    start — it used to ``break`` there, forget every later job, re-queue a
+    finished one and hand out an id on top of an existing directory."""
+
+    @pytest.fixture
+    def finished_log(self, tmp_path):
+        """Three finished run jobs: a nine-event log (job, running, done)."""
+        jobs_dir = str(tmp_path / "jobs")
+        service = ExperimentService(jobs_dir, workers=1)
+        service.start()
+        try:
+            for seed in (1, 2, 3):
+                job = service.submit(JobRequest.from_dict({
+                    "kind": "run", "scenario": "quickstart",
+                    "params": dict(FAST, seed=seed),
+                }))
+                assert job.finished_event.wait(120) and job.state == "done"
+        finally:
+            service.shutdown()
+        path = os.path.join(jobs_dir, "jobs.jsonl")
+        with open(path, "rb") as handle:
+            data = handle.read()
+        assert data.count(b"\n") == 9
+        return jobs_dir, path, data
+
+    @staticmethod
+    def restarted_states(jobs_dir):
+        service = ExperimentService(jobs_dir)  # never started: nothing runs
+        try:
+            return {job.id: job.state for job in service.jobs()}
+        finally:
+            service.shutdown()
+
+    def test_a_cut_anywhere_in_the_last_record_loses_at_most_that_record(
+        self, finished_log
+    ):
+        jobs_dir, path, data = finished_log
+        last = data.rindex(b"\n", 0, len(data) - 1) + 1
+        for cut in range(last, len(data) + 1):
+            with open(path, "wb") as handle:
+                handle.write(data[:cut])
+            states = self.restarted_states(jobs_dir)
+            whole = cut == len(data)  # the newline is the commit mark
+            assert states == {
+                "job-000001": "done", "job-000002": "done",
+                "job-000003": "done" if whole else "queued",
+            }, cut
+            # The fragment is cut off the file, so what the restarted service
+            # appended starts on a line boundary and the next start reads it.
+            with open(path, "rb") as handle:
+                assert handle.read().startswith(data[:last])
+            assert self.restarted_states(jobs_dir) == states, cut
+
+    def test_appends_after_a_torn_line_do_not_damage_the_log(self, finished_log):
+        jobs_dir, path, data = finished_log
+        with open(path, "wb") as handle:
+            handle.write(data[:-10])
+        service = ExperimentService(jobs_dir)
+        try:
+            job = service.submit(same_name_request(7))
+            assert job.id == "job-000004"
+        finally:
+            service.shutdown()
+        assert sorted(self.restarted_states(jobs_dir)) == [
+            "job-000001", "job-000002", "job-000003", "job-000004"]
+
+    def test_a_damaged_middle_line_refuses_the_start(self, finished_log):
+        jobs_dir, path, data = finished_log
+        lines = data.split(b"\n")
+        lines[1] = lines[1][: len(lines[1]) // 2]
+        with open(path, "wb") as handle:
+            handle.write(b"\n".join(lines))
+        with pytest.raises(
+            ConfigurationError,
+            match=r"jobs log .*jobs\.jsonl: undecodable record on line 2",
+        ):
+            ExperimentService(jobs_dir)
+        with open(path, "rb") as handle:
+            assert handle.read() == b"\n".join(lines)  # refused, not repaired
+
+
 class TestRoutes:
     def test_unknown_route_is_404(self, service):
         response = dispatch(service, "GET", "/nope")

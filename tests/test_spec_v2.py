@@ -39,7 +39,6 @@ from repro.experiments.spec import (
     ScenarioSpec,
     TransferEvent,
     WorkloadSpec,
-    flatten_spec,
     load_spec_file,
     run_spec,
 )
@@ -137,7 +136,7 @@ class TestFlattenExpand:
     def test_with_overrides_of_flatten_is_identity(self):
         # flatten() and with_overrides() are inverses: re-applying a spec's
         # own flat parameters reproduces the spec exactly.
-        flat = flatten_spec(self.SPEC)
+        flat = self.SPEC.flatten()
         assert self.SPEC.with_overrides(flat) == self.SPEC
 
     def test_unflatten_inverts_flatten_nesting(self):
@@ -153,7 +152,7 @@ class TestFlattenExpand:
             unflatten({"cluster": 1, "cluster.n": 5})
 
     def test_flatten_exposes_monitoring_and_faults_paths(self):
-        flat = flatten_spec(ScenarioSpec(name="t"))
+        flat = ScenarioSpec(name="t").flatten()
         for path in ("monitoring.enabled", "monitoring.interval",
                      "monitoring.policy.kind", "monitoring.policy.threshold",
                      "monitoring.gain", "monitoring.scope",
@@ -426,8 +425,11 @@ class TestFaultWindowValidation:
 
     def test_malformed_outage_entry_rejected(self):
         for bad in ("s1", ("s1",), ("s1", 1.0, 2.0, 3.0)):
-            with pytest.raises(ConfigurationError, match="invalid outage"):
-                FaultSpec(outages=(bad,)).validate()
+            with pytest.raises(
+                ConfigurationError,
+                match=r"outages\[0\]: cannot build OutageSpec.*\(process, at\[, until\]\)",
+            ):
+                FaultSpec(outages=(bad,))
 
     def test_partition_heal_before_start_rejected(self):
         faults = FaultSpec(
@@ -492,19 +494,41 @@ class TestFaultWindowValidation:
 
 
 class TestSpecFiles:
-    def test_all_example_spec_files_load_build_and_step(self):
+    @staticmethod
+    def check_specs_tool():
         import importlib.util
         spec = importlib.util.spec_from_file_location(
             "check_specs", REPO_ROOT / "tools" / "check_specs.py"
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        return module
+
+    def test_all_example_spec_files_load_build_and_step(self):
+        module = self.check_specs_tool()
         problems = []
         files = sorted(SPEC_DIR.glob("*.json"))
         assert files, "no example spec files found"
         for path in files:
             problems.extend(module.check_spec_file(path))
         assert problems == []
+
+    def test_the_tool_checks_the_files_and_directories_it_is_given(
+        self, tmp_path, capsys
+    ):
+        # How the chaos CI job checks the specs a campaign just emitted.
+        module = self.check_specs_tool()
+        emitted = tmp_path / "out"
+        emitted.mkdir()
+        for name in ("quickstart.json", "quickstart-chaos-1.json"):
+            (emitted / name).write_bytes((SPEC_DIR / name).read_bytes())
+        assert module.main([str(emitted)]) == 0
+        assert "2 spec file(s)" in capsys.readouterr().out
+        assert module.main([str(emitted / "quickstart.json")]) == 0
+        (emitted / "renamed.json").write_bytes(
+            (SPEC_DIR / "quickstart.json").read_bytes())
+        assert module.main([str(emitted)]) == 1
+        assert "renamed.json: spec name 'quickstart'" in capsys.readouterr().err
 
     def test_quickstart_spec_file_matches_registered_scenario(self):
         spec_result = run_spec(load_spec_file(str(SPEC_DIR / "quickstart.json")))

@@ -1,10 +1,15 @@
 #!/usr/bin/env python3
-"""Example spec-file checks (the CI spec-check step).
+"""Spec-file checks (the CI spec-check step).
 
-Every checked-in ``examples/specs/*.json`` must:
+Every checked-in ``examples/specs/*.json`` — or every file / every
+``*.json`` of every directory given as an argument, e.g. the specs a chaos
+campaign just emitted with ``--out-dir`` — must:
 
 * **load** — parse strictly through :func:`ScenarioSpec.from_dict` (unknown
   keys rejected) and pass :meth:`validate`;
+* **round-trip** — ``from_dict(to_dict())`` is the same spec and serialises
+  to the same ``to_dict()`` (the section protocol's construction invariant:
+  one in-memory shape per value, the object form on the way out);
 * **build** — construct every runtime object the spec describes: the system
   config, the latency model, the cluster, the workload, the fault schedule
   and (when enabled) the monitoring harness;
@@ -15,7 +20,7 @@ Every checked-in ``examples/specs/*.json`` must:
 
 Run from anywhere (``src`` is put on the path automatically)::
 
-    python tools/check_specs.py
+    python tools/check_specs.py [FILE_OR_DIRECTORY ...]
 
 Exit status 0 means every spec file is runnable; 1 lists every problem.
 """
@@ -24,13 +29,13 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.errors import ReproError, SimTimeoutError  # noqa: E402
-from repro.experiments.spec import load_spec_file, run_spec  # noqa: E402
+from repro.experiments.spec import ScenarioSpec, load_spec_file, run_spec  # noqa: E402
 
 SPEC_DIR = REPO_ROOT / "examples" / "specs"
 
@@ -41,14 +46,20 @@ ONE_STEP_BUDGET = 3.0
 
 
 def check_spec_file(path: Path) -> List[str]:
-    """Problems with one spec file (empty list = loads, builds, and steps)."""
-    name = path.relative_to(REPO_ROOT)
+    """Problems with one spec file (empty list = loads, round-trips, builds
+    and steps)."""
+    name = path
+    if path.is_relative_to(REPO_ROOT):
+        name = path.relative_to(REPO_ROOT)
     try:
         spec = load_spec_file(str(path))
     except ReproError as error:
         return [f"{name}: does not load: {error}"]
     if spec.name != path.stem:
         return [f"{name}: spec name {spec.name!r} does not match the file name"]
+    again = ScenarioSpec.from_dict(spec.to_dict())
+    if again != spec or again.to_dict() != spec.to_dict():
+        return [f"{name}: does not round-trip through to_dict() / from_dict()"]
     try:
         # Build every runtime object the spec describes, without running.
         config = spec.cluster.system_config()
@@ -72,10 +83,14 @@ def check_spec_file(path: Path) -> List[str]:
     return []
 
 
-def main() -> int:
-    spec_files = sorted(SPEC_DIR.glob("*.json"))
+def main(argv: Sequence[str] = ()) -> int:
+    spec_files: List[Path] = []
+    for target in map(Path, argv or [SPEC_DIR]):
+        target = target.resolve()
+        spec_files += sorted(target.glob("*.json")) if target.is_dir() else [target]
     if not spec_files:
-        print(f"no spec files found under {SPEC_DIR}", file=sys.stderr)
+        print(f"no spec files found under {', '.join(argv) or SPEC_DIR}",
+              file=sys.stderr)
         return 1
     problems: List[str] = []
     for path in spec_files:
@@ -85,9 +100,10 @@ def main() -> int:
             print(problem, file=sys.stderr)
         print(f"\n{len(problems)} problem(s) found", file=sys.stderr)
         return 1
-    print(f"spec check ok: {len(spec_files)} spec file(s) load, build and run")
+    print(f"spec check ok: {len(spec_files)} spec file(s) load, round-trip, "
+          "build and run")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))
