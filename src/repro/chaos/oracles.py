@@ -11,9 +11,10 @@ ranking on).  Three oracles ship by default:
   transfer spans).  Error findings are violations; warnings are not (spans
   legitimately in flight when a run stops).
 * :class:`ResultOracle` — result-level accounting: a captured run error is
-  a violation, completed runs must report every generated operation, and
-  the surviving weight map must still sum to the configured total with no
-  negative entries.
+  a violation, completed runs must report every generated operation, the
+  surviving weight map must still sum to the configured total with no
+  negative entries, and a monitored run must have completed every control
+  round it was configured with.
 * :class:`LatencyDegradationOracle` — read/write p99 against the
   scenario's baseline.  Degradation is *ranked*, not flagged as a
   violation: a slow-but-correct system under injected faults is the
@@ -113,7 +114,8 @@ class TraceInvariantOracle:
 
 
 class ResultOracle:
-    """Result-level accounting: run failures, lost operations, lost weight.
+    """Result-level accounting: run failures, lost operations, lost weight,
+    lost control rounds.
 
     ``expected_weight`` is the configured total weight of one replica group
     (``None`` skips the conservation check, e.g. for static flavours whose
@@ -201,6 +203,18 @@ class ResultOracle:
                     self._check_weights(
                         report, f"shard_weights[{shard}]", shard_map
                     )
+        monitoring = result.get("monitoring")
+        if isinstance(monitoring, Mapping):
+            # The post-workload settle drains every trailing round, so a
+            # completed run that reports fewer means the control loop died.
+            rounds_completed = monitoring.get("rounds_completed")
+            report.details["monitoring_rounds_completed"] = rounds_completed
+            if rounds_completed != monitoring.get("rounds"):
+                report.violations.append(OracleViolation(
+                    self.name, "monitoring-rounds",
+                    f"the control loop completed {rounds_completed} of "
+                    f"{monitoring.get('rounds')} round(s)",
+                ))
         return report
 
 

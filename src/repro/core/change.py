@@ -141,23 +141,22 @@ class ChangeSet:
         return ChangeSet(c for c in self._changes if c.server == server)
 
     def weight_of(self, server: ProcessId) -> Weight:
-        """``W_s`` — the sum of the deltas of the changes created for ``server``.
-
-        The sum runs over the canonical :meth:`sorted` order, not raw set
-        iteration order: float addition is order-sensitive in the last ulp,
-        and set iteration order varies with the interpreter's hash seed, so
-        summing the set directly would make the low bits of every reported
-        weight depend on ``PYTHONHASHSEED``.
+        """``W_s`` — the sum of the deltas of the changes created for ``server``
+        (``0`` for a server no change names); an entry of :meth:`weight_map`.
         """
-        return sum(c.delta for c in self.sorted() if c.server == server)
+        return self.weight_map().get(server, 0)
 
     def weight_map(self) -> Mapping[ProcessId, Weight]:
         """``server -> W_s`` for every server that appears in some change.
 
-        Built once per instance; each entry is the same ``sum`` over the same
-        deltas in the same canonical order as :meth:`weight_of`, so the
-        floats are bit-identical.  Shared by every caller: read, never
+        Built once per instance and shared by every caller: read, never
         mutate.  A server without changes is absent (its weight is 0).
+
+        Each sum runs over the canonical :meth:`sorted` order, not raw set
+        iteration order: float addition is order-sensitive in the last ulp,
+        and set iteration order varies with the interpreter's hash seed, so
+        summing the set directly would make the low bits of every reported
+        weight depend on ``PYTHONHASHSEED``.
         """
         weight_map = self._weight_map
         if weight_map is None:
@@ -170,15 +169,16 @@ class ChangeSet:
         return weight_map
 
     def weights(self, servers: Optional[Iterable[ProcessId]] = None) -> Dict[ProcessId, Weight]:
-        """The full weight map derived from this change set.
+        """A fresh copy of the weight map derived from this change set.
 
-        If ``servers`` is given the result covers exactly those servers
-        (including zero entries); otherwise it covers every server that
-        appears in some change.
+        If ``servers`` is given the result covers exactly those servers, in
+        that order (including zero entries); otherwise it covers every
+        server that appears in some change.
         """
+        weight_map = self.weight_map()
         if servers is None:
-            servers = {c.server for c in self._changes}
-        return {server: self.weight_of(server) for server in servers}
+            return dict(weight_map)
+        return {server: weight_map.get(server, 0) for server in servers}
 
     def total_weight(self) -> Weight:
         return sum(c.delta for c in self.sorted())

@@ -7,7 +7,7 @@ from typing import Any, Dict, List
 from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
 from repro.experiments.registry import scenario
-from repro.monitoring.loop import install_monitoring_control
+from repro.monitoring.loop import install_monitoring
 from repro.net.latency import SlowdownLatency, UniformLatency
 from repro.sim.cluster import build_dynamic_cluster
 from repro.sim.metrics import summarize
@@ -51,12 +51,12 @@ def hotspot_shift_monitoring(
         start_at=shift_at,
     )
     cluster = build_dynamic_cluster(config, latency=latency, client_count=2)
-    controllers = install_monitoring_control(
+    harness = install_monitoring(
         cluster.loop,
         cluster.network,
-        cluster.servers,
         config,
-        prober_pid="mon",
+        {0: cluster.servers},
+        prober="mon",
         rounds=control_rounds,
         interval=probe_interval,
         tolerance=0.05,
@@ -89,17 +89,13 @@ def hotspot_shift_monitoring(
         # spec-file port of this scenario reproduces the result exactly.
         for pid, weight in sorted(cluster.servers["s1"].local_weights().items())
     }
-    transfers_attempted = sum(
-        1 for controller in controllers
-        for step in controller.reports if step.attempted
-    )
     return {
         "operations": report.operations,
         "duration": report.duration,
         "messages": report.messages_sent,
         "weights": weights,
         "shifted_weight": sum(weights[pid] for pid in ("s3", "s4", "s5")),
-        "transfers_attempted": transfers_attempted,
+        "transfers_attempted": sum(harness.transfers_attempted().values()),
         "latency_before_shift": summarize(before).median if before else None,
         "latency_after_shift": summarize(after).median if after else None,
         "workload": workload_stats(workload),

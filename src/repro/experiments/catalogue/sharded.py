@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
@@ -16,8 +16,7 @@ from repro.experiments.spec import (
     WorkloadSpec,
     run_spec,
 )
-from repro.monitoring.controller import WeightController
-from repro.monitoring.loop import install_monitoring_control
+from repro.monitoring.loop import MonitoringHarness, install_monitoring
 from repro.net.latency import SlowdownLatency, UniformLatency
 from repro.sim.cluster import build_sharded_cluster
 from repro.sim.runner import run_workload
@@ -167,20 +166,20 @@ def sharded_hotspot_reassignment(
     # sharded store exists to exercise.  The tolerance is wide enough that
     # latency *jitter* never triggers a transfer — only a genuine slowdown
     # does — so cold shards provably keep their initial weights.
-    controllers_by_shard: Dict[int, List[WeightController]] = {
-        group.index: install_monitoring_control(
+    harness = MonitoringHarness.merged([
+        install_monitoring(
             cluster.loop,
             cluster.network,
-            group.servers,
             group.config,
-            prober_pid=f"mon#{group.index}",
+            {group.index: group.servers},
+            prober=f"mon#{group.index}",
             rounds=control_rounds,
             interval=probe_interval,
             tolerance=0.2,
             max_step=0.3,
         )
         for group in cluster.shards
-    }
+    ])
 
     # Open-loop Poisson arrivals: issue times are absolute virtual times, so
     # the phase boundary at shift_at falls where it says it does and the
@@ -207,15 +206,6 @@ def sharded_hotspot_reassignment(
         bucket[shard_for_key(op.key, shards)] += 1
 
     shard_weights = cluster.shard_weights()
-    transfers_by_shard = {
-        index: sum(
-            1
-            for controller in controllers
-            for step in controller.reports
-            if step.attempted
-        )
-        for index, controllers in controllers_by_shard.items()
-    }
     slowed_weight = sum(
         shard_weights[hot_after][pid] for pid in ("s1", "s2")
     )
@@ -233,7 +223,8 @@ def sharded_hotspot_reassignment(
             str(index): weights for index, weights in sorted(shard_weights.items())
         },
         "transfers_attempted_by_shard": {
-            str(index): count for index, count in sorted(transfers_by_shard.items())
+            str(index): count
+            for index, count in harness.transfers_attempted().items()
         },
         "slowed_servers_weight": slowed_weight,
         "workload": workload_stats(workload),

@@ -13,9 +13,9 @@ others:
 * :class:`LatencySpec` — the latency model, plus the slowdown wrapper;
 * :class:`MonitoringSpec` — the probe → policy → controller feedback loop
   (interval, window, policy kind + threshold, controller gain, per-shard vs
-  global scope), built by :func:`repro.sim.runner.install_monitoring` into
-  the existing :class:`~repro.monitoring.monitor.LatencyMonitor` / policy /
-  :class:`~repro.monitoring.controller.WeightController` objects;
+  global scope), built by :func:`repro.monitoring.loop.install_monitoring`
+  into the existing :class:`~repro.monitoring.monitor.LatencyMonitor` /
+  policy / :class:`~repro.monitoring.controller.WeightController` objects;
 * :class:`FaultSpec` — crash/recover schedules and partition/heal windows,
   built into a :class:`~repro.sim.failures.FailureSchedule`;
 * :class:`TransferEvent` — scheduled weight transfers (the protocol knob
@@ -63,8 +63,9 @@ from repro.sim.cluster import (
 )
 from repro.sim.failures import FailureSchedule, windows_overlap
 from repro.sim.metrics import LatencySummary
-from repro.sim.runner import MonitoringHarness, install_monitoring, run_workload
+from repro.sim.runner import run_workload
 from repro.sim.workload import Workload
+from repro.monitoring.loop import MonitoringHarness, install_monitoring
 from repro.monitoring.policy import (
     proportional_inverse_latency_weights,
     wheat_style_weights,
@@ -531,12 +532,14 @@ class MonitoringSpec(SpecSection):
     :class:`~repro.monitoring.controller.WeightController` per server taking
     a step of at most ``gain`` towards them; the loop runs ``rounds`` times.
 
-    On a sharded cluster ``scope`` picks the topology: ``per-shard`` wires a
-    fully independent loop into every shard (own prober ``mon#k``, own
-    monitor, own controllers — nothing shared), while ``global`` runs one
-    machine-level monitor that probes every shard's instances, aggregates
-    latencies per canonical machine, and drives all shards' controllers with
-    the same target map.  Monitoring requires the ``dynamic-weighted``
+    There is one loop (:func:`~repro.monitoring.loop.install_monitoring`);
+    on a sharded cluster ``scope`` only chooses which replica groups share a
+    monitor: ``per-shard`` starts one loop per shard over that shard's own
+    servers (own prober ``mon#k``, own monitor, own controllers — nothing
+    shared), while ``global`` starts one loop over every shard, whose
+    monitor is keyed by canonical machine (a machine's sample is the mean
+    round trip of its instances) and whose one target map drives all
+    shards' controllers.  Monitoring requires the ``dynamic-weighted``
     flavour (controllers speak the paper's ``transfer``).
     """
 
@@ -580,20 +583,39 @@ class MonitoringSpec(SpecSection):
             raise ConfigurationError("monitoring.prober must not be empty")
 
     def build(self, cluster: Union[Cluster, ShardedCluster]) -> MonitoringHarness:
-        """Install the loop on ``cluster`` (see :func:`~repro.sim.runner.
-        install_monitoring`) and return the harness holding the controllers."""
-        return install_monitoring(
-            cluster,
-            interval=self.interval,
-            rounds=self.rounds,
-            window=self.window,
-            ewma_alpha=self.ewma_alpha,
-            tolerance=self.policy.threshold,
-            max_step=self.gain,
-            scope=self.scope,
-            prober=self.prober,
-            policy=self.policy.build(),
-        )
+        """Install the loop(s) on ``cluster`` — the adapter from a cluster to
+        the replica groups each monitor covers — and return the harness
+        holding the controllers."""
+        shards = getattr(cluster, "shards", None)
+        if shards is None:
+            loops = [(self.prober, cluster.config, {0: cluster.servers})]
+        elif self.scope == "global":
+            every_shard = {group.index: group.servers for group in shards}
+            loops = [(self.prober, cluster.config, every_shard)]
+        else:
+            loops = [
+                (f"{self.prober}#{group.index}", group.config,
+                 {group.index: group.servers})
+                for group in shards
+            ]
+        policy = self.policy.build()
+        return MonitoringHarness.merged([
+            install_monitoring(
+                cluster.loop,
+                cluster.network,
+                config,
+                groups,
+                prober=prober,
+                rounds=self.rounds,
+                interval=self.interval,
+                tolerance=self.policy.threshold,
+                max_step=self.gain,
+                window=self.window,
+                ewma_alpha=self.ewma_alpha,
+                policy=policy,
+            )
+            for prober, config, groups in loops
+        ])
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,9 @@ by a monitoring system".  This package supplies that missing piece:
   operation towards the targets, respecting C1/C2 (each server only ever
   gives its *own* weight away, and only down to the RP-Integrity bound).
 * :mod:`repro.monitoring.loop` — wires monitor + policy + controllers into
-  one running feedback loop (the form the declarative ``MonitoringSpec``
-  section and the catalogue scenarios both build).
+  one running feedback loop over one or more replica groups (the one loop
+  the declarative ``MonitoringSpec`` section and the catalogue scenarios
+  all run).
 """
 
 from repro._lazy import lazy_exports
@@ -28,5 +29,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "clip_to_rp_integrity",
     ),
     "controller": ("WeightController",),
-    "loop": ("install_monitoring_control",),
+    "loop": ("MonitoringHarness", "install_monitoring"),
 })

@@ -114,12 +114,6 @@ class WeightController:
         self.reports.append(report)
         return report
 
-    async def run(self, rounds: int, interval: VirtualTime = 5.0) -> None:
-        """Run ``rounds`` control steps spaced ``interval`` apart."""
-        for _ in range(rounds):
-            await self.step()
-            await self.server.loop.sleep(interval)
-
     # -- convergence metric --------------------------------------------------------
     def distance_to_targets(self) -> Weight:
         """L1 distance between the locally-known weights and the targets."""

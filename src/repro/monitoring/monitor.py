@@ -14,7 +14,7 @@ can come from two sources:
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Deque, Dict, Iterable, Optional, Sequence
+from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.net.message import Message
@@ -70,25 +70,35 @@ class LatencyMonitor:
             )
 
     # -- active probing ---------------------------------------------------------------
-    async def probe(self, prober: Process, timeout: Optional[VirtualTime] = None) -> Dict[ProcessId, VirtualTime]:
+    async def probe(
+        self,
+        prober: Process,
+        timeout: Optional[VirtualTime] = None,
+        instances: Optional[Mapping[ProcessId, ProcessId]] = None,
+    ) -> Dict[ProcessId, VirtualTime]:
         """Ping every server from ``prober`` and record the reply latencies.
 
-        The probe waits only for the servers still alive — the count is
-        re-evaluated on every reply, so a crash landing mid-probe unblocks
-        the wait as soon as the next reply arrives (a crashed server's
-        replies never come, while a slowed server's late replies *are* the
-        signal, so neither a full wait nor a short timeout would do).
-        Crashed or partitioned servers simply contribute no sample.
-        Residual edge: a crash whose victim held the *only* outstanding
-        reply stalls the probe until ``timeout`` (if given) fires — pass a
-        timeout when probing under crash faults.
+        ``instances`` maps each process to ping to the monitored server it
+        is an instance of (default: every server answers for itself); a
+        server's sample is the mean round trip of its instances that
+        replied — for a single instance, that instance's round trip exactly.
+
+        The probe waits only for the processes still alive — the count is
+        re-evaluated on every reply and on every crash
+        (:meth:`~repro.net.process.Process.on_crash`), so a crash landing
+        mid-probe unblocks the wait at once (a crashed server's replies
+        never come, while a slowed server's late replies *are* the signal,
+        so neither a full wait nor a short timeout would do).  Crashed or
+        partitioned servers simply contribute no sample.
         """
+        if instances is None:
+            instances = {server: server for server in self.servers}
         started = prober.loop.now
         network = prober.network
-        collector = prober.request_all(self.servers, PING, {})
+        collector = prober.request_all(instances, PING, {})
         waiter = collector.wait_until(
             lambda replies: len(replies) >= sum(
-                1 for server in self.servers if not network.is_crashed(server)
+                1 for pid in instances if not network.is_crashed(pid)
             ),
             name="alive-replies",
         )
@@ -99,11 +109,17 @@ class LatencyMonitor:
         except Exception:
             # Partial probes are fine; use whatever replies arrived.
             pass
-        observed: Dict[ProcessId, VirtualTime] = {}
+        round_trips: Dict[ProcessId, List[VirtualTime]] = {}
         for reply in collector.responses:
-            latency = reply.delivered_at - started
-            observed[reply.sender] = latency
-            self.record(reply.sender, latency)
+            round_trips.setdefault(instances[reply.sender], []).append(
+                reply.delivered_at - started
+            )
+        observed = {
+            server: sum(values) / len(values)
+            for server, values in round_trips.items()
+        }
+        for server, latency in observed.items():
+            self.record(server, latency)
         return observed
 
     # -- summaries ------------------------------------------------------------------

@@ -11,6 +11,8 @@ Fault injection:
 * :meth:`Network.crash` — crash-stop a process.  Crashed processes neither
   send nor receive; messages already in flight towards them are silently
   discarded on delivery (an acceptable refinement of crash-stop semantics).
+  Every process is told (``on_crash``), so a wait that counts the processes
+  still alive is re-evaluated when the crash happens.
 * :meth:`Network.recover` — un-crash a process (the crash-recovery model:
   it rejoins with its state intact; traffic during the outage was lost).
 * :meth:`Network.partition` / :meth:`Network.heal` — temporarily hold
@@ -90,6 +92,8 @@ class Network:
         self._crashed.add(pid)
         if self.obs is not None:
             self.obs.process_crashed(pid, self.loop.now)
+        for process in self._processes.values():
+            process.on_crash(pid)
 
     def recover(self, pid: ProcessId) -> None:
         """Un-crash ``pid``: it rejoins with its pre-crash state intact.
@@ -210,4 +214,7 @@ class ProcessLike:
     pid: ProcessId
 
     def deliver(self, message: Message) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def on_crash(self, pid: ProcessId) -> None:  # pragma: no cover - interface
         raise NotImplementedError

@@ -13,7 +13,8 @@ protocols are built on:
 
 Crash semantics: once :meth:`Process.crash` is called (usually through
 :meth:`repro.net.network.Network.crash`), the process ignores every delivered
-message and silently refuses to send.
+message and silently refuses to send; every process hears of the crash
+through :meth:`Process.on_crash`.
 """
 
 from __future__ import annotations
@@ -54,6 +55,23 @@ class ResponseCollector:
         self.responses.append(message)
         if not self._waiters:
             return
+        still_waiting = []
+        for predicate, future in self._waiters:
+            if future.done():
+                continue
+            if predicate(self.responses):
+                future.set_result(list(self.responses))
+            else:
+                still_waiting.append((predicate, future))
+        self._waiters = still_waiting
+
+    def poll(self) -> None:
+        """Re-evaluate pending wait conditions against the replies so far.
+
+        For conditions that also read the world — "every process still alive
+        has answered" — when the world changed and no reply did.  (The loop
+        of :meth:`add`, which stays inline there: it runs once per reply.)
+        """
         still_waiting = []
         for predicate, future in self._waiters:
             if future.done():
@@ -120,6 +138,15 @@ class Process:
         self.crashed = True
         if not self.network.is_crashed(self.pid):
             self.network.crash(self.pid)
+
+    def on_crash(self, pid: ProcessId) -> None:
+        """The network's notice that ``pid`` (possibly this process) crashed.
+
+        A pending wait that counts the processes still alive may hold now,
+        and the reply that would have re-evaluated it may never come.
+        """
+        for collector in tuple(self._pending.values()):
+            collector.poll()
 
     def _ensure_alive(self) -> None:
         if self.crashed or self.network.is_crashed(self.pid):

@@ -1,4 +1,4 @@
-"""Run a workload against a cluster, wire monitoring, and collect metrics.
+"""Run a workload against a cluster and collect metrics.
 
 The runner is shard-aware: against a plain :class:`~repro.sim.cluster.
 Cluster` it drives the single register exactly as before, while against a
@@ -7,31 +7,14 @@ Cluster` it drives the single register exactly as before, while against a
 operation's ``key`` through to the owning shard and extends the
 :class:`RunReport` with a per-shard load/latency breakdown plus an
 :class:`~repro.sim.metrics.ImbalanceSummary`.
-
-:func:`install_monitoring` is the runtime half of the declarative
-``MonitoringSpec`` section: it builds the probe → policy → controller
-feedback loop out of the existing :class:`~repro.monitoring.monitor.
-LatencyMonitor` / :mod:`~repro.monitoring.policy` /
-:class:`~repro.monitoring.controller.WeightController` objects — one
-independent loop per shard, or one global machine-level loop — and returns
-a :class:`MonitoringHarness` the result dict reports from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
-from repro.monitoring.controller import WeightController
-from repro.monitoring.loop import PolicyFn, install_monitoring_control
-from repro.monitoring.monitor import (
-    PING,
-    LatencyMonitor,
-    install_probe_responder,
-)
-from repro.monitoring.policy import proportional_inverse_latency_weights
-from repro.net.process import Process
 from repro.sim.cluster import Cluster, ShardedCluster
 from repro.sim.failures import FailureSchedule
 from repro.sim.metrics import (
@@ -43,10 +26,9 @@ from repro.sim.metrics import (
 )
 from repro.sim.workload import Workload
 from repro.net.simloop import gather
-from repro.storage.sharded import base_process_name, shard_process_name
-from repro.types import ProcessId, VirtualTime, Weight
+from repro.types import ProcessId, VirtualTime
 
-__all__ = ["RunReport", "run_workload", "MonitoringHarness", "install_monitoring"]
+__all__ = ["RunReport", "run_workload"]
 
 
 @dataclass
@@ -100,215 +82,6 @@ class RunReport:
                     f"({shard.reads} reads / {shard.writes} writes)"
                 )
         return "\n".join(lines)
-
-
-@dataclass
-class MonitoringHarness:
-    """The installed monitoring loop(s): controllers grouped by shard index.
-
-    Single-register clusters use the single group ``0``.  The harness is
-    what a declarative run's ``monitoring`` result block reports from.
-    """
-
-    controllers: Dict[int, List[WeightController]]
-    rounds: int
-
-    def transfers_attempted(self) -> Dict[int, int]:
-        """Controller transfers attempted, per shard index."""
-        return {
-            index: sum(
-                1
-                for controller in controllers
-                for step in controller.reports
-                if step.attempted
-            )
-            for index, controllers in sorted(self.controllers.items())
-        }
-
-    def rounds_completed(self) -> int:
-        """Control rounds that actually executed (every controller steps once
-        per round, so the longest report list counts the completed rounds —
-        fewer than ``rounds`` when the run ended before the loop finished)."""
-        return max(
-            (
-                len(controller.reports)
-                for controllers in self.controllers.values()
-                for controller in controllers
-            ),
-            default=0,
-        )
-
-    def as_dict(self, sharded: bool = False) -> Dict[str, Any]:
-        """JSON-serialisable summary for the run result dict."""
-        by_shard = self.transfers_attempted()
-        summary: Dict[str, Any] = {
-            "rounds": self.rounds,
-            "rounds_completed": self.rounds_completed(),
-            "transfers_attempted": sum(by_shard.values()),
-        }
-        if sharded:
-            summary["transfers_attempted_by_shard"] = {
-                str(index): count for index, count in by_shard.items()
-            }
-        return summary
-
-
-def install_monitoring(
-    cluster: Union[Cluster, ShardedCluster],
-    *,
-    interval: VirtualTime,
-    rounds: int,
-    window: int = 32,
-    ewma_alpha: float = 0.3,
-    tolerance: Weight = 0.05,
-    max_step: Weight = 0.3,
-    scope: str = "per-shard",
-    prober: ProcessId = "mon",
-    policy: PolicyFn = proportional_inverse_latency_weights,
-) -> MonitoringHarness:
-    """Wire the probe/policy/controller loop(s) into ``cluster`` and start them.
-
-    On a single-register cluster one loop runs under the prober name as
-    given.  On a sharded cluster ``scope`` selects the topology:
-
-    * ``per-shard`` — one fully independent loop per shard (prober
-      ``mon#k``, own monitor, own controllers; nothing shared across
-      shards), the wiring the ``sharded-hotspot-reassignment`` scenario
-      pioneered;
-    * ``global`` — one prober and one *machine-level* monitor: each round
-      pings every shard's instances, folds each canonical machine's mean
-      instance latency into the monitor, and drives every shard's
-      controllers with the same canonical target map.
-
-    Must be called before the workload starts so the control task's position
-    in the event order is deterministic.
-    """
-    shard_groups = getattr(cluster, "shards", None)
-    if shard_groups is None:
-        controllers = install_monitoring_control(
-            cluster.loop,
-            cluster.network,
-            cluster.servers,
-            cluster.config,
-            prober_pid=prober,
-            rounds=rounds,
-            interval=interval,
-            tolerance=tolerance,
-            max_step=max_step,
-            window=window,
-            ewma_alpha=ewma_alpha,
-            policy=policy,
-        )
-        return MonitoringHarness(controllers={0: controllers}, rounds=rounds)
-    if scope == "per-shard":
-        return MonitoringHarness(
-            controllers={
-                group.index: install_monitoring_control(
-                    cluster.loop,
-                    cluster.network,
-                    group.servers,
-                    group.config,
-                    prober_pid=f"{prober}#{group.index}",
-                    rounds=rounds,
-                    interval=interval,
-                    tolerance=tolerance,
-                    max_step=max_step,
-                    window=window,
-                    ewma_alpha=ewma_alpha,
-                    policy=policy,
-                )
-                for group in shard_groups
-            },
-            rounds=rounds,
-        )
-    if scope != "global":
-        raise ConfigurationError(
-            f"unknown monitoring scope {scope!r}; expected per-shard or global"
-        )
-    return _install_global_monitoring(
-        cluster,
-        interval=interval,
-        rounds=rounds,
-        window=window,
-        ewma_alpha=ewma_alpha,
-        tolerance=tolerance,
-        max_step=max_step,
-        prober=prober,
-        policy=policy,
-    )
-
-
-def _install_global_monitoring(
-    cluster: ShardedCluster,
-    *,
-    interval: VirtualTime,
-    rounds: int,
-    window: int,
-    ewma_alpha: float,
-    tolerance: Weight,
-    max_step: Weight,
-    prober: ProcessId,
-    policy: PolicyFn,
-) -> MonitoringHarness:
-    """One machine-level monitor driving every shard's controllers."""
-    loop = cluster.loop
-    canonical = cluster.config  # the per-shard template with canonical names
-    for group in cluster.shards:
-        for server in group.servers.values():
-            install_probe_responder(server)
-    prober_process = Process(prober, cluster.network)
-    monitor = LatencyMonitor(canonical.servers, window=window, ewma_alpha=ewma_alpha)
-    controllers = {
-        group.index: [
-            WeightController(server, tolerance=tolerance, max_step=max_step)
-            for server in group.servers.values()
-        ]
-        for group in cluster.shards
-    }
-    instance_names = tuple(
-        pid for group in cluster.shards for pid in group.config.servers
-    )
-
-    async def control_loop() -> None:
-        obs = cluster.network.obs
-        for index in range(rounds):
-            await loop.sleep(interval)
-            if obs is not None:
-                obs.control_round(prober, index, loop.now)
-            started = loop.now
-            # Wait for every instance still alive — re-counted on each
-            # reply, exactly like LatencyMonitor.probe: a slowed machine's
-            # late replies ARE the signal (a short timeout would blind the
-            # monitor to them), while a crashed instance's replies never
-            # come (a fixed-count wait would stall the loop forever).
-            collector = prober_process.request_all(instance_names, PING, {})
-            await collector.wait_until(
-                lambda replies: len(replies) >= sum(
-                    1
-                    for pid in instance_names
-                    if not cluster.network.is_crashed(pid)
-                ),
-                name="alive-replies",
-            )
-            samples: Dict[ProcessId, List[VirtualTime]] = {}
-            for reply in collector.responses:
-                machine = base_process_name(reply.sender)
-                samples.setdefault(machine, []).append(reply.delivered_at - started)
-            for machine in sorted(samples):
-                values = samples[machine]
-                monitor.record(machine, sum(values) / len(values))
-            canonical_targets = policy(monitor.summary(default=1.0), canonical)
-            for group in cluster.shards:
-                targets = {
-                    shard_process_name(pid, group.index): weight
-                    for pid, weight in canonical_targets.items()
-                }
-                for controller in controllers[group.index]:
-                    controller.set_targets(targets)
-                    await controller.step()
-
-    loop.create_task(control_loop(), name=f"monitoring-control:{prober}")
-    return MonitoringHarness(controllers=controllers, rounds=rounds)
 
 
 def run_workload(

@@ -174,14 +174,45 @@ class TestChangeSet:
             Change(f"a{i % 3}", i + 2, f"s{server}", delta)
             for i, (server, delta) in enumerate(deltas)
         )
+        appearing = {f"s{server}" for server, _ in deltas}
         weight_map = changes.weight_map()
-        assert set(weight_map) == {f"s{server}" for server, _ in deltas}
-        for server in weight_map:
-            assert repr(weight_map[server]) == repr(changes.weight_of(server))
+        assert set(weight_map) == appearing
+        for server in sorted(appearing) + ["s9"]:  # s9: in no change
+            assert repr(changes.weight_of(server)) == repr(
+                weight_of_as_it_was(changes, server)
+            )
+        assert repr(changes.weight_of("s9")) == "0"
+        # servers=None: exactly the servers that appear, each time a copy.
+        everything = changes.weights()
+        assert set(everything) == appearing
+        assert _reprs(everything) == _reprs(weights_as_it_was(changes))
+        assert everything is not weight_map and changes.weights() is not everything
+        # An explicit list keeps its order and its zero entries.
+        asked = ["s9", "s4", "s1", "s3"]
+        explicit = changes.weights(asked)
+        assert list(explicit) == asked
+        assert _reprs(explicit) == _reprs(weights_as_it_was(changes, asked))
         assert changes.weight_map() is weight_map  # built once per instance
         grown = changes.add(Change("late", 99, "s1", 0.1))
-        assert repr(grown.weight_map()["s1"]) == repr(grown.weight_of("s1"))
+        assert repr(grown.weight_of("s1")) == repr(weight_of_as_it_was(grown, "s1"))
         assert grown.weight_map() is not weight_map
+
+
+def weight_of_as_it_was(self, server):
+    """``ChangeSet.weight_of`` before it read ``weight_map()`` (body verbatim)."""
+    return sum(c.delta for c in self.sorted() if c.server == server)
+
+
+def weights_as_it_was(self, servers=None):
+    """``ChangeSet.weights`` before it read ``weight_map()`` (body verbatim,
+    with the ``weight_of`` above)."""
+    if servers is None:
+        servers = {c.server for c in self._changes}
+    return {server: weight_of_as_it_was(self, server) for server in servers}
+
+
+def _reprs(weights):
+    return {server: repr(weight) for server, weight in weights.items()}
 
 
 class TestIntegrityCheckers:

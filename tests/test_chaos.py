@@ -63,6 +63,26 @@ def quickstart_spec():
     return get_scenario("quickstart").spec
 
 
+#: What ``run_spec`` returned, with no error anywhere, before the control
+#: loop could outlive a crash: n=5, f=1, ``s5`` six times slower, six rounds
+#: ten apart, seed 1, ``s5`` crashed at t=36 while still over its target —
+#: ``controller.step()`` raised into the control task in the second round.
+A_CONTROL_LOOP_THAT_DIED = {
+    "scenario": "monitoring-crash", "flavour": "dynamic-weighted", "seed": 1,
+    "duration": 28.588675830129546, "operations": 12, "restarts": 0,
+    "messages": 274, "transfers": [],
+    "monitoring": {"rounds": 6, "rounds_completed": 2, "transfers_attempted": 1},
+    "weights": {"s1": 1.0, "s2": 1.0, "s3": 1.0, "s4": 1.0859375,
+                "s5": 0.9140625},
+    "workload": {"clients": 2, "operations": 12, "reads": 3, "writes": 9},
+    "read_latency": {"count": 3, "max": 4.0, "mean": 4.0, "median": 4.0,
+                     "p95": 4.0, "p99": 4.0},
+    "write_latency": {"count": 9, "max": 4.000000000000002, "mean": 4.0,
+                      "median": 4.0, "p95": 4.000000000000002,
+                      "p99": 4.000000000000002},
+}
+
+
 @pytest.fixture(scope="module")
 def campaign():
     """One small aggressive campaign, shared by the read-only assertions."""
@@ -198,6 +218,29 @@ class TestOracles:
             {"operations": 4, "weights": {"s1": -0.5, "s2": 5.5}}
         ))
         assert [v.check for v in report.violations] == ["negative-weight"]
+
+    def test_result_oracle_flags_a_control_loop_that_died(self):
+        oracle = ResultOracle(expected_weight=5.0)
+        finished = oracle.judge(self.outcome(dict(
+            A_CONTROL_LOOP_THAT_DIED,
+            monitoring={"rounds": 6, "rounds_completed": 6,
+                        "transfers_attempted": 1},
+        )))
+        assert not finished.violations
+        assert finished.details["monitoring_rounds_completed"] == 6
+        died = oracle.judge(self.outcome(A_CONTROL_LOOP_THAT_DIED))
+        assert [v.check for v in died.violations] == ["monitoring-rounds"]
+        assert "2 of 6" in died.violations[0].message
+        assert died.details["monitoring_rounds_completed"] == 2
+
+    def test_result_oracle_adds_no_key_for_an_unmonitored_run(self):
+        report = ResultOracle().judge(self.outcome(
+            {"operations": 4, "workload": {"operations": 4}}
+        ))
+        assert not report.violations
+        assert report.details == {
+            "completed": True, "operations": 4, "generated": 4,
+        }
 
     def test_latency_oracle_ranks_but_never_flags(self):
         baseline = {"read_latency": {"p99": 2.0}, "write_latency": {"p99": 4.0}}

@@ -17,6 +17,7 @@ from repro.core.storage import (
     _quorum_or_news,
 )
 from repro.errors import ConfigurationError
+from repro.experiments.registry import get_scenario
 from repro.experiments.spec import (
     ClusterSpec,
     KeySpec,
@@ -24,6 +25,7 @@ from repro.experiments.spec import (
     MixSpec,
     ScenarioSpec,
     WorkloadSpec,
+    run_spec,
 )
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.message import Message
@@ -250,6 +252,33 @@ class TestWeightAwareQuorums:
             return servers["s1"].stored.value
 
         assert loop.run_until_complete(go()) == "precious"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the weight-gain refresh recurses to the "
+        "interpreter's limit, so the gaining server never stores its gain",
+    )
+    def test_every_server_learns_a_settled_transfer(self, monkeypatch):
+        """``quickstart`` moves 0.25 from s1 to s2 once, at t=5.  Today s2's
+        refresh read restarts on its own gain until the handler task dies of
+        ``RecursionError`` (247 refreshes for that one transfer; the settle
+        runs to t=393 instead of t=53), and s2 ends holding ``s2=1.0`` —
+        a map summing to 4.75 — against 1.25 everywhere else."""
+        clusters = []
+        build = ClusterSpec.build
+
+        def recording_build(self, *args, **kwargs):
+            clusters.append(build(self, *args, **kwargs))
+            return clusters[-1]
+
+        monkeypatch.setattr(ClusterSpec, "build", recording_build)
+        result = run_spec(get_scenario("quickstart").spec.with_overrides({
+            "observability.enabled": True, "observability.trace": False,
+        }))
+        views = [server.local_weights() for server in clusters[0].servers.values()]
+        assert all(view == views[0] for view in views)
+        assert sum(views[0].values()) == pytest.approx(5.0)
+        assert result["metrics"]["counters"]["storage.weight_gain_refreshes"] < 10
 
     def test_server_storage_read(self):
         loop, _, config, servers, clients = build_storage_cluster(5, 1)
