@@ -5,7 +5,7 @@ fault axes (:func:`~repro.chaos.space.fault_axes`), Latin-hypercube samples
 ``sample`` configurations, executes them — traced — through the existing
 serial/parallel executor with run errors captured, and judges every run
 with the oracle stack (:mod:`repro.chaos.oracles`) in the process that
-recorded its trace, from the live records.  The result is a
+recorded its trace, from the recorder's live events.  The result is a
 :class:`Campaign`: a ranked, deterministic report whose JSONL form is
 byte-identical for any worker count and any ``PYTHONHASHSEED`` (the same
 guarantee the sweep executor makes), plus ready-to-run spec files for the
@@ -42,7 +42,7 @@ from repro.experiments.resilience import (
 )
 from repro.experiments.spec import ObservabilitySpec, ScenarioSpec
 from repro.experiments.sweep import RunSpec, Sweep
-from repro.obs import Observer, observing, write_trace
+from repro.obs import Observer, TraceEvent, observing, write_trace
 # Unused: a campaign reads no trace back.  Kept, like ``shutdown_pool()``,
 # because the frozen ``benchmarks/perf`` binds ``campaign.read_trace`` by name.
 from repro.obs import read_trace  # noqa: F401
@@ -168,7 +168,7 @@ class _Judge:
 
     def verdict(
         self, index: int, run: RunSpec, result: Dict[str, Any],
-        records: Optional[List[Dict[str, Any]]],
+        events: Optional[List[TraceEvent]],
     ) -> Dict[str, Any]:
         """One run's report entry: every oracle's verdict, and a severity."""
         outcome = RunOutcome(
@@ -176,7 +176,7 @@ class _Judge:
             run_id=run.run_id,
             params=run.params_dict,
             result=result,
-            trace_records=records,
+            trace_records=events,
             baseline=self.baseline,
         )
         violations = []
@@ -209,11 +209,14 @@ class _Judge:
             result = run_with_stable_stack(execute, run, entry)
         assert observer.trace is not None
         # A run that died is judged with no trace, as a worker's that died is.
-        records = None if "error" in result.result else observer.trace.records
-        if records is not None and self.keep_traces is not None:
+        events = None if "error" in result.result else observer.trace.events
+        if events is not None and self.keep_traces is not None:
             stem = "baseline" if index < 0 else f"{index:04d}"
-            write_trace(records, os.path.join(self.keep_traces, f"{stem}.jsonl"))
-        judged = self.verdict(index, run, result.result, records)
+            write_trace(
+                observer.trace.records,
+                os.path.join(self.keep_traces, f"{stem}.jsonl"),
+            )
+        judged = self.verdict(index, run, result.result, events)
         return _JudgedResult(result.scenario, result.params, result.result, judged)
 
 
@@ -272,7 +275,7 @@ def run_campaign(
     window sizes, thresholds): worker count, trace directory and hash seed
     leave its bytes unchanged.  Every run executes under an observer the
     campaign installs (the spec's own ``observability`` section is switched
-    off for it) and is judged from the live trace records by the process
+    off for it) and is judged from the live trace events by the process
     that recorded them — a worker sends back its verdict, not its trace.
     ``keep_traces`` additionally writes each completed run's trace to the
     given directory (``baseline.jsonl``, then ``NNNN.jsonl`` by sample

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.analysis import check_trace_invariants
+from repro.obs.analysis import Record, check_trace_invariants
 
 __all__ = [
     "RunOutcome",
@@ -55,7 +55,8 @@ class RunOutcome:
     run_id: str
     params: Mapping[str, Any]
     result: Mapping[str, Any]
-    trace_records: Optional[Sequence[Mapping[str, Any]]] = None
+    #: The recorder's live events, or the flat records of a trace file.
+    trace_records: Optional[Sequence[Record]] = None
     baseline: Optional[Mapping[str, Any]] = None
 
     @property

@@ -36,14 +36,13 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "DEFAULT_TIME_BOUNDS",
     ),
     "trace": (
-        "TraceRecorder", "TRACE_PHASES", "TRACE_CATEGORIES", "trace_lines",
-        "trace_digest", "write_trace", "read_trace", "ValidatedTrace",
-        "validate_record",
+        "TraceEvent", "TraceRecorder", "TRACE_PHASES", "TRACE_CATEGORIES",
+        "trace_lines", "trace_digest", "write_trace", "read_trace",
+        "ValidatedTrace", "validate_record",
     ),
     "export": ("to_chrome_trace", "write_chrome_trace", "summarize_trace"),
     "analysis": (
-        "TraceEvent", "Finding", "InvariantReport", "parse_events",
-        "check_trace_invariants",
+        "Finding", "InvariantReport", "parse_events", "check_trace_invariants",
     ),
     "causal": (
         "ATTRIBUTION_CATEGORIES", "Operation", "PathStep", "extract_operations",

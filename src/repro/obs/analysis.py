@@ -2,10 +2,11 @@
 
 The recorder in :mod:`repro.obs.trace` only promises a *schema*: flat
 records, closed category/phase vocabularies, ordered ``seq``.  This module
-promises *meaning*: it parses the flat records into a typed event stream
-(:class:`TraceEvent`) and checks the structural and semantic invariants a
-correct run must satisfy, so "the digests differ" can be escalated to "the
-trace is malformed *here*, in this way".
+promises *meaning*: it reads a typed event stream (:class:`TraceEvent` — a
+recorder's own events as they are, flat records parsed and validated) and
+checks the structural and semantic invariants a correct run must satisfy,
+so "the digests differ" can be escalated to "the trace is malformed *here*,
+in this way".
 
 Structural invariants (any trace):
 
@@ -39,13 +40,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import (
-    Any, Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union,
 )
 
 from repro.errors import ConfigurationError
-from repro.obs.trace import ValidatedTrace, validate_record
+from repro.obs.trace import TraceEvent, ValidatedTrace, validate_record
 
 __all__ = [
     "TraceEvent",
@@ -55,66 +55,52 @@ __all__ = [
     "check_trace_invariants",
 ]
 
-_EMPTY_ARGS: Mapping[str, Any] = MappingProxyType({})
+#: One element of a trace as the analyses accept it: a recorder's typed
+#: event, or a flat record of the file format.
+Record = Union[TraceEvent, Mapping[str, Any]]
 
 #: Trailing integer of a quorum phase name ("phase1" -> 1); phases without
 #: one ("probe", "gossip") opt out of the ordering check.
 _PHASE_INDEX = re.compile(r"(\d+)$")
 
 
-class TraceEvent(NamedTuple):
-    """One trace record, parsed into a typed, attribute-addressable event."""
+def _iter_events(records: Iterable[Record]) -> Iterator[TraceEvent]:
+    """One :class:`TraceEvent` per record, validating what is not yet one.
 
-    seq: int
-    ts: float
-    cat: str
-    name: str
-    ph: str
-    actor: str = ""
-    args: Mapping[str, Any] = _EMPTY_ARGS
-    flow: Optional[int] = None
-
-    @property
-    def is_span_begin(self) -> bool:
-        return self.ph == "B"
-
-    @property
-    def is_span_end(self) -> bool:
-        return self.ph == "E"
-
-    @property
-    def is_flow(self) -> bool:
-        return self.ph in ("s", "f")
-
-
-def _iter_events(records: Iterable[Mapping[str, Any]]) -> Iterator[TraceEvent]:
-    """One :class:`TraceEvent` per record, validating unless already done.
-
-    A :class:`~repro.obs.trace.ValidatedTrace` was validated record by
-    record as ``read_trace`` decoded it; every other input is validated here.
+    A typed event passed the schema where it was made (``emit``, or this
+    function) and is taken as it is, but for its position: ``seq`` counts
+    0,1,2,... over *this* stream whatever it is made of.  Of the flat
+    records, a :class:`~repro.obs.trace.ValidatedTrace` was validated one
+    by one as ``read_trace`` decoded it; any other is validated here.
     """
     validated = type(records) is ValidatedTrace
-    make = TraceEvent._make
+    from_record = TraceEvent.from_record
     for index, record in enumerate(records):
+        if type(record) is TraceEvent:
+            if record[0] != index:
+                raise ConfigurationError(
+                    f"trace record {index}: invalid: seq {record[0]!r} "
+                    f"out of order (expected {index})"
+                )
+            yield record
+            continue
         if not validated:
             problems = validate_record(record, expect_seq=index)
             if problems:
                 raise ConfigurationError(
                     f"trace record {index}: invalid: " + "; ".join(problems)
                 )
-        get = record.get
-        yield make((
-            record["seq"], record["ts"], record["cat"], record["name"],
-            record["ph"], get("actor", ""), get("args", _EMPTY_ARGS), get("id"),
-        ))
+        yield from_record(record)
 
 
-def parse_events(records: Iterable[Mapping[str, Any]]) -> List[TraceEvent]:
-    """Parse flat trace records into a typed event stream.
+def parse_events(records: Iterable[Record]) -> List[TraceEvent]:
+    """Parse trace records into a typed event stream.
 
-    Records are validated against the schema (including ``seq`` ordering);
-    the first invalid record raises :class:`ConfigurationError` with its
-    position.  An empty input parses to an empty stream.
+    Flat records are validated against the schema, typed events (a
+    recorder's ``events``) are taken as they are, and ``seq`` ordering is
+    checked of both; the first invalid record raises
+    :class:`ConfigurationError` with its position.  An empty input parses
+    to an empty stream.
     """
     return list(_iter_events(records))
 
@@ -168,11 +154,15 @@ class InvariantReport:
 
 
 def check_trace_invariants(
-    records: Iterable[Mapping[str, Any]],
+    records: Iterable[Record],
     min_quorum: int = 1,
     weight_tolerance: float = 1e-9,
 ) -> InvariantReport:
     """Run every structural and semantic invariant over ``records``.
+
+    ``records`` is whatever :func:`parse_events` takes: a recorder's live
+    ``events``, its ``records``, or what ``read_trace`` returned — one
+    verdict whichever the route.
 
     ``min_quorum`` is the smallest quorum size the configuration allows
     (pass the threshold the run was built with to make the check sharp;
@@ -194,9 +184,9 @@ def check_trace_invariants(
     net_weight: Dict[str, float] = {}
     effective_transfers = 0
 
-    # One pass: each event is built, put to every invariant and dropped
-    # (open spans and flows keep theirs), so no second copy of the trace
-    # exists beside the caller's records.
+    # One pass: each event is taken (or built from its record), put to every
+    # invariant and dropped (open spans and flows keep theirs), so no second
+    # copy of the trace exists beside the caller's.
     for event in _iter_events(records):
         seq, ts, cat, name, ph, actor, args, flow = event
         total += 1

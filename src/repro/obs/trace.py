@@ -31,16 +31,24 @@ The canonical serialisation (one record per line,
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))``) is what both the
 JSONL sink and the trace digest hash, so a digest pinned in a test also pins
 the exact bytes CI uploads as an artifact.
+
+In memory a record is a :class:`TraceEvent`; the flat dict above is the *file
+format*.  :meth:`TraceRecorder.emit` checks the schema once, where the record
+is made, and keeps the typed event the analyses read;
+:attr:`TraceRecorder.records` renders the dicts for everything that writes,
+hashes, exports or diffs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "TraceEvent",
     "TraceRecorder",
     "TRACE_PHASES",
     "TRACE_CATEGORIES",
@@ -69,15 +77,87 @@ TRACE_CATEGORIES = (
     "monitoring",
 )
 
+_CATEGORY_SET = frozenset(TRACE_CATEGORIES)
+_PHASE_SET = frozenset(TRACE_PHASES)
+#: What an event without ``args`` carries: one shared, read-only mapping.
+_EMPTY_ARGS: Mapping[str, Any] = MappingProxyType({})
+
+
+class TraceEvent(NamedTuple):
+    """One trace record in memory: typed and attribute-addressable.
+
+    Only :meth:`TraceRecorder.emit` and the validating parser
+    (:func:`repro.obs.analysis.parse_events`) make one, which is why the
+    analyses take an event as it is; :meth:`as_record` and
+    :meth:`from_record` are the way to the file format and back.
+    """
+
+    seq: int
+    ts: float
+    cat: str
+    name: str
+    ph: str
+    actor: str = ""
+    args: Mapping[str, Any] = _EMPTY_ARGS
+    flow: Optional[int] = None
+
+    @property
+    def is_span_begin(self) -> bool:
+        return self.ph == "B"
+
+    @property
+    def is_span_end(self) -> bool:
+        return self.ph == "E"
+
+    @property
+    def is_flow(self) -> bool:
+        return self.ph in ("s", "f")
+
+    @classmethod
+    def from_record(cls, record: Mapping[str, Any]) -> "TraceEvent":
+        """The event a schema-valid flat record describes (the caller has
+        validated it: nothing is checked here)."""
+        get = record.get
+        return cls._make((
+            record["seq"], record["ts"], record["cat"], record["name"],
+            record["ph"], get("actor", ""), get("args", _EMPTY_ARGS), get("id"),
+        ))
+
+    def as_record(self) -> Dict[str, Any]:
+        """The flat record of the file format (absent optional keys omitted)."""
+        record: Dict[str, Any] = {
+            "seq": self.seq,
+            "ts": self.ts,
+            "cat": self.cat,
+            "name": self.name,
+            "ph": self.ph,
+        }
+        if self.actor:
+            record["actor"] = self.actor
+        if self.args:
+            record["args"] = self.args
+        if self.flow is not None:
+            record["id"] = self.flow
+        return record
+
+
+#: Makes an event without a Python frame (``TraceEvent(...)`` is one).
+_new_event = tuple.__new__
+
 
 class TraceRecorder:
-    """Accumulates trace records in emission order."""
+    """Accumulates trace events in emission order."""
 
-    __slots__ = ("records", "_flow_ids")
+    __slots__ = ("events", "_flow_ids")
 
     def __init__(self) -> None:
-        self.records: List[Dict[str, Any]] = []
+        self.events: List[TraceEvent] = []
         self._flow_ids = 0
+
+    @property
+    def records(self) -> List[Dict[str, Any]]:
+        """The trace in its file format, rendered anew on every access."""
+        return [event.as_record() for event in self.events]
 
     def next_flow_id(self) -> int:
         """A fresh flow id, deterministic because it is per-recorder."""
@@ -94,20 +174,42 @@ class TraceRecorder:
         args: Optional[Dict[str, Any]] = None,
         flow: Optional[int] = None,
     ) -> None:
-        record: Dict[str, Any] = {
-            "seq": len(self.records),
-            "ts": ts,
-            "cat": cat,
-            "name": name,
-            "ph": ph,
-        }
-        if actor:
-            record["actor"] = actor
-        if args:
-            record["args"] = args
-        if flow is not None:
-            record["id"] = flow
-        self.records.append(record)
+        """Append one event, schema-checked here and nowhere after.
+
+        The happy path is the exact-type tests of :func:`_plainly_valid`
+        over the arguments and must stay a *leaf*: builtins only, no
+        Python-level call.  ``Network.send -> Observer.message_sent -> emit``
+        already sits one frame short of the pinned send chain, so a frame
+        added here moves where recursion-limited runs abort (ARCHITECTURE
+        "Performance").
+        """
+        events = self.events
+        if (
+            (type(ts) is float or type(ts) is int) and not ts < 0
+            and type(cat) is str and cat in _CATEGORY_SET
+            and type(name) is str and name
+            and type(ph) is str and ph in _PHASE_SET
+            and type(actor) is str
+            and (args is None or type(args) is dict)
+            and (type(flow) is int if flow is not None
+                 else ph != "s" and ph != "f")
+        ):
+            events.append(_new_event(TraceEvent, (
+                len(events), ts, cat, name, ph, actor,
+                args or _EMPTY_ARGS, flow,
+            )))
+            return
+        # Not plainly valid: ask the reference check, in its words.
+        event = TraceEvent(
+            len(events), ts, cat, name, ph, actor or "",
+            args or _EMPTY_ARGS, flow,
+        )
+        problems = _problems(event.as_record(), None)
+        if problems:
+            raise ConfigurationError(
+                f"trace record {event.seq}: invalid: " + "; ".join(problems)
+            )
+        events.append(event)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +303,6 @@ def read_trace(path: str) -> ValidatedTrace:
 
 _ALLOWED_KEYS = frozenset({"seq", "ts", "cat", "name", "ph", "actor", "args", "id"})
 _REQUIRED_KEYS = ("seq", "ts", "cat", "name", "ph")
-_CATEGORY_SET = frozenset(TRACE_CATEGORIES)
-_PHASE_SET = frozenset(TRACE_PHASES)
 
 
 def _plainly_valid(record: Any, expect_seq: Optional[int]) -> bool:

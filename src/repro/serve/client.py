@@ -22,7 +22,7 @@ import json
 import sys
 import time
 import urllib.parse
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.experiments.cli import parse_grid, parse_params
@@ -59,36 +59,41 @@ class ServeClient:
 
     def _request(
         self, method: str, path: str, body: Optional[Any] = None
-    ) -> "http.client.HTTPResponse":
+    ) -> Tuple[int, bytes]:
+        """One exchange on its own connection: ``(status, whole body)``.
+
+        The connection is closed here, body read or not — never left for
+        the garbage collector to find.
+        """
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
-        payload = None
-        headers = {}
-        if body is not None:
-            payload = json.dumps(body).encode("utf-8")
-            headers["Content-Type"] = "application/json"
-        connection.request(method, path, body=payload, headers=headers)
-        return connection.getresponse()
+        try:
+            payload = None
+            headers = {}
+            if body is not None:
+                payload = json.dumps(body).encode("utf-8")
+                headers["Content-Type"] = "application/json"
+            connection.request(method, path, body=payload, headers=headers)
+            response = connection.getresponse()
+            return response.status, response.read()
+        finally:
+            connection.close()
 
     def _json(self, method: str, path: str, body: Optional[Any] = None) -> Any:
-        response = self._request(method, path, body)
-        try:
-            data = response.read()
-        finally:
-            response.close()
+        status, data = self._request(method, path, body)
         try:
             document = json.loads(data.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise ServeClientError(
                 f"non-JSON response from {method} {path}: {error}",
-                status=response.status,
+                status=status,
             ) from error
-        if response.status >= 400:
+        if status >= 400:
             detail = document.get("error", {}) if isinstance(document, dict) else {}
             raise ServeClientError(
                 detail.get("message", f"{method} {path} failed"),
-                status=response.status,
+                status=status,
                 path=detail.get("path"),
             )
         return document
@@ -121,23 +126,19 @@ class ServeClient:
 
     def results_bytes(self, job_id: str) -> bytes:
         """The job's complete results.jsonl; blocks until the job finishes."""
-        response = self._request("GET", f"/jobs/{job_id}/results")
-        try:
-            if response.status >= 400:
-                data = response.read()
-                detail = {}
-                try:
-                    detail = json.loads(data.decode("utf-8")).get("error", {})
-                except (json.JSONDecodeError, UnicodeDecodeError):
-                    pass
-                raise ServeClientError(
-                    detail.get("message", f"results fetch failed for {job_id}"),
-                    status=response.status,
-                    path=detail.get("path"),
-                )
-            return response.read()
-        finally:
-            response.close()
+        status, data = self._request("GET", f"/jobs/{job_id}/results")
+        if status >= 400:
+            detail = {}
+            try:
+                detail = json.loads(data.decode("utf-8")).get("error", {})
+            except (json.JSONDecodeError, UnicodeDecodeError):
+                pass
+            raise ServeClientError(
+                detail.get("message", f"results fetch failed for {job_id}"),
+                status=status,
+                path=detail.get("path"),
+            )
+        return data
 
     def wait(
         self, job_id: str, timeout: float = 120.0, poll: float = 0.1

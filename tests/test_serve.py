@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import signal
 import socket
 import subprocess
@@ -42,6 +43,10 @@ from repro.serve.service import (
 FAST = {"workload.operations_per_client": 2}
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 QUICKSTART_SPEC = os.path.join(REPO, "examples", "specs", "quickstart.json")
+
+
+def quickstart_document():
+    return json.loads(pathlib.Path(QUICKSTART_SPEC).read_text(encoding="utf-8"))
 
 
 def wait_for(predicate, timeout=120.0, interval=0.01):
@@ -123,21 +128,21 @@ class TestSchemas:
 class TestStructuredErrors:
     def test_spec_override_error_carries_path(self):
         from repro.experiments.spec import ScenarioSpec
-        spec = ScenarioSpec.from_dict(json.load(open(QUICKSTART_SPEC)))
+        spec = ScenarioSpec.from_dict(quickstart_document())
         with pytest.raises(ConfigurationError) as excinfo:
             spec.with_overrides({"cluster.bogus": 1})
         assert excinfo.value.path == "cluster.bogus"
 
     def test_section_validation_attaches_section_path(self):
         from repro.experiments.spec import ScenarioSpec
-        data = json.load(open(QUICKSTART_SPEC))
+        data = quickstart_document()
         data["workload"] = dict(data["workload"], operations_per_client=-1)
         with pytest.raises(ConfigurationError) as excinfo:
             ScenarioSpec.from_dict(data).validate()
         assert excinfo.value.path == "workload"
 
     def test_cli_prints_path_hint(self, tmp_path, capsys):
-        data = json.load(open(QUICKSTART_SPEC))
+        data = quickstart_document()
         data["workload"] = dict(data["workload"], operations_per_client=-1)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -177,7 +182,7 @@ class TestServiceExecution:
             tmp_path, "direct.jsonl",
             ["quickstart", "-p", "workload.operations_per_client=2"],
         )
-        assert job.results_path and open(job.results_path, "rb").read() == want
+        assert job.results_path and pathlib.Path(job.results_path).read_bytes() == want
 
     def test_concurrent_jobs_share_service(self, tmp_path):
         service = ExperimentService(
@@ -208,7 +213,7 @@ class TestServiceExecution:
         # Two job threads each driving a --workers 2 stream at once, one of
         # them on an inline spec: every job starts its own workers and hands
         # them its own planned scenario, so neither sees the other's.
-        spec = json.load(open(QUICKSTART_SPEC))
+        spec = quickstart_document()
         spec["name"] = "serve-inline-probe"
         spec_path = tmp_path / "inline.json"
         spec_path.write_text(json.dumps(spec))
@@ -236,7 +241,7 @@ class TestServiceExecution:
             for job, want in zip(jobs, wants):
                 # Parallel results land in completion order; the lines are
                 # the CLI's bytes.
-                served = open(job.results_path, "rb").read()
+                served = pathlib.Path(job.results_path).read_bytes()
                 assert sorted(served.splitlines()) == sorted(want.splitlines())
                 assert len(served) == len(want)
         finally:
@@ -273,7 +278,8 @@ class TestServiceExecution:
         # The journal retains every completed run for a later resume.
         journal_lines = [
             json.loads(line)
-            for line in open(job.journal_path, encoding="utf-8")
+            for line in pathlib.Path(job.journal_path).read_text(
+                encoding="utf-8").splitlines()
         ]
         entries = [line for line in journal_lines if "digest" in line]
         assert len(entries) >= job.done_runs - 1  # last run may post-date cancel
@@ -296,8 +302,7 @@ class TestServiceExecution:
 
 def same_name_request(seed):
     """A run job on an inline spec named ``same-name-probe`` with ``seed``."""
-    with open(QUICKSTART_SPEC) as handle:
-        spec = json.load(handle)
+    spec = quickstart_document()
     spec.update(name="same-name-probe", seed=seed)
     return JobRequest.from_dict({"kind": "run", "spec": spec, "params": FAST})
 
@@ -341,8 +346,7 @@ class TestInlineSpecsArePerJob:
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_cli_spec_runs_register_nothing(self, command, tmp_path):
         before = dict(registry._REGISTRY)
-        with open(QUICKSTART_SPEC) as handle:
-            spec = json.load(handle)
+        spec = quickstart_document()
         spec["name"] = "never-registered-probe"
         path = tmp_path / "probe.json"
         path.write_text(json.dumps(spec))
@@ -439,7 +443,7 @@ class TestRestartResume:
         assert resumed.state == "done"
         assert resumed.done_runs == 4
         assert resumed.telemetry.resumed >= 1
-        assert open(resumed.results_path, "rb").read() == want
+        assert pathlib.Path(resumed.results_path).read_bytes() == want
         second.shutdown()
 
 
@@ -551,7 +555,7 @@ class TestRoutes:
         assert response.payload["error"]["path"] == "bad_section"
 
     def test_validate_endpoint_judges_specs(self, service):
-        good = json.load(open(QUICKSTART_SPEC))
+        good = quickstart_document()
         response = dispatch(service, "POST", "/specs/validate",
                             json.dumps(good).encode())
         assert response.status == 200
@@ -576,7 +580,7 @@ class TestRoutes:
 
 class TestHTTPServer:
     def test_submit_stream_cancel_roundtrip(self, http_client, tmp_path):
-        spec = json.load(open(QUICKSTART_SPEC))
+        spec = quickstart_document()
         job = http_client.submit({
             "kind": "sweep", "spec": spec,
             "params": FAST, "seeds": [0, 1],

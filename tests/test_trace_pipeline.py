@@ -2,10 +2,12 @@
 
 ``repro.obs.trace`` takes shortcuts on its hot path — a shared encoder, a
 digest taken from the bytes written, an exact-type happy path in the record
-validator, a :class:`ValidatedTrace` that is not validated a second time.
-Each shortcut must be invisible: same bytes, same digests, same verdicts,
-same words.  These tests pin that, with the wording path
-(``repro.obs.trace._problems``) as the reference implementation.
+validator, a :class:`ValidatedTrace` that is not validated a second time, a
+recorder that checks the schema in ``emit`` and keeps the typed event the
+checker reads.  Each shortcut must be invisible: same bytes, same digests,
+same verdicts, same words.  These tests pin that, with the wording path
+(``repro.obs.trace._problems``) and the dict-building recorder this tree
+used to have (``DictRecorder`` below) as the reference implementations.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.net.message import Message
 from repro.obs import (
+    Observer,
     TRACE_CATEGORIES,
     TRACE_PHASES,
     TraceEvent,
@@ -420,6 +424,283 @@ class TestTraceEvent:
         )
         assert events[1].is_flow and events[3].is_span_end
         assert [event.seq for event in events] == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# One record from hook to verdict: the recorder keeps typed events
+# ---------------------------------------------------------------------------
+
+
+class DictRecorder:
+    """The recorder as it was while a record in memory was a dict: the
+    reference for every byte ``TraceRecorder.records`` renders."""
+
+    def __init__(self):
+        self.records = []
+
+    def emit(self, ts, cat, name, ph, actor="", args=None, flow=None):
+        record = {"seq": len(self.records), "ts": ts, "cat": cat,
+                  "name": name, "ph": ph}
+        if actor:
+            record["actor"] = actor
+        if args:
+            record["args"] = args
+        if flow is not None:
+            record["id"] = flow
+        self.records.append(record)
+
+
+def _same_with_exact_types(left, right):
+    if type(left) is not type(right):
+        return False
+    if type(left) is dict:
+        return list(left) == list(right) and all(
+            _same_with_exact_types(left[key], right[key]) for key in left)
+    if type(left) is list:
+        return len(left) == len(right) and all(
+            map(_same_with_exact_types, left, right))
+    return left == right
+
+
+# Names and actors from small pools so spans close, flows pair (and collide)
+# and transfers balance or do not: verdicts with findings, not empty ones.
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 12), st.floats(-4, 4),
+    st.sampled_from(["", "abd", "storage", "s1", "s2"]),
+)
+_emit_args = st.one_of(
+    st.none(),
+    st.fixed_dictionaries({}, optional={
+        "protocol": st.sampled_from(["abd", "storage"]),
+        "size": st.integers(0, 5),
+        "delta": st.one_of(st.integers(0, 2), st.floats(0, 2)),
+        "target": st.sampled_from(["s1", "s2", "s3"]),
+        "effective": st.booleans(),
+        "note": _json_scalars,
+    }),
+)
+
+
+@st.composite
+def _valid_emits(draw):
+    """Keyword arguments of one schema-valid ``emit`` call."""
+    ph = draw(st.sampled_from(TRACE_PHASES))
+    flows = st.integers(0, 6)
+    call = {
+        "ts": draw(st.one_of(st.integers(0, 20), st.floats(0, 20))),
+        "cat": draw(st.sampled_from(TRACE_CATEGORIES)),
+        "name": draw(st.sampled_from(
+            ["read", "write", "restart", "phase1", "phase2", "transfer", "R"])),
+        "ph": ph,
+        "flow": draw(flows if ph in ("s", "f") else st.one_of(st.none(), flows)),
+    }
+    if draw(st.booleans()):
+        call["actor"] = draw(st.sampled_from(["", "c1", "c2", "s1"]))
+    if draw(st.booleans()):
+        call["args"] = draw(_emit_args)
+    return call
+
+
+def emit_call_for(record):
+    """The ``emit`` call that would make ``record``, or ``None`` when there
+    is none: ``seq`` is the recorder's, an unknown key has no parameter, and
+    a ``None`` in an optional parameter means "absent", not "null"."""
+    if not isinstance(record, dict) or set(record) - {
+            "seq", "ts", "cat", "name", "ph", "actor", "args", "id"}:
+        return None
+    if not {"ts", "cat", "name", "ph"} <= set(record):
+        return None
+    if record.get("args", 0) is None or record.get("id", 0) is None:
+        return None
+    call = {key: record[key] for key in ("ts", "cat", "name", "ph")}
+    for key, parameter in (("actor", "actor"), ("args", "args"), ("id", "flow")):
+        if key in record:
+            call[parameter] = record[key]
+    return call
+
+
+_EMIT_CORPUS = [
+    (label, emit_call_for(record),
+     [words for words in problems  # what is wrong with ``seq`` cannot be said
+      if not (words.startswith("seq ") or words.endswith("'seq'"))])
+    for label, record, _, problems in CORPUS
+    if emit_call_for(record) is not None
+]
+
+
+class TestTypedRecorder:
+    def test_the_recorder_keeps_events_and_renders_records(self):
+        recorder = TraceRecorder()
+        recorder.emit(ts=0.5, cat="net", name="R", ph="s", actor="c1",
+                      args={"to": "s1"}, flow=3)
+        recorder.emit(ts=1, cat="kernel", name="run", ph="i", args={})
+        assert recorder.events == [
+            TraceEvent(0, 0.5, "net", "R", "s", "c1", {"to": "s1"}, 3),
+            TraceEvent(1, 1, "kernel", "run", "i"),
+        ]
+        assert all(type(event) is TraceEvent for event in recorder.events)
+        with pytest.raises(TypeError):
+            recorder.events[1].args["k"] = 1  # no args: the shared read-only map
+        assert recorder.records == [
+            {"seq": 0, "ts": 0.5, "cat": "net", "name": "R", "ph": "s",
+             "actor": "c1", "args": {"to": "s1"}, "id": 3},
+            {"seq": 1, "ts": 1, "cat": "kernel", "name": "run", "ph": "i"},
+        ]
+        assert recorder.records is not recorder.records  # rendered per access
+        assert recorder.events[0].as_record() == recorder.records[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_valid_emits(), max_size=30))
+    def test_three_routes_one_verdict_and_the_old_recorders_bytes(
+        self, tmp_path_factory, calls
+    ):
+        recorder, reference = TraceRecorder(), DictRecorder()
+        for call in calls:
+            recorder.emit(**call)
+            reference.emit(**call)
+        records = recorder.records
+        assert _same_with_exact_types(records, reference.records)
+        assert trace_lines(records) == trace_lines(reference.records)
+        assert trace_digest(records) == trace_digest(reference.records)
+        assert parse_events(recorder.events) == recorder.events
+        assert parse_events(records) == recorder.events
+
+        path = str(tmp_path_factory.mktemp("routes") / "t.jsonl")
+        assert write_trace(records, path) == trace_digest(reference.records)
+        verdicts = [
+            check_trace_invariants(route, min_quorum=2).as_dict()
+            for route in (recorder.events, records, read_trace(path))
+        ]
+        assert verdicts[0] == verdicts[1] == verdicts[2]
+        assert verdicts[0]["counters"]["records"] == len(calls)
+
+    @pytest.mark.parametrize(
+        "call, problems", [case[1:] for case in _EMIT_CORPUS],
+        ids=[case[0] for case in _EMIT_CORPUS],
+    )
+    def test_emit_judges_a_record_in_the_validators_words(self, call, problems):
+        recorder = TraceRecorder()
+        recorder.emit(ts=0.0, cat="kernel", name="run", ph="i")
+        if not problems:
+            recorder.emit(**call)
+            (record,) = recorder.records[1:]
+            assert _problems(record, 1) == []
+            assert parse_events(recorder.records) == recorder.events
+            return
+        with pytest.raises(ConfigurationError) as caught:
+            recorder.emit(**call)
+        assert str(caught.value) == (
+            "trace record 1: invalid: " + "; ".join(problems))
+        assert len(recorder.events) == 1  # nothing half-recorded
+
+    def test_the_corpus_reaches_emit(self):
+        labels = {case[0] for case in _EMIT_CORPUS}
+        assert {"unknown category", "unhashable phase", "bool ts", "bool id",
+                "flow start without id", "non-str actor", "list args",
+                "args dict subclass", "nan ts"} <= labels
+
+    def test_typed_events_are_taken_without_validation_or_a_copy(
+        self, monkeypatch
+    ):
+        recorder = TraceRecorder()
+        for record in sample_records():
+            recorder.emit(**emit_call_for(record))
+        calls = []
+        monkeypatch.setattr(
+            "repro.obs.analysis.validate_record",
+            lambda record, expect_seq=None: calls.append(expect_seq) or [])
+        events = parse_events(recorder.events)
+        assert all(map(lambda a, b: a is b, events, recorder.events))
+        assert check_trace_invariants(recorder.events).ok
+        assert calls == []
+
+    def test_seq_counts_positions_in_typed_input_too(self):
+        first, second = TraceRecorder(), TraceRecorder()
+        for recorder in (first, second):
+            recorder.emit(ts=0.0, cat="op", name="read", ph="B", actor="c1")
+            recorder.emit(ts=1.0, cat="op", name="read", ph="E", actor="c1")
+        assert check_trace_invariants(first.events).ok
+        words = r"trace record 2: invalid: seq 0 out of order \(expected 2\)"
+        for joined in (first.events + second.events,
+                       first.records + second.records,
+                       first.events + second.records):
+            with pytest.raises(ConfigurationError, match=words):
+                check_trace_invariants(joined)
+            with pytest.raises(ConfigurationError, match=words):
+                parse_events(joined)
+        with pytest.raises(ConfigurationError, match="trace record 0: invalid: "
+                           r"seq 1 out of order \(expected 0\)"):
+            check_trace_invariants(first.events[1:])
+
+
+#: One call of every ``Observer`` hook: (arguments, records it must emit).
+_MESSAGE = Message(sender="c1", receiver="s1", kind="RC")
+HOOK_CALLS = {
+    "kernel_run": (dict(ready_hits=3, heap_hits=2, max_depth=4), 0),
+    "message_sent": (dict(message=_MESSAGE, now=1.0), 1),
+    "message_delivered": (dict(message=_MESSAGE, now=2.0), 1),
+    "message_dropped": (dict(message=_MESSAGE, now=2.0, reason="crashed"), 1),
+    "process_crashed": (dict(pid="s1", now=3.0), 1),
+    "process_recovered": (dict(pid="s1", now=4.0), 1),
+    "partition_started": (dict(groups=[["s2", "s1"], ["s3"]], now=5.0), 1),
+    "partition_healed": (dict(released=2, now=6.0), 1),
+    "operation_started": (
+        dict(protocol="abd", pid="c1", kind="read", now=7.0), 1),
+    "operation_restarted": (
+        dict(protocol="abd", pid="c1", kind="read", now=7.5), 1),
+    "quorum_phase": (
+        dict(protocol="abd", pid="c1", phase="phase1", quorum_size=3, now=8.0),
+        1),
+    "operation_completed": (
+        dict(protocol="abd", pid="c1", kind="read", now=9.0, restarts=1,
+             contacted=3, latency=2.0), 1),
+    "transfer_started": (dict(source="s1", target="s2", delta=0.25, now=10.0), 1),
+    "transfer_completed": (
+        dict(source="s1", target="s2", delta=0.25, effective=True, latency=1.0,
+             now=11.0), 1),
+    "read_changes_round": (dict(pid="s1"), 0),
+    "weight_gain_refresh": (dict(pid="s2", depth=1, now=12.0), 1),
+    "shard_routed": (dict(pid="c1", shard=0, kind="read"), 0),
+    "control_round": (dict(prober="mon", index=0, now=13.0), 1),
+}
+
+
+class TestEveryHookRecordsAValidRecord:
+    """``emit`` rejects a bad record where it is made, so a typo in an
+    instrumentation site fails the first run that reaches it — this test
+    reaches every one of them."""
+
+    def test_every_hook_is_driven(self):
+        hooks = {name for name, value in vars(Observer).items()
+                 if callable(value) and not name.startswith("_")}
+        assert hooks == set(HOOK_CALLS)
+
+    def test_each_hook_renders_schema_valid_records(self, tmp_path):
+        observer = Observer()
+        for name, (arguments, emitted) in HOOK_CALLS.items():
+            before = len(observer.trace.events)
+            getattr(observer, name)(**arguments)
+            assert len(observer.trace.events) - before == emitted, name
+        records = observer.trace.records
+        for seq, record in enumerate(records):
+            assert _problems(record, seq) == []
+            assert _plainly_valid(record, seq)
+        assert {record["cat"] for record in records} == (
+            set(TRACE_CATEGORIES) - {"kernel"})
+        path = str(tmp_path / "hooks.jsonl")
+        write_trace(records, path)
+        assert check_trace_invariants(observer.trace.events).as_dict() == (
+            check_trace_invariants(read_trace(path)).as_dict())
+
+    def test_a_typo_in_a_hook_fails_at_the_hook(self, monkeypatch):
+        observer = Observer()
+        emit = observer.trace.emit
+        monkeypatch.setattr(
+            type(observer.trace), "emit",
+            lambda self, **fields: emit(**{**fields, "cat": "fualt"}))
+        with pytest.raises(ConfigurationError, match="trace record 0: invalid: "
+                           "unknown category 'fualt'"):
+            observer.process_crashed("s1", now=1.0)
 
 
 class TestTraceGateTool:
