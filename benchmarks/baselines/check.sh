@@ -10,6 +10,16 @@
 # generated at the commit before the three monitoring loops became one;
 # like quickstart, skewed-reassignment and sharded-hotspot-reassignment
 # they regenerate when ROADMAP item 1 (the weight-gain refresh) lands.
+#
+# Every built-in scenario has a file here (tests/test_paper_claims.py holds
+# the two listings equal).  Of the twelve added with the E1-E11 catalogue,
+# generated at the commit before it, item 1 regenerates one:
+# dynamic-storage-adaptation, whose dynamic-weighted row measures latencies
+# after two transfers into a storage cluster.  storage-vs-reconfig runs the
+# same refresh but reports liveness booleans only; crash-resilience and the
+# two static baselines issue no transfer; epoch-vs-epochless, limitation-vc,
+# protocol-costs, example1-semantics, reduction-alg1/2 and wmqs-vs-mqs run
+# reassignment servers, oracles or closed forms with no storage register.
 set -e
 cd "$(dirname "$0")/../.."
 status=0

@@ -49,8 +49,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "quorum.majority": ("MajorityQuorumSystem",),
     "quorum.weighted": ("WeightedMajorityQuorumSystem",),
-    "quorum.grid": ("GridQuorumSystem",),
-    "quorum.tree": ("TreeQuorumSystem",),
     "quorum.availability": ("wmqs_is_available",),
     "sim.cluster": ("build_dynamic_cluster", "build_static_cluster"),
     "sim.workload": ("uniform_workload",),

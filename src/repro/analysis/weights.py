@@ -1,4 +1,4 @@
-"""Weight planning helpers used by the analysis benchmarks."""
+"""Weight planning helpers used by the analytic scenarios (``wmqs-vs-mqs``)."""
 
 from __future__ import annotations
 

@@ -9,7 +9,7 @@ stream against the same deterministic :class:`~repro.assettransfer.accounts.Acco
 validity rule, so they all accept and reject exactly the same operations.
 
 The contrast with :mod:`repro.assettransfer.one_asset` (no ordering, no
-sequencer) is what the E10 benchmark reports.
+sequencer) is what the ``asset-transfer`` scenario (E9) reports.
 """
 
 from __future__ import annotations

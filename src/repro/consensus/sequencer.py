@@ -9,7 +9,7 @@ broadcasts them; replicas apply commands in sequence-number order.
 
 A sequencer is of course a single point of failure — which is precisely the
 point: the paper proves that the unrestricted problems cannot avoid this kind
-of "consensus-like power".  The benchmark harness uses the sequencer in
+of "consensus-like power".  The scenarios (``asset-transfer``, ``limitation-vc``) use the sequencer in
 failure-free runs (to compare latencies and semantics), and the tests use it
 to demonstrate that crashing the sequencer blocks the consensus-based
 baseline while the paper's consensus-free protocol keeps making progress.

@@ -8,8 +8,9 @@ The paper (Section II) uses the standard single-value consensus definition:
   was proposed by some process").
 * **Termination** — all correct processes eventually decide.
 
-This module holds the small data structures and trace checkers shared by the
-Paxos implementation, the sequencer, and the reduction tests.
+This module holds the small data structure and the checkers the reduction
+scenarios (:mod:`repro.experiments.catalogue.reductions`) report through: one
+:class:`ConsensusResult` per decider of Algorithms 1–2.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ linearizable, centrally sequenced implementations of Definitions 3 and 4.
 They are exactly the kind of "consensus or similar primitive" the paper says
 the problems require; running Algorithms 1 and 2 against them demonstrates
 that the reduction indeed yields Agreement, Validity and Termination
-(Theorems 1 and 2), which is what the benchmark suite reports.
+(Theorems 1 and 2), which is what the ``reduction-alg1`` / ``reduction-alg2``
+scenarios report.
 
 Notes on fidelity:
 

@@ -42,6 +42,15 @@ WAN_RTT_VECTORS: Dict[str, Dict[str, float]] = {
 )
 def wmqs_vs_mqs(total_weight_per_server: float = 1.0) -> Dict[str, Any]:
     """Expected quorum latency, majority vs weighted, on WAN RTT vectors."""
+    if (
+        isinstance(total_weight_per_server, bool)
+        or not isinstance(total_weight_per_server, (int, float))
+        or total_weight_per_server <= 0
+    ):
+        raise ConfigurationError(
+            "total_weight_per_server must be a positive number, got "
+            f"{total_weight_per_server!r}"
+        )
     rows = []
     for name, rtt in WAN_RTT_VECTORS.items():
         servers = tuple(sorted(rtt, key=lambda s: int(s[1:])))
@@ -60,7 +69,7 @@ def wmqs_vs_mqs(total_weight_per_server: float = 1.0) -> Dict[str, Any]:
                     floor_fraction=floor_fraction,
                 )
                 break
-            except Exception:
+            except ConfigurationError:  # Property 1 fails: raise the floor
                 continue
         if weights is None:
             raise ConfigurationError(f"no feasible weight assignment for {name}")

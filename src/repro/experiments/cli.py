@@ -378,22 +378,22 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
+    from repro.bench import WORKLOADS, check_expectations, run_benchmarks
 
     if args.list_benchmarks:
         _print_table(
             ["benchmark", "description"],
-            [(name, workload.__doc__) for name, workload in bench.WORKLOADS.items()],
+            [(name, workload.__doc__) for name, workload in WORKLOADS.items()],
         )
         return 0
-    results = bench.run_benchmarks(args.benchmark or list(bench.WORKLOADS))
+    results = run_benchmarks(args.benchmark or list(WORKLOADS))
     for name, counts in results.items():
         extra = "  ".join(f"{k}={v}" for k, v in counts["counters"].items())
         print(f"{name:<16s} events={counts['events']:<6d} "
               f"ops={counts['ops']:<6d} {extra}")
     if not args.check:
         return 0
-    problems = bench.check_expectations(results, args.check)
+    problems = check_expectations(results, args.check)
     for problem in problems:
         print(f"MISMATCH: {problem}", file=sys.stderr)
     if not problems:

@@ -53,11 +53,16 @@ BUILTIN_FAMILIES: Dict[str, str] = {
     "crash-resilience": "declarative",
     "dynamic-storage-adaptation": "case_studies",
     "epoch-vs-epochless": "reassignment",
+    "example1-semantics": "reductions",
     "fig1-walkthrough": "reassignment",
     "hotspot-shift": "declarative",
     "hotspot-shift-monitoring": "monitoring",
+    "limitation-vc": "reassignment",
     "open-loop-saturation": "declarative",
+    "protocol-costs": "reassignment",
     "quickstart": "declarative",
+    "reduction-alg1": "reductions",
+    "reduction-alg2": "reductions",
     "sharded-hotspot-reassignment": "sharded",
     "sharded-zipfian-imbalance": "sharded",
     "skewed-reassignment": "declarative",
@@ -205,7 +210,7 @@ def scenario(
     """Decorator: register ``fn`` as a :class:`FunctionScenario`.
 
     The decorated function is returned unchanged, so it stays directly
-    callable (the ported benchmarks call the functions as plain code).
+    callable as plain code.
     """
 
     def wrap(fn: Callable[..., Mapping[str, Any]]) -> Callable[..., Mapping[str, Any]]:

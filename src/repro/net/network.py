@@ -22,7 +22,7 @@ Fault injection:
   remain reliable.
 
 The network also keeps counters (messages sent, delivered, per-kind) that the
-benchmark harness reads to report message complexity.
+``protocol-costs`` scenario (E11) reads to report message complexity.
 """
 
 from __future__ import annotations

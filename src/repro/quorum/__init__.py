@@ -7,10 +7,6 @@ package provides:
   paper uses as its baseline.
 * :class:`~repro.quorum.weighted.WeightedMajorityQuorumSystem` — the WMQS of
   Definition 1, whose weights the reassignment protocols mutate.
-* :class:`~repro.quorum.grid.GridQuorumSystem` and
-  :class:`~repro.quorum.tree.TreeQuorumSystem` — the two non-majority quorum
-  systems mentioned in the introduction, included for completeness and for
-  the analysis benchmarks.
 * :mod:`~repro.quorum.availability` — Property 1 (availability of a WMQS) and
   related analysis helpers.
 """
@@ -21,8 +17,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "base": ("QuorumSystem",),
     "majority": ("MajorityQuorumSystem",),
     "weighted": ("WeightedMajorityQuorumSystem",),
-    "grid": ("GridQuorumSystem",),
-    "tree": ("TreeQuorumSystem",),
     "availability": (
         "wmqs_is_available", "max_tolerable_failures", "assert_wmqs_available",
         "minimum_quorum_cardinality",

@@ -11,9 +11,10 @@ hides.
 The implementation orders requests with the sequencer-based total-order
 broadcast of :mod:`repro.consensus.sequencer` and validates them with the same
 :func:`repro.core.spec.check_integrity` predicate used everywhere else.  The
-E7/E8 benchmarks contrast it with the paper's consensus-free protocol both in
-latency (an extra round trip through the sequencer) and in liveness (crash the
-sequencer and the baseline stops completing requests).
+``limitation-vc`` scenario (E10) runs it beside the paper's consensus-free
+protocol on the Section V-C example: without the C1 restriction the healthy
+servers take over the slow servers' weight, which no RP-legal move can do.
+The price is liveness: crash the sequencer and no request completes.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from repro.consensus.sequencer import TotalOrderClient
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.process import Process
-from repro.reassign.base import ReassignmentEndpoint, ReassignmentResult
 from repro.types import ProcessId, Weight
 
-__all__ = ["ConsensusBasedServer", "ConsensusBasedEndpoint"]
+__all__ = ["ConsensusBasedServer"]
 
 
 class ConsensusBasedServer(Process):
@@ -84,30 +84,3 @@ class ConsensusBasedServer(Process):
         }
         return bool(await self._order.submit(command))
 
-
-class ConsensusBasedEndpoint(ReassignmentEndpoint):
-    """Endpoint adapter for the benchmark harness."""
-
-    protocol_name = "consensus-based (total order)"
-
-    def __init__(self, server: ConsensusBasedServer) -> None:
-        self.server = server
-
-    async def request_transfer(
-        self, target: ProcessId, delta: Weight
-    ) -> ReassignmentResult:
-        started_at = self.server.loop.now
-        effective = await self.server.transfer(self.server.pid, target, delta)
-        return ReassignmentResult(
-            protocol=self.protocol_name,
-            issuer=self.server.pid,
-            target=target,
-            delta=delta,
-            effective=effective,
-            started_at=started_at,
-            completed_at=self.server.loop.now,
-            weights_after=dict(self.server.weights),
-        )
-
-    def observed_weights(self) -> Dict[ProcessId, Weight]:
-        return dict(self.server.weights)

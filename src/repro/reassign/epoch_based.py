@@ -20,8 +20,8 @@ issuer confirmed it in time — an issuer that crashed (or whose confirmation
 is late) leaks the in-flight weight, reproducing deficiency (2).  Deficiency
 (1) falls out of the epoch boundaries directly.
 
-The E7 benchmark sweeps ``epoch_length`` and reports completion latency and
-total weight against the paper's epochless protocol.
+The ``epoch-vs-epochless`` scenario (E7) sweeps ``epoch_length`` and reports
+completion latency and total weight against the paper's epochless protocol.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimFuture
 from repro.numerics import strictly_greater
-from repro.reassign.base import ReassignmentEndpoint, ReassignmentResult
 from repro.types import ProcessId, VirtualTime, Weight
 
-__all__ = ["EpochBasedCoordinator", "EpochBasedServer", "EpochBasedEndpoint"]
+__all__ = ["EpochBasedCoordinator", "EpochBasedServer"]
 
 EP_REQUEST = "EP_REQUEST"
 EP_CONFIRM = "EP_CONFIRM"
@@ -228,30 +227,3 @@ class EpochBasedServer(Process):
         )
         return bool(await waiter)
 
-
-class EpochBasedEndpoint(ReassignmentEndpoint):
-    """Endpoint adapter for the benchmark harness."""
-
-    protocol_name = "epoch-based (related work [11])"
-
-    def __init__(self, server: EpochBasedServer) -> None:
-        self.server = server
-
-    async def request_transfer(
-        self, target: ProcessId, delta: Weight
-    ) -> ReassignmentResult:
-        started_at = self.server.loop.now
-        effective = await self.server.transfer(target, delta)
-        return ReassignmentResult(
-            protocol=self.protocol_name,
-            issuer=self.server.pid,
-            target=target,
-            delta=delta,
-            effective=effective,
-            started_at=started_at,
-            completed_at=self.server.loop.now,
-            weights_after=dict(self.server.weights),
-        )
-
-    def observed_weights(self) -> Dict[ProcessId, Weight]:
-        return dict(self.server.weights)

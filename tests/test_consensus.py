@@ -1,10 +1,9 @@
-"""Tests for the consensus substrate (Paxos and the sequencer)."""
+"""Tests for the consensus substrate (the property checkers and the sequencer)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.consensus.paxos import PaxosNode
 from repro.consensus.sequencer import Sequencer, TotalOrderClient
 from repro.consensus.spec import (
     ConsensusResult,
@@ -12,21 +11,10 @@ from repro.consensus.spec import (
     check_termination,
     check_validity,
 )
-from repro.errors import ConfigurationError
-from repro.net.latency import ConstantLatency, UniformLatency
+from repro.net.latency import UniformLatency
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimLoop, gather
-
-
-def build_paxos(n, latency=None, seed=0):
-    loop = SimLoop()
-    network = Network(loop, latency or UniformLatency(0.5, 2.0, seed=seed))
-    participants = [f"p{i}" for i in range(1, n + 1)]
-    nodes = {
-        pid: PaxosNode(pid, network, participants, seed=seed) for pid in participants
-    }
-    return loop, network, nodes
 
 
 class TestConsensusSpecHelpers:
@@ -48,58 +36,6 @@ class TestConsensusSpecHelpers:
         results = [ConsensusResult("p1", "a", "a", 1.0)]
         assert check_termination(results, ["p1"])
         assert not check_termination(results, ["p1", "p2"])
-
-
-class TestPaxos:
-    def test_single_proposer_decides_its_value(self):
-        loop, _, nodes = build_paxos(3)
-
-        result = loop.run_until_complete(nodes["p1"].propose("only-value"))
-        assert result.decided == "only-value"
-
-    def test_concurrent_proposers_agree(self):
-        loop, _, nodes = build_paxos(5, seed=3)
-
-        results = loop.run_until_complete(
-            gather(loop, [nodes[f"p{i}"].propose(f"v{i}") for i in range(1, 6)])
-        )
-        assert check_agreement(results)
-        assert check_validity(results)
-        assert check_termination(results, [f"p{i}" for i in range(1, 6)])
-
-    def test_agreement_with_minority_crashes(self):
-        loop, network, nodes = build_paxos(5, seed=5)
-        network.crash("p4")
-        network.crash("p5")
-
-        results = loop.run_until_complete(
-            gather(loop, [nodes[f"p{i}"].propose(f"v{i}") for i in range(1, 4)])
-        )
-        assert check_agreement(results)
-
-    def test_learner_catches_decision_without_proposing(self):
-        loop, _, nodes = build_paxos(3, seed=1)
-
-        async def go():
-            await nodes["p1"].propose("decided")
-            return await nodes["p3"].decided
-
-        assert loop.run_until_complete(go()) == "decided"
-
-    def test_non_participant_rejected(self):
-        loop = SimLoop()
-        network = Network(loop, ConstantLatency(1.0))
-        with pytest.raises(ConfigurationError):
-            PaxosNode("outsider", network, ["p1", "p2"])
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_agreement_across_schedules(self, seed):
-        loop, _, nodes = build_paxos(4, seed=seed)
-        results = loop.run_until_complete(
-            gather(loop, [nodes[f"p{i}"].propose(i) for i in range(1, 5)])
-        )
-        assert check_agreement(results)
-        assert results[0].decided in {1, 2, 3, 4}
 
 
 class StateMachineReplica(Process):

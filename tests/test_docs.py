@@ -8,8 +8,12 @@ drift) before a push ever reaches CI.
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,6 +63,32 @@ def test_table_parser_reads_backticked_first_cells(tmp_path):
         "| `alpha` | a |\n| `beta` | b |\n\n## Next\n\n| `gamma` | not counted |\n"
     )
     assert check_docs.readme_scenario_names(readme) == {"alpha", "beta"}
+
+
+def test_table_parser_finds_the_scenario_in_a_later_column(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "## Scenario catalogue\n\n"
+        "| experiment | paper anchor | scenario | baseline | what |\n|---|---|---|---|---|\n"
+        "| E1 | Fig. 1 | `alpha` | [json](a.json) | uses `transfer` |\n"
+        "| — | beyond the paper | `beta` | [json](b.json) | b |\n"
+    )
+    assert check_docs.readme_scenario_names(readme) == {"alpha", "beta"}
+
+
+@pytest.mark.parametrize("example", [
+    "quickstart.py", "fig1_walkthrough.py", "consensus_from_reassignment.py",
+    "wan_adaptive_storage.py",
+])
+def test_library_boundary_walkthroughs_run(example):
+    # The examples import public names straight from the package facades.
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "examples" / example)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
 
 
 def test_source_docstrings_name_only_existing_markdown_files():

@@ -254,6 +254,13 @@ class TestScenarioSpec:
             with pytest.raises(ConfigurationError, match="n >= 7"):
                 get_scenario(name).execute({"n": 5})
 
+    @pytest.mark.parametrize("value", ["x", 0, -1, True])
+    def test_wmqs_vs_mqs_names_a_bad_total_weight(self, value):
+        # Used to surface as "no feasible weight assignment for homogeneous
+        # LAN (5 sites)": a blanket `except Exception` swallowed the cause.
+        with pytest.raises(ConfigurationError, match="total_weight_per_server"):
+            get_scenario("wmqs-vs-mqs").execute({"total_weight_per_server": value})
+
     def test_unknown_latency_kind_rejected(self):
         with pytest.raises(ConfigurationError, match="latency kind"):
             LatencySpec(kind="bogus").build()

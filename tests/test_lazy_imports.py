@@ -7,7 +7,10 @@ Three contracts (ARCHITECTURE "Cold start"):
 * the registry's static ``name -> family`` index is exactly what importing
   every catalogue family registers;
 * per subcommand, a fresh interpreter imports what it runs — asserted on
-  ``sys.modules`` (names, not times), against ``tools/import_budget.json``.
+  ``sys.modules`` (names, not times), against ``tools/import_budget.json``;
+
+and the reachability rule beside them: every module under ``src/repro`` is
+imported from an entry point or a catalogue family, by statement.
 """
 
 from __future__ import annotations
@@ -276,6 +279,31 @@ class TestImportBudget:
         )
         assert found == ["`run` now imports repro.serve.app (over budget)"]
         assert check_imports.problems(budget, budget) == []
+
+
+class TestReachability:
+    """ARCHITECTURE "Reachability rule": run by a scenario, a subcommand or
+    the service — or deleted."""
+
+    def test_every_module_is_reached(self):
+        assert check_imports.unreached_modules() == []
+
+    def test_a_module_only_its_facade_knows_is_reported_by_name(self, tmp_path):
+        import shutil
+
+        shutil.copytree(
+            Path(SRC_DIR) / "repro", tmp_path / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        (tmp_path / "repro" / "quorum" / "grid.py").write_text(
+            "from repro.quorum.base import QuorumSystem\n"
+        )
+        facade = tmp_path / "repro" / "quorum" / "__init__.py"
+        facade.write_text(facade.read_text().replace(
+            '"base": ("QuorumSystem",),',
+            '"base": ("QuorumSystem",),\n    "grid": ("GridQuorumSystem",),',
+        ))
+        assert check_imports.unreached_modules(tmp_path) == ["repro.quorum.grid"]
 
 
 # ---------------------------------------------------------------------------

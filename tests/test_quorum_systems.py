@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, IntegrityViolation
 from repro.quorum import (
-    GridQuorumSystem,
     MajorityQuorumSystem,
-    TreeQuorumSystem,
     WeightedMajorityQuorumSystem,
     assert_wmqs_available,
     max_tolerable_failures,
@@ -147,61 +145,6 @@ class TestWeightedMajorityQuorumSystem:
             assert not wmqs.is_quorum(complement)
 
 
-class TestGridQuorumSystem:
-    def test_full_row_plus_cover_is_quorum(self):
-        grid = GridQuorumSystem(server_set(9), cols=3)
-        # rows: (s1,s2,s3) (s4,s5,s6) (s7,s8,s9)
-        assert grid.is_quorum(["s1", "s2", "s3", "s4", "s7"])
-
-    def test_row_cover_without_full_row_is_not_quorum(self):
-        grid = GridQuorumSystem(server_set(9), cols=3)
-        assert not grid.is_quorum(["s1", "s4", "s7"])
-
-    def test_full_row_without_cover_is_not_quorum(self):
-        grid = GridQuorumSystem(server_set(9), cols=3)
-        assert not grid.is_quorum(["s1", "s2", "s3"])
-
-    def test_typical_quorum_size(self):
-        grid = GridQuorumSystem(server_set(9), cols=3)
-        assert grid.typical_quorum_size() == 5
-
-    def test_intersection_property(self):
-        assert GridQuorumSystem(server_set(9), cols=3).check_intersection()
-
-    def test_row_of(self):
-        grid = GridQuorumSystem(server_set(9), cols=3)
-        assert grid.row_of("s5") == 1
-
-    def test_cols_exceeding_n_rejected(self):
-        with pytest.raises(ConfigurationError):
-            GridQuorumSystem(server_set(3), cols=5)
-
-
-class TestTreeQuorumSystem:
-    def test_root_plus_leaf_path_is_quorum(self):
-        tree = TreeQuorumSystem(server_set(7))
-        minimal = tree.minimal_quorums()
-        assert minimal, "tree quorum system must have quorums"
-        assert tree.check_intersection()
-
-    def test_all_servers_is_quorum(self):
-        tree = TreeQuorumSystem(server_set(7))
-        assert tree.is_quorum(server_set(7))
-
-    def test_empty_subset_is_not_quorum(self):
-        tree = TreeQuorumSystem(server_set(7))
-        assert not tree.is_quorum([])
-
-    def test_single_root_small_tree(self):
-        tree = TreeQuorumSystem(server_set(1))
-        assert tree.is_quorum(["s1"])
-
-    def test_smaller_than_majority_quorum_exists(self):
-        """Tree quorums can be logarithmic, i.e. smaller than a majority."""
-        tree = TreeQuorumSystem(server_set(7))
-        assert tree.smallest_quorum_size() <= MajorityQuorumSystem(server_set(7)).quorum_size()
-
-
 class TestAvailabilityProperty:
     def test_uniform_weights_available_up_to_minority(self):
         weights = {f"s{i}": 1.0 for i in range(1, 6)}
@@ -273,7 +216,7 @@ class TestReadWriteIntersection:
     """The defining safety property, across every implemented quorum system.
 
     An atomic register is linearizable only if every read quorum intersects
-    every write quorum.  All four systems here are symmetric (reads and
+    every write quorum.  Both systems here are symmetric (reads and
     writes use the same quorums), so the property reduces to: any two
     subsets the system accepts as quorums share at least one server.  The
     weight vectors are randomized but *seeded* — hypothesis drives the seed,
@@ -282,15 +225,10 @@ class TestReadWriteIntersection:
 
     @staticmethod
     def _systems(n, weights):
-        systems = [
+        return [
             MajorityQuorumSystem(server_set(n)),
             WeightedMajorityQuorumSystem(weights),
-            TreeQuorumSystem(server_set(n)),
         ]
-        for cols in (2, 3):
-            if cols <= n:
-                systems.append(GridQuorumSystem(server_set(n), cols=cols))
-        return systems
 
     @settings(max_examples=120, deadline=None)
     @given(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.consensus.spec import check_agreement, check_validity
 from repro.core.change import Change
 from repro.core.reductions import (
     OraclePairwiseReassignment,

@@ -44,8 +44,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # in this repository; images share the same syntax and are checked alike.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
-# Rows of the scenario catalogue table: | `name` | description |
-_SCENARIO_ROW = re.compile(r"^\|\s*`([^`]+)`\s*\|")
+# Rows of the scenario catalogue table: the first backticked cell is the
+# scenario, | E1 | Fig. 1 | `name` | [json](baseline) | what it shows |
+_SCENARIO_ROW = re.compile(r"^\|(?:[^|`]*\|)*?\s*`([^`]+)`\s*\|")
 
 _SKIP_SCHEMES = ("http://", "https://", "mailto:")
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Import budget of ``python -m repro`` (the CI cold-start gate).
+"""What imports what under ``src/repro``: the import budget and reachability.
 
-Each probe below runs one subcommand in a fresh interpreter and reads
-``sys.modules`` when it returns: the ``repro.*`` modules it imported, plus
+**Import budget** (the CI cold-start gate).  Each probe below runs one
+subcommand in a fresh interpreter and reads ``sys.modules`` when it
+returns: the ``repro.*`` modules it imported, plus
 ``multiprocessing`` if that got loaded.  The lists are compared with the
 committed ``tools/import_budget.json`` — names, not times, so the gate is
 exact on every machine.  A subcommand that starts importing a module it did
@@ -13,23 +14,35 @@ The rule being held (ARCHITECTURE "Cold start"): a package facade never
 imports, a ``_cmd_*`` imports what it runs, and the parent imports before it
 forks.
 
+**Reachability** (ARCHITECTURE "Reachability rule").  A module under
+``src/repro`` is imported — by an ``import`` statement anywhere in a module,
+function bodies included — from ``python -m repro``, ``python -m
+repro.serve.client`` or a catalogue family of ``BUILTIN_FAMILIES``, or it is
+deleted.  The walk is static (``ast``): ``from pkg import name`` reaches the
+one module a lazy facade's map says defines ``name``, but the map itself is
+not an import, so a module only its package facade and its own tests know
+about is printed here and fails the gate.  There is no exception list.
+
 Run from anywhere (``src`` is put on the child's path automatically)::
 
     python tools/check_imports.py            # print counts, exit 1 on drift
+                                             # or on an unreached module
     python tools/check_imports.py --update   # rewrite the budget
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, Iterator, List, Sequence, Set
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC_ROOT = REPO_ROOT / "src"
 BUDGET_PATH = REPO_ROOT / "tools" / "import_budget.json"
 
 _FAST = ["-p", "workload.operations_per_client=2"]
@@ -108,6 +121,84 @@ def problems(observed: Dict[str, List[str]],
     return found
 
 
+# ---------------------------------------------------------------------------
+# Reachability (static)
+# ---------------------------------------------------------------------------
+
+#: The ``python -m`` entry points; the catalogue families join them because
+#: the registry imports those by name (``BUILTIN_FAMILIES``), not by statement.
+ENTRY_POINTS = ("repro.__main__", "repro.serve.client")
+
+
+def source_modules(src: Path = SRC_ROOT) -> Dict[str, Path]:
+    """Dotted name -> file of every module under ``src/repro`` (a package is
+    named by its ``__init__.py``)."""
+    modules = {}
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = path.relative_to(src).with_suffix("").parts
+        modules[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    return modules
+
+
+def _facade_exports(tree: ast.Module) -> Dict[str, str]:
+    """``name -> relative module`` of a ``lazy_exports(globals(), {...})`` facade."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and len(node.args) == 2
+                and getattr(node.func, "id", None) == "lazy_exports"):
+            return {
+                name: module
+                for module, names in ast.literal_eval(node.args[1]).items()
+                for name in names
+            }
+    return {}
+
+
+def _imports(tree: ast.Module,
+             exports: Dict[str, Dict[str, str]]) -> Iterator[str]:
+    """What the import statements of ``tree`` name (absolute imports only:
+    a relative one would be reported as reaching nothing).  ``exports`` holds
+    every module's facade map, empty for a module that is not a facade."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module in exports:
+            for alias in node.names:
+                submodule = f"{node.module}.{alias.name}"
+                if submodule in exports:
+                    yield submodule
+                elif alias.name in exports[node.module]:
+                    yield f"{node.module}.{exports[node.module][alias.name]}"
+                else:
+                    yield node.module
+
+
+def unreached_modules(src: Path = SRC_ROOT) -> List[str]:
+    """Modules under ``src/repro`` no entry point or catalogue family imports."""
+    modules = source_modules(src)
+    trees = {
+        name: ast.parse(path.read_text(encoding="utf-8"))
+        for name, path in modules.items()
+    }
+    families = ast.literal_eval(next(
+        node.value for node in trees["repro.experiments.registry"].body
+        if isinstance(node, ast.AnnAssign)
+        and getattr(node.target, "id", None) == "BUILTIN_FAMILIES"
+    ))
+    exports = {name: _facade_exports(tree) for name, tree in trees.items()}
+    pending = [*ENTRY_POINTS, *sorted(
+        f"repro.experiments.catalogue.{family}" for family in set(families.values())
+    )]
+    reached: Set[str] = set()
+    while pending:
+        name = pending.pop()
+        if name in reached or name not in modules:
+            continue
+        reached.add(name)
+        pending.append(name.rpartition(".")[0])  # importing it runs its package
+        pending.extend(_imports(trees[name], exports))
+    return sorted(set(modules) - reached)
+
+
 def main(argv: Sequence[str] = ()) -> int:
     observed = observe()
     for label, modules in observed.items():
@@ -121,12 +212,17 @@ def main(argv: Sequence[str] = ()) -> int:
         print(f"wrote {BUDGET_PATH.relative_to(REPO_ROOT)}")
         return 0
     found = problems(observed, load_budget())
+    found += [
+        f"{name} is imported by no entry point and no catalogue family "
+        "(reach it or delete it)"
+        for name in unreached_modules()
+    ]
     for problem in found:
         print(f"error: {problem}", file=sys.stderr)
     if found:
-        print(f"{len(found)} import-budget problem(s)", file=sys.stderr)
+        print(f"{len(found)} import problem(s)", file=sys.stderr)
         return 1
-    print("import budget ok")
+    print("import budget ok; every module under src/repro is reached")
     return 0
 
 
