@@ -913,7 +913,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--workers", type=int, default=1,
                          help="default per-job executor workers")
     p_serve.add_argument("--job-concurrency", type=int, default=1,
-                         help="jobs executing at once (default 1)")
+                         help="jobs simulating at once, each on its own "
+                         "long-lived worker processes (default 1)")
     p_serve.add_argument("--queue-limit", type=int, default=64,
                          help="queued-job bound; submissions beyond it get 503")
     p_serve.add_argument("--run-timeout", type=float, default=None,

@@ -19,28 +19,42 @@ Two consumption styles:
 
 Both are :func:`dispatch` under the inert :class:`ResiliencePolicy` ("no
 deadline, one attempt"): in-process when ``workers == 1``, otherwise on a
-pool of pipe-managed worker processes started for the stream and stopped
-with it — a closed stream leaves no process behind.  The pool kills a run
-that hangs past its deadline and outlives a worker that dies, so it never
-hangs on one.  :mod:`repro.experiments.resilience` adds journaled resume on
-top.
+:class:`WorkerPool` of pipe-managed worker processes.  A pool lives as long
+as its owner: ``dispatch`` owns the one it starts for a stream and closes it
+with the stream — a closed stream leaves no process behind — while a caller
+that passes its own ``pool`` (``repro serve`` keeps one per job thread) gets
+it back running.  The pool kills a run that hangs past its deadline and
+outlives a worker that dies, so it never hangs on one.
+:mod:`repro.experiments.resilience` adds journaled resume on top.
 
 Every entry point takes an optional ``entry`` — the planned scenario of
 :func:`repro.experiments.plan.plan` — that executes the runs naming it in
-place of a registry lookup; it reaches worker processes as a start
-argument, so an unregistered inline spec runs under any start method.
+place of a registry lookup; it reaches a worker process in the message at the
+head of the stream, so an unregistered inline spec runs under any start
+method and on a worker that was started before the spec existed.
 """
 
 from __future__ import annotations
 
 import heapq
 import os
+import signal
 import sys
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.errors import ConfigurationError, ReproError, WorkerError
 from repro.experiments.registry import Scenario, get_scenario
@@ -51,6 +65,7 @@ __all__ = [
     "ResiliencePolicy",
     "RunResult",
     "StreamTelemetry",
+    "WorkerPool",
     "dispatch",
     "execute_run",
     "execute_run_captured",
@@ -189,8 +204,8 @@ def _execute(
 
 
 def shutdown_pool() -> None:
-    """No-op (no pool outlives its stream), kept only because the frozen
-    ``benchmarks/perf`` calls it between repetitions."""
+    """No-op (a pool is closed by its owner, and no module owns one), kept
+    only because the frozen ``benchmarks/perf`` calls it between repetitions."""
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +289,9 @@ class StreamTelemetry:
 
 
 def forks_workers(workers: int, policy: ResiliencePolicy) -> bool:
-    """Whether a stream with these inputs executes on worker processes (the
-    one selection :func:`dispatch` makes)."""
+    """Whether a stream with these inputs, handed no pool, starts worker
+    processes of its own (the one selection :func:`dispatch` makes; a stream
+    that is handed a pool executes on it whatever its inputs)."""
     return workers > 1 or policy.needs_pool
 
 
@@ -295,61 +311,107 @@ def _pool_context() -> Any:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _worker_main(conn: Any, *settings: Any) -> None:
-    """Worker loop: receive ``(index, run)`` tasks, send back results of
-    :func:`_execute` under the stream's ``settings``.
+class _StreamSettings(NamedTuple):
+    """What every task of one stream executes under (:func:`_execute`'s
+    trailing arguments): the message at the head of the stream."""
 
-    Runs until the parent closes the pipe, sends ``None`` or dies.  Exceptions
-    a run raises are shipped back as pickled objects when possible (so the
-    parent re-raises the original type) and as ``(name, text)`` otherwise.
+    entry: Optional[Scenario]
+    capture_errors: bool
+    around: Optional[Callable[..., RunResult]]
+
+
+def _close_inherited_descriptors(conn: Any) -> None:
+    """Close every descriptor a forked worker inherited but its pipe's and
+    the standard streams'.
+
+    A worker needs its own pipe and nothing else of its parent's.  Holding
+    the rest is harmful twice over: a copy of a sibling's pipe keeps that
+    sibling from ever reading EOF when the parent is SIGKILLed, and a copy of
+    a server's listening socket keeps the port bound after the server died.
     """
-    parent = os.getppid()
+    kept = {0, 1, 2, conn.fileno()}
+    for stream in (sys.stdout, sys.stderr):  # redirected by an embedder
+        try:
+            kept.add(stream.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
+    try:
+        inherited = [int(name) for name in os.listdir("/dev/fd")]
+    except (OSError, ValueError):
+        inherited = list(range(3, os.sysconf("SC_OPEN_MAX")))
+    for descriptor in inherited:
+        if descriptor not in kept:
+            try:
+                os.close(descriptor)
+            except OSError:  # the listing's own descriptor, already closed
+                pass
+
+
+def _worker_main(conn: Any, forked: bool) -> None:
+    """Worker loop: receive ``(index, run)`` tasks, send back results of
+    :func:`_execute` under the :class:`_StreamSettings` received last.
+
+    Runs until the parent closes the pipe, sends ``None`` or dies — no other
+    process holds the parent's end (see :func:`_close_inherited_descriptors`;
+    a spawned worker inherits nothing), so a SIGKILLed parent is an EOF here.
+    Exceptions a run raises are shipped back as pickled objects when possible
+    (so the parent re-raises the original type) and as ``(name, text)``
+    otherwise.
+    """
+    # A terminal's Ctrl-C reaches the whole process group.  It is the owner's
+    # to handle — interrupted, it stops its workers, busy ones by force; a
+    # worker interrupted on its own would fail a run that did nothing wrong.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if forked:
+        _close_inherited_descriptors(conn)
+    settings: Tuple[Any, ...] = ()
     while True:
         try:
-            # A SIGKILLed parent closes nothing, and forked siblings hold
-            # copies of its end of this pipe, so EOF may never arrive: an
-            # idle worker checks once a second that it is not an orphan.
-            while not conn.poll(1.0):
-                if os.getppid() != parent:
-                    return
-            task = conn.recv()
-        except (EOFError, OSError, KeyboardInterrupt):
+            message = conn.recv()
+        except (EOFError, OSError):
             return
-        if task is None:
+        if message is None:
             return
-        index = task[0]
+        if isinstance(message, _StreamSettings):
+            settings = message
+            continue
+        index = message[0]
         try:
-            message: Tuple[Any, ...] = ("ok", index, _execute(*task, *settings))
+            reply: Tuple[Any, ...] = ("ok", index, _execute(*message, *settings))
         except BaseException as exc:  # shipped to the parent, never lost
-            message = ("raise", index, exc)
+            reply = ("raise", index, exc)
         try:
-            conn.send(message)
+            conn.send(reply)
         except (BrokenPipeError, OSError):
             return
         except Exception:  # the exception object itself did not pickle
-            exc = message[2]
+            exc = reply[2]
             conn.send(("raise-text", index, type(exc).__name__, str(exc)))
 
 
 class _PoolWorker:
     """One kill-capable worker process plus its duplex pipe and state."""
 
-    def __init__(self, *settings: Any) -> None:
+    def __init__(self) -> None:
         ctx = _pool_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, *settings),
+            args=(child_conn, ctx.get_start_method() == "fork"),
             daemon=True, name="repro-worker",
         )
         self.process.start()
         child_conn.close()
+        self.settings: Optional[_StreamSettings] = None
         self.task: Optional[Tuple[int, RunSpec]] = None
         self.deadline: Optional[float] = None
 
-    def assign(self, task: Tuple[int, RunSpec],
+    def assign(self, task: Tuple[int, RunSpec], settings: _StreamSettings,
                run_timeout: Optional[float]) -> None:
+        if self.settings is not settings:  # this stream's first task here
+            self.conn.send(settings)
+            self.settings = settings
         self.conn.send(task)
         self.task = task
         self.deadline = (
@@ -360,10 +422,8 @@ class _PoolWorker:
         if self.process.is_alive():
             self.process.kill()
         self.process.join()
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+        self.process.close()
+        self.conn.close()
 
     def stop(self) -> None:
         """Polite shutdown for idle workers; kill() for busy/hung ones."""
@@ -372,13 +432,67 @@ class _PoolWorker:
             return
         try:
             self.conn.send(None)
-            self.conn.close()
         except (BrokenPipeError, OSError):
             pass
         self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.kill()
-            self.process.join()
+        self.kill()
+
+
+class WorkerPool:
+    """Worker processes that live as long as their owner keeps the pool.
+
+    :func:`dispatch` grows a pool to the stream's ``workers``, respawns a
+    worker that died or was killed at its deadline, and leaves a pool it was
+    handed running, every worker idle; the owner closes it — ``with
+    WorkerPool() as pool`` or :meth:`close`.  A worker is bound to no stream:
+    each stream's settings reach it in one message ahead of that stream's
+    first task.  One thread drives a pool; :attr:`starts` and :meth:`alive`
+    may be read from any.
+    """
+
+    def __init__(self, workers: int = 0) -> None:
+        #: Processes started over the pool's life (first starts and respawns).
+        self.starts = 0
+        self.workers: List[_PoolWorker] = []
+        self._lock = threading.Lock()
+        self.grow(workers)
+
+    def grow(self, size: int) -> None:
+        """Start workers until there are ``size`` (never stops any)."""
+        with self._lock:
+            while len(self.workers) < size:
+                self._start(len(self.workers))
+
+    def respawn(self, worker: _PoolWorker) -> _PoolWorker:
+        """Kill ``worker`` (dead already, hung or abandoned mid-run) and
+        start the one that takes its place."""
+        with self._lock:
+            worker.kill()
+            return self._start(self.workers.index(worker))
+
+    def _start(self, position: int) -> _PoolWorker:
+        worker = _PoolWorker()
+        self.workers[position:position + 1] = [worker]
+        self.starts += 1
+        return worker
+
+    def alive(self) -> int:
+        """How many of the pool's worker processes are running."""
+        with self._lock:
+            return sum(worker.process.is_alive() for worker in self.workers)
+
+    def close(self) -> None:
+        """Stop every worker: the pool's processes and pipes are gone."""
+        with self._lock:
+            workers, self.workers = self.workers, []
+            for worker in workers:
+                worker.stop()
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 def _watchdog_result(run: RunSpec, run_timeout: float) -> RunResult:
@@ -410,12 +524,16 @@ def dispatch(
     telemetry: StreamTelemetry,
     entry: Optional[Scenario] = None,
     around: Optional[Callable[..., RunResult]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Execute ``pending`` ``(index, run)`` pairs; yield ``(index, result)``.
 
-    In-process and in input order unless :func:`forks_workers`; otherwise in
-    completion order, on worker processes that live exactly as long as this
-    generator.  Every index is yielded exactly once: as its result, as a
+    On ``workers`` processes of ``pool`` when one is given — grown to that
+    many if it has fewer, and left running with every worker idle.  Given
+    none: in-process and in input order unless :func:`forks_workers`,
+    otherwise on a pool that lives exactly as long as this generator.  On
+    worker processes results come in completion order (input order on one).
+    Every index is yielded exactly once: as its result, as a
     ``WatchdogTimeout`` error (hung past ``policy.run_timeout``) or as a
     ``WorkerCrashed`` error (worker died ``policy.max_attempts`` times).
     Worker deaths re-dispatch the lost run after an exponential backoff; the
@@ -425,14 +543,15 @@ def dispatch(
     stream (:func:`execute_run_captured`).  ``around`` names what the stream
     applies to each run where it executes: ``around(execute, index, run,
     entry)`` — ``execute(run, entry)`` being the run — returns the run's
-    result, all that crosses the worker pipe.  It reaches workers as a start
-    argument, like ``entry``: a module-level callable, not a closure.  The
-    watchdog and crash results are the parent's and never pass through it.
+    result, all that crosses the worker pipe.  It reaches a worker pickled,
+    beside ``entry``, in the message at the head of the stream: a
+    module-level callable, not a closure.  The watchdog and crash results are
+    the parent's and never pass through it.
     """
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    settings = (entry, capture_errors, around)
-    if not forks_workers(workers, policy):
+    settings = _StreamSettings(entry, capture_errors, around)
+    if pool is None and not forks_workers(workers, policy):
         for index, run in pending:
             yield index, _execute(index, run, *settings)
         return
@@ -444,11 +563,15 @@ def dispatch(
     queue: deque = deque(pending)
     waiting: List[Tuple[float, int, RunSpec]] = []  # (ready_at, index, run)
     attempts: Dict[int, int] = {}
-    pool = [_PoolWorker(*settings) for _ in range(min(workers, len(pending)))]
+    owned = pool is None
+    if pool is None:
+        pool = WorkerPool()
+    size = min(workers, len(pending))
+    pool.grow(size)
+    crew = pool.workers[:size]
 
     def respawn(worker: _PoolWorker) -> None:
-        worker.kill()
-        pool[pool.index(worker)] = _PoolWorker(*settings)
+        crew[crew.index(worker)] = pool.respawn(worker)
 
     def fail(worker: _PoolWorker) -> Iterator[Tuple[int, RunResult]]:
         """Handle a dead worker: respawn it, retry or quarantine its run."""
@@ -466,23 +589,23 @@ def dispatch(
             )
 
     try:
-        while queue or waiting or any(w.task is not None for w in pool):
+        while queue or waiting or any(w.task is not None for w in crew):
             now = time.monotonic()
             while waiting and waiting[0][0] <= now:
                 _, index, run = heapq.heappop(waiting)
                 queue.append((index, run))
-            for worker in pool:
+            for worker in crew:
                 if worker.task is None and queue:
                     task = queue.popleft()
                     try:
-                        worker.assign(task, policy.run_timeout)
+                        worker.assign(task, settings, policy.run_timeout)
                     except (BrokenPipeError, OSError):
                         # Found dead at assignment (died after its last
                         # result): respawn and requeue, not an attempt.
                         respawn(worker)
                         queue.appendleft(task)
 
-            busy = {worker.conn: worker for worker in pool
+            busy = {worker.conn: worker for worker in crew
                     if worker.task is not None}
             if not busy:
                 if waiting:
@@ -513,7 +636,7 @@ def dispatch(
                 else:  # "raise-text": the original exception did not pickle
                     raise WorkerError(f"{message[2]}: {message[3]}")
             now = time.monotonic()
-            for worker in list(pool):
+            for worker in list(crew):
                 if (worker.task is not None and worker.deadline is not None
                         and now >= worker.deadline):
                     index, run = worker.task
@@ -521,8 +644,13 @@ def dispatch(
                     telemetry.timeouts += 1
                     yield index, _watchdog_result(run, policy.run_timeout)
     finally:
-        for worker in pool:
-            worker.stop()
+        if owned:
+            pool.close()
+        else:
+            # A stream abandoned mid-run leaves its owner an idle pool.
+            for worker in crew:
+                if worker.task is not None:
+                    pool.respawn(worker)
 
 
 def execute_stream(

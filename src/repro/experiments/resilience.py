@@ -59,6 +59,7 @@ from repro.experiments.executor import (
     ResiliencePolicy,
     RunResult,
     StreamTelemetry,
+    WorkerPool,
     dispatch,
 )
 from repro.experiments.registry import Scenario
@@ -315,12 +316,13 @@ def execute_stream_resilient(
     telemetry: Optional[StreamTelemetry] = None,
     entry: Optional[Scenario] = None,
     around: Optional[Callable[..., RunResult]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """:func:`execute_stream` with journaled resume, watchdog and retry.
 
     The same :func:`~repro.experiments.executor.dispatch` as the plain
     stream, under ``policy`` instead of the inert one and with its ``around``
-    passed through, plus the sidecars:
+    and ``pool`` passed through, plus the sidecars:
 
     * runs whose digest is already journaled yield their journaled result
       first (in input order), without executing — ``telemetry.resumed``
@@ -361,7 +363,7 @@ def execute_stream_resilient(
         else:
             pending.append((index, run))
     for index, result in dispatch(
-        pending, workers, capture_errors, policy, telemetry, entry, around,
+        pending, workers, capture_errors, policy, telemetry, entry, around, pool,
     ):
         run = run_list[index]
         if journalable(result):

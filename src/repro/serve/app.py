@@ -6,7 +6,7 @@ either a JSON document (Content-Length) or a chunked
 ``application/x-ndjson`` stream whose bytes are exactly the job's
 ``results.jsonl``.  Threading matters here: results streaming blocks until
 the job finishes, so each connection needs its own handler thread while the
-service's job workers execute in the background.
+service's job threads and their worker processes execute in the background.
 
 :func:`serve` wires in the PR 9 interrupt contract: SIGINT/SIGTERM become a
 graceful shutdown that leaves running jobs resumable by the next
@@ -61,13 +61,15 @@ class ExperimentHandler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
         assert response.stream is not None
+        # ``wfile`` is unbuffered: one write (one segment) per frame, the
+        # newest held back so that the terminator leaves with the last one.
+        # An empty chunk is the stream saying it is about to wait.
+        held = b""
         for chunk in response.stream:
-            if not chunk:
-                continue
-            self.wfile.write(f"{len(chunk):X}\r\n".encode("ascii"))
-            self.wfile.write(chunk)
-            self.wfile.write(b"\r\n")
-        self.wfile.write(b"0\r\n\r\n")
+            if held:
+                self.wfile.write(held)
+            held = b"%X\r\n%b\r\n" % (len(chunk), chunk) if chunk else b""
+        self.wfile.write(held + b"0\r\n\r\n")
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._handle("GET")
@@ -110,20 +112,24 @@ def serve(
     directory resumes them.  ``ready``, when given, must have a ``set()``
     method (a :class:`threading.Event`) and is signalled once the socket is
     bound — used by tests that boot the server on a background thread.
+
+    The service starts first: its worker processes are forked while this
+    process has one thread and no socket, so none of them can keep the port
+    bound after a ``kill -9`` of the server.
     """
-    server = ExperimentServer((host, port), service, quiet=quiet)
+    service.start()
     try:
-        service.start()
-        bound_host, bound_port = server.server_address[:2]
-        print(
-            f"serving experiments on http://{bound_host}:{bound_port} "
-            f"(jobs dir: {service.jobs_dir})",
-            file=sys.stderr,
-        )
-        if ready is not None:
-            ready.set()  # type: ignore[attr-defined]
-        with interruptible():
-            server.serve_forever(poll_interval=0.1)
+        with ExperimentServer((host, port), service, quiet=quiet) as server:
+            bound_host, bound_port = server.server_address[:2]
+            print(
+                f"serving experiments on http://{bound_host}:{bound_port} "
+                f"(jobs dir: {service.jobs_dir})",
+                file=sys.stderr,
+            )
+            if ready is not None:
+                ready.set()  # type: ignore[attr-defined]
+            with interruptible():
+                server.serve_forever(poll_interval=0.1)
     except GracefulInterrupt as signal:
         print(
             f"received {signal.signal_name}; shutting down "
@@ -131,6 +137,5 @@ def serve(
             file=sys.stderr,
         )
     finally:
-        server.server_close()
         service.shutdown()
     return 0

@@ -12,6 +12,12 @@ job's results are byte-identical to the equivalent ``python -m repro run`` /
 ``sweep --jsonl`` invocation.  The server is a transport, not new execution
 semantics.
 
+A job thread simulates nothing: it journals, writes and logs, and the runs
+(planned at submission) execute on the :class:`~repro.experiments.executor.WorkerPool`
+the thread was given in :meth:`ExperimentService.start` — worker processes
+that outlive every job, so ``job_concurrency`` jobs simulate at once instead
+of taking turns at one interpreter lock.
+
 Durability mirrors the PR 9 resume contract: the store appends job events to
 ``jobs.jsonl``; a restarted service replays the log, re-plans each job from
 its own logged request (deterministic, and independent of every other job
@@ -32,11 +38,12 @@ import os
 import threading
 import time
 from contextlib import closing
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.plan import JobRequest, plan
-from repro.experiments.registry import Scenario
+from repro.experiments.executor import WorkerPool
+from repro.experiments.plan import JobRequest, Plan, plan
+from repro.experiments.registry import Scenario, scenario_names
 from repro.experiments.resilience import (
     Quarantine,
     ResiliencePolicy,
@@ -77,21 +84,35 @@ class JobStateError(ReproError):
 
 @dataclasses.dataclass
 class Job:
-    """One submitted request plus its execution state and on-disk home."""
+    """One submitted request plus its execution state and on-disk home.
+
+    Plain data: every change of ``state``, ``done_runs`` and
+    ``cancel_requested`` is made under the service's condition, which is what
+    :meth:`ExperimentService.wait` and result readers sleep on.  ``entry`` and
+    ``runs`` are what is left to execute, so a terminal job holds neither.
+    """
 
     id: str
     request: JobRequest
     scenario: str
-    entry: Scenario
-    runs: List[RunSpec]
+    entry: Optional[Scenario]
+    runs: Optional[List[RunSpec]]
+    total: int
     directory: str
     state: str = "queued"
     done_runs: int = 0
     error: Optional[str] = None
+    cancel_requested: bool = False
     telemetry: StreamTelemetry = dataclasses.field(default_factory=StreamTelemetry)
-    cancel_event: threading.Event = dataclasses.field(default_factory=threading.Event)
-    started_event: threading.Event = dataclasses.field(default_factory=threading.Event)
-    finished_event: threading.Event = dataclasses.field(default_factory=threading.Event)
+
+    @classmethod
+    def planned(cls, job_id: str, request: JobRequest, planned: Plan,
+                jobs_dir: str) -> "Job":
+        return cls(
+            id=job_id, request=request, scenario=planned.scenario,
+            entry=planned.entry, runs=planned.runs, total=len(planned.runs),
+            directory=os.path.join(jobs_dir, job_id),
+        )
 
     @property
     def results_path(self) -> str:
@@ -108,7 +129,7 @@ class Job:
             "state": self.state,
             "kind": self.request.kind,
             "scenario": self.scenario,
-            "total": len(self.runs),
+            "total": self.total,
             "done": self.done_runs,
             "error": self.error,
             "resilience": {
@@ -121,12 +142,14 @@ class Job:
 class ExperimentService:
     """Job store + scheduler for multi-user submissions.
 
-    ``workers`` is the default per-job executor parallelism (each running
-    job starts its own workers for the life of its stream and hands them
-    its own planned scenario, so concurrent jobs share no pool and cannot
-    see each other's inline specs);
-    ``job_concurrency`` is how many jobs execute at once (each on its own
-    worker thread).  ``queue_limit`` bounds *queued* (not running) jobs —
+    ``job_concurrency`` is how many jobs execute at once: each job thread
+    owns a pool of worker processes from :meth:`start` to :meth:`shutdown`
+    and every job it takes simulates there.  ``workers`` is the default
+    per-job executor parallelism, i.e. how many of the thread's workers one
+    job's runs spread over (the pool grows to the widest job it has served).
+    A job hands the workers its own planned scenario at the head of its
+    stream, so no job can see another's inline spec — not even the next job
+    on the same worker.  ``queue_limit`` bounds *queued* (not running) jobs —
     beyond it submissions fail fast with :class:`QueueFullError` instead of
     accepting unbounded backlog.
     """
@@ -162,8 +185,11 @@ class ExperimentService:
         # Re-entrant: metrics refreshes call job_counts() while holding the
         # queue condition, which shares this lock.
         self._lock = threading.RLock()
+        #: Notified (all waiters: job threads, result readers, ``wait``) on
+        #: every submission, result, state change and at shutdown.
         self._wake = threading.Condition(self._lock)
         self._threads: List[threading.Thread] = []
+        self._pools: List[WorkerPool] = []
         self._stop = False
         self._next_id = 1
         os.makedirs(self.jobs_dir, exist_ok=True)
@@ -190,11 +216,8 @@ class ExperimentService:
             if "job" in event:
                 record = event["job"]
                 request = JobRequest.from_dict(record["request"])
-                jobs[record["id"]] = Job(
-                    id=record["id"],
-                    request=request,
-                    directory=os.path.join(self.jobs_dir, record["id"]),
-                    **plan(request)._asdict(),
+                jobs[record["id"]] = Job.planned(
+                    record["id"], request, plan(request), self.jobs_dir
                 )
             elif "state" in event:
                 record = event["state"]
@@ -207,8 +230,7 @@ class ExperimentService:
             number = int(job.id.rsplit("-", 1)[-1])
             self._next_id = max(self._next_id, number + 1)
             if job.state in TERMINAL_STATES:
-                job.started_event.set()
-                job.finished_event.set()
+                job.entry = job.runs = None
             else:
                 job.state = "queued"
                 job.done_runs = 0
@@ -220,6 +242,19 @@ class ExperimentService:
         self._events.write(json.dumps(event, sort_keys=True) + "\n")
         self._events.flush()
         os.fsync(self._events.fileno())
+
+    def _set_state(self, job: Job, state: str, outcome: Optional[str] = None,
+                   error: Optional[str] = None) -> None:
+        """Move ``job`` to ``state`` (caller holds the condition): logged,
+        counted as ``serve.jobs_<outcome>`` and announced to every waiter."""
+        job.state = state
+        job.error = error
+        if state in TERMINAL_STATES:
+            job.entry = job.runs = None
+        self._log_state(job)
+        if outcome is not None:
+            self.metrics.counter(f"serve.jobs_{outcome}").inc()
+        self._wake.notify_all()
 
     def _log_state(self, job: Job) -> None:
         self._log_event({
@@ -245,12 +280,7 @@ class ExperimentService:
                 )
             job_id = f"job-{self._next_id:06d}"
             self._next_id += 1
-            job = Job(
-                id=job_id,
-                request=request,
-                directory=os.path.join(self.jobs_dir, job_id),
-                **planned._asdict(),
-            )
+            job = Job.planned(job_id, request, planned, self.jobs_dir)
             os.makedirs(job.directory, exist_ok=True)
             self._log_event({
                 "job": {
@@ -263,7 +293,7 @@ class ExperimentService:
             self._jobs[job.id] = job
             self._queue.append(job)
             self.metrics.counter("serve.jobs_submitted").inc()
-            self._wake.notify()
+            self._wake.notify_all()
         return job
 
     def job(self, job_id: str) -> Job:
@@ -296,35 +326,54 @@ class ExperimentService:
                 raise JobStateError(
                     f"job {job_id!r} is already {job.state}; cannot cancel"
                 )
-            job.cancel_event.set()
+            job.cancel_requested = True
             if job.state == "queued":
                 try:
                     self._queue.remove(job)
                 except ValueError:
                     pass
-                job.state = "cancelled"
-                self._log_state(job)
-                self.metrics.counter("serve.jobs_cancelled").inc()
-                job.started_event.set()
-                job.finished_event.set()
+                self._set_state(job, "cancelled", "cancelled")
         return job
+
+    def _settled(self, job: Job) -> bool:
+        """Nothing more will happen to ``job`` in this service: it is
+        terminal, or the service has shut down (the job stays resumable)."""
+        return job.state in TERMINAL_STATES or (self._stop and not self._threads)
+
+    def wait(self, job: Job, timeout: Optional[float] = None) -> bool:
+        """Block until ``job`` is terminal or the service has shut down;
+        False if ``timeout`` seconds pass first."""
+        with self._wake:
+            return self._wake.wait_for(lambda: self._settled(job), timeout)
 
     # -- execution ---------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the job worker threads (idempotent)."""
+        """Start each job thread's worker pool, then the threads (idempotent).
+
+        The first worker of every pool is forked here, on the calling thread,
+        before any job thread exists — and :func:`repro.serve.app.serve` calls
+        this before it binds its socket and starts handler threads: a forked
+        child of a threaded process inherits locks in whatever state they
+        were in, and everything it inherits it must close again.
+        """
         if self._threads:
             return
-        for number in range(self.job_concurrency):
+        # Loaded before the fork: every worker starts with the catalogue its
+        # jobs name instead of importing it again on its first run.
+        scenario_names()
+        self._pools = [WorkerPool(1) for _ in range(self.job_concurrency)]
+        for number, pool in enumerate(self._pools):
             thread = threading.Thread(
                 target=self._worker_loop,
+                args=(pool,),
                 name=f"serve-job-worker-{number}",
                 daemon=True,
             )
             thread.start()
             self._threads.append(thread)
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, pool: WorkerPool) -> None:
         while True:
             with self._wake:
                 while not self._queue and not self._stop:
@@ -332,37 +381,33 @@ class ExperimentService:
                 if self._stop:
                     return
                 job = self._queue.popleft()
-                if job.cancel_event.is_set() or job.state in TERMINAL_STATES:
+                if job.cancel_requested or job.state in TERMINAL_STATES:
                     continue
-                job.state = "running"
-                self._log_state(job)
+                # Truncated before the state says "running": a reader that
+                # sees the state finds this execution's file, not the last's.
+                handle = open(job.results_path, "w", encoding="utf-8")
+                self._set_state(job, "running")
                 self.metrics.gauge("serve.jobs_running").set(
                     self.job_counts()["running"]
                 )
             started = time.monotonic()
             try:
-                completed = self._execute(job)
+                with handle:
+                    completed = self._execute(job, pool, handle)
             except Exception as error:  # noqa: BLE001 - job isolation boundary
                 with self._wake:
-                    job.state = "failed"
-                    job.error = f"{type(error).__name__}: {error}"
-                    self._log_state(job)
-                    self.metrics.counter("serve.jobs_failed").inc()
+                    self._set_state(
+                        job, "failed", "failed", f"{type(error).__name__}: {error}"
+                    )
             else:
                 with self._wake:
-                    if job.cancel_event.is_set() and not completed:
-                        job.state = "cancelled"
-                        self._log_state(job)
-                        self.metrics.counter("serve.jobs_cancelled").inc()
-                    elif self._stop and not completed:
-                        # Graceful shutdown mid-job: leave the state
-                        # "running" with no terminal event so a restarted
-                        # service re-enqueues and resumes it.
-                        pass
-                    else:
-                        job.state = "done"
-                        self._log_state(job)
-                        self.metrics.counter("serve.jobs_completed").inc()
+                    if job.cancel_requested and not completed:
+                        self._set_state(job, "cancelled", "cancelled")
+                    elif completed:
+                        self._set_state(job, "done", "completed")
+                    # else a graceful shutdown mid-job: the state stays
+                    # "running" with no terminal event, so a restarted
+                    # service re-enqueues and resumes it.
             finally:
                 with self._lock:
                     self.metrics.histogram("serve.job_wall_seconds").observe(
@@ -371,11 +416,11 @@ class ExperimentService:
                     self.metrics.gauge("serve.jobs_running").set(
                         self.job_counts()["running"]
                     )
-                job.started_event.set()
-                job.finished_event.set()
 
-    def _execute(self, job: Job) -> bool:
-        """Run one job through the resilient executor; True iff it completed.
+    def _execute(self, job: Job, pool: WorkerPool, handle: TextIO) -> bool:
+        """Run one job through the resilient executor on the thread's
+        ``pool``, one flushed line of ``handle`` (the job's ``results.jsonl``)
+        per result; True iff it completed.
 
         ``results.jsonl`` is rewritten from scratch on every execution; with
         the run journal replaying completed runs first in input order, a
@@ -383,6 +428,7 @@ class ExperimentService:
         one would.
         """
         request = job.request
+        assert job.runs is not None  # only a terminal job has dropped them
         policy = ResiliencePolicy(
             run_timeout=(
                 request.run_timeout
@@ -404,7 +450,6 @@ class ExperimentService:
             resume=True,
         )
         quarantine = Quarantine(job.journal_path + ".quarantine.jsonl")
-        completed = False
         with closing(journal), closing(quarantine):
             stream = execute_stream_resilient(
                 job.runs,
@@ -415,22 +460,24 @@ class ExperimentService:
                 quarantine=quarantine,
                 telemetry=job.telemetry,
                 entry=job.entry,
+                pool=pool,
             )
-            with open(job.results_path, "w", encoding="utf-8") as handle:
-                job.started_event.set()
-                with closing(stream):
-                    for _, result in stream:
-                        write_jsonl_line(result, handle)
+            with closing(stream):
+                for _, result in stream:
+                    write_jsonl_line(result, handle)
+                    handle.flush()
+                    self.metrics.counter("serve.runs_completed").inc()
+                    with self._wake:
                         job.done_runs += 1
-                        self.metrics.counter("serve.runs_completed").inc()
-                        if job.cancel_event.is_set() or self._stop:
-                            break
-            if job.done_runs >= len(job.runs):
-                completed = True
+                        self._wake.notify_all()
+                    if job.cancel_requested or self._stop:
+                        break
+            completed = job.done_runs >= job.total
+            if completed:
                 journal.record_summary({
                     "summary": {
                         "id": job.id,
-                        "total": len(job.runs),
+                        "total": job.total,
                         "resilience": job.telemetry.as_dict(),
                     }
                 })
@@ -444,26 +491,35 @@ class ExperimentService:
         Chunks are raw file bytes — the HTTP layer forwards them as a
         chunked ``application/x-ndjson`` body, so what a client receives is
         exactly what :func:`~repro.experiments.results.write_jsonl_line`
-        wrote.  For a finished job this just streams the file.
+        wrote, each line as soon as its run has finished.  An empty chunk
+        carries no bytes: it says the stream is about to wait for the job,
+        so a transport that holds chunks back should send them now.  For a
+        finished job this just streams the file.
         """
         job = self.job(job_id)
-        while not job.started_event.wait(0.05):
-            if job.finished_event.is_set():
-                break
+        with self._wake:
+            self._wake.wait_for(
+                lambda: job.state != "queued" or self._settled(job)
+            )
         if not os.path.exists(job.results_path):
             return
         with open(job.results_path, "rb") as handle:
             while True:
+                # Read before the file is: a line is flushed before it is
+                # counted, and the last one before the job settles.
+                with self._wake:
+                    seen, settled = job.done_runs, self._settled(job)
                 chunk = handle.read(65536)
                 if chunk:
                     yield chunk
-                    continue
-                if job.finished_event.is_set():
-                    tail = handle.read()
-                    if tail:
-                        yield tail
+                elif settled:
                     return
-                job.finished_event.wait(0.05)
+                else:
+                    yield b""
+                    with self._wake:
+                        self._wake.wait_for(
+                            lambda: job.done_runs != seen or self._settled(job)
+                        )
 
     # -- metrics -----------------------------------------------------------------
 
@@ -475,6 +531,13 @@ class ExperimentService:
         self.metrics.gauge("serve.queue_depth").set(depth)
         for state in JOB_STATES:
             self.metrics.gauge(f"serve.jobs_{state}").set(counts[state])
+        with self._lock:
+            pools = list(self._pools)
+            starts = self.metrics.counter("serve.worker_starts")
+            starts.inc(sum(pool.starts for pool in pools) - starts.value)
+        self.metrics.gauge("serve.workers_alive").set(
+            sum(pool.alive() for pool in pools)
+        )
         return self.metrics.as_dict()
 
     # -- lifecycle ---------------------------------------------------------------
@@ -489,7 +552,11 @@ class ExperimentService:
         with self._wake:
             self._stop = True
             self._wake.notify_all()
-        for thread in self._threads:
+        for thread, pool in zip(self._threads, self._pools):
             thread.join(timeout=timeout)
-        self._threads = []
+            if not thread.is_alive():  # else still driving it: dies with us
+                pool.close()
+        with self._wake:
+            self._threads = []
+            self._wake.notify_all()
         self._events.close()

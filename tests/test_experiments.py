@@ -45,7 +45,13 @@ from repro.experiments import (
     write_csv,
     write_json,
 )
-from repro.experiments.registry import FunctionScenario
+from repro.experiments.executor import (
+    ResiliencePolicy,
+    StreamTelemetry,
+    WorkerPool,
+    dispatch,
+)
+from repro.experiments.registry import FunctionScenario, SpecScenario
 
 SRC_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
@@ -753,4 +759,85 @@ class TestWarmPool:
         next(stream)
         assert len(_child_pids() - before) == 2
         stream.close()  # abandoned: generator finally must stop the pool
+        assert leaked_children() == []
+
+
+def _reports_its_pid(execute, index, run, entry):
+    """An ``around`` hook: the run's result plus the process that ran it."""
+    result = execute(run, entry)
+    result.result["pid"] = os.getpid()
+    return result
+
+
+class TestOwnersPool:
+    """A pool handed to ``dispatch`` is its owner's: grown, used and left
+    running — one worker protocol, settings at the head of each stream."""
+
+    RUNS = expand_grid(
+        "quickstart",
+        grid={"seed": [0, 1, 2, 3]},
+        base={"workload.operations_per_client": 2},
+    )
+
+    @staticmethod
+    def stream(runs, pool, workers=1, around=None, entry=None):
+        return dispatch(list(enumerate(runs)), workers, False, ResiliencePolicy(),
+                        StreamTelemetry(), entry, around, pool)
+
+    def test_streams_share_the_workers_and_the_owner_closes_them(
+        self, leaked_children
+    ):
+        serial = execute_many(self.RUNS, workers=1)
+        with WorkerPool() as pool:
+            assert (pool.starts, pool.alive()) == (0, 0)
+            for _ in range(3):
+                # One worker: input order, the serial results, its pid.
+                served = list(self.stream(self.RUNS, pool, around=_reports_its_pid))
+                assert [index for index, _ in served] == [0, 1, 2, 3]
+                pids = {result.result.pop("pid") for _, result in served}
+                assert dumps_json([result for _, result in served]) == dumps_json(serial)
+                assert pids == {pool.workers[0].process.pid} != {os.getpid()}
+                assert (pool.starts, pool.alive()) == (1, 1)
+        assert (pool.starts, pool.alive()) == (1, 0)
+        assert leaked_children() == []
+
+    def test_a_pool_grows_to_the_widest_stream_and_a_narrow_one_uses_its_share(
+        self, leaked_children
+    ):
+        with WorkerPool(1) as pool:
+            wide = list(self.stream(self.RUNS, pool, workers=3))
+            assert sorted(index for index, _ in wide) == [0, 1, 2, 3]
+            assert (pool.starts, pool.alive()) == (3, 3)
+            narrow = list(self.stream(self.RUNS, pool, around=_reports_its_pid))
+            assert [index for index, _ in narrow] == [0, 1, 2, 3]
+            assert {result.result["pid"] for _, result in narrow} == {
+                pool.workers[0].process.pid}
+            assert (pool.starts, pool.alive()) == (3, 3)
+        assert leaked_children() == []
+
+    def test_an_abandoned_stream_leaves_every_worker_idle(self, leaked_children):
+        with WorkerPool() as pool:
+            stream = self.stream(self.RUNS, pool, workers=2)
+            next(stream)
+            stream.close()  # one worker may be mid-run: killed and replaced
+            assert all(worker.task is None for worker in pool.workers)
+            assert pool.alive() == 2 and pool.starts in (2, 3)
+            again = list(self.stream(self.RUNS, pool, workers=2))
+            assert sorted(index for index, _ in again) == [0, 1, 2, 3]
+        assert leaked_children() == []
+
+    def test_each_stream_runs_its_own_entry_under_one_name(self, leaked_children):
+        base = get_scenario("quickstart").spec.with_overrides(
+            {"name": "pool-probe", "workload.operations_per_client": 2})
+        run = [RunSpec("pool-probe", params=())]
+        with WorkerPool() as pool:
+            seeds = [
+                next(self.stream(
+                    run, pool, entry=SpecScenario(base.with_overrides({"seed": seed}))
+                ))[1].result["seed"]
+                for seed in (101, 202, 101)
+            ]
+            assert pool.starts == 1
+        assert seeds == [101, 202, 101]
+        assert "pool-probe" not in scenario_names()
         assert leaked_children() == []

@@ -10,6 +10,7 @@ same jobs directory.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pathlib
 import signal
@@ -49,6 +50,12 @@ def quickstart_document():
     return json.loads(pathlib.Path(QUICKSTART_SPEC).read_text(encoding="utf-8"))
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="patches reach a worker process by fork only",
+)
+
+
 def wait_for(predicate, timeout=120.0, interval=0.01):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -66,11 +73,12 @@ def cli_sweep_bytes(tmp_path, name, argv):
 
 
 @pytest.fixture
-def service(tmp_path):
+def service(tmp_path, leaked_children):
     svc = ExperimentService(str(tmp_path / "jobs"), workers=1)
     svc.start()
     yield svc
     svc.shutdown()
+    assert leaked_children() == []  # every test on the fixture checks it
 
 
 @pytest.fixture
@@ -83,6 +91,60 @@ def http_client(service):
     yield ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
     server.shutdown()
     server.server_close()
+
+
+BASELINE = "static-majority-baseline"  # no transfers: no stack-depth churn
+
+
+class RunGate:
+    """Every run of a service forked after this was made logs its process
+    (pid, the registry's names) and then waits for :meth:`open` — in files,
+    because a test may SIGKILL a process that is waiting.  The first ``free``
+    runs pass without waiting."""
+
+    def __init__(self, tmp_path, monkeypatch, free=0):
+        import repro.experiments.spec as spec_module
+
+        self.log = tmp_path / "gate-runs.jsonl"
+        self.opened = tmp_path / "gate-open"
+        run_inner = spec_module._run_spec_inner
+
+        def gated(spec):
+            with open(self.log, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps({
+                    "pid": os.getpid(), "registry": sorted(registry._REGISTRY),
+                }) + "\n")
+            held = len(self.entries()) > free
+            deadline = time.monotonic() + 30.0
+            while (held and not self.opened.exists()
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            return run_inner(spec)
+
+        monkeypatch.setattr(spec_module, "_run_spec_inner", gated)
+
+    def entries(self):
+        if not self.log.exists():
+            return []
+        return [json.loads(line)
+                for line in self.log.read_text(encoding="utf-8").splitlines()]
+
+    def pids(self):
+        return [entry["pid"] for entry in self.entries()]
+
+    def open(self):
+        self.opened.touch()
+
+
+def baseline_request(seeds, **extra):
+    return JobRequest.from_dict(
+        {"kind": "sweep", "scenario": BASELINE, "seeds": seeds, **extra})
+
+
+def worker_metrics(service):
+    payload = service.metrics_payload()
+    return (payload["counters"]["serve.worker_starts"],
+            payload["gauges"]["serve.workers_alive"]["value"])
 
 
 class TestSchemas:
@@ -176,7 +238,7 @@ class TestServiceExecution:
             {"kind": "run", "scenario": "quickstart", "params": FAST}
         )
         job = service.submit(request)
-        assert job.finished_event.wait(120)
+        assert service.wait(job, 120)
         assert job.state == "done"
         want = cli_sweep_bytes(
             tmp_path, "direct.jsonl",
@@ -198,7 +260,7 @@ class TestServiceExecution:
                 for seed in (0, 1)
             ]
             for job in jobs:
-                assert job.finished_event.wait(120)
+                assert service.wait(job, 120)
                 assert job.state == "done"
                 assert job.done_runs == 2
             payloads = [load_payload(job.results_path) for job in jobs]
@@ -211,8 +273,8 @@ class TestServiceExecution:
         self, tmp_path, leaked_children
     ):
         # Two job threads each driving a --workers 2 stream at once, one of
-        # them on an inline spec: every job starts its own workers and hands
-        # them its own planned scenario, so neither sees the other's.
+        # them on an inline spec: each thread has its own workers and a job
+        # hands them its own planned scenario, so neither sees the other's.
         spec = quickstart_document()
         spec["name"] = "serve-inline-probe"
         spec_path = tmp_path / "inline.json"
@@ -230,7 +292,7 @@ class TestServiceExecution:
                 for target in ({"scenario": "quickstart"}, {"spec": spec})
             ]
             for job in jobs:
-                assert job.finished_event.wait(120)
+                assert service.wait(job, 120)
                 assert job.state == "done"
             argv = ["--seeds", "0,1,2,3", "-p", "workload.operations_per_client=2"]
             wants = [
@@ -272,9 +334,9 @@ class TestServiceExecution:
         }))
         wait_for(lambda: job.done_runs >= 1)
         service.cancel(job.id)
-        assert job.finished_event.wait(120)
+        assert service.wait(job, 120)
         assert job.state == "cancelled"
-        assert 1 <= job.done_runs < len(job.runs)
+        assert 1 <= job.done_runs < job.total
         # The journal retains every completed run for a later resume.
         journal_lines = [
             json.loads(line)
@@ -292,7 +354,7 @@ class TestServiceExecution:
             {"kind": "run", "scenario": "quickstart", "params": FAST}))
         cancelled = service.cancel(job.id)
         assert cancelled.state == "cancelled"
-        assert job.finished_event.is_set()
+        assert service.wait(job, 0)
         service.shutdown()
 
     def test_unknown_job_raises(self, service):
@@ -307,8 +369,8 @@ def same_name_request(seed):
     return JobRequest.from_dict({"kind": "run", "spec": spec, "params": FAST})
 
 
-def served_seeds(job):
-    assert job.finished_event.wait(120) and job.state == "done"
+def served_seeds(service, job):
+    assert service.wait(job, 120) and job.state == "done"
     return [entry["result"]["seed"] for entry in load_payload(job.results_path)]
 
 
@@ -325,9 +387,29 @@ class TestInlineSpecsArePerJob:
             jobs = [service.submit(same_name_request(seed)) for seed in (101, 202)]
             assert registry._REGISTRY == before
             service.start()
-            assert [served_seeds(job) for job in jobs] == [[101], [202]]
+            assert [served_seeds(service, job) for job in jobs] == [[101], [202]]
         finally:
             service.shutdown()
+        assert registry._REGISTRY == before
+
+    def test_one_worker_process_runs_each_jobs_own_spec(
+        self, tmp_path, monkeypatch
+    ):
+        # job_concurrency=1: the second job runs on the very process that
+        # held the first one's spec, which arrived with that job's stream and
+        # was never registered there either.
+        before = dict(registry._REGISTRY)
+        gate = RunGate(tmp_path, monkeypatch, free=2)
+        service = ExperimentService(str(tmp_path / "jobs"))
+        service.start()
+        try:
+            assert [served_seeds(service, service.submit(same_name_request(seed)))
+                    for seed in (101, 202)] == [[101], [202]]
+        finally:
+            service.shutdown()
+        first, second = gate.entries()
+        assert first["pid"] == second["pid"] != os.getpid()
+        assert first["registry"] == second["registry"] == sorted(before)
         assert registry._REGISTRY == before
 
     def test_restart_replans_every_job_from_its_own_request(self, tmp_path):
@@ -338,8 +420,8 @@ class TestInlineSpecsArePerJob:
         second = ExperimentService(jobs_dir)
         try:
             second.start()
-            assert [served_seeds(second.job(job_id)) for job_id in ids] == [
-                [101], [202]]
+            assert [served_seeds(second, second.job(job_id))
+                    for job_id in ids] == [[101], [202]]
         finally:
             second.shutdown()
 
@@ -368,7 +450,7 @@ class TestParameterNamesFollowExecution:
     def served_bytes(self, service, body):
         job = service.submit(JobRequest.from_dict(
             {"scenario": "crash-resilience", **body}))
-        assert job.finished_event.wait(120) and job.state == "done"
+        assert service.wait(job, 120) and job.state == "done"
         with open(job.results_path, "rb") as handle:
             return handle.read()
 
@@ -439,7 +521,7 @@ class TestRestartResume:
         resumed = second.job(job.id)
         assert resumed.state == "queued"
         second.start()
-        assert resumed.finished_event.wait(120)
+        assert second.wait(resumed, 120)
         assert resumed.state == "done"
         assert resumed.done_runs == 4
         assert resumed.telemetry.resumed >= 1
@@ -465,7 +547,7 @@ class TestJobsLogDurability:
                     "kind": "run", "scenario": "quickstart",
                     "params": dict(FAST, seed=seed),
                 }))
-                assert job.finished_event.wait(120) and job.state == "done"
+                assert service.wait(job, 120) and job.state == "done"
         finally:
             service.shutdown()
         path = os.path.join(jobs_dir, "jobs.jsonl")
@@ -528,6 +610,229 @@ class TestJobsLogDurability:
             ExperimentService(jobs_dir)
         with open(path, "rb") as handle:
             assert handle.read() == b"\n".join(lines)  # refused, not repaired
+
+
+class TestResultsAreStreamed:
+    def test_a_line_reaches_its_reader_when_its_run_finishes(
+        self, tmp_path, monkeypatch, leaked_children
+    ):
+        # results.jsonl used to sit in an 8 KB text buffer until the file
+        # closed, so a sweep's first byte arrived with its last.
+        want = cli_sweep_bytes(tmp_path, "direct.jsonl", [BASELINE, "--seeds", "0,1"])
+        gate = RunGate(tmp_path, monkeypatch, free=1)
+        service = ExperimentService(str(tmp_path / "jobs"))
+        service.start()
+        try:
+            job = service.submit(baseline_request([0, 1]))
+            stream = service.stream_results(job.id)
+            first = next(chunk for chunk in stream if chunk)
+            assert job.done_runs < job.total  # the second run is at the gate
+            assert first == want[: want.index(b"\n") + 1]
+            gate.open()
+            assert first + b"".join(stream) == want
+            assert service.wait(job, 0) and job.state == "done"
+        finally:
+            gate.open()
+            service.shutdown()
+        assert leaked_children() == []
+
+    def test_no_wakeup_is_lost_between_tenants_threads_and_readers(
+        self, tmp_path, leaked_children
+    ):
+        # Job threads, readers and `wait` sleep on one condition: three
+        # tenants submitting and streaming at once over three job threads
+        # (more than this box has cores), thread switches forced often.
+        want = {
+            seed: cli_sweep_bytes(tmp_path, f"direct-{seed}.jsonl",
+                                  [BASELINE, "--seeds", f"{seed},{seed + 10}"])
+            for seed in range(3)
+        }
+        service = ExperimentService(str(tmp_path / "jobs"), job_concurrency=3)
+        service.start()
+        wrong = []
+
+        def tenant(seed):
+            for _ in range(8):
+                job = service.submit(baseline_request([seed, seed + 10]))
+                served = b"".join(service.stream_results(job.id))
+                if served != want[seed] or not service.wait(job, 0):
+                    wrong.append((job.id, job.state, served))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            tenants = [threading.Thread(target=tenant, args=(seed,))
+                       for seed in range(3)]
+            for thread in tenants:
+                thread.start()
+            for thread in tenants:
+                thread.join(timeout=120.0)
+            assert not any(thread.is_alive() for thread in tenants)
+        finally:
+            sys.setswitchinterval(interval)
+            service.shutdown()
+        assert wrong == []
+        assert worker_metrics(service) == (3, 0)
+        assert leaked_children() == []
+
+    def test_a_reader_of_a_queued_job_ends_when_the_job_is_cancelled(
+        self, tmp_path
+    ):
+        service = ExperimentService(str(tmp_path / "jobs"))  # never started
+        try:
+            job = service.submit(baseline_request([0]))
+            chunks = []
+            reader = threading.Thread(
+                target=lambda: chunks.extend(service.stream_results(job.id)))
+            reader.start()
+            service.cancel(job.id)
+            reader.join(timeout=30.0)
+            assert not reader.is_alive() and b"".join(chunks) == b""
+        finally:
+            service.shutdown()
+
+
+class TestFinishedJobsAreSmall:
+    def test_a_finished_run_job_retains_under_two_kilobytes(self, service):
+        # Three threading.Events, the run list and the planned scenario used
+        # to stay with every job served: ~6 KB each, for the server's life.
+        import gc
+        import tracemalloc
+
+        def serve(count):
+            for seed in range(count):
+                job = service.submit(JobRequest.from_dict(
+                    {"kind": "run", "scenario": BASELINE, "params": {"seed": seed}}))
+                assert service.wait(job, 120) and job.state == "done"
+                assert job.runs is None and job.entry is None
+                assert job.payload()["total"] == job.payload()["done"] == 1
+
+        serve(5)  # imports, caches, the metric instruments
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before, _ = tracemalloc.get_traced_memory()
+            serve(40)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / 40 <= 2048
+
+
+@needs_fork
+class TestWorkersOutliveJobs:
+    """A job thread's worker processes are started once, in `start()`."""
+
+    def test_twenty_jobs_on_two_threads_start_two_workers(self, tmp_path):
+        service = ExperimentService(str(tmp_path / "jobs"), job_concurrency=2)
+        service.start()
+        try:
+            jobs = [
+                service.submit(JobRequest.from_dict(
+                    {"kind": "run", "scenario": BASELINE, "params": {"seed": seed}}))
+                for seed in range(20)
+            ]
+            for job in jobs:
+                assert service.wait(job, 120) and job.state == "done"
+            assert worker_metrics(service) == (2, 2)
+        finally:
+            service.shutdown()
+        assert worker_metrics(service) == (2, 0)
+
+    @pytest.mark.parametrize("retry, killed_run", [
+        (2, "retried"), (1, "quarantined"),
+    ])
+    def test_a_sigkilled_worker_is_respawned_once_and_serves_the_next_job(
+        self, retry, killed_run, tmp_path, monkeypatch, leaked_children
+    ):
+        want = cli_sweep_bytes(
+            tmp_path, "direct.jsonl", [BASELINE, "--seeds", "0,1,2"])
+        gate = RunGate(tmp_path, monkeypatch)
+        service = ExperimentService(
+            str(tmp_path / "jobs"), job_concurrency=2, retry=retry)
+        service.start()
+        try:
+            job = service.submit(baseline_request([0, 1, 2]))
+            wait_for(gate.pids)
+            victim = gate.pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            gate.open()
+            assert service.wait(job, 120) and job.state == "done"
+            served = pathlib.Path(job.results_path).read_bytes()
+            resilience = job.payload()["resilience"]
+            if killed_run == "retried":
+                # Re-dispatched after its backoff, so behind the other two.
+                assert sorted(served.splitlines()) == sorted(want.splitlines())
+                assert (resilience["retries"], resilience["quarantined"]) == (1, 0)
+            else:
+                first, rest = served.split(b"\n", 1)
+                error = json.loads(first)["result"]["error"]
+                assert error["type"] == "WorkerCrashed" and error["quarantined"]
+                assert rest == want.split(b"\n", 1)[1]
+                assert (resilience["retries"], resilience["quarantined"]) == (0, 1)
+            assert worker_metrics(service) == (3, 2)
+            # The rest of the sweep, and the next job, ran on the respawned
+            # worker: no process but the victim's replacement was started.
+            runs_before = len(gate.pids())
+            following = service.submit(baseline_request([7]))
+            assert service.wait(following, 120) and following.state == "done"
+            assert victim not in gate.pids()[1:]
+            assert len(gate.pids()) == runs_before + 1
+            assert worker_metrics(service) == (3, 2)
+        finally:
+            gate.open()
+            service.shutdown()
+        assert leaked_children() == []
+
+    def test_an_interrupt_of_the_process_group_is_the_servers_to_handle(
+        self, tmp_path, monkeypatch, leaked_children
+    ):
+        # Ctrl-C on `repro serve` in a terminal signals the workers too.  The
+        # server shuts down after the current run; a worker that raised
+        # KeyboardInterrupt into its run would take the job thread with it.
+        want = cli_sweep_bytes(tmp_path, "direct.jsonl", [BASELINE, "--seeds", "0,1"])
+        gate = RunGate(tmp_path, monkeypatch)
+        service = ExperimentService(str(tmp_path / "jobs"))
+        service.start()
+        try:
+            job = service.submit(baseline_request([0, 1]))
+            wait_for(gate.pids)
+            os.kill(gate.pids()[0], signal.SIGINT)
+            time.sleep(0.05)  # delivered while the run waits at the gate
+            gate.open()
+            assert service.wait(job, 60) and job.state == "done"
+            assert pathlib.Path(job.results_path).read_bytes() == want
+            assert worker_metrics(service) == (1, 1)
+        finally:
+            gate.open()
+            service.shutdown()
+        assert leaked_children() == []
+
+    def test_a_jobs_run_timeout_respawns_the_threads_worker(
+        self, tmp_path, monkeypatch, leaked_children
+    ):
+        gate = RunGate(tmp_path, monkeypatch)
+        service = ExperimentService(str(tmp_path / "jobs"))
+        service.start()
+        try:
+            hung = service.submit(baseline_request([0], run_timeout=0.3))
+            assert service.wait(hung, 120) and hung.state == "done"
+            [entry] = load_payload(hung.results_path)
+            assert entry["result"]["error"]["type"] == "WatchdogTimeout"
+            assert hung.payload()["resilience"]["timeouts"] == 1
+            assert worker_metrics(service) == (2, 1)
+            gate.open()
+            following = service.submit(baseline_request([1]))
+            assert service.wait(following, 120) and following.state == "done"
+            assert "error" not in load_payload(following.results_path)[0]["result"]
+            first, second = gate.pids()
+            assert first != second
+            assert worker_metrics(service) == (2, 1)  # respawned, not re-pooled
+        finally:
+            gate.open()
+            service.shutdown()
+        assert leaked_children() == []
 
 
 class TestRoutes:
@@ -603,9 +908,9 @@ class TestHTTPServer:
     def test_concurrent_traced_jobs_each_stream_the_clis_bytes(
         self, tmp_path, monkeypatch
     ):
-        # Two tenants, two job threads in one process, both runs observed at
-        # once: the ambient observer is per-thread, so each job's metrics and
-        # trace digest are its own run's — the bytes the CLI prints for it.
+        # Two tenants, two job threads each with its worker process, both
+        # runs observed at once: each job's metrics and trace digest are its
+        # own run's — the bytes the CLI prints for it.
         # The scenario has no transfers: without the weight-gain refresh churn
         # its trace does not depend on the stack depth it is recorded at.
         import repro.experiments.spec as spec_module
@@ -626,8 +931,9 @@ class TestHTTPServer:
 
         # Each run has installed its observer when it gets here; it builds
         # its world only once the other has too, and keeps observing until
-        # the other is done.
-        both_there = threading.Barrier(2, timeout=30.0)
+        # the other is done.  The workers fork in `start()`, below, with the
+        # patch and this barrier in place.
+        both_there = multiprocessing.get_context("fork").Barrier(2, timeout=30.0)
         run_inner = spec_module._run_spec_inner
 
         def run_inner_together(spec):
@@ -659,6 +965,56 @@ class TestHTTPServer:
             server.server_close()
             service.shutdown()
         assert served == want
+
+    def test_a_finished_jobs_stream_is_one_frame_and_the_terminator(
+        self, http_client, tmp_path
+    ):
+        # The recorded response: headers, then the whole file as one chunk
+        # with the terminator behind it — what four writes a frame put on the
+        # wire, now in one.
+        job = http_client.submit(
+            {"kind": "sweep", "scenario": BASELINE, "seeds": [0, 1]})
+        assert http_client.wait(job["id"])["state"] == "done"
+        want = cli_sweep_bytes(tmp_path, "direct.jsonl", [BASELINE, "--seeds", "0,1"])
+        with socket.create_connection(
+            (http_client.host, http_client.port), timeout=30
+        ) as sock:
+            sock.sendall(
+                f"GET /jobs/{job['id']}/results HTTP/1.1\r\n"
+                "Host: test\r\nConnection: close\r\n\r\n".encode("ascii"))
+            wire = b""
+            while chunk := sock.recv(65536):
+                wire += chunk
+        head, body = wire.split(b"\r\n\r\n", 1)
+        lines = head.split(b"\r\n")
+        assert lines[0] == b"HTTP/1.1 200 OK"
+        assert [line for line in lines[1:]
+                if not line.startswith((b"Server:", b"Date:"))] == [
+            b"Content-Type: application/x-ndjson",
+            b"Transfer-Encoding: chunked",
+        ]
+        assert body == b"%X\r\n%b\r\n0\r\n\r\n" % (len(want), want)
+
+    def test_a_live_stream_frames_each_write_and_skips_empty_chunks(self):
+        from repro.serve.app import ExperimentHandler
+        from repro.serve.routes import Response
+
+        writes = []
+        handler = ExperimentHandler.__new__(ExperimentHandler)
+        handler.wfile = type("Wire", (), {"write": staticmethod(writes.append)})()
+        handler.request_version = "HTTP/1.1"
+        handler.requestline = "GET /jobs/job-000001/results HTTP/1.1"
+        handler.client_address = ("127.0.0.1", 0)
+        handler.server = type("Quiet", (), {"quiet": True})()
+        chunks = [b"", b"first\n", b"", b"", b"second\n", b"third\n"]
+        handler._write_stream(Response(200, stream=iter(chunks),
+                                       content_type="application/x-ndjson"))
+        # Headers, then: a frame sent when the stream says it will wait, a
+        # frame pushed out by the next, and the last with the terminator.
+        assert writes[1:] == [
+            b"6\r\nfirst\n\r\n", b"7\r\nsecond\n\r\n",
+            b"6\r\nthird\n\r\n0\r\n\r\n",
+        ]
 
     def test_jobs_listing_and_status(self, http_client):
         job = http_client.submit(
@@ -818,6 +1174,11 @@ class TestKillDashNine:
         finally:
             first.send_signal(signal.SIGKILL)
             first.wait()
+
+        # Its workers (one mid-run) were forked before it listened: nothing
+        # holds the port, so the restart below does not wait for an orphan.
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
         second = boot()
         try:
