@@ -38,6 +38,7 @@ others) intersect correctly with old ones (Lemma 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Any, Callable, Iterable, List, Set
 
 from repro.core.change import Change, ChangeSet
@@ -228,7 +229,7 @@ def _quorum_or_news(
         # Sum in sorted order: float addition is order-sensitive and set
         # iteration order varies per process, so an unordered sum would
         # let the quorum test flip on last-ulp ties between runs.
-        weight = sum([weights.get(server, 0) for server in sorted(senders)])
+        weight = sum(map(weights.get, sorted(senders), repeat(0)))
         return strictly_greater(weight, half_total)
 
     return predicate

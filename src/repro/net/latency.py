@@ -21,6 +21,13 @@ serve different purposes:
 
 Every stochastic model takes an explicit ``seed``; the simulation kernel
 itself never introduces randomness.
+
+A draw is one call per message, so the models write out the stdlib's
+``Random.uniform`` / ``Random.lognormvariate`` formulas over
+``Random.random()`` instead of calling them: the same floats, draw for draw
+(``tests/test_network.py`` holds them to the stdlib), and no stdlib frame
+below ``Network.send`` — under a wrapper model that frame sat as deep as the
+pinned send chain (``docs/ARCHITECTURE.md``, "Performance").
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import ProcessId, VirtualTime
+
+# random.NV_MAGICCONST, the constant of the Kinderman-Monahan ratio method
+# random.normalvariate uses.
+_NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
 __all__ = [
     "LatencyModel",
@@ -86,7 +97,8 @@ class UniformLatency(LatencyModel):
     def delay(
         self, sender: ProcessId, receiver: ProcessId, now: VirtualTime
     ) -> VirtualTime:
-        return self._rng.uniform(self.low, self.high)
+        # Random.uniform(low, high), written out.
+        return self.low + (self.high - self.low) * self._rng.random()
 
 
 class LogNormalLatency(LatencyModel):
@@ -105,12 +117,21 @@ class LogNormalLatency(LatencyModel):
             raise ConfigurationError(f"sigma must be non-negative, got {sigma}")
         self.median = median
         self.sigma = sigma
+        self._mu = math.log(median)
         self._rng = random.Random(seed)
 
     def delay(
         self, sender: ProcessId, receiver: ProcessId, now: VirtualTime
     ) -> VirtualTime:
-        return self._rng.lognormvariate(math.log(self.median), self.sigma)
+        # Random.lognormvariate(mu, sigma) = exp(normalvariate(mu, sigma)),
+        # written out: the ratio-of-uniforms loop exactly as the stdlib has it.
+        rand = self._rng.random
+        while True:
+            u1 = rand()
+            u2 = 1.0 - rand()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                return math.exp(self._mu + z * self.sigma)
 
 
 class PerLinkLatency(LatencyModel):
@@ -144,8 +165,11 @@ class PerLinkLatency(LatencyModel):
         self, sender: ProcessId, receiver: ProcessId, now: VirtualTime
     ) -> VirtualTime:
         value = self.base.get((sender, receiver), self.default)
-        if self.jitter:
-            value *= self._rng.uniform(1.0, 1.0 + self.jitter)
+        jitter = self.jitter
+        if jitter:
+            # Random.uniform(1.0, 1.0 + jitter), written out: the span is
+            # (1 + jitter) - 1, which is not always jitter in floats.
+            value *= 1.0 + ((1.0 + jitter) - 1.0) * self._rng.random()
         return value
 
 

@@ -130,7 +130,7 @@ class Network:
         self._rebuild_partition_map()
         held, self._held = self._held, []
         for message in held:
-            self._schedule_delivery(message, extra_delay=0.0)
+            self._schedule_delivery(message, 0.0)
         if self.obs is not None:
             self.obs.partition_healed(len(held), self.loop.now)
 
@@ -167,7 +167,7 @@ class Network:
         if self.obs is not None:
             self.obs.message_sent(message, now)
         delay = self.latency.delay(message.sender, message.receiver, now)
-        self._schedule_delivery(message, extra_delay=delay)
+        self._schedule_delivery(message, delay)
 
     def _schedule_delivery(self, message: Message, extra_delay: VirtualTime) -> None:
         # Passing the message as an event argument avoids allocating one
@@ -180,7 +180,10 @@ class Network:
             if self.obs is not None:
                 self.obs.message_dropped(message, self.loop.now, "receiver-crashed")
             return
-        if self._crosses_partition(message.sender, message.receiver):
+        # The partition test is a call; without a partition it cannot hold.
+        if self._partition_groups and self._crosses_partition(
+            message.sender, message.receiver
+        ):
             # Hold until the partition heals; links stay reliable.
             self._held.append(message)
             return

@@ -52,25 +52,30 @@ class ResponseCollector:
     # -- feeding ------------------------------------------------------------
     def add(self, message: Message) -> None:
         """Record a newly arrived reply and re-evaluate pending wait conditions."""
-        self.responses.append(message)
-        if not self._waiters:
+        responses = self.responses
+        responses.append(message)
+        waiters = self._waiters
+        if not waiters:
             return
-        still_waiting = []
-        for predicate, future in self._waiters:
-            if future.done():
-                continue
-            if predicate(self.responses):
-                future.set_result(list(self.responses))
-            else:
-                still_waiting.append((predicate, future))
-        self._waiters = still_waiting
+        if len(waiters) > 1:
+            self.poll()
+            return
+        # One waiter — a phase awaiting its quorum — is the case that runs
+        # once per reply: no list is rebuilt until its wait is over.
+        predicate, future = waiters[0]
+        if not future.done():
+            if not predicate(responses):
+                return
+            future.set_result(list(responses))
+        self._waiters = []
 
     def poll(self) -> None:
         """Re-evaluate pending wait conditions against the replies so far.
 
-        For conditions that also read the world — "every process still alive
-        has answered" — when the world changed and no reply did.  (The loop
-        of :meth:`add`, which stays inline there: it runs once per reply.)
+        :meth:`add` runs it after each reply when several conditions wait;
+        on its own it serves conditions that also read the world — "every
+        process still alive has answered" — when the world changed and no
+        reply did.
         """
         still_waiting = []
         for predicate, future in self._waiters:
@@ -166,29 +171,18 @@ class Process:
         # these run once per message, is_crashed() is one call too many.
         if self.crashed or self.pid in self.network._crashed:
             return
-        message = Message(
-            sender=self.pid,
-            receiver=receiver,
-            kind=kind,
-            payload=payload,
-            request_id=request_id,
-            is_reply=is_reply,
+        # Positional arguments bind cheaper than keywords, once per message:
+        # sender, receiver, kind, payload, request_id, is_reply.
+        self.network.send(
+            Message(self.pid, receiver, kind, payload, request_id, is_reply)
         )
-        self.network.send(message)
 
     def reply(self, to: Message, kind: str, payload: Optional[Dict[str, Any]] = None) -> None:
         """Send a reply correlated with the request ``to``."""
         if self.crashed or self.pid in self.network._crashed:
             return
         self.network.send(
-            Message(
-                sender=self.pid,
-                receiver=to.sender,
-                kind=kind,
-                payload=payload,
-                request_id=to.request_id,
-                is_reply=True,
-            )
+            Message(self.pid, to.sender, kind, payload, to.request_id, True)
         )
 
     def send_to_all(
@@ -247,7 +241,8 @@ class Process:
             self.on_unhandled(message)
             return
         result = handler(message)
-        if inspect.iscoroutine(result):
+        # Most handlers are plain functions returning None: no call for them.
+        if result is not None and inspect.iscoroutine(result):
             self.loop.create_task(result, name=f"{self.pid}.{message.kind}")
 
     def on_unhandled(self, message: Message) -> None:

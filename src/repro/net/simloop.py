@@ -207,7 +207,7 @@ class SimTask(SimFuture):
         self._done_callback = self._on_awaited_done
 
     def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
-        if self.done():
+        if self._state != _PENDING:  # done(), without the call
             return
         self._waiting_on = None
         try:

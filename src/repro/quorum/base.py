@@ -27,6 +27,8 @@ class QuorumSystem:
         if len(set(servers)) != len(servers):
             raise ConfigurationError("duplicate server ids in quorum system")
         self.servers: Tuple[ProcessId, ...] = tuple(servers)
+        # Built once: every quorum test (one per reply) checks against it.
+        self._universe: FrozenSet[ProcessId] = frozenset(self.servers)
 
     # -- the essential operation --------------------------------------------
     def is_quorum(self, subset: Iterable[ProcessId]) -> bool:
@@ -36,7 +38,7 @@ class QuorumSystem:
     # -- generic helpers ------------------------------------------------------
     def _validate_subset(self, subset: Iterable[ProcessId]) -> Set[ProcessId]:
         members = set(subset)
-        unknown = members - set(self.servers)
+        unknown = members - self._universe
         if unknown:
             raise ConfigurationError(f"unknown servers in subset: {sorted(unknown)}")
         return members

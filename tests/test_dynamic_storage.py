@@ -315,6 +315,27 @@ def rescan_quorum_or_news(known, half_total):
     return quorum_or_news
 
 
+def listcomp_quorum_or_news(known, half_total):
+    """The incremental predicate as it was before its weight sum became a
+    ``map`` (the body is verbatim)."""
+    weights = known.weight_map()
+    senders = set()
+    seen = 0
+
+    def predicate(replies):
+        nonlocal seen
+        while seen < len(replies):
+            reply = replies[seen]
+            if not known.covers(reply.payload["changes"]):
+                return True  # ``seen`` stays on the news: asked again, same answer
+            senders.add(reply.sender)
+            seen += 1
+        weight = sum([weights.get(server, 0) for server in sorted(senders)])
+        return strictly_greater(weight, half_total)
+
+    return predicate
+
+
 def rescan_collect_news(replies, known):
     news = []
     for reply in replies:
@@ -343,7 +364,8 @@ _TRANSFERS = tuple(
 def phase_cases(draw):
     weights = draw(
         st.lists(
-            st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1.1, 1.5]),
+            st.sampled_from([0.1, 0.2, 0.3, 0.7, 1.0, 1.1, 1.5])
+            | st.floats(min_value=0.01, max_value=10.0),
             min_size=len(_SERVERS), max_size=len(_SERVERS),
         )
     )
@@ -395,17 +417,20 @@ class TestIncrementalPhasePredicate:
     @given(case=phase_cases())
     def test_fires_on_the_same_reply_with_the_same_list(self, case):
         known, half_total, replies = case
-        new, old = ResponseCollector(1, len(replies)), ResponseCollector(1, len(replies))
+        new, old, listcomp = (ResponseCollector(1, len(replies)) for _ in range(3))
         new_wait = new.wait_until(_quorum_or_news(known, half_total))
         old_wait = old.wait_until(rescan_quorum_or_news(known, half_total))
+        listcomp_wait = listcomp.wait_until(listcomp_quorum_or_news(known, half_total))
         for reply in replies:
-            assert new_wait.done() == old_wait.done()
+            assert new_wait.done() == old_wait.done() == listcomp_wait.done()
             new.add(reply)
             old.add(reply)
-        assert new_wait.done() == old_wait.done()
+            listcomp.add(reply)
+        assert new_wait.done() == old_wait.done() == listcomp_wait.done()
         if old_wait.done():
             fired_with = old_wait.result()
             assert [id(r) for r in new_wait.result()] == [id(r) for r in fired_with]
+            assert [id(r) for r in listcomp_wait.result()] == [id(r) for r in fired_with]
         else:
             fired_with = replies
         assert _collect_news(fired_with, known) == rescan_collect_news(fired_with, known)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, CrashedProcessError, UnknownProcessError
 from repro.net.latency import (
@@ -16,8 +20,8 @@ from repro.net.latency import (
 )
 from repro.net.message import Message
 from repro.net.network import Network
-from repro.net.process import Process
-from repro.net.simloop import SimLoop
+from repro.net.process import Process, ResponseCollector
+from repro.net.simloop import SimFuture, SimLoop
 
 from tests.conftest import make_net
 
@@ -113,6 +117,58 @@ class TestLatencyModels:
     def test_slowdown_rejects_factor_below_one(self):
         with pytest.raises(ConfigurationError):
             SlowdownLatency(ConstantLatency(1.0), slow=["s1"], factor=0.5)
+
+
+_DRAWS = 1000
+_seeds = st.integers(min_value=0, max_value=2**64)
+_bounds = st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
+
+
+def _draws(model):
+    return [model.delay("a", "b", 0.0) for _ in range(_DRAWS)]
+
+
+class TestDrawsMatchTheStdlib:
+    """The models write the stdlib's formulas out over ``Random.random()``;
+    ``random.Random(seed)`` itself is the oracle, compared with ``==``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=_seeds, low=_bounds, width=_bounds)
+    def test_uniform(self, seed, low, width):
+        high = low + width
+        oracle = random.Random(seed)
+        assert _draws(UniformLatency(low, high, seed=seed)) == [
+            oracle.uniform(low, high) for _ in range(_DRAWS)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_seeds,
+        median=st.floats(min_value=1e-3, max_value=1e3),
+        sigma=st.floats(min_value=0.0, max_value=3.0),
+    )
+    def test_lognormal(self, seed, median, sigma):
+        oracle = random.Random(seed)
+        assert _draws(LogNormalLatency(median, sigma, seed=seed)) == [
+            oracle.lognormvariate(math.log(median), sigma) for _ in range(_DRAWS)
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=_seeds,
+        base=_bounds,
+        jitter=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)),
+    )
+    def test_per_link_jitter(self, seed, base, jitter):
+        oracle = random.Random(seed)
+        expected = []
+        for _ in range(_DRAWS):
+            value = base
+            if jitter:
+                value *= oracle.uniform(1.0, 1.0 + jitter)
+            expected.append(value)
+        model = PerLinkLatency({("a", "b"): base}, jitter=jitter, seed=seed)
+        assert _draws(model) == expected
 
 
 class TestNetworkDelivery:
@@ -320,6 +376,117 @@ class TestResponseCollector:
         assert sorted(collector.senders()) == ["s1", "s2", "s3"]
         # ... which stays registered: s4's answer can never be ruled out.
         assert client._pending == {collector.request_id: collector}
+
+
+class LoopCollector(ResponseCollector):
+    """``add`` as it was before it had a one-waiter path (verbatim)."""
+
+    def add(self, message):
+        self.responses.append(message)
+        if not self._waiters:
+            return
+        still_waiting = []
+        for predicate, future in self._waiters:
+            if future.done():
+                continue
+            if predicate(self.responses):
+                future.set_result(list(self.responses))
+            else:
+                still_waiting.append((predicate, future))
+        self._waiters = still_waiting
+
+
+def _resolutions(collector, waits, replies):
+    """Per reply: which waits are done, and with which replies."""
+    futures = [collector.wait_for_count(count) for count, _ in waits]
+    for future, (_, cancelled) in zip(futures, waits):
+        if cancelled:
+            future.cancel()
+    timeline = []
+    for reply in replies:
+        collector.add(reply)
+        timeline.append([
+            (future.cancelled(), [id(r) for r in future.result()]
+             if future.done() and not future.cancelled() else None)
+            for future in futures
+        ])
+    return timeline
+
+
+class TestResponseCollectorAdd:
+    @pytest.mark.parametrize("waits", [
+        [(3, False)],                       # one waiter
+        [(2, False), (4, False)],           # two waiters
+        [(2, True)],                        # one cancelled waiter
+        [(2, True), (3, False)],            # a cancelled one beside a live one
+        [(3, False), (3, False)],           # two resolving at the same reply
+        [],
+    ])
+    def test_each_wait_resolves_at_the_same_reply(self, waits):
+        replies = [Message(f"s{i}", "c", "PONG", {}, 1, True) for i in range(5)]
+        assert _resolutions(ResponseCollector(1, 5), waits, replies) == (
+            _resolutions(LoopCollector(1, 5), waits, replies))
+
+    def test_a_wait_added_after_the_first_resolved_is_still_served(self):
+        collector = ResponseCollector(1, 4)
+        replies = [Message(f"s{i}", "c", "PONG", {}, 1, True) for i in range(4)]
+        first = collector.wait_for_count(1)
+        collector.add(replies[0])
+        assert first.done() and collector._waiters == []
+        second = collector.wait_for_count(3)
+        collector.add(replies[1])
+        assert not second.done()
+        collector.add(replies[2])
+        assert second.result() == replies[:3]
+
+
+class TestDeliverSpawnsTasksForCoroutines:
+    @staticmethod
+    def _deliver_one(handler):
+        loop, net = make_net()
+        sender = Process("a", net)
+        receiver = Process("b", net)
+        receiver.register_handler("GO", handler)
+        spawned = []
+        create_task = loop.create_task
+
+        def recording_create_task(coro, name=""):
+            spawned.append(name)
+            return create_task(coro, name=name)
+
+        loop.create_task = recording_create_task
+        sender.send("b", "GO", {})
+        loop.run()
+        return spawned
+
+    def test_async_handler(self):
+        ran = []
+
+        async def handler(message):
+            ran.append(message.kind)
+
+        assert self._deliver_one(handler) == ["b.GO"]
+        assert ran == ["GO"]
+
+    def test_sync_handler_returning_a_coroutine(self):
+        ran = []
+
+        async def later(message):
+            ran.append(message.kind)
+
+        assert self._deliver_one(lambda message: later(message)) == ["b.GO"]
+        assert ran == ["GO"]
+
+    @pytest.mark.parametrize("returned", [None, 0, "done", SimFuture()])
+    def test_no_task_for_anything_else(self, returned):
+        ran = []
+
+        def handler(message):
+            ran.append(message.kind)
+            return returned
+
+        assert self._deliver_one(handler) == []
+        assert ran == ["GO"]
 
 
 class TestMessage:

@@ -47,6 +47,20 @@ class TestMajorityQuorumSystem:
         with pytest.raises(ConfigurationError):
             mqs.is_quorum(["s1", "ghost"])
 
+    @pytest.mark.parametrize("system", [
+        MajorityQuorumSystem(server_set(3)),
+        WeightedMajorityQuorumSystem.uniform(server_set(3)),
+    ])
+    def test_unknown_members_are_named_sorted_in_the_message(self, system):
+        # The universe is a frozenset built once; the message is the one the
+        # per-call ``set(self.servers)`` gave.
+        for subset in (["ghost", "s1", "c1"], iter(["c1", "ghost"]),
+                       frozenset({"ghost", "c1", "s3"})):
+            with pytest.raises(ConfigurationError) as raised:
+                system.is_quorum(subset)
+            assert str(raised.value) == "unknown servers in subset: ['c1', 'ghost']"
+        assert system.is_quorum(iter(["s1", "s2"]))
+
     def test_empty_system_rejected(self):
         with pytest.raises(ConfigurationError):
             MajorityQuorumSystem([])

@@ -669,6 +669,39 @@ class TestSweepCli:
         stderr = capsys.readouterr().err
         assert "resilience: resumed 1" in stderr
 
+    def test_a_cut_anywhere_in_the_last_record_loses_only_that_record(
+        self, misbehaving_scenarios, tmp_path, capsys
+    ):
+        # The journal a sweep killed after its last run leaves: the header
+        # and every entry, no summary.  Cut it at each byte offset of the
+        # last entry: only a cut after its newline keeps that entry.
+        args = ["sweep", "resilience-ok", "-g", "seed=0,1,2",
+                "--quiet", "--no-progress"]
+        ref = tmp_path / "ref.json"
+        assert main(args + ["--json", str(ref)]) == 0
+        journal = tmp_path / "journal.jsonl"
+        assert main(args + ["--journal", str(journal)]) == 0
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert b'"summary"' in lines[-1]
+        data = b"".join(lines[:-1])
+        last = len(data) - len(lines[-2])
+        header = {"kind": "sweep", "version": 1, "scenario": "resilience-ok"}
+        digests = [json.loads(line)["digest"] for line in lines[1:-1]]
+        torn, out = tmp_path / "torn.jsonl", tmp_path / "resumed.json"
+        for cut in range(last, len(data) + 1):
+            whole = cut == len(data)  # the newline is the commit mark
+            torn.write_bytes(data[:cut])
+            with RunJournal(str(torn), header, resume=True) as loaded:
+                assert sorted(loaded.entries) == sorted(
+                    digests if whole else digests[:-1]), cut
+            assert torn.read_bytes() == data[: cut if whole else last], cut
+            torn.write_bytes(data[:cut])
+            capsys.readouterr()
+            assert main(args + ["--resume", str(torn), "--json", str(out)]) == 0
+            assert out.read_bytes() == ref.read_bytes(), cut
+            resumed = 3 if whole else 2
+            assert f"resumed {resumed}," in capsys.readouterr().err, cut
+
     def test_progress_suffix_counts_resumed_runs(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")
         out = str(tmp_path / "out.json")
