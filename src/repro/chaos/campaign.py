@@ -217,6 +217,7 @@ class _Judge:
                 os.path.join(self.keep_traces, f"{stem}.jsonl"),
             )
         judged = self.verdict(index, run, result.result, events)
+        observer.trace.events.clear()  # the run's cyclic world outlives this
         return _JudgedResult(result.scenario, result.params, result.result, judged)
 
 

@@ -180,7 +180,11 @@ class SimFuture:
     # -- awaitable protocol --------------------------------------------------
     def __await__(self) -> Generator["SimFuture", None, Any]:
         if not self.done():
-            yield self
+            try:
+                yield self
+            except BaseException:  # thrown in by the awaiting task
+                self = None  # the traceback keeps this frame, not the future
+                raise
         return self.result()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -190,7 +194,7 @@ class SimFuture:
 class SimTask(SimFuture):
     """A future that drives a coroutine to completion on a :class:`SimLoop`."""
 
-    __slots__ = ("_coro", "_loop", "_waiting_on", "_done_callback")
+    __slots__ = ("_coro", "_loop", "_waiting_on")
 
     def __init__(
         self,
@@ -202,9 +206,6 @@ class SimTask(SimFuture):
         self._coro = coro
         self._loop = loop
         self._waiting_on: Optional[SimFuture] = None
-        # One bound-method object for the task's lifetime, instead of a fresh
-        # one per await (the registration path runs once per task step).
-        self._done_callback = self._on_awaited_done
 
     def _step(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
         if self._state != _PENDING:  # done(), without the call
@@ -220,6 +221,7 @@ class SimTask(SimFuture):
             return
         except BaseException as error:  # noqa: BLE001 - propagate via future
             self.set_exception(error)
+            self = exc = None  # the traceback keeps this frame, not the task
             return
 
         if not isinstance(awaited, SimFuture):
@@ -231,7 +233,7 @@ class SimTask(SimFuture):
             return
 
         self._waiting_on = awaited
-        awaited.add_done_callback(self._done_callback)
+        awaited.add_done_callback(self._on_awaited_done)
 
     def _on_awaited_done(self, future: SimFuture) -> None:
         if self._state != _PENDING:
@@ -256,7 +258,7 @@ class SimTask(SimFuture):
         if self.done():
             return False
         if self._waiting_on is not None:
-            self._waiting_on.remove_done_callback(self._done_callback)
+            self._waiting_on.remove_done_callback(self._on_awaited_done)
             self._waiting_on = None
         self._coro.close()
         return super().cancel()
@@ -479,6 +481,7 @@ class SimLoop:
                 processed += 1
                 callback(*args)
         finally:
+            callback = args = None  # a traceback may keep this frame
             self.events_processed += processed
             SimLoop.total_events_processed += processed
             if observed:

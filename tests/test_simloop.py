@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import types
+import weakref
+
 import pytest
 
 from repro.errors import DeadlockError, SimTimeoutError, SimulationError
-from repro.net.simloop import Event, Queue, SimFuture, SimLoop, gather
+from repro.net import simloop
+from repro.net.simloop import Event, Queue, SimFuture, SimLoop, SimTask, gather
 
 
 class TestSimFuture:
@@ -329,3 +334,81 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
+
+
+class _WeakTask(SimTask):
+    """A task a test can hold weakly (``SimTask`` has no ``__weakref__``)."""
+
+    __slots__ = ("__weakref__",)
+
+
+class _Boom(Exception):
+    pass
+
+
+class _Sentinel:
+    pass
+
+
+@types.coroutine
+def _yield_a_plain_value():
+    yield 42
+
+
+@pytest.fixture
+def refcounting_only(monkeypatch):
+    """The collector off, and ``create_task`` making weakly held tasks."""
+    monkeypatch.setattr(simloop, "SimTask", _WeakTask)
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestFinishedTasksFreeThemselves:
+    """A finished task, its exception and its coroutine's locals are freed by
+    reference counting alone, however the task ended: no object holds a bound
+    method of itself, and a frame a traceback keeps lets go of its task."""
+
+    @pytest.mark.parametrize(
+        "ending",
+        ["returns", "raises", "rethrows", "awaits-non-future", "cancelled"],
+    )
+    def test_nothing_is_left_to_the_collector(self, refcounting_only, ending):
+        loop = SimLoop()
+        sentinels = []
+
+        async def failing_child():
+            await loop.sleep(1.0)
+            raise _Boom("child")
+
+        async def body():
+            sentinel = _Sentinel()  # held by this frame only
+            sentinels.append(weakref.ref(sentinel))
+            if ending == "returns":
+                await loop.sleep(1.0)
+                return 7
+            if ending == "raises":
+                await loop.sleep(1.0)
+                raise _Boom("body")
+            if ending == "rethrows":
+                await loop.create_task(failing_child())
+            elif ending == "awaits-non-future":
+                await _yield_a_plain_value()
+            else:
+                await SimFuture(name="never")
+
+        task = loop.create_task(body())
+        if ending == "cancelled":
+            loop.run()
+            assert task.cancel()
+        loop.run()
+        assert task.done()
+        refs = {"task": weakref.ref(task), "sentinel": sentinels[0]}
+        error = task.exception()
+        assert (error is None) == (ending == "returns")
+        if error is not None:
+            refs["exception"] = weakref.ref(error)
+        del task, error
+        assert [name for name, ref in refs.items() if ref() is not None] == []
