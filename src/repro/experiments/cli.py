@@ -30,10 +30,6 @@ Subcommands:
   restarting the server on the same ``--jobs-dir`` resumes them.
 * ``compare``  — diff a result JSON/JSONL against a baseline (runs are
   matched by ``run_id``, so completion order does not matter).
-* ``bench``    — the determinism gate: run six fixed, seeded micro-workloads
-  once each, print their exact event / op counts, and ``--check`` them
-  against the committed expectations.  It times nothing; performance is
-  measured by ``benchmarks/perf/run.py``.
 * ``trace``    — trace analytics over a recorded JSONL trace:
   ``summary`` (aggregates + digest + Chrome export), ``digest``
   (``--check`` gates against a committed sha256 file), ``check``
@@ -375,30 +371,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if getattr(args, "quiet", False):
         print(f"{done} run(s) completed")
     return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import WORKLOADS, check_expectations, run_benchmarks
-
-    if args.list_benchmarks:
-        _print_table(
-            ["benchmark", "description"],
-            [(name, workload.__doc__) for name, workload in WORKLOADS.items()],
-        )
-        return 0
-    results = run_benchmarks(args.benchmark or list(WORKLOADS))
-    for name, counts in results.items():
-        extra = "  ".join(f"{k}={v}" for k, v in counts["counters"].items())
-        print(f"{name:<16s} events={counts['events']:<6d} "
-              f"ops={counts['ops']:<6d} {extra}")
-    if not args.check:
-        return 0
-    problems = check_expectations(results, args.check)
-    for problem in problems:
-        print(f"MISMATCH: {problem}", file=sys.stderr)
-    if not problems:
-        print(f"deterministic counters match {args.check}")
-    return 1 if problems else 0
 
 
 def _cmd_trace_summary(args: argparse.Namespace) -> int:
@@ -938,31 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--rel-tol", type=float, default=1e-9,
                            help="relative tolerance for numeric fields")
     p_compare.set_defaults(fn=_cmd_compare)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="determinism gate: exact counters of six fixed micro-workloads",
-        description="Run the gate's fixed, seeded micro-workloads (kernel "
-        "dispatch with and without an observer, ABD rounds, sharded data "
-        "plane, sweep layer, trace analyses) once each and print their event "
-        "/ op / message counts.  The counts are exact: --check compares them "
-        "with a committed expectations file, so any difference means the "
-        "simulation changed.  Nothing is timed and no file is written; "
-        "measure performance with `python3 benchmarks/perf/run.py`.",
-        epilog="quickstart:\n"
-        "  python -m repro bench --list\n"
-        "  python -m repro bench event-loop abd-round\n"
-        "  python -m repro bench --check benchmarks/bench_expectations.json\n",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p_bench.add_argument("benchmark", nargs="*",
-                         help="workloads to run (default: all six)")
-    p_bench.add_argument("--list", dest="list_benchmarks", action="store_true",
-                         help="list the workloads and exit")
-    p_bench.add_argument("--check", metavar="PATH",
-                         help="compare the counters with an expectations "
-                         "file (exit 1 on mismatch)")
-    p_bench.set_defaults(fn=_cmd_bench)
 
     p_trace = sub.add_parser(
         "trace",

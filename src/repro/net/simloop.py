@@ -289,18 +289,13 @@ class SimLoop:
     per-event lambda closures the hot paths used to allocate.
     """
 
-    #: Process-wide total of events dispatched across every loop instance.
-    #: Deterministic like the per-loop counter; lets harnesses meter kernel
-    #: work that spans many loops (e.g. a sweep running one loop per run).
-    total_events_processed = 0
-
     def __init__(self) -> None:
         self._now: VirtualTime = 0.0
         self._sequence = 0
         self._events: List[Tuple[VirtualTime, int, Callable[..., None], tuple]] = []
         self._ready: Deque[Tuple[int, Callable[..., None], tuple]] = deque()
         #: Total events dispatched over the loop's lifetime (a deterministic
-        #: counter: same run -> same count; the bench harness reports it).
+        #: counter: same run -> same count; tests/test_determinism.py pins it).
         self.events_processed = 0
         #: Ambient observer captured at construction (None = observability
         #: off); :meth:`_dispatch` reports its counters to it.
@@ -483,7 +478,6 @@ class SimLoop:
         finally:
             callback = args = None  # a traceback may keep this frame
             self.events_processed += processed
-            SimLoop.total_events_processed += processed
             if observed:
                 obs.kernel_run(processed - heap_hits, heap_hits, max_depth)
 

@@ -14,6 +14,7 @@ from repro.experiments import registry
 from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.net.network import Network
 from repro.net.simloop import SimLoop
+from repro.obs import TraceRecorder
 from repro.types import Tag
 
 
@@ -140,3 +141,73 @@ def check_atomic_history(entries: Sequence[HistoryEntry]) -> List[str]:
 
 def uniform_config(n: int, f: Optional[int] = None) -> SystemConfig:
     return SystemConfig.uniform(n, f=f)
+
+
+# ---------------------------------------------------------------------------
+# A synthetic trace for the analyses
+# ---------------------------------------------------------------------------
+
+
+def synthetic_trace(clients: int, ops_each: int) -> List[dict]:
+    """A deterministic, invariant-clean trace: quorum ops + transfers.
+
+    Shaped like a real recorded run (operation spans around request/reply
+    flows with quorum instants, occasional restarts and weight transfers)
+    so the analyses exercise their real code paths, but built directly so
+    no simulation runs.
+    """
+    recorder = TraceRecorder()
+    servers = ("s1", "s2", "s3")
+    t = 0.0
+
+    def tick() -> float:
+        nonlocal t
+        t += 0.25
+        return t
+
+    for index in range(clients * ops_each):
+        client = f"c{index % clients + 1}"
+        kind = "read" if index % 2 else "write"
+        recorder.emit(ts=tick(), cat="op", name=kind, ph="B", actor=client,
+                      args={"protocol": "storage"})
+        restarted = index % 7 == 0
+        if restarted:
+            flow = recorder.next_flow_id()
+            recorder.emit(ts=tick(), cat="net", name="READ", ph="s",
+                          actor=client, args={"to": servers[0]}, flow=flow)
+            recorder.emit(ts=tick(), cat="net", name="READ", ph="f",
+                          actor=servers[0], args={"from": client}, flow=flow)
+            recorder.emit(ts=tick(), cat="op", name="restart", ph="i",
+                          actor=client, args={"op": kind, "protocol": "storage"})
+        requests = []
+        for server in servers:
+            flow = recorder.next_flow_id()
+            requests.append((server, flow))
+            recorder.emit(ts=t, cat="net", name="READ", ph="s", actor=client,
+                          args={"to": server}, flow=flow)
+        replies = []
+        for server, flow in requests:
+            recorder.emit(ts=tick(), cat="net", name="READ", ph="f",
+                          actor=server, args={"from": client}, flow=flow)
+            reply = recorder.next_flow_id()
+            replies.append((server, reply))
+            recorder.emit(ts=t, cat="net", name="READ-ACK", ph="s",
+                          actor=server, args={"to": client}, flow=reply)
+        for server, reply in replies:
+            recorder.emit(ts=tick(), cat="net", name="READ-ACK", ph="f",
+                          actor=client, args={"from": server}, flow=reply)
+        recorder.emit(ts=t, cat="quorum", name="phase1", ph="i", actor=client,
+                      args={"protocol": "storage", "size": len(servers)})
+        recorder.emit(ts=t, cat="op", name=kind, ph="E", actor=client,
+                      args={"contacted": len(servers),
+                            "restarts": 1 if restarted else 0})
+        if index % 10 == 0:
+            source = servers[(index // 10) % len(servers)]
+            target = servers[(index // 10 + 1) % len(servers)]
+            recorder.emit(ts=t, cat="transfer", name="transfer", ph="B",
+                          actor=source, args={"delta": 0.1, "target": target})
+            recorder.emit(ts=tick(), cat="transfer", name="transfer", ph="E",
+                          actor=source,
+                          args={"delta": 0.1, "effective": True,
+                                "target": target})
+    return recorder.records

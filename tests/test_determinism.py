@@ -5,14 +5,24 @@ same interleaving.  The golden test below freezes that promise into a digest
 of the full observable trace (every message delivery with its timestamp plus
 every per-client operation record) so any change to event ordering — e.g. in
 the ready-deque fast path — fails loudly instead of shifting baselines by an
-ulp.  The remaining tests pin the fast-path mechanics themselves: FIFO
+ulp.  Beside it, the determinism gate: six fixed workloads, one per layer of
+the hot path, whose exact event / operation / message counts are test data
+here.  The remaining tests pin the fast-path mechanics themselves: FIFO
 ordering across the heap/ready-deque split, the cached partition map, the
 detach-on-cancel rule, and the single-sort latency summary.
+
+Run the gate alone with ``python -m pytest tests/test_determinism.py``; CI
+runs it under ``PYTHONHASHSEED=0`` and ``=random``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +31,14 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.net.latency import UniformLatency
 from repro.net.network import Network
 from repro.net.simloop import Event, Queue, SimFuture, SimLoop, gather
-from repro.sim.cluster import build_static_cluster
+from repro.sim.cluster import build_sharded_cluster, build_static_cluster
 from repro.sim.metrics import percentile, summarize
 from repro.sim.runner import run_workload
 from repro.sim.workload import uniform_workload
+from repro.workloads import WorkloadGenerator, ZipfianKeys
+from tests.conftest import synthetic_trace
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +94,286 @@ class TestGoldenInterleaving:
 
     def test_different_seeds_produce_different_traces(self):
         assert _trace_digest(7) != _trace_digest(8)
+
+
+# ---------------------------------------------------------------------------
+# The determinism gate: exact counts of six fixed workloads
+# ---------------------------------------------------------------------------
+#
+# The paper states its costs as counts in virtual time, so the counts are
+# what must never drift.  Each workload builds its world from fixed seeds,
+# runs once and returns what it did — ``{"events", "ops", "counters"}``, all
+# exact integers.  Nothing here reads a clock: ``benchmarks/perf`` is the
+# stopwatch.
+
+_CONFIG = SystemConfig(servers=("s1", "s2", "s3", "s4", "s5"), f=1)
+
+
+def _event_loop():
+    """Kernel dispatch: zero-delay sleeps + queue handoffs, no network."""
+    tasks, iterations = 10, 200
+    loop = SimLoop()
+    queue = Queue()
+
+    async def worker(index):
+        for i in range(iterations):
+            await loop.sleep(0)
+            queue.put(index * iterations + i)
+            await queue.get()
+
+    loop.run_until_complete(gather(loop, [worker(t) for t in range(tasks)]))
+    return {
+        "events": loop.events_processed,
+        "ops": tasks * iterations * 2,  # two awaits per iteration
+        "counters": {"tasks": tasks, "iterations": iterations},
+    }
+
+
+def _event_loop_obs():
+    """The same kernel dispatch with a metrics observer installed."""
+    from repro.obs import Observer, observing
+
+    observer = Observer(metrics=True, trace=False)
+    with observing(observer):  # the loop captures it when it is built
+        counts = _event_loop()
+    kernel = observer.metrics.as_dict()["counters"]
+    ready = kernel["kernel.ready_dispatches"]
+    heap = kernel["kernel.heap_dispatches"]
+    # Observing is passive: the observed twin does exactly the unobserved
+    # work, and each event it dispatched came off the deque or the heap.
+    plain = _event_loop()
+    assert (counts["events"], counts["ops"]) == (plain["events"], plain["ops"])
+    assert ready + heap == counts["events"]
+    # The split is pinned too: a change means the ready-deque fast path's
+    # hit pattern moved.
+    counts["counters"].update(ready_dispatches=ready, heap_dispatches=heap)
+    return counts
+
+
+def _abd_round():
+    """ABD read/write rounds over a majority quorum."""
+    cluster = build_static_cluster(
+        _CONFIG, latency=UniformLatency(0.5, 1.5, seed=11), client_count=2
+    )
+    workload = uniform_workload(
+        list(cluster.clients), operations_per_client=25, read_ratio=0.5,
+        mean_think_time=0.1, seed=11,
+    )
+    report = run_workload(cluster, workload)
+    return {
+        "events": cluster.loop.events_processed,
+        "ops": report.operations,
+        "counters": {"messages": cluster.network.messages_sent},
+    }
+
+
+def _sharded_zipfian():
+    """A zipfian keyed workload across shard groups."""
+    cluster = build_sharded_cluster(
+        _CONFIG, shards=2, latency=UniformLatency(0.5, 1.5, seed=23),
+        client_count=2, flavour="static-majority",
+    )
+    generator = WorkloadGenerator(keys=ZipfianKeys(space=64, s=1.1))
+    workload = generator.generate(
+        list(cluster.clients), operations_per_client=20, seed=23
+    )
+    report = run_workload(cluster, workload)
+    return {
+        "events": cluster.loop.events_processed,
+        "ops": report.operations,
+        "counters": {
+            "messages": cluster.network.messages_sent,
+            "hottest_shard_load": report.imbalance.max_load,
+        },
+    }
+
+
+def _sweep():
+    """A serial parameter sweep through the experiment layer."""
+    from repro.experiments.executor import execute_many
+    from repro.experiments.sweep import expand_grid
+
+    # static-majority: the dynamic-weighted flavour's weight-gain refresh
+    # recursion (see ROADMAP) aborts at a stack-depth-dependent point, which
+    # would make the event count here depend on the caller's stack depth.
+    runs = expand_grid(
+        "quickstart",
+        grid={"seed": [0, 1]},
+        base={
+            "cluster.flavour": "static-majority",
+            "transfers": (),
+            "workload.operations_per_client": 4,
+        },
+    )
+    # Each run executes on a loop of its own: count every loop's events.
+    loops = []
+    build = SimLoop.__init__
+
+    def recording_init(loop):
+        build(loop)
+        loops.append(loop)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimLoop, "__init__", recording_init)
+        results = execute_many(runs, workers=1)
+    return {
+        "events": sum(loop.events_processed for loop in loops),
+        "ops": sum(result.result["operations"] for result in results),
+        "counters": {
+            "runs": len(results),
+            "messages": sum(result.result["messages"] for result in results),
+        },
+    }
+
+
+def _trace_analyze():
+    """Invariant checking + critical-path attribution over a trace."""
+    from repro.obs import check_trace_invariants, critical_path_report
+
+    records = synthetic_trace(clients=4, ops_each=25)
+    report = check_trace_invariants(records)
+    assert report.ok, report.findings
+    cpath = critical_path_report(records)
+    return {
+        # Two full passes over the record stream: one for the invariant
+        # checker, one for the attributor.
+        "events": 2 * len(records),
+        "ops": len(cpath["operations"]),
+        "counters": {
+            "records": len(records),
+            "findings": len(report.findings),
+            "path_steps": sum(op["path_length"] for op in cpath["operations"]),
+        },
+    }
+
+
+#: One case per workload: the function and the exact counts it must return.
+EXACT_COUNTS = [
+    pytest.param(_event_loop, {
+        "events": 4010, "ops": 4000,
+        "counters": {"tasks": 10, "iterations": 200},
+    }, id="event-loop"),
+    pytest.param(_event_loop_obs, {
+        "events": 4010, "ops": 4000,
+        "counters": {"tasks": 10, "iterations": 200,
+                     "ready_dispatches": 4010, "heap_dispatches": 0},
+    }, id="event-loop-obs"),
+    pytest.param(_abd_round, {
+        "events": 1200, "ops": 50,
+        "counters": {"messages": 1000},
+    }, id="abd-round"),
+    pytest.param(_sharded_zipfian, {
+        "events": 960, "ops": 40,
+        "counters": {"messages": 800, "hottest_shard_load": 22},
+    }, id="sharded-zipfian"),
+    pytest.param(_sweep, {
+        "events": 388, "ops": 16,
+        "counters": {"runs": 2, "messages": 320},
+    }, id="sweep"),
+    pytest.param(_trace_analyze, {
+        "events": 3130, "ops": 100,
+        "counters": {"records": 1565, "findings": 0, "path_steps": 830},
+    }, id="trace-analyze"),
+]
+
+
+#: The same workloads without their counts.
+WORKLOADS = [pytest.param(case.values[0], id=case.id) for case in EXACT_COUNTS]
+
+
+def _fresh_python(script, cwd=REPO_ROOT, **env):
+    """Run *script* in a fresh interpreter that can import ``repro`` and
+    ``tests``."""
+    path = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)])
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=cwd, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path, **env),
+    )
+
+
+_RUN_EVERY_CASE = (
+    "from tests.test_determinism import EXACT_COUNTS\n"
+    "for case in EXACT_COUNTS:\n"
+    "    case.values[0]()\n"
+)
+
+
+class TestExactCounts:
+    @pytest.mark.parametrize("workload, expected", EXACT_COUNTS)
+    def test_counts_match(self, workload, expected):
+        assert workload() == expected
+
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_counts_are_invariant_across_invocations(self, workload):
+        # Nothing one run leaves behind in this process changes the next
+        # run's counts.
+        assert workload() == workload()
+
+    def test_the_gate_lists_the_six_workloads(self):
+        assert [case.id for case in EXACT_COUNTS] == [
+            "event-loop", "event-loop-obs", "abd-round", "sharded-zipfian",
+            "sweep", "trace-analyze",
+        ]
+
+    def test_the_gate_pins_twenty_six_numbers(self):
+        numbers = []
+        for case in EXACT_COUNTS:
+            expected = case.values[1]
+            assert set(expected) == {"events", "ops", "counters"}
+            numbers += [expected["events"], expected["ops"],
+                        *expected["counters"].values()]
+        assert len(numbers) == 26
+        assert all(type(number) is int for number in numbers)
+
+    def test_the_sweep_case_leaves_the_kernel_unpatched(self):
+        build = SimLoop.__init__
+        _sweep()
+        assert SimLoop.__init__ is build
+
+    def test_counters_survive_order_hash_seed_and_the_collector(self):
+        # Three shuffled passes in one fresh interpreter, hash seed
+        # randomised, collector on: identical to each other and to this
+        # process's run, which the cases above hold to the inline counts.
+        script = (
+            "import gc, json, random\n"
+            "from tests.test_determinism import EXACT_COUNTS\n"
+            "assert gc.isenabled()\n"
+            "cases = list(EXACT_COUNTS)\n"
+            "passes = []\n"
+            "for _ in range(3):\n"
+            "    random.shuffle(cases)\n"
+            "    passes.append({case.id: case.values[0]() for case in cases})\n"
+            "print(json.dumps(passes))\n"
+        )
+        completed = _fresh_python(script, PYTHONHASHSEED="random")
+        assert completed.returncode == 0, completed.stderr
+        first, second, third = json.loads(completed.stdout)
+        assert first == second == third
+        assert first == {case.id: case.values[0]() for case in EXACT_COUNTS}
+
+    def test_the_gate_writes_no_file(self, tmp_path):
+        completed = _fresh_python(_RUN_EVERY_CASE, cwd=tmp_path)
+        assert completed.returncode == 0, completed.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_gate_leaves_the_checkout_clean(self):
+        def porcelain():
+            try:
+                status = subprocess.run(
+                    ["git", "status", "--porcelain"], cwd=REPO_ROOT,
+                    capture_output=True, text=True, timeout=60,
+                )
+            except OSError:
+                pytest.skip("git is not installed")
+            if status.returncode != 0:
+                pytest.skip("not a git checkout")
+            return status.stdout
+
+        before = porcelain()
+        completed = _fresh_python(_RUN_EVERY_CASE, PYTHONDONTWRITEBYTECODE="1")
+        assert completed.returncode == 0, completed.stderr
+        assert porcelain() == before
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +435,15 @@ class TestReadyDeque:
             loop.call_later(1.0, lambda: None)
         loop.run()
         assert loop.events_processed == 5
+
+    def test_loops_share_no_event_count(self):
+        # Each loop counts its own dispatches; there is no process-wide
+        # total for one run to leak into the next.
+        busy, idle = SimLoop(), SimLoop()
+        busy.call_later(0.0, lambda: None)
+        busy.run()
+        assert (busy.events_processed, idle.events_processed) == (1, 0)
+        assert not hasattr(SimLoop, "total_events_processed")
 
     def test_run_until_respects_budget_with_pending_ready_events(self):
         loop = SimLoop()

@@ -117,12 +117,12 @@ def test_documented_cli_flags_are_accepted():
 def test_cli_flag_check_catches_a_removed_option(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "ARCHITECTURE.md").write_text(
-        "Inline: `python -m repro bench --no-trajectory` and the old\n"
+        "Inline: `python -m repro chaos --no-trajectory` and the old\n"
         "`python -m repro.serve.client submit --not-this-parser`.\n"
     )
     (tmp_path / "README.md").write_text(
         "```sh\n"
-        "python -m repro bench --quick --check expectations.json\n"
+        "python -m repro compare --quick a.json b.json\n"
         "PYTHONPATH=src python -m repro sweep quickstart -g cluster.n=4,5 \\\n"
         "    --seeds 0,1 --workers 2 --jobs 4 | tee out.txt --not-a-repro-flag\n"
         "python -m repro trace out.jsonl --export out.chrome.json\n"
@@ -131,9 +131,27 @@ def test_cli_flag_check_catches_a_removed_option(tmp_path):
         "```\n"
     )
     assert check_docs.check_cli_flags(root=tmp_path) == [
-        "README.md: `python -m repro bench` does not accept --quick",
+        "README.md: `python -m repro compare` does not accept --quick",
         "README.md: `python -m repro sweep` does not accept --jobs",
         "README.md: `python -m repro trace check` does not accept --export",
-        "docs/ARCHITECTURE.md: `python -m repro bench` does not accept "
+        "docs/ARCHITECTURE.md: `python -m repro chaos` does not accept "
         "--no-trajectory",
+    ]
+
+
+def test_cli_flag_check_catches_an_unknown_subcommand(tmp_path):
+    # A removed subcommand is a finding at the parent parser; `--help`, an
+    # empty argv and placeholders name no subcommand and stay skipped.
+    (tmp_path / "README.md").write_text(
+        "```sh\n"
+        "python -m repro bench --check expectations.json\n"
+        "python -m repro --help\n"
+        "python -m repro | less\n"
+        "python -m repro <command> --flag\n"
+        "python -m repro ... --flag\n"
+        "python -m repro list --json\n"
+        "```\n"
+    )
+    assert check_docs.check_cli_flags(root=tmp_path) == [
+        "README.md: `python -m repro` has no subcommand 'bench'",
     ]

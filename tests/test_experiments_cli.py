@@ -127,6 +127,58 @@ def test_python_dash_m_repro_list_smoke():
     assert "fig1-walkthrough" in completed.stdout
 
 
+#: ``python -m repro --help`` at 100 columns, byte for byte.
+TOP_LEVEL_USAGE = r"""usage: python -m repro [-h] {list,run,sweep,chaos,serve,compare,trace} ...
+
+Run the repro experiment catalogue: registered scenarios, parameter sweeps, and baseline comparisons.  Every run is deterministic in virtual time, so results are reproducible bit-for-bit and parallel sweeps equal serial ones.
+
+positional arguments:
+  {list,run,sweep,chaos,serve,compare,trace}
+    list                list registered scenarios
+    run                 execute one scenario
+    sweep               expand and execute a parameter grid
+    chaos               LHS fault-space search with trace-invariant oracles
+    serve               run the experiment lab as an HTTP service
+    compare             diff a result JSON against a baseline
+    trace               analyse a trace JSONL: summary, check, critical-path, diff, series, digest
+
+options:
+  -h, --help            show this help message and exit
+
+quickstart:
+  python -m repro list
+  python -m repro run quickstart -p cluster.n=7 -p seed=3
+  python -m repro run quickstart -p cluster.shards=4
+  python -m repro run --spec examples/specs/hotspot-shift-monitoring.json
+  python -m repro sweep quickstart -g cluster.shards=1,2,4 --seeds 0,1,2 --workers 4
+  python -m repro sweep --spec examples/specs/hotspot-shift-monitoring.json \
+      -g monitoring.policy.threshold=0.05,0.1,0.2
+  python -m repro compare results.json benchmarks/baselines/quickstart.json
+
+declarative scenarios take dotted spec paths (cluster.n, workload.keys.zipf_s, ...);
+function scenarios take their keyword arguments — `list` shows each scenario's kind
+and parameters, the README documents every dotted path.
+"""
+
+
+class TestTopLevelUsage:
+    """The top-level usage text is pinned, so splitting ``cli.py`` into one
+    module per subcommand cannot change what ``--help`` prints."""
+
+    def test_usage_lists_the_seven_subcommands_and_nothing_else_moved(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps to the terminal
+        assert cli.build_parser().format_help() == TOP_LEVEL_USAGE
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # The determinism gate is tests/test_determinism.py.
+        with pytest.raises(SystemExit) as usage:
+            main(["bench", "--check", "expectations.json"])
+        assert usage.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
 class TestSweepSamplingCli:
     def test_sample_runs_n_points_deterministically(self, tmp_path, capsys):
         args = ["sweep", "quickstart", "-g", "cluster.n=4,5,6", "--seeds", "0,1,2,3",

@@ -57,7 +57,7 @@ def fresh_interpreter(script: str, *argv: str, path: str = SRC_DIR) -> str:
 
 class TestFacades:
     def test_every_package_is_covered(self):
-        assert len(PACKAGES) == 18  # repro, its 16 sub-packages, the catalogue
+        assert len(PACKAGES) == 17  # repro, its 15 sub-packages, the catalogue
 
     @pytest.mark.parametrize("package", PACKAGES)
     def test_every_public_name_resolves_both_ways(self, package):
@@ -257,7 +257,7 @@ class TestImportBudget:
     def test_run_imports_what_it_runs(self, observed):
         modules = observed["run quickstart"]
         assert _loaded(
-            modules, "repro.chaos", "repro.serve", "repro.bench",
+            modules, "repro.chaos", "repro.serve",
             "repro.consensus", "repro.assettransfer", "repro.reassign",
             "repro.analysis", "repro.experiments.resilience", "multiprocessing",
         ) == []

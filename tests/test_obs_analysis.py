@@ -32,6 +32,7 @@ from repro.obs import (
     read_trace,
     trace_series,
 )
+from tests.conftest import synthetic_trace
 
 
 def _record(seq, ts, cat, name, ph, actor="", args=None, flow=None):
@@ -557,18 +558,18 @@ class TestEmptyTraceCLI:
 
 class TestTraceAnalyzeBenchmark:
     def test_registered_and_deterministic(self):
-        from repro import bench
+        from tests.test_determinism import EXACT_COUNTS
 
-        first = bench.WORKLOADS["trace-analyze"]()
-        second = bench.WORKLOADS["trace-analyze"]()
+        (case,) = [case for case in EXACT_COUNTS if case.id == "trace-analyze"]
+        workload = case.values[0]
+        first = workload()
+        second = workload()
         assert first == second
         assert first["counters"]["findings"] == 0
         assert first["ops"] == 100
 
     def test_synthetic_trace_is_invariant_clean(self):
-        from repro.bench.suite import _synthetic_trace
-
-        records = _synthetic_trace(clients=2, ops_each=3)
+        records = synthetic_trace(clients=2, ops_each=3)
         report = check_trace_invariants(records, min_quorum=3)
         assert report.ok
         assert report.findings == []

@@ -6,8 +6,9 @@ The contract under test:
   exactly the same simulation results as disabled runs.
 * **One dispatch loop** — observed and unobserved loops run the same events,
   stop at the same instant and abort with the same text; the observer only
-  receives the counters (checked on a scripted schedule, and via the
-  ``event-loop`` / ``event-loop-obs`` benchmark twins doing identical work).
+  receives the counters (checked on a scripted schedule here; the
+  ``event-loop-obs`` case of ``tests/test_determinism.py`` checks that it
+  does the ``event-loop`` case's work).
 * **Determinism** — traces are byte-stable across repeats, hash seeds, and
   serial vs parallel execution (for churn-free runs; see ARCHITECTURE.md on
   the weight-gain-refresh caveat).
@@ -193,13 +194,13 @@ class TestAmbientObserverIsPerThread:
 
 class TestDisabledPathIsUntouched:
     def test_benchmark_twins_do_identical_work(self):
-        # The expectations file pins both, but assert the linkage directly:
-        # the instrumented benchmark must process exactly as many events as
+        # The determinism gate pins both, but assert the linkage directly:
+        # the instrumented workload must process exactly as many events as
         # the uninstrumented one.
-        from repro.bench import WORKLOADS
+        from tests.test_determinism import _event_loop, _event_loop_obs
 
-        plain = WORKLOADS["event-loop"]()
-        obs = WORKLOADS["event-loop-obs"]()
+        plain = _event_loop()
+        obs = _event_loop_obs()
         assert obs["events"] == plain["events"]
         assert obs["ops"] == plain["ops"]
         assert (obs["counters"]["ready_dispatches"]

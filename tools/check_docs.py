@@ -17,9 +17,9 @@ Five checks, all pure standard library:
   ``src/`` (``DESIGN.md``, ``docs/ARCHITECTURE.md`` ...) must exist, as a
   path from the repository root.
 * **CLI flag check** — every ``python -m repro <subcommand> ... --flag`` that
-  ``CLI_DOCS`` show (fenced block or inline) must name a flag that
-  subcommand's parser accepts, so removing an option fails CI until the docs
-  stop showing it.
+  ``CLI_DOCS`` show (fenced block or inline) must name a subcommand the
+  parser has and a flag that subcommand's parser accepts, so removing a
+  subcommand or an option fails CI until the docs stop showing it.
 
 Run from anywhere::
 
@@ -61,6 +61,8 @@ CLI_DOCS = ("README.md", "docs/ARCHITECTURE.md", ".claude/skills/verify/SKILL.md
 _REPRO_COMMAND = re.compile(r"python3? -m repro[ \t]+([^|;&>#`\n]*)")
 
 _FLAG = re.compile(r"--?[A-Za-z][A-Za-z0-9-]*")
+
+_SUBCOMMAND = re.compile(r"[a-z][a-z0-9-]*")
 
 # Sections other documentation (and CI jobs) deep-link into.  Paths are
 # repo-relative; headings must appear verbatim at line start.
@@ -229,7 +231,8 @@ def _cli_flags() -> Dict[str, Set[str]]:
 
 
 def check_cli_flags(root: Path = REPO_ROOT) -> List[str]:
-    """Documented ``python -m repro`` flags the parser does not accept."""
+    """Documented ``python -m repro`` subcommands and flags the parser does
+    not accept."""
     flags = _cli_flags()
     problems = []
     for relative in CLI_DOCS:
@@ -239,7 +242,14 @@ def check_cli_flags(root: Path = REPO_ROOT) -> List[str]:
         for argv in _documented_commands(path.read_text(encoding="utf-8")):
             command = argv[0] if argv else ""
             if command not in flags:
-                continue  # `python -m repro --help`, a placeholder, prose
+                # `--help`, an empty argv or a placeholder names no
+                # subcommand; a bare word names one the parser lacks.
+                if _SUBCOMMAND.fullmatch(command):
+                    problems.append(
+                        f"{relative}: `python -m repro` has no subcommand "
+                        f"{command!r}"
+                    )
+                continue
             if len(argv) > 1 and f"{command} {argv[1]}" in flags:
                 command = f"{command} {argv[1]}"
             elif command == "trace":
@@ -269,7 +279,7 @@ def main() -> int:
         return 1
     print("docs ok: links resolve, scenario table matches the registry, "
           "required sections present, docstring references exist, "
-          "documented CLI flags are accepted")
+          "documented CLI subcommands and flags are accepted")
     return 0
 
 
