@@ -217,7 +217,11 @@ class _Judge:
                 os.path.join(self.keep_traces, f"{stem}.jsonl"),
             )
         judged = self.verdict(index, run, result.result, events)
-        observer.trace.events.clear()  # the run's cyclic world outlives this
+        # Closing a run's world frees all of it only once its loop has
+        # drained: an aborted run's unfinished tasks and queued events still
+        # hold the loop, and through it this observer, until the cyclic
+        # collector runs.
+        observer.trace.events.clear()
         return _JudgedResult(result.scenario, result.params, result.result, judged)
 
 

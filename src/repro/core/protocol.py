@@ -108,6 +108,11 @@ class ReassignmentServer(Process):
         self.register_handler(WC, self._on_wc)
         self.register_handler(T_ACK, self._on_tack)
 
+    def close(self) -> None:
+        """Also drop the reliable broadcast, which refers back to this server."""
+        super().close()
+        self.rb = None
+
     # ------------------------------------------------------------------ state
     def get_changes(self, server: ProcessId) -> ChangeSet:
         """Changes stored locally for ``server`` (Algorithm 4, ``get_changes``)."""

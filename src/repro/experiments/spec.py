@@ -1077,90 +1077,99 @@ def _run_spec_inner(spec: ScenarioSpec) -> Dict[str, Any]:
     cluster = spec.cluster.build(
         config, spec.latency.build(seed=spec.seed, shards=spec.cluster.shards)
     )
-    # Monitoring installs before the workload generates or any transfer task
-    # spawns, matching the imperative scenarios' wiring order event-for-event.
-    harness: Optional[MonitoringHarness] = None
-    if spec.monitoring.enabled:
-        harness = spec.monitoring.build(cluster)
-    # Fault targets are checked against the fully built membership (servers,
-    # clients, probers) so a typo'd node fails before the run, not at its
-    # scheduled virtual time.
-    spec.faults.check_processes(
-        tuple(cluster.network.process_ids()), shards=spec.cluster.shards
-    )
-    workload = spec.workload.build(tuple(cluster.clients), seed=spec.seed)
-
-    transfer_outcomes: List[Dict[str, Any]] = []
-
-    async def fire(event: TransferEvent) -> None:
-        if event.at > 0:
-            await cluster.loop.sleep(event.at)
-        if sharded:
-            server = cluster.server(event.shard, event.source)
-        else:
-            server = cluster.servers[event.source]
-        # Spec-level transfers name canonical servers (s1); inside a sharded
-        # deployment the reassignment protocol addresses shard-qualified peers.
-        target = (
-            shard_process_name(event.target, event.shard) if sharded else event.target
+    # The run owns the world it built.  Closing the network once the result
+    # is made lets reference counting, not the cyclic collector, free every
+    # process, collector and operation record.
+    try:
+        # Monitoring installs before the workload generates or any transfer
+        # task spawns, matching the imperative scenarios' wiring order
+        # event-for-event.
+        harness: Optional[MonitoringHarness] = None
+        if spec.monitoring.enabled:
+            harness = spec.monitoring.build(cluster)
+        # Fault targets are checked against the fully built membership (servers,
+        # clients, probers) so a typo'd node fails before the run, not at its
+        # scheduled virtual time.
+        spec.faults.check_processes(
+            tuple(cluster.network.process_ids()), shards=spec.cluster.shards
         )
-        outcome = await server.transfer(target, event.delta)
-        entry = {
-            "at": event.at,
-            "source": event.source,
-            "target": event.target,
-            "delta": event.delta,
-            "effective": outcome.effective,
-            "latency": outcome.latency,
+        workload = spec.workload.build(tuple(cluster.clients), seed=spec.seed)
+
+        transfer_outcomes: List[Dict[str, Any]] = []
+
+        async def fire(event: TransferEvent) -> None:
+            if event.at > 0:
+                await cluster.loop.sleep(event.at)
+            if sharded:
+                server = cluster.server(event.shard, event.source)
+            else:
+                server = cluster.servers[event.source]
+            # Spec-level transfers name canonical servers (s1); inside a sharded
+            # deployment the reassignment protocol addresses shard-qualified peers.
+            target = (
+                shard_process_name(event.target, event.shard)
+                if sharded
+                else event.target
+            )
+            outcome = await server.transfer(target, event.delta)
+            entry = {
+                "at": event.at,
+                "source": event.source,
+                "target": event.target,
+                "delta": event.delta,
+                "effective": outcome.effective,
+                "latency": outcome.latency,
+            }
+            if sharded:
+                entry["shard"] = event.shard
+            transfer_outcomes.append(entry)
+
+        for event in spec.transfers:
+            cluster.loop.create_task(fire(event), name=f"transfer@{event.at}")
+
+        report = run_workload(
+            cluster,
+            workload,
+            failures=spec.faults.build(shards=spec.cluster.shards),
+            max_time=spec.max_time,
+        )
+        cluster.loop.run()  # let trailing transfers / broadcast echoes settle
+
+        result: Dict[str, Any] = {
+            "scenario": spec.name,
+            "flavour": report.flavour,
+            "seed": spec.seed,
+            "duration": report.duration,
+            "operations": report.operations,
+            "restarts": report.restarts,
+            "messages": report.messages_sent,
+            "read_latency": _summary_dict(report.read_latency),
+            "write_latency": _summary_dict(report.write_latency),
+            "transfers": transfer_outcomes,
+            "workload": workload_stats(workload),
         }
+        if harness is not None:
+            result["monitoring"] = harness.as_dict(sharded=sharded)
         if sharded:
-            entry["shard"] = event.shard
-        transfer_outcomes.append(entry)
-
-    for event in spec.transfers:
-        cluster.loop.create_task(fire(event), name=f"transfer@{event.at}")
-
-    report = run_workload(
-        cluster,
-        workload,
-        failures=spec.faults.build(shards=spec.cluster.shards),
-        max_time=spec.max_time,
-    )
-    cluster.loop.run()  # let trailing transfers / broadcast echoes settle
-
-    result: Dict[str, Any] = {
-        "scenario": spec.name,
-        "flavour": report.flavour,
-        "seed": spec.seed,
-        "duration": report.duration,
-        "operations": report.operations,
-        "restarts": report.restarts,
-        "messages": report.messages_sent,
-        "read_latency": _summary_dict(report.read_latency),
-        "write_latency": _summary_dict(report.write_latency),
-        "transfers": transfer_outcomes,
-        "workload": workload_stats(workload),
-    }
-    if harness is not None:
-        result["monitoring"] = harness.as_dict(sharded=sharded)
-    if sharded:
-        result["shards"] = [summary.as_dict() for summary in report.shards or ()]
-        if report.imbalance is not None:
-            result["imbalance"] = report.imbalance.as_dict()
-        if spec.cluster.flavour == "dynamic-weighted":
-            result["shard_weights"] = {
-                str(index): weights
-                for index, weights in sorted(cluster.shard_weights().items())
-            }
-    elif spec.cluster.flavour == "dynamic-weighted":
-        surviving = [
-            pid for pid in config.servers if not cluster.network.is_crashed(pid)
-        ]
-        if surviving:
-            result["weights"] = {
-                pid: weight
-                for pid, weight in sorted(
-                    cluster.servers[surviving[0]].local_weights().items()
-                )
-            }
-    return result
+            result["shards"] = [summary.as_dict() for summary in report.shards or ()]
+            if report.imbalance is not None:
+                result["imbalance"] = report.imbalance.as_dict()
+            if spec.cluster.flavour == "dynamic-weighted":
+                result["shard_weights"] = {
+                    str(index): weights
+                    for index, weights in sorted(cluster.shard_weights().items())
+                }
+        elif spec.cluster.flavour == "dynamic-weighted":
+            surviving = [
+                pid for pid in config.servers if not cluster.network.is_crashed(pid)
+            ]
+            if surviving:
+                result["weights"] = {
+                    pid: weight
+                    for pid, weight in sorted(
+                        cluster.servers[surviving[0]].local_weights().items()
+                    )
+                }
+        return result
+    finally:
+        cluster.network.close()

@@ -194,6 +194,19 @@ class Network:
         receiver = self._processes[message.receiver]
         receiver.deliver(message)
 
+    # -- teardown --------------------------------------------------------------
+    def close(self) -> None:
+        """Release a finished run: close every process, then forget them.
+
+        A process and its network refer to each other, and a process's
+        handler table holds its own bound methods, so until this runs the
+        whole world waits for the cyclic collector.  The network is the one
+        object that knows every process.
+        """
+        for process in self._processes.values():
+            process.close()
+        self._processes.clear()
+
     # -- convenience -----------------------------------------------------------
     def stats(self) -> Dict[str, float]:
         """Snapshot of the traffic counters (useful in benchmarks)."""
@@ -220,4 +233,7 @@ class ProcessLike:
         raise NotImplementedError
 
     def on_crash(self, pid: ProcessId) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def close(self) -> None:  # pragma: no cover - interface
         raise NotImplementedError

@@ -153,6 +153,15 @@ class Process:
         for collector in tuple(self._pending.values()):
             collector.poll()
 
+    def close(self) -> None:
+        """Let go of the run this process took part in.
+
+        The handler table holds bound methods of this process: a reference
+        cycle through it.  :meth:`Network.close` calls this for every
+        process once the run is over.
+        """
+        self._handlers.clear()
+
     def _ensure_alive(self) -> None:
         if self.crashed or self.network.is_crashed(self.pid):
             raise CrashedProcessError(f"process {self.pid} has crashed")
@@ -210,7 +219,8 @@ class Process:
         asynchronous model (there is no notion of "the request timed out")
         — and is forgotten with the last one (see :meth:`deliver`).  A
         request to a receiver that never answers (it crashed) stays
-        registered for the life of the process.
+        registered as long as the process, which a closed network no
+        longer keeps alive (:meth:`Network.close`).
         """
         self._ensure_alive()
         receivers = list(receivers)

@@ -1,36 +1,88 @@
-"""What a finished run leaves the cyclic collector.
+"""What a finished run leaves the cyclic collector: nothing.
 
 Reference counting frees a run's tasks, their failure tracebacks (the frames
 of every ``RecursionError`` the weight-gain refresh churn raises) and a judged
-run's trace the moment they are done; only the run's own object graph (its
-processes, network and loop) is left to the collector.  The census:
-automatic collection off, ``gc.DEBUG_SAVEALL``, one collection after the
-run, then a count of ``type(o).__name__`` over ``gc.garbage``
-(docs/ARCHITECTURE.md, "Who frees a finished task").
+run's trace the moment they are done, and the run's own world (processes,
+network, loop, collectors, messages, operation records) the moment its owner
+closes the network.  The census: automatic collection off,
+``gc.DEBUG_SAVEALL``, one collection after the run, then a count of
+``type(o).__name__`` over ``gc.garbage`` (docs/ARCHITECTURE.md, "Who frees a
+finished run").
 """
 
 from __future__ import annotations
 
 import gc
 from collections import Counter
+from types import FrameType, TracebackType
 
 import pytest
 
 from repro.chaos import run_campaign
+from repro.core.storage import OperationRecord
 from repro.experiments.executor import execute_run, run_with_stable_stack
+from repro.experiments.spec import ScenarioSpec, run_spec
 from repro.experiments.sweep import RunSpec
-from repro.net.simloop import SimTask
+from repro.net.message import Message
+from repro.net.network import Network
+from repro.net.process import Process, ResponseCollector
+from repro.net.simloop import SimLoop, SimTask
+from repro.obs.trace import TraceEvent
 
 #: Kinds of object no finished run may leave to the collector.
-NONE_LEFT = ("frame", "traceback", "TraceEvent")
+NONE_LEFT = (
+    FrameType, TracebackType, TraceEvent,
+    Process, Network, SimLoop, ResponseCollector, Message, OperationRecord,
+)
+
+#: ``reassign-churn``'s shape at smoke size: two shards under scheduled
+#: transfers, a slowdown and a monitoring loop per shard.
+SHARDED_CHURN = {
+    "name": "census-sharded-churn",
+    "cluster": {
+        "flavour": "dynamic-weighted", "n": 5, "f": 1, "client_count": 6,
+        "shards": 2,
+    },
+    "workload": {
+        "operations_per_client": 8,
+        "keys": {
+            "kind": "hotspot", "space": 64, "hot_fraction": 0.125,
+            "hot_weight": 0.9,
+        },
+        "mix": {"read_ratio": 0.3},
+    },
+    "latency": {
+        "kind": "uniform", "low": 0.8, "high": 1.2, "slow": ["s4", "s5"],
+        "slow_factor": 6.0, "slow_start": 20.0,
+    },
+    "monitoring": {
+        "enabled": True, "interval": 10.0, "rounds": 4, "scope": "per-shard",
+        "policy": {"threshold": 0.2},
+    },
+    "transfers": [
+        [10.0 + 12.0 * step + shard, *pair, 0.3, shard]
+        for shard in range(2)
+        for step, pair in enumerate([("s1", "s2"), ("s2", "s1"), ("s1", "s2")])
+    ],
+    "max_time": 100000.0,
+}
+
+
+def _scenario(name):
+    return lambda: run_with_stable_stack(execute_run, RunSpec(scenario=name))
+
 
 RUNS = {
-    "quickstart": lambda: run_with_stable_stack(
-        execute_run, RunSpec(scenario="quickstart")),
-    "skewed-reassignment": lambda: run_with_stable_stack(
-        execute_run, RunSpec(scenario="skewed-reassignment")),
-    "campaign": lambda: run_campaign("quickstart", sample=2),
+    name: _scenario(name)
+    for name in (
+        "quickstart", "skewed-reassignment", "static-majority-baseline",
+        # Collectors that never fill: replies owed by crashed servers.
+        "crash-resilience",
+    )
 }
+RUNS["sharded-churn"] = lambda: run_with_stable_stack(
+    run_spec, ScenarioSpec.from_dict(SHARDED_CHURN))
+RUNS["campaign"] = lambda: run_campaign("quickstart", sample=2)
 
 
 @pytest.fixture
@@ -59,11 +111,13 @@ def test_a_finished_run_leaves_no_frame_trace_or_task(saved_garbage, run):
     RUNS[run]()
     gc.collect()
     census = Counter(type(o).__name__ for o in saved_garbage)
-    finished_tasks = sum(
+    left = {
+        kind.__name__: sum(1 for o in saved_garbage if isinstance(o, kind))
+        for kind in NONE_LEFT
+    }
+    left["finished SimTask"] = sum(
         1 for o in saved_garbage if isinstance(o, SimTask) and o.done()
     )
-    left = {kind: census[kind] for kind in NONE_LEFT}
-    left["finished SimTask"] = finished_tasks
     assert not any(left.values()), (
         f"{run} left {left} to the collector; "
         f"census: {census.most_common(12)}"

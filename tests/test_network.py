@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.protocol import ReassignmentServer
+from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError, CrashedProcessError, UnknownProcessError
 from repro.net.latency import (
     ConstantLatency,
@@ -538,3 +542,44 @@ class TestUnhandledMessages:
         a.send("b", "UNKNOWN_KIND", {})
         loop.run()  # must not raise
         assert b.received == []
+
+
+class Asker(EchoServer):
+    """Awaits the first reply to a request, as a quorum phase does."""
+
+    async def ask(self, receivers):
+        await self.request_all(receivers, "PING", {"n": 1}).wait_for_count(1)
+
+
+@pytest.fixture
+def no_automatic_gc():
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestAClosedNetworkFreesItsWorld:
+    """Closing the network breaks every cycle a finished run's processes are
+    in: process <-> network, a handler table of bound methods, a server <->
+    its reliable broadcast.  Reference counting alone then frees the whole
+    world, with the collector still registered for a crashed receiver."""
+
+    def test_nothing_is_left_to_the_collector(self, no_automatic_gc):
+        loop, net = make_net()
+        config = SystemConfig.uniform(2, f=0)
+        s1, s2 = (ReassignmentServer(pid, net, config) for pid in config.servers)
+        a, x, c = EchoServer("a", net), EchoServer("x", net), Asker("c", net)
+        net.crash("x")
+        assert loop.run_until_complete(s1.transfer("s2", 0.25)).effective
+        loop.create_task(c.ask(["a", "x"]))
+        loop.run()
+        assert len(c._pending) == 1  # met, but "x" never answers
+        refs = {
+            "network": weakref.ref(net),
+            **{p.pid: weakref.ref(p) for p in (s1, s2, a, x, c)},
+        }
+        net.close()
+        del loop, net, s1, s2, a, x, c
+        assert [name for name, ref in refs.items() if ref() is not None] == []
