@@ -11,12 +11,10 @@ Run with:  python examples/fig1_walkthrough.py
 """
 
 from repro import SystemConfig
-from repro.core.protocol import ReassignmentServer, read_changes
-from repro.net.latency import ConstantLatency
-from repro.net.network import Network
+from repro.core.protocol import read_changes
 from repro.net.process import Process
-from repro.net.simloop import SimLoop
 from repro.quorum.weighted import WeightedMajorityQuorumSystem
+from repro.sim.cluster import build_reassignment_fleet
 
 
 def show_weights(title, weights, bound):
@@ -26,45 +24,44 @@ def show_weights(title, weights, bound):
 
 def main() -> None:
     config = SystemConfig.uniform(7, f=2)
-    loop = SimLoop()
-    network = Network(loop, ConstantLatency(1.0))
-    servers = {pid: ReassignmentServer(pid, network, config) for pid in config.servers}
-    observer = Process("observer", network)
+    with build_reassignment_fleet(config) as fleet:
+        loop, servers = fleet.loop, fleet.servers
+        observer = Process("observer", fleet.network)
 
-    print("=== Fig. 1 / Example 2: restricted pairwise weight reassignment ===")
-    print(f"n = {config.n}, f = {config.f}, RP-Integrity bound = {config.rp_min_weight:.2f}\n")
+        print("=== Fig. 1 / Example 2: restricted pairwise weight reassignment ===")
+        print(f"n = {config.n}, f = {config.f}, RP-Integrity bound = {config.rp_min_weight:.2f}\n")
 
-    async def scenario():
-        show_weights("initial weights", servers["s1"].local_weights(), config.rp_min_weight)
-        quorum = WeightedMajorityQuorumSystem(servers["s1"].local_weights())
-        print(f"  smallest quorum size        : {quorum.smallest_quorum_size()}\n")
+        async def scenario():
+            show_weights("initial weights", servers["s1"].local_weights(), config.rp_min_weight)
+            quorum = WeightedMajorityQuorumSystem(servers["s1"].local_weights())
+            print(f"  smallest quorum size        : {quorum.smallest_quorum_size()}\n")
 
-        plan = [("s4", "s1", 0.2), ("s5", "s2", 0.2), ("s6", "s3", 0.2)]
-        for source, target, delta in plan:
-            outcome = await servers[source].transfer(target, delta)
-            print(f"  transfer({source} -> {target}, {delta}): "
-                  f"{'effective' if outcome.effective else 'REJECTED'}")
-        await loop.sleep(5.0)
+            plan = [("s4", "s1", 0.2), ("s5", "s2", 0.2), ("s6", "s3", 0.2)]
+            for source, target, delta in plan:
+                outcome = await servers[source].transfer(target, delta)
+                print(f"  transfer({source} -> {target}, {delta}): "
+                      f"{'effective' if outcome.effective else 'REJECTED'}")
+            await loop.sleep(5.0)
 
-        weights = servers["s1"].local_weights()
-        show_weights("weights at t1", weights, config.rp_min_weight)
-        quorum = WeightedMajorityQuorumSystem(weights)
-        print(f"  smallest quorum size        : {quorum.smallest_quorum_size()}")
-        print(f"  {{s1,s2,s3}} is a quorum      : {quorum.is_quorum(['s1', 's2', 's3'])}\n")
+            weights = servers["s1"].local_weights()
+            show_weights("weights at t1", weights, config.rp_min_weight)
+            quorum = WeightedMajorityQuorumSystem(weights)
+            print(f"  smallest quorum size        : {quorum.smallest_quorum_size()}")
+            print(f"  {{s1,s2,s3}} is a quorum      : {quorum.is_quorum(['s1', 's2', 's3'])}\n")
 
-        print("  -- the red box of Fig. 1 (rejected by RP-Integrity) --")
-        for source, target, delta in [("s6", "s2", 0.2), ("s7", "s3", 0.3)]:
-            outcome = await servers[source].transfer(target, delta)
-            print(f"  transfer({source} -> {target}, {delta}): "
-                  f"{'effective' if outcome.effective else 'REJECTED (null change)'}")
+            print("  -- the red box of Fig. 1 (rejected by RP-Integrity) --")
+            for source, target, delta in [("s6", "s2", 0.2), ("s7", "s3", 0.3)]:
+                outcome = await servers[source].transfer(target, delta)
+                print(f"  transfer({source} -> {target}, {delta}): "
+                      f"{'effective' if outcome.effective else 'REJECTED (null change)'}")
 
-        # A client can audit every change with read_changes (Algorithm 3).
-        changes = await read_changes(observer, "s1", config)
-        print(f"\n  observer's view of s1's changes: "
-              f"{sorted((c.author, c.counter, round(c.delta, 2)) for c in changes)}")
-        print(f"  observer computes W(s1) = {changes.weight_of('s1'):.1f}")
+            # A client can audit every change with read_changes (Algorithm 3).
+            changes = await read_changes(observer, "s1", config)
+            print(f"\n  observer's view of s1's changes: "
+                  f"{sorted((c.author, c.counter, round(c.delta, 2)) for c in changes)}")
+            print(f"  observer computes W(s1) = {changes.weight_of('s1'):.1f}")
 
-    loop.run_until_complete(scenario())
+        loop.run_until_complete(scenario())
 
 
 if __name__ == "__main__":

@@ -57,65 +57,66 @@ def build_latency_model():
 
 def main() -> None:
     config = SystemConfig.uniform(5, f=1)
-    cluster = build_dynamic_cluster(config, latency=build_latency_model(), client_count=1)
-    client = cluster.client("c1")
-    loop, network = cluster.loop, cluster.network
+    latency = build_latency_model()
+    with build_dynamic_cluster(config, latency=latency, client_count=1) as cluster:
+        client = cluster.client("c1")
+        loop, network = cluster.loop, cluster.network
 
-    for server in cluster.servers.values():
-        install_probe_responder(server)
-    monitor_process = Process("monitor", network)
-    monitor = LatencyMonitor(config.servers)
-    controllers = {
-        pid: WeightController(server, tolerance=0.05)
-        for pid, server in cluster.servers.items()
-    }
+        for server in cluster.servers.values():
+            install_probe_responder(server)
+        monitor_process = Process("monitor", network)
+        monitor = LatencyMonitor(config.servers)
+        controllers = {
+            pid: WeightController(server, tolerance=0.05)
+            for pid, server in cluster.servers.items()
+        }
 
-    phases = {"healthy (t<300)": [], "degraded, adapting (300-700)": [], "adapted (t>700)": []}
+        phases = {"healthy (t<300)": [], "degraded, adapting (300-700)": [], "adapted (t>700)": []}
 
-    def phase_bucket():
-        if loop.now < 300.0:
-            return phases["healthy (t<300)"]
-        if loop.now < 700.0:
-            return phases["degraded, adapting (300-700)"]
-        return phases["adapted (t>700)"]
+        def phase_bucket():
+            if loop.now < 300.0:
+                return phases["healthy (t<300)"]
+            if loop.now < 700.0:
+                return phases["degraded, adapting (300-700)"]
+            return phases["adapted (t>700)"]
 
-    async def client_loop() -> None:
-        await client.write("initial")
-        for index in range(140):
-            bucket = phase_bucket()
-            if index % 3 == 0:
-                await client.write(f"v{index}")
-            else:
-                await client.read()
-            bucket.append(client.history[-1].latency)
-            await loop.sleep(4.0)
+        async def client_loop() -> None:
+            await client.write("initial")
+            for index in range(140):
+                bucket = phase_bucket()
+                if index % 3 == 0:
+                    await client.write(f"v{index}")
+                else:
+                    await client.read()
+                bucket.append(client.history[-1].latency)
+                await loop.sleep(4.0)
 
-    async def adaptation_loop() -> None:
-        for _ in range(70):
-            await loop.sleep(15.0)
-            observed = await monitor.probe(monitor_process, timeout=500.0)
-            if len(observed) < len(config.servers):
-                continue
-            targets = proportional_inverse_latency_weights(monitor.summary(), config)
-            for controller in controllers.values():
-                controller.set_targets(targets)
-                await controller.step()
+        async def adaptation_loop() -> None:
+            for _ in range(70):
+                await loop.sleep(15.0)
+                observed = await monitor.probe(monitor_process, timeout=500.0)
+                if len(observed) < len(config.servers):
+                    continue
+                targets = proportional_inverse_latency_weights(monitor.summary(), config)
+                for controller in controllers.values():
+                    controller.set_targets(targets)
+                    await controller.step()
 
-    from repro.net.simloop import gather
+        from repro.net.simloop import gather
 
-    loop.run_until_complete(gather(loop, [client_loop(), adaptation_loop()]))
+        loop.run_until_complete(gather(loop, [client_loop(), adaptation_loop()]))
 
-    print("=== adaptive geo-replicated storage ===")
-    final_weights = cluster.servers["s3"].local_weights()
-    print("final weights (server view of s3):")
-    for server, weight in sorted(final_weights.items()):
-        marker = "  <- slowed at t=300" if server in ("s1", "s2") else ""
-        print(f"    {server}: {weight:.3f}{marker}")
-    for phase, samples in phases.items():
-        if samples:
-            print(f"client latency, {phase:<30}: {summarize(samples).as_row()}")
-    print("(the controllers move voting power away from the degraded Frankfurt "
-          "servers using only the consensus-free transfer operation)")
+        print("=== adaptive geo-replicated storage ===")
+        final_weights = cluster.servers["s3"].local_weights()
+        print("final weights (server view of s3):")
+        for server, weight in sorted(final_weights.items()):
+            marker = "  <- slowed at t=300" if server in ("s1", "s2") else ""
+            print(f"    {server}: {weight:.3f}{marker}")
+        for phase, samples in phases.items():
+            if samples:
+                print(f"client latency, {phase:<30}: {summarize(samples).as_row()}")
+        print("(the controllers move voting power away from the degraded Frankfurt "
+              "servers using only the consensus-free transfer operation)")
 
 
 if __name__ == "__main__":

@@ -11,15 +11,15 @@ Quick start::
     from repro import SystemConfig, build_dynamic_cluster
 
     config = SystemConfig.uniform(5, f=1)
-    cluster = build_dynamic_cluster(config)
-    client = cluster.any_client()
+    with build_dynamic_cluster(config) as cluster:   # leaving it frees the world
+        client = cluster.any_client()
 
-    async def demo():
-        await client.write("hello")
-        await cluster.servers["s1"].transfer("s2", 0.25)   # reassign voting power
-        return await client.read()
+        async def demo():
+            await client.write("hello")
+            await cluster.servers["s1"].transfer("s2", 0.25)   # reassign voting power
+            return await client.read()
 
-    print(cluster.loop.run_until_complete(demo()))
+        print(cluster.loop.run_until_complete(demo()))
 
 See ``docs/ARCHITECTURE.md`` ("Modules ↔ paper sections") for the full system
 inventory and the README's scenario catalogue for every experiment.

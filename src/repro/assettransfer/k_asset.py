@@ -45,6 +45,8 @@ class KAssetOutcome:
 class KAssetReplica(Process):
     """A replica of the k-owner asset-transfer state machine."""
 
+    _drop_on_close = ("_order",)
+
     def __init__(
         self,
         pid: ProcessId,

@@ -48,6 +48,8 @@ class OneAssetOutcome:
 class OneAssetServer(Process):
     """A server owning exactly one account in the 1-asset-transfer system."""
 
+    _drop_on_close = ("rb",)
+
     def __init__(
         self,
         pid: ProcessId,

@@ -217,10 +217,8 @@ class _Judge:
                 os.path.join(self.keep_traces, f"{stem}.jsonl"),
             )
         judged = self.verdict(index, run, result.result, events)
-        # Closing a run's world frees all of it only once its loop has
-        # drained: an aborted run's unfinished tasks and queued events still
-        # hold the loop, and through it this observer, until the cyclic
-        # collector runs.
+        # An aborted run's unfinished tasks still hold their closed loop, and
+        # through it this observer, until the cyclic collector runs.
         observer.trace.events.clear()
         return _JudgedResult(result.scenario, result.params, result.result, judged)
 

@@ -112,9 +112,6 @@ class ChangeSet:
     def issubset(self, other: "ChangeSet") -> bool:
         return self._changes <= other._changes
 
-    def issuperset(self, other: "ChangeSet") -> bool:
-        return self._changes >= other._changes
-
     def covers(self, changes: Iterable[Change]) -> bool:
         """Whether every change in ``changes`` belongs to this set.
 

@@ -80,6 +80,8 @@ class TransferOutcome:
 class ReassignmentServer(Process):
     """A server running Algorithm 4 (and the server side of Algorithm 3)."""
 
+    _drop_on_close = ("rb",)
+
     def __init__(
         self,
         pid: ProcessId,
@@ -107,11 +109,6 @@ class ReassignmentServer(Process):
         self.register_handler(RC, self._on_rc)
         self.register_handler(WC, self._on_wc)
         self.register_handler(T_ACK, self._on_tack)
-
-    def close(self) -> None:
-        """Also drop the reliable broadcast, which refers back to this server."""
-        super().close()
-        self.rb = None
 
     # ------------------------------------------------------------------ state
     def get_changes(self, server: ProcessId) -> ChangeSet:

@@ -11,9 +11,8 @@ from repro.core.reductions import OraclePairwiseReassignment, algorithm_config
 from repro.errors import ConfigurationError
 from repro.experiments.registry import scenario
 from repro.experiments.sections import SpecSection
-from repro.net.latency import ConstantLatency
-from repro.net.network import Network
 from repro.net.simloop import SimLoop, gather
+from repro.sim.cluster import build_world
 
 __all__ = ["AssetTransferSpec", "asset_transfer"]
 
@@ -61,62 +60,62 @@ class AssetTransferSpec(SpecSection):
                 raise ConfigurationError(f"{label} must be positive, got {amount}")
 
     def _run_one_asset(self) -> Dict[str, Any]:
-        loop = SimLoop()
-        network = Network(loop, ConstantLatency(1.0))
-        ids = [f"s{i}" for i in range(1, self.n + 1)]
-        servers = {
-            pid: OneAssetServer(
-                pid, network, ids, 1, {p: self.initial_balance for p in ids}
-            )
-            for pid in ids
-        }
+        with build_world() as world:
+            loop = world.loop
+            ids = [f"s{i}" for i in range(1, self.n + 1)]
+            servers = {
+                pid: OneAssetServer(
+                    pid, world.network, ids, 1, {p: self.initial_balance for p in ids}
+                )
+                for pid in ids
+            }
 
-        async def run() -> List[Any]:
-            return await gather(loop, [
-                servers["s1"].transfer("s2", self.ring_amount),
-                servers["s2"].transfer("s3", self.ring_amount),
-                servers["s3"].transfer("s1", self.ring_amount),
-            ])
+            async def run() -> List[Any]:
+                return await gather(loop, [
+                    servers["s1"].transfer("s2", self.ring_amount),
+                    servers["s2"].transfer("s3", self.ring_amount),
+                    servers["s3"].transfer("s1", self.ring_amount),
+                ])
 
-        outcomes = loop.run_until_complete(run())
-        loop.run()
-        total = self.initial_balance * self.n
-        totals = {pid: server.book.total() for pid, server in servers.items()}
-        return {
-            "applied": sum(1 for outcome in outcomes if outcome.applied),
-            "mean_latency": sum(o.latency for o in outcomes) / len(outcomes),
-            "total_conserved": all(abs(t - total) < 1e-9 for t in totals.values()),
-            "messages": network.messages_sent,
-        }
+            outcomes = loop.run_until_complete(run())
+            loop.run()
+            total = self.initial_balance * self.n
+            totals = {pid: server.book.total() for pid, server in servers.items()}
+            return {
+                "applied": sum(1 for outcome in outcomes if outcome.applied),
+                "mean_latency": sum(o.latency for o in outcomes) / len(outcomes),
+                "total_conserved": all(abs(t - total) < 1e-9 for t in totals.values()),
+                "messages": world.network.messages_sent,
+            }
 
     def _run_k_asset(self) -> Dict[str, Any]:
-        loop = SimLoop()
-        network = Network(loop, ConstantLatency(1.0))
-        ids = [f"s{i}" for i in range(1, 5)]
-        Sequencer("seq", network, ids)
-        balances = {"shared": self.shared_balance, "sink": 0.0}
-        owners = {"shared": ids[:2], "sink": ids}
-        replicas = {
-            pid: KAssetReplica(pid, network, "seq", balances, owners) for pid in ids
-        }
+        with build_world() as world:
+            loop, network = world.loop, world.network
+            ids = [f"s{i}" for i in range(1, 5)]
+            Sequencer("seq", network, ids)
+            balances = {"shared": self.shared_balance, "sink": 0.0}
+            owners = {"shared": ids[:2], "sink": ids}
+            replicas = {
+                pid: KAssetReplica(pid, network, "seq", balances, owners) for pid in ids
+            }
 
-        async def run() -> List[Any]:
-            # Two owners race to overdraw the shared account; the sequencer
-            # orders them, so exactly one applies when 2*overdraw exceeds it.
-            return await gather(loop, [
-                replicas["s1"].transfer("shared", "sink", self.overdraw),
-                replicas["s2"].transfer("shared", "sink", self.overdraw),
-            ])
+            async def run() -> List[Any]:
+                # Two owners race to overdraw the shared account; the sequencer
+                # orders them, so exactly one applies when 2*overdraw exceeds it.
+                return await gather(loop, [
+                    replicas["s1"].transfer("shared", "sink", self.overdraw),
+                    replicas["s2"].transfer("shared", "sink", self.overdraw),
+                ])
 
-        outcomes = loop.run_until_complete(run())
-        loop.run()
-        final = {pid: replica.balance_of("shared") for pid, replica in replicas.items()}
-        return {
-            "applied": sum(1 for outcome in outcomes if outcome.applied),
-            "consistent": len(set(final.values())) == 1,
-            "mean_latency": sum(o.latency for o in outcomes) / len(outcomes),
-            "final_shared_balance": final["s1"],
-        }
+            outcomes = loop.run_until_complete(run())
+            loop.run()
+            final = {pid: r.balance_of("shared") for pid, r in replicas.items()}
+            return {
+                "applied": sum(1 for outcome in outcomes if outcome.applied),
+                "consistent": len(set(final.values())) == 1,
+                "mean_latency": sum(o.latency for o in outcomes) / len(outcomes),
+                "final_shared_balance": final["s1"],
+            }
 
     def _run_pairwise(self) -> Dict[str, Any]:
         loop = SimLoop()

@@ -7,10 +7,9 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.core.spec import SystemConfig
 from repro.errors import DeadlockError, SimTimeoutError
 from repro.experiments.registry import scenario
-from repro.net.latency import ConstantLatency, PerLinkLatency, SlowdownLatency
-from repro.net.network import Network
-from repro.net.simloop import SimLoop, gather
-from repro.sim.cluster import build_dynamic_cluster, build_static_cluster
+from repro.net.latency import PerLinkLatency, SlowdownLatency
+from repro.net.simloop import gather
+from repro.sim.cluster import build_cluster, build_dynamic_cluster, build_world
 from repro.sim.metrics import summarize
 from repro.storage.reconfigurable import (
     ReconfigurableStorageClient,
@@ -34,47 +33,48 @@ RECONFIG_SCHEDULES: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
 
 def _dynamic_stays_live(crashes: Sequence[str]) -> bool:
     config = SystemConfig.uniform(5, f=2)
-    cluster = build_dynamic_cluster(config, client_count=1)
-    client = cluster.any_client()
+    with build_dynamic_cluster(config, client_count=1) as cluster:
+        client = cluster.any_client()
 
-    async def run() -> Any:
-        await client.write("seed")
-        await cluster.servers["s1"].transfer("s3", 0.2)  # an in-flight "operator action"
-        for pid in crashes:
-            cluster.network.crash(pid)
-        await client.write("after-crashes")
-        return await client.read()
+        async def run() -> Any:
+            await client.write("seed")
+            # An in-flight "operator action".
+            await cluster.servers["s1"].transfer("s3", 0.2)
+            for pid in crashes:
+                cluster.network.crash(pid)
+            await client.write("after-crashes")
+            return await client.read()
 
-    try:
-        value = cluster.loop.run_until_complete(run(), max_time=10_000.0)
-        return value == "after-crashes"
-    except (DeadlockError, SimTimeoutError):
-        return False
+        try:
+            value = cluster.loop.run_until_complete(run(), max_time=10_000.0)
+            return value == "after-crashes"
+        except (DeadlockError, SimTimeoutError):
+            return False
 
 
 def _reconfigurable_stays_live(crashes: Sequence[str]) -> bool:
-    loop = SimLoop()
-    network = Network(loop, ConstantLatency(1.0))
-    everyone = server_set(8)
-    initial = server_set(5)
-    for pid in everyone:
-        ReconfigurableStorageServer(pid, network, initial)
-    client = ReconfigurableStorageClient("c1", network, initial, everyone)
+    with build_world() as world:
+        loop, network = world.loop, world.network
+        everyone = server_set(8)
+        initial = server_set(5)
+        for pid in everyone:
+            ReconfigurableStorageServer(pid, network, initial)
+        client = ReconfigurableStorageClient("c1", network, initial, everyone)
 
-    async def run() -> Any:
-        await client.write("seed")
-        # The operator proposes replacing s3/s4/s5 with s6/s7 (a pending config).
-        await client.reconfigure(("s1", "s2", "s6", "s7"))
-        for pid in crashes:
-            network.crash(pid)
-        await client.write("after-crashes")
-        return await client.read()
+        async def run() -> Any:
+            await client.write("seed")
+            # The operator proposes replacing s3/s4/s5 with s6/s7 (a pending config).
+            await client.reconfigure(("s1", "s2", "s6", "s7"))
+            for pid in crashes:
+                network.crash(pid)
+            await client.write("after-crashes")
+            return await client.read()
 
-    try:
-        value = loop.run_until_complete(run(), max_time=10_000.0)
-        return value == "after-crashes"
-    except (DeadlockError, SimTimeoutError):
-        return False
+        try:
+            value = loop.run_until_complete(run(), max_time=10_000.0)
+            return value == "after-crashes"
+        except (DeadlockError, SimTimeoutError):
+            return False
 
 
 @scenario(
@@ -130,44 +130,38 @@ def _case_study_flavour(
         initial_weights=dict(CASE_STUDY_WEIGHTS),
     )
     latency = _case_study_latency(slow_at, slow_factor, seed)
-    if flavour == "dynamic-weighted":
-        cluster = build_dynamic_cluster(config, latency=latency, client_count=2)
-    else:
-        cluster = build_static_cluster(
-            config, latency=latency, client_count=2,
-            weighted=(flavour == "static-weighted"),
-        )
-    loop = cluster.loop
-    before: List[float] = []
-    after: List[float] = []
+    with build_cluster(config, flavour, latency=latency, client_count=2) as cluster:
+        loop = cluster.loop
+        before: List[float] = []
+        after: List[float] = []
 
-    async def client_loop(client: Any) -> None:
-        for index in range(operations):
-            bucket = before if loop.now < slow_at else after
-            if index % 3 == 0:
-                await client.write(f"{client.pid}-{index}")
-            else:
-                await client.read()
-            bucket.append(client.history[-1].latency)
-            await loop.sleep(3.0)
+        async def client_loop(client: Any) -> None:
+            for index in range(operations):
+                bucket = before if loop.now < slow_at else after
+                if index % 3 == 0:
+                    await client.write(f"{client.pid}-{index}")
+                else:
+                    await client.read()
+                bucket.append(client.history[-1].latency)
+                await loop.sleep(3.0)
 
-    async def reassigner() -> None:
-        if flavour != "dynamic-weighted":
-            return
-        await loop.sleep(slow_at + 20.0)
-        # The degraded servers push their weight to the healthy ones.
-        await cluster.servers["s1"].transfer("s3", 0.8)
-        await cluster.servers["s2"].transfer("s4", 0.8)
+        async def reassigner() -> None:
+            if flavour != "dynamic-weighted":
+                return
+            await loop.sleep(slow_at + 20.0)
+            # The degraded servers push their weight to the healthy ones.
+            await cluster.servers["s1"].transfer("s3", 0.8)
+            await cluster.servers["s2"].transfer("s4", 0.8)
 
-    tasks = [client_loop(client) for client in cluster.clients.values()]
-    tasks.append(reassigner())
-    loop.run_until_complete(gather(loop, tasks))
-    return {
-        "flavour": flavour,
-        "before": summarize(before).median,
-        "after": summarize(after).median,
-        "after_p95": summarize(after).p95,
-    }
+        tasks = [client_loop(client) for client in cluster.clients.values()]
+        tasks.append(reassigner())
+        loop.run_until_complete(gather(loop, tasks))
+        return {
+            "flavour": flavour,
+            "before": summarize(before).median,
+            "after": summarize(after).median,
+            "after_p95": summarize(after).p95,
+        }
 
 
 @scenario(

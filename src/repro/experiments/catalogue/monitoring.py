@@ -50,53 +50,54 @@ def hotspot_shift_monitoring(
         factor=slow_factor,
         start_at=shift_at,
     )
-    cluster = build_dynamic_cluster(config, latency=latency, client_count=2)
-    harness = install_monitoring(
-        cluster.loop,
-        cluster.network,
-        config,
-        {0: cluster.servers},
-        prober="mon",
-        rounds=control_rounds,
-        interval=probe_interval,
-        tolerance=0.05,
-        max_step=0.3,
-    )
+    with build_dynamic_cluster(config, latency=latency, client_count=2) as cluster:
+        harness = install_monitoring(
+            cluster.loop,
+            cluster.network,
+            config,
+            {0: cluster.servers},
+            prober="mon",
+            rounds=control_rounds,
+            interval=probe_interval,
+            tolerance=0.05,
+            max_step=0.3,
+        )
 
-    # The workload mirrors the infrastructure event: the hot set rotates at
-    # shift_at, the moment s1/s2 degrade.
-    generator = WorkloadGenerator(
-        keys=HotspotKeys(space=16, hot_fraction=0.25, hot_weight=0.9),
-        arrivals=ClosedLoopArrivals(mean_think_time=2.0),
-        mix=OperationMix(read_ratio=0.6),
-        phases=(
-            Phase(start=shift_at, keys=HotspotKeys(space=16, hot_fraction=0.25,
-                                                   hot_weight=0.9, offset=8)),
-        ),
-    )
-    workload = generator.generate(tuple(cluster.clients), operations, seed=seed)
-    report = run_workload(cluster, workload, max_time=10_000.0)
-    cluster.loop.run()  # drain trailing control rounds and broadcast echoes
+        # The workload mirrors the infrastructure event: the hot set rotates at
+        # shift_at, the moment s1/s2 degrade.
+        generator = WorkloadGenerator(
+            keys=HotspotKeys(space=16, hot_fraction=0.25, hot_weight=0.9),
+            arrivals=ClosedLoopArrivals(mean_think_time=2.0),
+            mix=OperationMix(read_ratio=0.6),
+            phases=(
+                Phase(start=shift_at, keys=HotspotKeys(space=16, hot_fraction=0.25,
+                                                       hot_weight=0.9, offset=8)),
+            ),
+        )
+        workload = generator.generate(tuple(cluster.clients), operations, seed=seed)
+        report = run_workload(cluster, workload, max_time=10_000.0)
+        cluster.loop.run()  # drain trailing control rounds and broadcast echoes
 
-    before: List[float] = []
-    after: List[float] = []
-    for client in cluster.clients.values():
-        for record in client.history:
-            (before if record.completed_at < shift_at else after).append(record.latency)
-    weights = {
-        pid: weight
-        # s1's local view: the same vantage point run_spec reports, so the
-        # spec-file port of this scenario reproduces the result exactly.
-        for pid, weight in sorted(cluster.servers["s1"].local_weights().items())
-    }
-    return {
-        "operations": report.operations,
-        "duration": report.duration,
-        "messages": report.messages_sent,
-        "weights": weights,
-        "shifted_weight": sum(weights[pid] for pid in ("s3", "s4", "s5")),
-        "transfers_attempted": sum(harness.transfers_attempted().values()),
-        "latency_before_shift": summarize(before).median if before else None,
-        "latency_after_shift": summarize(after).median if after else None,
-        "workload": workload_stats(workload),
-    }
+        before: List[float] = []
+        after: List[float] = []
+        for client in cluster.clients.values():
+            for record in client.history:
+                bucket = before if record.completed_at < shift_at else after
+                bucket.append(record.latency)
+        weights = {
+            pid: weight
+            # s1's local view: the same vantage point run_spec reports, so the
+            # spec-file port of this scenario reproduces the result exactly.
+            for pid, weight in sorted(cluster.servers["s1"].local_weights().items())
+        }
+        return {
+            "operations": report.operations,
+            "duration": report.duration,
+            "messages": report.messages_sent,
+            "weights": weights,
+            "shifted_weight": sum(weights[pid] for pid in ("s3", "s4", "s5")),
+            "transfers_attempted": sum(harness.transfers_attempted().values()),
+            "latency_before_shift": summarize(before).median if before else None,
+            "latency_after_shift": summarize(after).median if after else None,
+            "workload": workload_stats(workload),
+        }

@@ -9,14 +9,12 @@ from repro.core.protocol import read_changes
 from repro.core.spec import SystemConfig, check_rp_integrity
 from repro.errors import ConfigurationError
 from repro.experiments.registry import scenario
-from repro.net.latency import ConstantLatency
-from repro.net.network import Network
 from repro.net.process import Process
-from repro.net.simloop import SimLoop, gather
+from repro.net.simloop import gather
 from repro.quorum.weighted import WeightedMajorityQuorumSystem
 from repro.reassign.consensus_based import ConsensusBasedServer
 from repro.reassign.epoch_based import EpochBasedCoordinator, EpochBasedServer
-from repro.sim.cluster import build_reassignment_fleet
+from repro.sim.cluster import build_reassignment_fleet, build_world
 from repro.types import ProcessId, Weight
 
 __all__ = [
@@ -45,38 +43,38 @@ def fig1_walkthrough(n: int = 7, f: int = 2) -> Dict[str, Any]:
             f"fig1-walkthrough replays the paper's fixed transfer requests on "
             f"servers s1..s7 and needs n >= 7, got n={n}"
         )
-    fleet = build_reassignment_fleet(SystemConfig.uniform(n, f=f))
+    with build_reassignment_fleet(SystemConfig.uniform(n, f=f)) as fleet:
 
-    async def run() -> List[Dict[str, Any]]:
-        outcomes = []
-        for source, target, delta in FIG1_ACCEPTED + FIG1_REJECTED:
-            outcome = await fleet.servers[source].transfer(target, delta)
-            outcomes.append(
-                {
-                    "source": source,
-                    "target": target,
-                    "delta": delta,
-                    "expected_effective": (source, target, delta) in FIG1_ACCEPTED,
-                    "effective": outcome.effective,
-                    "latency": outcome.latency,
-                }
-            )
-        return outcomes
+        async def run() -> List[Dict[str, Any]]:
+            outcomes = []
+            for source, target, delta in FIG1_ACCEPTED + FIG1_REJECTED:
+                outcome = await fleet.servers[source].transfer(target, delta)
+                outcomes.append(
+                    {
+                        "source": source,
+                        "target": target,
+                        "delta": delta,
+                        "expected_effective": (source, target, delta) in FIG1_ACCEPTED,
+                        "effective": outcome.effective,
+                        "latency": outcome.latency,
+                    }
+                )
+            return outcomes
 
-    transfers = fleet.loop.run_until_complete(run())
-    fleet.loop.run()  # let the broadcast echoes finish for an honest message count
-    weights = fleet.servers["s1"].local_weights()
-    quorum_system = WeightedMajorityQuorumSystem(weights)
-    return {
-        "transfers": transfers,
-        "weights": {pid: weight for pid, weight in sorted(weights.items())},
-        "messages": fleet.network.messages_sent,
-        "minority_is_quorum": quorum_system.is_quorum(["s1", "s2", "s3"]),
-        "smallest_quorum_size": quorum_system.smallest_quorum_size(),
-        "rp_integrity": check_rp_integrity(
-            weights, fleet.config.total_initial_weight, fleet.config.f
-        ),
-    }
+        transfers = fleet.loop.run_until_complete(run())
+        fleet.loop.run()  # let the broadcast echoes finish for an honest message count
+        weights = fleet.servers["s1"].local_weights()
+        quorum_system = WeightedMajorityQuorumSystem(weights)
+        return {
+            "transfers": transfers,
+            "weights": {pid: weight for pid, weight in sorted(weights.items())},
+            "messages": fleet.network.messages_sent,
+            "minority_is_quorum": quorum_system.is_quorum(["s1", "s2", "s3"]),
+            "smallest_quorum_size": quorum_system.smallest_quorum_size(),
+            "rp_integrity": check_rp_integrity(
+                weights, fleet.config.total_initial_weight, fleet.config.f
+            ),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -87,58 +85,60 @@ EPOCH_REQUESTS = (("s4", "s1", 0.1), ("s5", "s2", 0.1), ("s6", "s3", 0.1), ("s7"
 
 
 def _run_epochless(n: int, f: int) -> Dict[str, Any]:
-    fleet = build_reassignment_fleet(SystemConfig.uniform(n, f=f))
+    with build_reassignment_fleet(SystemConfig.uniform(n, f=f)) as fleet:
 
-    async def one(source: str, target: str, delta: float):
-        return await fleet.servers[source].transfer(target, delta)
+        async def one(source: str, target: str, delta: float):
+            return await fleet.servers[source].transfer(target, delta)
 
-    outcomes = fleet.loop.run_until_complete(
-        gather(fleet.loop, [one(*request) for request in EPOCH_REQUESTS])
-    )
-    fleet.loop.run()
-    total = sum(fleet.servers["s1"].local_weights().values())
-    mean_latency = sum(o.latency for o in outcomes) / len(outcomes)
-    return {"protocol": "restricted pairwise (paper)", "epoch": "-",
-            "mean_latency": mean_latency, "total_weight": total, "leaked": 0.0}
+        outcomes = fleet.loop.run_until_complete(
+            gather(fleet.loop, [one(*request) for request in EPOCH_REQUESTS])
+        )
+        fleet.loop.run()
+        total = sum(fleet.servers["s1"].local_weights().values())
+        mean_latency = sum(o.latency for o in outcomes) / len(outcomes)
+        return {"protocol": "restricted pairwise (paper)", "epoch": "-",
+                "mean_latency": mean_latency, "total_weight": total, "leaked": 0.0}
 
 
 def _run_epoch_based(
     n: int, f: int, epoch_length: float, crash_issuer: bool = False
 ) -> Dict[str, Any]:
     config = SystemConfig.uniform(n, f=f)
-    loop = SimLoop()
-    network = Network(loop, ConstantLatency(1.0))
-    coordinator = EpochBasedCoordinator("coord", network, config, epoch_length)
-    servers = {pid: EpochBasedServer(pid, network, config, "coord") for pid in config.servers}
+    with build_world() as world:
+        loop, network = world.loop, world.network
+        coordinator = EpochBasedCoordinator("coord", network, config, epoch_length)
+        servers = {
+            pid: EpochBasedServer(pid, network, config, "coord") for pid in config.servers
+        }
 
-    latencies: List[float] = []
+        latencies: List[float] = []
 
-    async def one(source: str, target: str, delta: float) -> None:
-        started = loop.now
-        await servers[source].transfer(target, delta)
-        latencies.append(loop.now - started)
+        async def one(source: str, target: str, delta: float) -> None:
+            started = loop.now
+            await servers[source].transfer(target, delta)
+            latencies.append(loop.now - started)
 
-    async def run() -> None:
-        tasks = [loop.create_task(one(*request)) for request in EPOCH_REQUESTS]
-        if crash_issuer:
-            await loop.sleep(epoch_length * 0.5)
-            network.crash("s4")
-        for task in tasks:
-            if not crash_issuer:
-                await task
+        async def run() -> None:
+            tasks = [loop.create_task(one(*request)) for request in EPOCH_REQUESTS]
+            if crash_issuer:
+                await loop.sleep(epoch_length * 0.5)
+                network.crash("s4")
+            for task in tasks:
+                if not crash_issuer:
+                    await task
 
-    loop.run_until_complete(run())
-    loop.run(until=loop.now + 3 * epoch_length)
-    coordinator.stop()
-    loop.run(until=loop.now + epoch_length + 1)
-    label = f"{epoch_length:.0f}" + (" +crash" if crash_issuer else "")
-    return {
-        "protocol": "epoch-based [11]",
-        "epoch": label,
-        "mean_latency": sum(latencies) / len(latencies) if latencies else float("nan"),
-        "total_weight": coordinator.total_weight(),
-        "leaked": coordinator.leaked_weight,
-    }
+        loop.run_until_complete(run())
+        loop.run(until=loop.now + 3 * epoch_length)
+        coordinator.stop()
+        loop.run(until=loop.now + epoch_length + 1)
+        label = f"{epoch_length:.0f}" + (" +crash" if crash_issuer else "")
+        return {
+            "protocol": "epoch-based [11]",
+            "epoch": label,
+            "mean_latency": sum(latencies) / len(latencies) if latencies else float("nan"),
+            "total_weight": coordinator.total_weight(),
+            "leaked": coordinator.leaked_weight,
+        }
 
 
 @scenario(
@@ -208,41 +208,42 @@ def _vc_row(problem: str, attempts: List[Dict[str, Any]],
 
 
 def _vc_restricted(config: SystemConfig) -> Dict[str, Any]:
-    fleet = build_reassignment_fleet(config)
+    with build_reassignment_fleet(config) as fleet:
 
-    async def run() -> List[Dict[str, Any]]:
-        attempts = []
-        for source, target, delta in VC_RESTRICTED_MOVES:
-            outcome = await fleet.servers[source].transfer(target, delta)
-            attempts.append({"issuer": source, "source": source, "target": target,
-                             "delta": delta, "effective": outcome.effective})
-        return attempts
+        async def run() -> List[Dict[str, Any]]:
+            attempts = []
+            for source, target, delta in VC_RESTRICTED_MOVES:
+                outcome = await fleet.servers[source].transfer(target, delta)
+                attempts.append({"issuer": source, "source": source, "target": target,
+                                 "delta": delta, "effective": outcome.effective})
+            return attempts
 
-    attempts = fleet.loop.run_until_complete(run())
-    fleet.loop.run()
-    return _vc_row("restricted pairwise (paper)", attempts,
-                   fleet.servers["s3"].local_weights())
+        attempts = fleet.loop.run_until_complete(run())
+        fleet.loop.run()
+        return _vc_row("restricted pairwise (paper)", attempts,
+                       fleet.servers["s3"].local_weights())
 
 
 def _vc_consensus_based(config: SystemConfig) -> Dict[str, Any]:
-    loop = SimLoop()
-    network = Network(loop, ConstantLatency(1.0))
-    Sequencer("seq", network, config.servers)
-    servers = {
-        pid: ConsensusBasedServer(pid, network, config, "seq") for pid in config.servers
-    }
+    with build_world() as world:
+        loop, network = world.loop, world.network
+        Sequencer("seq", network, config.servers)
+        servers = {
+            pid: ConsensusBasedServer(pid, network, config, "seq")
+            for pid in config.servers
+        }
 
-    async def run() -> List[Dict[str, Any]]:
-        attempts = []
-        for issuer, source, target, delta in VC_UNRESTRICTED_MOVES:
-            effective = await servers[issuer].transfer(source, target, delta)
-            attempts.append({"issuer": issuer, "source": source, "target": target,
-                             "delta": delta, "effective": effective})
-        return attempts
+        async def run() -> List[Dict[str, Any]]:
+            attempts = []
+            for issuer, source, target, delta in VC_UNRESTRICTED_MOVES:
+                effective = await servers[issuer].transfer(source, target, delta)
+                attempts.append({"issuer": issuer, "source": source, "target": target,
+                                 "delta": delta, "effective": effective})
+            return attempts
 
-    attempts = loop.run_until_complete(run())
-    loop.run()
-    return _vc_row("consensus-based (total order)", attempts, servers["s3"].weights)
+        attempts = loop.run_until_complete(run())
+        loop.run()
+        return _vc_row("consensus-based (total order)", attempts, servers["s3"].weights)
 
 
 @scenario(
@@ -286,23 +287,23 @@ def protocol_costs() -> Dict[str, Any]:
     rows = []
     for n in COST_SWEEP_N:
         f = (n - 1) // 3
-        fleet = build_reassignment_fleet(SystemConfig.uniform(n, f=f))
-        loop, network = fleet.loop, fleet.network
-        client = Process("c1", network)
+        with build_reassignment_fleet(SystemConfig.uniform(n, f=f)) as fleet:
+            loop, network = fleet.loop, fleet.network
+            client = Process("c1", network)
 
-        outcome = loop.run_until_complete(fleet.servers["s1"].transfer("s2", 0.05))
-        loop.run()  # let the broadcast echoes finish for an honest message count
-        transfer_messages = network.messages_sent
+            outcome = loop.run_until_complete(fleet.servers["s1"].transfer("s2", 0.05))
+            loop.run()  # let the broadcast echoes finish for an honest message count
+            transfer_messages = network.messages_sent
 
-        network.reset_stats()
-        started = loop.now
-        loop.run_until_complete(read_changes(client, "s2", fleet.config))
-        rows.append({
-            "n": n,
-            "f": f,
-            "transfer_latency": outcome.latency,
-            "transfer_messages": transfer_messages,
-            "read_latency": loop.now - started,
-            "read_messages": network.messages_sent,
-        })
+            network.reset_stats()
+            started = loop.now
+            loop.run_until_complete(read_changes(client, "s2", fleet.config))
+            rows.append({
+                "n": n,
+                "f": f,
+                "transfer_latency": outcome.latency,
+                "transfer_messages": transfer_messages,
+                "read_latency": loop.now - started,
+                "read_messages": network.messages_sent,
+            })
     return {"rows": rows}

@@ -152,80 +152,79 @@ def sharded_hotspot_reassignment(
         factor=slow_factor,
         start_at=shift_at,
     )
-    cluster = build_sharded_cluster(
+    with build_sharded_cluster(
         SystemConfig.uniform(n, f=f),
         shards=shards,
         latency=latency,
         client_count=2,
         flavour="dynamic-weighted",
-    )
+    ) as cluster:
+        # One independent monitoring loop per shard: its own prober, its own
+        # latency monitor, and one WeightController per shard server.  Nothing is
+        # shared across shards — exactly the per-shard reassignment state the
+        # sharded store exists to exercise.  The tolerance is wide enough that
+        # latency *jitter* never triggers a transfer — only a genuine slowdown
+        # does — so cold shards provably keep their initial weights.
+        harness = MonitoringHarness.merged([
+            install_monitoring(
+                cluster.loop,
+                cluster.network,
+                group.config,
+                {group.index: group.servers},
+                prober=f"mon#{group.index}",
+                rounds=control_rounds,
+                interval=probe_interval,
+                tolerance=0.2,
+                max_step=0.3,
+            )
+            for group in cluster.shards
+        ])
 
-    # One independent monitoring loop per shard: its own prober, its own
-    # latency monitor, and one WeightController per shard server.  Nothing is
-    # shared across shards — exactly the per-shard reassignment state the
-    # sharded store exists to exercise.  The tolerance is wide enough that
-    # latency *jitter* never triggers a transfer — only a genuine slowdown
-    # does — so cold shards provably keep their initial weights.
-    harness = MonitoringHarness.merged([
-        install_monitoring(
-            cluster.loop,
-            cluster.network,
-            group.config,
-            {group.index: group.servers},
-            prober=f"mon#{group.index}",
-            rounds=control_rounds,
-            interval=probe_interval,
-            tolerance=0.2,
-            max_step=0.3,
+        # Open-loop Poisson arrivals: issue times are absolute virtual times, so
+        # the phase boundary at shift_at falls where it says it does and the
+        # arrival stream does not bend when the slowed shard's latencies grow.
+        generator = WorkloadGenerator(
+            keys=before_keys,
+            arrivals=PoissonArrivals(rate=arrival_rate),
+            mix=OperationMix(read_ratio=0.6),
+            phases=(Phase(start=shift_at, keys=after_keys),),
         )
-        for group in cluster.shards
-    ])
+        workload = generator.generate(tuple(cluster.clients), operations, seed=seed)
+        report = run_workload(cluster, workload, max_time=10_000.0)
+        cluster.loop.run()  # drain trailing control rounds and broadcast echoes
 
-    # Open-loop Poisson arrivals: issue times are absolute virtual times, so
-    # the phase boundary at shift_at falls where it says it does and the
-    # arrival stream does not bend when the slowed shard's latencies grow.
-    generator = WorkloadGenerator(
-        keys=before_keys,
-        arrivals=PoissonArrivals(rate=arrival_rate),
-        mix=OperationMix(read_ratio=0.6),
-        phases=(Phase(start=shift_at, keys=after_keys),),
-    )
-    workload = generator.generate(tuple(cluster.clients), operations, seed=seed)
-    report = run_workload(cluster, workload, max_time=10_000.0)
-    cluster.loop.run()  # drain trailing control rounds and broadcast echoes
+        # Per-shard load before/after the shift, bucketed by the operations'
+        # *generated issue times* (a client queuing behind the slowed shard may
+        # start an op later than its arrival, but where load lands was decided
+        # at generation — and every generated op completes within max_time).
+        loads_before = [0] * shards
+        loads_after = [0] * shards
+        for op in workload.operations:
+            issued_at = op.issue_at if op.issue_at is not None else 0.0
+            bucket = loads_before if issued_at < shift_at else loads_after
+            bucket[shard_for_key(op.key, shards)] += 1
 
-    # Per-shard load before/after the shift, bucketed by the operations'
-    # *generated issue times* (a client queuing behind the slowed shard may
-    # start an op later than its arrival, but where load lands was decided
-    # at generation — and every generated op completes within max_time).
-    loads_before = [0] * shards
-    loads_after = [0] * shards
-    for op in workload.operations:
-        issued_at = op.issue_at if op.issue_at is not None else 0.0
-        bucket = loads_before if issued_at < shift_at else loads_after
-        bucket[shard_for_key(op.key, shards)] += 1
-
-    shard_weights = cluster.shard_weights()
-    slowed_weight = sum(
-        shard_weights[hot_after][pid] for pid in ("s1", "s2")
-    )
-    return {
-        "operations": report.operations,
-        "duration": report.duration,
-        "messages": report.messages_sent,
-        "hot_shard_before": hot_before,
-        "hot_shard_after": hot_after,
-        "slowed_servers": slowed,
-        "shard_loads_before_shift": loads_before,
-        "shard_loads_after_shift": loads_after,
-        "imbalance": report.imbalance.as_dict() if report.imbalance else None,
-        "shard_weights": {
-            str(index): weights for index, weights in sorted(shard_weights.items())
-        },
-        "transfers_attempted_by_shard": {
-            str(index): count
-            for index, count in harness.transfers_attempted().items()
-        },
-        "slowed_servers_weight": slowed_weight,
-        "workload": workload_stats(workload),
-    }
+        shard_weights = cluster.shard_weights()
+        slowed_weight = sum(
+            shard_weights[hot_after][pid] for pid in ("s1", "s2")
+        )
+        return {
+            "operations": report.operations,
+            "duration": report.duration,
+            "messages": report.messages_sent,
+            "hot_shard_before": hot_before,
+            "hot_shard_after": hot_after,
+            "slowed_servers": slowed,
+            "shard_loads_before_shift": loads_before,
+            "shard_loads_after_shift": loads_after,
+            "imbalance": report.imbalance.as_dict() if report.imbalance else None,
+            "shard_weights": {
+                str(index): weights for index, weights in sorted(shard_weights.items())
+            },
+            "transfers_attempted_by_shard": {
+                str(index): count
+                for index, count in harness.transfers_attempted().items()
+            },
+            "slowed_servers_weight": slowed_weight,
+            "workload": workload_stats(workload),
+        }

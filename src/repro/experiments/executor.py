@@ -188,7 +188,7 @@ def run_with_stable_stack(fn: Callable[..., Any], *args: Any) -> Any:
     thread.start()
     thread.join()
     if error:
-        raise error[0]
+        raise error.pop()  # left in the list, it and its traceback are a cycle
     return box[0]
 
 

@@ -1077,10 +1077,10 @@ def _run_spec_inner(spec: ScenarioSpec) -> Dict[str, Any]:
     cluster = spec.cluster.build(
         config, spec.latency.build(seed=spec.seed, shards=spec.cluster.shards)
     )
-    # The run owns the world it built.  Closing the network once the result
-    # is made lets reference counting, not the cyclic collector, free every
-    # process, collector and operation record.
-    try:
+    # The run owns the world it built.  Closing it once the result is made
+    # lets reference counting, not the cyclic collector, free every process,
+    # collector and operation record.
+    with cluster:
         # Monitoring installs before the workload generates or any transfer
         # task spawns, matching the imperative scenarios' wiring order
         # event-for-event.
@@ -1171,5 +1171,3 @@ def _run_spec_inner(spec: ScenarioSpec) -> Dict[str, Any]:
                     )
                 }
         return result
-    finally:
-        cluster.network.close()

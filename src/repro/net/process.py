@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import inspect
 import itertools
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CrashedProcessError
 from repro.net.message import Message
@@ -118,6 +118,10 @@ class ResponseCollector:
 class Process:
     """A simulated process attached to a :class:`~repro.net.network.Network`."""
 
+    #: Attributes :meth:`close` drops: helpers that hold this process and a
+    #: bound method of it (a reliable broadcast, a total-order client).
+    _drop_on_close: Tuple[str, ...] = ()
+
     def __init__(self, pid: ProcessId, network: Network) -> None:
         self.pid = pid
         self.network = network
@@ -156,11 +160,14 @@ class Process:
     def close(self) -> None:
         """Let go of the run this process took part in.
 
-        The handler table holds bound methods of this process: a reference
-        cycle through it.  :meth:`Network.close` calls this for every
-        process once the run is over.
+        The handler table and every helper named in ``_drop_on_close`` hold
+        bound methods of this process: reference cycles.
+        :meth:`Network.close` calls this for every process once the run is
+        over.
         """
         self._handlers.clear()
+        for name in self._drop_on_close:
+            setattr(self, name, None)
 
     def _ensure_alive(self) -> None:
         if self.crashed or self.network.is_crashed(self.pid):

@@ -65,9 +65,6 @@ class SWMRRegisterArray:
             owner: SharedRegister(owner=owner) for owner in owners
         }
 
-    def owners(self) -> Sequence[ProcessId]:
-        return tuple(self._registers)
-
     def write(self, writer: ProcessId, value: Any) -> None:
         """Server ``writer`` stores ``value`` in its own register."""
         register = self._registers.get(writer)

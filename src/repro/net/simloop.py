@@ -485,6 +485,12 @@ class SimLoop:
         """Number of not-yet-processed events (useful for tests)."""
         return len(self._events) + len(self._ready)
 
+    def close(self) -> None:
+        """Drop the events still queued: each holds a callback (a task's
+        step, a network's delivery) that keeps the world alive."""
+        self._events.clear()
+        self._ready.clear()
+
 
 # ---------------------------------------------------------------------------
 # Synchronisation helpers built on SimFuture

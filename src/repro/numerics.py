@@ -18,7 +18,7 @@ inequalities.
 
 from __future__ import annotations
 
-__all__ = ["EPSILON", "strictly_greater", "strictly_less", "approximately_equal"]
+__all__ = ["EPSILON", "strictly_greater", "strictly_less"]
 
 #: Absolute tolerance for weight comparisons.  Weights in this library are
 #: human-scale numbers (fractions of a few units), so an absolute tolerance is
@@ -34,8 +34,3 @@ def strictly_greater(left: float, right: float, epsilon: float = EPSILON) -> boo
 def strictly_less(left: float, right: float, epsilon: float = EPSILON) -> bool:
     """True iff ``left < right`` by more than ``epsilon``."""
     return left < right - epsilon
-
-
-def approximately_equal(left: float, right: float, epsilon: float = EPSILON) -> bool:
-    """True iff ``left`` and ``right`` differ by at most ``epsilon``."""
-    return abs(left - right) <= epsilon

@@ -16,9 +16,8 @@ event interleavings to an uninstrumented one.
 Installation is per-thread and explicit::
 
     observer = Observer()
-    with observing(observer):
-        cluster = build_cluster(...)   # components capture it here
-        run(...)
+    with observing(observer), build_cluster(...) as cluster:  # captured here
+        run(cluster)
     print(observer.metrics.as_dict())
 
 Because capture happens at construction, installing an observer *after*

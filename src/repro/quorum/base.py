@@ -56,14 +56,6 @@ class QuorumSystem:
                 minimal.append(candidate)
         return minimal
 
-    def smallest_quorum_size(self) -> int:
-        """Cardinality of the smallest quorum."""
-        for size in range(1, len(self.servers) + 1):
-            for combo in itertools.combinations(self.servers, size):
-                if self.is_quorum(frozenset(combo)):
-                    return size
-        raise ConfigurationError("quorum system has no quorums")
-
     def check_intersection(self) -> bool:
         """Verify the defining property: every two minimal quorums intersect."""
         minimal = self.minimal_quorums()

@@ -35,6 +35,8 @@ __all__ = ["ConsensusBasedServer"]
 class ConsensusBasedServer(Process):
     """A replica applying totally-ordered (pairwise) reassignment requests."""
 
+    _drop_on_close = ("_order",)
+
     def __init__(
         self,
         pid: ProcessId,

@@ -1,7 +1,7 @@
 """Simulation and experiment harness.
 
-* :mod:`repro.sim.cluster` — wire up a loop, a network, servers and clients
-  for any of the storage variants in one call; ``build_sharded_cluster``
+* :mod:`repro.sim.cluster` — wire up a world (a loop, a network, servers and
+  clients, closed by its ``with``) in one call; ``build_sharded_cluster``
   scales any flavour out across key-hashed shards behind keyed clients.
 * :mod:`repro.sim.workload` — seeded read/write workload generators.
 * :mod:`repro.sim.failures` — crash and slowdown schedules.
@@ -16,9 +16,9 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "cluster": (
-        "Cluster", "ReassignmentFleet", "ShardGroup", "ShardedCluster",
+        "Cluster", "ReassignmentFleet", "ShardGroup", "ShardedCluster", "World",
         "build_cluster", "build_dynamic_cluster", "build_reassignment_fleet",
-        "build_sharded_cluster", "build_static_cluster",
+        "build_sharded_cluster", "build_static_cluster", "build_world",
     ),
     "workload": ("Operation", "Workload", "uniform_workload"),
     "failures": ("FailureSchedule", "CrashEvent"),

@@ -1,4 +1,10 @@
-"""Cluster builders: one call to wire up a loop, network, servers and clients.
+"""The one module that builds worlds: a loop, a network, servers and clients.
+
+Every builder returns a :class:`World` (a :class:`SimLoop` and the
+:class:`Network` on it) that its caller closes with ``with``: the network
+closes every process and the loop drops its queued events, so reference
+counting alone frees the run.  ``build_world`` is the bare pair, for
+protocols that bring their own processes.
 
 ``build_cluster`` wires one register of any storage flavour, from the
 per-flavour factory in :mod:`repro.storage.sharded`; two names for the
@@ -21,14 +27,14 @@ workload runner.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Union
 
 from repro.core.protocol import ReassignmentServer
 from repro.core.spec import SystemConfig
 from repro.core.storage import DynamicWeightedStorageClient, DynamicWeightedStorageServer
 from repro.errors import ConfigurationError
-from repro.net.latency import ConstantLatency, LatencyModel
+from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.net.simloop import SimLoop
 from repro.storage.abd import StaticQuorumStorageClient, StaticQuorumStorageServer
@@ -46,11 +52,13 @@ __all__ = [
     "ReassignmentFleet",
     "ShardGroup",
     "ShardedCluster",
+    "World",
     "build_cluster",
     "build_dynamic_cluster",
     "build_static_cluster",
     "build_sharded_cluster",
     "build_reassignment_fleet",
+    "build_world",
 ]
 
 StorageClient = Union[DynamicWeightedStorageClient, StaticQuorumStorageClient]
@@ -58,11 +66,30 @@ StorageServer = Union[DynamicWeightedStorageServer, StaticQuorumStorageServer]
 
 
 @dataclass
-class Cluster:
-    """Handles to a wired-up simulated deployment."""
+class World:
+    """A loop and the network on it; leaving its ``with`` closes both."""
 
     loop: SimLoop
     network: Network
+
+    def __enter__(self) -> "World":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.network.close()
+        self.loop.close()
+
+
+def build_world(latency: Optional[LatencyModel] = None) -> World:
+    """A bare world: a fresh loop and a network on it, with no processes."""
+    loop = SimLoop()
+    return World(loop=loop, network=Network(loop, latency))
+
+
+@dataclass
+class Cluster(World):
+    """Handles to a wired-up simulated deployment."""
+
     config: SystemConfig
     servers: Dict[ProcessId, StorageServer]
     clients: Dict[ProcessId, StorageClient]
@@ -79,7 +106,7 @@ class Cluster:
 
 
 @dataclass
-class ReassignmentFleet:
+class ReassignmentFleet(World):
     """A loop/network/servers bundle for pure weight-reassignment experiments.
 
     This is the setup every protocol-level benchmark needs (no storage, no
@@ -87,8 +114,6 @@ class ReassignmentFleet:
     :class:`~repro.core.protocol.ReassignmentServer` per configured server.
     """
 
-    loop: SimLoop
-    network: Network
     config: SystemConfig
     servers: Dict[ProcessId, "ReassignmentServer"]
 
@@ -101,10 +126,11 @@ def build_reassignment_fleet(
     latency: Optional[LatencyModel] = None,
 ) -> ReassignmentFleet:
     """Wire up a fleet of reassignment servers (Algorithms 3/4 only)."""
-    loop = SimLoop()
-    network = Network(loop, latency or ConstantLatency(1.0))
-    servers = {pid: ReassignmentServer(pid, network, config) for pid in config.servers}
-    return ReassignmentFleet(loop=loop, network=network, config=config, servers=servers)
+    world = build_world(latency)
+    servers = {
+        pid: ReassignmentServer(pid, world.network, config) for pid in config.servers
+    }
+    return ReassignmentFleet(world.loop, world.network, config, servers)
 
 
 def build_cluster(
@@ -119,16 +145,15 @@ def build_cluster(
     if client_count < 1:
         raise ConfigurationError("need at least one client")
     factory = shard_factory(flavour)
-    loop = SimLoop()
-    network = Network(loop, latency or ConstantLatency(1.0))
-    servers = factory.build_servers(config, network)
+    world = build_world(latency)
+    servers = factory.build_servers(config, world.network)
     clients: Dict[ProcessId, StorageClient] = {}
     for index in range(1, client_count + 1):
         pid = client_name(index)
-        clients[pid] = factory.build_client(pid, network, config)
+        clients[pid] = factory.build_client(pid, world.network, config)
     return Cluster(
-        loop=loop,
-        network=network,
+        loop=world.loop,
+        network=world.network,
         config=config,
         servers=servers,
         clients=clients,
@@ -202,7 +227,7 @@ class ShardGroup:
 
 
 @dataclass
-class ShardedCluster:
+class ShardedCluster(World):
     """Handles to a key-sharded deployment sharing one loop and network.
 
     Duck-types as :class:`Cluster` for the workload runner: ``loop``,
@@ -212,8 +237,6 @@ class ShardedCluster:
     is grouped per shard in ``shards``.
     """
 
-    loop: SimLoop
-    network: Network
     config: SystemConfig  # the per-shard template, canonical server names
     shards: List[ShardGroup]
     clients: Dict[ProcessId, ShardedStore]
@@ -275,28 +298,27 @@ def build_sharded_cluster(
     if client_count < 1:
         raise ConfigurationError("need at least one client")
     factory = shard_factory(flavour)
-    loop = SimLoop()
-    network = Network(loop, latency or ConstantLatency(1.0))
+    world = build_world(latency)
     groups: List[ShardGroup] = []
     for index in range(shards):
         sharded = shard_config(config, index)
         groups.append(
             ShardGroup(index=index, config=sharded,
-                       servers=factory.build_servers(sharded, network))
+                       servers=factory.build_servers(sharded, world.network))
         )
     clients: Dict[ProcessId, ShardedStore] = {}
     for client_index in range(1, client_count + 1):
         pid = client_name(client_index)
         sub_clients = [
             factory.build_client(
-                shard_process_name(pid, group.index), network, group.config
+                shard_process_name(pid, group.index), world.network, group.config
             )
             for group in groups
         ]
         clients[pid] = ShardedStore(pid, sub_clients)
     return ShardedCluster(
-        loop=loop,
-        network=network,
+        loop=world.loop,
+        network=world.network,
         config=config,
         shards=groups,
         clients=clients,

@@ -385,11 +385,3 @@ class ShardedStore:
             self._absorb(shard, key)
         finally:
             self._in_flight = False
-
-    # -- introspection ---------------------------------------------------------------
-    def shard_loads(self) -> Dict[int, int]:
-        """Completed-operation counts per shard (only shards this client hit)."""
-        loads: Dict[int, int] = {}
-        for entry in self.sharded_history:
-            loads[entry.shard] = loads.get(entry.shard, 0) + 1
-        return loads

@@ -43,9 +43,6 @@ class Tag:
         """The initial tag associated with the register's initial value."""
         return Tag(ts=0, pid="")
 
-    def as_tuple(self) -> Tuple[int, ProcessId]:
-        return (self.ts, self.pid)
-
 
 def server_name(index: int) -> ProcessId:
     """Canonical name of the ``index``-th server (1-based), e.g. ``s1``."""

@@ -3,11 +3,12 @@
 Reference counting frees a run's tasks, their failure tracebacks (the frames
 of every ``RecursionError`` the weight-gain refresh churn raises) and a judged
 run's trace the moment they are done, and the run's own world (processes,
-network, loop, collectors, messages, operation records) the moment its owner
-closes the network.  The census: automatic collection off,
+network, loop, collectors, messages, operation records) the moment the
+``with`` that built it closes it.  The census: automatic collection off,
 ``gc.DEBUG_SAVEALL``, one collection after the run, then a count of
 ``type(o).__name__`` over ``gc.garbage`` (docs/ARCHITECTURE.md, "Who frees a
-finished run").
+finished run").  It walks the registry, so a scenario is censused the day it
+is registered.
 """
 
 from __future__ import annotations
@@ -20,7 +21,11 @@ import pytest
 
 from repro.chaos import run_campaign
 from repro.core.storage import OperationRecord
-from repro.experiments.executor import execute_run, run_with_stable_stack
+from repro.errors import SimTimeoutError
+from repro.experiments.executor import (
+    execute_run, execute_run_captured, run_with_stable_stack,
+)
+from repro.experiments.registry import BUILTIN_FAMILIES
 from repro.experiments.spec import ScenarioSpec, run_spec
 from repro.experiments.sweep import RunSpec
 from repro.net.message import Message
@@ -72,17 +77,35 @@ def _scenario(name):
     return lambda: run_with_stable_stack(execute_run, RunSpec(scenario=name))
 
 
-RUNS = {
-    name: _scenario(name)
-    for name in (
-        "quickstart", "skewed-reassignment", "static-majority-baseline",
-        # Collectors that never fill: replies owed by crashed servers.
-        "crash-resilience",
-    )
-}
+#: ``quickstart`` stopped mid-flight by its virtual-time budget.
+ABORTED = RunSpec(scenario="quickstart", params=(("max_time", 8.0),))
+
+
+def _aborted_and_raised():
+    with pytest.raises(SimTimeoutError):
+        run_with_stable_stack(execute_run, ABORTED)
+
+
+RUNS = {name: _scenario(name) for name in BUILTIN_FAMILIES}
 RUNS["sharded-churn"] = lambda: run_with_stable_stack(
     run_spec, ScenarioSpec.from_dict(SHARDED_CHURN))
 RUNS["campaign"] = lambda: run_campaign("quickstart", sample=2)
+RUNS["aborted-captured"] = lambda: execute_run_captured(ABORTED)
+RUNS["aborted-raised"] = _aborted_and_raised
+
+#: Runs that end with tasks still waiting, by the names of those tasks.  No
+#: task registry exists to cancel them, so each stays a cycle with the
+#: future it awaits, and keeps its loop (``SimTask._loop``) — closed, so
+#: empty.  Transfer targets that never finish (ROADMAP item 1), the crashed
+#: issuer's transfer, the deadlocked reconfigurable arm, and the aborted
+#: run's two clients and its transfer's target.
+UNFINISHED = {
+    "dynamic-storage-adaptation": ["s3.deliver", "s4.deliver"],
+    "epoch-vs-epochless": ["one"],
+    "storage-vs-reconfig": ["run"],
+    "aborted-captured": ["run_client", "run_client", "s2.deliver"],
+    "aborted-raised": ["run_client", "run_client", "s2.deliver"],
+}
 
 
 @pytest.fixture
@@ -118,6 +141,17 @@ def test_a_finished_run_leaves_no_frame_trace_or_task(saved_garbage, run):
     left["finished SimTask"] = sum(
         1 for o in saved_garbage if isinstance(o, SimTask) and o.done()
     )
+    unfinished = {
+        id(o): o.name for o in saved_garbage
+        if isinstance(o, SimTask) and not o.done()
+    }
+    # An unfinished task's loop, closed and so empty, is the task's to keep.
+    held = {id(o._loop) for o in saved_garbage if id(o) in unfinished}
+    left["SimLoop"] = sum(
+        1 for o in saved_garbage
+        if isinstance(o, SimLoop) and (id(o) not in held or o.pending_event_count())
+    )
+    assert sorted(unfinished.values()) == UNFINISHED.get(run, [])
     assert not any(left.values()), (
         f"{run} left {left} to the collector; "
         f"census: {census.most_common(12)}"

@@ -306,6 +306,31 @@ class TestReachability:
         assert check_imports.unreached_modules(tmp_path) == ["repro.quorum.grid"]
 
 
+class TestOneWorldBuilder:
+    """ARCHITECTURE "Who frees a finished run": every world is built in
+    ``sim/cluster.py`` and closed by its ``with``."""
+
+    def test_only_the_cluster_module_builds_a_network(self):
+        assert check_imports.network_builders() == []
+
+    def test_a_network_built_elsewhere_is_reported_by_name(self, tmp_path):
+        modules = {
+            "sim/cluster.py": "network = Network(loop)\n",
+            "lab.py": "from repro.net.network import Network\n"
+                      "def run(loop):\n    return Network(loop)\n",
+            "bench/rig.py": "from repro.net import network\n"
+                            "def run(loop):\n    return network.Network(loop)\n",
+            "quiet.py": "from repro.net.network import Network\n",
+        }
+        for name, text in modules.items():
+            path = tmp_path / "repro" / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        assert check_imports.network_builders(tmp_path) == [
+            "repro.bench.rig", "repro.lab",
+        ]
+
+
 # ---------------------------------------------------------------------------
 # Fork (and spawn) safety of laziness
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.consensus.sequencer import Sequencer
 from repro.core.protocol import ReassignmentServer
 from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError, CrashedProcessError, UnknownProcessError
@@ -26,6 +27,8 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process, ResponseCollector
 from repro.net.simloop import SimFuture, SimLoop
+from repro.reassign.consensus_based import ConsensusBasedServer
+from repro.sim.cluster import World
 
 from tests.conftest import make_net
 
@@ -561,25 +564,38 @@ def no_automatic_gc():
 
 
 class TestAClosedNetworkFreesItsWorld:
-    """Closing the network breaks every cycle a finished run's processes are
-    in: process <-> network, a handler table of bound methods, a server <->
-    its reliable broadcast.  Reference counting alone then frees the whole
-    world, with the collector still registered for a crashed receiver."""
+    """Closing a world breaks every cycle a finished run's processes are in:
+    process <-> network, a handler table of bound methods, a server <-> its
+    reliable broadcast or total-order client, and the loop <-> the network
+    through a message still in flight.  Reference counting alone then frees
+    the whole world, with the collector still registered for a crashed
+    receiver."""
 
     def test_nothing_is_left_to_the_collector(self, no_automatic_gc):
-        loop, net = make_net()
-        config = SystemConfig.uniform(2, f=0)
-        s1, s2 = (ReassignmentServer(pid, net, config) for pid in config.servers)
-        a, x, c = EchoServer("a", net), EchoServer("x", net), Asker("c", net)
-        net.crash("x")
-        assert loop.run_until_complete(s1.transfer("s2", 0.25)).effective
-        loop.create_task(c.ask(["a", "x"]))
-        loop.run()
-        assert len(c._pending) == 1  # met, but "x" never answers
-        refs = {
-            "network": weakref.ref(net),
-            **{p.pid: weakref.ref(p) for p in (s1, s2, a, x, c)},
-        }
-        net.close()
-        del loop, net, s1, s2, a, x, c
+        with World(*make_net()) as world:
+            loop, net = world.loop, world.network
+            config = SystemConfig.uniform(2, f=0)
+            s1, s2 = (ReassignmentServer(pid, net, config) for pid in config.servers)
+            a, x, c = EchoServer("a", net), EchoServer("x", net), Asker("c", net)
+            ordered = SystemConfig(
+                servers=("r1", "r2"), f=0, initial_weights={"r1": 1.0, "r2": 1.0}
+            )
+            seq = Sequencer("seq", net, ordered.servers)
+            r1, r2 = (
+                ConsensusBasedServer(pid, net, ordered, "seq") for pid in ordered.servers
+            )
+            net.crash("x")
+            assert loop.run_until_complete(s1.transfer("s2", 0.25)).effective
+            assert loop.run_until_complete(r1.transfer("r1", "r2", 0.25))
+            loop.create_task(c.ask(["a", "x"]))
+            loop.run()
+            assert len(c._pending) == 1  # met, but "x" never answers
+            a.send("c", "NOTE", {"text": "in flight at close"})
+            assert loop.pending_event_count() == 1
+            refs = {
+                "loop": weakref.ref(loop),
+                "network": weakref.ref(net),
+                **{p.pid: weakref.ref(p) for p in (s1, s2, a, x, c, seq, r1, r2)},
+            }
+        del world, loop, net, s1, s2, a, x, c, seq, r1, r2
         assert [name for name, ref in refs.items() if ref() is not None] == []

@@ -23,10 +23,16 @@ one module a lazy facade's map says defines ``name``, but the map itself is
 not an import, so a module only its package facade and its own tests know
 about is printed here and fails the gate.  There is no exception list.
 
+**One constructor** (ARCHITECTURE "Who frees a finished run").  Every world
+is built in ``repro.sim.cluster`` and closed by its ``with``; the same parse
+reports, by name, any other module under ``src/repro`` that calls
+``Network(``.
+
 Run from anywhere (``src`` is put on the child's path automatically)::
 
-    python tools/check_imports.py            # print counts, exit 1 on drift
-                                             # or on an unreached module
+    python tools/check_imports.py            # print counts, exit 1 on drift,
+                                             # an unreached module or a
+                                             # Network built elsewhere
     python tools/check_imports.py --update   # rewrite the budget
 """
 
@@ -172,13 +178,16 @@ def _imports(tree: ast.Module,
                     yield node.module
 
 
+def _parse(src: Path) -> Dict[str, ast.Module]:
+    return {
+        name: ast.parse(path.read_text(encoding="utf-8"))
+        for name, path in source_modules(src).items()
+    }
+
+
 def unreached_modules(src: Path = SRC_ROOT) -> List[str]:
     """Modules under ``src/repro`` no entry point or catalogue family imports."""
-    modules = source_modules(src)
-    trees = {
-        name: ast.parse(path.read_text(encoding="utf-8"))
-        for name, path in modules.items()
-    }
+    trees = _parse(src)
     families = ast.literal_eval(next(
         node.value for node in trees["repro.experiments.registry"].body
         if isinstance(node, ast.AnnAssign)
@@ -191,12 +200,30 @@ def unreached_modules(src: Path = SRC_ROOT) -> List[str]:
     reached: Set[str] = set()
     while pending:
         name = pending.pop()
-        if name in reached or name not in modules:
+        if name in reached or name not in trees:
             continue
         reached.add(name)
         pending.append(name.rpartition(".")[0])  # importing it runs its package
         pending.extend(_imports(trees[name], exports))
-    return sorted(set(modules) - reached)
+    return sorted(set(trees) - reached)
+
+
+#: The one module that builds a world (a loop and the network on it).
+WORLD_BUILDER = "repro.sim.cluster"
+
+
+def network_builders(src: Path = SRC_ROOT) -> List[str]:
+    """Modules under ``src/repro`` other than :data:`WORLD_BUILDER` that call
+    ``Network(`` (by name or as an attribute)."""
+    return sorted(
+        name for name, tree in _parse(src).items()
+        if name != WORLD_BUILDER and any(
+            isinstance(node, ast.Call)
+            and "Network" in (getattr(node.func, "id", None),
+                              getattr(node.func, "attr", None))
+            for node in ast.walk(tree)
+        )
+    )
 
 
 def main(argv: Sequence[str] = ()) -> int:
@@ -217,12 +244,17 @@ def main(argv: Sequence[str] = ()) -> int:
         "(reach it or delete it)"
         for name in unreached_modules()
     ]
+    found += [
+        f"{name} builds a Network (build worlds in {WORLD_BUILDER})"
+        for name in network_builders()
+    ]
     for problem in found:
         print(f"error: {problem}", file=sys.stderr)
     if found:
         print(f"{len(found)} import problem(s)", file=sys.stderr)
         return 1
-    print("import budget ok; every module under src/repro is reached")
+    print("import budget ok; every module under src/repro is reached; "
+          f"only {WORLD_BUILDER} builds a Network")
     return 0
 
 
