@@ -6,10 +6,13 @@
 # change that must be intentional (regenerate with regen.sh and commit the
 # new baseline alongside the code change).
 #
-# hotspot-shift-monitoring.json and the two files under specs/ were
-# generated at the commit before the three monitoring loops became one;
-# like quickstart, skewed-reassignment and sharded-hotspot-reassignment
-# they regenerate when ROADMAP item 1 (the weight-gain refresh) lands.
+# hotspot-shift-monitoring.json and specs/hotspot-shift-monitoring.json and
+# specs/sharded-global-monitoring.json were generated at the commit before
+# the three monitoring loops became one; specs/sharded-hotspot-reassignment
+# .json when that scenario became its spec plus a row (same operations,
+# duration, messages, shard weights and workload as the function baseline).
+# Like quickstart, skewed-reassignment and sharded-hotspot-reassignment,
+# all four regenerate when ROADMAP item 1 (the weight-gain refresh) lands.
 #
 # Every built-in scenario has a file here (tests/test_paper_claims.py holds
 # the two listings equal).  Of the twelve added with the E1-E11 catalogue,

@@ -217,9 +217,6 @@ class _Judge:
                 os.path.join(self.keep_traces, f"{stem}.jsonl"),
             )
         judged = self.verdict(index, run, result.result, events)
-        # An aborted run's unfinished tasks still hold their closed loop, and
-        # through it this observer, until the cyclic collector runs.
-        observer.trace.events.clear()
         return _JudgedResult(result.scenario, result.params, result.result, judged)
 
 

@@ -22,6 +22,15 @@ registers its scenarios on import:
   ``hotspot-shift-monitoring``;
 * :mod:`~repro.experiments.catalogue.assets` — E9 ``asset-transfer``.
 
+A scenario over the storage layer is a spec plus a row:
+``sharded-zipfian-imbalance``, ``sharded-hotspot-reassignment`` and
+``hotspot-shift-monitoring`` build a ``ScenarioSpec`` per run (the latter
+two through an importable ``*_spec`` function, equal at the defaults to
+their ``examples/specs/`` file), run it with
+:func:`~repro.experiments.spec.run_spec` and tabulate its result.  The two
+storage case studies of E6/E8 build their own worlds, because those have no
+spec form (see :mod:`repro.experiments.spec`).
+
 Nothing imports them all up front:
 :data:`repro.experiments.registry.BUILTIN_FAMILIES` maps each scenario name
 to its family, ``get_scenario`` imports that one module, and this package

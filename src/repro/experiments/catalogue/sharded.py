@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
 from repro.experiments.registry import scenario
 from repro.experiments.spec import (
@@ -16,19 +15,13 @@ from repro.experiments.spec import (
     WorkloadSpec,
     run_spec,
 )
-from repro.monitoring.loop import MonitoringHarness, install_monitoring
-from repro.net.latency import SlowdownLatency, UniformLatency
-from repro.sim.cluster import build_sharded_cluster
-from repro.sim.runner import run_workload
 from repro.storage.sharded import shard_for_key, shard_process_name
-from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.generator import WorkloadGenerator
-from repro.workloads.keys import HotspotKeys
-from repro.workloads.mix import OperationMix
-from repro.workloads.phases import Phase
-from repro.workloads.stats import workload_stats
 
-__all__ = ["sharded_zipfian_imbalance", "sharded_hotspot_reassignment"]
+__all__ = [
+    "sharded_zipfian_imbalance",
+    "sharded_hotspot_reassignment",
+    "sharded_hotspot_reassignment_spec",
+]
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +94,62 @@ def sharded_zipfian_imbalance(
     }
 
 
+#: The hot set before the shift; the phase at ``shift_at`` rotates it eight
+#: keys on.
+_HOT_KEYS = {"kind": "hotspot", "space": 16, "hot_fraction": 0.25, "hot_weight": 0.9}
+
+
+def _hot_shard(shards: int, offset: int) -> int:
+    votes = [
+        shard_for_key(key, shards)
+        for key in KeySpec(**_HOT_KEYS, offset=offset).build().hot_keys()
+    ]
+    return max(set(votes), key=votes.count)
+
+
+def sharded_hotspot_reassignment_spec(
+    shards: int, n: int, f: int, shift_at: float, slow_factor: float,
+    operations: int, arrival_rate: float, probe_interval: float,
+    control_rounds: int, seed: int,
+) -> ScenarioSpec:
+    """The spec ``sharded-hotspot-reassignment`` runs (at its defaults, the
+    one in ``examples/specs/``).
+
+    The infrastructure event is correlated with the workload shift: the two
+    "fast" servers of the shard the hotspot lands on degrade at
+    ``shift_at``.  Arrivals are open-loop, so the phase boundary falls where
+    it says it does however slow that shard gets.  Latency jitter is mild
+    (+-10%) and the controllers' tolerance wide, so jitter alone never moves
+    weight and the cold shards provably keep their initial weights.  Each
+    shard runs its own monitoring loop (prober, monitor, controllers).
+    """
+    hot_after = _hot_shard(shards, 8)
+    return ScenarioSpec.from_dict({
+        "name": "sharded-hotspot-reassignment",
+        "cluster": {"flavour": "dynamic-weighted", "n": n, "f": f,
+                    "client_count": 2, "shards": shards},
+        "workload": {
+            "operations_per_client": operations,
+            "keys": _HOT_KEYS,
+            "arrivals": {"kind": "poisson", "rate": arrival_rate},
+            "mix": {"read_ratio": 0.6},
+            "phases": [{"at": shift_at, "overrides": [["keys.offset", 8]]}],
+        },
+        "latency": {
+            "kind": "uniform", "low": 0.9, "high": 1.1,
+            "slow": [shard_process_name(pid, hot_after) for pid in ("s1", "s2")],
+            "slow_factor": slow_factor, "slow_start": shift_at,
+        },
+        "monitoring": {
+            "enabled": True, "scope": "per-shard", "interval": probe_interval,
+            "rounds": control_rounds,
+            "policy": {"kind": "inverse-latency", "threshold": 0.2}, "gain": 0.3,
+        },
+        "seed": seed,
+        "max_time": 10000.0,
+    })
+
+
 @scenario(
     "sharded-hotspot-reassignment",
     description="Per-shard reassignment state in action: when the hot set "
@@ -122,109 +171,41 @@ def sharded_hotspot_reassignment(
     seed: int = 3,
 ) -> Dict[str, Any]:
     """Per-shard monitoring + controllers rebalance only the slowed hot shard."""
-    if operations < 1:
-        raise ConfigurationError(f"need at least one operation, got {operations}")
-    if control_rounds < 1:
-        raise ConfigurationError(f"need at least one control round, got {control_rounds}")
     if shards < 2:
         raise ConfigurationError(
             f"per-shard reassignment needs at least 2 shards, got {shards}"
         )
-    space = 16
-    before_keys = HotspotKeys(space=space, hot_fraction=0.25, hot_weight=0.9)
-    after_keys = before_keys.shifted(8)
-
-    def hot_shard(distribution: HotspotKeys) -> int:
-        votes = [shard_for_key(key, shards) for key in distribution.hot_keys()]
-        return max(set(votes), key=votes.count)
-
-    hot_before = hot_shard(before_keys)
-    hot_after = hot_shard(after_keys)
-    # The infrastructure event is correlated with the workload shift: the two
-    # "fast" servers of the shard the hotspot lands on degrade at shift_at.
-    slowed = [shard_process_name(pid, hot_after) for pid in ("s1", "s2")]
-    # Mild jitter (+-10%): inverse-latency targets stay within the controller
-    # tolerance until the genuine slowdown kicks in, so any weight movement in
-    # the result is attributable to the infrastructure event, not noise.
-    latency = SlowdownLatency(
-        UniformLatency(0.9, 1.1, seed=seed),
-        slow=slowed,
-        factor=slow_factor,
-        start_at=shift_at,
+    spec = sharded_hotspot_reassignment_spec(
+        shards, n, f, shift_at, slow_factor, operations, arrival_rate,
+        probe_interval, control_rounds, seed,
     )
-    with build_sharded_cluster(
-        SystemConfig.uniform(n, f=f),
-        shards=shards,
-        latency=latency,
-        client_count=2,
-        flavour="dynamic-weighted",
-    ) as cluster:
-        # One independent monitoring loop per shard: its own prober, its own
-        # latency monitor, and one WeightController per shard server.  Nothing is
-        # shared across shards — exactly the per-shard reassignment state the
-        # sharded store exists to exercise.  The tolerance is wide enough that
-        # latency *jitter* never triggers a transfer — only a genuine slowdown
-        # does — so cold shards provably keep their initial weights.
-        harness = MonitoringHarness.merged([
-            install_monitoring(
-                cluster.loop,
-                cluster.network,
-                group.config,
-                {group.index: group.servers},
-                prober=f"mon#{group.index}",
-                rounds=control_rounds,
-                interval=probe_interval,
-                tolerance=0.2,
-                max_step=0.3,
-            )
-            for group in cluster.shards
-        ])
 
-        # Open-loop Poisson arrivals: issue times are absolute virtual times, so
-        # the phase boundary at shift_at falls where it says it does and the
-        # arrival stream does not bend when the slowed shard's latencies grow.
-        generator = WorkloadGenerator(
-            keys=before_keys,
-            arrivals=PoissonArrivals(rate=arrival_rate),
-            mix=OperationMix(read_ratio=0.6),
-            phases=(Phase(start=shift_at, keys=after_keys),),
-        )
-        workload = generator.generate(tuple(cluster.clients), operations, seed=seed)
-        report = run_workload(cluster, workload, max_time=10_000.0)
-        cluster.loop.run()  # drain trailing control rounds and broadcast echoes
-
-        # Per-shard load before/after the shift, bucketed by the operations'
-        # *generated issue times* (a client queuing behind the slowed shard may
-        # start an op later than its arrival, but where load lands was decided
-        # at generation — and every generated op completes within max_time).
-        loads_before = [0] * shards
-        loads_after = [0] * shards
+    def load_by_shift(cluster, workload) -> Dict[str, Any]:
+        # Bucketed by *generated* issue time: a client queuing behind the
+        # slowed shard may start an op later, but where load lands was
+        # decided at generation (and every generated op completes).
+        before = [0] * shards
+        after = [0] * shards
         for op in workload.operations:
             issued_at = op.issue_at if op.issue_at is not None else 0.0
-            bucket = loads_before if issued_at < shift_at else loads_after
+            bucket = before if issued_at < shift_at else after
             bucket[shard_for_key(op.key, shards)] += 1
+        return {"shard_loads_before_shift": before, "shard_loads_after_shift": after}
 
-        shard_weights = cluster.shard_weights()
-        slowed_weight = sum(
-            shard_weights[hot_after][pid] for pid in ("s1", "s2")
-        )
-        return {
-            "operations": report.operations,
-            "duration": report.duration,
-            "messages": report.messages_sent,
-            "hot_shard_before": hot_before,
-            "hot_shard_after": hot_after,
-            "slowed_servers": slowed,
-            "shard_loads_before_shift": loads_before,
-            "shard_loads_after_shift": loads_after,
-            "imbalance": report.imbalance.as_dict() if report.imbalance else None,
-            "shard_weights": {
-                str(index): weights for index, weights in sorted(shard_weights.items())
-            },
-            "transfers_attempted_by_shard": {
-                str(index): count
-                for index, count in harness.transfers_attempted().items()
-            },
-            "slowed_servers_weight": slowed_weight,
-            "workload": workload_stats(workload),
-        }
+    result = run_spec(spec, load_by_shift)
+    row = {key: result[key] for key in (
+        "operations", "duration", "messages", "shard_weights", "workload",
+        "shard_loads_before_shift", "shard_loads_after_shift",
+    )}
+    hot_after = _hot_shard(shards, 8)
+    row.update(
+        hot_shard_before=_hot_shard(shards, 0),
+        hot_shard_after=hot_after,
+        slowed_servers=list(spec.latency.slow),
+        imbalance=result.get("imbalance"),
+        transfers_attempted_by_shard=(
+            result["monitoring"]["transfers_attempted_by_shard"]),
+        slowed_servers_weight=sum(
+            row["shard_weights"][str(hot_after)][pid] for pid in ("s1", "s2")),
+    )
+    return row

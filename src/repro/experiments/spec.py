@@ -30,10 +30,15 @@ rebuilds with :meth:`ScenarioSpec.with_overrides`.
 
 :func:`run_spec` is the generic driver: build the cluster, install
 monitoring, generate the workload, arm faults and transfers, run, and
-return a plain JSON-serialisable result dict.  Scenarios that do not fit
-the cluster-plus-workload mold (analytic comparisons, protocol
-walkthroughs) register plain functions instead — see
-:mod:`repro.experiments.registry`.
+return a plain JSON-serialisable result dict; it is the only code that
+runs a workload.  A catalogue scenario that adds a row to a storage run
+(``hotspot-shift-monitoring``, ``sharded-hotspot-reassignment``) builds a
+spec and passes ``run_spec`` a ``measure``.  Scenarios that do not fit the
+mold register plain functions (:mod:`repro.experiments.registry`):
+analytic comparisons and protocol walkthroughs; ``dynamic-storage-
+adaptation``, whose per-link latency table and fixed client loop have no
+spec form; ``storage-vs-reconfig``, whose reconfigurable store is no
+cluster flavour and whose result is liveness.
 """
 
 from __future__ import annotations
@@ -1019,7 +1024,11 @@ def _summary_dict(summary: Optional[LatencySummary]) -> Optional[Dict[str, float
     return None if summary is None else summary.as_dict()
 
 
-def run_spec(spec: ScenarioSpec) -> Dict[str, Any]:
+#: What a catalogue scenario measures of the world and workload it ran.
+Measure = Callable[[Union[Cluster, ShardedCluster], Workload], Dict[str, Any]]
+
+
+def run_spec(spec: ScenarioSpec, measure: Optional[Measure] = None) -> Dict[str, Any]:
     """Execute a declarative scenario and return a JSON-serialisable result.
 
     The result always carries the latency summaries, message counts, transfer
@@ -1032,15 +1041,17 @@ def run_spec(spec: ScenarioSpec) -> Dict[str, Any]:
     Observability-enabled runs (``observability.enabled``) add ``metrics``
     and/or ``trace`` blocks; with it disabled (the default) the result is
     byte-identical to pre-observability baselines.
+    ``measure(cluster, workload)``, if given, runs after the drain, before
+    the world closes; its dict is merged into the result.
     """
     spec.validate()
     observer = spec.observability.build()
     if observer is None:
-        return _run_spec_inner(spec)
+        return _run_spec_inner(spec, measure)
     # The observer must be ambient *before* the cluster is built: SimLoop,
     # Network and ShardedStore capture it at construction time.
     with observing(observer):
-        result = _run_spec_inner(spec)
+        result = _run_spec_inner(spec, measure)
     if observer.metrics is not None:
         result["metrics"] = observer.metrics.as_dict()
     if observer.trace is not None:
@@ -1055,7 +1066,7 @@ def run_spec(spec: ScenarioSpec) -> Dict[str, Any]:
     return result
 
 
-def _run_spec_inner(spec: ScenarioSpec) -> Dict[str, Any]:
+def _run_spec_inner(spec: ScenarioSpec, measure: Optional[Measure]) -> Dict[str, Any]:
     if spec.transfers and spec.cluster.flavour != "dynamic-weighted":
         raise ConfigurationError(
             "scheduled transfers require the dynamic-weighted flavour, "
@@ -1170,4 +1181,6 @@ def _run_spec_inner(spec: ScenarioSpec) -> Dict[str, Any]:
                         cluster.servers[surviving[0]].local_weights().items()
                     )
                 }
+        if measure is not None:
+            result.update(measure(cluster, workload))
         return result

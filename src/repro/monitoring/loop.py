@@ -12,9 +12,9 @@ There is one loop, and the topology is data: a loop runs over a set of
 independent per-shard monitoring is one call per shard; machine-level
 (``global``) monitoring is one call over every shard, where each machine's
 sample is the mean round trip of its instances.  The declarative
-:class:`~repro.experiments.spec.MonitoringSpec` section and the catalogue
-scenarios all call this function (and share its event ordering — the
-checked-in baselines depend on it).
+:class:`~repro.experiments.spec.MonitoringSpec` section is the one caller
+(the monitored catalogue scenarios are specs; the checked-in baselines
+depend on this function's event ordering).
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.core.spec import SystemConfig
 from repro.errors import CrashedProcessError
 from repro.monitoring.controller import WeightController
 from repro.monitoring.monitor import LatencyMonitor, install_probe_responder
-from repro.monitoring.policy import proportional_inverse_latency_weights
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimLoop
@@ -111,9 +110,9 @@ def install_monitoring(
     interval: VirtualTime,
     tolerance: Weight,
     max_step: Weight,
-    window: int = 32,
-    ewma_alpha: float = 0.3,
-    policy: PolicyFn = proportional_inverse_latency_weights,
+    window: int,
+    ewma_alpha: float,
+    policy: PolicyFn,
 ) -> MonitoringHarness:
     """Start one prober, one monitor and one control task over ``groups``.
 

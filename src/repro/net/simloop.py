@@ -487,9 +487,12 @@ class SimLoop:
 
     def close(self) -> None:
         """Drop the events still queued: each holds a callback (a task's
-        step, a network's delivery) that keeps the world alive."""
+        step, a network's delivery) that keeps the world alive.  Drop the
+        observer too: an unfinished task keeps its closed loop, and must not
+        keep a run's trace through it."""
         self._events.clear()
         self._ready.clear()
+        self.obs = None
 
 
 # ---------------------------------------------------------------------------

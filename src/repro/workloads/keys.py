@@ -9,8 +9,8 @@ compose freely with the other workload axes:
   to ``i^-s`` (the classical skewed-popularity model: a handful of hot keys
   absorb most of the traffic);
 * :class:`HotspotKeys` — a contiguous hot set receives a fixed fraction of
-  the traffic; :meth:`HotspotKeys.shifted` rotates the hot set, which is how
-  phase schedules express mid-run skew flips.
+  the traffic; its ``offset`` rotates the hot set, which is how phase
+  schedules express mid-run skew flips (``keys.offset`` in a spec phase).
 
 Keys are plain strings ``k1 .. kN`` where the *index is the popularity rank*
 for :class:`ZipfianKeys` — ``k1`` is always the hottest key — making achieved
@@ -138,15 +138,6 @@ class HotspotKeys(KeyDistribution):
         fraction = (draw - self.hot_weight) / (1.0 - self.hot_weight)
         position = min(int(fraction * cold_count), cold_count - 1)
         return key_name((self.offset + self.hot_count + position) % self.space + 1)
-
-    def shifted(self, delta: int) -> "HotspotKeys":
-        """A copy whose hot set is rotated ``delta`` keys forward."""
-        return HotspotKeys(
-            space=self.space,
-            hot_fraction=self.hot_fraction,
-            hot_weight=self.hot_weight,
-            offset=self.offset + delta,
-        )
 
     def hot_keys(self) -> Tuple[str, ...]:
         """The current hot set, in rotation order."""

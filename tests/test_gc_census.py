@@ -32,6 +32,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process, ResponseCollector
 from repro.net.simloop import SimLoop, SimTask
+from repro.obs import Observer, observing
 from repro.obs.trace import TraceEvent
 
 #: Kinds of object no finished run may leave to the collector.
@@ -86,25 +87,33 @@ def _aborted_and_raised():
         run_with_stable_stack(execute_run, ABORTED)
 
 
+def _aborted_and_observed():
+    with observing(Observer(metrics=False)):
+        execute_run_captured(ABORTED)
+
+
 RUNS = {name: _scenario(name) for name in BUILTIN_FAMILIES}
 RUNS["sharded-churn"] = lambda: run_with_stable_stack(
     run_spec, ScenarioSpec.from_dict(SHARDED_CHURN))
 RUNS["campaign"] = lambda: run_campaign("quickstart", sample=2)
 RUNS["aborted-captured"] = lambda: execute_run_captured(ABORTED)
 RUNS["aborted-raised"] = _aborted_and_raised
+RUNS["aborted-observed"] = _aborted_and_observed
 
 #: Runs that end with tasks still waiting, by the names of those tasks.  No
 #: task registry exists to cancel them, so each stays a cycle with the
 #: future it awaits, and keeps its loop (``SimTask._loop``) — closed, so
 #: empty.  Transfer targets that never finish (ROADMAP item 1), the crashed
 #: issuer's transfer, the deadlocked reconfigurable arm, and the aborted
-#: run's two clients and its transfer's target.
+#: run's two clients and its transfer's target (observed or not: the closed
+#: loop they keep has dropped its observer).
 UNFINISHED = {
     "dynamic-storage-adaptation": ["s3.deliver", "s4.deliver"],
     "epoch-vs-epochless": ["one"],
     "storage-vs-reconfig": ["run"],
     "aborted-captured": ["run_client", "run_client", "s2.deliver"],
     "aborted-raised": ["run_client", "run_client", "s2.deliver"],
+    "aborted-observed": ["run_client", "run_client", "s2.deliver"],
 }
 
 

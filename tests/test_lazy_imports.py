@@ -306,28 +306,47 @@ class TestReachability:
         assert check_imports.unreached_modules(tmp_path) == ["repro.quorum.grid"]
 
 
-class TestOneWorldBuilder:
-    """ARCHITECTURE "Who frees a finished run": every world is built in
-    ``sim/cluster.py`` and closed by its ``with``."""
+class TestOneOwnerPerDriverCall:
+    """ARCHITECTURE "Who frees a finished run" and "One storage driver":
+    every world is built in ``sim/cluster.py`` and closed by its ``with``,
+    and every workload runs through ``run_spec``."""
 
-    def test_only_the_cluster_module_builds_a_network(self):
-        assert check_imports.network_builders() == []
+    def test_every_driver_call_is_made_by_its_owner(self):
+        assert check_imports.misplaced_calls() == []
 
-    def test_a_network_built_elsewhere_is_reported_by_name(self, tmp_path):
+    def test_a_call_out_of_place_is_reported_by_module_name(self, tmp_path):
         modules = {
             "sim/cluster.py": "network = Network(loop)\n",
+            "experiments/spec.py":
+                "def run(cluster, workload):\n"
+                "    install_monitoring(cluster)\n"
+                "    WorkloadGenerator(keys=None)\n"
+                "    return run_workload(cluster, workload)\n",
             "lab.py": "from repro.net.network import Network\n"
                       "def run(loop):\n    return Network(loop)\n",
             "bench/rig.py": "from repro.net import network\n"
                             "def run(loop):\n    return network.Network(loop)\n",
-            "quiet.py": "from repro.net.network import Network\n",
+            "experiments/catalogue/shift.py":
+                "from repro.sim import runner\n"
+                "def run(cluster, workload):\n"
+                "    install_monitoring(cluster)\n"
+                "    return runner.run_workload(cluster, workload)\n",
+            "workloads/generator.py":
+                "class WorkloadGenerator:\n    pass\n"
+                "def default():\n    return WorkloadGenerator()\n",
+            "quiet.py": "from repro.net.network import Network\n"
+                        "from repro.sim.runner import run_workload\n",
         }
         for name, text in modules.items():
             path = tmp_path / "repro" / name
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
-        assert check_imports.network_builders(tmp_path) == [
-            "repro.bench.rig", "repro.lab",
+        assert check_imports.misplaced_calls(tmp_path) == [
+            ("repro.bench.rig", "Network"),
+            ("repro.experiments.catalogue.shift", "install_monitoring"),
+            ("repro.experiments.catalogue.shift", "run_workload"),
+            ("repro.lab", "Network"),
+            ("repro.workloads.generator", "WorkloadGenerator"),
         ]
 
 

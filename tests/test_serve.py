@@ -109,7 +109,7 @@ class RunGate:
         self.opened = tmp_path / "gate-open"
         run_inner = spec_module._run_spec_inner
 
-        def gated(spec):
+        def gated(spec, measure=None):
             with open(self.log, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps({
                     "pid": os.getpid(), "registry": sorted(registry._REGISTRY),
@@ -119,7 +119,7 @@ class RunGate:
             while (held and not self.opened.exists()
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
-            return run_inner(spec)
+            return run_inner(spec, measure)
 
         monkeypatch.setattr(spec_module, "_run_spec_inner", gated)
 
@@ -936,10 +936,10 @@ class TestHTTPServer:
         both_there = multiprocessing.get_context("fork").Barrier(2, timeout=30.0)
         run_inner = spec_module._run_spec_inner
 
-        def run_inner_together(spec):
+        def run_inner_together(spec, measure=None):
             both_there.wait()
             try:
-                return run_inner(spec)
+                return run_inner(spec, measure)
             finally:
                 both_there.wait()
 

@@ -6,8 +6,9 @@ Covers the acceptance surface of the Spec v2 redesign:
 * unknown-key rejection and the ``failures`` → ``faults`` deprecation shim,
 * dotted-path flatten/expand inverses shared by every section,
 * ``validate()`` catching semantic problems without building anything,
-* the declarative :class:`MonitoringSpec` reproducing the imperative
-  ``hotspot-shift-monitoring`` scenario result-for-result,
+* the declarative :class:`MonitoringSpec` reproducing the registered
+  ``hotspot-shift-monitoring`` scenario result-for-result, and each monitored
+  catalogue scenario running the spec its ``examples/specs/`` file spells,
 * :class:`FaultSpec` crash/recover schedules and partition windows,
 * the checked-in ``examples/specs/*.json`` files and the CLI ``--spec`` path.
 """
@@ -21,6 +22,8 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.catalogue.monitoring import hotspot_shift_monitoring_spec
+from repro.experiments.catalogue.sharded import sharded_hotspot_reassignment_spec
 from repro.experiments.cli import main
 from repro.experiments.registry import get_scenario, register
 from repro.experiments.sections import SpecSection, unflatten
@@ -234,7 +237,7 @@ class TestValidate:
 class TestMonitoringSpec:
     def test_spec_run_reproduces_hotspot_shift_monitoring_exactly(self):
         # The acceptance bar for the MonitoringSpec section: the declarative
-        # form runs the *same simulation* as the imperative scenario.
+        # form runs the *same simulation* as the registered scenario.
         fn_result = get_scenario("hotspot-shift-monitoring").execute()
         spec_result = run_spec(
             load_spec_file(str(SPEC_DIR / "hotspot-shift-monitoring.json"))
@@ -270,6 +273,46 @@ class TestMonitoringSpec:
         for weights in result["shard_weights"].values():
             # The globally-degraded machine s1 lost weight in every shard.
             assert weights["s1"] < 1.0
+
+
+class TestCatalogueScenariosAreSpecs:
+    """A monitored storage scenario is a spec plus a row: the spec it runs is
+    the one in ``examples/specs/``, so ``run --spec`` runs the same world."""
+
+    BUILDERS = {
+        "hotspot-shift-monitoring": hotspot_shift_monitoring_spec,
+        "sharded-hotspot-reassignment": sharded_hotspot_reassignment_spec,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_one_spec_two_spellings(self, name):
+        def body(spec):
+            data = spec.to_dict()
+            del data["name"], data["description"]
+            return data
+
+        built = self.BUILDERS[name](**get_scenario(name).defaults)
+        spelled = load_spec_file(str(SPEC_DIR / f"{name}.json"))
+        assert body(spelled) == body(built)
+
+    def test_the_sharded_spec_baseline_is_the_function_baseline(self):
+        def result(path):
+            return json.loads(path.read_text(encoding="utf-8"))[0]["result"]
+
+        baselines = REPO_ROOT / "benchmarks" / "baselines"
+        name = "sharded-hotspot-reassignment.json"
+        by_spec = result(baselines / "specs" / name)
+        by_function = result(baselines / name)
+        for key in ("operations", "duration", "messages", "shard_weights", "workload"):
+            assert by_spec[key] == by_function[key], key
+
+    def test_bad_parameters_fail_before_a_run(self):
+        with pytest.raises(ConfigurationError, match="at least 2 shards"):
+            get_scenario("sharded-hotspot-reassignment").execute({"shards": 1})
+        with pytest.raises(ConfigurationError, match="monitoring.rounds"):
+            get_scenario("hotspot-shift-monitoring").execute({"control_rounds": 0})
+        with pytest.raises(ConfigurationError, match="operations_per_client"):
+            get_scenario("sharded-hotspot-reassignment").execute({"operations": 0})
 
 
 class TestFaultSpec:

@@ -77,7 +77,7 @@ class TestKeyDistributions:
 
     def test_hotspot_shift_rotates_the_hot_set(self):
         keys = HotspotKeys(space=16, hot_fraction=0.25, hot_weight=0.9)
-        shifted = keys.shifted(8)
+        shifted = HotspotKeys(space=16, hot_fraction=0.25, hot_weight=0.9, offset=8)
         assert shifted.hot_keys() == ("k9", "k10", "k11", "k12")
         assert set(keys.hot_keys()).isdisjoint(shifted.hot_keys())
 

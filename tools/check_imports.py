@@ -23,16 +23,17 @@ one module a lazy facade's map says defines ``name``, but the map itself is
 not an import, so a module only its package facade and its own tests know
 about is printed here and fails the gate.  There is no exception list.
 
-**One constructor** (ARCHITECTURE "Who frees a finished run").  Every world
-is built in ``repro.sim.cluster`` and closed by its ``with``; the same parse
-reports, by name, any other module under ``src/repro`` that calls
-``Network(``.
+**One owner per driver call** (ARCHITECTURE "Who frees a finished run" and
+"One storage driver").  Every world is built in ``repro.sim.cluster`` and
+closed by its ``with``, and every workload runs through ``run_spec``; the
+same parse reports, by module name, any module under ``src/repro`` that
+calls a name in :data:`OWNERS` outside the module that owns it.
 
 Run from anywhere (``src`` is put on the child's path automatically)::
 
     python tools/check_imports.py            # print counts, exit 1 on drift,
                                              # an unreached module or a
-                                             # Network built elsewhere
+                                             # driver call out of place
     python tools/check_imports.py --update   # rewrite the budget
 """
 
@@ -45,7 +46,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, Iterator, List, Sequence, Set
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src"
@@ -208,22 +209,29 @@ def unreached_modules(src: Path = SRC_ROOT) -> List[str]:
     return sorted(set(trees) - reached)
 
 
-#: The one module that builds a world (a loop and the network on it).
-WORLD_BUILDER = "repro.sim.cluster"
+#: Who may call what: a call of this name (bare or as an attribute) under
+#: ``src/repro`` is made by this one module.  ``repro.sim.cluster`` builds
+#: every world (a loop and the network on it); ``run_spec`` runs every
+#: workload, with its monitoring.
+OWNERS: Dict[str, str] = {
+    "Network": "repro.sim.cluster",
+    "run_workload": "repro.experiments.spec",
+    "install_monitoring": "repro.experiments.spec",
+    "WorkloadGenerator": "repro.experiments.spec",
+}
 
 
-def network_builders(src: Path = SRC_ROOT) -> List[str]:
-    """Modules under ``src/repro`` other than :data:`WORLD_BUILDER` that call
-    ``Network(`` (by name or as an attribute)."""
-    return sorted(
-        name for name, tree in _parse(src).items()
-        if name != WORLD_BUILDER and any(
-            isinstance(node, ast.Call)
-            and "Network" in (getattr(node.func, "id", None),
-                              getattr(node.func, "attr", None))
-            for node in ast.walk(tree)
-        )
-    )
+def misplaced_calls(src: Path = SRC_ROOT) -> List[Tuple[str, str]]:
+    """``(module, name)`` for each module under ``src/repro`` that calls a
+    name of :data:`OWNERS` it does not own."""
+    found: Set[Tuple[str, str]] = set()
+    for module, tree in _parse(src).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if OWNERS.get(name, module) != module:
+                    found.add((module, name))
+    return sorted(found)
 
 
 def main(argv: Sequence[str] = ()) -> int:
@@ -245,8 +253,8 @@ def main(argv: Sequence[str] = ()) -> int:
         for name in unreached_modules()
     ]
     found += [
-        f"{name} builds a Network (build worlds in {WORLD_BUILDER})"
-        for name in network_builders()
+        f"{module} calls {name}( (only {OWNERS[name]} may)"
+        for module, name in misplaced_calls()
     ]
     for problem in found:
         print(f"error: {problem}", file=sys.stderr)
@@ -254,7 +262,7 @@ def main(argv: Sequence[str] = ()) -> int:
         print(f"{len(found)} import problem(s)", file=sys.stderr)
         return 1
     print("import budget ok; every module under src/repro is reached; "
-          f"only {WORLD_BUILDER} builds a Network")
+          "every driver call is made by its owner")
     return 0
 
 
