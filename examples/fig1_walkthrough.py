@@ -13,7 +13,7 @@ Run with:  python examples/fig1_walkthrough.py
 from repro import SystemConfig
 from repro.core.protocol import read_changes
 from repro.net.process import Process
-from repro.quorum.weighted import WeightedMajorityQuorumSystem
+from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_size
 from repro.sim.cluster import build_reassignment_fleet
 
 
@@ -32,9 +32,9 @@ def main() -> None:
         print(f"n = {config.n}, f = {config.f}, RP-Integrity bound = {config.rp_min_weight:.2f}\n")
 
         async def scenario():
-            show_weights("initial weights", servers["s1"].local_weights(), config.rp_min_weight)
-            quorum = WeightedMajorityQuorumSystem(servers["s1"].local_weights())
-            print(f"  smallest quorum size        : {quorum.smallest_quorum_size()}\n")
+            initial = servers["s1"].local_weights()
+            show_weights("initial weights", initial, config.rp_min_weight)
+            print(f"  smallest quorum size        : {smallest_quorum_size(initial)}\n")
 
             plan = [("s4", "s1", 0.2), ("s5", "s2", 0.2), ("s6", "s3", 0.2)]
             for source, target, delta in plan:
@@ -46,7 +46,7 @@ def main() -> None:
             weights = servers["s1"].local_weights()
             show_weights("weights at t1", weights, config.rp_min_weight)
             quorum = WeightedMajorityQuorumSystem(weights)
-            print(f"  smallest quorum size        : {quorum.smallest_quorum_size()}")
+            print(f"  smallest quorum size        : {smallest_quorum_size(weights)}")
             print(f"  {{s1,s2,s3}} is a quorum      : {quorum.is_quorum(['s1', 's2', 's3'])}\n")
 
             print("  -- the red box of Fig. 1 (rejected by RP-Integrity) --")

@@ -32,7 +32,7 @@ __version__ = "1.0.0"
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "core.change": ("Change", "ChangeSet", "initial_changes"),
     "core.spec": (
-        "SystemConfig", "check_integrity", "check_p_integrity", "check_rp_integrity",
+        "SystemConfig", "check_integrity", "check_rp_integrity", "c2_holds",
     ),
     "core.protocol": ("ReassignmentServer", "TransferOutcome", "read_changes"),
     "core.storage": ("DynamicWeightedStorageServer", "DynamicWeightedStorageClient"),
@@ -48,8 +48,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "WanMatrixLatency", "SlowdownLatency",
     ),
     "quorum.majority": ("MajorityQuorumSystem",),
-    "quorum.weighted": ("WeightedMajorityQuorumSystem",),
-    "quorum.availability": ("wmqs_is_available",),
+    "quorum.weighted": ("WeightedMajorityQuorumSystem", "smallest_quorum_size"),
     "sim.cluster": ("build_dynamic_cluster", "build_static_cluster"),
     "sim.workload": ("uniform_workload",),
     "workloads.generator": ("WorkloadGenerator",),

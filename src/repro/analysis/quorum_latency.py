@@ -15,7 +15,7 @@ the fast servers, the client stops waiting earlier.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.quorum.base import QuorumSystem

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Mapping
 
 from repro.errors import ConfigurationError
 from repro.types import ProcessId

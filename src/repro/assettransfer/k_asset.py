@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from repro.assettransfer.accounts import AccountBook, TransferOp
 from repro.consensus.sequencer import TotalOrderClient

@@ -23,7 +23,7 @@ Two regimes:
   ranks them.
 
 The derived set sizes come from the spec's own quorum system
-(:func:`~repro.quorum.availability.minimum_quorum_cardinality`), so the
+(:func:`~repro.quorum.weighted.smallest_quorum_size`), so the
 axes stay sharp when weights or ``n`` change.
 """
 
@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.spec import ScenarioSpec
-from repro.quorum.availability import minimum_quorum_cardinality
+from repro.quorum.weighted import smallest_quorum_size
 from repro.types import VirtualTime, client_name
 
 __all__ = ["fault_axes"]
@@ -68,7 +68,9 @@ def fault_axes(
     config = spec.cluster.system_config()
     servers: Tuple[str, ...] = tuple(config.servers)
     n = len(servers)
-    min_quorum = minimum_quorum_cardinality(config.initial_weights)
+    min_quorum = smallest_quorum_size(config.initial_weights)
+    if min_quorum is None:
+        raise ConfigurationError("the initial weights hold no quorum (total weight 0)")
     # The smallest set of servers that intersects *every* quorum: take this
     # many out (crash, isolate, or degrade them) and no quorum is clean.
     blocking = n - min_quorum + 1

@@ -18,9 +18,8 @@ baseline while the paper's consensus-free protocol keeps making progress.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Sequence
 
-from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process

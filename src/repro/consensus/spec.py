@@ -16,7 +16,7 @@ scenarios (:mod:`repro.experiments.catalogue.reductions`) report through: one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.types import ProcessId, VirtualTime
 

@@ -2,8 +2,9 @@
 
 * :mod:`repro.core.change` — the ``change`` quadruples and grow-only change
   sets of Section III.
-* :mod:`repro.core.spec` — executable versions of Definitions 3-5 (Integrity,
-  P-Integrity, RP-Integrity, the Validity properties) plus the
+* :mod:`repro.core.spec` — executable versions of Definitions 3-5, each
+  defined once: Integrity / P-Integrity (Property 1), RP-Integrity, condition
+  C2 and the Validity properties, plus the
   :class:`~repro.core.spec.SystemConfig` describing a deployment.
 * :mod:`repro.core.protocol` — Algorithms 3 and 4: the ``read_changes`` and
   ``transfer`` operations implementing *restricted pairwise weight
@@ -19,8 +20,7 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "change": ("Change", "ChangeSet", "initial_changes"),
     "spec": (
-        "SystemConfig", "check_integrity", "check_p_integrity", "check_rp_integrity",
-        "weights_from_changes",
+        "SystemConfig", "check_integrity", "check_rp_integrity", "c2_holds",
     ),
     "protocol": ("ReassignmentServer", "TransferOutcome", "read_changes"),
     "storage": ("DynamicWeightedStorageServer", "DynamicWeightedStorageClient"),

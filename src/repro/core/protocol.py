@@ -33,13 +33,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.change import Change, ChangeSet
-from repro.core.spec import SystemConfig
+from repro.core.spec import SystemConfig, c2_holds
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.broadcast import ReliableBroadcast
-from repro.numerics import strictly_greater
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process
@@ -178,10 +177,6 @@ class ReassignmentServer(Process):
                 waiter.set_result(None)
 
     # ----------------------------------------------------------------- transfer
-    def can_transfer(self, delta: Weight) -> bool:
-        """Condition C2: would this server stay above the RP-Integrity bound?"""
-        return strictly_greater(self.weight(), delta + self.config.rp_min_weight)
-
     async def transfer(self, target: ProcessId, delta: Weight) -> TransferOutcome:
         """Transfer ``delta`` of this server's weight to ``target`` (Algorithm 4).
 
@@ -214,7 +209,7 @@ class ReassignmentServer(Process):
         if obs is not None:
             obs.transfer_started(self.pid, target, delta, started_at)
         try:
-            if self.can_transfer(delta):
+            if c2_holds(self.weight(), delta, self.config.rp_min_weight):
                 source_change = Change(self.pid, counter, self.pid, -delta)
                 target_change = Change(self.pid, counter, target, delta)
                 # Store locally first (the server trivially "acknowledges" its

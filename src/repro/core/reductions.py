@@ -33,7 +33,7 @@ Notes on fidelity:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.change import Change, ChangeSet
 from repro.core.spec import SystemConfig, check_integrity

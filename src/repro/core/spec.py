@@ -1,18 +1,21 @@
 """Executable problem specifications (Definitions 3, 4 and 5).
 
-This module turns the paper's safety properties into checkable predicates:
+This module turns the paper's safety properties into checkable predicates,
+each defined once:
 
 * :func:`check_integrity` — Integrity of Definition 3 / P-Integrity of
   Definition 4: for every ``F ⊂ S`` with ``|F| = f``, ``W_F < W_S / 2``
   (equivalently, Property 1 holds for the current weights).
 * :func:`check_rp_integrity` — RP-Integrity of Definition 5: every server's
   weight stays strictly above ``W_{S,0} / (2 (n - f))``.
+* :func:`c2_holds` — condition C2 of Algorithm 4: a server keeps more than
+  that floor after giving ``delta`` away.
 * :func:`check_validity_one` / :func:`check_rp_validity_one` — the shape of
   the changes an operation is allowed to create.
 
-They are pure functions over weight maps and change sets, so both the
-protocols (for their local checks) and the test-suite / hypothesis verifiers
-(for whole-trace validation) share the same definitions.
+They are pure functions over weight maps and change sets, so the protocols
+(for their local checks), the scenarios and the test-suite (for whole-trace
+validation) share the same definitions.
 
 :class:`SystemConfig` bundles the static parameters of a deployment: the
 server set ``S``, the fault threshold ``f`` and the initial weights.
@@ -21,46 +24,41 @@ server set ``S``, the fault threshold ``f`` and the initial weights.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.change import ChangeSet, initial_changes
 from repro.errors import ConfigurationError, IntegrityViolation
-from repro.numerics import strictly_greater
-from repro.quorum.availability import wmqs_is_available
+from repro.numerics import strictly_greater, strictly_less
 from repro.types import ProcessId, Weight
 
 __all__ = [
     "SystemConfig",
-    "weights_from_changes",
     "check_integrity",
-    "check_p_integrity",
     "check_rp_integrity",
+    "c2_holds",
     "check_validity_one",
     "check_rp_validity_one",
     "rp_minimum_weight",
 ]
 
 
-def weights_from_changes(
-    changes: ChangeSet, servers: Sequence[ProcessId]
-) -> Dict[ProcessId, Weight]:
-    """Derive the current weight map ``W_{s,t}`` from a change set."""
-    return changes.weights(servers)
-
-
 def check_integrity(weights: Mapping[ProcessId, Weight], f: int) -> bool:
-    """Integrity (Def. 3) / P-Integrity (Def. 4).
+    """Integrity (Def. 3) / P-Integrity (Def. 4) — Property 1.
 
     For every subset ``F`` of ``f`` servers, ``W_F < W_S / 2``.  Checking all
     subsets is equivalent to checking the ``f`` heaviest servers, i.e. to
-    Property 1.
+    Property 1: the ``f`` greatest weights sum to less than half the total.
+    P-Integrity is textually identical; the two problems differ in how
+    weights may change, not in the predicate.
     """
-    return wmqs_is_available(weights, f)
-
-
-# P-Integrity is textually identical to Integrity; the difference between the
-# two problems lies in how weights may change, not in the predicate itself.
-check_p_integrity = check_integrity
+    if f < 0:
+        raise ValueError(f"fault threshold must be non-negative, got f={f}")
+    if f == 0:
+        return True
+    if f >= len(weights):
+        return False
+    heaviest = sum(sorted(weights.values(), reverse=True)[:f])
+    return strictly_less(heaviest, sum(weights.values()) / 2)
 
 
 def rp_minimum_weight(total_initial_weight: Weight, n: int, f: int) -> Weight:
@@ -68,6 +66,11 @@ def rp_minimum_weight(total_initial_weight: Weight, n: int, f: int) -> Weight:
     if n <= f:
         raise ConfigurationError(f"need n > f, got n={n}, f={f}")
     return total_initial_weight / (2 * (n - f))
+
+
+def c2_holds(weight: Weight, delta: Weight, minimum: Weight) -> bool:
+    """Condition C2: giving ``delta`` away leaves ``weight`` above ``minimum``."""
+    return strictly_greater(weight, delta + minimum)
 
 
 def check_rp_integrity(
@@ -78,7 +81,7 @@ def check_rp_integrity(
     """RP-Integrity (Def. 5): every weight stays above ``W_{S,0}/(2(n-f))``."""
     n = len(weights)
     minimum = rp_minimum_weight(total_initial_weight, n, f)
-    return all(strictly_greater(weight, minimum) for weight in weights.values())
+    return all(c2_holds(weight, 0, minimum) for weight in weights.values())
 
 
 def check_validity_one(
@@ -153,7 +156,7 @@ class SystemConfig:
                 "initial_weights must cover exactly the server set"
             )
         object.__setattr__(self, "initial_weights", weights)
-        if not wmqs_is_available(weights, self.f):
+        if not check_integrity(weights, self.f):
             raise IntegrityViolation(
                 "initial weights violate Property 1 (Integrity at t=0): "
                 f"weights={weights}, f={self.f}"

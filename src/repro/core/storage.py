@@ -230,6 +230,9 @@ def _quorum_or_news(
         # iteration order varies per process, so an unordered sum would
         # let the quorum test flip on last-ulp ties between runs.
         weight = sum(map(weights.get, sorted(senders), repeat(0)))
+        # Definition 1's quorum test, kept inline on the per-message path:
+        # tests/test_exhaustive_predicates.py holds it equal to
+        # WeightedMajorityQuorumSystem.is_quorum on every grid map.
         return strictly_greater(weight, half_total)
 
     return predicate

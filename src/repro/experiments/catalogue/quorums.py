@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from repro.analysis import expected_quorum_latency, inverse_latency_weights
+from repro.analysis import expected_quorum_latency
+from repro.core.spec import check_integrity
 from repro.errors import ConfigurationError
 from repro.experiments.registry import scenario
-from repro.quorum.availability import minimum_quorum_cardinality
+from repro.monitoring.policy import inverse_latency_weights
 from repro.quorum.majority import MajorityQuorumSystem
-from repro.quorum.weighted import WeightedMajorityQuorumSystem
+from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_size
 
 __all__ = ["wmqs_vs_mqs"]
 
@@ -57,21 +58,15 @@ def wmqs_vs_mqs(total_weight_per_server: float = 1.0) -> Dict[str, Any]:
         n = len(servers)
         f = (n - 1) // 3 if n > 5 else 1
         mqs = MajorityQuorumSystem(servers)
-        # Raise the per-server floor until the assignment tolerates f failures
-        # (very skewed latency vectors need a higher floor to satisfy Property 1).
-        weights = None
+        # Raise the per-server floor (a fraction of the uniform weight) until
+        # the assignment tolerates f failures: very skewed latency vectors
+        # need a higher floor to satisfy Property 1.
+        total = total_weight_per_server * n
         for floor_fraction in (0.5, 0.6, 0.7, 0.8, 0.9):
-            try:
-                weights = inverse_latency_weights(
-                    rtt,
-                    total_weight=total_weight_per_server * n,
-                    f=f,
-                    floor_fraction=floor_fraction,
-                )
+            weights = inverse_latency_weights(rtt, total, floor_fraction * total / n)
+            if check_integrity(weights, f):
                 break
-            except ConfigurationError:  # Property 1 fails: raise the floor
-                continue
-        if weights is None:
+        else:
             raise ConfigurationError(f"no feasible weight assignment for {name}")
         wmqs = WeightedMajorityQuorumSystem(weights)
         mqs_latency = expected_quorum_latency(mqs, rtt)
@@ -85,7 +80,7 @@ def wmqs_vs_mqs(total_weight_per_server: float = 1.0) -> Dict[str, Any]:
                 "wmqs_latency": wmqs_latency,
                 "speedup": mqs_latency / wmqs_latency if wmqs_latency else 1.0,
                 "mqs_quorum": mqs.quorum_size(),
-                "wmqs_quorum": minimum_quorum_cardinality(weights),
+                "wmqs_quorum": smallest_quorum_size(weights),
             }
         )
     return {"rows": rows}

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Sequence
 
 from repro.consensus.sequencer import Sequencer
 from repro.core.protocol import read_changes
@@ -11,7 +11,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.registry import scenario
 from repro.net.process import Process
 from repro.net.simloop import gather
-from repro.quorum.weighted import WeightedMajorityQuorumSystem
+from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_size
 from repro.reassign.consensus_based import ConsensusBasedServer
 from repro.reassign.epoch_based import EpochBasedCoordinator, EpochBasedServer
 from repro.sim.cluster import build_reassignment_fleet, build_world
@@ -70,7 +70,7 @@ def fig1_walkthrough(n: int = 7, f: int = 2) -> Dict[str, Any]:
             "weights": {pid: weight for pid, weight in sorted(weights.items())},
             "messages": fleet.network.messages_sent,
             "minority_is_quorum": quorum_system.is_quorum(["s1", "s2", "s3"]),
-            "smallest_quorum_size": quorum_system.smallest_quorum_size(),
+            "smallest_quorum_size": smallest_quorum_size(weights),
             "rp_integrity": check_rp_integrity(
                 weights, fleet.config.total_initial_weight, fleet.config.f
             ),
@@ -184,26 +184,14 @@ VC_RESTRICTED_MOVES = (("s3", "s4", 0.05), ("s5", "s6", 0.05), ("s4", "s3", 0.2)
 VC_UNRESTRICTED_MOVES = (("s3", "s1", "s3", 0.8), ("s4", "s2", "s4", 0.6))
 
 
-def _smallest_quorum_avoiding(
-    weights: Mapping[ProcessId, Weight], avoid: Iterable[ProcessId]
-) -> Optional[int]:
-    """Size of the smallest weighted quorum with no member in ``avoid``."""
-    system = WeightedMajorityQuorumSystem(weights)
-    usable = sorted(set(weights) - set(avoid), key=lambda s: (-weights[s], s))
-    for count in range(1, len(usable) + 1):
-        if system.is_quorum(usable[:count]):
-            return count
-    return None  # the avoided servers hold a blocking share
-
-
 def _vc_row(problem: str, attempts: List[Dict[str, Any]],
             weights: Mapping[ProcessId, Weight]) -> Dict[str, Any]:
     return {
         "problem": problem,
         "attempts": attempts,
         "weights_after": {pid: weights[pid] for pid in sorted(weights)},
-        "quorum_before": _smallest_quorum_avoiding(VC_WEIGHTS, VC_SLOW),
-        "quorum_after": _smallest_quorum_avoiding(weights, VC_SLOW),
+        "quorum_before": smallest_quorum_size(VC_WEIGHTS, avoid=VC_SLOW),
+        "quorum_after": smallest_quorum_size(weights, avoid=VC_SLOW),
     }
 
 
@@ -263,7 +251,7 @@ def limitation_vc() -> Dict[str, Any]:
         "n": config.n,
         "f": config.f,
         "slow": list(VC_SLOW),
-        "quorum_using_slow": WeightedMajorityQuorumSystem(VC_WEIGHTS).smallest_quorum_size(),
+        "quorum_using_slow": smallest_quorum_size(VC_WEIGHTS),
         "rows": [_vc_restricted(config), _vc_consensus_based(config)],
     }
 

@@ -486,7 +486,7 @@ _POLICIES = _Kinds("policy kind", {
         proportional_inverse_latency_weights, margin=spec.margin
     ),
     "wheat": lambda spec: functools.partial(
-        wheat_style_weights, extra_servers=spec.extra_servers, margin=spec.margin
+        wheat_style_weights, margin=spec.margin
     ),
 })
 
@@ -499,15 +499,12 @@ class PolicySpec(SpecSection):
     proportional_inverse_latency_weights` (``inverse-latency``) or
     :func:`~repro.monitoring.policy.wheat_style_weights` (``wheat``);
     ``threshold`` is the controller dead-band (deficits below it are never
-    chased), ``margin`` the RP-Integrity clipping margin, and
-    ``extra_servers`` the WHEAT deployment surplus (ignored by the inverse-
-    latency policy).
+    chased) and ``margin`` the RP-Integrity clipping margin.
     """
 
     kind: str = "inverse-latency"
     threshold: Weight = 0.05
     margin: float = 0.05
-    extra_servers: int = 1
 
     def _validate(self) -> None:
         _POLICIES[self.kind]  # raises for an unknown kind

@@ -25,8 +25,8 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "monitor": ("LatencyMonitor", "install_probe_responder"),
     "policy": (
-        "proportional_inverse_latency_weights", "wheat_style_weights",
-        "clip_to_rp_integrity",
+        "inverse_latency_weights", "proportional_inverse_latency_weights",
+        "wheat_style_weights",
     ),
     "controller": ("WeightController",),
     "loop": ("MonitoringHarness", "install_monitoring"),

@@ -15,7 +15,7 @@ the controller from chasing negligible differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from repro.core.protocol import ReassignmentServer, TransferOutcome
@@ -98,7 +98,7 @@ class WeightController:
         # Never dip to the RP-Integrity bound: cap at what C2 allows.
         allowance = self.server.weight() - self.server.config.rp_min_weight
         delta = min(delta, allowance * 0.99)
-        if delta <= 0 or not strictly_greater(delta, 0.0):
+        if not strictly_greater(delta, 0.0):
             report = ControllerReport(at=self.server.loop.now, attempted=False)
             self.reports.append(report)
             return report

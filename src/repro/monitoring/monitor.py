@@ -17,7 +17,6 @@ from collections import defaultdict, deque
 from typing import Deque, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.net.message import Message
 from repro.net.process import Process
 from repro.types import ProcessId, VirtualTime
 

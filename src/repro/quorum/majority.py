@@ -7,7 +7,7 @@ fault-tolerant (``f < n/2``) but oblivious to server heterogeneity.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.quorum.base import QuorumSystem
 from repro.types import ProcessId
@@ -17,10 +17,6 @@ __all__ = ["MajorityQuorumSystem"]
 
 class MajorityQuorumSystem(QuorumSystem):
     """Quorums are the subsets containing a strict majority of servers."""
-
-    def __init__(self, servers: Sequence[ProcessId]) -> None:
-        super().__init__(servers)
-        self._threshold = len(self.servers) // 2  # strict majority: > n/2
 
     def is_quorum(self, subset: Iterable[ProcessId]) -> bool:
         members = self._validate_subset(subset)

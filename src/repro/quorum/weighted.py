@@ -10,14 +10,14 @@ re-derivation via :meth:`with_weights`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.numerics import strictly_greater
 from repro.quorum.base import QuorumSystem
 from repro.types import ProcessId, Weight
 
-__all__ = ["WeightedMajorityQuorumSystem"]
+__all__ = ["WeightedMajorityQuorumSystem", "smallest_quorum_size"]
 
 
 class WeightedMajorityQuorumSystem(QuorumSystem):
@@ -66,29 +66,24 @@ class WeightedMajorityQuorumSystem(QuorumSystem):
         members = self._validate_subset(subset)
         return strictly_greater(self.weight_of(members), self.total_weight() / 2)
 
-    # -- analysis ----------------------------------------------------------------
-    def heaviest_servers(self, count: int) -> Tuple[ProcessId, ...]:
-        """The ``count`` servers with the greatest weights (ties by id)."""
-        ranked = sorted(self.weights.items(), key=lambda item: (-item[1], item[0]))
-        return tuple(server for server, _ in ranked[:count])
 
-    def smallest_quorum(self) -> Tuple[ProcessId, ...]:
-        """A minimum-cardinality quorum (greedy by descending weight).
+def smallest_quorum_size(
+    weights: Mapping[ProcessId, Weight], avoid: Iterable[ProcessId] = ()
+) -> Optional[int]:
+    """Cardinality of the smallest weighted quorum with no member in ``avoid``.
 
-        For weighted majority systems the greedy choice — keep adding the
-        heaviest remaining server until the subset's weight exceeds half the
-        total — yields a quorum of minimum cardinality.
-        """
-        ranked = sorted(self.weights.items(), key=lambda item: (-item[1], item[0]))
-        chosen = []
-        accumulated = 0.0
-        half = self.total_weight() / 2
-        for server, weight in ranked:
-            chosen.append(server)
-            accumulated += weight
-            if strictly_greater(accumulated, half):
-                return tuple(chosen)
-        raise ConfigurationError("total weight is zero; no quorum exists")
-
-    def smallest_quorum_size(self) -> int:
-        return len(self.smallest_quorum())
+    Greedy by descending weight (ties by id): keep adding the heaviest
+    remaining server until the subset's weight exceeds half the total — for
+    weighted majority systems that yields a quorum of minimum cardinality.
+    ``None`` when the servers outside ``avoid`` hold no majority (the
+    avoided ones hold a blocking share, or the total weight is zero).
+    """
+    usable = set(weights) - set(avoid)
+    ranked = sorted(usable, key=lambda server: (-weights[server], server))
+    half = sum(weights.values()) / 2
+    accumulated = 0.0
+    for count, server in enumerate(ranked, start=1):
+        accumulated += weights[server]
+        if strictly_greater(accumulated, half):
+            return count
+    return None

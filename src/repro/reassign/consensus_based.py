@@ -20,7 +20,7 @@ The price is liveness: crash the sequencer and no request completes.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.spec import SystemConfig, check_integrity
 from repro.consensus.sequencer import TotalOrderClient

@@ -27,16 +27,15 @@ completion latency and total weight against the paper's epochless protocol.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
-from repro.core.spec import SystemConfig
+from repro.core.spec import SystemConfig, c2_holds
 from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimFuture
-from repro.numerics import strictly_greater
 from repro.types import ProcessId, VirtualTime, Weight
 
 __all__ = ["EpochBasedCoordinator", "EpochBasedServer"]
@@ -140,9 +139,7 @@ class EpochBasedCoordinator(Process):
         ):
             source = request["issuer"]
             delta = request["delta"]
-            if strictly_greater(
-                self.weights[source], delta + self.config.rp_min_weight
-            ):
+            if c2_holds(self.weights[source], delta, self.config.rp_min_weight):
                 self.weights[source] -= delta
                 self._pending_increments.append(
                     _PendingIncrement(

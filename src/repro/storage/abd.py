@@ -13,7 +13,6 @@ performance variation is experiment E6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, List
 
 from repro.core.storage import OperationRecord, StoredValue
@@ -22,7 +21,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.quorum.base import QuorumSystem
-from repro.types import ProcessId, Tag, VirtualTime
+from repro.types import ProcessId, Tag
 
 __all__ = ["StaticQuorumStorageServer", "StaticQuorumStorageClient"]
 

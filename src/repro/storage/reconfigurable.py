@@ -39,7 +39,7 @@ from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process
-from repro.types import ProcessId, Tag, VirtualTime
+from repro.types import ProcessId, Tag
 
 __all__ = ["ReconfigurableStorageServer", "ReconfigurableStorageClient"]
 

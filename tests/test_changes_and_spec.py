@@ -13,7 +13,6 @@ from repro.core.spec import (
     check_rp_validity_one,
     check_validity_one,
     rp_minimum_weight,
-    weights_from_changes,
 )
 from repro.errors import ConfigurationError, IntegrityViolation
 from repro.types import server_set
@@ -296,7 +295,7 @@ class TestSystemConfig:
     def test_initial_change_set_matches_weights(self):
         config = SystemConfig.uniform(3, f=1)
         changes = config.initial_change_set()
-        assert weights_from_changes(changes, config.servers) == config.initial_weights
+        assert changes.weights(config.servers) == config.initial_weights
 
     def test_invalid_f_rejected(self):
         with pytest.raises(ConfigurationError):

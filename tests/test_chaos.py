@@ -132,6 +132,14 @@ class TestFaultAxes:
         with pytest.raises(ConfigurationError, match="non-negative"):
             fault_axes(quickstart_spec(), times=(4.0, -1.0))
 
+    def test_weights_with_no_quorum_are_rejected(self):
+        spec = quickstart_spec().with_overrides({
+            "cluster.n": 3, "cluster.f": 0,
+            "cluster.initial_weights": (("s1", 0.0), ("s2", 0.0), ("s3", 0.0)),
+        })
+        with pytest.raises(ConfigurationError, match="no quorum"):
+            fault_axes(spec)
+
 
 class TestLHSStratification:
     @pytest.mark.parametrize("sample,seed", [(8, 0), (16, 1), (5, 2)])

@@ -306,6 +306,50 @@ class TestReachability:
         assert check_imports.unreached_modules(tmp_path) == ["repro.quorum.grid"]
 
 
+#: A synthetic ``src/`` tree: driver calls in and out of place, and imports
+#: used, unused, deliberately re-exported and function-local.
+_SYNTHETIC_MODULES = {
+    "sim/cluster.py": "network = Network(loop)\n",
+    "experiments/spec.py":
+        "def run(cluster, workload):\n"
+        "    install_monitoring(cluster)\n"
+        "    WorkloadGenerator(keys=None)\n"
+        "    return run_workload(cluster, workload)\n",
+    "lab.py": "from repro.net.network import Network\n"
+              "def run(loop):\n    return Network(loop)\n",
+    "bench/rig.py": "from repro.net import network\n"
+                    "def run(loop):\n    return network.Network(loop)\n",
+    "experiments/catalogue/shift.py":
+        "from repro.sim import runner\n"
+        "def run(cluster, workload):\n"
+        "    install_monitoring(cluster)\n"
+        "    return runner.run_workload(cluster, workload)\n",
+    "workloads/generator.py":
+        "class WorkloadGenerator:\n    pass\n"
+        "def default():\n    return WorkloadGenerator()\n",
+    "quiet.py": "from repro.net.network import Network\n"
+                "from repro.sim.runner import run_workload\n",
+    "facade.py": "from __future__ import annotations\n"
+                 "import json\n"
+                 "import os.path\n"
+                 "from typing import List, Optional\n"
+                 "from repro.obs import read_trace  # noqa: F401\n"
+                 "__all__ = [\"Optional\"]\n"
+                 "def names(root) -> List[str]:\n"
+                 "    import shutil\n"
+                 "    return [os.path.join(root, name) for name in ()]\n",
+}
+
+
+@pytest.fixture
+def synthetic_src(tmp_path):
+    for name, text in _SYNTHETIC_MODULES.items():
+        path = tmp_path / "repro" / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return tmp_path
+
+
 class TestOneOwnerPerDriverCall:
     """ARCHITECTURE "Who frees a finished run" and "One storage driver":
     every world is built in ``sim/cluster.py`` and closed by its ``with``,
@@ -314,39 +358,28 @@ class TestOneOwnerPerDriverCall:
     def test_every_driver_call_is_made_by_its_owner(self):
         assert check_imports.misplaced_calls() == []
 
-    def test_a_call_out_of_place_is_reported_by_module_name(self, tmp_path):
-        modules = {
-            "sim/cluster.py": "network = Network(loop)\n",
-            "experiments/spec.py":
-                "def run(cluster, workload):\n"
-                "    install_monitoring(cluster)\n"
-                "    WorkloadGenerator(keys=None)\n"
-                "    return run_workload(cluster, workload)\n",
-            "lab.py": "from repro.net.network import Network\n"
-                      "def run(loop):\n    return Network(loop)\n",
-            "bench/rig.py": "from repro.net import network\n"
-                            "def run(loop):\n    return network.Network(loop)\n",
-            "experiments/catalogue/shift.py":
-                "from repro.sim import runner\n"
-                "def run(cluster, workload):\n"
-                "    install_monitoring(cluster)\n"
-                "    return runner.run_workload(cluster, workload)\n",
-            "workloads/generator.py":
-                "class WorkloadGenerator:\n    pass\n"
-                "def default():\n    return WorkloadGenerator()\n",
-            "quiet.py": "from repro.net.network import Network\n"
-                        "from repro.sim.runner import run_workload\n",
-        }
-        for name, text in modules.items():
-            path = tmp_path / "repro" / name
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(text)
-        assert check_imports.misplaced_calls(tmp_path) == [
+    def test_a_call_out_of_place_is_reported_by_module_name(self, synthetic_src):
+        assert check_imports.misplaced_calls(synthetic_src) == [
             ("repro.bench.rig", "Network"),
             ("repro.experiments.catalogue.shift", "install_monitoring"),
             ("repro.experiments.catalogue.shift", "run_workload"),
             ("repro.lab", "Network"),
             ("repro.workloads.generator", "WorkloadGenerator"),
+        ]
+
+
+class TestNoUnusedImports:
+    """Every module-level import under ``src/repro`` is used, or marked
+    ``# noqa: F401`` as a deliberate re-export."""
+
+    def test_every_import_is_used(self):
+        assert check_imports.unused_imports() == []
+
+    def test_an_unused_import_is_reported_by_module_name(self, synthetic_src):
+        assert check_imports.unused_imports(synthetic_src) == [
+            ("repro.facade", "json"),
+            ("repro.quiet", "Network"),
+            ("repro.quiet", "run_workload"),
         ]
 
 

@@ -7,14 +7,13 @@ import json
 import pytest
 
 from repro.core.protocol import ReassignmentServer
-from repro.core.spec import SystemConfig, check_rp_integrity
+from repro.core.spec import SystemConfig, check_integrity, check_rp_integrity
 from repro.errors import ConfigurationError, CrashedProcessError
 from repro.experiments.executor import run_with_stable_stack
 from repro.experiments.spec import MonitoringSpec, ScenarioSpec, run_spec
 from repro.monitoring import (
     LatencyMonitor,
     WeightController,
-    clip_to_rp_integrity,
     install_probe_responder,
     proportional_inverse_latency_weights,
     wheat_style_weights,
@@ -23,7 +22,6 @@ from repro.net.latency import PerLinkLatency
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimLoop
-from repro.quorum.availability import wmqs_is_available
 from repro.types import server_set
 
 from tests.conftest import make_net
@@ -149,12 +147,14 @@ class TestPolicies:
         # n - 2f = 3 fast servers share the larger weight.
         values = sorted(set(round(v, 6) for v in targets.values()))
         assert len(values) == 2
-        assert wmqs_is_available(targets, config.f)
+        assert check_integrity(targets, config.f)
 
     def test_clip_rejects_impossible_margin(self):
         config = self.make_config()
         with pytest.raises(ConfigurationError):
-            clip_to_rp_integrity(config.initial_weights, config, margin=10.0)
+            proportional_inverse_latency_weights(
+                {server: 1.0 for server in config.servers}, config, margin=10.0
+            )
 
     def test_policies_require_full_latency_map(self):
         config = self.make_config()

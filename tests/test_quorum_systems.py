@@ -7,14 +7,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ConfigurationError, IntegrityViolation
+from repro.core.spec import check_integrity
+from repro.errors import ConfigurationError
 from repro.quorum import (
     MajorityQuorumSystem,
     WeightedMajorityQuorumSystem,
-    assert_wmqs_available,
-    max_tolerable_failures,
-    minimum_quorum_cardinality,
-    wmqs_is_available,
+    smallest_quorum_size,
 )
 from repro.types import server_set
 
@@ -87,7 +85,7 @@ class TestWeightedMajorityQuorumSystem:
         }
         wmqs = WeightedMajorityQuorumSystem(weights)
         assert wmqs.is_quorum(["s1", "s2", "s3"])
-        assert wmqs.smallest_quorum_size() == 3
+        assert smallest_quorum_size(weights) == 3
 
     def test_uniform_weights_match_majority(self):
         servers = server_set(5)
@@ -116,13 +114,8 @@ class TestWeightedMajorityQuorumSystem:
         heavy = wmqs.with_weights({"s1": 3.0, "s2": 1.0, "s3": 1.0})
         assert heavy.is_quorum(["s1"])
 
-    def test_heaviest_servers(self):
-        wmqs = WeightedMajorityQuorumSystem({"s1": 1.0, "s2": 3.0, "s3": 2.0})
-        assert wmqs.heaviest_servers(2) == ("s2", "s3")
-
     def test_smallest_quorum_greedy(self):
-        wmqs = WeightedMajorityQuorumSystem({"s1": 5.0, "s2": 1.0, "s3": 1.0, "s4": 1.0})
-        assert wmqs.smallest_quorum() == ("s1",)
+        assert smallest_quorum_size({"s1": 5.0, "s2": 1.0, "s3": 1.0, "s4": 1.0}) == 1
 
     def test_weight_of_subset(self):
         wmqs = WeightedMajorityQuorumSystem({"s1": 1.5, "s2": 2.5})
@@ -153,7 +146,9 @@ class TestWeightedMajorityQuorumSystem:
     def test_complement_of_quorum_is_not_quorum(self, weights):
         weight_map = {f"s{i+1}": w for i, w in enumerate(weights)}
         wmqs = WeightedMajorityQuorumSystem(weight_map)
-        quorum = set(wmqs.smallest_quorum())
+        ranked = sorted(weight_map, key=lambda s: (-weight_map[s], s))
+        quorum = set(ranked[: smallest_quorum_size(weight_map)])
+        assert wmqs.is_quorum(quorum)
         complement = set(weight_map) - quorum
         if complement:
             assert not wmqs.is_quorum(complement)
@@ -162,47 +157,37 @@ class TestWeightedMajorityQuorumSystem:
 class TestAvailabilityProperty:
     def test_uniform_weights_available_up_to_minority(self):
         weights = {f"s{i}": 1.0 for i in range(1, 6)}
-        assert wmqs_is_available(weights, 2)
-        assert not wmqs_is_available(weights, 3)
+        assert check_integrity(weights, 2)
+        assert not check_integrity(weights, 3)
 
     def test_heavy_single_server_breaks_availability(self):
         weights = {"s1": 10.0, "s2": 1.0, "s3": 1.0, "s4": 1.0, "s5": 1.0}
-        assert not wmqs_is_available(weights, 1)
+        assert not check_integrity(weights, 1)
 
     def test_f_zero_always_available(self):
-        assert wmqs_is_available({"s1": 1.0}, 0)
+        assert check_integrity({"s1": 1.0}, 0)
 
     def test_f_at_least_n_unavailable(self):
-        assert not wmqs_is_available({"s1": 1.0, "s2": 1.0}, 2)
+        assert not check_integrity({"s1": 1.0, "s2": 1.0}, 2)
 
     def test_negative_f_rejected(self):
         with pytest.raises(ValueError):
-            wmqs_is_available({"s1": 1.0}, -1)
-
-    def test_assert_raises_on_violation(self):
-        with pytest.raises(IntegrityViolation):
-            assert_wmqs_available({"s1": 10.0, "s2": 1.0, "s3": 1.0}, 1)
-
-    def test_assert_passes_on_valid(self):
-        assert_wmqs_available({"s1": 1.0, "s2": 1.0, "s3": 1.0}, 1)
-
-    def test_max_tolerable_failures_uniform(self):
-        weights = {f"s{i}": 1.0 for i in range(1, 8)}
-        assert max_tolerable_failures(weights) == 3
-
-    def test_max_tolerable_failures_skewed(self):
-        weights = {"s1": 3.0, "s2": 1.0, "s3": 1.0, "s4": 1.0, "s5": 1.0}
-        assert max_tolerable_failures(weights) == 1
+            check_integrity({"s1": 1.0}, -1)
 
     def test_minimum_quorum_cardinality(self):
         weights = {"s1": 1.2, "s2": 1.2, "s3": 1.2, "s4": 0.8, "s5": 0.8, "s6": 0.8, "s7": 1.0}
-        assert minimum_quorum_cardinality(weights) == 3
+        assert smallest_quorum_size(weights) == 3
         uniform = {f"s{i}": 1.0 for i in range(1, 8)}
-        assert minimum_quorum_cardinality(uniform) == 4
+        assert smallest_quorum_size(uniform) == 4
 
-    def test_zero_total_weight_rejected(self):
-        with pytest.raises(IntegrityViolation):
-            minimum_quorum_cardinality({"s1": 0.0, "s2": 0.0})
+    def test_smallest_quorum_avoiding_servers(self):
+        weights = {"s1": 1.6, "s2": 1.4, "s3": 0.8, "s4": 0.8, "s5": 0.8, "s6": 0.8, "s7": 0.8}
+        assert smallest_quorum_size(weights) == 3
+        assert smallest_quorum_size(weights, avoid=("s1", "s2")) == 5
+        assert smallest_quorum_size(weights, avoid=("s1", "s2", "s3")) is None
+
+    def test_zero_total_weight_has_no_quorum(self):
+        assert smallest_quorum_size({"s1": 0.0, "s2": 0.0}) is None
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -218,7 +203,7 @@ class TestAvailabilityProperty:
         weight_map = {f"s{i+1}": w for i, w in enumerate(weights)}
         if f >= len(weight_map):
             return
-        if not wmqs_is_available(weight_map, f):
+        if not check_integrity(weight_map, f):
             return
         total = sum(weight_map.values())
         ranked = sorted(weight_map.values())  # the n-f *lightest* servers: worst case

@@ -7,15 +7,14 @@ import pytest
 from repro.analysis import (
     expected_quorum_latency,
     fastest_quorum,
-    inverse_latency_weights,
     quorum_latency_table,
-    quorum_size_after_reassignment,
 )
-from repro.core.spec import SystemConfig
+from repro.core.spec import SystemConfig, check_integrity
 from repro.errors import ConfigurationError
+from repro.monitoring.policy import inverse_latency_weights
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.quorum.majority import MajorityQuorumSystem
-from repro.quorum.weighted import WeightedMajorityQuorumSystem
+from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_size
 from repro.sim import (
     FailureSchedule,
     build_dynamic_cluster,
@@ -227,20 +226,23 @@ class TestQuorumLatencyAnalysis:
 class TestWeightPlanning:
     def test_inverse_latency_weights_available(self):
         rtt = {"s1": 10.0, "s2": 12.0, "s3": 15.0, "s4": 80.0, "s5": 95.0}
-        weights = inverse_latency_weights(rtt, total_weight=5.0, f=1)
+        weights = inverse_latency_weights(rtt, 5.0, floor=0.5)
         assert sum(weights.values()) == pytest.approx(5.0)
         assert weights["s1"] > weights["s4"]
+        assert min(weights.values()) >= 0.5
+        assert check_integrity(weights, 1)
 
-    def test_infeasible_floor_rejected(self):
+    def test_a_zero_floor_can_break_property_1(self):
         rtt = {"s1": 1.0, "s2": 1000.0, "s3": 1000.0}
-        with pytest.raises(ConfigurationError):
-            inverse_latency_weights(rtt, total_weight=3.0, f=1, floor_fraction=0.0)
+        weights = inverse_latency_weights(rtt, 3.0, floor=0.0)
+        assert not check_integrity(weights, 1)
+        assert check_integrity(inverse_latency_weights(rtt, 3.0, floor=0.9), 1)
 
     def test_quorum_size_shrinks_with_skewed_weights(self):
         uniform = {s: 1.0 for s in server_set(7)}
         skewed = {"s1": 1.2, "s2": 1.2, "s3": 1.2, "s4": 0.8, "s5": 0.8, "s6": 0.8, "s7": 1.0}
-        assert quorum_size_after_reassignment(skewed) < quorum_size_after_reassignment(uniform)
+        assert smallest_quorum_size(skewed) < smallest_quorum_size(uniform)
 
     def test_empty_latency_map_rejected(self):
         with pytest.raises(ConfigurationError):
-            inverse_latency_weights({}, total_weight=1.0, f=0)
+            inverse_latency_weights({}, 1.0, floor=0.0)

@@ -67,7 +67,7 @@ SECTION_SAMPLES = (
                  arrivals=ArrivalSpec(kind="poisson", rate=2.0),
                  mix=MixSpec(read_ratio=0.25),
                  phases=(PhaseSpec(at=5.0, overrides=(("keys.space", 8),)),)),
-    PolicySpec(kind="wheat", threshold=0.1, margin=0.02, extra_servers=2),
+    PolicySpec(kind="wheat", threshold=0.1, margin=0.02),
     MonitoringSpec(enabled=True, interval=3.0, rounds=4, window=16,
                    ewma_alpha=0.5, policy=PolicySpec(threshold=0.2),
                    gain=0.2, scope="global", prober="probe"),
@@ -125,6 +125,13 @@ class TestSectionProtocol:
         payload = ScenarioSpec(name="t").to_dict()
         payload["workload"]["keys"]["bogus"] = 1
         with pytest.raises(ConfigurationError, match="unknown key 'bogus'"):
+            ScenarioSpec.from_dict(payload)
+
+    def test_the_retired_wheat_surplus_is_an_unknown_key(self):
+        # monitoring.policy.extra_servers never reached the WHEAT policy.
+        payload = ScenarioSpec(name="t").to_dict()
+        payload["monitoring"]["policy"]["extra_servers"] = 1
+        with pytest.raises(ConfigurationError, match="unknown key 'extra_servers'"):
             ScenarioSpec.from_dict(payload)
 
     def test_every_section_implements_the_protocol(self):

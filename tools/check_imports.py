@@ -29,11 +29,17 @@ closed by its ``with``, and every workload runs through ``run_spec``; the
 same parse reports, by module name, any module under ``src/repro`` that
 calls a name in :data:`OWNERS` outside the module that owns it.
 
+**No unused imports.**  The same parse reports every module-level import
+under ``src/repro`` whose name the module never uses (as a name, or in
+``__all__``).  A deliberate re-export says so with ``# noqa: F401`` on the
+import's line.
+
 Run from anywhere (``src`` is put on the child's path automatically)::
 
     python tools/check_imports.py            # print counts, exit 1 on drift,
-                                             # an unreached module or a
-                                             # driver call out of place
+                                             # an unreached module, a driver
+                                             # call out of place or an
+                                             # unused import
     python tools/check_imports.py --update   # rewrite the budget
 """
 
@@ -234,6 +240,38 @@ def misplaced_calls(src: Path = SRC_ROOT) -> List[Tuple[str, str]]:
     return sorted(found)
 
 
+def _module_imports(tree: ast.Module) -> Iterator[ast.alias]:
+    """Every alias an import binds outside a function or class body."""
+    pending: List[ast.AST] = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                yield from node.names
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def unused_imports(src: Path = SRC_ROOT) -> List[Tuple[str, str]]:
+    """``(module, name)`` for each module-level import under ``src/repro``
+    the module never uses; a line marked ``# noqa: F401`` is exempt."""
+    found = []
+    for module, path in source_modules(src).items():
+        text = path.read_text(encoding="utf-8")
+        tree, lines = ast.parse(text), text.splitlines()
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__"
+                            for target in node.targets)):
+                used.update(ast.literal_eval(node.value))
+        for alias in _module_imports(tree):
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                found.append((module, name))
+    return sorted(found)
+
+
 def main(argv: Sequence[str] = ()) -> int:
     observed = observe()
     for label, modules in observed.items():
@@ -256,13 +294,17 @@ def main(argv: Sequence[str] = ()) -> int:
         f"{module} calls {name}( (only {OWNERS[name]} may)"
         for module, name in misplaced_calls()
     ]
+    found += [
+        f"{module} imports {name} and never uses it"
+        for module, name in unused_imports()
+    ]
     for problem in found:
         print(f"error: {problem}", file=sys.stderr)
     if found:
         print(f"{len(found)} import problem(s)", file=sys.stderr)
         return 1
     print("import budget ok; every module under src/repro is reached; "
-          "every driver call is made by its owner")
+          "every driver call is made by its owner; no import is unused")
     return 0
 
 
