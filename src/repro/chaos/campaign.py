@@ -213,7 +213,7 @@ class _Judge:
         if events is not None and self.keep_traces is not None:
             stem = "baseline" if index < 0 else f"{index:04d}"
             write_trace(
-                observer.trace.records,
+                map(TraceEvent.as_record, events),
                 os.path.join(self.keep_traces, f"{stem}.jsonl"),
             )
         judged = self.verdict(index, run, result.result, events)

@@ -184,7 +184,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # declarative *and* function scenarios (the components capture it while
     # the scenario builds its world).  Declarative scenarios can alternatively
     # enable observability through their spec (-p observability.enabled=True).
-    from repro.obs import Observer, observing, write_trace
+    from repro.obs import Observer, TraceEvent, observing, write_trace
 
     observer = Observer(metrics=bool(args.metrics), trace=bool(args.trace))
     with observing(observer):
@@ -193,10 +193,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if observer.metrics is not None and isinstance(payload, dict):
         payload.setdefault("metrics", observer.metrics.as_dict())
     if observer.trace is not None:  # exactly when --trace PATH was given
-        records = observer.trace.records
-        digest = write_trace(records, args.trace)
+        events = observer.trace.events
+        digest = write_trace(map(TraceEvent.as_record, events), args.trace)
         if isinstance(payload, dict):
-            payload.setdefault("trace", {"records": len(records), "digest": digest})
+            payload.setdefault("trace", {"records": len(events), "digest": digest})
         print(f"trace: {args.trace}", file=sys.stderr)
     _emit(results, args)
     return 0

@@ -33,7 +33,6 @@ draining.  What lives here is what outlasts the process:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import signal
@@ -50,6 +49,7 @@ from typing import (
     Tuple,
 )
 
+from repro._digest import sha256
 from repro.errors import (
     INTERRUPT_EXIT_CODE,
     ConfigurationError,
@@ -95,7 +95,7 @@ def run_digest(run: RunSpec) -> str:
           for key, value in sorted(run.params, key=lambda item: item[0])]],
         sort_keys=True, separators=(",", ":"),
     )
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    return sha256(material.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ from repro.monitoring.policy import (
     proportional_inverse_latency_weights,
     wheat_style_weights,
 )
-from repro.obs import Observer, observing, trace_digest, write_trace
+from repro.obs import Observer, TraceEvent, observing, trace_digest, write_trace
 from repro.storage.sharded import expand_process_names, shard_process_name
 from repro.types import ProcessId, VirtualTime, Weight, server_set
 from repro.workloads.arrivals import (
@@ -1052,12 +1052,12 @@ def run_spec(spec: ScenarioSpec, measure: Optional[Measure] = None) -> Dict[str,
     if observer.metrics is not None:
         result["metrics"] = observer.metrics.as_dict()
     if observer.trace is not None:
-        records = observer.trace.records
-        # A trace that goes to disk is encoded once: write_trace returns the
-        # digest of the bytes it wrote.
+        events = observer.trace.events
+        # One record at a time; write_trace returns the digest of its bytes.
+        records = map(TraceEvent.as_record, events)
         path = spec.observability.trace_path
         result["trace"] = {
-            "records": len(records),
+            "records": len(events),
             "digest": write_trace(records, path) if path else trace_digest(records),
         }
     return result

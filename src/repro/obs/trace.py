@@ -30,21 +30,24 @@ runs in the same interpreter created.
 The canonical serialisation (one record per line,
 ``json.dumps(..., sort_keys=True, separators=(",", ":"))``) is what both the
 JSONL sink and the trace digest hash, so a digest pinned in a test also pins
-the exact bytes CI uploads as an artifact.
+the exact bytes CI uploads as an artifact.  Both encode, hash (with
+:mod:`repro._digest`) and write one record at a time: nothing holds the file.
 
 In memory a record is a :class:`TraceEvent`; the flat dict above is the *file
 format*.  :meth:`TraceRecorder.emit` checks the schema once, where the record
-is made, and keeps the typed event the analyses read;
-:attr:`TraceRecorder.records` renders the dicts for everything that writes,
-hashes, exports or diffs.
+is made, and keeps the typed event the analyses read; the sink and the
+digest take ``map(TraceEvent.as_record, events)``, and
+:attr:`TraceRecorder.records` renders the dicts for what exports or diffs.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from types import MappingProxyType
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional
 
+from repro._digest import sha256
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -228,32 +231,36 @@ def trace_lines(records: Iterable[Dict[str, Any]]) -> List[str]:
     return [_encode(record) for record in records]
 
 
-def _canonical_bytes(records: Iterable[Dict[str, Any]]) -> bytes:
-    """The bytes of a trace file: every canonical line, newline-terminated."""
-    lines = trace_lines(records)
-    lines.append("")  # the join then ends the last line too; no records, no bytes
-    return "\n".join(lines).encode("utf-8")
-
-
 def trace_digest(records: Iterable[Dict[str, Any]]) -> str:
-    """SHA-256 over the canonical JSONL bytes (trailing newline included)."""
-    import hashlib  # here, not at module level: untraced runs never hash
-
-    return hashlib.sha256(_canonical_bytes(records)).hexdigest()
+    """SHA-256 over the canonical JSONL bytes (trailing newline included),
+    hashed a line at a time as the records arrive."""
+    digest = sha256()
+    for record in records:
+        digest.update((_encode(record) + "\n").encode("utf-8"))
+    return digest.hexdigest()
 
 
 def write_trace(records: Iterable[Dict[str, Any]], path: str) -> str:
     """Write the canonical JSONL to ``path``; return its digest.
 
-    The digest is the SHA-256 of exactly the bytes written, so it equals
-    :func:`trace_digest` of the same records without encoding them again.
+    Each line is hashed as it is written, so the digest is the SHA-256 of
+    exactly the bytes written.  They go to a temporary file that replaces
+    ``path`` at the end: a record that cannot be encoded leaves no file.
     """
-    import hashlib
-
-    payload = _canonical_bytes(records)
-    with open(path, "wb") as handle:
-        handle.write(payload)
-    return hashlib.sha256(payload).hexdigest()
+    digest = sha256()
+    partial = f"{path}.partial"
+    handle = open(partial, "wb")
+    try:
+        with handle:
+            for record in records:
+                line = (_encode(record) + "\n").encode("utf-8")
+                digest.update(line)
+                handle.write(line)
+        os.replace(partial, path)
+    except BaseException:
+        os.remove(partial)
+        raise
+    return digest.hexdigest()
 
 
 class ValidatedTrace(list):

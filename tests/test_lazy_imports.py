@@ -272,6 +272,13 @@ class TestImportBudget:
         assert "multiprocessing" not in observed["sweep --workers 1"]
         assert "multiprocessing" in observed["sweep --workers 2"]
 
+    def test_no_simulation_path_loads_openssl(self, observed):
+        # SHA-256 comes from repro._digest's lean built-in module.  `serve`
+        # (no probe here) is the one exception: http.server maps OpenSSL.
+        assert set(observed) == set(check_imports.PROBES)
+        for label, modules in observed.items():
+            assert _loaded(modules, "_hashlib", "_ssl") == [], label
+
     def test_a_new_eager_import_is_reported_by_name(self):
         budget = {"run": ["repro", "repro.errors"]}
         found = check_imports.problems(

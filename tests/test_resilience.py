@@ -118,6 +118,12 @@ class TestRunDigest:
         }
         assert len(digests) == 6
 
+    def test_the_key_is_the_one_earlier_journals_hold(self):
+        # Pinned: a journal keyed by an earlier build must keep resuming.
+        assert run_digest(RunSpec("quickstart", (("seed", 1),))) == (
+            "c3984daf0a7eaf1122ea6953e343ceb5084c9eb75b139147e64990ba15f72384"
+        )
+
     def test_scenario_and_params_are_load_bearing(self):
         base = RunSpec("s", params=(("x", 1),))
         assert run_digest(base) != run_digest(RunSpec("t", params=(("x", 1),)))

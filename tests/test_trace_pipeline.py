@@ -312,6 +312,84 @@ class TestEncodeOnce:
         assert traced() == on_disk  # no path: hashed without a file
 
 
+def quickstart_events():
+    from repro.experiments.executor import execute_run
+    from repro.experiments.sweep import RunSpec
+    from repro.obs import observing
+
+    observer = Observer(metrics=False)
+    with observing(observer):
+        execute_run(RunSpec("quickstart", (("seed", 1),)))
+    return observer.trace.events
+
+
+class TestTheDigestStreams:
+    """``trace_digest`` and ``write_trace`` take one record at a time and
+    never hold the rendered trace."""
+
+    def test_a_one_shot_generator_digests_to_the_file_bytes(self, tmp_path):
+        events = quickstart_events()
+        path = tmp_path / "t.jsonl"
+        written = write_trace((event.as_record() for event in events), str(path))
+        once = map(TraceEvent.as_record, events)
+        assert trace_digest(once) == written
+        assert written == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert list(once) == []  # the digest consumed the iterator
+
+    def test_digesting_a_run_holds_no_rendered_trace(self):
+        import tracemalloc
+
+        events = quickstart_events()
+        assert len(events) > 5000
+        expected = trace_digest([event.as_record() for event in events])
+        tracemalloc.start()
+        try:
+            digest = trace_digest(map(TraceEvent.as_record, events))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert digest == expected
+        assert peak < 64 * 1024  # the rendered trace alone is megabytes
+
+    @pytest.mark.parametrize("producer", ["run_spec", "run --trace", "--keep-traces"])
+    def test_no_producer_renders_the_whole_trace(self, producer, tmp_path, monkeypatch):
+        from repro.chaos.campaign import run_campaign
+        from repro.experiments.cli import main
+        from repro.experiments.executor import execute_run
+        from repro.experiments.sweep import RunSpec
+
+        def rendered(recorder):
+            raise AssertionError("TraceRecorder.records rendered a whole trace")
+
+        monkeypatch.setattr(TraceRecorder, "records", property(rendered))
+        path = str(tmp_path / "t.jsonl")
+        if producer == "run_spec":
+            params = {"observability.enabled": True, "observability.trace": True,
+                      "observability.trace_path": path}
+            execute_run(RunSpec("quickstart", tuple(sorted(params.items()))))
+        elif producer == "run --trace":
+            assert main(["run", "quickstart", "--trace", path, "--quiet"]) == 0
+        else:
+            run_campaign("quickstart", sample=1, keep_traces=str(tmp_path))
+            path = str(tmp_path / "0000.jsonl")
+        assert read_trace(path)
+
+    def test_a_record_that_cannot_be_encoded_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        records = [rec(), rec(seq=1, args={"members": {"s1"}})]
+        with pytest.raises(TypeError):
+            write_trace(records, str(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_write_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        before = write_trace(sample_records(), str(path))
+        with pytest.raises(TypeError):
+            write_trace([rec(args={"members": {"s1"}})], str(path))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+
+
 GOOD = '{"cat":"net","name":"RC","ph":"i","seq":0,"ts":0.0}'
 NEXT = GOOD.replace('"seq":0', '"seq":1')
 
@@ -725,6 +803,7 @@ class TestTraceGateTool:
         self, tool, tmp_path, capsys, monkeypatch
     ):
         def lying_write_trace(records, path):
+            records = list(records)  # the run passes a one-shot iterator
             write_trace(records, path)
             return trace_digest(records[:-1])
 

@@ -4,7 +4,8 @@
 **Import budget** (the CI cold-start gate).  Each probe below runs one
 subcommand in a fresh interpreter and reads ``sys.modules`` when it
 returns: the ``repro.*`` modules it imported, plus
-``multiprocessing`` if that got loaded.  The lists are compared with the
+``multiprocessing`` and OpenSSL's ``_hashlib`` and ``_ssl`` if those got
+loaded (:data:`WATCHED`).  The lists are compared with the
 committed ``tools/import_budget.json`` — names, not times, so the gate is
 exact on every machine.  A subcommand that starts importing a module it did
 not need before fails here with that module's name; a deliberate change is
@@ -73,19 +74,27 @@ PROBES: Dict[str, List[str]] = {
     "run quickstart": ["run", "quickstart", *_FAST],
     "sweep --workers 1": _SWEEP,
     "sweep --workers 2": [*_SWEEP, "--workers", "2"],
+    "chaos": ["chaos", "--scenario", "quickstart", "--sample", "1",
+              "--quiet", "--no-progress"],
 }
+
+#: Stdlib modules reported beside ``repro.*``: the pool's machinery, and
+#: OpenSSL, which no simulation path loads (``repro._digest`` hashes
+#: without it; only ``serve`` maps it, through ``http.server``).
+WATCHED = ("multiprocessing", "_hashlib", "_ssl")
 
 # Runs the CLI exactly as ``python -m repro`` does, then reports what got
 # imported; the report goes to a file so the command's own output is free.
 _CHILD = """
 import json, runpy, sys
-report, sys.argv = sys.argv[1], ["repro", *sys.argv[2:]]
+report, watched = sys.argv[1], sys.argv[2].split(",")
+sys.argv = ["repro", *sys.argv[3:]]
 try:
     runpy.run_module("repro", run_name="__main__")
 except SystemExit:
     pass
 names = [name for name in sys.modules
-         if name == "multiprocessing" or name.split(".")[0] == "repro"]
+         if name in watched or name.split(".")[0] == "repro"]
 with open(report, "w", encoding="utf-8") as handle:
     json.dump(sorted(names), handle)
 """
@@ -98,7 +107,7 @@ def imported_modules(argv: Sequence[str]) -> List[str]:
     with tempfile.TemporaryDirectory() as scratch:
         report = os.path.join(scratch, "modules.json")
         subprocess.run(
-            [sys.executable, "-c", _CHILD, report, *argv],
+            [sys.executable, "-c", _CHILD, report, ",".join(WATCHED), *argv],
             cwd=REPO_ROOT, env=env, check=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
@@ -275,9 +284,9 @@ def unused_imports(src: Path = SRC_ROOT) -> List[Tuple[str, str]]:
 def main(argv: Sequence[str] = ()) -> int:
     observed = observe()
     for label, modules in observed.items():
-        pool = " + multiprocessing" if "multiprocessing" in modules else ""
-        count = sum(name != "multiprocessing" for name in modules)
-        print(f"{label:<20s} {count:3d} repro modules{pool}")
+        extra = "".join(f" + {name}" for name in WATCHED if name in modules)
+        count = sum(name not in WATCHED for name in modules)
+        print(f"{label:<20s} {count:3d} repro modules{extra}")
     if "--update" in argv:
         with open(BUDGET_PATH, "w", encoding="utf-8") as handle:
             json.dump(observed, handle, indent=1, sort_keys=True)
