@@ -8,8 +8,9 @@ Three layers, stdlib only:
   running jobs on the resilient executor with per-job run journals, so a
   restarted server resumes interrupted jobs byte-identically;
 * :mod:`repro.serve.routes` / :mod:`repro.serve.app` — the endpoint table
-  and the ``ThreadingHTTPServer`` front end streaming results as chunked
-  JSONL, byte-identical to the CLI's ``--jsonl`` sink.
+  and a threading ``socketserver`` front end that speaks HTTP/1.1 itself
+  (no ``http.server``, so no OpenSSL in the server), streaming results as
+  chunked JSONL, byte-identical to the CLI's ``--jsonl`` sink.
 
 :mod:`repro.serve.client` is the matching stdlib client used by tests, CI
 and ``python -m repro.serve.client``.  It is deliberately *not* re-exported

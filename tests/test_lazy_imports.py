@@ -273,11 +273,19 @@ class TestImportBudget:
         assert "multiprocessing" in observed["sweep --workers 2"]
 
     def test_no_simulation_path_loads_openssl(self, observed):
-        # SHA-256 comes from repro._digest's lean built-in module.  `serve`
-        # (no probe here) is the one exception: http.server maps OpenSSL.
+        # SHA-256 comes from repro._digest's lean built-in module, and the
+        # server speaks HTTP itself, without http.server's ssl import.
         assert set(observed) == set(check_imports.PROBES)
+        assert "serve" in observed
         for label, modules in observed.items():
             assert _loaded(modules, "_hashlib", "_ssl") == [], label
+
+    def test_the_server_does_without_the_stdlib_http_stack(self, observed):
+        assert _loaded(observed["serve"], "repro.serve") == [
+            "repro.serve", "repro.serve.app", "repro.serve.routes",
+            "repro.serve.schemas", "repro.serve.service",
+        ]
+        assert _loaded(observed["serve"], "http.client", "email") == []
 
     def test_a_new_eager_import_is_reported_by_name(self):
         budget = {"run": ["repro", "repro.errors"]}

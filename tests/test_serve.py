@@ -9,6 +9,8 @@ same jobs directory.
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import json
 import multiprocessing
 import os
@@ -81,16 +83,26 @@ def service(tmp_path, leaked_children):
     assert leaked_children() == []  # every test on the fixture checks it
 
 
-@pytest.fixture
-def http_client(service):
-    server = ExperimentServer(("127.0.0.1", 0), service, quiet=True)
+@contextlib.contextmanager
+def serving(service, quiet=True):
+    """A client of an ExperimentServer for ``service`` on a loopback port,
+    serving on a thread until the block ends."""
+    server = ExperimentServer(("127.0.0.1", 0), service, quiet=quiet)
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
     )
     thread.start()
-    yield ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
-    server.shutdown()
-    server.server_close()
+    try:
+        yield ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def http_client(service):
+    with serving(service) as client:
+        yield client
 
 
 BASELINE = "static-majority-baseline"  # no transfers: no stack-depth churn
@@ -947,22 +959,16 @@ class TestHTTPServer:
         service = ExperimentService(
             str(tmp_path / "jobs"), workers=1, job_concurrency=2
         )
-        server = ExperimentServer(("127.0.0.1", 0), service, quiet=True)
-        thread = threading.Thread(
-            target=server.serve_forever, kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
-        client = ServeClient(f"http://127.0.0.1:{server.server_address[1]}")
         try:
-            # Queued while no job thread runs: each thread then takes one.
-            jobs = {seed: client.submit(request(seed))["id"] for seed in (3, 4)}
-            service.start()
-            served = {seed: client.results_bytes(job) for seed, job in jobs.items()}
-            assert all(client.wait(job)["state"] == "done" for job in jobs.values())
+            with serving(service) as client:
+                # Queued while no job thread runs: each thread then takes one.
+                jobs = {seed: client.submit(request(seed))["id"] for seed in (3, 4)}
+                service.start()
+                served = {seed: client.results_bytes(job)
+                          for seed, job in jobs.items()}
+                assert all(client.wait(job)["state"] == "done"
+                           for job in jobs.values())
         finally:
-            server.shutdown()
-            server.server_close()
             service.shutdown()
         assert served == want
 
@@ -1002,15 +1008,14 @@ class TestHTTPServer:
         writes = []
         handler = ExperimentHandler.__new__(ExperimentHandler)
         handler.wfile = type("Wire", (), {"write": staticmethod(writes.append)})()
-        handler.request_version = "HTTP/1.1"
-        handler.requestline = "GET /jobs/job-000001/results HTTP/1.1"
-        handler.client_address = ("127.0.0.1", 0)
-        handler.server = type("Quiet", (), {"quiet": True})()
         chunks = [b"", b"first\n", b"", b"", b"second\n", b"third\n"]
         handler._write_stream(Response(200, stream=iter(chunks),
                                        content_type="application/x-ndjson"))
-        # Headers, then: a frame sent when the stream says it will wait, a
-        # frame pushed out by the next, and the last with the terminator.
+        # Headers in one write, then: a frame sent when the stream says it
+        # will wait, a frame pushed out by the next, and the last with the
+        # terminator.
+        assert writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
+        assert writes[0].endswith(b"Transfer-Encoding: chunked\r\n\r\n")
         assert writes[1:] == [
             b"6\r\nfirst\n\r\n", b"7\r\nsecond\n\r\n",
             b"6\r\nthird\n\r\n0\r\n\r\n",
@@ -1041,6 +1046,240 @@ class TestHTTPServer:
         with pytest.raises(ServeClientError) as excinfo:
             http_client.job("job-424242")
         assert excinfo.value.status == 404
+
+
+def exchange(client, *parts, timeout=10.0):
+    """Send ``parts`` on one fresh connection, each after the server's reply
+    to the one before has fully arrived; every response, in order, once the
+    server has closed the connection.  A response is ``(status line,
+    headers, body)``; a server that does not close fails on ``timeout``."""
+    found = []
+    with socket.create_connection(
+        (client.host, client.port), timeout=timeout
+    ) as sock:
+        wire = b""
+        for part in parts:
+            sock.sendall(part)
+            wire, answer = _read_response(sock, wire)
+            found.append(answer)
+        while chunk := sock.recv(65536):
+            wire += chunk
+        assert wire == b""  # closed after the last answer, nothing more
+    return found
+
+
+def _read_response(sock, wire):
+    while b"\r\n\r\n" not in wire:
+        wire += _recv(sock)
+    head, wire = wire.split(b"\r\n\r\n", 1)
+    status, *fields = head.decode("latin-1").split("\r\n")
+    headers = dict(field.split(": ", 1) for field in fields)
+    length = int(headers.get("Content-Length", 0))
+    while len(wire) < length:
+        wire += _recv(sock)
+    return wire[length:], (status, headers, wire[:length])
+
+
+def _recv(sock):
+    chunk = sock.recv(65536)
+    assert chunk, "the server closed the connection mid-response"
+    return chunk
+
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+HEALTHZ_THEN_CLOSE = HEALTHZ.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n")
+
+#: What the transport refuses before routing: the request, its status and
+#: the reason the error envelope (and the log) states.
+REFUSALS = {
+    "no-version": (b"GET /healthz\r\n\r\n", 400,
+                   "malformed request 'GET /healthz'"),
+    "http-2": (b"GET /healthz HTTP/2.0\r\n\r\n", 400,
+               "malformed request 'GET /healthz HTTP/2.0'"),
+    "put": (b"PUT /jobs HTTP/1.1\r\n\r\n", 501, "method PUT not implemented"),
+    "long-request-line": (
+        b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", 414,
+        "request line longer than 65536 bytes"),
+    "long-header-line": (
+        b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70000 + b"\r\n\r\n", 431,
+        "header line longer than 65536 bytes"),
+    "too-many-headers": (
+        b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: a\r\n" * 101 + b"\r\n", 431,
+        "more than 100 header lines"),
+    "length-not-a-number": (
+        b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400,
+        "invalid Content-Length 'abc'"),
+    "length-negative": (
+        b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n", 400,
+        "invalid Content-Length '-1'"),
+    "length-over-the-limit": (
+        b"POST /jobs HTTP/1.1\r\nContent-Length: 100000000000\r\n\r\n", 413,
+        "body over 1048576 bytes: 100000000000"),
+    "length-past-int-parsing": (  # more digits than int() converts
+        b"POST /jobs HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
+        413, "body over 1048576 bytes: " + "9" * 5000),
+}
+
+
+class TestTheWire:
+    """The HTTP/1.1 clients rely on, over real sockets: every test ends with
+    the server still answering ``/healthz``."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_a_refused_request_gets_the_error_envelope_and_a_close(
+        self, http_client, case
+    ):
+        request, status, reason = REFUSALS[case]
+        [(line, headers, body)] = exchange(http_client, request)
+        assert line.split(" ", 2)[1] == str(status)
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        assert json.loads(body) == {"error": {
+            "message": reason, "type": "RequestRefused", "path": None}}
+        assert http_client.health()["ok"] is True
+
+    def test_each_refusal_is_logged_with_its_reason_unless_quiet(
+        self, service, capsys
+    ):
+        for quiet in (False, True):
+            with serving(service, quiet=quiet) as client:
+                for request, _, _ in REFUSALS.values():
+                    exchange(client, request)
+                exchange(client, HEALTHZ_THEN_CLOSE)
+            logged = capsys.readouterr().err.splitlines()
+            if quiet:
+                assert logged == []
+                continue
+            expected = [*REFUSALS.values(), (HEALTHZ, 200, "-")]
+            assert len(logged) == len(expected)
+            for line, (_, status, reason) in zip(logged, expected):
+                assert line.startswith("127.0.0.1 - - [")
+                assert line.endswith(f'" {status} {reason}')
+
+    def test_two_requests_share_one_kept_alive_connection(self, http_client):
+        first, second = exchange(http_client, HEALTHZ, HEALTHZ_THEN_CLOSE)
+        for line, headers, body in (first, second):
+            assert line == "HTTP/1.1 200 OK"
+            assert "Connection" not in headers
+            assert json.loads(body)["ok"] is True
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.1\r\nconnection: Close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ])
+    def test_close_and_http_1_0_end_the_connection(self, http_client, request_head):
+        [(line, _, body)] = exchange(http_client, request_head)
+        assert line == "HTTP/1.1 200 OK" and json.loads(body)["ok"] is True
+        assert http_client.health()["ok"] is True
+
+    def test_a_post_expecting_100_continue_sends_its_body_after_it(
+        self, http_client
+    ):
+        body = json.dumps(quickstart_document()).encode("utf-8")
+        interim, final = exchange(
+            http_client,
+            b"POST /specs/validate HTTP/1.1\r\nExpect: 100-Continue\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: %d\r\nConnection: close\r\n\r\n" % len(body),
+            body,
+        )
+        assert interim == ("HTTP/1.1 100 Continue", {}, b"")
+        assert final[0] == "HTTP/1.1 200 OK"
+        assert json.loads(final[2])["ok"] is True
+        assert http_client.health()["ok"] is True
+
+    def test_a_reader_hanging_up_mid_stream_leaves_the_job_and_server_running(
+        self, tmp_path, monkeypatch, leaked_children
+    ):
+        gate = RunGate(tmp_path, monkeypatch, free=1)
+        service = ExperimentService(str(tmp_path / "jobs"))
+        service.start()
+        try:
+            with serving(service) as client:
+                job = client.submit(
+                    {"kind": "sweep", "scenario": BASELINE, "seeds": [0, 1, 2]})
+                with socket.create_connection(
+                    (client.host, client.port), timeout=30
+                ) as sock:
+                    sock.sendall(f"GET /jobs/{job['id']}/results HTTP/1.1\r\n"
+                                 "Host: test\r\n\r\n".encode("ascii"))
+                    wire = b""
+                    while not wire.endswith(b"\n\r\n"):  # the first frame
+                        wire += _recv(sock)
+                assert wire.startswith(b"HTTP/1.1 200 OK\r\n")
+                live = client.job(job["id"])  # the last two runs wait at the gate
+                assert live["state"] == "running" and live["done"] <= 1
+                gate.open()
+                assert client.wait(job["id"])["state"] == "done"
+                assert client.health()["ok"] is True
+        finally:
+            gate.open()
+            service.shutdown()
+        assert leaked_children() == []
+
+    def test_concurrent_first_submissions_to_a_fresh_server_are_accepted(
+        self, tmp_path
+    ):
+        # The first requests a fresh `python -m repro serve` sees: four
+        # tenants submitting at once, no catalogue request before them.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(REPO, "src") + os.pathsep + env.get(
+            "PYTHONPATH", "")
+        with subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0", "--quiet",
+             "--jobs-dir", str(tmp_path / "jobs")],
+            env=env, cwd=REPO, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+        ) as server:
+            try:
+                ready = server.stderr.readline()
+                url = ready.split("serving experiments on ", 1)[1].split()[0]
+                client = ServeClient(url, timeout=60)
+                start = threading.Barrier(4, timeout=30)
+                outcomes = {}
+
+                def tenant(seed):
+                    start.wait()
+                    try:
+                        outcomes[seed] = client.submit(
+                            {"kind": "run", "scenario": BASELINE,
+                             "params": {"seed": seed}})["id"]
+                    except ServeClientError as error:
+                        outcomes[seed] = error
+
+                tenants = [threading.Thread(target=tenant, args=(seed,))
+                           for seed in range(4)]
+                for thread in tenants:
+                    thread.start()
+                for thread in tenants:
+                    thread.join(timeout=60)
+                assert sorted(outcomes) == [0, 1, 2, 3]
+                assert all(isinstance(job, str) for job in outcomes.values()), outcomes
+                assert all(client.wait(job)["state"] == "done"
+                           for job in outcomes.values())
+                assert client.health()["ok"] is True
+            finally:
+                server.send_signal(signal.SIGTERM)
+                server.communicate(timeout=60)
+        assert server.returncode == 0
+
+
+def test_only_the_client_imports_the_stdlib_http_stack():
+    src = pathlib.Path(REPO) / "src"
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.startswith(("http.client", "http.server", "ssl", "email"))
+                   for name in names):
+                found.add(path.relative_to(src).as_posix())
+    assert found == {"repro/serve/client.py"}
 
 
 def client_body(argv):

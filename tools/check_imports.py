@@ -3,8 +3,9 @@
 
 **Import budget** (the CI cold-start gate).  Each probe below runs one
 subcommand in a fresh interpreter and reads ``sys.modules`` when it
-returns: the ``repro.*`` modules it imported, plus
-``multiprocessing`` and OpenSSL's ``_hashlib`` and ``_ssl`` if those got
+returns (``serve`` returns when SIGTERM stops it, once it listens): the
+``repro.*`` modules it imported, plus ``multiprocessing``, OpenSSL's
+``_hashlib`` and ``_ssl``, ``http.client`` and ``email`` if those got
 loaded (:data:`WATCHED`).  The lists are compared with the
 committed ``tools/import_budget.json`` — names, not times, so the gate is
 exact on every machine.  A subcommand that starts importing a module it did
@@ -49,6 +50,7 @@ from __future__ import annotations
 import ast
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -64,7 +66,7 @@ _SWEEP = ["sweep", "quickstart", "--seeds", "0,1", *_FAST, "--quiet", "--no-prog
 _BASELINE = "benchmarks/baselines/quickstart.json"
 
 #: label -> argv of ``python -m repro``; relative paths resolve from the
-#: repository root.
+#: repository root, ``{scratch}`` is a fresh temporary directory.
 PROBES: Dict[str, List[str]] = {
     "--help": ["--help"],
     "compare --help": ["compare", "--help"],
@@ -76,12 +78,17 @@ PROBES: Dict[str, List[str]] = {
     "sweep --workers 2": [*_SWEEP, "--workers", "2"],
     "chaos": ["chaos", "--scenario", "quickstart", "--sample", "1",
               "--quiet", "--no-progress"],
+    "serve": ["serve", "--port", "0", "--jobs-dir", "{scratch}/jobs", "--quiet"],
 }
 
-#: Stdlib modules reported beside ``repro.*``: the pool's machinery, and
-#: OpenSSL, which no simulation path loads (``repro._digest`` hashes
-#: without it; only ``serve`` maps it, through ``http.server``).
-WATCHED = ("multiprocessing", "_hashlib", "_ssl")
+#: ``serve`` prints this once it listens; the probe then sends SIGTERM.
+_SERVING = "serving experiments on "
+
+#: Stdlib modules reported beside ``repro.*``: the pool's machinery; OpenSSL,
+#: which no path loads (``repro._digest`` hashes without it); and the stdlib
+#: HTTP stack, which the server does without (only the client speaks
+#: ``http.client``).
+WATCHED = ("multiprocessing", "_hashlib", "_ssl", "http.client", "email")
 
 # Runs the CLI exactly as ``python -m repro`` does, then reports what got
 # imported; the report goes to a file so the command's own output is free.
@@ -101,16 +108,26 @@ with open(report, "w", encoding="utf-8") as handle:
 
 
 def imported_modules(argv: Sequence[str]) -> List[str]:
-    """The watched modules ``python -m repro *argv`` has imported at exit."""
+    """The watched modules ``python -m repro *argv`` has imported at exit;
+    ``serve`` is stopped by SIGTERM, its graceful path, once it listens."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     with tempfile.TemporaryDirectory() as scratch:
         report = os.path.join(scratch, "modules.json")
-        subprocess.run(
-            [sys.executable, "-c", _CHILD, report, ",".join(WATCHED), *argv],
-            cwd=REPO_ROOT, env=env, check=True,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
+        command = [sys.executable, "-c", _CHILD, report, ",".join(WATCHED),
+                   *(arg.format(scratch=scratch) for arg in argv)]
+        with subprocess.Popen(
+            command, cwd=REPO_ROOT, env=env, text=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        ) as child:
+            if argv[0] == "serve":
+                for line in child.stderr:
+                    if line.startswith(_SERVING):
+                        child.send_signal(signal.SIGTERM)
+                        break
+            child.communicate()
+        if child.returncode:
+            raise subprocess.CalledProcessError(child.returncode, command)
         with open(report, "r", encoding="utf-8") as handle:
             return json.load(handle)
 
