@@ -15,11 +15,13 @@ from repro.core.protocol import read_changes
 from repro.net.process import Process
 from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_size
 from repro.sim.cluster import build_reassignment_fleet
+from repro.types import float_weights
 
 
 def show_weights(title, weights, bound):
-    formatted = ", ".join(f"{server}={weight:.1f}" for server, weight in sorted(weights.items()))
-    print(f"  {title:<28}: {formatted}   (bound {bound:.2f})")
+    # Weights are exact fractions; they print as floats.
+    formatted = ", ".join(f"{server}={weight:.1f}" for server, weight in float_weights(weights).items())
+    print(f"  {title:<28}: {formatted}   (bound {float(bound):.2f})")
 
 
 def main() -> None:
@@ -29,7 +31,7 @@ def main() -> None:
         observer = Process("observer", fleet.network)
 
         print("=== Fig. 1 / Example 2: restricted pairwise weight reassignment ===")
-        print(f"n = {config.n}, f = {config.f}, RP-Integrity bound = {config.rp_min_weight:.2f}\n")
+        print(f"n = {config.n}, f = {config.f}, RP-Integrity bound = {float(config.rp_min_weight):.2f}\n")
 
         async def scenario():
             initial = servers["s1"].local_weights()
@@ -58,8 +60,8 @@ def main() -> None:
             # A client can audit every change with read_changes (Algorithm 3).
             changes = await read_changes(observer, "s1", config)
             print(f"\n  observer's view of s1's changes: "
-                  f"{sorted((c.author, c.counter, round(c.delta, 2)) for c in changes)}")
-            print(f"  observer computes W(s1) = {changes.weight_of('s1'):.1f}")
+                  f"{sorted((c.author, c.counter, round(float(c.delta), 2)) for c in changes)}")
+            print(f"  observer computes W(s1) = {float(changes.weight_of('s1')):.1f}")
 
         loop.run_until_complete(scenario())
 

@@ -10,6 +10,7 @@ Run with:  python examples/quickstart.py
 
 from repro import SystemConfig, build_dynamic_cluster
 from repro.net.latency import UniformLatency
+from repro.types import float_weights
 
 
 def main() -> None:
@@ -22,8 +23,9 @@ def main() -> None:
         servers = cluster.servers
 
         async def scenario() -> None:
-            print(f"initial weights       : {config.initial_weights}")
-            print(f"RP-Integrity bound    : {config.rp_min_weight:.3f}")
+            # Weights are exact fractions; they print as floats.
+            print(f"initial weights       : {float_weights(config.initial_weights)}")
+            print(f"RP-Integrity bound    : {float(config.rp_min_weight):.3f}")
 
             await writer.write("hello, weighted world")
             print(f"reader sees           : {await reader.read()!r}")
@@ -39,7 +41,7 @@ def main() -> None:
 
             await writer.write("value after reweighting")
             print(f"reader sees           : {await reader.read()!r}")
-            print(f"reader's weight view  : {reader.observed_weights()}")
+            print(f"reader's weight view  : {float_weights(reader.observed_weights())}")
 
         cluster.loop.run_until_complete(scenario())
         print(f"virtual time elapsed  : {cluster.loop.now:.2f}")

@@ -24,6 +24,7 @@ from repro.monitoring import (
 from repro.net.latency import PerLinkLatency, SlowdownLatency
 from repro.net.process import Process
 from repro.sim.metrics import summarize
+from repro.types import float_weights
 
 
 SITES = {
@@ -109,7 +110,7 @@ def main() -> None:
         print("=== adaptive geo-replicated storage ===")
         final_weights = cluster.servers["s3"].local_weights()
         print("final weights (server view of s3):")
-        for server, weight in sorted(final_weights.items()):
+        for server, weight in float_weights(final_weights).items():
             marker = "  <- slowed at t=300" if server in ("s1", "s2") else ""
             print(f"    {server}: {weight:.3f}{marker}")
         for phase, samples in phases.items():

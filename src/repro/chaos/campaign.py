@@ -311,7 +311,7 @@ def run_campaign(
     runs = Sweep.of(scenario, grid=axes).sample_lhs(sample, seed=seed)
     config = base.cluster.system_config()
     expected_weight = (
-        sum(config.initial_weights.values())
+        float(config.total_initial_weight)
         if base.cluster.flavour == "dynamic-weighted" else None
     )
     oracles = default_oracles(

@@ -114,6 +114,10 @@ class TraceInvariantOracle:
         return report
 
 
+#: How far a weight read back from a result (a float) may sit from exact.
+WEIGHT_TOLERANCE = 1e-6
+
+
 class ResultOracle:
     """Result-level accounting: run failures, lost operations, lost weight,
     lost control rounds.
@@ -125,13 +129,8 @@ class ResultOracle:
 
     name = "result"
 
-    def __init__(
-        self,
-        expected_weight: Optional[float] = None,
-        tolerance: float = 1e-6,
-    ) -> None:
+    def __init__(self, expected_weight: Optional[float] = None) -> None:
         self.expected_weight = expected_weight
-        self.tolerance = tolerance
 
     def _check_weights(
         self,
@@ -140,7 +139,7 @@ class ResultOracle:
         weights: Mapping[str, float],
     ) -> None:
         for pid, weight in sorted(weights.items()):
-            if weight < -self.tolerance:
+            if weight < -WEIGHT_TOLERANCE:
                 report.violations.append(OracleViolation(
                     self.name, "negative-weight",
                     f"{label}: {pid} holds negative weight {weight!r}",
@@ -148,7 +147,7 @@ class ResultOracle:
         if self.expected_weight is None:
             return
         total = sum(weights.values())
-        if abs(total - self.expected_weight) > self.tolerance:
+        if abs(total - self.expected_weight) > WEIGHT_TOLERANCE:
             report.violations.append(OracleViolation(
                 self.name, "weight-conservation",
                 f"{label}: weights sum to {total!r}, "

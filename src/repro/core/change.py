@@ -15,9 +15,11 @@ achievable without consensus.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
-from repro.types import ProcessId, Weight
+from repro.types import ProcessId, Weight, exact
 
 __all__ = ["Change", "ChangeSet", "initial_changes"]
 
@@ -28,13 +30,21 @@ class Change:
 
     ``author`` is the process that issued the reassignment/transfer,
     ``counter`` its local counter at the time, ``server`` the server whose
-    weight is changed, and ``delta`` the (possibly zero) weight change.
+    weight is changed, and ``delta`` the (possibly zero) weight change, made
+    exact (:func:`repro.types.exact`).  The hash leaves the ``Fraction`` out
+    (hashing one is pure Python): ``(author, counter, server)`` suffices.
     """
 
     author: ProcessId
     counter: int
     server: ProcessId
     delta: Weight
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "delta", exact(self.delta))
+
+    def __hash__(self) -> int:
+        return hash((self.author, self.counter, self.server))
 
     def is_null(self) -> bool:
         """True for zero-weight changes (the outcome of aborted operations)."""
@@ -66,13 +76,13 @@ class ChangeSet:
     messages.
     """
 
-    __slots__ = ("_changes", "_sorted", "_weight_map", "_covered")
+    __slots__ = ("_changes", "_sorted", "_integer_weights", "_weight_map", "_covered")
 
     def __init__(self, changes: Iterable[Change] = ()) -> None:
         self._changes: FrozenSet[Change] = frozenset(changes)
-        # Lazily-built canonical order; reused by every weight query so float
-        # sums are independent of set iteration order (PYTHONHASHSEED).
+        # Lazily-built canonical order (reply payloads) and weight views.
         self._sorted: Optional[Tuple[Change, ...]] = None
+        self._integer_weights: Optional[Tuple[Dict[ProcessId, int], int]] = None
         self._weight_map: Optional[Dict[ProcessId, Weight]] = None
         # id(tuple) -> tuple for the tuples covers() has proved to be subsets.
         # Holding the tuple keeps its id from being reused.  Per instance and
@@ -143,25 +153,33 @@ class ChangeSet:
         """
         return self.weight_map().get(server, 0)
 
+    def integer_weights(self) -> Tuple[Mapping[ProcessId, int], int]:
+        """``(numerators, D)`` with ``W_s == numerators[s] / D``, built once
+        per instance from the deltas' integer ratios without ``Fraction``
+        arithmetic: the per-reply quorum test sums these ints.  Read only.
+        """
+        view = self._integer_weights
+        if view is None:
+            ratios = [(c.server, *c.delta.as_integer_ratio()) for c in self._changes]
+            denominator = lcm(*[den for _, _, den in ratios])
+            numerators: Dict[ProcessId, int] = {}
+            for server, num, den in ratios:
+                numerators[server] = numerators.get(server, 0) + num * (denominator // den)
+            view = self._integer_weights = (numerators, denominator)
+        return view
+
     def weight_map(self) -> Mapping[ProcessId, Weight]:
         """``server -> W_s`` for every server that appears in some change.
 
-        Built once per instance and shared by every caller: read, never
-        mutate.  A server without changes is absent (its weight is 0).
-
-        Each sum runs over the canonical :meth:`sorted` order, not raw set
-        iteration order: float addition is order-sensitive in the last ulp,
-        and set iteration order varies with the interpreter's hash seed, so
-        summing the set directly would make the low bits of every reported
-        weight depend on ``PYTHONHASHSEED``.
+        Built once per instance (from :meth:`integer_weights`) and shared by
+        every caller: read, never mutate.  A server without changes is
+        absent (its weight is 0).  Sums are exact, so no order matters.
         """
         weight_map = self._weight_map
         if weight_map is None:
-            deltas: Dict[ProcessId, list] = {}
-            for change in self.sorted():
-                deltas.setdefault(change.server, []).append(change.delta)
+            numerators, denominator = self.integer_weights()
             weight_map = self._weight_map = {
-                server: sum(values) for server, values in deltas.items()
+                server: Fraction(num, denominator) for server, num in numerators.items()
             }
         return weight_map
 
@@ -178,7 +196,7 @@ class ChangeSet:
         return {server: weight_map.get(server, 0) for server in servers}
 
     def total_weight(self) -> Weight:
-        return sum(c.delta for c in self.sorted())
+        return sum(self.weight_map().values())
 
     def by_author(self, author: ProcessId) -> "ChangeSet":
         """Changes issued by ``author`` (useful for completion checks)."""
@@ -200,8 +218,8 @@ class ChangeSet:
     def sorted(self) -> Tuple[Change, ...]:
         """Changes in a deterministic order (author, counter, server).
 
-        Cached after the first call: reply payloads and weight queries ask
-        for this order once per message on the protocol hot path.
+        Cached after the first call: reply payloads ask for this order once
+        per message on the protocol hot path.
         """
         ordered = self._sorted
         if ordered is None:

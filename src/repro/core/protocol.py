@@ -43,7 +43,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimFuture
-from repro.types import ProcessId, VirtualTime, Weight
+from repro.types import ProcessId, VirtualTime, Weight, exact
 
 __all__ = ["TransferOutcome", "ReassignmentServer", "read_changes"]
 
@@ -197,6 +197,7 @@ class ReassignmentServer(Process):
                 f"transfer delta must be positive, got {delta} "
                 "(only the source may give weight away: condition C1)"
             )
+        delta = exact(delta)
         if self._transfer_in_progress:
             raise SimulationError(
                 f"{self.pid} invoked transfer while a previous transfer is pending"
@@ -207,7 +208,7 @@ class ReassignmentServer(Process):
         counter = self.lc
         obs = self.network.obs
         if obs is not None:
-            obs.transfer_started(self.pid, target, delta, started_at)
+            obs.transfer_started(self.pid, target, float(delta), started_at)
         try:
             if c2_holds(self.weight(), delta, self.config.rp_min_weight):
                 source_change = Change(self.pid, counter, self.pid, -delta)
@@ -233,8 +234,8 @@ class ReassignmentServer(Process):
             else:
                 outcome = TransferOutcome(
                     effective=False,
-                    change=Change(self.pid, counter, self.pid, 0.0),
-                    counterpart=Change(self.pid, counter, target, 0.0),
+                    change=Change(self.pid, counter, self.pid, 0),
+                    counterpart=Change(self.pid, counter, target, 0),
                     started_at=started_at,
                     completed_at=self.loop.now,
                 )
@@ -246,7 +247,7 @@ class ReassignmentServer(Process):
             obs.transfer_completed(
                 self.pid,
                 target,
-                delta,
+                float(delta),
                 outcome.effective,
                 outcome.latency,
                 outcome.completed_at,

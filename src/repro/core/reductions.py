@@ -33,6 +33,7 @@ Notes on fidelity:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from repro.core.change import Change, ChangeSet
@@ -60,15 +61,16 @@ def paper_initial_weights(n: int, f: int) -> Dict[ProcessId, Weight]:
     remaining servers with ``(n+1)/(2(n-f))``; with these weights Integrity
     holds initially and a single ±0.5 reassignment (or a single 0.4 pairwise
     transfer into ``F``) brings the system exactly to the Integrity boundary.
+    Both are built as exact ratios: that boundary is the whole argument.
     """
     if f < 1 or f >= n:
         raise ConfigurationError(f"need 1 <= f < n, got n={n}, f={f}")
     weights: Dict[ProcessId, Weight] = {}
     for index in range(1, n + 1):
         if index <= f:
-            weights[server_name(index)] = (n - 1) / (2 * f)
+            weights[server_name(index)] = Fraction(n - 1, 2 * f)
         else:
-            weights[server_name(index)] = (n + 1) / (2 * (n - f))
+            weights[server_name(index)] = Fraction(n + 1, 2 * (n - f))
     return weights
 
 
@@ -154,7 +156,7 @@ class OracleWeightReassignment(_OracleBase):
         if check_integrity(tentative.weights(self.config.servers), self.config.f):
             change = Change(author, counter, server, delta)
         else:
-            change = Change(author, counter, server, 0.0)
+            change = Change(author, counter, server, 0)
         self.changes = self.changes.add(change)
         self._record(author, counter, (server, delta), (change,))
         return change
@@ -186,8 +188,8 @@ class OraclePairwiseReassignment(_OracleBase):
             )
         else:
             created = (
-                Change(author, counter, source, 0.0),
-                Change(author, counter, target, 0.0),
+                Change(author, counter, source, 0),
+                Change(author, counter, target, 0),
             )
         self.changes = self.changes.union(created)
         self._record(author, counter, (source, target, delta), created)
@@ -282,6 +284,6 @@ async def algorithm2_propose(
                     change.author == other
                     and change.counter == 2
                     and change.server == other
-                    and change.delta == -0.4
+                    and change.delta == Fraction(-2, 5)
                 ):
                     return registers.read(other)

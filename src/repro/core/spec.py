@@ -15,7 +15,8 @@ each defined once:
 
 They are pure functions over weight maps and change sets, so the protocols
 (for their local checks), the scenarios and the test-suite (for whole-trace
-validation) share the same definitions.
+validation) share the same definitions.  Weights are exact, so each strict
+inequality of the paper is a plain ``<`` or ``>``.
 
 :class:`SystemConfig` bundles the static parameters of a deployment: the
 server set ``S``, the fault threshold ``f`` and the initial weights.
@@ -28,8 +29,7 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.change import ChangeSet, initial_changes
 from repro.errors import ConfigurationError, IntegrityViolation
-from repro.numerics import strictly_greater, strictly_less
-from repro.types import ProcessId, Weight
+from repro.types import ProcessId, Weight, exact, float_weights
 
 __all__ = [
     "SystemConfig",
@@ -58,19 +58,19 @@ def check_integrity(weights: Mapping[ProcessId, Weight], f: int) -> bool:
     if f >= len(weights):
         return False
     heaviest = sum(sorted(weights.values(), reverse=True)[:f])
-    return strictly_less(heaviest, sum(weights.values()) / 2)
+    return 2 * heaviest < sum(weights.values())
 
 
 def rp_minimum_weight(total_initial_weight: Weight, n: int, f: int) -> Weight:
     """The RP-Integrity lower bound ``W_{S,0} / (2 (n - f))``."""
     if n <= f:
         raise ConfigurationError(f"need n > f, got n={n}, f={f}")
-    return total_initial_weight / (2 * (n - f))
+    return exact(total_initial_weight) / (2 * (n - f))
 
 
 def c2_holds(weight: Weight, delta: Weight, minimum: Weight) -> bool:
     """Condition C2: giving ``delta`` away leaves ``weight`` above ``minimum``."""
-    return strictly_greater(weight, delta + minimum)
+    return weight > delta + minimum
 
 
 def check_rp_integrity(
@@ -130,12 +130,15 @@ class SystemConfig:
     Attributes:
         servers: the server set ``S`` (order fixes the canonical indexing).
         f: the static crash-fault threshold.
-        initial_weights: ``W_{s,0}`` for every server; defaults to 1.0 each.
+        initial_weights: ``W_{s,0}`` for every server, made exact
+            (:func:`repro.types.exact`); defaults to 1 each.
+        total_initial_weight: ``W_{S,0}``, computed once.
     """
 
     servers: Tuple[ProcessId, ...]
     f: int
     initial_weights: Dict[ProcessId, Weight] = field(default_factory=dict)
+    total_initial_weight: Weight = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.servers)) != len(self.servers):
@@ -148,28 +151,25 @@ class SystemConfig:
             raise ConfigurationError(
                 f"fault threshold f={self.f} must be < n={len(self.servers)}"
             )
-        weights = dict(self.initial_weights)
+        weights = {server: exact(w) for server, w in self.initial_weights.items()}
         if not weights:
-            weights = {server: 1.0 for server in self.servers}
+            weights = {server: exact(1) for server in self.servers}
         if set(weights) != set(self.servers):
             raise ConfigurationError(
                 "initial_weights must cover exactly the server set"
             )
         object.__setattr__(self, "initial_weights", weights)
+        object.__setattr__(self, "total_initial_weight", sum(weights.values()))
         if not check_integrity(weights, self.f):
             raise IntegrityViolation(
                 "initial weights violate Property 1 (Integrity at t=0): "
-                f"weights={weights}, f={self.f}"
+                f"weights={float_weights(weights)}, f={self.f}"
             )
 
     # -- derived quantities ----------------------------------------------------
     @property
     def n(self) -> int:
         return len(self.servers)
-
-    @property
-    def total_initial_weight(self) -> Weight:
-        return sum(self.initial_weights.values())
 
     @property
     def rp_min_weight(self) -> Weight:
@@ -185,7 +185,7 @@ class SystemConfig:
         if not check_rp_integrity(self.initial_weights, self.total_initial_weight, self.f):
             raise IntegrityViolation(
                 "initial weights violate RP-Integrity: some server starts at or "
-                f"below the bound {self.rp_min_weight}"
+                f"below the bound {float(self.rp_min_weight)}"
             )
 
     # -- convenience constructors ------------------------------------------------

@@ -14,7 +14,8 @@ The register protocol is the classical ABD algorithm extended in two ways
 2. the quorum test ``is_quorum(Q)`` accepts a reply set whose senders' total
    weight (according to the caller's current change set) exceeds
    ``W_{S,0} / 2`` — a constant, because pairwise reassignment preserves the
-   total weight.
+   total weight.  Weights are exact, so the test is a running int sum of
+   :meth:`~repro.core.change.ChangeSet.integer_weights` numerators.
 
 One refinement over the paper's pseudo-code, recorded here and in
 docs/ARCHITECTURE.md ("Modules ↔ paper sections"):
@@ -38,7 +39,6 @@ others) intersect correctly with old ones (Lemma 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Callable, Iterable, List, Set
 
 from repro.core.change import Change, ChangeSet
@@ -48,8 +48,7 @@ from repro.errors import ConfigurationError
 from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process
-from repro.numerics import strictly_greater
-from repro.types import ProcessId, Tag, VirtualTime
+from repro.types import ProcessId, Tag, VirtualTime, Weight
 
 __all__ = [
     "StoredValue",
@@ -114,7 +113,7 @@ async def _read_write(
     kind = "write" if is_write else "read"
     started_at = process.loop.now
     restarts = 0
-    half_total = config.total_initial_weight / 2
+    total = config.total_initial_weight
     obs = process.network.obs
     if obs is not None:
         obs.operation_started("storage", process.pid, kind, started_at)
@@ -128,7 +127,7 @@ async def _read_write(
             config.servers, R, {"cnt": op_counter[0]}
         )
         replies = await collector.wait_until(
-            _quorum_or_news(known, half_total), name="phase1"
+            _quorum_or_news(known, total), name="phase1"
         )
         news = _collect_news(replies, known)
         if news:
@@ -166,7 +165,7 @@ async def _read_write(
             {"cnt": op_counter[0], "stored": StoredValue(tag=tag, value=value_to_write)},
         )
         replies = await collector.wait_until(
-            _quorum_or_news(known, half_total), name="phase2"
+            _quorum_or_news(known, total), name="phase2"
         )
         news = _collect_news(replies, known)
         if news:
@@ -204,36 +203,38 @@ async def _read_write(
 
 
 def _quorum_or_news(
-    known: ChangeSet, half_total: float
+    known: ChangeSet, total: Weight
 ) -> Callable[[List[Message]], bool]:
     """The ``wait until`` test of one phase: news for ``known``, or a quorum.
 
     Holds once some reply carries a change ``known`` lacks (the caller must
     merge and restart), or once the senders' weights under ``known`` exceed
-    ``half_total``.  The returned predicate belongs to one collector: each
-    call folds in only the replies that arrived since the previous one —
-    the earlier ones were found covered then, or the wait would have ended.
+    half of ``total`` (``W_{S,0}``).  The returned predicate belongs to one
+    collector: each call folds in only the replies that arrived since the
+    previous one — the earlier ones were found covered then, or the wait
+    would have ended.
     """
-    weights = known.weight_map()
+    numerators, denominator = known.integer_weights()
+    total_num, total_den = total.as_integer_ratio()
+    # Definition 1's 2 * running / D > W0 without denominators; held equal to
+    # is_quorum on every grid map by tests/test_exhaustive_predicates.py.
+    scale = 2 * total_den
+    threshold = total_num * denominator
     senders: Set[ProcessId] = set()
-    seen = 0
+    seen = running = 0
 
     def predicate(replies: List[Message]) -> bool:
-        nonlocal seen
+        nonlocal seen, running
         while seen < len(replies):
             reply = replies[seen]
             if not known.covers(reply.payload["changes"]):
                 return True  # ``seen`` stays on the news: asked again, same answer
-            senders.add(reply.sender)
+            sender = reply.sender
+            if sender not in senders:
+                senders.add(sender)
+                running += numerators.get(sender, 0)
             seen += 1
-        # Sum in sorted order: float addition is order-sensitive and set
-        # iteration order varies per process, so an unordered sum would
-        # let the quorum test flip on last-ulp ties between runs.
-        weight = sum(map(weights.get, sorted(senders), repeat(0)))
-        # Definition 1's quorum test, kept inline on the per-message path:
-        # tests/test_exhaustive_predicates.py holds it equal to
-        # WeightedMajorityQuorumSystem.is_quorum on every grid map.
-        return strictly_greater(weight, half_total)
+        return scale * running > threshold
 
     return predicate
 

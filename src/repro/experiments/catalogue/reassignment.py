@@ -15,7 +15,7 @@ from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_
 from repro.reassign.consensus_based import ConsensusBasedServer
 from repro.reassign.epoch_based import EpochBasedCoordinator, EpochBasedServer
 from repro.sim.cluster import build_reassignment_fleet, build_world
-from repro.types import ProcessId, Weight
+from repro.types import ProcessId, Weight, float_weights
 
 __all__ = [
     "fig1_walkthrough", "epoch_vs_epochless", "limitation_vc", "protocol_costs",
@@ -67,7 +67,7 @@ def fig1_walkthrough(n: int = 7, f: int = 2) -> Dict[str, Any]:
         quorum_system = WeightedMajorityQuorumSystem(weights)
         return {
             "transfers": transfers,
-            "weights": {pid: weight for pid, weight in sorted(weights.items())},
+            "weights": float_weights(weights),
             "messages": fleet.network.messages_sent,
             "minority_is_quorum": quorum_system.is_quorum(["s1", "s2", "s3"]),
             "smallest_quorum_size": smallest_quorum_size(weights),
@@ -97,7 +97,7 @@ def _run_epochless(n: int, f: int) -> Dict[str, Any]:
         total = sum(fleet.servers["s1"].local_weights().values())
         mean_latency = sum(o.latency for o in outcomes) / len(outcomes)
         return {"protocol": "restricted pairwise (paper)", "epoch": "-",
-                "mean_latency": mean_latency, "total_weight": total, "leaked": 0.0}
+                "mean_latency": mean_latency, "total_weight": float(total), "leaked": 0.0}
 
 
 def _run_epoch_based(
@@ -136,8 +136,8 @@ def _run_epoch_based(
             "protocol": "epoch-based [11]",
             "epoch": label,
             "mean_latency": sum(latencies) / len(latencies) if latencies else float("nan"),
-            "total_weight": coordinator.total_weight(),
-            "leaked": coordinator.leaked_weight,
+            "total_weight": float(coordinator.total_weight()),
+            "leaked": float(coordinator.leaked_weight),
         }
 
 
@@ -189,7 +189,7 @@ def _vc_row(problem: str, attempts: List[Dict[str, Any]],
     return {
         "problem": problem,
         "attempts": attempts,
-        "weights_after": {pid: weights[pid] for pid in sorted(weights)},
+        "weights_after": float_weights(weights),
         "quorum_before": smallest_quorum_size(VC_WEIGHTS, avoid=VC_SLOW),
         "quorum_after": smallest_quorum_size(weights, avoid=VC_SLOW),
     }

@@ -67,15 +67,15 @@ def example1_semantics() -> Dict[str, Any]:
             steps.append({
                 "operation": f"reassign({server}, {delta:+}) by {issuer}",
                 "paper": expected_delta,
-                "measured": created.delta,
+                "measured": float(created.delta),
             })
             read = await oracle.read_changes(server)
             steps.append({
                 "operation": f"read_changes({server}) -> W({server})",
                 "paper": expected_weight,
-                "measured": read.weight_of(server),
+                "measured": float(read.weight_of(server)),
                 "changes": [
-                    [change.author, change.counter, change.server, change.delta]
+                    [change.author, change.counter, change.server, float(change.delta)]
                     for change in read.sorted()
                 ],
             })
@@ -174,9 +174,9 @@ def reduction_alg2() -> Dict[str, Any]:
             if record.requested[2] == 0.4 and _effective(record)
         )
         row["decided_outside_f"] = int(row["decided"].split("-")[1]) > f
-        row["total_drift"] = max(
+        row["total_drift"] = float(max(
             abs(sum(record.weights_after.values()) - config.total_initial_weight)
             for record in oracle.trace
-        )
+        ))
         rows.append(row)
     return {"rows": rows}

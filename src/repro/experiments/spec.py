@@ -77,7 +77,7 @@ from repro.monitoring.policy import (
 )
 from repro.obs import Observer, TraceEvent, observing, trace_digest, write_trace
 from repro.storage.sharded import expand_process_names, shard_process_name
-from repro.types import ProcessId, VirtualTime, Weight, server_set
+from repro.types import ProcessId, VirtualTime, float_weights, server_set
 from repro.workloads.arrivals import (
     ArrivalProcess,
     ClosedLoopArrivals,
@@ -503,7 +503,7 @@ class PolicySpec(SpecSection):
     """
 
     kind: str = "inverse-latency"
-    threshold: Weight = 0.05
+    threshold: float = 0.05
     margin: float = 0.05
 
     def _validate(self) -> None:
@@ -551,7 +551,7 @@ class MonitoringSpec(SpecSection):
     window: int = 32
     ewma_alpha: float = 0.3
     policy: PolicySpec = PolicySpec()
-    gain: Weight = 0.3
+    gain: float = 0.3
     scope: str = "per-shard"
     prober: ProcessId = "mon"
 
@@ -1164,7 +1164,7 @@ def _run_spec_inner(spec: ScenarioSpec, measure: Optional[Measure]) -> Dict[str,
                 result["imbalance"] = report.imbalance.as_dict()
             if spec.cluster.flavour == "dynamic-weighted":
                 result["shard_weights"] = {
-                    str(index): weights
+                    str(index): float_weights(weights)
                     for index, weights in sorted(cluster.shard_weights().items())
                 }
         elif spec.cluster.flavour == "dynamic-weighted":
@@ -1172,12 +1172,9 @@ def _run_spec_inner(spec: ScenarioSpec, measure: Optional[Measure]) -> Dict[str,
                 pid for pid in config.servers if not cluster.network.is_crashed(pid)
             ]
             if surviving:
-                result["weights"] = {
-                    pid: weight
-                    for pid, weight in sorted(
-                        cluster.servers[surviving[0]].local_weights().items()
-                    )
-                }
+                result["weights"] = float_weights(
+                    cluster.servers[surviving[0]].local_weights()
+                )
         if measure is not None:
             result.update(measure(cluster, workload))
         return result

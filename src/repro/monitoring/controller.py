@@ -20,7 +20,6 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.core.protocol import ReassignmentServer, TransferOutcome
 from repro.errors import ConfigurationError
-from repro.numerics import strictly_greater
 from repro.types import ProcessId, VirtualTime, Weight
 
 __all__ = ["WeightController"]
@@ -98,7 +97,7 @@ class WeightController:
         # Never dip to the RP-Integrity bound: cap at what C2 allows.
         allowance = self.server.weight() - self.server.config.rp_min_weight
         delta = min(delta, allowance * 0.99)
-        if not strictly_greater(delta, 0.0):
+        if delta <= 0:
             report = ControllerReport(at=self.server.loop.now, attempted=False)
             self.reports.append(report)
             return report

@@ -30,7 +30,7 @@ Semantic invariants (grounded in the paper's protocols):
 * recorded quorum sizes meet the configured threshold (``min_quorum``);
 * weight-transfer spans balance, ``E`` args agree with their ``B`` args
   (same target, same delta), and effective transfers conserve total weight
-  across the run to within ``weight_tolerance``.
+  across the run to within :data:`WEIGHT_TOLERANCE`.
 
 Every check degrades cleanly on an empty trace: zero records, zero
 findings, verdict *ok*.
@@ -153,10 +153,12 @@ class InvariantReport:
         }
 
 
+#: How far the transfers' net weight (a sum of trace floats) may sit from 0.
+WEIGHT_TOLERANCE = 1e-9
+
+
 def check_trace_invariants(
-    records: Iterable[Record],
-    min_quorum: int = 1,
-    weight_tolerance: float = 1e-9,
+    records: Iterable[Record], min_quorum: int = 1
 ) -> InvariantReport:
     """Run every structural and semantic invariant over ``records``.
 
@@ -336,7 +338,7 @@ def check_trace_invariants(
             "(dropped or in flight at end of trace)",
         ))
     imbalance = sum(net_weight.values())
-    if abs(imbalance) > weight_tolerance:
+    if abs(imbalance) > WEIGHT_TOLERANCE:
         findings.append(Finding(
             "error", "weight-conservation", None,
             f"effective transfers do not conserve weight: net {imbalance!r}",

@@ -10,18 +10,18 @@ re-derivation via :meth:`with_weights`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.numerics import strictly_greater
 from repro.quorum.base import QuorumSystem
-from repro.types import ProcessId, Weight
+from repro.types import ProcessId, Weight, exact
 
 __all__ = ["WeightedMajorityQuorumSystem", "smallest_quorum_size"]
 
 
 class WeightedMajorityQuorumSystem(QuorumSystem):
-    """Quorums are subsets whose total weight exceeds half the total weight."""
+    """Quorums are subsets whose total weight exceeds half the total weight
+    (weights made exact on the way in)."""
 
     def __init__(self, weights: Mapping[ProcessId, Weight]) -> None:
         if not weights:
@@ -32,7 +32,7 @@ class WeightedMajorityQuorumSystem(QuorumSystem):
                     f"server {server!r} has negative weight {weight}"
                 )
         super().__init__(tuple(weights))
-        self.weights: Dict[ProcessId, Weight] = dict(weights)
+        self.weights = {server: exact(weight) for server, weight in weights.items()}
 
     # -- construction helpers ---------------------------------------------------
     @classmethod
@@ -55,16 +55,12 @@ class WeightedMajorityQuorumSystem(QuorumSystem):
         return sum(self.weights.values())
 
     def weight_of(self, subset: Iterable[ProcessId]) -> Weight:
-        # Sorted order keeps the float sum independent of set iteration
-        # order (which varies with the interpreter's hash seed), so quorum
-        # decisions on last-ulp ties are reproducible across processes.
         members = self._validate_subset(subset)
-        return sum(self.weights[server] for server in sorted(members))
+        return sum(self.weights[server] for server in members)
 
     # -- quorum test -------------------------------------------------------------
     def is_quorum(self, subset: Iterable[ProcessId]) -> bool:
-        members = self._validate_subset(subset)
-        return strictly_greater(self.weight_of(members), self.total_weight() / 2)
+        return 2 * self.weight_of(subset) > self.total_weight()
 
 
 def smallest_quorum_size(
@@ -78,12 +74,13 @@ def smallest_quorum_size(
     ``None`` when the servers outside ``avoid`` hold no majority (the
     avoided ones hold a blocking share, or the total weight is zero).
     """
+    weights = {server: exact(weight) for server, weight in weights.items()}
     usable = set(weights) - set(avoid)
     ranked = sorted(usable, key=lambda server: (-weights[server], server))
-    half = sum(weights.values()) / 2
-    accumulated = 0.0
+    total = sum(weights.values())
+    accumulated = 0
     for count, server in enumerate(ranked, start=1):
         accumulated += weights[server]
-        if strictly_greater(accumulated, half):
+        if 2 * accumulated > total:
             return count
     return None

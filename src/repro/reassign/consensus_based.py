@@ -27,7 +27,7 @@ from repro.consensus.sequencer import TotalOrderClient
 from repro.errors import ConfigurationError
 from repro.net.network import Network
 from repro.net.process import Process
-from repro.types import ProcessId, Weight
+from repro.types import ProcessId, Weight, exact
 
 __all__ = ["ConsensusBasedServer"]
 
@@ -81,7 +81,7 @@ class ConsensusBasedServer(Process):
         command = {
             "source": source,
             "target": target,
-            "delta": delta,
+            "delta": exact(delta),
             "id": next(self._counter),
         }
         return bool(await self._order.submit(command))

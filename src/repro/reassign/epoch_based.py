@@ -36,7 +36,7 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimFuture
-from repro.types import ProcessId, VirtualTime, Weight
+from repro.types import ProcessId, VirtualTime, Weight, exact
 
 __all__ = ["EpochBasedCoordinator", "EpochBasedServer"]
 
@@ -73,7 +73,7 @@ class EpochBasedCoordinator(Process):
         self.weights: Dict[ProcessId, Weight] = dict(config.initial_weights)
         self._requests: List[Dict] = []
         self._pending_increments: List[_PendingIncrement] = []
-        self.leaked_weight: Weight = 0.0
+        self.leaked_weight: Weight = exact(0)
         self._stopped = False
         self.register_handler(EP_REQUEST, self._on_request)
         self.register_handler(EP_CONFIRM, self._on_confirm)
@@ -214,6 +214,7 @@ class EpochBasedServer(Process):
             raise ConfigurationError(f"invalid target {target!r}")
         if delta <= 0:
             raise ConfigurationError("delta must be positive")
+        delta = exact(delta)
         request_id = next(self._request_ids)
         waiter = SimFuture(name=f"{self.pid}.epoch_transfer[{request_id}]")
         self._waiters[request_id] = waiter

@@ -45,7 +45,7 @@ from repro.storage.sharded import (
     shard_factory,
     shard_process_name,
 )
-from repro.types import ProcessId, client_name
+from repro.types import ProcessId, Weight, client_name
 
 __all__ = [
     "Cluster",
@@ -205,7 +205,7 @@ class ShardGroup:
             return self.servers[pid]
         return self.servers[shard_process_name(pid, self.index)]
 
-    def local_weights(self) -> Dict[ProcessId, float]:
+    def local_weights(self) -> Dict[ProcessId, Weight]:
         """The shard's current weight map, keyed by canonical server names.
 
         Reads one surviving server's local view (dynamic-weighted flavour

@@ -11,18 +11,32 @@ properties).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from fractions import Fraction
+from typing import Dict, Mapping, Tuple
 
 #: Identifier of a process (server or client).  Servers conventionally use
 #: ``s1 .. sn`` and clients ``c1 .. ck`` but any unique string is accepted.
 ProcessId = str
 
 #: A server weight (voting power).  The paper allows any real value subject to
-#: the Integrity / RP-Integrity constraints.
-Weight = float
+#: the Integrity / RP-Integrity constraints; sums and comparisons are exact.
+Weight = Fraction
 
 #: Virtual time used by the simulation kernel, in abstract "milliseconds".
 VirtualTime = float
+
+
+def exact(value) -> Weight:
+    """``value`` as an exact weight; a float by its shortest repr, so ``0.1``
+    is 1/10 rather than the binary fraction nearest to it."""
+    if isinstance(value, float):
+        return Fraction(repr(value))
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def float_weights(weights: Mapping[ProcessId, Weight]) -> Dict[ProcessId, float]:
+    """``weights`` as a result or trace field: floats, ordered by server id."""
+    return {pid: float(weights[pid]) for pid in sorted(weights)}
 
 
 @dataclass(frozen=True, order=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,7 @@ from repro.core.spec import (
     rp_minimum_weight,
 )
 from repro.errors import ConfigurationError, IntegrityViolation
-from repro.types import server_set
+from repro.types import exact, server_set
 
 
 class TestChange:
@@ -27,6 +29,13 @@ class TestChange:
         assert Change("s1", 1, "s1", 1.0).is_initial()
         assert not Change("s1", 2, "s1", 1.0).is_initial()
         assert not Change("s2", 1, "s1", 1.0).is_initial()
+
+    def test_delta_is_exact(self):
+        """A float delta means its shortest repr: 0.1 is 1/10, not the
+        binary fraction nearest to it."""
+        assert Change("s1", 2, "s1", 0.1).delta == Fraction(1, 10)
+        assert Change("s1", 2, "s1", 1).delta == 1
+        assert sum(Change("s1", i, "s1", 0.1).delta for i in range(10)) == 1
 
     def test_changes_are_hashable_and_comparable(self):
         a = Change("s1", 2, "s2", 0.5)
@@ -57,7 +66,7 @@ class TestChangeSet:
                 Change("s1", 2, "s1", -0.5),
             ]
         )
-        assert changes.weight_of("s1") == pytest.approx(0.75)
+        assert changes.weight_of("s1") == Fraction(3, 4)
 
     def test_for_server_filters(self):
         changes = ChangeSet(
@@ -110,7 +119,7 @@ class TestChangeSet:
         changes = ChangeSet(
             Change("author", i + 2, "s1", d) for i, d in enumerate(deltas)
         )
-        assert changes.weight_of("s1") == pytest.approx(sum(deltas))
+        assert changes.weight_of("s1") == sum(map(exact, deltas))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -169,6 +178,8 @@ class TestChangeSet:
         )
     )
     def test_weight_map_is_bit_identical_to_weight_of(self, deltas):
+        """Exact sums: the map, the integer view and the per-server sums
+        agree with ``==`` whatever order the deltas are added in."""
         changes = ChangeSet(
             Change(f"a{i % 3}", i + 2, f"s{server}", delta)
             for i, (server, delta) in enumerate(deltas)
@@ -177,41 +188,41 @@ class TestChangeSet:
         weight_map = changes.weight_map()
         assert set(weight_map) == appearing
         for server in sorted(appearing) + ["s9"]:  # s9: in no change
-            assert repr(changes.weight_of(server)) == repr(
-                weight_of_as_it_was(changes, server)
+            assert changes.weight_of(server) == weight_of_as_it_was(changes, server)
+            assert changes.weight_of(server) == sum(
+                exact(delta) for name, delta in deltas if f"s{name}" == server
             )
-        assert repr(changes.weight_of("s9")) == "0"
+        assert changes.weight_of("s9") == 0
+        numerators, denominator = changes.integer_weights()
+        assert {server: Fraction(num, denominator) for server, num in numerators.items()} == weight_map
+        assert changes.total_weight() == sum(weight_map.values())
         # servers=None: exactly the servers that appear, each time a copy.
         everything = changes.weights()
         assert set(everything) == appearing
-        assert _reprs(everything) == _reprs(weights_as_it_was(changes))
+        assert everything == weights_as_it_was(changes)
         assert everything is not weight_map and changes.weights() is not everything
         # An explicit list keeps its order and its zero entries.
         asked = ["s9", "s4", "s1", "s3"]
         explicit = changes.weights(asked)
         assert list(explicit) == asked
-        assert _reprs(explicit) == _reprs(weights_as_it_was(changes, asked))
+        assert explicit == weights_as_it_was(changes, asked)
         assert changes.weight_map() is weight_map  # built once per instance
         grown = changes.add(Change("late", 99, "s1", 0.1))
-        assert repr(grown.weight_of("s1")) == repr(weight_of_as_it_was(grown, "s1"))
+        assert grown.weight_of("s1") == weight_of_as_it_was(grown, "s1")
         assert grown.weight_map() is not weight_map
 
 
 def weight_of_as_it_was(self, server):
-    """``ChangeSet.weight_of`` before it read ``weight_map()`` (body verbatim)."""
-    return sum(c.delta for c in self.sorted() if c.server == server)
+    """``ChangeSet.weight_of`` before it read ``weight_map()``."""
+    return sum(c.delta for c in self if c.server == server)
 
 
 def weights_as_it_was(self, servers=None):
-    """``ChangeSet.weights`` before it read ``weight_map()`` (body verbatim,
-    with the ``weight_of`` above)."""
+    """``ChangeSet.weights`` before it read ``weight_map()`` (with the
+    ``weight_of`` above)."""
     if servers is None:
         servers = {c.server for c in self._changes}
     return {server: weight_of_as_it_was(self, server) for server in servers}
-
-
-def _reprs(weights):
-    return {server: repr(weight) for server, weight in weights.items()}
 
 
 class TestIntegrityCheckers:
@@ -225,8 +236,8 @@ class TestIntegrityCheckers:
         assert not check_integrity(weights, 1)
 
     def test_rp_minimum_weight_formula(self):
-        assert rp_minimum_weight(7.0, 7, 2) == pytest.approx(0.7)
-        assert rp_minimum_weight(5.0, 5, 1) == pytest.approx(0.625)
+        assert rp_minimum_weight(7.0, 7, 2) == Fraction(7, 10)
+        assert rp_minimum_weight(5.0, 5, 1) == Fraction(5, 8)
 
     def test_rp_minimum_requires_n_greater_than_f(self):
         with pytest.raises(ConfigurationError):
@@ -235,7 +246,7 @@ class TestIntegrityCheckers:
     def test_rp_integrity_checker(self):
         weights = {"s1": 1.2, "s2": 1.2, "s3": 1.2, "s4": 0.8, "s5": 0.8, "s6": 0.8, "s7": 1.0}
         assert check_rp_integrity(weights, total_initial_weight=7.0, f=2)
-        weights["s4"] = 0.7  # exactly the bound: strictly-greater fails
+        weights["s4"] = Fraction(7, 10)  # exactly the bound: strictly-greater fails
         assert not check_rp_integrity(weights, total_initial_weight=7.0, f=2)
 
     def test_rp_integrity_implies_integrity(self):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import gc
-import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +32,6 @@ from repro.net.message import Message
 from repro.net.network import Network
 from repro.net.process import ResponseCollector
 from repro.net.simloop import SimLoop, gather
-from repro.numerics import EPSILON, strictly_greater
 from repro.sim.runner import run_workload
 
 from tests.conftest import check_atomic_history, history_from_records
@@ -295,9 +294,9 @@ class TestWeightAwareQuorums:
 # ---------------------------------------------------------------------------
 
 
-def rescan_quorum_or_news(known, half_total):
-    """The phase predicate as it was before it became incremental (the body
-    is verbatim): every call re-reads every reply and rebuilds its set."""
+def rescan_quorum_or_news(known, total):
+    """The phase predicate as it was before it became incremental, on exact
+    weights: every call re-reads every reply and rebuilds its set."""
 
     def quorum_or_news(replies):
         if any(
@@ -305,19 +304,15 @@ def rescan_quorum_or_news(known, half_total):
             for reply in replies
         ):
             return True
-        # Sum in sorted order: float addition is order-sensitive and set
-        # iteration order varies per process, so an unordered sum would
-        # let the quorum test flip on last-ulp ties between runs.
         senders = {reply.sender for reply in replies}
-        weight = sum(known.weight_of(server) for server in sorted(senders))
-        return strictly_greater(weight, half_total)
+        return 2 * sum(known.weight_of(server) for server in senders) > total
 
     return quorum_or_news
 
 
-def listcomp_quorum_or_news(known, half_total):
-    """The incremental predicate as it was before its weight sum became a
-    ``map`` (the body is verbatim)."""
+def listcomp_quorum_or_news(known, total):
+    """The incremental predicate as it was before it summed integer
+    numerators, on exact weights: it re-sums every sender per call."""
     weights = known.weight_map()
     senders = set()
     seen = 0
@@ -330,8 +325,7 @@ def listcomp_quorum_or_news(known, half_total):
                 return True  # ``seen`` stays on the news: asked again, same answer
             senders.add(reply.sender)
             seen += 1
-        weight = sum([weights.get(server, 0) for server in sorted(senders)])
-        return strictly_greater(weight, half_total)
+        return 2 * sum([weights.get(server, 0) for server in senders]) > total
 
     return predicate
 
@@ -394,33 +388,25 @@ def phase_cases(draw):
         )
         for _ in range(draw(st.integers(min_value=0, max_value=8)))
     ]
-    # Put the threshold where the weight of the senders of some prefix ties
-    # it to the ulp: strictly_greater(w, h) is ``w > h + EPSILON``, so find
-    # the h with ``h + EPSILON == w`` and step a few floats off it.
+    # Put W0 / 2 exactly on the weight of the senders of some prefix (that
+    # prefix is then *not* a quorum), or one step of ``known``'s common
+    # denominator either side of it.
     prefix = draw(st.integers(min_value=0, max_value=len(replies)))
     quorum = {reply.sender for reply in replies[:prefix]} or set(_SERVERS)
-    weight = sum(known.weight_of(server) for server in sorted(quorum))
-    half_total = weight - EPSILON
-    while half_total + EPSILON < weight:
-        half_total = math.nextafter(half_total, math.inf)
-    while half_total + EPSILON > weight:
-        half_total = math.nextafter(half_total, -math.inf)
-    for _ in range(draw(st.integers(min_value=0, max_value=2))):
-        half_total = math.nextafter(
-            half_total, draw(st.sampled_from([-math.inf, math.inf]))
-        )
-    return known, half_total, replies
+    weight = sum(known.weight_of(server) for server in quorum)
+    step = Fraction(draw(st.sampled_from([-1, 0, 1])), known.integer_weights()[1])
+    return known, 2 * (weight + step), replies
 
 
 class TestIncrementalPhasePredicate:
     @settings(max_examples=300, deadline=None)
     @given(case=phase_cases())
     def test_fires_on_the_same_reply_with_the_same_list(self, case):
-        known, half_total, replies = case
+        known, total, replies = case
         new, old, listcomp = (ResponseCollector(1, len(replies)) for _ in range(3))
-        new_wait = new.wait_until(_quorum_or_news(known, half_total))
-        old_wait = old.wait_until(rescan_quorum_or_news(known, half_total))
-        listcomp_wait = listcomp.wait_until(listcomp_quorum_or_news(known, half_total))
+        new_wait = new.wait_until(_quorum_or_news(known, total))
+        old_wait = old.wait_until(rescan_quorum_or_news(known, total))
+        listcomp_wait = listcomp.wait_until(listcomp_quorum_or_news(known, total))
         for reply in replies:
             assert new_wait.done() == old_wait.done() == listcomp_wait.done()
             new.add(reply)
@@ -442,7 +428,7 @@ class TestIncrementalPhasePredicate:
             "s2", "c1", "R_ACK",
             {"changes": known.add(Change("s1", 2, "s2", 0.25)).sorted()},
         )
-        predicate = _quorum_or_news(known, 1.5)
+        predicate = _quorum_or_news(known, Fraction(3))
         replies = [stale]
         assert predicate(replies) is False
         # Folded in once: a reply the predicate already passed is not read

@@ -52,7 +52,7 @@ def test_rp_integrity_implies_integrity_and_the_floor_is_tight(n):
     grid = GRIDS[n]
     servers = server_set(n)
     maps = [
-        (units, dict(zip(servers, (unit / grid for unit in units))))
+        (units, dict(zip(servers, (Fraction(unit, grid) for unit in units))))
         for units in sorted_maps(n, grid)
     ]
     for f in range(1, (n - 1) // 2 + 1):
@@ -72,7 +72,7 @@ def test_rp_integrity_implies_integrity_and_the_floor_is_tight(n):
 def test_the_per_reply_quorum_copy_equals_is_quorum(n):
     servers = server_set(n)
     for units in sorted_maps(n, 10):
-        weights = dict(zip(servers, (unit / 10 for unit in units)))
+        weights = dict(zip(servers, (Fraction(unit, 10) for unit in units)))
         known = initial_changes(weights)
         wmqs = WeightedMajorityQuorumSystem(weights)
         # A reply whose change set ``known`` covers; msg_id=0 leaves the
@@ -84,5 +84,5 @@ def test_the_per_reply_quorum_copy_equals_is_quorum(n):
         for size in range(n + 1):
             for senders in combinations(servers, size):
                 replies = [reply[sender] for sender in senders]
-                per_reply = _quorum_or_news(known, n / 2)(replies)
+                per_reply = _quorum_or_news(known, Fraction(n))(replies)
                 assert per_reply == wmqs.is_quorum(senders), (units, senders)

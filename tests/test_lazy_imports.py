@@ -287,6 +287,14 @@ class TestImportBudget:
         ]
         assert _loaded(observed["serve"], "http.client", "email") == []
 
+    def test_exact_weights_load_where_a_config_is_built(self, observed):
+        # ``fractions`` (which brings ``decimal``) comes with repro.types;
+        # help and compare never build a SystemConfig, so never load it.
+        for label, modules in observed.items():
+            has_config = "repro.core.spec" in modules
+            assert ("fractions" in modules) == has_config, label
+            assert ("decimal" in modules) == has_config, label
+
     def test_a_new_eager_import_is_reported_by_name(self):
         budget = {"run": ["repro", "repro.errors"]}
         found = check_imports.problems(

@@ -8,6 +8,8 @@ Termination all hold.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from repro.core.change import Change
@@ -29,9 +31,9 @@ from repro.types import server_name, server_set
 class TestPaperInitialWeights:
     def test_formulas(self):
         weights = paper_initial_weights(7, 2)
-        assert weights["s1"] == pytest.approx(6 / 4)
-        assert weights["s3"] == pytest.approx(8 / 10)
-        assert sum(weights.values()) == pytest.approx(7.0)
+        assert weights["s1"] == Fraction(6, 4)
+        assert weights["s3"] == Fraction(8, 10)
+        assert sum(weights.values()) == 7
 
     def test_integrity_holds_initially(self):
         for n, f in [(4, 1), (7, 2), (10, 3), (13, 4)]:
@@ -53,6 +55,29 @@ class TestOracleWeightReassignment:
 
         change = loop.run_until_complete(oracle.reassign("s1", "s1", 0.5))
         assert change.delta == 0.5
+
+    @pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (10, 3), (13, 4)])
+    def test_the_second_reassignment_lands_exactly_on_the_boundary(self, n, f):
+        """Theorem 1's construction: after F gains 0.5, a -0.5 on a server
+        outside F would make W_F equal W/2 *exactly* (the weights are
+        (n-1)/(2f) and (n+1)/(2(n-f)), e.g. 11/14 and 7/9), so Integrity's
+        strict inequality rejects it with no tolerance to lean on."""
+        loop = SimLoop()
+        oracle = OracleWeightReassignment(loop, algorithm_config(n, f))
+        last = server_name(n)
+
+        async def go():
+            first = await oracle.reassign("s1", "s1", 0.5)
+            second = await oracle.reassign(last, last, -0.5)
+            return first, second
+
+        first, second = loop.run_until_complete(go())
+        assert (first.delta, second.delta) == (Fraction(1, 2), 0)
+        weights = oracle.current_weights()
+        weights[last] -= Fraction(1, 2)
+        w_f = sum(weights[server_name(i)] for i in range(1, f + 1))
+        assert 2 * w_f == sum(weights.values()) == n
+        assert not check_integrity(weights, f)
 
     def test_integrity_violating_reassignment_is_aborted(self):
         loop = SimLoop()
@@ -109,7 +134,7 @@ class TestOracleWeightReassignment:
             created = await oracle.reassign("s1", "s1", 1.5)
             assert created.delta == 1.5
             after_first = await oracle.read_changes("s1")
-            assert after_first.weight_of("s1") == pytest.approx(2.5)
+            assert after_first.weight_of("s1") == Fraction(5, 2)
             # s3 tries to take 0.5 from s2: the f=1 heaviest (s1 at 2.5) would
             # reach half of the new total (5.0 - 0.5)/2 = 2.25 < 2.5 -> abort.
             aborted = await oracle.reassign("s3", "s2", -0.5)
@@ -118,7 +143,7 @@ class TestOracleWeightReassignment:
             return final
 
         final = loop.run_until_complete(go())
-        assert final.weight_of("s2") == pytest.approx(1.0)
+        assert final.weight_of("s2") == 1
         assert Change("s3", 2, "s2", 0.0) in final
 
 
@@ -135,9 +160,7 @@ class TestOraclePairwiseReassignment:
 
         loop.run_until_complete(go())
         for record in oracle.trace:
-            assert sum(record.weights_after.values()) == pytest.approx(
-                config.total_initial_weight
-            )
+            assert sum(record.weights_after.values()) == config.total_initial_weight
 
     def test_second_conflicting_transfer_is_null(self):
         loop = SimLoop()
@@ -150,8 +173,8 @@ class TestOraclePairwiseReassignment:
             return first, second
 
         first, second = loop.run_until_complete(go())
-        assert first[0].delta == -0.4
-        assert second[0].delta == 0.0
+        assert first[0].delta == Fraction(-2, 5)
+        assert second[0].delta == 0
 
     def test_invalid_transfers_rejected(self):
         loop = SimLoop()
@@ -297,7 +320,7 @@ class TestAlgorithm2Reduction:
         f_total = sum(final_weights[server_name(i)] for i in range(1, 3))
         # F's internal 0.1-shuffles cancel out; the one effective 0.4 transfer
         # into s1 is the only net change.
-        assert f_total == pytest.approx((7 - 1) / 2 + 0.4)
+        assert f_total == Fraction(7 - 1, 2) + Fraction(2, 5)
 
     def test_total_weight_never_changes(self):
         loop = SimLoop()
@@ -315,4 +338,4 @@ class TestAlgorithm2Reduction:
             )
         )
         for record in oracle.trace:
-            assert sum(record.weights_after.values()) == pytest.approx(10.0)
+            assert sum(record.weights_after.values()) == 10

@@ -1,0 +1,102 @@
+"""Every live server's weight view, after the drain, on every runnable spec.
+
+A spec result reports one server's view (``weights``, or ``shard_weights``
+per shard), so a protocol that leaves servers disagreeing passes every byte
+gate.  Here ``run_spec(spec, measure)`` reads *all* of them: every
+``examples/specs/*.json`` and every spec-kind scenario of the registry,
+sharded ones included.  Within one shard every live server must hold the
+same view, and, transfers being pairwise, that view must sum to the shard's
+initial total exactly (weights are exact, so ``==``).
+
+The cases that fail today do so because of the weight-gain refresh
+recursion (ROADMAP item 1): a gaining server's refresh read dies at the
+interpreter's recursion limit before it stores its gain.  They are strict
+``xfail``\\ s, so the fix has to flip them.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.experiments.registry import all_scenarios, get_scenario
+from repro.experiments.spec import load_spec_file, run_spec
+from repro.storage.sharded import shard_process_name
+
+SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
+
+ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the weight-gain refresh recurses to the "
+    "interpreter's limit, so a gaining server never stores its gain",
+)
+#: Cases whose servers disagree after the drain until item 1 lands.  In
+#: each, a server that gained weight holds a view without that gain (in
+#: ``skewed-reassignment`` s2 reads 1.0 where every other server reads 1.35).
+DISAGREE = {
+    "spec:fig1-walkthrough", "spec:hotspot-shift-monitoring", "spec:quickstart",
+    "spec:quickstart-chaos-1", "spec:sharded-global-monitoring",
+    "spec:sharded-hotspot-reassignment", "scenario:quickstart",
+    "scenario:skewed-reassignment",
+}
+
+
+def _cases():
+    """Every dynamic-weighted spec (static flavours keep no weight view)."""
+    specs = {
+        f"spec:{path.stem}": load_spec_file(str(path))
+        for path in sorted(SPECS.glob("*.json"))
+    }
+    scenarios = {
+        f"scenario:{entry.name}": entry.spec
+        for entry in all_scenarios() if entry.kind == "spec"
+    }
+    for case, spec in {**specs, **scenarios}.items():
+        if spec.cluster.flavour == "dynamic-weighted":
+            marks = [ITEM_1] if case in DISAGREE else []
+            yield pytest.param(spec, id=case, marks=marks)
+
+
+def live_views(cluster, workload):
+    """``{shard: [view of each live server]}``; an unsharded cluster is
+    shard 0 under its plain server names."""
+    groups = getattr(cluster, "shards", None)
+    if groups is None:
+        groups = {0: cluster.servers}
+        qualified = {0: {pid: pid for pid in cluster.config.servers}}
+    else:
+        groups = {group.index: group.servers for group in groups}
+        qualified = {
+            index: {pid: shard_process_name(pid, index) for pid in cluster.config.servers}
+            for index in groups
+        }
+    return {"views": {
+        index: [
+            servers[name].local_weights()
+            for name in qualified[index].values()
+            if not cluster.network.is_crashed(name)
+        ]
+        for index, servers in groups.items()
+    }}
+
+
+@pytest.mark.parametrize("spec", _cases())
+def test_every_live_server_of_a_shard_holds_one_exact_view(spec):
+    total = spec.cluster.system_config().total_initial_weight
+    views = run_spec(spec, live_views)["views"]
+    assert len(views) == spec.cluster.shards
+    for shard, shard_views in views.items():
+        assert shard_views, f"shard {shard} has no live server"
+        assert all(view == shard_views[0] for view in shard_views), shard
+        assert sum(shard_views[0].values()) == total, shard
+
+
+@ITEM_1
+def test_the_fig1_spec_reports_the_weights_of_the_fig1_scenario():
+    """Both forms replay Fig. 1's three accepted transfers; the function
+    form's plain reassignment servers report s1..s3 at 1.2, the spec form's
+    storage servers report s1's own view, which lacks its gain."""
+    spec = load_spec_file(str(SPECS / "fig1-walkthrough.json"))
+    function = get_scenario("fig1-walkthrough").execute()
+    assert run_spec(spec)["weights"] == function["weights"]

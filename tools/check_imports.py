@@ -85,10 +85,11 @@ PROBES: Dict[str, List[str]] = {
 _SERVING = "serving experiments on "
 
 #: Stdlib modules reported beside ``repro.*``: the pool's machinery; OpenSSL,
-#: which no path loads (``repro._digest`` hashes without it); and the stdlib
+#: which no path loads (``repro._digest`` hashes without it); the stdlib
 #: HTTP stack, which the server does without (only the client speaks
-#: ``http.client``).
-WATCHED = ("multiprocessing", "_hashlib", "_ssl", "http.client", "email")
+#: ``http.client``); and what exact weights (``fractions``) bring in.
+WATCHED = ("multiprocessing", "_hashlib", "_ssl", "http.client", "email",
+           "fractions", "decimal", "_decimal", "numbers")
 
 # Runs the CLI exactly as ``python -m repro`` does, then reports what got
 # imported; the report goes to a file so the command's own output is free.
