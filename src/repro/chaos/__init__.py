@@ -9,9 +9,10 @@ an automated robustness tester:
   :func:`~repro.chaos.space.fault_axes` as ordinary sweep axes;
 * the **sweep/executor machinery** — configurations are Latin-hypercube
   sampled (:meth:`~repro.experiments.sweep.Sweep.sample_lhs`) and executed
-  through :func:`~repro.experiments.executor.execute_stream_resilient`
-  with tracing enabled, each run judged where it ran (the stream's
-  ``around``), serially or across worker processes, with identical results;
+  through :func:`~repro.experiments.executor.execute_stream` with tracing
+  enabled, each run judged where it ran (the stream's ``around``, whose
+  result is the run's report entry, so the stream's journal replays
+  entries), serially or across worker processes, with identical results;
 * the **oracle stack** (:mod:`repro.chaos.oracles`) — trace invariants from
   :mod:`repro.obs.analysis`, result-level assertions (operations accounted
   for, weights conserved), and a latency-degradation detector against the

@@ -28,17 +28,20 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 from repro.chaos.oracles import RunOutcome, default_oracles
 from repro.chaos.space import fault_axes
 from repro.errors import ConfigurationError
-from repro.experiments.executor import RunResult, run_with_stable_stack
-from repro.experiments.executor import execute_run
+from repro.experiments.executor import (
+    ProgressCallback,
+    RunResult,
+    execute_run,
+    execute_stream,
+    journalable,
+    run_with_stable_stack,
+)
 from repro.experiments.registry import Scenario, SpecScenario, get_scenario
 from repro.experiments.resilience import (
     Quarantine,
     ResiliencePolicy,
     RunJournal,
     StreamTelemetry,
-    execute_stream_resilient,
-    journalable,
-    run_digest,
 )
 from repro.experiments.spec import ObservabilitySpec, ScenarioSpec
 from repro.experiments.sweep import RunSpec, Sweep
@@ -49,8 +52,6 @@ from repro.obs import read_trace  # noqa: F401
 from repro.types import VirtualTime
 
 __all__ = ["Campaign", "run_campaign"]
-
-ProgressCallback = Any  # (done, total) -> None, matching the executor's
 
 
 @dataclass
@@ -148,22 +149,13 @@ def _base_spec(scenario: str, entry: Optional[Scenario]) -> ScenarioSpec:
 
 
 @dataclass(frozen=True)
-class _JudgedResult(RunResult):
-    """A run's result plus its report entry: all that leaves the worker."""
-
-    judged: Dict[str, Any]
-
-
-@dataclass(frozen=True)
 class _Judge:
     """A campaign's oracle stack, and what its stream applies to each run
     where it executes (``dispatch``'s ``around``; a plain value, so it pickles
-    to spawned workers).  ``indices`` maps the stream's positions to sample
-    indices: a resumed stream has gaps, and -1 is the baseline."""
+    to spawned workers).  Indices are sample indices; -1 is the baseline."""
 
     oracles: Sequence[Any]
     baseline: Optional[Dict[str, Any]]
-    indices: Sequence[int]
     keep_traces: Optional[str]
 
     def verdict(
@@ -197,10 +189,18 @@ class _Judge:
         }
 
     def __call__(
-        self, execute: Callable[..., RunResult], position: int, run: RunSpec,
+        self, execute: Callable[..., RunResult], index: int, run: RunSpec,
         entry: Optional[Scenario],
-    ) -> _JudgedResult:
-        index = self.indices[position]
+    ) -> RunResult:
+        """The run's report entry as its result: all that leaves the worker."""
+        _, judged = self.run(execute, index, run, entry)
+        return RunResult(run.scenario, run.params, judged)
+
+    def run(
+        self, execute: Callable[..., RunResult], index: int, run: RunSpec,
+        entry: Optional[Scenario],
+    ) -> Tuple[RunResult, Dict[str, Any]]:
+        """Execute ``run`` traced; its raw result and its report entry."""
         # On a stable stack: recursion-limited trace tails (weight-gain
         # refresh churn) otherwise depend on the caller's stack depth, and the
         # report's serial == parallel == tests == CLI bytes on those tails.
@@ -216,8 +216,7 @@ class _Judge:
                 map(TraceEvent.as_record, events),
                 os.path.join(self.keep_traces, f"{stem}.jsonl"),
             )
-        judged = self.verdict(index, run, result.result, events)
-        return _JudgedResult(result.scenario, result.params, result.result, judged)
+        return result, self.verdict(index, run, result.result, events)
 
 
 def _journal_header(
@@ -234,7 +233,7 @@ def _journal_header(
     """
     return {
         "kind": "chaos",
-        "version": 1,
+        "version": 2,
         "campaign": {
             "scenario": scenario,
             "sample": sample,
@@ -335,68 +334,43 @@ def run_campaign(
             resume=resume,
         )
     resilient = journal is not None or policy.needs_pool
-    total = len(runs)
-    done = 0
-
-    def tick() -> None:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            progress(done, total)
-
     if keep_traces is not None:
         os.makedirs(keep_traces, exist_ok=True)
     try:
         # -- baseline: the un-faulted scenario, traced and judged -----------
         baseline = journal.get("baseline") if journal else None
         if baseline is None:
-            ran = _Judge(oracles, None, (-1,), keep_traces)(
-                execute_run, 0, RunSpec(scenario=scenario), entry
+            ran, judged = _Judge(oracles, None, keep_traces).run(
+                execute_run, -1, RunSpec(scenario=scenario), entry
             )
-            trace_oracle = ran.judged["oracles"]["trace-invariants"]
             baseline = {
                 "result": ran.result,
-                "violations": ran.judged["violations"],
-                "trace_records": trace_oracle["records"],
+                "violations": judged["violations"],
+                "trace_records": judged["oracles"]["trace-invariants"]["records"],
             }
             if journal is not None:
                 journal.record("baseline", baseline)
         baseline_result = baseline["result"]
 
         # -- the sampled fault space, traced, errors captured ---------------
-        # Journaled runs are skipped (their judged entries are replayed);
-        # fresh runs execute through the resilient stream, are judged where
-        # they ran and journaled as each one lands, so an interruption at
-        # any point loses at most the in-flight runs.
+        # Each run is judged where it ran, and its report entry is its result:
+        # the stream replays journaled entries and journals fresh ones as they
+        # land, so an interruption at any point loses at most in-flight runs.
+        judge = _Judge(oracles, baseline_result, keep_traces)
         entries = []
-        pending: List[int] = []
-        for index, run in enumerate(runs):
-            record = journal.get(run_digest(run)) if journal else None
-            if record is not None:
-                telemetry.resumed += 1
-                entries.append(record["entry"])
-                tick()
-            else:
-                pending.append(index)
-
-        judge = _Judge(oracles, baseline_result, pending, keep_traces)
-        for position, result in execute_stream_resilient(
-            [runs[index] for index in pending], workers=workers,
-            capture_errors=True, policy=policy, quarantine=quarantine,
-            telemetry=telemetry, entry=entry, around=judge,
+        for index, result in execute_stream(
+            runs, workers, progress, entry, capture_errors=True, policy=policy,
+            journal=journal, quarantine=quarantine, telemetry=telemetry,
+            around=judge,
         ):
-            index = pending[position]
-            run = runs[index]
-            if isinstance(result, _JudgedResult):
-                judged = result.judged
+            if journalable(result):
+                entries.append(result.result)
             else:
                 # Made by the parent for a worker it killed (watchdog) or
                 # lost (crash): whatever that worker recorded died with it.
-                judged = judge.verdict(index, run, result.result, None)
-            entries.append(judged)
-            if journal is not None and journalable(result):
-                journal.record(run_digest(run), {"entry": judged})
-            tick()
+                entries.append(
+                    judge.verdict(index, runs[index], result.result, None)
+                )
     finally:
         quarantine.close()
         if journal is not None:

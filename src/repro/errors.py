@@ -2,8 +2,8 @@
 
 All library-specific exceptions derive from :class:`ReproError`, so callers
 can catch a single base class.  Errors are split along the package structure:
-simulation-kernel errors, configuration errors, and protocol-level violations
-raised by the specification checkers (used heavily by the test-suite).
+simulation-kernel errors, configuration errors, and the Integrity violation a
+system configuration raises for initial weights the paper's properties forbid.
 """
 
 from __future__ import annotations
@@ -62,34 +62,16 @@ class WorkerError(ReproError):
 class SpecViolation(ReproError):
     """A safety property from the paper's problem definitions was violated.
 
-    The specification checkers in :mod:`repro.core.spec` raise this error when
-    a trace violates Integrity, P-Integrity, RP-Integrity or one of the
-    Validity properties.  The protocol implementations never raise it during
-    normal operation; it exists so tests and property-based verifiers can
-    assert that executions stay within the specification.
+    Raised only as :class:`IntegrityViolation`, by
+    :class:`repro.core.spec.SystemConfig`: on construction when the initial
+    weights violate Property 1 (Integrity at t=0), and by
+    :meth:`~repro.core.spec.SystemConfig.validate_rp_initial_weights` when they
+    violate RP-Integrity.  A running protocol never raises it.
     """
 
 
 class IntegrityViolation(SpecViolation):
     """Integrity / P-Integrity / RP-Integrity (Definitions 3-5) was violated."""
-
-
-class ValidityViolation(SpecViolation):
-    """Validity-I / Validity-II (and their P-/RP- variants) was violated."""
-
-
-class AtomicityViolation(SpecViolation):
-    """A register history is not linearizable (Definition 6)."""
-
-
-class TransferRejected(ReproError):
-    """A ``transfer`` invocation was aborted (a zero-weight change was created).
-
-    This is not an error condition of the protocol — the paper's RP-Validity-I
-    explicitly allows null transfers — but the high-level
-    :class:`repro.monitoring.controller.WeightController` treats it as a
-    signal that the requested reassignment is not currently possible.
-    """
 
 
 class UnknownProcessError(ConfigurationError):

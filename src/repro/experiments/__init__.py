@@ -14,11 +14,12 @@
 * :mod:`repro.experiments.plan` — the front door: the strict
   :class:`~repro.experiments.plan.JobRequest` schema and the one
   :func:`~repro.experiments.plan.plan` the CLI and the service both call.
-* :mod:`repro.experiments.executor` — in-process execution, or the one
-  stream-lifetime worker pool (per-run wall-clock watchdog, bounded worker
-  retry); results are identical for any worker count because every run is
-  deterministic in virtual time.
-* :mod:`repro.experiments.resilience` — journaled resume, the quarantine
+* :mod:`repro.experiments.executor` — the one execution stream: in-process,
+  or on a worker pool (per-run wall-clock watchdog, bounded worker retry),
+  replaying and appending to a run journal when given one; results are
+  identical for any worker count because every run is deterministic in
+  virtual time.
+* :mod:`repro.experiments.resilience` — the run journal, the quarantine
   sidecar, and graceful SIGINT/SIGTERM handling for long executions.
 * :mod:`repro.experiments.results` — JSON/CSV sinks and baseline comparison.
 * :mod:`repro.experiments.catalogue` — the built-in scenarios (the paper's
@@ -44,12 +45,12 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "sweep": ("RunSpec", "Sweep", "expand_grid", "expand_points"),
     "executor": (
         "RunResult", "execute_run", "execute_run_captured", "execute_many",
-        "execute_stream",
+        "execute_stream", "journalable",
     ),
     "resilience": (
         "INTERRUPT_EXIT_CODE", "GracefulInterrupt", "Quarantine", "ResiliencePolicy",
         "RunJournal", "StreamTelemetry", "execute_stream_resilient", "interruptible",
-        "journalable", "run_digest",
+        "run_digest",
     ),
     "results": (
         "payload_entry", "to_payload", "dumps_json", "write_json", "write_jsonl_line",

@@ -291,12 +291,12 @@ def _print_resilience_summary(
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.experiments.executor import execute_stream
     from repro.experiments.plan import plan
     from repro.experiments.resilience import (
         Quarantine,
         RunJournal,
         StreamTelemetry,
-        execute_stream_resilient,
         interruptible,
     )
     from repro.experiments.results import write_jsonl_line
@@ -334,7 +334,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # with the distinct "interrupted, resumable" status — but only when
         # a journal is active; plain sweeps keep KeyboardInterrupt.
         with interruptible() if journal is not None else nullcontext():
-            for index, result in execute_stream_resilient(
+            for index, result in execute_stream(
                 runs, workers=args.workers, policy=policy, journal=journal,
                 quarantine=quarantine, telemetry=telemetry, entry=entry,
             ):

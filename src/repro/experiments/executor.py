@@ -15,17 +15,22 @@ Two consumption styles:
   *completion* order, calling an optional ``progress(done, total)`` after
   each run.  Long sweeps stream into chunked sinks without holding every
   result in memory, and the index lets order-sensitive consumers reassemble
-  the input order.
+  the input order.  It is the one loop over :func:`dispatch`: given a
+  journal (:class:`repro.experiments.resilience.RunJournal`) it replays the
+  runs that journal holds and journals the rest as they land, given a
+  quarantine it records the runs whose worker died on every attempt.
 
-Both are :func:`dispatch` under the inert :class:`ResiliencePolicy` ("no
-deadline, one attempt"): in-process when ``workers == 1``, otherwise on a
-:class:`WorkerPool` of pipe-managed worker processes.  A pool lives as long
-as its owner: ``dispatch`` owns the one it starts for a stream and closes it
-with the stream — a closed stream leaves no process behind — while a caller
-that passes its own ``pool`` (``repro serve`` keeps one per job thread) gets
-it back running.  The pool kills a run that hangs past its deadline and
-outlives a worker that dies, so it never hangs on one.
-:mod:`repro.experiments.resilience` adds journaled resume on top.
+Both end in :func:`dispatch`, under the inert :class:`ResiliencePolicy` ("no
+deadline, one attempt") unless a stream is handed another: in-process when
+``workers == 1``, otherwise on a :class:`WorkerPool` of pipe-managed worker
+processes.  A pool lives as long as its owner: ``dispatch`` owns the one it
+starts for a stream and closes it with the stream — a closed stream leaves no
+process behind — while a caller that passes its own ``pool`` (``repro
+serve`` keeps one per job thread) gets it back running.  The pool kills a
+run that hangs past its deadline and outlives a worker that dies, so it
+never hangs on one.
+:mod:`repro.experiments.resilience` holds what outlasts the process: the
+journal, the quarantine sidecar and graceful interruption.
 
 Every entry point takes an optional ``entry`` — the planned scenario of
 :func:`repro.experiments.plan.plan` — that executes the runs naming it in
@@ -45,6 +50,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -61,6 +67,9 @@ from repro.experiments.registry import Scenario, get_scenario
 from repro.experiments.sweep import RunSpec
 from repro.obs.observer import current_observer, install_observer
 
+if TYPE_CHECKING:  # annotations only: `run` must not load the journal
+    from repro.experiments.resilience import Quarantine, RunJournal
+
 __all__ = [
     "ResiliencePolicy",
     "RunResult",
@@ -72,6 +81,7 @@ __all__ = [
     "execute_many",
     "execute_stream",
     "forks_workers",
+    "journalable",
     "run_with_stable_stack",
     "shutdown_pool",
 ]
@@ -218,11 +228,11 @@ class ResiliencePolicy:
     """Watchdog and retry knobs for one execution stream.
 
     The default policy is inert — no deadline, one attempt — and is what
-    :func:`execute_stream` runs under.  ``run_timeout`` is *wall-clock*
-    seconds per run; ``max_attempts`` counts total dispatches of one run
-    across worker deaths.  Backoff before the ``k``-th retry is
-    ``backoff_base * backoff_factor**(k-1)``, capped at ``backoff_max`` —
-    wall-clock pacing only, results are unaffected.
+    :func:`execute_stream` runs under unless handed another.
+    ``run_timeout`` is *wall-clock* seconds per run; ``max_attempts`` counts
+    total dispatches of one run across worker deaths.  Backoff before the
+    ``k``-th retry is ``backoff_base * backoff_factor**(k-1)``, capped at
+    ``backoff_max`` — wall-clock pacing only, results are unaffected.
     """
 
     run_timeout: Optional[float] = None
@@ -658,24 +668,75 @@ def execute_stream(
     workers: int = 1,
     progress: Optional[ProgressCallback] = None,
     entry: Optional[Scenario] = None,
+    capture_errors: bool = False,
+    policy: Optional[ResiliencePolicy] = None,
+    journal: Optional[RunJournal] = None,
+    quarantine: Optional[Quarantine] = None,
+    telemetry: Optional[StreamTelemetry] = None,
+    around: Optional[Callable[..., RunResult]] = None,
+    pool: Optional[WorkerPool] = None,
 ) -> Iterator[Tuple[int, RunResult]]:
     """Yield ``(input_index, result)`` pairs as runs complete.
 
-    Serial execution (``workers=1``) yields in input order; parallel
-    execution yields in completion order.  Either way every input index
-    appears exactly once, and ``progress`` (if given) is called with
-    ``(completed, total)`` after each run.  A worker process that dies mid-run
-    yields a ``WorkerCrashed`` error result for that run (this is
-    :func:`dispatch` under the inert policy) and the stream keeps draining.
+    Runs ``journal`` already holds come first, in input order, without
+    executing (``telemetry.resumed`` counts them); the rest go to
+    :func:`dispatch` under ``policy`` (the inert one by default) with
+    ``capture_errors``, ``entry``, ``around`` and ``pool`` passed through.
+    Serial execution (``workers=1``) yields them in input order, parallel
+    execution in completion order.  Every fresh result that is
+    :func:`journalable` is appended to ``journal`` as it lands; a run whose
+    worker died on every attempt yields a ``WorkerCrashed`` error result
+    (recorded in ``quarantine``) and the stream keeps draining.  Every input
+    index appears exactly once, and ``progress`` (if given) is called with
+    ``(completed, total)`` after each, replayed or fresh, so sinks and
+    reports reassemble identically however often an execution was resumed.
     """
-    pending = list(enumerate(runs))
-    total = len(pending)
-    for done, (index, result) in enumerate(dispatch(
-        pending, workers, False, ResiliencePolicy(), StreamTelemetry(), entry,
-    ), 1):
+    policy = policy or ResiliencePolicy()
+    policy.validate()
+    telemetry = telemetry if telemetry is not None else StreamTelemetry()
+    run_list = list(runs)
+    done = 0
+
+    def tick() -> None:
+        nonlocal done
+        done += 1
         if progress is not None:
-            progress(done, total)
+            progress(done, len(run_list))
+
+    pending: List[Tuple[int, RunSpec]] = []
+    for index, run in enumerate(run_list):
+        result = journal.replay(run) if journal is not None else None
+        if result is None:
+            pending.append((index, run))
+            continue
+        telemetry.resumed += 1
+        tick()
         yield index, result
+    for index, result in dispatch(
+        pending, workers, capture_errors, policy, telemetry, entry, around, pool,
+    ):
+        if journalable(result):
+            if journal is not None:
+                journal.record_run(index, run_list[index], result)
+        elif quarantine is not None and result.result["error"].get("quarantined"):
+            error = result.result["error"]
+            quarantine.record(index, run_list[index], error["attempts"], error)
+        tick()
+        yield index, result
+
+
+def journalable(result: RunResult) -> bool:
+    """Whether a result should mark its config completed in the journal.
+
+    Watchdog timeouts and quarantined worker deaths are wall-clock
+    accidents, not properties of the configuration — a resumed execution
+    gets to retry them.  Everything else (including deterministic captured
+    errors) is final.
+    """
+    error = result.result.get("error") if isinstance(result.result, dict) else None
+    if not isinstance(error, dict):
+        return True
+    return error.get("type") != "WatchdogTimeout" and not error.get("quarantined")
 
 
 def execute_many(

@@ -13,18 +13,17 @@ turns a run that failed every attempt into a deterministic
 draining.  What lives here is what outlasts the process:
 
 * :class:`RunJournal` — an append-only JSONL record of completed runs keyed
-  by :func:`run_digest`, a stable digest of ``(scenario, params)``.  Sweeps
-  and chaos campaigns append as results land; a resumed execution skips the
-  journaled configurations and reassembles a final report byte-identical to
-  an uninterrupted run (results are deterministic, so a journaled result
-  *is* the result a re-run would produce).
+  by :func:`run_digest`, a stable digest of ``(scenario, params)``.
+  :func:`~repro.experiments.executor.execute_stream` appends to it as
+  results land (:meth:`RunJournal.record_run`) and, resumed, replays the
+  journaled configurations instead of executing them
+  (:meth:`RunJournal.replay`), so a sweep or chaos campaign reassembles a
+  final report byte-identical to an uninterrupted run (results are
+  deterministic, so a journaled result *is* the result a re-run would
+  produce).
 * :class:`Quarantine` — a JSONL sidecar of the configurations that failed
   every attempt, so the campaign degrades gracefully instead of dying and
   the poison configs can be reproduced by hand.
-* :func:`execute_stream_resilient` — the executor's dispatch under a
-  caller-chosen policy, plus journal replay and the two sidecars.  With no
-  journal and the default (inert) policy it yields exactly what
-  :func:`~repro.experiments.executor.execute_stream` yields.
 * :func:`interruptible` — SIGINT/SIGTERM handlers that raise
   :class:`GracefulInterrupt`, letting the CLI flush sinks and exit with
   :data:`INTERRUPT_EXIT_CODE` so CI can distinguish "interrupted,
@@ -38,16 +37,7 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro._digest import sha256
 from repro.errors import (
@@ -59,10 +49,8 @@ from repro.experiments.executor import (
     ResiliencePolicy,
     RunResult,
     StreamTelemetry,
-    WorkerPool,
-    dispatch,
+    execute_stream,
 )
-from repro.experiments.registry import Scenario
 from repro.experiments.sweep import RunSpec
 
 __all__ = [
@@ -74,12 +62,9 @@ __all__ = [
     "StreamTelemetry",
     "execute_stream_resilient",
     "interruptible",
-    "journalable",
     "load_jsonl_log",
     "run_digest",
 ]
-
-ProgressCallback = Callable[[int, int], None]
 
 
 def run_digest(run: RunSpec) -> str:
@@ -205,6 +190,27 @@ class RunJournal:
         self.entries[digest] = entry
         self._write(entry)
 
+    def replay(self, run: RunSpec) -> Optional[RunResult]:
+        """``run``'s journaled result, or ``None`` if it is still to run.
+
+        Rebuilt around the *original* spec, not the journal's rendering of
+        its params, so ``run_id`` and ``params`` round-trip exactly.
+        """
+        record = self.entries.get(run_digest(run))
+        if record is None:
+            return None
+        return RunResult(run.scenario, run.params, record["result"])
+
+    def record_run(self, index: int, run: RunSpec, result: RunResult) -> None:
+        """Append ``run``'s final result, keyed by :func:`run_digest`."""
+        self.record(run_digest(run), {
+            "index": index,
+            "run_id": run.run_id,
+            "scenario": run.scenario,
+            "params": {key: repr(value) for key, value in run.params},
+            "result": result.result,
+        })
+
     def record_summary(self, summary: Dict[str, Any]) -> None:
         """Append a non-entry summary record (ignored by the loader)."""
         self._write({"summary": _json_roundtrip(summary)})
@@ -237,8 +243,8 @@ class Quarantine:
     run leaves nothing behind.  Each record carries everything needed to
     reproduce the run by hand: the config index, run id, scenario, the
     exact parameter overrides (``spec``), the attempt count and the final
-    error (``traceback`` is ``null`` for SIGKILLed workers — there is no
-    Python frame to collect).
+    error.  There is no traceback: a record exists only for a worker that
+    died, which leaves no Python frame to report.
     """
 
     def __init__(self, path: Optional[str]) -> None:
@@ -246,8 +252,7 @@ class Quarantine:
         self._handle = None
 
     def record(self, index: int, run: RunSpec, attempts: int,
-               error: Dict[str, Any],
-               traceback_text: Optional[str] = None) -> None:
+               error: Dict[str, Any]) -> None:
         if self.path is None:
             return
         if self._handle is None:
@@ -258,7 +263,6 @@ class Quarantine:
             "scenario": run.scenario,
             "attempts": attempts,
             "error": error,
-            "traceback": traceback_text,
             "spec": {"scenario": run.scenario, "params": run.params_dict},
         }
         self._handle.write(json.dumps(entry, sort_keys=True, default=repr))
@@ -300,96 +304,5 @@ def interruptible() -> Iterator[None]:
             signal.signal(sig, handler)
 
 
-# ---------------------------------------------------------------------------
-# The resilient stream
-# ---------------------------------------------------------------------------
-
-
-def execute_stream_resilient(
-    runs: Iterable[RunSpec],
-    workers: int = 1,
-    progress: Optional[ProgressCallback] = None,
-    capture_errors: bool = False,
-    policy: Optional[ResiliencePolicy] = None,
-    journal: Optional[RunJournal] = None,
-    quarantine: Optional[Quarantine] = None,
-    telemetry: Optional[StreamTelemetry] = None,
-    entry: Optional[Scenario] = None,
-    around: Optional[Callable[..., RunResult]] = None,
-    pool: Optional[WorkerPool] = None,
-) -> Iterator[Tuple[int, RunResult]]:
-    """:func:`execute_stream` with journaled resume, watchdog and retry.
-
-    The same :func:`~repro.experiments.executor.dispatch` as the plain
-    stream, under ``policy`` instead of the inert one and with its ``around``
-    and ``pool`` passed through, plus the sidecars:
-
-    * runs whose digest is already journaled yield their journaled result
-      first (in input order), without executing — ``telemetry.resumed``
-      counts them;
-    * every fresh result is journaled as it lands (quarantined and
-      timed-out runs are **not** journaled: a resume retries them);
-    * a run whose worker died on every attempt is recorded in
-      ``quarantine``.
-
-    Every input index is yielded exactly once and ``progress(done, total)``
-    fires after each, journaled or fresh — same contract as the plain
-    stream, so sinks and reports reassemble identically.
-    """
-    policy = policy or ResiliencePolicy()
-    policy.validate()
-    run_list = list(runs)
-    telemetry = telemetry if telemetry is not None else StreamTelemetry()
-    total = len(run_list)
-    done = 0
-
-    def tick(index: int, result: RunResult) -> Tuple[int, RunResult]:
-        nonlocal done
-        done += 1
-        if progress is not None:
-            progress(done, total)
-        return index, result
-
-    pending: List[Tuple[int, RunSpec]] = []
-    for index, run in enumerate(run_list):
-        record = journal.get(run_digest(run)) if journal is not None else None
-        if record is not None:
-            telemetry.resumed += 1
-            # Reconstruct from the *original* spec (not the journal's params
-            # rendering) so run_id/params round-trip exactly.
-            yield tick(
-                index, RunResult(run.scenario, run.params, record["result"])
-            )
-        else:
-            pending.append((index, run))
-    for index, result in dispatch(
-        pending, workers, capture_errors, policy, telemetry, entry, around, pool,
-    ):
-        run = run_list[index]
-        if journalable(result):
-            if journal is not None:
-                journal.record(run_digest(run), {
-                    "index": index,
-                    "run_id": run.run_id,
-                    "scenario": run.scenario,
-                    "params": {key: repr(value) for key, value in run.params},
-                    "result": result.result,
-                })
-        elif quarantine is not None and result.result["error"].get("quarantined"):
-            error = result.result["error"]
-            quarantine.record(index, run, error["attempts"], dict(error))
-        yield tick(index, result)
-
-
-def journalable(result: RunResult) -> bool:
-    """Whether a result should mark its config completed in the journal.
-
-    Watchdog timeouts and quarantined worker deaths are wall-clock
-    accidents, not properties of the configuration — a resumed execution
-    gets to retry them.  Everything else (including deterministic captured
-    errors) is final.
-    """
-    error = result.result.get("error") if isinstance(result.result, dict) else None
-    if not isinstance(error, dict):
-        return True
-    return error.get("type") != "WatchdogTimeout" and not error.get("quarantined")
+# The executor's one stream by its old name, which the frozen benchmarks bind.
+execute_stream_resilient = execute_stream

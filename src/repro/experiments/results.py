@@ -100,9 +100,10 @@ def load_quarantine(path: str) -> Payload:
     """Load a quarantine sidecar written by a resilient sweep or campaign.
 
     Each record carries ``index``, ``run_id``, ``scenario``, ``attempts``,
-    the final ``error``, an optional ``traceback`` and a ``spec`` block
-    (``scenario`` plus the exact parameter overrides) — everything needed
-    to re-run the poisoned configuration by hand.  A missing file is an
+    the final ``error`` and a ``spec`` block (``scenario`` plus the exact
+    parameter overrides) — everything needed to re-run the poisoned
+    configuration by hand.  It has no traceback: a record exists only for a
+    worker that died, which leaves no Python frame to report.  A missing file is an
     empty quarantine (the sidecar is only created when something fails
     every attempt).
     """

@@ -41,7 +41,7 @@ from contextlib import closing
 from typing import Any, Dict, Iterator, List, Optional, TextIO
 
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.executor import WorkerPool
+from repro.experiments.executor import WorkerPool, execute_stream
 from repro.experiments.plan import JobRequest, Plan, plan
 from repro.experiments.registry import Scenario, scenario_names
 from repro.experiments.resilience import (
@@ -49,7 +49,6 @@ from repro.experiments.resilience import (
     ResiliencePolicy,
     RunJournal,
     StreamTelemetry,
-    execute_stream_resilient,
     load_jsonl_log,
 )
 from repro.experiments.results import write_jsonl_line
@@ -418,7 +417,7 @@ class ExperimentService:
                     )
 
     def _execute(self, job: Job, pool: WorkerPool, handle: TextIO) -> bool:
-        """Run one job through the resilient executor on the thread's
+        """Run one job through the executor's stream on the thread's
         ``pool``, one flushed line of ``handle`` (the job's ``results.jsonl``)
         per result; True iff it completed.
 
@@ -451,7 +450,7 @@ class ExperimentService:
         )
         quarantine = Quarantine(job.journal_path + ".quarantine.jsonl")
         with closing(journal), closing(quarantine):
-            stream = execute_stream_resilient(
+            stream = execute_stream(
                 job.runs,
                 workers=workers,
                 capture_errors=True,
@@ -475,11 +474,9 @@ class ExperimentService:
             completed = job.done_runs >= job.total
             if completed:
                 journal.record_summary({
-                    "summary": {
-                        "id": job.id,
-                        "total": job.total,
-                        "resilience": job.telemetry.as_dict(),
-                    }
+                    "id": job.id,
+                    "total": job.total,
+                    "resilience": job.telemetry.as_dict(),
                 })
         return completed
 

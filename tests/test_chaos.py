@@ -427,6 +427,34 @@ def _raise_if_called(name):
     return raiser
 
 
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the patched run_spec reaches workers by fork",
+)
+
+
+def _kill_the_worker_running_sample_1(monkeypatch):
+    """What the OOM killer does to one worker of a quickstart campaign
+    (``sample=3, seed=3``): the worker running sample 1 dies once its run is
+    recorded, before it is judged."""
+    import repro.experiments.registry as registry_module
+
+    real_run_spec = registry_module.run_spec
+    sampled = Sweep.of(
+        "quickstart", grid=fault_axes(quickstart_spec())
+    ).sample_lhs(3, seed=3)
+    doomed = quickstart_spec().with_overrides(sampled[1].params_dict)
+    parent = os.getpid()
+
+    def run_spec_or_die(spec):
+        result = real_run_spec(spec)
+        if os.getpid() != parent and spec == doomed:
+            os.kill(os.getpid(), signal.SIGKILL)  # recorded, not yet judged
+        return result
+
+    monkeypatch.setattr(registry_module, "run_spec", run_spec_or_die)
+
+
 class TestCampaignTraces:
     """A trace is judged where it was recorded; only ``keep_traces`` makes a
     file of it, and nothing ever reads one back."""
@@ -503,33 +531,14 @@ class TestCampaignTraces:
             assert on_disk["records"] == (
                 entry["oracles"]["trace-invariants"]["records"])
 
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(),
-        reason="the patched run_spec reaches workers by fork",
-    )
+    @needs_fork
     def test_a_worker_killed_mid_run_is_judged_no_trace(
         self, tmp_path, monkeypatch
     ):
-        # What the OOM killer does to one worker of a plain `--workers 2`
-        # campaign, mid-run: whatever it had recorded dies with it, the run
-        # is quarantined and judged "no trace"; every other run is judged in
-        # full, by the worker that ran it.
-        import repro.experiments.registry as registry_module
-
-        real_run_spec = registry_module.run_spec
-        sampled = Sweep.of(
-            "quickstart", grid=fault_axes(quickstart_spec())
-        ).sample_lhs(3, seed=3)
-        doomed = quickstart_spec().with_overrides(sampled[1].params_dict)
-        parent = os.getpid()
-
-        def run_spec_or_die(spec):
-            result = real_run_spec(spec)
-            if os.getpid() != parent and spec == doomed:
-                os.kill(os.getpid(), signal.SIGKILL)  # recorded, not yet judged
-            return result
-
-        monkeypatch.setattr(registry_module, "run_spec", run_spec_or_die)
+        # A plain `--workers 2` campaign loses a worker mid-run: whatever it
+        # had recorded dies with it, the run is quarantined and judged "no
+        # trace"; every other run is judged in full, by the worker that ran it.
+        _kill_the_worker_running_sample_1(monkeypatch)
         telemetry = StreamTelemetry()
         kept = tmp_path / "kept"
         campaign = run_campaign("quickstart", sample=3, seed=3, workers=2,
@@ -755,6 +764,73 @@ class TestCampaignResilience:
         with pytest.raises(ConfigurationError, match="different"):
             run_campaign("quickstart", sample=2, seed=6,
                          journal_path=journal, resume=True)
+
+    def test_the_journal_holds_report_entries_not_raw_results(self, tmp_path):
+        journal = str(tmp_path / "journal.jsonl")
+        campaign = run_campaign("quickstart", sample=3, seed=5,
+                                journal_path=journal)
+        with open(journal, "r", encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
+        assert records[0]["journal"]["version"] == 2
+        entries = [record for record in records[1:]
+                   if record["digest"] != "baseline"]
+        assert len(entries) == 3
+        for record in entries:
+            assert set(record) == {
+                "digest", "index", "run_id", "scenario", "params", "result",
+            }
+            assert set(record["result"]) == {
+                "index", "run_id", "params", "severity", "violations", "oracles",
+            }
+        by_index = {entry["index"]: entry for entry in campaign.entries}
+        for record in entries:
+            reported = json.loads(json.dumps(by_index[record["index"]]))
+            del reported["rank"]
+            assert record["result"] == reported
+
+    def test_a_version_1_journal_is_refused(self, tmp_path):
+        # Version 1 journaled a run's report entry under "entry", where
+        # version 2 replays "result".
+        journal = tmp_path / "journal.jsonl"
+        run_campaign("quickstart", sample=2, seed=5, journal_path=str(journal))
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        records[0]["journal"]["version"] = 1
+        for record in records[2:]:
+            record["entry"] = record.pop("result")
+        journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+        with pytest.raises(ConfigurationError, match="different configuration"):
+            run_campaign("quickstart", sample=2, seed=5,
+                         journal_path=str(journal), resume=True)
+
+    @needs_fork
+    def test_a_run_whose_worker_was_killed_is_the_only_one_resumed(
+        self, tmp_path, monkeypatch
+    ):
+        # A journaled `--workers 2` campaign loses one worker mid-run: that
+        # run is quarantined, not journaled, so the resume executes it alone
+        # and the report equals a clean journaled campaign's.
+        clean_journal = tmp_path / "clean.jsonl"
+        clean = run_campaign("quickstart", sample=3, seed=3, workers=2,
+                             journal_path=str(clean_journal))
+        # The baseline runs in this process, where the patch's extra frame
+        # would move where its recursion-limited trace ends: start the killed
+        # campaign from the clean journal's header and baseline.
+        journal = str(tmp_path / "journal.jsonl")
+        with open(journal, "w", encoding="utf-8") as handle:
+            handle.writelines(clean_journal.read_text().splitlines(True)[:2])
+        _kill_the_worker_running_sample_1(monkeypatch)
+        killed = StreamTelemetry()
+        run_campaign("quickstart", sample=3, seed=3, workers=2,
+                     journal_path=journal, resume=True, telemetry=killed)
+        assert (killed.resumed, killed.quarantined) == (0, 1)
+        monkeypatch.undo()
+        telemetry = StreamTelemetry()
+        resumed = run_campaign("quickstart", sample=3, seed=3, workers=2,
+                               journal_path=journal, resume=True,
+                               telemetry=telemetry)
+        assert telemetry.resumed == 3 - 1
+        assert telemetry.quarantined == 0
+        assert list(resumed.jsonl_lines()) == list(clean.jsonl_lines())
 
     def test_cli_chaos_resume_is_byte_identical(self, tmp_path, capsys):
         journal = str(tmp_path / "journal.jsonl")

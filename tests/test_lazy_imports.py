@@ -159,6 +159,15 @@ class TestFacades:
             for name in names:
                 assert name in vars(owner), (owner.__name__, name)
                 assert callable(inspect.getattr_static(owner, name))
+        # The one stream, still bound by its old name.
+        stream = vars(resilience)["execute_stream_resilient"]
+        assert stream is executor.execute_stream
+
+    def test_the_stream_and_what_it_journals_are_the_executors(self):
+        import repro.experiments as facade
+
+        for name in ("execute_stream", "journalable"):
+            assert getattr(facade, name).__module__ == "repro.experiments.executor"
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,11 @@ from repro.experiments import (
     run_digest,
 )
 from repro.experiments.cli import main
-from repro.experiments.executor import execute_run_captured, forks_workers
+from repro.experiments.executor import (
+    execute_run,
+    execute_run_captured,
+    forks_workers,
+)
 from repro.experiments.registry import (
     FunctionScenario,
     get_scenario,
@@ -240,20 +244,22 @@ class TestPolicy:
         assert forks_workers(2, ResiliencePolicy())
         assert forks_workers(1, ResiliencePolicy(max_attempts=2))
 
-    def test_inert_call_matches_plain_stream(self):
+    def test_a_default_call_is_the_plain_stream(self, tmp_path, monkeypatch):
+        # No journal, no quarantine, the inert policy: every run yields what
+        # running it alone yields, in input order, and no sidecar is written.
+        monkeypatch.chdir(tmp_path)
         runs = expand_grid(
             "quickstart",
             grid={"seed": [0, 1]},
             base={"workload.operations_per_client": 2},
         )
-        plain = sorted(
-            (index, result.result) for index, result in execute_stream(runs)
-        )
-        resilient = sorted(
-            (index, result.result)
-            for index, result in execute_stream_resilient(runs)
-        )
-        assert plain == resilient
+        calls = []
+        streamed = list(execute_stream(runs, progress=lambda *c: calls.append(c)))
+        assert [(i, r.result) for i, r in streamed] == [
+            (i, execute_run(run).result) for i, run in enumerate(runs)
+        ]
+        assert calls == [(1, 2), (2, 2)]
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTelemetry:
@@ -526,22 +532,23 @@ class TestOnePool:
             assert time.monotonic() < deadline, "orphaned workers still alive"
             time.sleep(0.1)
 
-    def test_inert_resilient_stream_equals_plain_stream(self):
+    def test_a_default_parallel_call_is_the_plain_stream(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
         runs = expand_grid(
             "quickstart",
             grid={"seed": [0, 1, 2]},
             base={"workload.operations_per_client": 2},
         )
-        plain = sorted(
+        streamed = sorted(
             (index, result.result)
             for index, result in execute_stream(runs, workers=2)
         )
-        resilient = sorted(
-            (index, result.result)
-            for index, result in execute_stream_resilient(runs, workers=2)
-        )
-        assert plain == resilient
-        assert [index for index, _ in plain] == [0, 1, 2]
+        assert streamed == [
+            (i, execute_run(run).result) for i, run in enumerate(runs)
+        ]
+        assert list(tmp_path.iterdir()) == []
 
     def test_concurrent_streams_across_a_registry_change_match_serial(
         self, leaked_children

@@ -339,6 +339,21 @@ class TestServiceExecution:
                  "params": {"cluster.bogus": 3}}))
         assert excinfo.value.path == "params.cluster.bogus"
 
+    def test_a_finished_job_closes_its_journal_with_one_summary(self, service):
+        job = service.submit(JobRequest.from_dict({
+            "kind": "sweep", "scenario": "quickstart", "params": FAST,
+            "seeds": [0, 1],
+        }))
+        assert service.wait(job, 120)
+        assert job.state == "done"
+        lines = pathlib.Path(job.journal_path).read_text(
+            encoding="utf-8").splitlines()
+        assert json.loads(lines[-1]) == {"summary": {
+            "id": job.id,
+            "total": 2,
+            "resilience": {"retries": 0, "timeouts": 0, "quarantined": 0},
+        }}
+
     def test_cancel_mid_sweep_keeps_journal(self, service):
         job = service.submit(JobRequest.from_dict({
             "kind": "sweep", "scenario": "quickstart", "params": FAST,

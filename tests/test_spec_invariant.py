@@ -273,12 +273,12 @@ class TestMalformedShapesFailAtPlanning:
     def test_cli_exits_2_before_the_first_progress_line(
         self, key, value, names, capsys, monkeypatch
     ):
-        from repro.experiments import resilience
+        from repro.experiments import executor
 
         def never(*args, **kwargs):
             raise AssertionError("a run started")
 
-        monkeypatch.setattr(resilience, "execute_stream_resilient", never)
+        monkeypatch.setattr(executor, "execute_stream", never)
         argv = ["sweep", "quickstart", "--seeds", "0,1",
                 "-p", f"{key}={json.dumps(value)}"]
         assert main(argv) == 2
