@@ -123,6 +123,13 @@ def _print_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> Non
         print("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
 
 
+def _write_json(path: str, document: Any) -> None:
+    """Write one ``--json`` file: indented, key-sorted, newline-terminated."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _emit(results: List[RunResult], args: argparse.Namespace) -> None:
     from repro.experiments.results import dumps_json, write_csv, write_json
 
@@ -427,9 +434,7 @@ def _cmd_trace_check(args: argparse.Namespace) -> int:
     records = read_trace(args.trace_file)
     report = check_trace_invariants(records, min_quorum=args.min_quorum)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, report.as_dict())
     shown = report.errors if args.quiet else report.findings
     for finding in shown:
         print(f"{finding.severity}: [{finding.check}] "
@@ -447,9 +452,7 @@ def _cmd_trace_critical_path(args: argparse.Namespace) -> int:
 
     report = critical_path_report(read_trace(args.trace_file))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, report)
     if args.quiet:
         return 0
     if not report["by_kind"]:
@@ -487,9 +490,7 @@ def _cmd_trace_diff(args: argparse.Namespace) -> int:
         context=args.context,
     )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(divergence, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, divergence)
     print(format_divergence(divergence))
     return 0 if divergence is None else 1
 
@@ -503,9 +504,7 @@ def _cmd_trace_series(args: argparse.Namespace) -> int:
         buckets=args.buckets,
     )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(series, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write_json(args.json, series)
     if args.quiet:
         return 0
     if not series["series"]:

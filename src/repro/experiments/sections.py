@@ -18,8 +18,7 @@ ScenarioSpec` root itself — is a frozen dataclass inheriting
 * :meth:`SpecSection.validate` — recursive semantic validation (kind names,
   ranges, cross-field consistency) without building anything;
 * ``build(...)`` — section-specific: construct the runtime objects the
-  section describes (a latency model, a cluster, a failure schedule, a
-  monitoring harness).
+  section describes (a latency model, a cluster, a monitoring harness).
 
 A section types its own fields when it is constructed, so a value has one
 in-memory shape whichever door it came through — the constructor,

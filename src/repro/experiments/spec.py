@@ -17,7 +17,7 @@ others:
   into the existing :class:`~repro.monitoring.monitor.LatencyMonitor` /
   policy / :class:`~repro.monitoring.controller.WeightController` objects;
 * :class:`FaultSpec` — crash/recover schedules and partition/heal windows,
-  built into a :class:`~repro.sim.failures.FailureSchedule`;
+  validated and armed on the run's loop as one sorted timeline;
 * :class:`TransferEvent` — scheduled weight transfers (the protocol knob
   the paper is about).
 
@@ -46,8 +46,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Collection, Dict, List, Mapping, Optional, Tuple, Union,
+)
 
 from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
@@ -66,7 +69,6 @@ from repro.sim.cluster import (
     build_cluster,
     build_sharded_cluster,
 )
-from repro.sim.failures import FailureSchedule, windows_overlap
 from repro.sim.metrics import LatencySummary
 from repro.sim.runner import run_workload
 from repro.sim.workload import Workload
@@ -675,6 +677,19 @@ class ObservabilitySpec(SpecSection):
         )
 
 
+#: Fault kinds in the order the timeline resolves them at equal times:
+#: recoveries before crashes (a same-instant pair leaves the process down),
+#: heals before partitions (a window healing as the next one starts cannot
+#: tear the new partition down).
+RECOVER, CRASH = 0, 1
+HEAL, PARTITION = 0, 1
+
+#: ``(at, RECOVER | CRASH, process, dotted path)``.
+Fate = Tuple[VirtualTime, int, ProcessId, str]
+#: ``(at, HEAL | PARTITION, groups)``; a heal's groups are empty.
+Boundary = Tuple[VirtualTime, int, Tuple[Tuple[ProcessId, ...], ...]]
+
+
 @dataclass(frozen=True)
 class OutageSpec(SpecSection):
     """A crash with its matching recovery: ``process`` is down during
@@ -684,6 +699,17 @@ class OutageSpec(SpecSection):
     at: VirtualTime
     until: Optional[VirtualTime] = None
 
+    def _validate(self) -> None:
+        if self.at < 0:
+            raise ConfigurationError(
+                f"outage times must be non-negative, got {self.at}"
+            )
+        if self.until is not None and self.until <= self.at:
+            raise ConfigurationError(
+                f"outage recovers at until={self.until}, at or before its "
+                f"crash at={self.at}"
+            )
+
 
 @dataclass(frozen=True)
 class PartitionSpec(SpecSection):
@@ -691,7 +717,8 @@ class PartitionSpec(SpecSection):
 
     Processes (servers *and* clients) not listed in any group form an
     implicit extra group; on a sharded cluster canonical names expand to
-    every shard's instance.  ``heal_at=None`` never heals.
+    every shard's instance.  ``heal_at=None`` never heals.  A process sits
+    in at most one group of a window.
     """
 
     at: VirtualTime
@@ -713,8 +740,15 @@ class PartitionSpec(SpecSection):
             )
 
     def overlaps(self, other: "PartitionSpec") -> bool:
-        """Whether two windows are live at the same time (heal() is global)."""
-        return windows_overlap(self.at, self.heal_at, other.at, other.heal_at)
+        """Whether two ``[at, heal_at)`` windows are live at the same time.
+
+        :meth:`~repro.net.network.Network.heal` removes *the* partition, so
+        two live windows would heal each other.  ``heal_at`` is exclusive: a
+        window opening at the previous one's heal instant does not overlap.
+        """
+        end = float("inf") if self.heal_at is None else self.heal_at
+        other_end = float("inf") if other.heal_at is None else other.heal_at
+        return self.at < other_end and other.at < end
 
 
 @dataclass(frozen=True)
@@ -734,10 +768,14 @@ class FaultSpec(SpecSection):
     a legacy alias for this section in spec files and dotted override
     paths.)
 
+    The section *is* the schedule: :meth:`_timeline` walks it once into
+    sorted crash/recover fates and partition boundaries, and validation,
+    :meth:`check_processes` and :meth:`arm` all read that one walk.
+
     Validation is strict and names the offending dotted path: malformed
     entries, negative times, a recovery scheduled at or before its crash
-    (replayed in :meth:`~repro.sim.failures.FailureSchedule.arm` order:
-    recoveries resolve before crashes at equal times), and overlapping
+    (replayed in :meth:`arm` order: recoveries resolve before crashes at
+    equal times), a process in two groups of one window and overlapping
     partition windows all raise :class:`~repro.errors.ConfigurationError`
     from :meth:`validate`; :meth:`check_processes` additionally rejects
     faults targeting processes the built cluster does not have — both run
@@ -768,20 +806,23 @@ class FaultSpec(SpecSection):
                         f"got {entry[1]}",
                         path=f"faults.{label}[{index}]",
                     )
-        for index, outage in enumerate(self.outages):
-            if outage.at < 0:
+        # Names are compared as given: canonical and qualified names live in
+        # different namespaces until the cluster's shard count is known.
+        fates, _ = self._timeline()
+        down = set()
+        for at, kind, process, path in fates:
+            if kind == CRASH:
+                down.add(process)  # double crash is idempotent, not an error
+            elif process in down:
+                down.discard(process)
+            else:
+                # A recovery of an up process would silently no-op mid-run.
                 raise ConfigurationError(
-                    f"faults.outages[{index}] times must be non-negative, "
-                    f"got {outage.at}",
-                    path=f"faults.outages[{index}]",
+                    f"{path} recovers {process!r} at t={at}, but it is not "
+                    "down then (recoveries resolve before crashes at equal "
+                    "times; schedule the crash strictly earlier)",
+                    path=path,
                 )
-            if outage.until is not None and outage.until <= outage.at:
-                raise ConfigurationError(
-                    f"faults.outages[{index}] recovers at until={outage.until}, "
-                    f"at or before its crash at={outage.at}",
-                    path=f"faults.outages[{index}]",
-                )
-        self._check_recovery_order()
         for index, window in enumerate(self.partitions):
             for other_index, other in enumerate(
                 self.partitions[index + 1:], index + 1
@@ -795,42 +836,65 @@ class FaultSpec(SpecSection):
                         path=f"faults.partitions[{other_index}]",
                     )
 
-    def _check_recovery_order(self) -> None:
-        """Reject recoveries that resolve while their process is not down.
+    def _timeline(
+        self, shards: int = 1, known: Optional[Collection[ProcessId]] = None
+    ) -> Tuple[List[Fate], List[Boundary]]:
+        """The one walk over the section: its fates and partition boundaries.
 
-        The timeline (explicit crashes/recoveries plus expanded outages) is
-        replayed exactly the way :meth:`~repro.sim.failures.FailureSchedule.
-        arm` schedules it — recoveries before crashes at equal times — so a
-        recovery applied while its process is up is a schedule that would
-        silently no-op mid-run; it raises here instead, naming the entry.
-        Names are compared as given (canonical vs qualified names live in
-        different namespaces until build time).
+        Every name expands per shard (:func:`~repro.storage.sharded.
+        expand_process_names`; unchanged at ``shards == 1``), and every
+        expanded target must be in ``known`` when it is given.  Fates list
+        explicit entries before outages' and are stable-sorted on ``(at,
+        kind)``, boundaries likewise: this sort is the one place recoveries
+        resolve before crashes, and heals before partitions, at equal times.
         """
-        timeline = []
-        for index, (process, at) in enumerate(self.crashes):
-            timeline.append((at, 1, process, f"faults.crashes[{index}]"))
-        for index, (process, at) in enumerate(self.recoveries):
-            timeline.append((at, 0, process, f"faults.recoveries[{index}]"))
+
+        def expand(path: str, names: Tuple[ProcessId, ...]) -> Tuple[ProcessId, ...]:
+            pids = expand_process_names(names, shards)
+            for pid in pids:
+                if known is not None and pid not in known:
+                    raise ConfigurationError(
+                        f"{path} targets unknown process {pid!r} "
+                        f"(known: {', '.join(sorted(known))})",
+                        path=path,
+                    )
+            return pids
+
+        fates: List[Fate] = []
+        for label, kind, entries in (("crashes", CRASH, self.crashes),
+                                     ("recoveries", RECOVER, self.recoveries)):
+            for index, (process, at) in enumerate(entries):
+                path = f"faults.{label}[{index}]"
+                fates += [(at, kind, pid, path) for pid in expand(path, (process,))]
         for index, outage in enumerate(self.outages):
             path = f"faults.outages[{index}]"
-            timeline.append((outage.at, 1, outage.process, path))
-            if outage.until is not None:
-                timeline.append((outage.until, 0, outage.process, path))
-        down = set()
-        for at, is_crash, process, path in sorted(
-            timeline, key=lambda entry: (entry[0], entry[1], entry[2])
-        ):
-            if is_crash:
-                down.add(process)  # double crash is idempotent, not an error
-            elif process in down:
-                down.discard(process)
-            else:
-                raise ConfigurationError(
-                    f"{path} recovers {process!r} at t={at}, but it is not "
-                    "down then (recoveries resolve before crashes at equal "
-                    "times; schedule the crash strictly earlier)",
-                    path=path,
-                )
+            for pid in expand(path, (outage.process,)):
+                fates.append((outage.at, CRASH, pid, path))
+                if outage.until is not None:
+                    fates.append((outage.until, RECOVER, pid, path))
+        boundaries: List[Boundary] = []
+        for index, window in enumerate(self.partitions):
+            group_of: Dict[ProcessId, int] = {}
+            groups = []
+            for group_index, group in enumerate(window.groups):
+                path = f"faults.partitions[{index}].groups[{group_index}]"
+                pids = expand(path, group)
+                for pid in pids:
+                    if group_of.setdefault(pid, group_index) != group_index:
+                        raise ConfigurationError(
+                            f"{path} lists {pid!r}, already in "
+                            f"groups[{group_of[pid]}] of the same window "
+                            "(a process sits in at most one group)",
+                            path=path,
+                        )
+                groups.append(pids)
+            boundaries.append((window.at, PARTITION, tuple(groups)))
+            if window.heal_at is not None:
+                boundaries.append((window.heal_at, HEAL, ()))
+        by_time_then_kind = operator.itemgetter(0, 1)
+        fates.sort(key=by_time_then_kind)
+        boundaries.sort(key=by_time_then_kind)
+        return fates, boundaries
 
     def check_processes(
         self, known: Tuple[ProcessId, ...], shards: int = 1
@@ -838,59 +902,30 @@ class FaultSpec(SpecSection):
         """Reject fault targets the cluster does not have, naming the path.
 
         ``known`` is the built network's process id set (servers, clients,
-        probers); targets expand through the same canonical/qualified rule
-        :meth:`build` uses, so this check accepts exactly the schedules that
-        would resolve at run time — a typo'd node fails here, up front,
-        instead of raising :class:`~repro.errors.UnknownProcessError` at its
-        scheduled virtual time.
+        probers); targets expand exactly as :meth:`arm` expands them, so this
+        check accepts exactly the schedules that resolve at run time — a
+        typo'd node fails here, up front, instead of raising
+        :class:`~repro.errors.UnknownProcessError` at its scheduled virtual
+        time, and ``s1`` beside ``s1#0`` in another group of a window fails
+        as the one process named twice.
         """
-        known_set = set(known)
+        self._timeline(shards, frozenset(known))
 
-        def check(path: str, process: ProcessId) -> None:
-            for pid in expand_process_names((process,), shards):
-                if pid not in known_set:
-                    raise ConfigurationError(
-                        f"{path} targets unknown process {pid!r} "
-                        f"(known: {', '.join(sorted(known_set))})",
-                        path=path,
-                    )
+    def arm(self, cluster: Union[Cluster, ShardedCluster], shards: int = 1) -> None:
+        """Schedule every fault on ``cluster``'s loop, in timeline order.
 
-        for index, (process, _) in enumerate(self.crashes):
-            check(f"faults.crashes[{index}]", process)
-        for index, (process, _) in enumerate(self.recoveries):
-            check(f"faults.recoveries[{index}]", process)
-        for index, outage in enumerate(self.outages):
-            check(f"faults.outages[{index}]", outage.process)
-        for index, window in enumerate(self.partitions):
-            for group_index, group in enumerate(window.groups):
-                for process in group:
-                    check(
-                        f"faults.partitions[{index}].groups[{group_index}]",
-                        process,
-                    )
-
-    def build(self, shards: int = 1) -> Optional[FailureSchedule]:
-        """Construct the fault schedule, or ``None`` when no faults are set."""
-        if not (self.crashes or self.recoveries or self.partitions
-                or self.outages):
-            return None
-        schedule = FailureSchedule()
-        for process, at in self.crashes:
-            for pid in expand_process_names((process,), shards):
-                schedule.crash(pid, at)
-        for process, at in self.recoveries:
-            for pid in expand_process_names((process,), shards):
-                schedule.recover(pid, at)
-        for outage in self.outages:
-            for pid in expand_process_names((outage.process,), shards):
-                schedule.outage(pid, outage.at, until=outage.until)
-        for window in self.partitions:
-            schedule.partition_window(
-                [expand_process_names(group, shards) for group in window.groups],
-                at=window.at,
-                heal_at=window.heal_at,
-            )
-        return schedule
+        Same-time loop events run in scheduling order, so the network
+        resolves equal-time faults exactly the way validation replays them.
+        """
+        fates, boundaries = self._timeline(shards)
+        loop, network = cluster.loop, cluster.network
+        for at, kind, pid, _ in fates:
+            loop.call_at(at, network.crash if kind == CRASH else network.recover, pid)
+        for at, kind, groups in boundaries:
+            if kind == PARTITION:
+                loop.call_at(at, network.partition, groups)
+            else:
+                loop.call_at(at, network.heal)
 
 
 # Deprecation shim: the pre-v2 name of the fault section.  ``FailureSpec(
@@ -1135,12 +1170,8 @@ def _run_spec_inner(spec: ScenarioSpec, measure: Optional[Measure]) -> Dict[str,
         for event in spec.transfers:
             cluster.loop.create_task(fire(event), name=f"transfer@{event.at}")
 
-        report = run_workload(
-            cluster,
-            workload,
-            failures=spec.faults.build(shards=spec.cluster.shards),
-            max_time=spec.max_time,
-        )
+        spec.faults.arm(cluster, shards=spec.cluster.shards)
+        report = run_workload(cluster, workload, max_time=spec.max_time)
         cluster.loop.run()  # let trailing transfers / broadcast echoes settle
 
         result: Dict[str, Any] = {

@@ -4,7 +4,6 @@
   clients, closed by its ``with``) in one call; ``build_sharded_cluster``
   scales any flavour out across key-hashed shards behind keyed clients.
 * :mod:`repro.sim.workload` — seeded read/write workload generators.
-* :mod:`repro.sim.failures` — crash and slowdown schedules.
 * :mod:`repro.sim.metrics` — latency summaries (mean, percentiles) and
   per-shard load/imbalance statistics.
 * :mod:`repro.sim.runner` — run a workload against a cluster and collect a
@@ -21,7 +20,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "build_sharded_cluster", "build_static_cluster", "build_world",
     ),
     "workload": ("Operation", "Workload", "uniform_workload"),
-    "failures": ("FailureSchedule", "CrashEvent"),
     "metrics": (
         "ImbalanceSummary", "LatencySummary", "ShardLoadSummary", "imbalance_summary",
         "summarize", "summarize_shard_loads",

@@ -16,7 +16,6 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.sim.cluster import Cluster, ShardedCluster
-from repro.sim.failures import FailureSchedule
 from repro.sim.metrics import (
     ImbalanceSummary,
     LatencySummary,
@@ -87,15 +86,15 @@ class RunReport:
 def run_workload(
     cluster: Union[Cluster, ShardedCluster],
     workload: Workload,
-    failures: Optional[FailureSchedule] = None,
     max_time: Optional[VirtualTime] = None,
 ) -> RunReport:
     """Execute ``workload`` on ``cluster`` and summarise per-kind latencies.
 
     Every client executes its operation sequence concurrently (operations
     within one client stay sequential, matching the paper's "processes are
-    sequential" model).  Crash events from ``failures`` are armed before the
-    run starts.
+    sequential" model).  Faults are the caller's: whatever it scheduled on
+    ``cluster.loop`` beforehand (:meth:`repro.experiments.spec.FaultSpec.arm`
+    does) fires at its virtual time during the run.
 
     Operations carrying an absolute ``issue_at`` are driven open-loop: the
     client sleeps until that virtual time (measured from the run's start) and
@@ -111,8 +110,6 @@ def run_workload(
     unknown = set(workload.clients()) - set(cluster.clients)
     if unknown:
         raise ConfigurationError(f"workload references unknown clients: {sorted(unknown)}")
-    if failures is not None:
-        failures.arm(cluster.loop, cluster.network)
 
     started_at = cluster.loop.now
     cluster.network.reset_stats()

@@ -10,8 +10,13 @@ build time, not mid-run.
 
 from __future__ import annotations
 
-import pytest
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
 from repro.experiments.spec import (
     ClusterSpec,
@@ -24,6 +29,7 @@ from repro.experiments.spec import (
 )
 from repro.obs import read_trace
 from repro.obs.analysis import check_trace_invariants
+from repro.sim.cluster import build_dynamic_cluster
 
 #: n=5 static-majority: any 3 servers form a quorum, so one faulted server
 #: (f=1) never blocks progress and the runs below always terminate.
@@ -132,3 +138,52 @@ class TestRejectedSchedules:
         ))
         with pytest.raises(ConfigurationError, match="not down then"):
             run_spec(spec)
+
+
+#: Times on a 0.5 grid in [0, 4], targets among a 3-server world's servers.
+TIMES = st.integers(0, 8).map(lambda step: step / 2)
+SERVERS = st.sampled_from(("s1", "s2", "s3"))
+SCHEDULES = st.builds(
+    FaultSpec,
+    crashes=st.lists(st.tuples(SERVERS, TIMES), max_size=3).map(tuple),
+    recoveries=st.lists(st.tuples(SERVERS, TIMES), max_size=3).map(tuple),
+    outages=st.lists(
+        st.tuples(SERVERS, TIMES, st.none() | TIMES), max_size=2
+    ).map(tuple),
+)
+
+
+class TestValidationAgreesWithArming:
+    """validate() refuses a recovery exactly when the armed run would apply
+    it to a process that is up: the check and the run read one timeline."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(faults=SCHEDULES)
+    def test_accepted_iff_every_armed_recovery_lands_on_a_down_process(
+        self, faults
+    ):
+        try:
+            faults.validate()
+        except ConfigurationError:
+            accepted = False
+        else:
+            accepted = True
+        recovered_while_up = []
+        with build_dynamic_cluster(SystemConfig.uniform(3, f=1)) as cluster:
+            network = cluster.network
+            recover = network.recover
+
+            def spy(pid):
+                if not network.is_crashed(pid):
+                    recovered_while_up.append(pid)
+                recover(pid)
+
+            with mock.patch.object(network, "recover", spy):
+                faults.arm(cluster)
+                cluster.loop.run()
+        # An outage also checks its own window: it recovers after it crashes.
+        windows_ok = all(
+            outage.until is None or outage.until > outage.at
+            for outage in faults.outages
+        )
+        assert accepted == (windows_ok and not recovered_while_up)

@@ -488,6 +488,34 @@ class TestTraceCLI:
         assert sum(row["events"] for row in payload["series"]) \
             == payload["records"]
 
+    def test_json_files_are_indented_sorted_and_newline_terminated(
+        self, traced_run, tmp_path, capsys
+    ):
+        # Every --json file of the trace subcommands is written the same way:
+        # compare its bytes with the analysis' own document, serialised.
+        records = read_trace(traced_run)
+        shifted = read_trace(traced_run)
+        shifted[10]["ts"] = shifted[10]["ts"] + 0.125
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                                 for r in shifted))
+        cases = {
+            "check": (["check", traced_run, "--min-quorum", "2"],
+                      check_trace_invariants(records, min_quorum=2).as_dict()),
+            "critical-path": (["critical-path", traced_run],
+                              critical_path_report(records)),
+            "diff": (["diff", traced_run, str(other), "--context", "2"],
+                     diff_traces(records, shifted, context=2)),
+            "series": (["series", traced_run, "--buckets", "5"],
+                       trace_series(records, buckets=5)),
+        }
+        for name, (argv, document) in cases.items():
+            out = tmp_path / f"{name}.json"
+            main(["trace", *argv, "--json", str(out)])
+            expected = json.dumps(document, indent=2, sort_keys=True) + "\n"
+            assert out.read_text(encoding="utf-8") == expected, name
+        capsys.readouterr()
+
     def test_digest_check_matches_and_mismatches(self, traced_run, tmp_path,
                                                  capsys):
         from repro.obs import trace_digest

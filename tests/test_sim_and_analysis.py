@@ -1,4 +1,4 @@
-"""Tests for the simulation harness (workloads, failures, runner) and analysis."""
+"""Tests for the simulation harness (workloads, faults, runner) and analysis."""
 
 from __future__ import annotations
 
@@ -11,12 +11,12 @@ from repro.analysis import (
 )
 from repro.core.spec import SystemConfig, check_integrity
 from repro.errors import ConfigurationError
+from repro.experiments.spec import FaultSpec
 from repro.monitoring.policy import inverse_latency_weights
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_size
 from repro.sim import (
-    FailureSchedule,
     build_dynamic_cluster,
     build_static_cluster,
     run_workload,
@@ -84,23 +84,28 @@ class TestMetrics:
             summarize([])
 
 
-class TestFailureSchedule:
+class TestFaultSchedule:
     def test_crash_events_fire_at_time(self):
         config = SystemConfig.uniform(5, f=2)
         cluster = build_dynamic_cluster(config)
-        schedule = FailureSchedule().crash("s5", at=3.0)
-        schedule.arm(cluster.loop, cluster.network)
+        FaultSpec(crashes=(("s5", 3.0),)).arm(cluster)
+        cluster.loop.run(until=2.9)
+        assert not cluster.network.is_crashed("s5")
         cluster.loop.run(until=10.0)
         assert cluster.network.is_crashed("s5")
 
-    def test_crashed_by(self):
-        schedule = FailureSchedule().crash("s1", 5.0).crash("s2", 10.0)
-        assert schedule.crashed_by(6.0) == ("s1",)
-        assert schedule.max_simultaneous_crashes() == 2
+    def test_crashes_accumulate_in_time_order(self):
+        cluster = build_dynamic_cluster(SystemConfig.uniform(5, f=2))
+        FaultSpec(crashes=(("s1", 5.0), ("s2", 10.0))).arm(cluster)
+        cluster.loop.run(until=6.0)
+        down = [pid for pid in ("s1", "s2") if cluster.network.is_crashed(pid)]
+        assert down == ["s1"]
+        cluster.loop.run(until=10.0)  # an event at the horizon fires
+        assert all(cluster.network.is_crashed(pid) for pid in ("s1", "s2"))
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FailureSchedule().crash("s1", -1.0)
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            FaultSpec(crashes=(("s1", -1.0),)).validate()
 
 
 class TestClusterBuilders:
@@ -140,9 +145,10 @@ class TestRunWorkload:
         config = SystemConfig.uniform(5, f=2)
         cluster = build_static_cluster(config, latency=ConstantLatency(1.0))
         workload = uniform_workload(list(cluster.clients), 4, read_ratio=0.5, seed=5)
-        failures = FailureSchedule().crash("s5", at=2.0)
-        report = run_workload(cluster, workload, failures=failures)
+        FaultSpec(crashes=(("s5", 2.0),)).arm(cluster)
+        report = run_workload(cluster, workload)
         assert report.operations == 8
+        assert cluster.network.is_crashed("s5")
 
     def test_unknown_client_rejected(self):
         config = SystemConfig.uniform(3, f=1)

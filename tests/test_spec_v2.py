@@ -348,16 +348,28 @@ class TestFaultSpec:
         assert result["duration"] > 20.0  # the run outlives the heal
 
     def test_spec_level_partition_expands_canonical_names(self):
-        schedule = FaultSpec(
+        # s1 names the machine: every shard's s1 instance joins the one group.
+        from repro.core.spec import SystemConfig
+        from repro.sim.cluster import build_sharded_cluster
+        cluster = build_sharded_cluster(SystemConfig.uniform(3, f=1), shards=2)
+        FaultSpec(
             partitions=(PartitionSpec(at=1.0, groups=(("s1",),), heal_at=2.0),)
-        ).build(shards=2)
-        assert schedule.partitions[0].groups == (("s1#0", "s1#1"),)
+        ).arm(cluster, shards=2)
+        cluster.loop.run(until=1.5)
+        network = cluster.network
+        assert not network._crosses_partition("s1#0", "s1#1")
+        for shard in ("#0", "#1"):
+            assert network._crosses_partition("s1" + shard, "s2" + shard)
+        cluster.loop.run(until=2.0)
+        assert not network._crosses_partition("s1#0", "s2#0")
 
-    def test_overlapping_windows_rejected_at_build(self):
-        from repro.sim.failures import FailureSchedule
-        schedule = FailureSchedule().partition_window((("s1",),), at=1.0, heal_at=5.0)
+    def test_overlapping_windows_rejected_whatever_their_order(self):
+        # Listed later-window first: the overlap is of times, not of positions.
         with pytest.raises(ConfigurationError, match="overlap"):
-            schedule.partition_window((("s2",),), at=3.0, heal_at=7.0)
+            FaultSpec(partitions=(
+                PartitionSpec(at=3.0, groups=(("s2",),), heal_at=7.0),
+                PartitionSpec(at=1.0, groups=(("s1",),), heal_at=5.0),
+            )).validate()
 
     def test_network_recover_unit(self):
         from repro.core.spec import SystemConfig
@@ -368,12 +380,17 @@ class TestFaultSpec:
         cluster.network.recover("s2")
         assert not cluster.network.is_crashed("s2")
 
-    def test_crashed_by_replays_crash_recover_crash_in_time_order(self):
-        from repro.sim.failures import FailureSchedule
-        schedule = (FailureSchedule()
-                    .crash("s1", 1.0).recover("s1", 2.0).crash("s1", 3.0))
-        assert schedule.crashed_by(2.5) == ()
-        assert schedule.crashed_by(4.0) == ("s1",)  # re-crashed: still down
+    def test_crash_recover_crash_replays_in_time_order(self):
+        from repro.core.spec import SystemConfig
+        from repro.sim.cluster import build_dynamic_cluster
+        faults = FaultSpec(crashes=(("s1", 1.0), ("s1", 3.0)),
+                           recoveries=(("s1", 2.0),)).validate()
+        cluster = build_dynamic_cluster(SystemConfig.uniform(3, f=1))
+        faults.arm(cluster)
+        cluster.loop.run(until=2.5)
+        assert not cluster.network.is_crashed("s1")
+        cluster.loop.run(until=4.0)
+        assert cluster.network.is_crashed("s1")  # re-crashed: still down
 
     def test_back_to_back_windows_listed_out_of_order_arm_correctly(self):
         # A window healing at the instant the next one starts must not tear
@@ -381,27 +398,28 @@ class TestFaultSpec:
         # declared in (heal events schedule before same-time partitions).
         from repro.core.spec import SystemConfig
         from repro.sim.cluster import build_dynamic_cluster
-        from repro.sim.failures import FailureSchedule
         cluster = build_dynamic_cluster(SystemConfig.uniform(3, f=1))
-        schedule = (FailureSchedule()
-                    .partition_window((("s1",),), at=20.0, heal_at=30.0)
-                    .partition_window((("s2",),), at=10.0, heal_at=20.0))
-        schedule.arm(cluster.loop, cluster.network)
+        FaultSpec(partitions=(
+            PartitionSpec(at=20.0, groups=(("s1",),), heal_at=30.0),
+            PartitionSpec(at=10.0, groups=(("s2",),), heal_at=20.0),
+        )).validate().arm(cluster)
         cluster.loop.run(until=25.0)
         assert cluster.network._crosses_partition("s1", "s3")  # window live
         cluster.loop.run(until=31.0)
         assert not cluster.network._crosses_partition("s1", "s3")
 
     def test_same_instant_crash_and_recover_resolve_alike_everywhere(self):
-        # crashed_by's replay and arm()'s scheduling must agree: a crash at
-        # the same instant as a recovery wins in both.
+        # Validation's replay and arm()'s scheduling must agree: a crash at
+        # the same instant as a recovery wins in both, so validation refuses
+        # the recovery (it would land on an up process) and an armed run
+        # leaves the process down.
         from repro.core.spec import SystemConfig
         from repro.sim.cluster import build_dynamic_cluster
-        from repro.sim.failures import FailureSchedule
-        schedule = FailureSchedule().crash("s1", 5.0).recover("s1", 5.0)
-        assert schedule.crashed_by(5.0) == ("s1",)
+        faults = FaultSpec(crashes=(("s1", 5.0),), recoveries=(("s1", 5.0),))
+        with pytest.raises(ConfigurationError, match="not down then"):
+            faults.validate()
         cluster = build_dynamic_cluster(SystemConfig.uniform(3, f=1))
-        schedule.arm(cluster.loop, cluster.network)
+        faults.arm(cluster)
         cluster.loop.run(until=6.0)
         assert cluster.network.is_crashed("s1")
 
@@ -465,9 +483,25 @@ class TestFaultWindowValidation:
         FaultSpec(crashes=(("s2", 1.0), ("s2", 3.0))).validate()
 
     def test_outage_recovering_at_or_before_crash_rejected(self):
-        with pytest.raises(ConfigurationError,
-                           match=r"faults\.outages\[0\] recovers at until=2.0"):
-            FaultSpec(outages=(("s1", 2.0, 2.0),)).validate()
+        # The outage checks its own window; validate() locates it by path.
+        for until in (2.0, 1.0):
+            spec = ScenarioSpec(name="t", faults=FaultSpec(
+                outages=(("s2", 0.5), ("s1", 2.0, until)),
+            ))
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"outage recovers at until={until}, at or before its "
+                      r"crash at=2\.0",
+            ) as caught:
+                spec.validate()
+            assert caught.value.path == "faults.outages[1]"
+
+    def test_negative_outage_time_rejected_with_its_path(self):
+        with pytest.raises(ConfigurationError, match="non-negative") as caught:
+            ScenarioSpec(name="t", faults=FaultSpec(
+                outages=(("s1", -1.0, 2.0),),
+            )).validate()
+        assert caught.value.path == "faults.outages[0]"
 
     def test_outage_without_recovery_is_valid(self):
         FaultSpec(outages=(("s1", 2.0),)).validate()
@@ -533,14 +567,48 @@ class TestFaultWindowValidation:
         with pytest.raises(ConfigurationError, match="unknown process"):
             FaultSpec(crashes=(("s3", 1.0),)).check_processes(known, shards=2)
 
-    def test_outage_builds_a_crash_recover_pair(self):
-        schedule = FaultSpec(outages=(("s2", 3.0, 9.0),)).build()
-        assert schedule.crashed_by(4.0) == ("s2",)
-        assert schedule.crashed_by(10.0) == ()
+    @staticmethod
+    def armed(faults):
+        from repro.core.spec import SystemConfig
+        from repro.sim.cluster import build_dynamic_cluster
+        cluster = build_dynamic_cluster(SystemConfig.uniform(3, f=1))
+        faults.validate().arm(cluster)
+        return cluster
+
+    def test_outage_arms_a_crash_recover_pair(self):
+        cluster = self.armed(FaultSpec(outages=(("s2", 3.0, 9.0),)))
+        cluster.loop.run(until=4.0)
+        assert cluster.network.is_crashed("s2")
+        cluster.loop.run(until=10.0)
+        assert not cluster.network.is_crashed("s2")
 
     def test_permanent_outage_never_recovers(self):
-        schedule = FaultSpec(outages=(("s2", 3.0),)).build()
-        assert schedule.crashed_by(1e9) == ("s2",)
+        cluster = self.armed(FaultSpec(outages=(("s2", 3.0),)))
+        cluster.loop.run(until=1e9)
+        assert cluster.network.is_crashed("s2")
+
+    def test_process_in_two_groups_of_one_window_rejected(self):
+        faults = FaultSpec(partitions=(
+            PartitionSpec(at=1.0, groups=(("s1", "s2"), ("s2", "s3")),
+                          heal_at=3.0),
+        ))
+        with pytest.raises(ConfigurationError, match="'s2', already in groups"
+                           r"\[0\]") as caught:
+            faults.validate()
+        assert caught.value.path == "faults.partitions[0].groups[1]"
+
+    def test_machine_and_its_instance_in_two_groups_rejected_when_sharded(self):
+        # s1 and s1#0 are distinct names as given, so validation passes; at
+        # two shards s1 expands to s1#0 too, and the target check refuses it.
+        faults = FaultSpec(partitions=(
+            PartitionSpec(at=1.0, groups=(("s1",), ("s1#0", "s2")),
+                          heal_at=3.0),
+        )).validate()
+        known = ("s1#0", "s1#1", "s2#0", "s2#1")
+        with pytest.raises(ConfigurationError, match="'s1#0', already in "
+                           r"groups\[0\]") as caught:
+            faults.check_processes(known, shards=2)
+        assert caught.value.path == "faults.partitions[0].groups[1]"
 
 
 class TestSpecFiles:

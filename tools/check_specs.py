@@ -11,8 +11,9 @@ campaign just emitted with ``--out-dir`` — must:
   to the same ``to_dict()`` (the section protocol's construction invariant:
   one in-memory shape per value, the object form on the way out);
 * **build** — construct every runtime object the spec describes: the system
-  config, the latency model, the cluster, the workload, the fault schedule
-  and (when enabled) the monitoring harness;
+  config, the latency model, the cluster, the workload and (when enabled)
+  the monitoring harness (the fault schedule is the ``faults`` section
+  itself: ``load`` validated it, the run step arms it);
 * **run one step** — simulate the first few virtual-time units end to end,
   proving the built objects actually execute together (a spec can be
   well-formed and still dead on arrival — e.g. a partition that cuts every
@@ -67,7 +68,6 @@ def check_spec_file(path: Path) -> List[str]:
             config, spec.latency.build(seed=spec.seed, shards=spec.cluster.shards)
         )
         spec.workload.build(tuple(cluster.clients), seed=spec.seed)
-        spec.faults.build(shards=spec.cluster.shards)
         if spec.monitoring.enabled:
             spec.monitoring.build(cluster)
             cluster.loop.run(until=0.0)  # start the control task cleanly
