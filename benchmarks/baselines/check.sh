@@ -15,12 +15,14 @@
 # all four regenerate when ROADMAP item 1 (the weight-gain refresh) lands.
 #
 # Every built-in scenario has a file here (tests/test_paper_claims.py holds
-# the two listings equal).  Of the twelve added with the E1-E11 catalogue,
-# generated at the commit before it, item 1 regenerates one:
-# dynamic-storage-adaptation, whose dynamic-weighted row measures latencies
-# after two transfers into a storage cluster.  storage-vs-reconfig runs the
-# same refresh but reports liveness booleans only; crash-resilience and the
-# two static baselines issue no transfer; epoch-vs-epochless, limitation-vc,
+# the two listings equal).  The twelve added with the E1-E11 catalogue were
+# generated at the commit before it; dynamic-storage-adaptation was
+# regenerated when its three arms became specs run through run_spec (a
+# seeded read/write mix replaced the loop that wrote every third
+# operation); its dynamic arm transfers weight into a storage cluster as
+# the spec runs above do.  storage-vs-reconfig runs the same refresh but
+# reports liveness booleans only; crash-resilience and the two static
+# baselines issue no transfer; epoch-vs-epochless, limitation-vc,
 # protocol-costs, example1-semantics, reduction-alg1/2 and wmqs-vs-mqs run
 # reassignment servers, oracles or closed forms with no storage register.
 set -e

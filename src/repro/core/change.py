@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.types import ProcessId, Weight, exact
@@ -65,6 +66,10 @@ def initial_changes(initial_weights: Mapping[ProcessId, Weight]) -> "ChangeSet":
         Change(author=server, counter=1, server=server, delta=weight)
         for server, weight in initial_weights.items()
     )
+
+
+#: :class:`Change`'s field order, the key of :meth:`ChangeSet.sorted`.
+_ORDER = attrgetter("author", "counter", "server", "delta")
 
 
 class ChangeSet:
@@ -219,11 +224,14 @@ class ChangeSet:
         """Changes in a deterministic order (author, counter, server).
 
         Cached after the first call: reply payloads ask for this order once
-        per message on the protocol hot path.
+        per message on the protocol hot path.  The key is the dataclass order
+        as a C-built tuple: how many comparisons the sort makes follows the
+        hash-seeded set order, and with this key none of them runs Python
+        code, so a run's Python call count does not depend on the seed.
         """
         ordered = self._sorted
         if ordered is None:
-            ordered = self._sorted = tuple(sorted(self._changes))
+            ordered = self._sorted = tuple(sorted(self._changes, key=_ORDER))
         return ordered
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -23,13 +23,14 @@ registers its scenarios on import:
 * :mod:`~repro.experiments.catalogue.assets` — E9 ``asset-transfer``.
 
 A scenario over the storage layer is a spec plus a row:
-``sharded-zipfian-imbalance``, ``sharded-hotspot-reassignment`` and
-``hotspot-shift-monitoring`` build a ``ScenarioSpec`` per run (the latter
-two through an importable ``*_spec`` function, equal at the defaults to
-their ``examples/specs/`` file), run it with
-:func:`~repro.experiments.spec.run_spec` and tabulate its result.  The two
-storage case studies of E6/E8 build their own worlds, because those have no
-spec form (see :mod:`repro.experiments.spec`).
+``sharded-zipfian-imbalance``, ``sharded-hotspot-reassignment``,
+``hotspot-shift-monitoring`` and E6 ``dynamic-storage-adaptation`` build a
+``ScenarioSpec`` per run (the latter three through an importable ``*_spec``
+function, equal at the defaults to their ``examples/specs/`` file; E6's
+file is its dynamic arm), run it with
+:func:`~repro.experiments.spec.run_spec` and tabulate its result.  E8's
+storage case study builds its own worlds, because the reconfigurable store
+has no spec form (see :mod:`repro.experiments.spec`).
 
 Nothing imports them all up front:
 :data:`repro.experiments.registry.BUILTIN_FAMILIES` maps each scenario name

@@ -7,9 +7,8 @@ from typing import Any, Dict, List, Sequence, Tuple
 from repro.core.spec import SystemConfig
 from repro.errors import DeadlockError, SimTimeoutError
 from repro.experiments.registry import scenario
-from repro.net.latency import PerLinkLatency, SlowdownLatency
-from repro.net.simloop import gather
-from repro.sim.cluster import build_cluster, build_dynamic_cluster, build_world
+from repro.experiments.spec import ScenarioSpec, run_spec
+from repro.sim.cluster import build_dynamic_cluster, build_world
 from repro.sim.metrics import summarize
 from repro.storage.reconfigurable import (
     ReconfigurableStorageClient,
@@ -17,7 +16,8 @@ from repro.storage.reconfigurable import (
 )
 from repro.types import server_set
 
-__all__ = ["storage_vs_reconfig", "dynamic_storage_adaptation"]
+__all__ = ["storage_vs_reconfig", "dynamic_storage_adaptation",
+           "dynamic_storage_adaptation_spec"]
 
 
 # ---------------------------------------------------------------------------
@@ -102,66 +102,34 @@ def storage_vs_reconfig() -> Dict[str, Any]:
 # E6 — Case study: dynamic-weighted storage vs static baselines under slowdown.
 # ---------------------------------------------------------------------------
 
-CASE_STUDY_RTT = {"s1": 1.0, "s2": 1.0, "s3": 4.0, "s4": 5.0, "s5": 30.0}
+#: Each server's one-way delay: two fast, two mid-distance, one far away.
+CASE_STUDY_DELAYS = {"s1": 1.0, "s2": 1.0, "s3": 4.0, "s4": 5.0, "s5": 30.0}
 CASE_STUDY_WEIGHTS = {"s1": 1.6, "s2": 1.6, "s3": 0.7, "s4": 0.7, "s5": 0.4}
 
 
-def _case_study_latency(slow_at: float, slow_factor: float, seed: int) -> SlowdownLatency:
-    table = {}
-    for server, one_way in CASE_STUDY_RTT.items():
-        for peer in ("c1", "c2", "s1", "s2", "s3", "s4", "s5"):
-            if peer != server:
-                table[(peer, server)] = one_way
-                table[(server, peer)] = one_way
-    base = PerLinkLatency(table, default=1.0, jitter=0.02, seed=seed)
-    return SlowdownLatency(base, slow=["s1", "s2"], factor=slow_factor, start_at=slow_at)
-
-
-def _case_study_flavour(
-    flavour: str,
-    slow_at: float,
-    slow_factor: float,
-    operations: int,
-    seed: int,
-) -> Dict[str, Any]:
-    config = SystemConfig(
-        servers=tuple(sorted(CASE_STUDY_WEIGHTS, key=lambda s: int(s[1:]))),
-        f=1,
-        initial_weights=dict(CASE_STUDY_WEIGHTS),
-    )
-    latency = _case_study_latency(slow_at, slow_factor, seed)
-    with build_cluster(config, flavour, latency=latency, client_count=2) as cluster:
-        loop = cluster.loop
-        before: List[float] = []
-        after: List[float] = []
-
-        async def client_loop(client: Any) -> None:
-            for index in range(operations):
-                bucket = before if loop.now < slow_at else after
-                if index % 3 == 0:
-                    await client.write(f"{client.pid}-{index}")
-                else:
-                    await client.read()
-                bucket.append(client.history[-1].latency)
-                await loop.sleep(3.0)
-
-        async def reassigner() -> None:
-            if flavour != "dynamic-weighted":
-                return
-            await loop.sleep(slow_at + 20.0)
-            # The degraded servers push their weight to the healthy ones.
-            await cluster.servers["s1"].transfer("s3", 0.8)
-            await cluster.servers["s2"].transfer("s4", 0.8)
-
-        tasks = [client_loop(client) for client in cluster.clients.values()]
-        tasks.append(reassigner())
-        loop.run_until_complete(gather(loop, tasks))
-        return {
-            "flavour": flavour,
-            "before": summarize(before).median,
-            "after": summarize(after).median,
-            "after_p95": summarize(after).p95,
-        }
+def dynamic_storage_adaptation_spec(
+    flavour: str, slow_at: float, slow_factor: float, operations: int, seed: int,
+) -> ScenarioSpec:
+    """One arm of ``dynamic-storage-adaptation`` (the dynamic arm at the
+    defaults is ``examples/specs/``'s): s1/s2 degrade at ``slow_at``, and 20
+    time units later the dynamic arm moves their surplus weight to s3/s4."""
+    transfers = [
+        {"at": slow_at + 20.0, "source": source, "target": target, "delta": 0.8}
+        for source, target in (("s1", "s3"), ("s2", "s4"))
+    ] if flavour == "dynamic-weighted" else []
+    return ScenarioSpec.from_dict({
+        "name": "dynamic-storage-adaptation",
+        "cluster": {"flavour": flavour, "n": 5, "f": 1, "client_count": 2,
+                    "initial_weights": list(CASE_STUDY_WEIGHTS.items())},
+        "workload": {"operations_per_client": operations,
+                     "arrivals": {"kind": "closed", "mean_think_time": 3.0},
+                     "mix": {"read_ratio": 0.67}},
+        "latency": {"kind": "per-link", "delays": list(CASE_STUDY_DELAYS.items()),
+                    "slow": ["s1", "s2"], "slow_factor": slow_factor,
+                    "slow_start": slow_at},
+        "transfers": transfers,
+        "seed": seed,
+    })
 
 
 @scenario(
@@ -178,9 +146,23 @@ def dynamic_storage_adaptation(
     seed: int = 11,
 ) -> Dict[str, Any]:
     """The E6 case study: client latency before/after two servers degrade."""
-    return {
-        "rows": [
-            _case_study_flavour(flavour, slow_at, slow_factor, operations, seed)
-            for flavour in ("static-majority", "static-weighted", "dynamic-weighted")
-        ]
-    }
+
+    def latency_by_slowdown(cluster, workload) -> Dict[str, Any]:
+        before: List[float] = []
+        after: List[float] = []
+        for client in cluster.clients.values():
+            for record in client.history:
+                bucket = before if record.started_at < slow_at else after
+                bucket.append(record.latency)
+        after_summary = summarize(after)
+        return {"before": summarize(before).median, "after": after_summary.median,
+                "after_p95": after_summary.p95}
+
+    rows = []
+    for flavour in ("static-majority", "static-weighted", "dynamic-weighted"):
+        spec = dynamic_storage_adaptation_spec(
+            flavour, slow_at, slow_factor, operations, seed)
+        result = run_spec(spec, latency_by_slowdown)
+        rows.append({key: result[key]
+                     for key in ("flavour", "before", "after", "after_p95")})
+    return {"rows": rows}

@@ -19,7 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.registry import Scenario, SpecScenario, get_scenario
 from repro.experiments.sections import SpecSection
 from repro.experiments.spec import ScenarioSpec
@@ -149,7 +149,9 @@ def plan(request: JobRequest) -> Plan:
     included, each value typed by the section it lands in — or the
     function's keyword set); a rejected name or a malformed shape fails
     here, before any run starts, with its request path (``params.<key>``,
-    ``grid.<axis>``, ``seeds``) attached.
+    ``grid.<axis>``, ``seeds``) attached.  A spec scenario's every point is
+    then validated whole, as ``run_spec`` will: a value out of its bound
+    (``max_time=0``) fails here too, naming the run and the spec path.
     """
     request.validate()
     if request.spec is not None:
@@ -179,4 +181,12 @@ def plan(request: JobRequest) -> Plan:
         )
     else:
         runs = sweep.runs()
+    if isinstance(entry, SpecScenario):
+        for run in runs:
+            try:
+                entry.spec.with_overrides(run.params_dict).validate()
+            except ReproError as error:
+                raise ConfigurationError(
+                    f"{run.run_id}: {error}", path=getattr(error, "path", None)
+                ) from None
     return Plan(entry.name, entry, runs)

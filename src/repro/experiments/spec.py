@@ -10,7 +10,8 @@ others:
 * :class:`ClusterSpec` — flavour, size, fault threshold, sharding, weights;
 * :class:`WorkloadSpec` — key popularity × arrivals × mix × phases (or a
   recorded trace), every leaf sweepable (``workload.keys.zipf_s``);
-* :class:`LatencySpec` — the latency model, plus the slowdown wrapper;
+* :class:`LatencySpec` — the latency model (per-link delays included),
+  plus the slowdown and gray-failure wrappers;
 * :class:`MonitoringSpec` — the probe → policy → controller feedback loop
   (interval, window, policy kind + threshold, controller gain, per-shard vs
   global scope), built by :func:`repro.monitoring.loop.install_monitoring`
@@ -32,12 +33,11 @@ rebuilds with :meth:`ScenarioSpec.with_overrides`.
 monitoring, generate the workload, arm faults and transfers, run, and
 return a plain JSON-serialisable result dict; it is the only code that
 runs a workload.  A catalogue scenario that adds a row to a storage run
-(``hotspot-shift-monitoring``, ``sharded-hotspot-reassignment``) builds a
-spec and passes ``run_spec`` a ``measure``.  Scenarios that do not fit the
-mold register plain functions (:mod:`repro.experiments.registry`):
-analytic comparisons and protocol walkthroughs; ``dynamic-storage-
-adaptation``, whose per-link latency table and fixed client loop have no
-spec form; ``storage-vs-reconfig``, whose reconfigurable store is no
+(``hotspot-shift-monitoring``, ``sharded-hotspot-reassignment``,
+``dynamic-storage-adaptation``) builds a spec and passes ``run_spec`` a
+``measure``.  Scenarios that do not fit the mold register plain functions
+(:mod:`repro.experiments.registry`): analytic comparisons and protocol
+walkthroughs, and ``storage-vs-reconfig``, whose reconfigurable store is no
 cluster flavour and whose result is liveness.
 """
 
@@ -60,6 +60,7 @@ from repro.net.latency import (
     GrayFailureLatency,
     LatencyModel,
     LogNormalLatency,
+    PerLinkLatency,
     SlowdownLatency,
     UniformLatency,
 )
@@ -137,11 +138,24 @@ class _Kinds(Dict[str, Callable[..., Any]]):
         )
 
 
+#: The ``per-link`` kind's multiplicative jitter (a message's delay times a
+#: seeded factor in ``[1, 1 + PER_LINK_JITTER]``): the case study's value.
+PER_LINK_JITTER = 0.02
+
 _LATENCY_MODELS = _Kinds("latency kind", {
-    "constant": lambda spec, seed: ConstantLatency(spec.value),
-    "uniform": lambda spec, seed: UniformLatency(spec.low, spec.high, seed=seed),
-    "lognormal": lambda spec, seed: LogNormalLatency(
+    "constant": lambda spec, seed, shards: ConstantLatency(spec.value),
+    "uniform": lambda spec, seed, shards: UniformLatency(
+        spec.low, spec.high, seed=seed
+    ),
+    "lognormal": lambda spec, seed, shards: LogNormalLatency(
         spec.median, spec.sigma, seed=seed
+    ),
+    "per-link": lambda spec, seed, shards: PerLinkLatency(
+        {}, default=spec.value, jitter=PER_LINK_JITTER, seed=seed, endpoints={
+            pid: delay
+            for name, delay in spec.delays
+            for pid in expand_process_names((name,), shards)
+        },
     ),
 })
 
@@ -150,13 +164,18 @@ _LATENCY_MODELS = _Kinds("latency kind", {
 class LatencySpec(SpecSection):
     """Which :class:`~repro.net.latency.LatencyModel` to build, and how.
 
-    ``kind`` selects the model (``constant`` / ``uniform`` / ``lognormal``);
-    the remaining fields parameterise it.  A non-empty ``slow`` tuple wraps
-    the model in :class:`~repro.net.latency.SlowdownLatency`, degrading the
-    listed processes by ``slow_factor`` from ``slow_start`` on.  On a
-    sharded cluster a canonical name in ``slow`` (``s1``) degrades that
-    server's instance in every shard; a qualified name (``s1#2``) degrades
-    one shard's instance only.
+    ``kind`` selects the model (``constant`` / ``uniform`` / ``lognormal`` /
+    ``per-link``); the remaining fields parameterise it.  ``per-link`` gives
+    each server listed in ``delays`` a one-way delay: a link takes the larger
+    delay of its listed endpoints, a link with no listed endpoint (or a
+    process's link to itself) takes ``value``, and every message pays a
+    seeded factor in ``[1, 1 + PER_LINK_JITTER]``.  A non-empty ``slow``
+    tuple wraps the model in :class:`~repro.net.latency.SlowdownLatency`,
+    degrading the listed processes by ``slow_factor`` from ``slow_start``
+    on.  On a sharded cluster a canonical name in ``slow`` (``s1``) degrades
+    that server's instance in every shard; a qualified name (``s1#2``)
+    degrades one shard's instance only; ``delays`` names resolve the same
+    way.
 
     A non-empty ``degraded`` tuple additionally wraps the model in
     :class:`~repro.net.latency.GrayFailureLatency`: the listed processes
@@ -186,9 +205,20 @@ class LatencySpec(SpecSection):
     degraded_stall: VirtualTime = 0.0
     degraded_start: VirtualTime = 0.0
     degraded_end: Optional[VirtualTime] = None
+    # The per-link delays, appended after the gray-failure block for the
+    # same reason.
+    delays: Tuple[Tuple[ProcessId, VirtualTime], ...] = ()
 
     def _validate(self) -> None:
         _LATENCY_MODELS[self.kind]  # raises for an unknown kind
+        for entry in self.delays:
+            if not (isinstance(entry, tuple) and len(entry) == 2
+                    and isinstance(entry[0], str) and entry[0]
+                    and type(entry[1]) in (int, float) and entry[1] >= 0):
+                raise ConfigurationError(
+                    "latency.delays takes [server, non-negative delay] pairs, "
+                    f"got {entry!r}"
+                )
         if self.degraded_factor < 1.0:
             raise ConfigurationError(
                 "latency.degraded_factor must be >= 1 (gray nodes are slow, "
@@ -214,12 +244,12 @@ class LatencySpec(SpecSection):
     def build(self, seed: int = 0, shards: int = 1) -> LatencyModel:
         """Construct the configured latency model (seeded for jittery kinds).
 
-        ``shards`` resolves the ``slow`` names into the sharded namespace
-        (canonical names expand to every shard's instance) so slowdown
-        scenarios keep degrading the right processes when swept over
-        ``cluster.shards``.
+        ``shards`` resolves the ``delays``, ``slow`` and ``degraded`` names
+        into the sharded namespace (canonical names expand to every shard's
+        instance) so slowdown scenarios keep degrading the right processes
+        when swept over ``cluster.shards``.
         """
-        model = _LATENCY_MODELS[self.kind](self, seed)
+        model = _LATENCY_MODELS[self.kind](self, seed, shards)
         if self.slow:
             model = SlowdownLatency(
                 model,
@@ -272,6 +302,8 @@ class ClusterSpec(SpecSection):
             raise ConfigurationError(
                 f"cluster.shards must be at least 1, got {self.shards}"
             )
+        if self.n < 1:
+            raise ConfigurationError(f"cluster.n must be at least 1, got {self.n}")
         if not self.initial_weights:
             return SystemConfig.uniform(self.n, f=self.f)
         weights = {pid: weight for pid, weight in self.initial_weights}
@@ -980,6 +1012,14 @@ class ScenarioSpec(SpecSection):
     def _validate(self) -> None:
         if not self.name:
             raise ConfigurationError("scenario name must not be empty")
+        bound = self.max_time
+        if bound is not None and not (
+            type(bound) in (int, float) and 0 < bound < float("inf")
+        ):
+            raise ConfigurationError(
+                f"max_time must be a finite number > 0 or null, got {bound!r}",
+                path="max_time",
+            )
 
     def with_overrides(self, params: Optional[Mapping[str, Any]] = None) -> "ScenarioSpec":
         """Rebuild the spec with dotted-path overrides applied.

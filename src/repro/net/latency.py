@@ -137,9 +137,12 @@ class LogNormalLatency(LatencyModel):
 class PerLinkLatency(LatencyModel):
     """Explicit per-link base delays with optional jitter.
 
-    ``base`` maps ``(sender, receiver)`` pairs to delays; ``default`` is used
-    for unlisted links.  When ``jitter`` is non-zero, a seeded multiplicative
-    jitter in ``[1, 1 + jitter]`` is applied to each message.
+    ``base`` maps ``(sender, receiver)`` pairs to delays.  A link it does not
+    list takes the larger ``endpoints`` delay of its listed endpoints (a
+    process's one-way distance, so the slower end sets the link), and
+    ``default`` when neither endpoint is listed or the link is a process's
+    own.  When ``jitter`` is non-zero, a seeded multiplicative jitter in
+    ``[1, 1 + jitter]`` is applied to each message.
     """
 
     def __init__(
@@ -148,15 +151,17 @@ class PerLinkLatency(LatencyModel):
         default: VirtualTime = 1.0,
         jitter: float = 0.0,
         seed: int = 0,
+        endpoints: Optional[Mapping[ProcessId, VirtualTime]] = None,
     ) -> None:
-        if default < 0:
+        if not default >= 0:
             raise ConfigurationError("default latency must be non-negative")
-        if jitter < 0:
+        if not jitter >= 0:
             raise ConfigurationError("jitter must be non-negative")
-        for link, value in base.items():
-            if value < 0:
+        for link, value in [*base.items(), *(endpoints or {}).items()]:
+            if not value >= 0:
                 raise ConfigurationError(f"negative latency for link {link}")
         self.base = dict(base)
+        self.endpoints = dict(endpoints or {})
         self.default = default
         self.jitter = jitter
         self._rng = random.Random(seed)
@@ -164,7 +169,13 @@ class PerLinkLatency(LatencyModel):
     def delay(
         self, sender: ProcessId, receiver: ProcessId, now: VirtualTime
     ) -> VirtualTime:
-        value = self.base.get((sender, receiver), self.default)
+        value = self.base.get((sender, receiver))
+        if value is None:
+            endpoints = self.endpoints
+            if sender != receiver and (sender in endpoints or receiver in endpoints):
+                value = max(endpoints.get(sender, 0.0), endpoints.get(receiver, 0.0))
+            else:
+                value = self.default
         jitter = self.jitter
         if jitter:
             # Random.uniform(1.0, 1.0 + jitter), written out: the span is

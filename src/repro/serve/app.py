@@ -12,7 +12,9 @@ chunked ``application/x-ndjson`` stream whose bytes are exactly the job's
 ``Connection: close``; HTTP/1.0 ones close.  A refused request (400, 413,
 414, 431, 501) gets the routes' JSON error envelope, ``Connection: close``
 and, unless quiet, a log line with the reason.  Each connection has its own
-thread: results streaming blocks until the job finishes.
+thread: results streaming blocks until the job finishes.  A connection whose
+socket waits :data:`READ_TIMEOUT` seconds for a read or a write is closed,
+with one log line unless quiet, and its thread ends.
 
 :func:`serve` wires in the PR 9 interrupt contract: SIGINT/SIGTERM become a
 graceful shutdown that leaves running jobs resumable by the next
@@ -40,6 +42,11 @@ __all__ = ["ExperimentServer", "ExperimentHandler", "serve"]
 #: body (lines as :mod:`http.server` allows; far above any spec or job body).
 MAX_LINE, MAX_HEADERS, MAX_BODY = 65536, 100, 1 << 20
 
+#: Seconds a socket read or write may wait before the connection is let go:
+#: an idle keep-alive client or a half-sent request would otherwise hold its
+#: handler thread forever.
+READ_TIMEOUT = 60.0
+
 _DAYS = "Mon Tue Wed Thu Fri Sat Sun".split()
 _MONTHS = "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split()
 
@@ -63,6 +70,7 @@ class ExperimentHandler(socketserver.StreamRequestHandler):
     """One connection: requests read, dispatched and answered in turn."""
 
     server: "ExperimentServer"
+    timeout = READ_TIMEOUT  # set on the socket by StreamRequestHandler.setup
 
     def handle(self) -> None:
         try:
@@ -70,6 +78,8 @@ class ExperimentHandler(socketserver.StreamRequestHandler):
                 pass
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-exchange; nothing to clean up
+        except TimeoutError:
+            self._log("-", f"connection idle for {self.timeout} s, closed")
 
     def _handle_one(self) -> bool:
         """Serve one request; whether the connection stays open."""

@@ -7,7 +7,9 @@ every per-client operation record) so any change to event ordering — e.g. in
 the ready-deque fast path — fails loudly instead of shifting baselines by an
 ulp.  Beside it, the determinism gate: six fixed workloads, one per layer of
 the hot path, whose exact event / operation / message counts are test data
-here.  The remaining tests pin the fast-path mechanics themselves: FIFO
+here, and a counted pass holding the steady storage run's Python and C
+calls per message to a ratchet.  The remaining tests pin the fast-path
+mechanics themselves: FIFO
 ordering across the heap/ready-deque split, the cached partition map, the
 detach-on-cancel rule, and the single-sort latency summary.
 
@@ -22,6 +24,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -374,6 +377,110 @@ class TestExactCounts:
         completed = _fresh_python(_RUN_EVERY_CASE, PYTHONDONTWRITEBYTECODE="1")
         assert completed.returncode == 0, completed.stderr
         assert porcelain() == before
+
+
+# ---------------------------------------------------------------------------
+# The counted pass: interpreter calls per message on the steady path
+# ---------------------------------------------------------------------------
+#
+# A clock cannot resolve a few per cent on a shared host; a count can.  The
+# transfer-free steady run (the ``storage-steady`` workload's spec: n=5, f=1,
+# 8 clients x 40 operations, zipfian keys, 90 % reads, 6 400 messages) is
+# run once under a ``sys.setprofile`` counter with the collector off, and
+# the Python and C calls made from the lab's own code (a frame under
+# ``src/repro``) are held to a ratchet per CPython minor version.  Only a
+# transfer-free run qualifies: under the weight-gain refresh recursion
+# (ROADMAP item 1) a profile hook changes what a run computes.  The count is
+# exact: the same under every hash seed (``ChangeSet.sorted`` sorts by a
+# C-built key, so a set's order no longer decides how many Python calls a
+# sort makes), and free of what the standard library does inside a call, so
+# a patch release of it does not move the count.  Measured under hash seeds
+# 0-4 on 3.10.13, 3.11.7, 3.12.1 and 3.13.0; 3.12 inlines comprehensions,
+# which is its whole difference.
+
+#: ``(Python calls, C calls)`` of the counted run (per message: 16.85 and
+#: 10.65 up to 3.11, 16.80 and 10.65 from 3.12): a rise fails, a fall is
+#: reported so that the pin can follow it down.
+STEADY_CALLS = {
+    (3, 10): (107847, 68178),
+    (3, 11): (107847, 68178),
+    (3, 12): (107495, 68178),
+    (3, 13): (107495, 68178),
+}
+
+
+def _steady_spec():
+    from repro.experiments.spec import (
+        ClusterSpec, KeySpec, LatencySpec, MixSpec, ScenarioSpec, WorkloadSpec,
+    )
+
+    return ScenarioSpec(
+        name="counted-steady",
+        cluster=ClusterSpec(flavour="dynamic-weighted", n=5, f=1, client_count=8),
+        workload=WorkloadSpec(
+            operations_per_client=40,
+            keys=KeySpec(kind="zipfian", space=64, zipf_s=1.1),
+            mix=MixSpec(read_ratio=0.9),
+        ),
+        latency=LatencySpec(kind="uniform", low=0.5, high=1.5),
+        seed=1,
+    )
+
+
+def _counted(run):
+    """``run()``'s result and the calls the lab's code made, by profile event."""
+    import gc
+
+    import repro
+
+    src = os.path.dirname(repro.__file__) + os.sep
+    counts = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        # A Python call's caller is its frame's parent; a C call's is the
+        # frame itself.
+        if event == "call":
+            frame = frame.f_back
+        elif event != "c_call":
+            return
+        if frame is not None and frame.f_code.co_filename.startswith(src):
+            counts[event] += 1
+
+    enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+        if enabled:
+            gc.enable()
+    return result, counts
+
+
+class TestCountedPass:
+    def test_calls_per_message_hold_their_pins(self):
+        from repro.experiments.spec import run_spec
+
+        pins = STEADY_CALLS.get(sys.version_info[:2])
+        if pins is None:
+            pytest.skip(f"no pin for Python {sys.version_info[0]}.{sys.version_info[1]}")
+        spec = _steady_spec()
+        plain = run_spec(spec)  # also the warm-up: imports, caches
+        counted, counts = _counted(lambda: run_spec(spec))
+        assert json.dumps(counted, sort_keys=True) == json.dumps(plain, sort_keys=True)
+        messages = counted["messages"]
+        assert messages == 6400
+        measured = (counts["call"], counts["c_call"])
+        for what, value, pin in zip(("Python", "C"), measured, pins):
+            assert value <= pin, (
+                f"{what} calls rose to {value} ({value / messages:.4f} per "
+                f"message; pin {pin})")
+            if value < pin:
+                warnings.warn(
+                    f"{what} calls fell to {value} ({value / messages:.4f} per "
+                    f"message): lower the pin {pin} in STEADY_CALLS",
+                    stacklevel=1)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments import cli, executor
 from repro.experiments.cli import parse_grid, parse_params, parse_value, main
 from repro.experiments.plan import JobRequest, plan
@@ -229,6 +229,12 @@ def _sweep_runs(args, scenario):
 _AXES = ("cluster.n", "cluster.f", "latency.low", "seed",
          "workload.operations_per_client", "failures.crashes")
 _values = st.lists(st.integers(-3, 40), min_size=1, max_size=4)
+#: Bounds inside which every point of quickstart validates (n > 2f for any
+#: drawn pair, at least one operation), so the planner, which refuses a
+#: sweep with an invalid point, must return the CLI's expansion run for run.
+#: Refusals are pinned case by case in ``TestAdmission``.
+_VALID = {"cluster.n": (5, 40), "cluster.f": (0, 2),
+          "workload.operations_per_client": (1, 40)}
 
 
 def _axis_value(axis):
@@ -236,7 +242,7 @@ def _axis_value(axis):
     # spellings of "no crashes" (``-g`` splits on commas, so no pairs here).
     if axis == "failures.crashes":
         return st.sampled_from(["[]", "()"])
-    return st.integers(-3, 40).map(str)
+    return st.integers(*_VALID.get(axis, (-3, 40))).map(str)
 
 
 @st.composite
@@ -283,6 +289,63 @@ class TestOnePlanner:
         assert main([*argv, "--workers", "2", "--json", str(spawned)]) == 0
         assert spawned.read_bytes() == serial.read_bytes()
         assert len(json.loads(serial.read_text())) == 3
+
+
+class TestAdmission:
+    @pytest.mark.parametrize("grid, refused, path", [
+        ({"cluster.n": [5, 2]}, "quickstart[cluster.n=2]", None),
+        ({"cluster.f": [2, 1], "cluster.n": [4, 5]},
+         "quickstart[cluster.f=2,cluster.n=4]", None),
+        ({"workload.operations_per_client": [3, 0, -1]},
+         "quickstart[workload.operations_per_client=0]", "workload"),
+    ])
+    def test_plan_refuses_a_sweep_naming_its_first_invalid_point(
+        self, grid, refused, path
+    ):
+        with pytest.raises(ConfigurationError) as excinfo:
+            plan(JobRequest(kind="sweep", scenario="quickstart", grid=grid))
+        assert str(excinfo.value).startswith(f"{refused}: ")
+        assert excinfo.value.path == path
+
+    def test_plan_admits_a_sweep_whose_points_all_validate(self):
+        planned = plan(JobRequest(kind="sweep", scenario="quickstart",
+                                  grid={"cluster.n": [3, 5]}))
+        assert [run.run_id for run in planned.runs] == [
+            "quickstart[cluster.n=3]", "quickstart[cluster.n=5]"]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "abc"])
+    def test_a_bad_max_time_is_refused_before_any_world_is_built(self, value):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "repro", "run", "quickstart",
+             "-p", f"max_time={value}"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 2
+        assert completed.stderr.splitlines() == [
+            f"error: quickstart[max_time={value}]: max_time must be a finite "
+            f"number > 0 or null, got {parse_value(value)!r}",
+            "  at: max_time",
+        ]
+
+    def test_a_sweep_axis_with_a_bad_max_time_is_refused_by_plan(
+        self, monkeypatch, capsys
+    ):
+        def dispatched(*args, **kwargs):
+            raise AssertionError("a run was dispatched")
+
+        monkeypatch.setattr(executor, "execute_stream", dispatched)
+        monkeypatch.setattr(executor, "dispatch", dispatched)
+        assert main(["sweep", "quickstart", "-g", "max_time=0,100", *FAST,
+                     "--quiet"]) == 2
+        assert "at: max_time" in capsys.readouterr().err
+        with pytest.raises(ConfigurationError, match="max_time") as excinfo:
+            plan(JobRequest(kind="sweep", scenario="quickstart",
+                            grid={"max_time": [0, 100]}))
+        assert excinfo.value.path == "max_time"
 
 
 class TestSweepStreamingCli:

@@ -32,7 +32,7 @@ from repro.experiments.plan import plan
 from repro.experiments.registry import catalogue_payload
 from repro.experiments.results import compare_payloads, load_payload
 from repro.serve import client as serve_client
-from repro.serve.app import ExperimentServer
+from repro.serve.app import ExperimentHandler, ExperimentServer
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.routes import dispatch
 from repro.serve.schemas import JobRequest, error_payload
@@ -886,6 +886,17 @@ class TestRoutes:
         assert response.status == 400
         assert response.payload["error"]["path"] == "bad_section"
 
+    @pytest.mark.parametrize("job", [
+        {"kind": "run", "scenario": BASELINE, "params": {"max_time": 0}},
+        {"kind": "run", "scenario": BASELINE, "params": {"max_time": "abc"}},
+        {"kind": "sweep", "scenario": BASELINE, "grid": {"max_time": [100, -1]}},
+    ])
+    def test_a_bad_max_time_is_400_and_no_job(self, service, job):
+        response = dispatch(service, "POST", "/jobs", json.dumps(job).encode())
+        assert response.status == 400
+        assert response.payload["error"]["path"] == "max_time"
+        assert dispatch(service, "GET", "/jobs").payload == []
+
     def test_validate_endpoint_judges_specs(self, service):
         good = quickstart_document()
         response = dispatch(service, "POST", "/specs/validate",
@@ -1203,6 +1214,41 @@ class TestTheWire:
         assert final[0] == "HTTP/1.1 200 OK"
         assert json.loads(final[2])["ok"] is True
         assert http_client.health()["ok"] is True
+
+    @pytest.mark.parametrize("quiet", [True, False])
+    def test_idle_and_half_sent_connections_release_their_threads(
+        self, service, monkeypatch, capsys, quiet
+    ):
+        monkeypatch.setattr(ExperimentHandler, "timeout", 0.2)
+        handlers = []  # the thread each connection was handed to
+        setup = ExperimentHandler.setup
+
+        def recording_setup(handler):
+            handlers.append(threading.current_thread())
+            setup(handler)
+
+        monkeypatch.setattr(ExperimentHandler, "setup", recording_setup)
+        with serving(service, quiet=quiet) as client:
+            sockets = [socket.create_connection((client.host, client.port),
+                                                timeout=30) for _ in range(5)]
+            try:
+                for sock in sockets[:4]:  # one request each, then kept alive
+                    sock.sendall(HEALTHZ)
+                    rest, (line, _, _) = _read_response(sock, b"")
+                    assert line == "HTTP/1.1 200 OK" and rest == b""
+                sockets[4].sendall(b"GET /healthz HT")  # half a request line
+                wait_for(lambda: len(handlers) == 5, timeout=30)
+                for sock in sockets:
+                    assert sock.recv(1) == b""  # the server closed it
+                wait_for(lambda: not any(t.is_alive() for t in handlers), timeout=30)
+                assert client.health()["ok"] is True
+            finally:
+                for sock in sockets:
+                    sock.close()
+        logged = capsys.readouterr().err
+        assert "Traceback" not in logged
+        idle = [line for line in logged.splitlines() if "idle for 0.2 s" in line]
+        assert len(idle) == (0 if quiet else 5)
 
     def test_a_reader_hanging_up_mid_stream_leaves_the_job_and_server_running(
         self, tmp_path, monkeypatch, leaked_children

@@ -33,12 +33,14 @@ ITEM_1 = pytest.mark.xfail(
 )
 #: Cases whose servers disagree after the drain until item 1 lands.  In
 #: each, a server that gained weight holds a view without that gain (in
-#: ``skewed-reassignment`` s2 reads 1.0 where every other server reads 1.35).
+#: ``skewed-reassignment`` s2 reads 1.0 where every other server reads 1.35;
+#: in ``dynamic-storage-adaptation`` s3 and s4 each read their own 0.7).
 DISAGREE = {
-    "spec:fig1-walkthrough", "spec:hotspot-shift-monitoring", "spec:quickstart",
+    "spec:dynamic-storage-adaptation", "spec:fig1-walkthrough",
+    "spec:hotspot-shift-monitoring", "spec:quickstart",
     "spec:quickstart-chaos-1", "spec:sharded-global-monitoring",
-    "spec:sharded-hotspot-reassignment", "scenario:quickstart",
-    "scenario:skewed-reassignment",
+    "spec:sharded-hotspot-reassignment", "spec:wan-adaptive",
+    "scenario:quickstart", "scenario:skewed-reassignment",
 }
 
 

@@ -49,8 +49,8 @@ BASES = base_specs()
 BASE_IDS = ["quickstart"] + [os.path.basename(path) for path in SPEC_FILES]
 
 
-def test_the_bases_are_quickstart_and_the_seven_example_specs():
-    assert len(SPEC_FILES) == 7
+def test_the_bases_are_quickstart_and_the_nine_example_specs():
+    assert len(SPEC_FILES) == 9
 
 
 # ---------------------------------------------------------------------------

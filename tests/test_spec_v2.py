@@ -16,12 +16,14 @@ Covers the acceptance surface of the Spec v2 redesign:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.catalogue.case_studies import dynamic_storage_adaptation_spec
 from repro.experiments.catalogue.monitoring import hotspot_shift_monitoring_spec
 from repro.experiments.catalogue.sharded import sharded_hotspot_reassignment_spec
 from repro.experiments.cli import main
@@ -45,6 +47,7 @@ from repro.experiments.spec import (
     load_spec_file,
     run_spec,
 )
+from repro.net.latency import PerLinkLatency
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = REPO_ROOT / "examples" / "specs"
@@ -53,7 +56,8 @@ SPEC_DIR = REPO_ROOT / "examples" / "specs"
 # where practical, so a broken field round-trip cannot hide behind defaults.
 SECTION_SAMPLES = (
     LatencySpec(kind="lognormal", median=2.0, sigma=0.5, slow=("s1", "s2#1"),
-                slow_factor=4.0, slow_start=3.0, slow_end=9.0),
+                slow_factor=4.0, slow_start=3.0, slow_end=9.0,
+                delays=(("s1", 1.0), ("s5#1", 30.0))),
     ClusterSpec(flavour="static-weighted", n=3, f=1, client_count=4,
                 initial_weights=(("s1", 1.2), ("s2", 1.0), ("s3", 0.8)), shards=2),
     KeySpec(kind="hotspot", space=64, zipf_s=1.4, hot_fraction=0.25,
@@ -240,6 +244,77 @@ class TestValidate:
         with pytest.raises(ConfigurationError, match="dynamic-weighted"):
             run_spec(spec)
 
+    @pytest.mark.parametrize("max_time", [0, -1, 0.0, float("nan"),
+                                          float("inf"), "abc", True])
+    def test_max_time_is_none_or_a_finite_positive_number(self, max_time):
+        spec = ScenarioSpec(name="t", max_time=max_time)
+        with pytest.raises(ConfigurationError, match="max_time") as excinfo:
+            spec.validate()
+        assert excinfo.value.path == "max_time"
+        for fine in (None, 1, 0.5, 10_000.0):
+            ScenarioSpec(name="t", max_time=fine).validate()
+
+
+#: The processes of E6's world, and the table it once built by hand: each
+#: server's one-way delay written on its links to every other process,
+#: server by server, so a link between two servers kept the later server's
+#: (the larger) delay; unlisted links, a process's own included, took 1.0.
+CASE_STUDY_PROCESSES = ("c1", "c2", "s1", "s2", "s3", "s4", "s5")
+
+
+def _hand_built_case_study_table():
+    table = {}
+    for server, one_way in {"s1": 1.0, "s2": 1.0, "s3": 4.0, "s4": 5.0,
+                            "s5": 30.0}.items():
+        for peer in CASE_STUDY_PROCESSES:
+            if peer != server:
+                table[(peer, server)] = one_way
+                table[(server, peer)] = one_way
+    return table
+
+
+class TestPerLinkLatency:
+    def test_per_link_is_the_case_studys_hand_built_table(self):
+        spec = dynamic_storage_adaptation_spec("dynamic-weighted", 150.0, 8.0, 60, 11)
+        assert spec.latency.kind == "per-link"
+        flat = dataclasses.replace(spec.latency, slow=()).build(seed=11)
+        flat.jitter = 0.0
+        table = _hand_built_case_study_table()
+        for sender in CASE_STUDY_PROCESSES:
+            for receiver in CASE_STUDY_PROCESSES:
+                assert flat.delay(sender, receiver, 0.0) == table.get(
+                    (sender, receiver), 1.0), (sender, receiver)
+
+    def test_jitter_draws_as_the_hand_built_model_drew(self):
+        spec = dynamic_storage_adaptation_spec("dynamic-weighted", 150.0, 8.0, 60, 11)
+        model = dataclasses.replace(spec.latency, slow=()).build(seed=11)
+        reference = PerLinkLatency(
+            _hand_built_case_study_table(), default=1.0, jitter=0.02, seed=11)
+        links = [(a, b) for a in CASE_STUDY_PROCESSES for b in CASE_STUDY_PROCESSES]
+        for sender, receiver in links * 3:
+            assert model.delay(sender, receiver, 0.0) == reference.delay(
+                sender, receiver, 0.0)
+
+    def test_canonical_names_resolve_per_shard_as_slow_does(self):
+        latency = LatencySpec(kind="per-link", value=0.5,
+                              delays=(("s1", 3.0), ("s2#1", 5.0)))
+        model = latency.validate().build(shards=2)
+        model.jitter = 0.0
+        assert model.delay("c1", "s1#0", 0.0) == 3.0
+        assert model.delay("s1#1", "c1", 0.0) == 3.0
+        assert model.delay("c1", "s2#1", 0.0) == 5.0
+        assert model.delay("c1", "s2#0", 0.0) == 0.5
+        assert model.delay("s1#1", "s2#1", 0.0) == 5.0
+
+    @pytest.mark.parametrize("delays", [
+        (("s1", -1.0),), (("s1", float("nan")),), (("s1", "far"),), (("s1",),),
+    ])
+    def test_bad_delays_fail_validation(self, delays):
+        latency = LatencySpec(kind="per-link", delays=delays)
+        with pytest.raises(ConfigurationError, match="latency.delays") as excinfo:
+            ScenarioSpec(name="t", latency=latency).validate()
+        assert excinfo.value.path == "latency"
+
 
 class TestMonitoringSpec:
     def test_spec_run_reproduces_hotspot_shift_monitoring_exactly(self):
@@ -283,10 +358,13 @@ class TestMonitoringSpec:
 
 
 class TestCatalogueScenariosAreSpecs:
-    """A monitored storage scenario is a spec plus a row: the spec it runs is
-    the one in ``examples/specs/``, so ``run --spec`` runs the same world."""
+    """A storage scenario is a spec plus a row: the spec it runs (for E6,
+    its dynamic arm) is the one in ``examples/specs/``, so ``run --spec``
+    runs the same world."""
 
     BUILDERS = {
+        "dynamic-storage-adaptation": functools.partial(
+            dynamic_storage_adaptation_spec, "dynamic-weighted"),
         "hotspot-shift-monitoring": hotspot_shift_monitoring_spec,
         "sharded-hotspot-reassignment": sharded_hotspot_reassignment_spec,
     }
