@@ -8,9 +8,8 @@ from typing import Any, Dict, List, Tuple
 from repro.assettransfer import KAssetReplica, OneAssetServer
 from repro.consensus.sequencer import Sequencer
 from repro.core.reductions import OraclePairwiseReassignment, algorithm_config
-from repro.errors import ConfigurationError
 from repro.experiments.registry import scenario
-from repro.experiments.sections import SpecSection
+from repro.experiments.sections import NON_NEGATIVE, POSITIVE, SpecSection, at_least
 from repro.net.simloop import SimLoop, gather
 from repro.sim.cluster import build_world
 
@@ -45,19 +44,14 @@ class AssetTransferSpec(SpecSection):
     reassign_f: int = 2
     reassign_delta: float = 0.4
 
-    def _validate(self) -> None:
-        if self.n < 3:
-            raise ConfigurationError(
-                "asset-transfer rings three transfers around s1..s3 and "
-                f"needs n >= 3, got {self.n}"
-            )
-        if self.initial_balance < 0 or self.shared_balance < 0:
-            raise ConfigurationError("asset-transfer balances must be non-negative")
-        for label, amount in (("ring_amount", self.ring_amount),
-                              ("overdraw", self.overdraw),
-                              ("reassign_delta", self.reassign_delta)):
-            if amount <= 0:
-                raise ConfigurationError(f"{label} must be positive, got {amount}")
+    # The ring transfers around s1..s3; the pairwise leg moves weight from
+    # s3 and s4 to s1, under the reductions' 1 <= f < n.
+    _bounds = {
+        "n": at_least(3), "initial_balance": NON_NEGATIVE,
+        "ring_amount": POSITIVE, "shared_balance": NON_NEGATIVE,
+        "overdraw": POSITIVE, "reassign_n": at_least(4),
+        "reassign_f": at_least(1), "reassign_delta": POSITIVE,
+    }
 
     def _run_one_asset(self) -> Dict[str, Any]:
         with build_world() as world:

@@ -41,7 +41,9 @@ Subcommands:
 Parameter values (``-p key=value`` and grid axis values) are parsed with
 ``ast.literal_eval`` and fall back to plain strings, so ``-p seed=3``,
 ``-p workload.mix.read_ratio=0.9`` and ``-p cluster.flavour=static-majority``
-all do what they look like.
+all do what they look like.  Nothing coerces further: a string in a numeric
+field (``-p cluster.n=abc``, ``-p latency.low=nan``) is refused at planning
+by the spec's one admission rule, with exit 2 and the field's dotted path.
 
 Module-level imports stop at the standard library and :mod:`repro.errors`:
 each ``_cmd_*`` imports the machinery it runs when it is chosen, so

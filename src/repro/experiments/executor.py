@@ -64,6 +64,7 @@ from typing import (
 
 from repro.errors import ConfigurationError, ReproError, WorkerError
 from repro.experiments.registry import Scenario, get_scenario
+from repro.experiments.sections import NON_NEGATIVE, POSITIVE, SpecSection, at_least
 from repro.experiments.sweep import RunSpec
 from repro.obs.observer import current_observer, install_observer
 
@@ -224,7 +225,7 @@ def shutdown_pool() -> None:
 
 
 @dataclass(frozen=True)
-class ResiliencePolicy:
+class ResiliencePolicy(SpecSection):
     """Watchdog and retry knobs for one execution stream.
 
     The default policy is inert — no deadline, one attempt — and is what
@@ -241,15 +242,9 @@ class ResiliencePolicy:
     backoff_factor: float = 2.0
     backoff_max: float = 2.0
 
-    def validate(self) -> None:
-        if self.run_timeout is not None and self.run_timeout <= 0:
-            raise ConfigurationError(
-                f"run_timeout must be positive, got {self.run_timeout!r}"
-            )
-        if self.max_attempts < 1:
-            raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts!r}"
-            )
+    _bounds = {"run_timeout": POSITIVE, "max_attempts": at_least(1),
+               "backoff_base": NON_NEGATIVE, "backoff_factor": NON_NEGATIVE,
+               "backoff_max": NON_NEGATIVE}
 
     @property
     def needs_pool(self) -> bool:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.registry import Scenario, SpecScenario, get_scenario
-from repro.experiments.sections import SpecSection
+from repro.experiments.sections import POSITIVE, SpecSection, at_least
 from repro.experiments.spec import ScenarioSpec
 from repro.experiments.sweep import RunSpec, Sweep
 
@@ -52,7 +52,7 @@ class JobRequest(SpecSection):
     scenario: Optional[str] = None
     spec: Optional[Dict[str, Any]] = None
     params: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    grid: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    grid: Dict[str, List[Any]] = dataclasses.field(default_factory=dict)
     seeds: Optional[Tuple[int, ...]] = None
     sample: Optional[int] = None
     sample_seed: int = 0
@@ -61,42 +61,18 @@ class JobRequest(SpecSection):
     run_timeout: Optional[float] = None
     retry: Optional[int] = None
 
-    def _validate(self) -> None:
-        if self.kind not in JOB_KINDS:
-            raise ConfigurationError(
-                f"unknown job kind {self.kind!r}; expected run or sweep",
-                path="kind",
-            )
+    _bounds = {
+        "kind": JOB_KINDS, "sample": at_least(1), "sample_method": SAMPLE_METHODS,
+        "workers": at_least(1), "run_timeout": POSITIVE, "retry": at_least(1),
+    }
+
+    def _validate(self, path: str) -> None:
         if (self.scenario is None) == (self.spec is None):
             raise ConfigurationError(
                 "a scenario is required: give 'scenario' (a registered name) "
                 "or 'spec' (a spec object, --spec path.json), not both",
                 path="scenario",
             )
-        if self.spec is not None and not isinstance(self.spec, Mapping):
-            raise ConfigurationError(
-                f"'spec' must be a spec object, got {self.spec!r}", path="spec"
-            )
-        if not isinstance(self.params, Mapping):
-            raise ConfigurationError(
-                f"'params' must be a parameter mapping, got {self.params!r}",
-                path="params",
-            )
-        if not isinstance(self.grid, Mapping):
-            raise ConfigurationError(
-                f"'grid' must map axis names to value lists, got {self.grid!r}",
-                path="grid",
-            )
-        for axis in sorted(self.grid):
-            values = self.grid[axis]
-            if isinstance(values, (str, bytes)) or not isinstance(
-                values, Sequence
-            ):
-                raise ConfigurationError(
-                    f"grid axis {axis!r} must be a list of values, "
-                    f"got {values!r}",
-                    path=f"grid.{axis}",
-                )
         if self.kind == "run" and (
             self.grid or self.seeds is not None or self.sample is not None
         ):
@@ -104,30 +80,6 @@ class JobRequest(SpecSection):
                 "a run job takes 'params' only; use kind='sweep' for "
                 "grid/seeds/sample",
                 path="kind",
-            )
-        if self.sample is not None and self.sample < 1:
-            raise ConfigurationError(
-                f"sample size must be at least 1, got {self.sample}",
-                path="sample",
-            )
-        if self.sample_method not in SAMPLE_METHODS:
-            raise ConfigurationError(
-                f"unknown sample method {self.sample_method!r}; "
-                "expected uniform or lhs",
-                path="sample_method",
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}", path="workers"
-            )
-        if self.run_timeout is not None and self.run_timeout <= 0:
-            raise ConfigurationError(
-                f"run_timeout must be positive, got {self.run_timeout!r}",
-                path="run_timeout",
-            )
-        if self.retry is not None and self.retry < 1:
-            raise ConfigurationError(
-                f"retry must be >= 1, got {self.retry}", path="retry"
             )
 
 

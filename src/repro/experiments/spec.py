@@ -54,7 +54,10 @@ from typing import (
 
 from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
-from repro.experiments.sections import SpecSection, unflatten
+from repro.experiments.sections import (
+    LEFT_OPEN_UNIT, NON_EMPTY, NON_NEGATIVE, POSITIVE, UNIT, SpecSection,
+    at_least, unflatten,
+)
 from repro.net.latency import (
     ConstantLatency,
     GrayFailureLatency,
@@ -122,27 +125,13 @@ CLUSTER_FLAVOURS = ("dynamic-weighted", "static-majority", "static-weighted")
 MONITORING_SCOPES = ("per-shard", "global")
 
 
-class _Kinds(Dict[str, Callable[..., Any]]):
-    """A ``kind -> builder`` table; looking up an unknown kind raises the one
-    shared error, so ``validate()`` and ``build()`` both just index it."""
-
-    def __init__(
-        self, what: str, builders: Mapping[str, Callable[..., Any]]
-    ) -> None:
-        super().__init__(builders)
-        self.what = what
-
-    def __missing__(self, kind: str) -> Callable[..., Any]:
-        raise ConfigurationError(
-            f"unknown {self.what} {kind!r}; expected one of {', '.join(self)}"
-        )
-
-
 #: The ``per-link`` kind's multiplicative jitter (a message's delay times a
 #: seeded factor in ``[1, 1 + PER_LINK_JITTER]``): the case study's value.
 PER_LINK_JITTER = 0.02
 
-_LATENCY_MODELS = _Kinds("latency kind", {
+# Each kind-selected section keeps one ``kind -> builder`` table: its
+# ``_bounds`` admits the table's names, and ``build()`` indexes it.
+_LATENCY_MODELS: Dict[str, Callable[..., LatencyModel]] = {
     "constant": lambda spec, seed, shards: ConstantLatency(spec.value),
     "uniform": lambda spec, seed, shards: UniformLatency(
         spec.low, spec.high, seed=seed
@@ -157,7 +146,7 @@ _LATENCY_MODELS = _Kinds("latency kind", {
             for pid in expand_process_names((name,), shards)
         },
     ),
-})
+}
 
 
 @dataclass(frozen=True)
@@ -209,37 +198,32 @@ class LatencySpec(SpecSection):
     # same reason.
     delays: Tuple[Tuple[ProcessId, VirtualTime], ...] = ()
 
-    def _validate(self) -> None:
-        _LATENCY_MODELS[self.kind]  # raises for an unknown kind
-        for entry in self.delays:
-            if not (isinstance(entry, tuple) and len(entry) == 2
-                    and isinstance(entry[0], str) and entry[0]
-                    and type(entry[1]) in (int, float) and entry[1] >= 0):
+    # Slow and gray nodes are slower, never faster: factors are >= 1.
+    _bounds = {
+        "kind": _LATENCY_MODELS, "value": NON_NEGATIVE, "low": NON_NEGATIVE,
+        "high": NON_NEGATIVE, "median": POSITIVE, "sigma": NON_NEGATIVE,
+        "slow_factor": at_least(1), "slow_start": NON_NEGATIVE,
+        "slow_end": NON_NEGATIVE, "degraded_factor": at_least(1),
+        "degraded_stall": NON_NEGATIVE, "degraded_start": NON_NEGATIVE,
+        "degraded_end": NON_NEGATIVE, "delays": NON_NEGATIVE,
+    }
+
+    def _validate(self, path: str) -> None:
+        if self.high < self.low:
+            raise ConfigurationError(
+                f"{path}high={self.high} is below {path}low={self.low}",
+                path=f"{path}high",
+            )
+        for window, start, end in (
+            ("slow", self.slow_start, self.slow_end),
+            ("degraded", self.degraded_start, self.degraded_end),
+        ):
+            if end is not None and end <= start:
                 raise ConfigurationError(
-                    "latency.delays takes [server, non-negative delay] pairs, "
-                    f"got {entry!r}"
+                    f"{path}{window}_end={end} must be after "
+                    f"{window}_start={start}",
+                    path=f"{path}{window}_end",
                 )
-        if self.degraded_factor < 1.0:
-            raise ConfigurationError(
-                "latency.degraded_factor must be >= 1 (gray nodes are slow, "
-                f"not fast), got {self.degraded_factor}"
-            )
-        if self.degraded_stall < 0:
-            raise ConfigurationError(
-                "latency.degraded_stall must be non-negative, "
-                f"got {self.degraded_stall}"
-            )
-        if self.degraded_start < 0:
-            raise ConfigurationError(
-                "latency.degraded_start must be non-negative, "
-                f"got {self.degraded_start}"
-            )
-        if (self.degraded_end is not None
-                and self.degraded_end <= self.degraded_start):
-            raise ConfigurationError(
-                f"latency.degraded_end={self.degraded_end} must be after "
-                f"degraded_start={self.degraded_start}"
-            )
 
     def build(self, seed: int = 0, shards: int = 1) -> LatencyModel:
         """Construct the configured latency model (seeded for jittery kinds).
@@ -288,22 +272,17 @@ class ClusterSpec(SpecSection):
     initial_weights: Tuple[Tuple[ProcessId, float], ...] = ()
     shards: int = 1
 
-    def _validate(self) -> None:
+    _bounds = {
+        "flavour": CLUSTER_FLAVOURS, "n": at_least(1), "f": NON_NEGATIVE,
+        "client_count": at_least(1), "initial_weights": NON_NEGATIVE,
+        "shards": at_least(1),
+    }
+
+    def _validate(self, path: str) -> None:
         self.system_config()  # raises the canonical errors without building
 
     def system_config(self) -> SystemConfig:
         """Build the (per-shard) :class:`SystemConfig` this spec describes."""
-        if self.flavour not in CLUSTER_FLAVOURS:
-            raise ConfigurationError(
-                f"unknown cluster flavour {self.flavour!r}; "
-                f"expected one of {CLUSTER_FLAVOURS}"
-            )
-        if self.shards < 1:
-            raise ConfigurationError(
-                f"cluster.shards must be at least 1, got {self.shards}"
-            )
-        if self.n < 1:
-            raise ConfigurationError(f"cluster.n must be at least 1, got {self.n}")
         if not self.initial_weights:
             return SystemConfig.uniform(self.n, f=self.f)
         weights = {pid: weight for pid, weight in self.initial_weights}
@@ -340,7 +319,7 @@ class ClusterSpec(SpecSection):
         return build_cluster(config, self.flavour, latency, self.client_count)
 
 
-_KEY_DISTRIBUTIONS = _Kinds("key distribution kind", {
+_KEY_DISTRIBUTIONS: Dict[str, Callable[..., Any]] = {
     "uniform": lambda spec: UniformKeys(spec.space),
     "zipfian": lambda spec: ZipfianKeys(spec.space, s=spec.zipf_s),
     "hotspot": lambda spec: HotspotKeys(
@@ -349,7 +328,7 @@ _KEY_DISTRIBUTIONS = _Kinds("key distribution kind", {
         hot_weight=spec.hot_weight,
         offset=spec.offset,
     ),
-})
+}
 
 
 @dataclass(frozen=True)
@@ -368,19 +347,17 @@ class KeySpec(SpecSection):
     hot_weight: float = 0.9
     offset: int = 0
 
-    def _validate(self) -> None:
-        _KEY_DISTRIBUTIONS[self.kind]  # raises for an unknown kind
-        if self.space < 1:
-            raise ConfigurationError(
-                f"workload.keys.space must be at least 1, got {self.space}"
-            )
+    _bounds = {
+        "kind": _KEY_DISTRIBUTIONS, "space": at_least(1), "zipf_s": POSITIVE,
+        "hot_fraction": LEFT_OPEN_UNIT, "hot_weight": UNIT,
+    }
 
     def build(self) -> KeyDistribution:
         """Construct the configured key-popularity distribution."""
         return _KEY_DISTRIBUTIONS[self.kind](self)
 
 
-_ARRIVAL_PROCESSES = _Kinds("arrival kind", {
+_ARRIVAL_PROCESSES: Dict[str, Callable[..., Any]] = {
     "closed": lambda spec: ClosedLoopArrivals(spec.mean_think_time),
     "poisson": lambda spec: PoissonArrivals(spec.rate),
     "onoff": lambda spec: OnOffArrivals(
@@ -388,7 +365,7 @@ _ARRIVAL_PROCESSES = _Kinds("arrival kind", {
         burst_length=spec.burst_length,
         idle_time=spec.idle_time,
     ),
-})
+}
 
 
 @dataclass(frozen=True)
@@ -407,8 +384,11 @@ class ArrivalSpec(SpecSection):
     burst_length: VirtualTime = 5.0
     idle_time: VirtualTime = 10.0
 
-    def _validate(self) -> None:
-        _ARRIVAL_PROCESSES[self.kind]  # raises for an unknown kind
+    _bounds = {
+        "kind": _ARRIVAL_PROCESSES, "mean_think_time": NON_NEGATIVE,
+        "rate": POSITIVE, "burst_rate": POSITIVE, "burst_length": POSITIVE,
+        "idle_time": NON_NEGATIVE,
+    }
 
     def build(self) -> ArrivalProcess:
         """Construct the configured arrival process."""
@@ -422,15 +402,7 @@ class MixSpec(SpecSection):
     read_ratio: float = 0.5
     keys_per_op: int = 1
 
-    def _validate(self) -> None:
-        if not 0.0 <= self.read_ratio <= 1.0:
-            raise ConfigurationError(
-                f"workload.mix.read_ratio must be within [0, 1], got {self.read_ratio}"
-            )
-        if self.keys_per_op < 1:
-            raise ConfigurationError(
-                f"workload.mix.keys_per_op must be at least 1, got {self.keys_per_op}"
-            )
+    _bounds = {"read_ratio": UNIT, "keys_per_op": at_least(1)}
 
     def build(self) -> OperationMix:
         """Construct the configured operation mix."""
@@ -453,17 +425,11 @@ class PhaseSpec(SpecSection):
     at: VirtualTime
     overrides: Tuple[Tuple[str, Any], ...] = ()
 
-    def _validate(self) -> None:
-        if self.at < 0:
-            raise ConfigurationError(
-                f"phase start times must be non-negative, got {self.at}"
-            )
+    _bounds = {"at": NON_NEGATIVE}
+
+    def _validate(self, path: str) -> None:
         for entry in self.overrides:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                raise ConfigurationError(
-                    f"invalid phase override {entry!r}: expected (path, value)"
-                )
-            parts = str(entry[0]).split(".")
+            parts = entry[0].split(".")
             if parts[0] not in _PHASE_AXES or len(parts) < 2:
                 raise ConfigurationError(
                     f"phase override {entry[0]!r} must target a field inside one of "
@@ -482,17 +448,26 @@ class WorkloadSpec(SpecSection):
     phases: Tuple[PhaseSpec, ...] = ()
     trace: Optional[str] = None
 
-    def _validate(self) -> None:
-        if self.operations_per_client < 1:
-            raise ConfigurationError(
-                "workload.operations_per_client must be at least 1, "
-                f"got {self.operations_per_client}"
-            )
+    _bounds = {"operations_per_client": at_least(1), "trace": NON_EMPTY}
+
+    def _validate(self, path: str) -> None:
+        # A phase's axes, its overrides applied, are admitted like the base's.
+        for index, phase in enumerate(self.phases):
+            try:
+                for axis in _PHASE_AXES:
+                    getattr(self._overridden(phase), axis).validate(f"{axis}.")
+            except ConfigurationError as error:
+                error.path = f"{path}phases[{index}].{error.path}"
+                raise
+
+    def _overridden(self, phase: "PhaseSpec") -> "WorkloadSpec":
+        overridden = self
+        for key, value in phase.overrides:
+            overridden = _replace_path(overridden, key, key.split("."), value)
+        return overridden
 
     def _phase(self, spec: "PhaseSpec") -> Phase:
-        overridden = self
-        for key, value in spec.overrides:
-            overridden = _replace_path(overridden, key, key.split("."), value)
+        overridden = self._overridden(spec)
         return Phase(
             start=spec.at,
             keys=overridden.keys.build(),
@@ -515,14 +490,14 @@ class WorkloadSpec(SpecSection):
         )
 
 
-_POLICIES = _Kinds("policy kind", {
+_POLICIES: Dict[str, Callable[..., Any]] = {
     "inverse-latency": lambda spec: functools.partial(
         proportional_inverse_latency_weights, margin=spec.margin
     ),
     "wheat": lambda spec: functools.partial(
         wheat_style_weights, margin=spec.margin
     ),
-})
+}
 
 
 @dataclass(frozen=True)
@@ -540,16 +515,7 @@ class PolicySpec(SpecSection):
     threshold: float = 0.05
     margin: float = 0.05
 
-    def _validate(self) -> None:
-        _POLICIES[self.kind]  # raises for an unknown kind
-        if self.threshold <= 0:
-            raise ConfigurationError(
-                f"monitoring.policy.threshold must be positive, got {self.threshold}"
-            )
-        if self.margin < 0:
-            raise ConfigurationError(
-                f"monitoring.policy.margin must be non-negative, got {self.margin}"
-            )
+    _bounds = {"kind": _POLICIES, "threshold": POSITIVE, "margin": NON_NEGATIVE}
 
     def build(self):
         """The policy as a ``(latency_summary, config) -> targets`` callable."""
@@ -589,34 +555,11 @@ class MonitoringSpec(SpecSection):
     scope: str = "per-shard"
     prober: ProcessId = "mon"
 
-    def _validate(self) -> None:
-        if self.interval <= 0:
-            raise ConfigurationError(
-                f"monitoring.interval must be positive, got {self.interval}"
-            )
-        if self.rounds < 1:
-            raise ConfigurationError(
-                f"monitoring.rounds must be at least 1, got {self.rounds}"
-            )
-        if self.window < 1:
-            raise ConfigurationError(
-                f"monitoring.window must be at least 1, got {self.window}"
-            )
-        if not 0 < self.ewma_alpha <= 1:
-            raise ConfigurationError(
-                f"monitoring.ewma_alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.gain <= 0:
-            raise ConfigurationError(
-                f"monitoring.gain must be positive, got {self.gain}"
-            )
-        if self.scope not in MONITORING_SCOPES:
-            raise ConfigurationError(
-                f"unknown monitoring scope {self.scope!r}; "
-                f"expected one of {MONITORING_SCOPES}"
-            )
-        if not self.prober:
-            raise ConfigurationError("monitoring.prober must not be empty")
+    _bounds = {
+        "interval": POSITIVE, "rounds": at_least(1), "window": at_least(1),
+        "ewma_alpha": LEFT_OPEN_UNIT, "gain": POSITIVE,
+        "scope": MONITORING_SCOPES, "prober": NON_EMPTY,
+    }
 
     def build(self, cluster: Union[Cluster, ShardedCluster]) -> MonitoringHarness:
         """Install the loop(s) on ``cluster`` — the adapter from a cluster to
@@ -684,14 +627,14 @@ class ObservabilitySpec(SpecSection):
     trace_messages: bool = True
     trace_path: Optional[str] = None
 
-    def _validate(self) -> None:
+    _bounds = {"trace_path": NON_EMPTY}
+
+    def _validate(self, path: str) -> None:
         if self.enabled and not (self.metrics or self.trace):
             raise ConfigurationError(
                 "observability.enabled without metrics or trace records nothing; "
                 "disable it instead"
             )
-        if self.trace_path is not None and not self.trace_path:
-            raise ConfigurationError("observability.trace_path must not be empty")
         if self.trace_path is not None and not (self.enabled and self.trace):
             raise ConfigurationError(
                 "observability.trace_path requires observability.enabled and "
@@ -731,15 +674,14 @@ class OutageSpec(SpecSection):
     at: VirtualTime
     until: Optional[VirtualTime] = None
 
-    def _validate(self) -> None:
-        if self.at < 0:
-            raise ConfigurationError(
-                f"outage times must be non-negative, got {self.at}"
-            )
+    _bounds = {"process": NON_EMPTY, "at": NON_NEGATIVE, "until": NON_NEGATIVE}
+
+    def _validate(self, path: str) -> None:
         if self.until is not None and self.until <= self.at:
             raise ConfigurationError(
                 f"outage recovers at until={self.until}, at or before its "
-                f"crash at={self.at}"
+                f"crash at={self.at}",
+                path=f"{path}until",
             )
 
 
@@ -757,14 +699,13 @@ class PartitionSpec(SpecSection):
     groups: Tuple[Tuple[ProcessId, ...], ...] = ()
     heal_at: Optional[VirtualTime] = None
 
-    def _validate(self) -> None:
-        if self.at < 0:
-            raise ConfigurationError(
-                f"partition times must be non-negative, got {self.at}"
-            )
+    _bounds = {"at": NON_NEGATIVE, "heal_at": NON_NEGATIVE}
+
+    def _validate(self, path: str) -> None:
         if self.heal_at is not None and self.heal_at <= self.at:
             raise ConfigurationError(
-                f"partition heal_at={self.heal_at} must be after at={self.at}"
+                f"partition heal_at={self.heal_at} must be after at={self.at}",
+                path=f"{path}heal_at",
             )
         if not self.groups or any(not group for group in self.groups):
             raise ConfigurationError(
@@ -822,22 +763,9 @@ class FaultSpec(SpecSection):
     # keeps meaning what it meant.
     outages: Tuple[OutageSpec, ...] = ()
 
-    def _validate(self) -> None:
-        for label, entries in (("crashes", self.crashes),
-                               ("recoveries", self.recoveries)):
-            for index, entry in enumerate(entries):
-                if not (isinstance(entry, tuple) and len(entry) == 2):
-                    raise ConfigurationError(
-                        f"invalid faults.{label}[{index}] entry {entry!r}: "
-                        "expected (process, at)",
-                        path=f"faults.{label}[{index}]",
-                    )
-                if entry[1] < 0:
-                    raise ConfigurationError(
-                        f"faults.{label}[{index}] times must be non-negative, "
-                        f"got {entry[1]}",
-                        path=f"faults.{label}[{index}]",
-                    )
+    _bounds = {"crashes": NON_NEGATIVE, "recoveries": NON_NEGATIVE}
+
+    def _validate(self, path: str) -> None:
         # Names are compared as given: canonical and qualified names live in
         # different namespaces until the cluster's shard count is known.
         fates, _ = self._timeline()
@@ -981,11 +909,8 @@ class TransferEvent(SpecSection):
     delta: float
     shard: int = 0
 
-    def _validate(self) -> None:
-        if self.shard < 0:
-            raise ConfigurationError(
-                f"transfer shard indices are 0-based, got {self.shard}"
-            )
+    # Algorithm 4's transfer(target, delta) moves a positive amount.
+    _bounds = {"at": NON_NEGATIVE, "delta": POSITIVE, "shard": NON_NEGATIVE}
 
 
 @dataclass(frozen=True)
@@ -1006,20 +931,37 @@ class ScenarioSpec(SpecSection):
     # keeps meaning what it meant.
     observability: ObservabilitySpec = ObservabilitySpec()
 
+    _bounds = {"name": NON_EMPTY, "max_time": POSITIVE}
     _non_sweepable = ("name", "description")
     _aliases = {"failures": "faults"}
 
-    def _validate(self) -> None:
-        if not self.name:
-            raise ConfigurationError("scenario name must not be empty")
-        bound = self.max_time
-        if bound is not None and not (
-            type(bound) in (int, float) and 0 < bound < float("inf")
+    def _validate(self, path: str) -> None:
+        flavour = self.cluster.flavour
+        for needs, what, where in (
+            (self.transfers, "scheduled transfers", "transfers"),
+            (self.monitoring.enabled, "monitoring-driven reassignment",
+             "monitoring.enabled"),
         ):
-            raise ConfigurationError(
-                f"max_time must be a finite number > 0 or null, got {bound!r}",
-                path="max_time",
-            )
+            if needs and flavour != "dynamic-weighted":
+                raise ConfigurationError(
+                    f"{what} require the dynamic-weighted flavour, got "
+                    f"{flavour!r}", path=where)
+        servers = server_set(self.cluster.n) if self.transfers else ()
+        for index, event in enumerate(self.transfers):
+            if event.shard >= self.cluster.shards:
+                raise ConfigurationError(
+                    f"transfer at t={event.at} targets shard {event.shard}, but "
+                    f"the cluster has {self.cluster.shards} shard(s)",
+                    path=f"transfers[{index}].shard",
+                )
+            if not (event.source in servers and event.target in servers
+                    and event.source != event.target):
+                raise ConfigurationError(
+                    f"transfer at t={event.at} moves weight from "
+                    f"{event.source!r} to {event.target!r}: it needs two "
+                    f"different servers of {', '.join(servers)}",
+                    path=f"transfers[{index}]",
+                )
 
     def with_overrides(self, params: Optional[Mapping[str, Any]] = None) -> "ScenarioSpec":
         """Rebuild the spec with dotted-path overrides applied.
@@ -1139,23 +1081,7 @@ def run_spec(spec: ScenarioSpec, measure: Optional[Measure] = None) -> Dict[str,
 
 
 def _run_spec_inner(spec: ScenarioSpec, measure: Optional[Measure]) -> Dict[str, Any]:
-    if spec.transfers and spec.cluster.flavour != "dynamic-weighted":
-        raise ConfigurationError(
-            "scheduled transfers require the dynamic-weighted flavour, "
-            f"got {spec.cluster.flavour!r}"
-        )
-    if spec.monitoring.enabled and spec.cluster.flavour != "dynamic-weighted":
-        raise ConfigurationError(
-            "monitoring-driven reassignment requires the dynamic-weighted "
-            f"flavour, got {spec.cluster.flavour!r}"
-        )
     sharded = spec.cluster.shards > 1
-    for event in spec.transfers:
-        if not 0 <= event.shard < spec.cluster.shards:
-            raise ConfigurationError(
-                f"transfer at t={event.at} targets shard {event.shard}, but the "
-                f"cluster has {spec.cluster.shards} shard(s)"
-            )
     config = spec.cluster.system_config()
     cluster = spec.cluster.build(
         config, spec.latency.build(seed=spec.seed, shards=spec.cluster.shards)

@@ -399,13 +399,13 @@ class TestExactCounts:
 # which is its whole difference.
 
 #: ``(Python calls, C calls)`` of the counted run (per message: 16.85 and
-#: 10.65 up to 3.11, 16.80 and 10.65 from 3.12): a rise fails, a fall is
+#: 10.62 up to 3.11, 16.79 and 10.62 from 3.12): a rise fails, a fall is
 #: reported so that the pin can follow it down.
 STEADY_CALLS = {
-    (3, 10): (107847, 68178),
-    (3, 11): (107847, 68178),
-    (3, 12): (107495, 68178),
-    (3, 13): (107495, 68178),
+    (3, 10): (107836, 67966),
+    (3, 11): (107836, 67966),
+    (3, 12): (107484, 67966),
+    (3, 13): (107484, 67966),
 }
 
 

@@ -268,12 +268,13 @@ class TestScenarioSpec:
             get_scenario("wmqs-vs-mqs").execute({"total_weight_per_server": value})
 
     def test_unknown_latency_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="latency kind"):
-            LatencySpec(kind="bogus").build()
+        with pytest.raises(ConfigurationError, match="kind must be one of"):
+            LatencySpec(kind="bogus").validate()
 
     def test_unknown_flavour_rejected(self):
-        with pytest.raises(ConfigurationError, match="flavour"):
-            ClusterSpec(flavour="bogus").system_config()
+        with pytest.raises(ConfigurationError, match="flavour") as caught:
+            ClusterSpec(flavour="bogus").validate("cluster.")
+        assert caught.value.path == "cluster.flavour"
 
 
 # ---------------------------------------------------------------------------
@@ -630,10 +631,10 @@ class TestWorkloadSpecIntegration:
         assert caught.value.path == "workload.phases[0]"
 
     def test_unknown_kinds_rejected(self):
-        with pytest.raises(ConfigurationError, match="key distribution"):
-            KeySpec(kind="bogus").build()
-        with pytest.raises(ConfigurationError, match="arrival kind"):
-            ArrivalSpec(kind="bogus").build()
+        with pytest.raises(ConfigurationError, match="kind must be one of uniform"):
+            KeySpec(kind="bogus").validate()
+        with pytest.raises(ConfigurationError, match="kind must be one of closed"):
+            ArrivalSpec(kind="bogus").validate()
 
     def test_trace_replay_spec(self, tmp_path):
         from repro.workloads import write_trace

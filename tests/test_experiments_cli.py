@@ -230,10 +230,11 @@ _AXES = ("cluster.n", "cluster.f", "latency.low", "seed",
          "workload.operations_per_client", "failures.crashes")
 _values = st.lists(st.integers(-3, 40), min_size=1, max_size=4)
 #: Bounds inside which every point of quickstart validates (n > 2f for any
-#: drawn pair, at least one operation), so the planner, which refuses a
-#: sweep with an invalid point, must return the CLI's expansion run for run.
-#: Refusals are pinned case by case in ``TestAdmission``.
-_VALID = {"cluster.n": (5, 40), "cluster.f": (0, 2),
+#: drawn pair, at least one operation, 0 <= latency.low <= latency.high =
+#: 1.5), so the planner, which refuses a sweep with an invalid point, must
+#: return the CLI's expansion run for run.  Refusals are pinned case by case
+#: in ``TestAdmission``.
+_VALID = {"cluster.n": (5, 40), "cluster.f": (0, 2), "latency.low": (0, 1),
           "workload.operations_per_client": (1, 40)}
 
 
@@ -297,7 +298,8 @@ class TestAdmission:
         ({"cluster.f": [2, 1], "cluster.n": [4, 5]},
          "quickstart[cluster.f=2,cluster.n=4]", None),
         ({"workload.operations_per_client": [3, 0, -1]},
-         "quickstart[workload.operations_per_client=0]", "workload"),
+         "quickstart[workload.operations_per_client=0]",
+         "workload.operations_per_client"),
     ])
     def test_plan_refuses_a_sweep_naming_its_first_invalid_point(
         self, grid, refused, path

@@ -213,7 +213,7 @@ class TestStructuredErrors:
         data["workload"] = dict(data["workload"], operations_per_client=-1)
         with pytest.raises(ConfigurationError) as excinfo:
             ScenarioSpec.from_dict(data).validate()
-        assert excinfo.value.path == "workload"
+        assert excinfo.value.path == "workload.operations_per_client"
 
     def test_cli_prints_path_hint(self, tmp_path, capsys):
         data = quickstart_document()
@@ -897,6 +897,32 @@ class TestRoutes:
         assert response.payload["error"]["path"] == "max_time"
         assert dispatch(service, "GET", "/jobs").payload == []
 
+    @pytest.mark.parametrize("job, path", [
+        ({"kind": "run", "scenario": BASELINE, "retry": "x"}, "retry"),
+        ({"kind": "run", "scenario": BASELINE, "params": {"cluster.n": "abc"}},
+         "cluster.n"),
+        ({"kind": "run", "scenario": BASELINE, "run_timeout": float("nan")},
+         "run_timeout"),
+    ])
+    def test_a_value_of_the_wrong_type_is_400_and_the_service_answers_on(
+        self, service, job, path
+    ):
+        # json.dumps writes NaN as the bare token, which the server parses.
+        response = dispatch(service, "POST", "/jobs", json.dumps(job).encode())
+        assert response.status == 400
+        assert response.payload["error"]["path"] == path
+        assert dispatch(service, "GET", "/jobs").payload == []
+        assert dispatch(service, "GET", "/healthz").status == 200
+
+    def test_validate_endpoint_refuses_a_string_in_a_numeric_field(self, service):
+        bad = quickstart_document()
+        bad["cluster"] = dict(bad["cluster"], n="abc")
+        response = dispatch(service, "POST", "/specs/validate",
+                            json.dumps(bad).encode())
+        assert response.status == 200
+        assert response.payload["ok"] is False
+        assert response.payload["errors"][0]["path"] == "cluster.n"
+
     def test_validate_endpoint_judges_specs(self, service):
         good = quickstart_document()
         response = dispatch(service, "POST", "/specs/validate",
@@ -910,7 +936,8 @@ class TestRoutes:
                             json.dumps(bad).encode())
         assert response.status == 200
         assert response.payload["ok"] is False
-        assert response.payload["errors"][0]["path"] == "workload"
+        assert response.payload["errors"][0]["path"] == (
+            "workload.operations_per_client")
 
     def test_queue_full_is_503(self, tmp_path):
         service = ExperimentService(str(tmp_path / "jobs"), queue_limit=1)

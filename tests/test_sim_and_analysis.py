@@ -104,7 +104,7 @@ class TestFaultSchedule:
         assert all(cluster.network.is_crashed(pid) for pid in ("s1", "s2"))
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ConfigurationError, match="non-negative"):
+        with pytest.raises(ConfigurationError, match="a finite number >= 0"):
             FaultSpec(crashes=(("s1", -1.0),)).validate()
 
 

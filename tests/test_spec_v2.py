@@ -209,16 +209,16 @@ class TestValidate:
     def test_validate_catches_bad_kinds_without_building(self):
         for spec, match in (
             (ScenarioSpec(name="t", latency=LatencySpec(kind="bogus")),
-             "latency kind"),
+             "latency.kind must be one of"),
             (ScenarioSpec(name="t", workload=WorkloadSpec(keys=KeySpec(kind="no"))),
-             "key distribution"),
+             "workload.keys.kind must be one of"),
             (ScenarioSpec(name="t",
                           monitoring=MonitoringSpec(policy=PolicySpec(kind="x"))),
-             "policy kind"),
+             "monitoring.policy.kind must be one of"),
             (ScenarioSpec(name="t", monitoring=MonitoringSpec(scope="everywhere")),
-             "monitoring scope"),
+             "monitoring.scope must be one of"),
             (ScenarioSpec(name="t", faults=FaultSpec(crashes=(("s1", -1.0),))),
-             "non-negative"),
+             "a finite number >= 0"),
         ):
             with pytest.raises(ConfigurationError, match=match):
                 spec.validate()
@@ -313,7 +313,7 @@ class TestPerLinkLatency:
         latency = LatencySpec(kind="per-link", delays=delays)
         with pytest.raises(ConfigurationError, match="latency.delays") as excinfo:
             ScenarioSpec(name="t", latency=latency).validate()
-        assert excinfo.value.path == "latency"
+        assert excinfo.value.path == "latency.delays[0]"
 
 
 class TestMonitoringSpec:
@@ -572,14 +572,14 @@ class TestFaultWindowValidation:
                       r"crash at=2\.0",
             ) as caught:
                 spec.validate()
-            assert caught.value.path == "faults.outages[1]"
+            assert caught.value.path == "faults.outages[1].until"
 
     def test_negative_outage_time_rejected_with_its_path(self):
-        with pytest.raises(ConfigurationError, match="non-negative") as caught:
+        with pytest.raises(ConfigurationError, match="a finite number >= 0") as caught:
             ScenarioSpec(name="t", faults=FaultSpec(
                 outages=(("s1", -1.0, 2.0),),
             )).validate()
-        assert caught.value.path == "faults.outages[0]"
+        assert caught.value.path == "faults.outages[0].at"
 
     def test_outage_without_recovery_is_valid(self):
         FaultSpec(outages=(("s1", 2.0),)).validate()
@@ -818,9 +818,10 @@ class TestAssetTransferScenario:
         section = AssetTransferSpec(n=4)
         assert AssetTransferSpec.from_dict(section.to_dict()) == section
         assert "ring_amount" in section.flatten()
-        with pytest.raises(ConfigurationError, match="n >= 3"):
+        with pytest.raises(ConfigurationError, match="n must be an integer >= 3"):
             AssetTransferSpec(n=2).validate()
 
     def test_invalid_amounts_rejected(self):
-        with pytest.raises(ConfigurationError, match="positive"):
+        with pytest.raises(ConfigurationError,
+                           match="ring_amount must be a finite number > 0"):
             get_scenario("asset-transfer").execute({"ring_amount": -1.0})
