@@ -74,7 +74,7 @@ class StoredValue:
         return StoredValue(tag=Tag.zero(), value=None)
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationRecord:
     """Telemetry about one completed read/write (used by the benchmarks)."""
 
@@ -131,6 +131,10 @@ async def _read_write(
         )
         news = _collect_news(replies, known)
         if news:
+            # A server's merge can run a whole refresh read (the weight-gain
+            # hook), nested without bound under churn: a suspended restart
+            # holds no replies.
+            collector = replies = None
             await view.merge_changes(news)
             restarts += 1
             if obs is not None:
@@ -147,8 +151,10 @@ async def _read_write(
                 process.loop.now,
             )
 
-        max_reply = max(replies, key=lambda reply: reply.payload["stored"].tag)
-        max_stored: StoredValue = max_reply.payload["stored"]
+        # The value, not the reply that carried it, outlives phase 1.
+        max_stored: StoredValue = max(
+            replies, key=lambda reply: reply.payload["stored"].tag
+        ).payload["stored"]
         if is_write:
             tag = Tag(ts=max_stored.tag.ts + 1, pid=process.pid)
             value_to_write = value
@@ -169,6 +175,7 @@ async def _read_write(
         )
         news = _collect_news(replies, known)
         if news:
+            collector = replies = None
             await view.merge_changes(news)
             restarts += 1
             if obs is not None:

@@ -149,6 +149,7 @@ class AssetTransferSpec(SpecSection):
     "accounts, vs pairwise weight reassignment's extra P-Integrity "
     "distribution constraint.",
     tags=("paper", "asset-transfer", "baseline"),
+    section=AssetTransferSpec,
 )
 def asset_transfer(
     n: int = 5,

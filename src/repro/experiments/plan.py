@@ -101,9 +101,11 @@ def plan(request: JobRequest) -> Plan:
     included, each value typed by the section it lands in — or the
     function's keyword set); a rejected name or a malformed shape fails
     here, before any run starts, with its request path (``params.<key>``,
-    ``grid.<axis>``, ``seeds``) attached.  A spec scenario's every point is
-    then validated whole, as ``run_spec`` will: a value out of its bound
-    (``max_time=0``) fails here too, naming the run and the spec path.
+    ``grid.<axis>``, ``seeds``) attached.  Every point is then validated
+    whole (:meth:`Scenario.check_point`: a spec's, or the section a function
+    scenario builds), as execution will: a value out of its bound
+    (``max_time=0``, ``ring_amount=-1``) fails here too, naming the run and
+    the path, before any run is dispatched.
     """
     request.validate()
     if request.spec is not None:
@@ -133,12 +135,11 @@ def plan(request: JobRequest) -> Plan:
         )
     else:
         runs = sweep.runs()
-    if isinstance(entry, SpecScenario):
-        for run in runs:
-            try:
-                entry.spec.with_overrides(run.params_dict).validate()
-            except ReproError as error:
-                raise ConfigurationError(
-                    f"{run.run_id}: {error}", path=getattr(error, "path", None)
-                ) from None
+    for run in runs:
+        try:
+            entry.check_point(run.params_dict)
+        except ReproError as error:
+            raise ConfigurationError(
+                f"{run.run_id}: {error}", path=getattr(error, "path", None)
+            ) from None
     return Plan(entry.name, entry, runs)

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import inspect
 from importlib import import_module
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError
+from repro.experiments.sections import SpecSection
 from repro.experiments.spec import ScenarioSpec, run_spec
 
 __all__ = [
@@ -118,12 +119,23 @@ class Scenario:
         running anything."""
         raise NotImplementedError
 
+    def check_point(self, params: Mapping[str, Any]) -> None:
+        """Raise :class:`~repro.errors.ReproError` if the whole point —
+        ``params`` over the defaults — is one :meth:`execute` would refuse
+        (a value out of its declared bound), without running anything."""
+        raise NotImplementedError
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"
 
 
 class FunctionScenario(Scenario):
-    """A scenario backed by a plain function with fully-defaulted kwargs."""
+    """A scenario backed by a plain function with fully-defaulted kwargs.
+
+    ``section``, when given, is the :class:`SpecSection` the function builds
+    from its keyword arguments: its declared bounds admit a point before the
+    function runs.
+    """
 
     kind = "function"
 
@@ -133,6 +145,7 @@ class FunctionScenario(Scenario):
         name: str,
         description: str = "",
         tags: Tuple[str, ...] = (),
+        section: Optional[Type[SpecSection]] = None,
     ) -> None:
         defaults: Dict[str, Any] = {}
         for parameter in inspect.signature(fn).parameters.values():
@@ -146,6 +159,7 @@ class FunctionScenario(Scenario):
             description = fn.__doc__.strip().splitlines()[0]
         super().__init__(name, description, tags, defaults)
         self._fn = fn
+        self.section = section
 
     def check_params(self, params: Mapping[str, Any]) -> None:
         unknown = set(params) - set(self.defaults)
@@ -154,6 +168,10 @@ class FunctionScenario(Scenario):
                 f"scenario {self.name!r} has no parameters {sorted(unknown)}; "
                 f"available: {sorted(self.defaults)}"
             )
+
+    def check_point(self, params: Mapping[str, Any]) -> None:
+        if self.section is not None:
+            self.section(**{**self.defaults, **params}).validate()
 
     def execute(self, params: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Call the function with ``params`` merged over its keyword defaults."""
@@ -173,6 +191,9 @@ class SpecScenario(Scenario):
 
     def check_params(self, params: Mapping[str, Any]) -> None:
         self.spec.with_overrides(params)
+
+    def check_point(self, params: Mapping[str, Any]) -> None:
+        self.spec.with_overrides(params).validate()
 
     def execute(self, params: Optional[Mapping[str, Any]] = None) -> Dict[str, Any]:
         """Apply ``params`` as dotted-path overrides and run the spec."""
@@ -206,6 +227,7 @@ def scenario(
     description: str = "",
     tags: Tuple[str, ...] = (),
     replace: bool = False,
+    section: Optional[Type[SpecSection]] = None,
 ) -> Callable[[Callable[..., Mapping[str, Any]]], Callable[..., Mapping[str, Any]]]:
     """Decorator: register ``fn`` as a :class:`FunctionScenario`.
 
@@ -214,7 +236,9 @@ def scenario(
     """
 
     def wrap(fn: Callable[..., Mapping[str, Any]]) -> Callable[..., Mapping[str, Any]]:
-        register(FunctionScenario(fn, name, description, tags), replace=replace)
+        register(
+            FunctionScenario(fn, name, description, tags, section), replace=replace
+        )
         return fn
 
     return wrap

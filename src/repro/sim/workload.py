@@ -25,7 +25,7 @@ from repro.types import ProcessId, VirtualTime
 __all__ = ["Operation", "Workload", "uniform_workload"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One client operation: a read, or a write of ``value``.
 

@@ -7,11 +7,12 @@ every per-client operation record) so any change to event ordering — e.g. in
 the ready-deque fast path — fails loudly instead of shifting baselines by an
 ulp.  Beside it, the determinism gate: six fixed workloads, one per layer of
 the hot path, whose exact event / operation / message counts are test data
-here, and a counted pass holding the steady storage run's Python and C
-calls per message to a ratchet.  The remaining tests pin the fast-path
-mechanics themselves: FIFO
-ordering across the heap/ready-deque split, the cached partition map, the
-detach-on-cancel rule, and the single-sort latency summary.
+here, a counted pass holding the steady storage run's Python and C calls
+per message to a ratchet, and a memory pin holding the live messages of a
+churn run's nested refresh reads to another.  The remaining tests pin the
+fast-path mechanics themselves: FIFO ordering across the heap/ready-deque
+split, the cached partition map, the detach-on-cancel rule, and the
+single-sort latency summary.
 
 Run the gate alone with ``python -m pytest tests/test_determinism.py``; CI
 runs it under ``PYTHONHASHSEED=0`` and ``=random``.
@@ -481,6 +482,111 @@ class TestCountedPass:
                     f"{what} calls fell to {value} ({value / messages:.4f} per "
                     f"message): lower the pin {pin} in STEADY_CALLS",
                     stacklevel=1)
+
+
+# ---------------------------------------------------------------------------
+# The memory pin: what a suspended restart holds
+# ---------------------------------------------------------------------------
+#
+# Under transfer churn a server's weight-gain refresh read merges news by
+# running another refresh read (ROADMAP item 1), and every level suspends an
+# operation in ``merge_changes``.  What such a level keeps alive decides the
+# run's peak memory: it holds its change sets and counters, never its
+# phase's collector or replies.  A count of live ``Message`` objects the
+# first time a refresh nests 50 and 200 deep shows it exactly; with the
+# replies held it reads 925 and 3 915.  Once item 1 bounds the recursion the
+# depth never reaches 50: that change re-pins this test or deletes it.
+
+#: Live ``Message`` objects at the first refresh of each depth: a rise
+#: fails, a fall is reported so that the pin can follow it down.
+REFRESH_MESSAGES = {50: 25, 200: 130}
+
+
+def _churn_spec():
+    """n=5, f=1, 2 shards, 8 ops per client, 3 s1<->s2 transfers per shard."""
+    from repro.experiments.spec import (
+        ClusterSpec, KeySpec, LatencySpec, MixSpec, MonitoringSpec, PhaseSpec,
+        PolicySpec, ScenarioSpec, TransferEvent, WorkloadSpec,
+    )
+
+    return ScenarioSpec(
+        name="pinned-churn",
+        cluster=ClusterSpec(
+            flavour="dynamic-weighted", n=5, f=1, client_count=6, shards=2),
+        workload=WorkloadSpec(
+            operations_per_client=8,
+            keys=KeySpec(kind="hotspot", space=64, hot_fraction=0.125,
+                         hot_weight=0.9),
+            mix=MixSpec(read_ratio=0.3),
+            phases=(PhaseSpec(at=100.0, overrides=(("keys.offset", 32),)),),
+        ),
+        latency=LatencySpec(
+            kind="uniform", low=0.8, high=1.2,
+            slow=("s4", "s5"), slow_factor=6.0, slow_start=100.0,
+        ),
+        monitoring=MonitoringSpec(
+            enabled=True, interval=10.0, rounds=4, scope="per-shard",
+            policy=PolicySpec(threshold=0.2),
+        ),
+        transfers=tuple(
+            TransferEvent(
+                at=10.0 + 12.0 * step + shard,
+                source="s1" if step % 2 == 0 else "s2",
+                target="s2" if step % 2 == 0 else "s1",
+                delta=0.3, shard=shard,
+            )
+            for shard in range(2)
+            for step in range(3)
+        ),
+        seed=1,
+        max_time=100_000.0,
+    )
+
+
+class TestMemoryPin:
+    def test_a_suspended_restart_holds_no_replies(self):
+        import gc
+
+        from repro.experiments.executor import run_with_stable_stack
+        from repro.experiments.spec import run_spec
+        from repro.net.message import Message
+        from repro.obs import Observer, observing
+
+        def count():
+            # C calls only: the count adds no frame to the recursion.
+            return list(map(type, gc.get_objects())).count(Message)
+
+        live = {}
+
+        class Census(Observer):
+            def weight_gain_refresh(self, pid, depth, now):
+                if depth in REFRESH_MESSAGES and depth not in live:
+                    live[depth] = count() - before
+
+        # What earlier tests left is collected or counted out, and with the
+        # collector off the run's own garbage is counted whatever ran before.
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        before = count()
+        try:
+            with observing(Census(metrics=False, trace=False)):
+                run_with_stable_stack(run_spec, _churn_spec())
+        finally:
+            if enabled:
+                gc.enable()
+        assert sorted(live) == sorted(REFRESH_MESSAGES), (
+            f"refreshes nested to {sorted(live)} only: re-pin or delete "
+            "this test (see the comment above REFRESH_MESSAGES)")
+        for depth, pin in REFRESH_MESSAGES.items():
+            value = live[depth]
+            assert value <= pin, (
+                f"{value} live Messages at refresh depth {depth} (pin {pin}): "
+                "a suspended operation holds replies again")
+            if value < pin:
+                warnings.warn(
+                    f"{value} live Messages at refresh depth {depth}: lower "
+                    f"the pin {pin} in REFRESH_MESSAGES", stacklevel=1)
 
 
 # ---------------------------------------------------------------------------

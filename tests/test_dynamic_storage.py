@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import gc
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from repro.core.spec import SystemConfig
 from repro.core.storage import (
     DynamicWeightedStorageClient,
     DynamicWeightedStorageServer,
+    OperationRecord,
     _collect_news,
     _quorum_or_news,
 )
@@ -33,6 +37,8 @@ from repro.net.network import Network
 from repro.net.process import ResponseCollector
 from repro.net.simloop import SimLoop, gather
 from repro.sim.runner import run_workload
+from repro.sim.workload import Operation
+from repro.types import Tag
 
 from tests.conftest import check_atomic_history, history_from_records
 
@@ -485,3 +491,54 @@ class TestFinishedRequestsDie:
         # them shows as a 10x difference, letting go as (nearly) none.
         assert abs(long[0] - short[0]) <= 16, (short, long)
         assert abs(long[1] - short[1]) <= 4, (short, long)
+
+
+#: The two records a run keeps for its whole length — every operation of the
+#: workload, generated up front, and every completed one — each with a field
+#: to replace.
+RECORDS = [
+    pytest.param(
+        Operation("c1", "write", "v1", issue_after=0.5, key="k3", batch_id=2,
+                  batch_index=1),
+        "key", id="operation"),
+    pytest.param(
+        OperationRecord(kind="read", value="v", tag=Tag(ts=3, pid="s1"),
+                        started_at=1.0, completed_at=2.5, restarts=1,
+                        contacted=4),
+        "restarts", id="operation-record"),
+]
+
+
+class TestSlottedRecords:
+    @pytest.mark.parametrize("record, field", RECORDS)
+    def test_no_instance_dict(self, record, field):
+        assert not hasattr(record, "__dict__")
+        # A frozen slotted dataclass's __setattr__ still names the class as it
+        # was before slots were added, so a new name raises TypeError there.
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1
+
+    def test_an_operation_stays_frozen(self):
+        operation = RECORDS[0].values[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            operation.kind = "read"
+
+    @pytest.mark.parametrize("record, field", RECORDS)
+    def test_copy_survives(self, record, field):
+        for duplicate in (copy.copy(record), copy.deepcopy(record)):
+            assert duplicate == record and duplicate is not record
+
+    @pytest.mark.parametrize("record, field", RECORDS)
+    def test_pickle_round_trip(self, record, field):
+        # Protocol 2 on: what copy and multiprocessing use.  A frozen
+        # slotted dataclass unpickles through the setstate dataclasses adds
+        # (the 3.10 edge); 0 and 1 cannot carry a slotted instance without it.
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            restored = pickle.loads(pickle.dumps(record, protocol))
+            assert restored == record and type(restored) is type(record)
+
+    @pytest.mark.parametrize("record, field", RECORDS)
+    def test_replace_changes_one_field(self, record, field):
+        changed = dataclasses.replace(record, **{field: 7})
+        assert getattr(changed, field) == 7
+        assert dataclasses.replace(changed, **{field: getattr(record, field)}) == record

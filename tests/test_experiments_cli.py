@@ -349,6 +349,28 @@ class TestAdmission:
                             grid={"max_time": [0, 100]}))
         assert excinfo.value.path == "max_time"
 
+    def test_a_function_scenario_sweep_is_refused_before_its_first_run(
+        self, monkeypatch, capsys
+    ):
+        # asset-transfer builds AssetTransferSpec from its keyword arguments:
+        # the section's bounds admit every point before one is dispatched.
+        def dispatched(*args, **kwargs):
+            raise AssertionError("a run was dispatched")
+
+        monkeypatch.setattr(executor, "execute_stream", dispatched)
+        monkeypatch.setattr(executor, "dispatch", dispatched)
+        assert main(["sweep", "asset-transfer", "-g", "ring_amount=1,-1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: asset-transfer[ring_amount=-1]: ring_amount must be a "
+            "finite number > 0, got -1",
+            "  at: ring_amount",
+        ]
+        with pytest.raises(ConfigurationError) as excinfo:
+            plan(JobRequest(kind="sweep", scenario="asset-transfer",
+                            grid={"ring_amount": [1, -1]}))
+        assert str(excinfo.value).startswith("asset-transfer[ring_amount=-1]: ")
+        assert excinfo.value.path == "ring_amount"
+
 
 class TestSweepStreamingCli:
     def test_jsonl_sink_streams_and_compares_clean(self, tmp_path, capsys):

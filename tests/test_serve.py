@@ -897,6 +897,16 @@ class TestRoutes:
         assert response.payload["error"]["path"] == "max_time"
         assert dispatch(service, "GET", "/jobs").payload == []
 
+    def test_a_bad_function_scenario_point_is_400_and_no_job(self, service):
+        job = {"kind": "sweep", "scenario": "asset-transfer",
+               "grid": {"ring_amount": [1, -1]}}
+        response = dispatch(service, "POST", "/jobs", json.dumps(job).encode())
+        assert response.status == 400
+        error = response.payload["error"]
+        assert error["path"] == "ring_amount"
+        assert error["message"].startswith("asset-transfer[ring_amount=-1]: ")
+        assert dispatch(service, "GET", "/jobs").payload == []
+
     @pytest.mark.parametrize("job, path", [
         ({"kind": "run", "scenario": BASELINE, "retry": "x"}, "retry"),
         ({"kind": "run", "scenario": BASELINE, "params": {"cluster.n": "abc"}},
