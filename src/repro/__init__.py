@@ -49,7 +49,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "quorum.majority": ("MajorityQuorumSystem",),
     "quorum.weighted": ("WeightedMajorityQuorumSystem", "smallest_quorum_size"),
-    "sim.cluster": ("build_dynamic_cluster", "build_static_cluster"),
+    "sim.cluster": ("build_dynamic_cluster",),
     "sim.workload": ("uniform_workload",),
     "workloads.generator": ("WorkloadGenerator",),
     "workloads.stats": ("workload_stats",),

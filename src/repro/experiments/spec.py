@@ -48,9 +48,7 @@ import functools
 import json
 import operator
 from dataclasses import dataclass
-from typing import (
-    Any, Callable, Collection, Dict, List, Mapping, Optional, Tuple, Union,
-)
+from typing import Any, Callable, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
@@ -67,12 +65,7 @@ from repro.net.latency import (
     SlowdownLatency,
     UniformLatency,
 )
-from repro.sim.cluster import (
-    Cluster,
-    ShardedCluster,
-    build_cluster,
-    build_sharded_cluster,
-)
+from repro.sim.cluster import Cluster, build_cluster
 from repro.sim.metrics import LatencySummary
 from repro.sim.runner import run_workload
 from repro.sim.workload import Workload
@@ -82,7 +75,7 @@ from repro.monitoring.policy import (
     wheat_style_weights,
 )
 from repro.obs import Observer, TraceEvent, observing, trace_digest, write_trace
-from repro.storage.sharded import expand_process_names, shard_process_name
+from repro.storage.sharded import expand_process_names
 from repro.types import ProcessId, VirtualTime, float_weights, server_set
 from repro.workloads.arrivals import (
     ArrivalProcess,
@@ -299,24 +292,12 @@ class ClusterSpec(SpecSection):
             initial_weights=weights,
         )
 
-    def build(
-        self, config: SystemConfig, latency: LatencyModel
-    ) -> Union[Cluster, ShardedCluster]:
-        """Wire up the deployment: one register, or ``shards`` of them.
-
-        ``shards == 1`` takes the classic single-register path, so existing
-        scenarios and their checked-in baselines are bit-identical to the
-        pre-sharding behaviour.
-        """
-        if self.shards > 1:
-            return build_sharded_cluster(
-                config,
-                shards=self.shards,
-                latency=latency,
-                client_count=self.client_count,
-                flavour=self.flavour,
-            )
-        return build_cluster(config, self.flavour, latency, self.client_count)
+    def build(self, config: SystemConfig, latency: LatencyModel) -> Cluster:
+        """Wire up the deployment: ``shards`` replica groups and their
+        clients; one shard is the single register under canonical names."""
+        return build_cluster(
+            config, self.flavour, latency, self.client_count, self.shards
+        )
 
 
 _KEY_DISTRIBUTIONS: Dict[str, Callable[..., Any]] = {
@@ -561,14 +542,13 @@ class MonitoringSpec(SpecSection):
         "scope": MONITORING_SCOPES, "prober": NON_EMPTY,
     }
 
-    def build(self, cluster: Union[Cluster, ShardedCluster]) -> MonitoringHarness:
+    def build(self, cluster: Cluster) -> MonitoringHarness:
         """Install the loop(s) on ``cluster`` — the adapter from a cluster to
         the replica groups each monitor covers — and return the harness
-        holding the controllers."""
-        shards = getattr(cluster, "shards", None)
-        if shards is None:
-            loops = [(self.prober, cluster.config, {0: cluster.servers})]
-        elif self.scope == "global":
+        holding the controllers.  At one shard both scopes are the one loop
+        under the canonical prober name."""
+        shards = cluster.shards
+        if self.scope == "global" or len(shards) == 1:
             every_shard = {group.index: group.servers for group in shards}
             loops = [(self.prober, cluster.config, every_shard)]
         else:
@@ -871,7 +851,7 @@ class FaultSpec(SpecSection):
         """
         self._timeline(shards, frozenset(known))
 
-    def arm(self, cluster: Union[Cluster, ShardedCluster], shards: int = 1) -> None:
+    def arm(self, cluster: Cluster, shards: int = 1) -> None:
         """Schedule every fault on ``cluster``'s loop, in timeline order.
 
         Same-time loop events run in scheduling order, so the network
@@ -1039,7 +1019,7 @@ def _summary_dict(summary: Optional[LatencySummary]) -> Optional[Dict[str, float
 
 
 #: What a catalogue scenario measures of the world and workload it ran.
-Measure = Callable[[Union[Cluster, ShardedCluster], Workload], Dict[str, Any]]
+Measure = Callable[[Cluster, Workload], Dict[str, Any]]
 
 
 def run_spec(spec: ScenarioSpec, measure: Optional[Measure] = None) -> Dict[str, Any]:
@@ -1109,17 +1089,10 @@ def _run_spec_inner(spec: ScenarioSpec, measure: Optional[Measure]) -> Dict[str,
         async def fire(event: TransferEvent) -> None:
             if event.at > 0:
                 await cluster.loop.sleep(event.at)
-            if sharded:
-                server = cluster.server(event.shard, event.source)
-            else:
-                server = cluster.servers[event.source]
-            # Spec-level transfers name canonical servers (s1); inside a sharded
-            # deployment the reassignment protocol addresses shard-qualified peers.
-            target = (
-                shard_process_name(event.target, event.shard)
-                if sharded
-                else event.target
-            )
+            # Spec-level transfers name canonical servers (s1); the protocol
+            # addresses the target by its name in the shard's group (s1#k).
+            server = cluster.server(event.shard, event.source)
+            target = cluster.server(event.shard, event.target).pid
             outcome = await server.transfer(target, event.delta)
             entry = {
                 "at": event.at,

@@ -1,8 +1,8 @@
 """Run a workload against a cluster and collect metrics.
 
-The runner is shard-aware: against a plain :class:`~repro.sim.cluster.
-Cluster` it drives the single register exactly as before, while against a
-:class:`~repro.sim.cluster.ShardedCluster` (whose clients are keyed
+The runner is shard-aware: against a one-shard
+:class:`~repro.sim.cluster.Cluster` it drives the single register, while
+against a sharded one (whose clients are keyed
 :class:`~repro.storage.sharded.ShardedStore` facades) it threads every
 operation's ``key`` through to the owning shard and extends the
 :class:`RunReport` with a per-shard load/latency breakdown plus an
@@ -12,10 +12,10 @@ operation's ``key`` through to the owning shard and extends the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.cluster import Cluster, ShardedCluster
+from repro.sim.cluster import Cluster
 from repro.sim.metrics import (
     ImbalanceSummary,
     LatencySummary,
@@ -84,7 +84,7 @@ class RunReport:
 
 
 def run_workload(
-    cluster: Union[Cluster, ShardedCluster],
+    cluster: Cluster,
     workload: Workload,
     max_time: Optional[VirtualTime] = None,
 ) -> RunReport:
@@ -156,8 +156,8 @@ def run_workload(
 
     shard_summaries: Optional[Tuple[ShardLoadSummary, ...]] = None
     imbalance: Optional[ImbalanceSummary] = None
-    shard_count = getattr(cluster, "shard_count", None)
-    if shard_count is not None:
+    shard_count = len(cluster.shards)
+    if shard_count > 1:
         shard_summaries, imbalance = summarize_shard_loads(placements, shard_count)
 
     # The observer the cluster captured at construction time (if any); the

@@ -124,12 +124,9 @@ def expand_process_names(
     where shard k's ``s1#k`` all run on the same physical machine ``s1``, so
     crashing or slowing the machine affects all of them.  A *qualified* name
     (``s1#2``) passes through unchanged and targets a single shard's
-    instance.  With one shard, names pass through untouched — this function
-    resolves *spec-level* names, where ``shards == 1`` means the classic
-    unsharded cluster with canonical process ids.  Callers driving
-    :func:`~repro.sim.cluster.build_sharded_cluster` directly (whose
-    processes are shard-qualified even at ``shards=1``) should address
-    processes by their qualified names instead.
+    instance.  With one shard, names pass through untouched: the one-shard
+    cluster of :func:`~repro.sim.cluster.build_cluster` runs under the
+    canonical process ids.
     """
     if shards < 1:
         raise ConfigurationError(f"need at least one shard, got {shards}")
@@ -167,11 +164,10 @@ def shard_config(template: SystemConfig, shard: int) -> SystemConfig:
 class ShardFactory:
     """Builds one shard's server group and per-client storage handles.
 
-    The two hooks mirror how the unsharded cluster builders are split:
     :meth:`build_servers` wires the shard's replica group onto the shared
     network, and :meth:`build_client` creates one logical client's handle
     into that shard.  Every storage flavour supplies a concrete factory, so
-    the sharded cluster builder is flavour-agnostic.
+    the one cluster builder is flavour-agnostic.
     """
 
     flavour = "abstract"

@@ -384,8 +384,8 @@ def _the_loops_as_they_were():
             window=spec.window, ewma_alpha=spec.ewma_alpha,
             policy=spec.policy.build(),
         )
-        shard_groups = getattr(cluster, "shards", None)
-        if shard_groups is None:
+        shard_groups = cluster.shards
+        if len(shard_groups) == 1:
             controllers = install_monitoring_control(
                 cluster.loop, cluster.network, cluster.servers, cluster.config,
                 prober_pid=spec.prober, **settings,
@@ -455,6 +455,25 @@ class TestOneLoopMatchesTheLoopsItReplaced:
         monitoring = result["monitoring"]
         assert monitoring["rounds_completed"] == monitoring["rounds"] == 6
         assert monitoring["transfers_attempted"] > 0
+
+
+    def test_one_shard_is_the_one_loop_under_either_scope(self):
+        # At one shard both scopes cover the same group with one prober,
+        # named ``mon`` (never ``mon#0``).
+        per_shard, global_ = (
+            run_with_stable_stack(run_spec, _monitored_spec(1, scope, seed=1))
+            for scope in ("per-shard", "global")
+        )
+        assert json.dumps(per_shard, sort_keys=True) == json.dumps(global_, sort_keys=True)
+        assert per_shard["monitoring"]["transfers_attempted"] > 0
+        for scope in ("per-shard", "global"):
+            spec = _monitored_spec(1, scope, seed=1)
+            config = spec.cluster.system_config()
+            with spec.cluster.build(config, spec.latency.build(seed=1)) as cluster:
+                spec.monitoring.build(cluster)
+                cluster.loop.run(until=0.0)  # start the control task cleanly
+                assert "mon" in cluster.network.process_ids()
+                assert "mon#0" not in cluster.network.process_ids()
 
 
 # ---------------------------------------------------------------------------

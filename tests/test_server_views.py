@@ -22,7 +22,6 @@ import pytest
 
 from repro.experiments.registry import all_scenarios, get_scenario
 from repro.experiments.spec import load_spec_file, run_spec
-from repro.storage.sharded import shard_process_name
 
 SPECS = Path(__file__).resolve().parent.parent / "examples" / "specs"
 
@@ -61,25 +60,14 @@ def _cases():
 
 
 def live_views(cluster, workload):
-    """``{shard: [view of each live server]}``; an unsharded cluster is
-    shard 0 under its plain server names."""
-    groups = getattr(cluster, "shards", None)
-    if groups is None:
-        groups = {0: cluster.servers}
-        qualified = {0: {pid: pid for pid in cluster.config.servers}}
-    else:
-        groups = {group.index: group.servers for group in groups}
-        qualified = {
-            index: {pid: shard_process_name(pid, index) for pid in cluster.config.servers}
-            for index in groups
-        }
+    """``{shard: [view of each live server]}``, read from each replica group."""
     return {"views": {
-        index: [
-            servers[name].local_weights()
-            for name in qualified[index].values()
+        group.index: [
+            server.local_weights()
+            for name, server in group.servers.items()
             if not cluster.network.is_crashed(name)
         ]
-        for index, servers in groups.items()
+        for group in cluster.shards
     }}
 
 

@@ -15,6 +15,7 @@ import pytest
 
 from tests.conftest import check_atomic_history, history_from_records
 from repro.core.spec import SystemConfig
+from repro.core.storage import DynamicWeightedStorageClient
 from repro.errors import ConfigurationError
 from repro.experiments import (
     ClusterSpec,
@@ -28,10 +29,13 @@ from repro.experiments import (
     get_scenario,
     run_spec,
 )
-from repro.sim.cluster import build_sharded_cluster
+from repro.sim.cluster import build_cluster
 from repro.sim.metrics import imbalance_summary, summarize_shard_loads
 from repro.sim.runner import run_workload
+from repro.storage.abd import StaticQuorumStorageClient
+from repro.storage.reconfigurable import ReconfigurableStorageClient
 from repro.storage.sharded import (
+    ShardedStore,
     base_process_name,
     expand_process_names,
     shard_config,
@@ -115,8 +119,8 @@ def _keys_on_distinct_shards(shards: int):
     ["dynamic-weighted", "static-majority", "static-weighted", "reconfigurable"],
 )
 def test_sharded_store_isolates_keys_per_flavour(flavour):
-    cluster = build_sharded_cluster(
-        SystemConfig.uniform(3, f=1), shards=3, client_count=1, flavour=flavour
+    cluster = build_cluster(
+        SystemConfig.uniform(3, f=1), flavour, client_count=1, shards=3
     )
     client = cluster.any_client()
     key_a, key_b = _keys_on_distinct_shards(3)
@@ -137,8 +141,8 @@ def test_sharded_store_isolates_keys_per_flavour(flavour):
 def test_shards_are_independent_registers():
     # A write through one shard must be invisible to the other shard's
     # register: reading a key of an untouched shard returns the initial None.
-    cluster = build_sharded_cluster(
-        SystemConfig.uniform(3, f=1), shards=2, client_count=1
+    cluster = build_cluster(
+        SystemConfig.uniform(3, f=1), "dynamic-weighted", client_count=1, shards=2
     )
     client = cluster.any_client()
     key_a, key_b = _keys_on_distinct_shards(2)
@@ -154,8 +158,8 @@ def test_sharded_store_rejects_concurrent_operations():
     # A logical client is sequential (the paper's model and the runner's
     # contract); concurrent ops on one facade would make per-shard record
     # attribution ambiguous, so the facade refuses loudly.
-    cluster = build_sharded_cluster(
-        SystemConfig.uniform(3, f=1), shards=2, client_count=1
+    cluster = build_cluster(
+        SystemConfig.uniform(3, f=1), "dynamic-weighted", client_count=1, shards=2
     )
     client = cluster.any_client()
 
@@ -172,8 +176,8 @@ def test_sharded_store_rejects_concurrent_operations():
 
 
 def test_sharded_history_per_shard_is_atomic():
-    cluster = build_sharded_cluster(
-        SystemConfig.uniform(3, f=1), shards=2, client_count=3
+    cluster = build_cluster(
+        SystemConfig.uniform(3, f=1), "dynamic-weighted", client_count=3, shards=2
     )
     generator = WorkloadGenerator(
         keys=ZipfianKeys(space=32, s=1.1), arrivals=ClosedLoopArrivals(0.5)
@@ -189,6 +193,62 @@ def test_sharded_history_per_shard_is_atomic():
         ]
         assert records, f"shard {shard} served nothing"
         assert check_atomic_history(history_from_records(records)) == []
+
+
+# ---------------------------------------------------------------------------
+# One cluster shape: a single register is the one-shard cluster
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "flavour, client_class",
+    [
+        ("dynamic-weighted", DynamicWeightedStorageClient),
+        ("static-majority", StaticQuorumStorageClient),
+        ("reconfigurable", ReconfigurableStorageClient),
+    ],
+)
+def test_one_shard_is_one_group_under_canonical_names(flavour, client_class):
+    config = SystemConfig.uniform(3, f=1)
+    with build_cluster(config, flavour, client_count=2) as cluster:
+        assert sorted(cluster.network.process_ids()) == ["c1", "c2", "s1", "s2", "s3"]
+        [group] = cluster.shards
+        assert (group.index, group.config) == (0, config)
+        assert group.servers is cluster.servers
+        assert list(cluster.servers) == ["s1", "s2", "s3"]
+        assert all(type(client) is client_class for client in cluster.clients.values())
+
+
+def test_more_shards_are_renamed_groups_behind_keyed_clients():
+    with build_cluster(
+        SystemConfig.uniform(3, f=1), "static-weighted", client_count=2, shards=3
+    ) as cluster:
+        assert [group.index for group in cluster.shards] == [0, 1, 2]
+        for group in cluster.shards:
+            assert list(group.servers) == [f"s{i}#{group.index}" for i in (1, 2, 3)]
+        assert len(cluster.servers) == 3 * 3
+        assert cluster.servers == {
+            pid: server for group in cluster.shards
+            for pid, server in group.servers.items()
+        }
+        assert list(cluster.clients) == ["c1", "c2"]
+        assert all(type(client) is ShardedStore for client in cluster.clients.values())
+        assert "c1#2" in cluster.network.process_ids()
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_a_server_resolves_by_canonical_or_qualified_name(shards):
+    with build_cluster(
+        SystemConfig.uniform(3, f=1), "dynamic-weighted", shards=shards
+    ) as cluster:
+        for index, group in enumerate(cluster.shards):
+            server = cluster.server(index, "s2")
+            assert server is cluster.server(index, f"s2#{index}")
+            assert server in group.servers.values()
+            assert server.pid == ("s2" if shards == 1 else f"s2#{index}")
+        # A name qualified into another shard is not this shard's server.
+        with pytest.raises(KeyError):
+            cluster.server(0, "s2#1")
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +457,7 @@ def test_invalid_shard_counts_rejected():
     with pytest.raises(ConfigurationError):
         run_spec(_sharded_spec(shards=0))
     with pytest.raises(ConfigurationError):
-        build_sharded_cluster(SystemConfig.uniform(3, f=1), shards=0)
+        build_cluster(SystemConfig.uniform(3, f=1), "dynamic-weighted", shards=0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,8 @@ from repro.net.latency import ConstantLatency, UniformLatency
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_size
 from repro.sim import (
+    build_cluster,
     build_dynamic_cluster,
-    build_static_cluster,
     run_workload,
     summarize,
     uniform_workload,
@@ -119,15 +119,15 @@ class TestClusterBuilders:
 
     def test_static_cluster_flavours(self):
         config = SystemConfig.uniform(5, f=1)
-        assert build_static_cluster(config).flavour == "static-majority"
-        assert build_static_cluster(config, weighted=True).flavour == "static-weighted"
+        for flavour in ("static-majority", "static-weighted"):
+            assert build_cluster(config, flavour).flavour == flavour
 
     def test_zero_clients_rejected(self):
         config = SystemConfig.uniform(3, f=1)
         with pytest.raises(ConfigurationError):
             build_dynamic_cluster(config, client_count=0)
         with pytest.raises(ConfigurationError):
-            build_static_cluster(config, client_count=0)
+            build_cluster(config, "static-majority", client_count=0)
 
 
 class TestRunWorkload:
@@ -143,7 +143,7 @@ class TestRunWorkload:
 
     def test_static_run_with_failures(self):
         config = SystemConfig.uniform(5, f=2)
-        cluster = build_static_cluster(config, latency=ConstantLatency(1.0))
+        cluster = build_cluster(config, "static-majority", latency=ConstantLatency(1.0))
         workload = uniform_workload(list(cluster.clients), 4, read_ratio=0.5, seed=5)
         FaultSpec(crashes=(("s5", 2.0),)).arm(cluster)
         report = run_workload(cluster, workload)

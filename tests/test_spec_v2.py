@@ -428,8 +428,10 @@ class TestFaultSpec:
     def test_spec_level_partition_expands_canonical_names(self):
         # s1 names the machine: every shard's s1 instance joins the one group.
         from repro.core.spec import SystemConfig
-        from repro.sim.cluster import build_sharded_cluster
-        cluster = build_sharded_cluster(SystemConfig.uniform(3, f=1), shards=2)
+        from repro.sim.cluster import build_cluster
+        cluster = build_cluster(
+            SystemConfig.uniform(3, f=1), "dynamic-weighted", shards=2
+        )
         FaultSpec(
             partitions=(PartitionSpec(at=1.0, groups=(("s1",),), heal_at=2.0),)
         ).arm(cluster, shards=2)

@@ -244,10 +244,13 @@ def unreached_modules(src: Path = SRC_ROOT) -> List[str]:
 
 #: Who may call what: a call of this name (bare or as an attribute) under
 #: ``src/repro`` is made by this one module.  ``repro.sim.cluster`` builds
-#: every world (a loop and the network on it); ``run_spec`` runs every
-#: workload, with its monitoring.
+#: every world (a loop and the network on it) and wires every replica group
+#: and its keyed clients; ``run_spec`` runs every workload, with its
+#: monitoring.
 OWNERS: Dict[str, str] = {
     "Network": "repro.sim.cluster",
+    "ShardedStore": "repro.sim.cluster",
+    "shard_factory": "repro.sim.cluster",
     "run_workload": "repro.experiments.spec",
     "install_monitoring": "repro.experiments.spec",
     "WorkloadGenerator": "repro.experiments.spec",
