@@ -29,9 +29,9 @@ one dotted-path parameter dict for the sweep engine (``cluster.n``,
 ``monitoring.policy.threshold``, ``faults.crashes``, ``seed``), and
 rebuilds with :meth:`ScenarioSpec.with_overrides`.
 
-:func:`run_spec` is the generic driver: build the cluster, install
-monitoring, generate the workload, arm faults and transfers, run, and
-return a plain JSON-serialisable result dict; it is the only code that
+:func:`run_spec` is the generic driver: :meth:`ScenarioSpec.build` builds
+a :class:`SpecRun`, whose ``run()`` arms and runs the world and whose
+``result()`` is a plain JSON-serialisable dict; it is the only code that
 runs a workload.  A catalogue scenario that adds a row to a storage run
 (``hotspot-shift-monitoring``, ``sharded-hotspot-reassignment``,
 ``dynamic-storage-adaptation``) builds a spec and passes ``run_spec`` a
@@ -65,9 +65,9 @@ from repro.net.latency import (
     SlowdownLatency,
     UniformLatency,
 )
+from repro.net.simloop import SimTask
 from repro.sim.cluster import Cluster, build_cluster
-from repro.sim.metrics import LatencySummary
-from repro.sim.runner import run_workload
+from repro.sim.runner import RunReport, run_workload
 from repro.sim.workload import Workload
 from repro.monitoring.loop import MonitoringHarness, install_monitoring
 from repro.monitoring.policy import (
@@ -109,6 +109,7 @@ __all__ = [
     "FailureSpec",
     "TransferEvent",
     "ScenarioSpec",
+    "SpecRun",
     "run_spec",
     "load_spec_file",
     "read_spec_file",
@@ -722,18 +723,18 @@ class FaultSpec(SpecSection):
     paths.)
 
     The section *is* the schedule: :meth:`_timeline` walks it once into
-    sorted crash/recover fates and partition boundaries, and validation,
-    :meth:`check_processes` and :meth:`arm` all read that one walk.
+    sorted crash/recover fates and partition boundaries, and validation and
+    :meth:`arm` both read that one walk.
 
     Validation is strict and names the offending dotted path: malformed
     entries, negative times, a recovery scheduled at or before its crash
     (replayed in :meth:`arm` order: recoveries resolve before crashes at
     equal times), a process in two groups of one window and overlapping
     partition windows all raise :class:`~repro.errors.ConfigurationError`
-    from :meth:`validate`; :meth:`check_processes` additionally rejects
-    faults targeting processes the built cluster does not have — both run
-    before the simulation starts, so a bad schedule can never fail (or
-    silently no-op) mid-run.
+    from :meth:`validate`; :meth:`arm` additionally rejects faults
+    targeting processes the built cluster does not have — both run before
+    the simulation starts, so a bad schedule can never fail (or silently
+    no-op) mid-run.
     """
 
     crashes: Tuple[Tuple[ProcessId, VirtualTime], ...] = ()
@@ -836,29 +837,13 @@ class FaultSpec(SpecSection):
         boundaries.sort(key=by_time_then_kind)
         return fates, boundaries
 
-    def check_processes(
-        self, known: Tuple[ProcessId, ...], shards: int = 1
-    ) -> None:
-        """Reject fault targets the cluster does not have, naming the path.
-
-        ``known`` is the built network's process id set (servers, clients,
-        probers); targets expand exactly as :meth:`arm` expands them, so this
-        check accepts exactly the schedules that resolve at run time — a
-        typo'd node fails here, up front, instead of raising
-        :class:`~repro.errors.UnknownProcessError` at its scheduled virtual
-        time, and ``s1`` beside ``s1#0`` in another group of a window fails
-        as the one process named twice.
-        """
-        self._timeline(shards, frozenset(known))
-
-    def arm(self, cluster: Cluster, shards: int = 1) -> None:
-        """Schedule every fault on ``cluster``'s loop, in timeline order.
-
-        Same-time loop events run in scheduling order, so the network
-        resolves equal-time faults exactly the way validation replays them.
-        """
-        fates, boundaries = self._timeline(shards)
+    def arm(self, cluster: Cluster) -> None:
+        """Check every target against ``cluster``'s network (names expand
+        over its shards), then schedule every fault on its loop in timeline
+        order: a typo'd node fails before the run, and equal-time faults
+        resolve in scheduling order, exactly as validation replays them."""
         loop, network = cluster.loop, cluster.network
+        fates, boundaries = self._timeline(len(cluster.shards), network.process_ids())
         for at, kind, pid, _ in fates:
             loop.call_at(at, network.crash if kind == CRASH else network.recover, pid)
         for at, kind, groups in boundaries:
@@ -943,6 +928,11 @@ class ScenarioSpec(SpecSection):
                     path=f"transfers[{index}]",
                 )
 
+    def build(self) -> "SpecRun":
+        """The world this spec describes, built and ready to run."""
+        latency = self.latency.build(seed=self.seed, shards=self.cluster.shards)
+        return SpecRun(self, self.cluster.build(self.cluster.system_config(), latency))
+
     def with_overrides(self, params: Optional[Mapping[str, Any]] = None) -> "ScenarioSpec":
         """Rebuild the spec with dotted-path overrides applied.
 
@@ -1014,12 +1004,110 @@ def load_spec_file(path: str) -> ScenarioSpec:
     return ScenarioSpec.from_dict(read_spec_file(path)).validate()
 
 
-def _summary_dict(summary: Optional[LatencySummary]) -> Optional[Dict[str, float]]:
-    return None if summary is None else summary.as_dict()
-
-
 #: What a catalogue scenario measures of the world and workload it ran.
 Measure = Callable[[Cluster, Workload], Dict[str, Any]]
+
+
+@dataclass
+class SpecRun:
+    """A spec's built world: :meth:`run` arms and runs it, :meth:`result`
+    reports it.  ``tasks`` pairs each scheduled transfer with its task."""
+
+    spec: ScenarioSpec
+    cluster: Cluster
+    harness: Optional[MonitoringHarness] = None
+    workload: Optional[Workload] = None
+    report: Optional[RunReport] = None
+    tasks: List[Tuple[TransferEvent, SimTask]] = dataclasses.field(default_factory=list)
+    transfers: List[Dict[str, Any]] = dataclasses.field(default_factory=list)
+
+    def run(self) -> None:
+        """Monitoring installs before the workload generates or any transfer
+        task spawns, matching the imperative scenarios' wiring order
+        event-for-event; faults arm last, then the workload runs."""
+        spec, cluster = self.spec, self.cluster
+        if spec.monitoring.enabled:
+            self.harness = spec.monitoring.build(cluster)
+        self.workload = spec.workload.build(tuple(cluster.clients), seed=spec.seed)
+        loop = cluster.loop
+        for event in spec.transfers:
+            task = loop.create_task(self.transfer(event), name=f"transfer@{event.at}")
+            self.tasks.append((event, task))
+        try:
+            spec.faults.arm(cluster)
+            self.report = run_workload(cluster, self.workload, max_time=spec.max_time)
+        except ConfigurationError:  # a refused target, or a trace's unknown client
+            for _, task in self.tasks:
+                task.cancel()  # closes a coroutine it never started
+            raise
+        loop.run()  # let trailing transfers / broadcast echoes settle
+        for event, task in self.tasks:
+            if not task.done():
+                self.transfers.append(self._entry(event))
+
+    async def transfer(self, event: TransferEvent) -> None:
+        """Run one scheduled transfer and record its entry, error included."""
+        if event.at > 0:
+            await self.cluster.loop.sleep(event.at)
+        # Spec-level transfers name canonical servers (s1); the protocol
+        # addresses the target by its name in the shard's group (s1#k).
+        server = self.cluster.server(event.shard, event.source)
+        target = self.cluster.server(event.shard, event.target).pid
+        entry = self._entry(event)
+        try:
+            outcome = await server.transfer(target, event.delta)
+        except Exception as error:  # noqa: BLE001 - reported, never lost
+            entry["error"] = f"{type(error).__name__}: {error}"
+        else:
+            entry["effective"], entry["latency"] = outcome.effective, outcome.latency
+        self.transfers.append(entry)
+
+    def _entry(self, event: TransferEvent) -> Dict[str, Any]:
+        entry = {"at": event.at, "source": event.source, "target": event.target,
+                 "delta": event.delta, "effective": None, "latency": None}
+        if len(self.cluster.shards) > 1:
+            entry["shard"] = event.shard
+        return entry
+
+    def result(self, measure: Optional[Measure] = None) -> Dict[str, Any]:
+        """The result dict; ``measure(cluster, workload)`` reads the drained world."""
+        spec, cluster, report = self.spec, self.cluster, self.report
+        reads, writes = report.read_latency, report.write_latency
+        result: Dict[str, Any] = {
+            "scenario": spec.name,
+            "flavour": report.flavour,
+            "seed": spec.seed,
+            "duration": report.duration,
+            "operations": report.operations,
+            "restarts": report.restarts,
+            "messages": report.messages_sent,
+            "read_latency": None if reads is None else reads.as_dict(),
+            "write_latency": None if writes is None else writes.as_dict(),
+            "transfers": self.transfers,
+            "workload": workload_stats(self.workload),
+        }
+        if self.harness is not None:
+            result["monitoring"] = self.harness.as_dict(report.shards is not None)
+        dynamic = cluster.flavour == "dynamic-weighted"
+        if report.shards is not None:
+            result["shards"] = [summary.as_dict() for summary in report.shards]
+            if report.imbalance is not None:
+                result["imbalance"] = report.imbalance.as_dict()
+            if dynamic:
+                result["shard_weights"] = {
+                    str(index): float_weights(weights)
+                    for index, weights in sorted(cluster.shard_weights().items())
+                }
+        elif dynamic:
+            crashed = cluster.network.is_crashed
+            surviving = [pid for pid in cluster.config.servers if not crashed(pid)]
+            if surviving:
+                result["weights"] = float_weights(
+                    cluster.servers[surviving[0]].local_weights()
+                )
+        if measure is not None:
+            result.update(measure(cluster, self.workload))
+        return result
 
 
 def run_spec(spec: ScenarioSpec, measure: Optional[Measure] = None) -> Dict[str, Any]:
@@ -1032,6 +1120,10 @@ def run_spec(spec: ScenarioSpec, measure: Optional[Measure] = None) -> Dict[str,
     load/latency breakdown), ``imbalance`` (hottest-shard share, max/mean
     ratio, load variance) and — for the dynamic-weighted flavour —
     ``shard_weights`` (each shard's independently evolving weight map).
+    Every scheduled transfer has one ``transfers`` entry: one whose
+    ``transfer`` call raised carries ``"effective": null``, ``"latency":
+    null`` and its ``"error"``, and one still running after the settle
+    carries the two nulls alone.
     Observability-enabled runs (``observability.enabled``) add ``metrics``
     and/or ``trace`` blocks; with it disabled (the default) the result is
     byte-identical to pre-observability baselines.
@@ -1041,11 +1133,17 @@ def run_spec(spec: ScenarioSpec, measure: Optional[Measure] = None) -> Dict[str,
     spec.validate()
     observer = spec.observability.build()
     if observer is None:
-        return _run_spec_inner(spec, measure)
-    # The observer must be ambient *before* the cluster is built: SimLoop,
-    # Network and ShardedStore capture it at construction time.
-    with observing(observer):
-        result = _run_spec_inner(spec, measure)
+        run = spec.build()
+    else:  # SimLoop, Network and ShardedStore capture it when they are built
+        with observing(observer):
+            run = spec.build()
+    # Closing the world once the result is made lets reference counting, not
+    # the cyclic collector, free every process and operation record.
+    with run.cluster:
+        run.run()
+        result = run.result(measure)
+    if observer is None:
+        return result
     if observer.metrics is not None:
         result["metrics"] = observer.metrics.as_dict()
     if observer.trace is not None:
@@ -1058,93 +1156,3 @@ def run_spec(spec: ScenarioSpec, measure: Optional[Measure] = None) -> Dict[str,
             "digest": write_trace(records, path) if path else trace_digest(records),
         }
     return result
-
-
-def _run_spec_inner(spec: ScenarioSpec, measure: Optional[Measure]) -> Dict[str, Any]:
-    sharded = spec.cluster.shards > 1
-    config = spec.cluster.system_config()
-    cluster = spec.cluster.build(
-        config, spec.latency.build(seed=spec.seed, shards=spec.cluster.shards)
-    )
-    # The run owns the world it built.  Closing it once the result is made
-    # lets reference counting, not the cyclic collector, free every process,
-    # collector and operation record.
-    with cluster:
-        # Monitoring installs before the workload generates or any transfer
-        # task spawns, matching the imperative scenarios' wiring order
-        # event-for-event.
-        harness: Optional[MonitoringHarness] = None
-        if spec.monitoring.enabled:
-            harness = spec.monitoring.build(cluster)
-        # Fault targets are checked against the fully built membership (servers,
-        # clients, probers) so a typo'd node fails before the run, not at its
-        # scheduled virtual time.
-        spec.faults.check_processes(
-            tuple(cluster.network.process_ids()), shards=spec.cluster.shards
-        )
-        workload = spec.workload.build(tuple(cluster.clients), seed=spec.seed)
-
-        transfer_outcomes: List[Dict[str, Any]] = []
-
-        async def fire(event: TransferEvent) -> None:
-            if event.at > 0:
-                await cluster.loop.sleep(event.at)
-            # Spec-level transfers name canonical servers (s1); the protocol
-            # addresses the target by its name in the shard's group (s1#k).
-            server = cluster.server(event.shard, event.source)
-            target = cluster.server(event.shard, event.target).pid
-            outcome = await server.transfer(target, event.delta)
-            entry = {
-                "at": event.at,
-                "source": event.source,
-                "target": event.target,
-                "delta": event.delta,
-                "effective": outcome.effective,
-                "latency": outcome.latency,
-            }
-            if sharded:
-                entry["shard"] = event.shard
-            transfer_outcomes.append(entry)
-
-        for event in spec.transfers:
-            cluster.loop.create_task(fire(event), name=f"transfer@{event.at}")
-
-        spec.faults.arm(cluster, shards=spec.cluster.shards)
-        report = run_workload(cluster, workload, max_time=spec.max_time)
-        cluster.loop.run()  # let trailing transfers / broadcast echoes settle
-
-        result: Dict[str, Any] = {
-            "scenario": spec.name,
-            "flavour": report.flavour,
-            "seed": spec.seed,
-            "duration": report.duration,
-            "operations": report.operations,
-            "restarts": report.restarts,
-            "messages": report.messages_sent,
-            "read_latency": _summary_dict(report.read_latency),
-            "write_latency": _summary_dict(report.write_latency),
-            "transfers": transfer_outcomes,
-            "workload": workload_stats(workload),
-        }
-        if harness is not None:
-            result["monitoring"] = harness.as_dict(sharded=sharded)
-        if sharded:
-            result["shards"] = [summary.as_dict() for summary in report.shards or ()]
-            if report.imbalance is not None:
-                result["imbalance"] = report.imbalance.as_dict()
-            if spec.cluster.flavour == "dynamic-weighted":
-                result["shard_weights"] = {
-                    str(index): float_weights(weights)
-                    for index, weights in sorted(cluster.shard_weights().items())
-                }
-        elif spec.cluster.flavour == "dynamic-weighted":
-            surviving = [
-                pid for pid in config.servers if not cluster.network.is_crashed(pid)
-            ]
-            if surviving:
-                result["weights"] = float_weights(
-                    cluster.servers[surviving[0]].local_weights()
-                )
-        if measure is not None:
-            result.update(measure(cluster, workload))
-        return result

@@ -92,9 +92,9 @@ def run_workload(
 
     Every client executes its operation sequence concurrently (operations
     within one client stay sequential, matching the paper's "processes are
-    sequential" model).  Faults are the caller's: whatever it scheduled on
-    ``cluster.loop`` beforehand (:meth:`repro.experiments.spec.FaultSpec.arm`
-    does) fires at its virtual time during the run.
+    sequential" model).  Faults and transfers are the caller's: what it
+    scheduled on ``cluster.loop`` beforehand (``SpecRun.run`` arms both) fires
+    at its virtual time, and what is pending at the end is its to settle.
 
     Operations carrying an absolute ``issue_at`` are driven open-loop: the
     client sleeps until that virtual time (measured from the run's start) and

@@ -7,12 +7,12 @@ every per-client operation record) so any change to event ordering — e.g. in
 the ready-deque fast path — fails loudly instead of shifting baselines by an
 ulp.  Beside it, the determinism gate: six fixed workloads, one per layer of
 the hot path, whose exact event / operation / message counts are test data
-here, a counted pass holding the steady storage run's Python and C calls
-per message to a ratchet, and a memory pin holding the live messages of a
-churn run's nested refresh reads to another.  The remaining tests pin the
-fast-path mechanics themselves: FIFO ordering across the heap/ready-deque
-split, the cached partition map, the detach-on-cancel rule, and the
-single-sort latency summary.
+here, counted passes holding the Python and C calls of the steady storage
+run (per message) and of a small serial sweep (per run) to ratchets, and a
+memory pin holding the live messages of a churn run's nested refresh reads
+to another.  The remaining tests pin the fast-path mechanics themselves:
+FIFO ordering across the heap/ready-deque split, the cached partition map,
+the detach-on-cancel rule, and the single-sort latency summary.
 
 Run the gate alone with ``python -m pytest tests/test_determinism.py``; CI
 runs it under ``PYTHONHASHSEED=0`` and ``=random``.
@@ -405,10 +405,24 @@ class TestExactCounts:
 #: 10.62 up to 3.11, 16.79 and 10.62 from 3.12): a rise fails, a fall is
 #: reported so that the pin can follow it down.
 STEADY_CALLS = {
-    (3, 10): (107835, 67966),
-    (3, 11): (107835, 67966),
-    (3, 12): (107483, 67966),
-    (3, 13): (107483, 67966),
+    (3, 10): (107834, 67965),
+    (3, 11): (107834, 67965),
+    (3, 12): (107482, 67965),
+    (3, 13): (107482, 67965),
+}
+
+#: ``(Python calls, C calls)`` of the counted sweep: ``quickstart`` without
+#: its transfer over 2 seeds x ``cluster.client_count`` 2/4 x
+#: ``workload.mix.read_ratio`` 0.2/0.8 (a slice of the ``sweep-fanout``
+#: grid), run by the serial executor.  It holds what every run of a sweep or
+#: a served job pays around its simulation (``with_overrides``, the spec's
+#: build, its ``SpecRun`` and result), which the one spec above does not.
+#: Measured like ``STEADY_CALLS``; 3.13 differs from 3.12 here.
+SWEEP_CALLS = {
+    (3, 10): (86386, 53872),
+    (3, 11): (86386, 53872),
+    (3, 12): (85921, 53872),
+    (3, 13): (85905, 53872),
 }
 
 
@@ -461,29 +475,56 @@ def _counted(run):
     return result, counts
 
 
+def _hold(pins, measured, units, unit, table):
+    """A rise over ``pins`` fails; a fall warns that ``table`` can follow."""
+    for what, value, pin in zip(("Python", "C"), measured, pins):
+        assert value <= pin, (
+            f"{what} calls rose to {value} ({value / units:.4f} per {unit}; "
+            f"pin {pin})")
+        if value < pin:
+            warnings.warn(
+                f"{what} calls fell to {value} ({value / units:.4f} per "
+                f"{unit}): lower the pin {pin} in {table}",
+                stacklevel=2)
+
+
+def _pins(table):
+    pins = table.get(sys.version_info[:2])
+    if pins is None:
+        pytest.skip(f"no pin for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    return pins
+
+
 class TestCountedPass:
     def test_calls_per_message_hold_their_pins(self):
         from repro.experiments.spec import run_spec
 
-        pins = STEADY_CALLS.get(sys.version_info[:2])
-        if pins is None:
-            pytest.skip(f"no pin for Python {sys.version_info[0]}.{sys.version_info[1]}")
+        pins = _pins(STEADY_CALLS)
         spec = _steady_spec()
         plain = run_spec(spec)  # also the warm-up: imports, caches
         counted, counts = _counted(lambda: run_spec(spec))
         assert json.dumps(counted, sort_keys=True) == json.dumps(plain, sort_keys=True)
         messages = counted["messages"]
         assert messages == 6400
-        measured = (counts["call"], counts["c_call"])
-        for what, value, pin in zip(("Python", "C"), measured, pins):
-            assert value <= pin, (
-                f"{what} calls rose to {value} ({value / messages:.4f} per "
-                f"message; pin {pin})")
-            if value < pin:
-                warnings.warn(
-                    f"{what} calls fell to {value} ({value / messages:.4f} per "
-                    f"message): lower the pin {pin} in STEADY_CALLS",
-                    stacklevel=1)
+        _hold(pins, (counts["call"], counts["c_call"]), messages, "message",
+              "STEADY_CALLS")
+
+    def test_calls_per_sweep_run_hold_their_pins(self):
+        from repro.experiments.executor import execute_many
+        from repro.experiments.results import dumps_json
+        from repro.experiments.sweep import expand_grid
+
+        pins = _pins(SWEEP_CALLS)
+        runs = expand_grid("quickstart", grid={
+            "seed": [0, 1], "cluster.client_count": [2, 4],
+            "workload.mix.read_ratio": [0.2, 0.8],
+        }, base={"transfers": ()})
+        plain = dumps_json(execute_many(runs, workers=1))  # and the warm-up
+        counted, counts = _counted(lambda: execute_many(runs, workers=1))
+        assert dumps_json(counted) == plain
+        assert len(runs) == 8
+        _hold(pins, (counts["call"], counts["c_call"]), len(runs), "run",
+              "SWEEP_CALLS")
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,9 @@ class RunGate:
 
         self.log = tmp_path / "gate-runs.jsonl"
         self.opened = tmp_path / "gate-open"
-        run_inner = spec_module._run_spec_inner
+        run = spec_module.SpecRun.run
 
-        def gated(spec, measure=None):
+        def gated(spec_run):
             with open(self.log, "a", encoding="utf-8") as handle:
                 handle.write(json.dumps({
                     "pid": os.getpid(), "registry": sorted(registry._REGISTRY),
@@ -131,9 +131,9 @@ class RunGate:
             while (held and not self.opened.exists()
                    and time.monotonic() < deadline):
                 time.sleep(0.005)
-            return run_inner(spec, measure)
+            return run(spec_run)
 
-        monkeypatch.setattr(spec_module, "_run_spec_inner", gated)
+        monkeypatch.setattr(spec_module.SpecRun, "run", gated)
 
     def entries(self):
         if not self.log.exists():
@@ -1004,21 +1004,21 @@ class TestHTTPServer:
         }
         assert json.loads(want[3])["result"]["trace"]["records"] > 0
 
-        # Each run has installed its observer when it gets here; it builds
-        # its world only once the other has too, and keeps observing until
-        # the other is done.  The workers fork in `start()`, below, with the
-        # patch and this barrier in place.
+        # Each run has built its world under its own observer when it gets
+        # here; it runs only once the other has built too, and its world
+        # stays open until the other is done.  The workers fork in `start()`,
+        # below, with the patch and this barrier in place.
         both_there = multiprocessing.get_context("fork").Barrier(2, timeout=30.0)
-        run_inner = spec_module._run_spec_inner
+        run = spec_module.SpecRun.run
 
-        def run_inner_together(spec, measure=None):
+        def run_together(spec_run):
             both_there.wait()
             try:
-                return run_inner(spec, measure)
+                return run(spec_run)
             finally:
                 both_there.wait()
 
-        monkeypatch.setattr(spec_module, "_run_spec_inner", run_inner_together)
+        monkeypatch.setattr(spec_module.SpecRun, "run", run_together)
         service = ExperimentService(
             str(tmp_path / "jobs"), workers=1, job_concurrency=2
         )

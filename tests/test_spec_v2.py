@@ -434,7 +434,7 @@ class TestFaultSpec:
         )
         FaultSpec(
             partitions=(PartitionSpec(at=1.0, groups=(("s1",),), heal_at=2.0),)
-        ).arm(cluster, shards=2)
+        ).arm(cluster)
         cluster.loop.run(until=1.5)
         network = cluster.network
         assert not network._crosses_partition("s1#0", "s1#1")
@@ -627,25 +627,60 @@ class TestFaultWindowValidation:
         ):
             run_spec(spec)
 
+    @pytest.mark.parametrize("refused", ["fault target", "trace client"])
+    def test_a_refused_run_leaves_no_transfer_unstarted(self, refused, tmp_path):
+        # The transfer tasks exist when arm() refuses a fault target, or
+        # run_workload() a replayed trace's client: they are closed, not
+        # left to warn that their coroutine was never awaited.
+        import gc
+        import warnings
+
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"client": "c9", "kind": "read"}\n', encoding="utf-8")
+        params = {"fault target": {"faults.crashes": (("s9", 1.0),)},
+                  "trace client": {"workload.trace": str(trace)}}[refused]
+        spec = load_spec_file(str(SPEC_DIR / "quickstart.json"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError, match="unknown"):
+                run_spec(spec.with_overrides(params))
+            gc.collect()
+        assert [str(warning.message) for warning in caught] == []
+
+    @staticmethod
+    def cluster(shards=1):
+        from repro.core.spec import SystemConfig
+        from repro.sim.cluster import build_cluster
+        return build_cluster(
+            SystemConfig.uniform(3, f=1), "dynamic-weighted", client_count=1,
+            shards=shards,
+        )
+
     def test_unknown_outage_and_partition_targets_named_by_path(self):
-        known = ("s1", "s2", "c1")
+        cluster = self.cluster()
         with pytest.raises(ConfigurationError,
                            match=r"faults\.outages\[0\].*'ghost'"):
-            FaultSpec(outages=(("ghost", 1.0),)).check_processes(known)
+            FaultSpec(outages=(("ghost", 1.0),)).arm(cluster)
         with pytest.raises(
             ConfigurationError,
             match=r"faults\.partitions\[0\]\.groups\[1\].*'gone'",
         ):
             FaultSpec(partitions=(
                 PartitionSpec(at=1.0, groups=(("s1",), ("gone",)), heal_at=2.0),
-            )).check_processes(known)
+            )).arm(cluster)
+        assert cluster.loop.pending_event_count() == 0  # refused whole
 
-    def test_check_processes_expands_sharded_names(self):
-        # Canonical names pass when every shard-qualified expansion exists.
-        known = ("s1#0", "s1#1", "s2#0", "s2#1")
-        FaultSpec(crashes=(("s1", 1.0),)).check_processes(known, shards=2)
+    def test_arm_expands_sharded_names(self):
+        # The shard count is the cluster's: a canonical name crashes the
+        # machine, its instance in every shard, and one no shard has fails.
+        cluster = self.cluster(shards=2)
         with pytest.raises(ConfigurationError, match="unknown process"):
-            FaultSpec(crashes=(("s3", 1.0),)).check_processes(known, shards=2)
+            FaultSpec(crashes=(("s4", 1.0),)).arm(cluster)
+        FaultSpec(crashes=(("s1", 1.0),)).arm(cluster)
+        cluster.loop.run(until=2.0)
+        network = cluster.network
+        assert network.is_crashed("s1#0") and network.is_crashed("s1#1")
+        assert not network.is_crashed("s2#0")
 
     @staticmethod
     def armed(faults):
@@ -684,11 +719,65 @@ class TestFaultWindowValidation:
             PartitionSpec(at=1.0, groups=(("s1",), ("s1#0", "s2")),
                           heal_at=3.0),
         )).validate()
-        known = ("s1#0", "s1#1", "s2#0", "s2#1")
         with pytest.raises(ConfigurationError, match="'s1#0', already in "
                            r"groups\[0\]") as caught:
-            faults.check_processes(known, shards=2)
+            faults.arm(self.cluster(shards=2))
         assert caught.value.path == "faults.partitions[0].groups[1]"
+
+
+class TestScheduledTransfersAreReported:
+    """Every scheduled transfer has one ``transfers`` entry: finished, raised
+    (``error``) or still running after the settle (two nulls)."""
+
+    @staticmethod
+    def transfers(**params):
+        spec = load_spec_file(str(SPEC_DIR / "quickstart.json"))
+        result = run_spec(spec.with_overrides(params))
+        assert result["operations"] == 20
+        return result["transfers"]
+
+    def test_an_overlapping_transfer_reports_its_error_when_it_raises(self):
+        first, second = self.transfers(transfers=(
+            (5.0, "s1", "s2", 0.1), (5.1, "s1", "s3", 0.1),
+        ))
+        assert second["at"] == 5.0 and second["effective"] is True
+        assert second["latency"] > 0 and "error" not in second
+        assert first == {
+            "at": 5.1, "source": "s1", "target": "s3", "delta": 0.1,
+            "effective": None, "latency": None,
+            "error": "SimulationError: s1 invoked transfer while a previous "
+                     "transfer is pending",
+        }
+
+    def test_a_crashed_source_reports_its_error(self):
+        (entry,) = self.transfers(**{"faults.crashes": (("s1", 1.0),)})
+        assert entry["effective"] is None and entry["latency"] is None
+        assert entry["error"] == "CrashedProcessError: process s1 has crashed"
+
+    def test_an_unfinished_transfer_is_reported_after_the_settle(self):
+        # With s3 and s4 down, s1 hears 2 of the n - f - 1 = 3 acks it needs.
+        (entry,) = self.transfers(**{"faults.crashes": (
+            ("s3", 4.0), ("s4", 4.0),
+        )})
+        assert entry == {"at": 5.0, "source": "s1", "target": "s2",
+                         "delta": 0.25, "effective": None, "latency": None}
+
+    def test_unfinished_transfers_are_reported_in_schedule_order(self):
+        entries = self.transfers(**{
+            "faults.crashes": (("s3", 4.0), ("s4", 4.0)),
+            "transfers": ((5.0, "s1", "s2", 0.1), (4.5, "s2", "s5", 0.1)),
+        })
+        assert [(entry["at"], entry["effective"]) for entry in entries] == [
+            (5.0, None), (4.5, None),
+        ]
+
+    def test_a_sharded_entry_names_its_shard_whatever_its_outcome(self):
+        entries = self.transfers(**{
+            "cluster.shards": 2,
+            "transfers": ((5.0, "s1", "s2", 0.1, 1), (5.1, "s1", "s3", 0.1, 1)),
+        })
+        assert [(entry["shard"], entry.get("error", "")[:15])
+                for entry in entries] == [(1, "SimulationError"), (1, "")]
 
 
 class TestSpecFiles:

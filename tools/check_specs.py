@@ -63,10 +63,7 @@ def check_spec_file(path: Path) -> List[str]:
         return [f"{name}: does not round-trip through to_dict() / from_dict()"]
     try:
         # Build every runtime object the spec describes, without running.
-        config = spec.cluster.system_config()
-        cluster = spec.cluster.build(
-            config, spec.latency.build(seed=spec.seed, shards=spec.cluster.shards)
-        )
+        cluster = spec.build().cluster
         spec.workload.build(tuple(cluster.clients), seed=spec.seed)
         if spec.monitoring.enabled:
             spec.monitoring.build(cluster)
