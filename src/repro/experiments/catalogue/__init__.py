@@ -29,8 +29,9 @@ A scenario over the storage layer is a spec plus a row:
 function, equal at the defaults to their ``examples/specs/`` file; E6's
 file is its dynamic arm), run it with
 :func:`~repro.experiments.spec.run_spec` and tabulate its result.  E8's
-storage case study builds its own worlds, because the reconfigurable store
-has no spec form (see :mod:`repro.experiments.spec`).
+storage case study builds its own two worlds, one per store, and runs one
+liveness probe on each: the reconfigurable store is no cluster flavour, so
+it has no spec form (see :mod:`repro.experiments.spec`).
 
 Nothing imports them all up front:
 :data:`repro.experiments.registry.BUILTIN_FAMILIES` maps each scenario name

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Sequence, Tuple
 
 from repro.core.spec import SystemConfig
 from repro.errors import DeadlockError, SimTimeoutError
 from repro.experiments.registry import scenario
 from repro.experiments.spec import ScenarioSpec, run_spec
-from repro.sim.cluster import build_dynamic_cluster, build_world
+from repro.sim.cluster import World, build_dynamic_cluster, build_world
 from repro.sim.metrics import summarize
 from repro.storage.reconfigurable import (
     ReconfigurableStorageClient,
@@ -31,50 +31,44 @@ RECONFIG_SCHEDULES: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
 )
 
 
+def _stays_live(
+    world: World, client: Any, change: Callable[[], Awaitable[Any]],
+    crashes: Sequence[str],
+) -> bool:
+    """Whether ``client`` still writes and reads back once ``change`` (an
+    in-flight operator action) is done and ``crashes`` have crashed."""
+
+    async def run() -> Any:
+        await client.write("seed")
+        await change()
+        for pid in crashes:
+            world.network.crash(pid)
+        await client.write("after-crashes")
+        return await client.read()
+
+    try:
+        value = world.loop.run_until_complete(run(), max_time=10_000.0)
+        return value == "after-crashes"
+    except (DeadlockError, SimTimeoutError):
+        return False
+
+
 def _dynamic_stays_live(crashes: Sequence[str]) -> bool:
-    config = SystemConfig.uniform(5, f=2)
-    with build_dynamic_cluster(config, client_count=1) as cluster:
-        client = cluster.any_client()
-
-        async def run() -> Any:
-            await client.write("seed")
-            # An in-flight "operator action".
-            await cluster.servers["s1"].transfer("s3", 0.2)
-            for pid in crashes:
-                cluster.network.crash(pid)
-            await client.write("after-crashes")
-            return await client.read()
-
-        try:
-            value = cluster.loop.run_until_complete(run(), max_time=10_000.0)
-            return value == "after-crashes"
-        except (DeadlockError, SimTimeoutError):
-            return False
+    with build_dynamic_cluster(SystemConfig.uniform(5, f=2), client_count=1) as cluster:
+        return _stays_live(cluster, cluster.any_client(),
+                           lambda: cluster.servers["s1"].transfer("s3", 0.2), crashes)
 
 
 def _reconfigurable_stays_live(crashes: Sequence[str]) -> bool:
     with build_world() as world:
-        loop, network = world.loop, world.network
         everyone = server_set(8)
         initial = server_set(5)
         for pid in everyone:
-            ReconfigurableStorageServer(pid, network, initial)
-        client = ReconfigurableStorageClient("c1", network, initial, everyone)
-
-        async def run() -> Any:
-            await client.write("seed")
-            # The operator proposes replacing s3/s4/s5 with s6/s7 (a pending config).
-            await client.reconfigure(("s1", "s2", "s6", "s7"))
-            for pid in crashes:
-                network.crash(pid)
-            await client.write("after-crashes")
-            return await client.read()
-
-        try:
-            value = loop.run_until_complete(run(), max_time=10_000.0)
-            return value == "after-crashes"
-        except (DeadlockError, SimTimeoutError):
-            return False
+            ReconfigurableStorageServer(pid, world.network, initial)
+        client = ReconfigurableStorageClient("c1", world.network, initial, everyone)
+        # The operator proposes replacing s3/s4/s5 with s6/s7 (a pending config).
+        return _stays_live(world, client,
+                           lambda: client.reconfigure(("s1", "s2", "s6", "s7")), crashes)
 
 
 @scenario(

@@ -38,7 +38,8 @@ runs a workload.  A catalogue scenario that adds a row to a storage run
 ``measure``.  Scenarios that do not fit the mold register plain functions
 (:mod:`repro.experiments.registry`): analytic comparisons and protocol
 walkthroughs, and ``storage-vs-reconfig``, whose reconfigurable store is no
-cluster flavour and whose result is liveness.
+cluster flavour (:data:`repro.sim.cluster.FLAVOURS` lists those) and whose
+result is liveness.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from repro.net.latency import (
     UniformLatency,
 )
 from repro.net.simloop import SimTask
-from repro.sim.cluster import Cluster, build_cluster
+from repro.sim.cluster import FLAVOURS, Cluster, build_cluster
 from repro.sim.runner import RunReport, run_workload
 from repro.sim.workload import Workload
 from repro.monitoring.loop import MonitoringHarness, install_monitoring
@@ -115,7 +116,6 @@ __all__ = [
     "read_spec_file",
 ]
 
-CLUSTER_FLAVOURS = ("dynamic-weighted", "static-majority", "static-weighted")
 MONITORING_SCOPES = ("per-shard", "global")
 
 
@@ -252,11 +252,13 @@ class LatencySpec(SpecSection):
 class ClusterSpec(SpecSection):
     """Cluster flavour, size, fault threshold, sharding and initial weights.
 
-    ``n``, ``f`` and ``initial_weights`` describe one replica group; with
-    ``shards > 1`` that group is the *per-shard template* and the deployment
-    runs ``shards`` independent copies of it behind a key-hash router (so a
-    sweep over ``cluster.shards`` scales the key space out without touching
-    any other axis).  ``shards`` is sweepable like every other field.
+    ``flavour`` names an entry of :data:`repro.sim.cluster.FLAVOURS`, the
+    one table of storage flavours.  ``n``, ``f`` and ``initial_weights``
+    describe one replica group; with ``shards > 1`` that group is the
+    *per-shard template* and the deployment runs ``shards`` independent
+    copies of it behind a key-hash router (so a sweep over ``cluster.shards``
+    scales the key space out without touching any other axis).  ``shards``
+    is sweepable like every other field.
     """
 
     flavour: str = "dynamic-weighted"
@@ -267,7 +269,7 @@ class ClusterSpec(SpecSection):
     shards: int = 1
 
     _bounds = {
-        "flavour": CLUSTER_FLAVOURS, "n": at_least(1), "f": NON_NEGATIVE,
+        "flavour": tuple(FLAVOURS), "n": at_least(1), "f": NON_NEGATIVE,
         "client_count": at_least(1), "initial_weights": NON_NEGATIVE,
         "shards": at_least(1),
     }
@@ -1033,13 +1035,8 @@ class SpecRun:
         for event in spec.transfers:
             task = loop.create_task(self.transfer(event), name=f"transfer@{event.at}")
             self.tasks.append((event, task))
-        try:
-            spec.faults.arm(cluster)
-            self.report = run_workload(cluster, self.workload, max_time=spec.max_time)
-        except ConfigurationError:  # a refused target, or a trace's unknown client
-            for _, task in self.tasks:
-                task.cancel()  # closes a coroutine it never started
-            raise
+        spec.faults.arm(cluster)
+        self.report = run_workload(cluster, self.workload, max_time=spec.max_time)
         loop.run()  # let trailing transfers / broadcast echoes settle
         for event, task in self.tasks:
             if not task.done():

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from inspect import CORO_CREATED, getcoroutinestate
 from typing import (
     Any,
     Awaitable,
@@ -489,7 +490,17 @@ class SimLoop:
         """Drop the events still queued: each holds a callback (a task's
         step, a network's delivery) that keeps the world alive.  Drop the
         observer too: an unfinished task keeps its closed loop, and must not
-        keep a run's trace through it."""
+        keep a run's trace through it.
+
+        A task whose first step is still queued never started: its coroutine
+        is closed, which runs none of its code (Python would warn that it was
+        never awaited).  A suspended task's coroutine is left as it is:
+        closing it would run its ``finally`` after the run."""
+        for _, callback, _ in self._ready:  # every task step is a ready event
+            task = getattr(callback, "__self__", None)
+            if isinstance(task, SimTask) and (
+                    getcoroutinestate(task._coro) == CORO_CREATED):
+                task._coro.close()
         self._events.clear()
         self._ready.clear()
         self.obs = None

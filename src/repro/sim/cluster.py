@@ -6,12 +6,11 @@ closes every process and the loop drops its queued events, so reference
 counting alone frees the run.  ``build_world`` is the bare pair, for
 protocols that bring their own processes.
 
-``build_cluster`` wires any storage flavour, from the per-flavour factory in
-:mod:`repro.storage.sharded`, into a :class:`Cluster`: one replica group per
-shard and its clients, the handles the runner and the examples operate on.
-A single register is the one-shard cluster, under canonical process names;
-more shards are key-hashed groups behind keyed
-:class:`~repro.storage.sharded.ShardedStore` clients.
+``build_cluster`` wires any storage flavour of :data:`FLAVOURS` into a
+:class:`Cluster`: one replica group per shard and its clients, the handles
+the runner and the examples operate on.  A single register is the one-shard
+cluster, under canonical process names; more shards are key-hashed groups
+behind keyed :class:`~repro.storage.sharded.ShardedStore` clients.
 ``build_dynamic_cluster`` names the paper's dynamic-weighted storage
 (:mod:`repro.core.storage`), whose servers also run the reassignment
 protocol.
@@ -20,7 +19,7 @@ protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.protocol import ReassignmentServer
 from repro.core.spec import SystemConfig
@@ -29,17 +28,19 @@ from repro.errors import ConfigurationError
 from repro.net.latency import LatencyModel
 from repro.net.network import Network
 from repro.net.simloop import SimLoop
+from repro.quorum.majority import MajorityQuorumSystem
+from repro.quorum.weighted import WeightedMajorityQuorumSystem
 from repro.storage.abd import StaticQuorumStorageClient, StaticQuorumStorageServer
 from repro.storage.sharded import (
     ShardedStore,
     base_process_name,
     shard_config,
-    shard_factory,
     shard_process_name,
 )
 from repro.types import ProcessId, Weight, client_name
 
 __all__ = [
+    "FLAVOURS",
     "Cluster",
     "ReassignmentFleet",
     "ShardGroup",
@@ -54,6 +55,35 @@ StorageClient = Union[
     DynamicWeightedStorageClient, StaticQuorumStorageClient, ShardedStore
 ]
 StorageServer = Union[DynamicWeightedStorageServer, StaticQuorumStorageServer]
+#: Builds one server or client of a flavour: ``(pid, network, config)``.
+Builder = Callable[[ProcessId, Network, SystemConfig], Any]
+
+
+def _static_server(
+    pid: ProcessId, network: Network, config: SystemConfig
+) -> StaticQuorumStorageServer:
+    return StaticQuorumStorageServer(pid, network)
+
+
+#: Every storage flavour a cluster runs, and its ``(server, client)``
+#: builders: the paper's dynamic-weighted storage (each shard runs its own
+#: reassignment protocol) and classical ABD over a static majority or
+#: weighted-majority quorum system.  ``ClusterSpec`` admits these names.
+FLAVOURS: Dict[str, Tuple[Builder, Builder]] = {
+    "dynamic-weighted": (DynamicWeightedStorageServer, DynamicWeightedStorageClient),
+    "static-majority": (
+        _static_server,
+        lambda pid, network, config: StaticQuorumStorageClient(
+            pid, network, MajorityQuorumSystem(config.servers)
+        ),
+    ),
+    "static-weighted": (
+        _static_server,
+        lambda pid, network, config: StaticQuorumStorageClient(
+            pid, network, WeightedMajorityQuorumSystem(config.initial_weights)
+        ),
+    ),
+}
 
 
 @dataclass
@@ -199,39 +229,42 @@ def build_cluster(
     reassignment state evolve on their own, and each logical client owns
     one sub-client per shard (``c1#k``) behind a keyed
     :class:`~repro.storage.sharded.ShardedStore`.  Servers are built before
-    clients, shard by shard, from the flavour's
-    :func:`~repro.storage.sharded.shard_factory`.
+    clients, shard by shard, from the flavour's :data:`FLAVOURS` builders.
     """
     if shards < 1:
         raise ConfigurationError(f"need at least one shard, got {shards}")
     if client_count < 1:
         raise ConfigurationError("need at least one client")
-    factory = shard_factory(flavour)
+    try:
+        build_server, build_client = FLAVOURS[flavour]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown storage flavour {flavour!r}; expected one of {', '.join(FLAVOURS)}"
+        ) from None
     loop = SimLoop()
     network = Network(loop, latency)
     clients: Dict[ProcessId, StorageClient] = {}
     if shards == 1:
         # No loop over one group: the steady run's counted calls cover the build.
-        servers = factory.build_servers(config, network)
+        servers = {pid: build_server(pid, network, config) for pid in config.servers}
         groups = [ShardGroup(index=0, config=config, servers=servers)]
         for index in range(1, client_count + 1):
             pid = client_name(index)
-            clients[pid] = factory.build_client(pid, network, config)
+            clients[pid] = build_client(pid, network, config)
     else:
         groups = []
         servers = {}
         for index in range(shards):
             sharded = shard_config(config, index)
-            group = ShardGroup(index=index, config=sharded,
-                               servers=factory.build_servers(sharded, network))
+            group = ShardGroup(index=index, config=sharded, servers={
+                pid: build_server(pid, network, sharded) for pid in sharded.servers
+            })
             groups.append(group)
             servers.update(group.servers)
         for index in range(1, client_count + 1):
             pid = client_name(index)
             clients[pid] = ShardedStore(pid, [
-                factory.build_client(
-                    shard_process_name(pid, group.index), network, group.config
-                )
+                build_client(shard_process_name(pid, group.index), network, group.config)
                 for group in groups
             ])
     return Cluster(

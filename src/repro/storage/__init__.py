@@ -8,10 +8,11 @@
   static-weight WMQS storage (WHEAT-style) the dynamic variant improves on.
 * :mod:`repro.storage.reconfigurable` — a simplified reconfigurable atomic
   storage used for the Section VIII availability comparison (E8).
-* :mod:`repro.storage.sharded` — key-sharded composition: N independent
-  register instances (any of the flavours above, via a common factory)
-  behind a keyed ``read(key)``/``write(value, key)`` facade, each shard
-  carrying its own quorum weights and reassignment state.
+* :mod:`repro.storage.sharded` — key-sharded composition: routing and
+  naming for N independent register instances behind a keyed
+  ``read(key)``/``write(value, key)`` facade, each shard carrying its own
+  quorum weights and reassignment state (the flavours a shard may run are
+  :data:`repro.sim.cluster.FLAVOURS`).
 """
 
 from repro._lazy import lazy_exports
@@ -20,9 +21,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "abd": ("StaticQuorumStorageServer", "StaticQuorumStorageClient"),
     "reconfigurable": ("ReconfigurableStorageServer", "ReconfigurableStorageClient"),
     "sharded": (
-        "ShardFactory", "DynamicWeightedShardFactory", "StaticQuorumShardFactory",
-        "ReconfigurableShardFactory", "ShardedRecord", "ShardedStore",
-        "base_process_name", "expand_process_names", "shard_config", "shard_factory",
-        "shard_for_key", "shard_process_name",
+        "ShardedRecord", "ShardedStore", "base_process_name", "expand_process_names",
+        "shard_config", "shard_for_key", "shard_process_name",
     ),
 })

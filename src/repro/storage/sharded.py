@@ -12,11 +12,10 @@ adds that layer without touching any protocol code:
   randomised per process): the same key maps to the same shard in every
   process, which is what makes sharded runs deterministic under fixed seeds
   and bit-identical between serial and parallel sweep executions.
-* :class:`ShardFactory` and its three concrete factories — one per storage
-  flavour (the paper's dynamic-weighted store, classical ABD over a static
-  quorum system, and the reconfigurable comparator of Section VIII).  A
-  factory builds one shard's server group and per-client handles over a
-  *shared* network, so all shards advance in one coherent virtual timeline.
+* :func:`shard_process_name` / :func:`shard_config` — the names and the
+  per-shard config under which :func:`~repro.sim.cluster.build_cluster`
+  wires each shard's replica group over a *shared* network, so all shards
+  advance in one coherent virtual timeline.
 * :class:`ShardedStore` — the per-client facade: ``read(key)`` /
   ``write(value, key)`` route each operation to the register instance owning
   the key's shard.  Because shards are independent registers, atomicity holds
@@ -31,7 +30,9 @@ keep their initial weights.
 Shard-local processes share the simulated network, so their ids are
 suffixed with the shard index (``s1#0`` is shard 0's first server,
 ``c2#1`` is client ``c2``'s handle into shard 1); :func:`shard_process_name`
-/ :func:`base_process_name` convert between the two namings.
+/ :func:`base_process_name` convert between the two namings.  Which
+storage flavour a shard runs is :data:`repro.sim.cluster.FLAVOURS`'s
+business, not this module's.
 """
 
 from __future__ import annotations
@@ -40,22 +41,9 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.spec import SystemConfig
-from repro.core.storage import (
-    DynamicWeightedStorageClient,
-    DynamicWeightedStorageServer,
-    OperationRecord,
-)
+from repro.core.storage import OperationRecord
 from repro.errors import ConfigurationError
-from repro.net.network import Network
 from repro.obs.observer import current_observer
-from repro.quorum.base import QuorumSystem
-from repro.quorum.majority import MajorityQuorumSystem
-from repro.quorum.weighted import WeightedMajorityQuorumSystem
-from repro.storage.abd import StaticQuorumStorageClient, StaticQuorumStorageServer
-from repro.storage.reconfigurable import (
-    ReconfigurableStorageClient,
-    ReconfigurableStorageServer,
-)
 from repro.types import ProcessId
 
 __all__ = [
@@ -64,11 +52,6 @@ __all__ = [
     "base_process_name",
     "expand_process_names",
     "shard_config",
-    "ShardFactory",
-    "DynamicWeightedShardFactory",
-    "StaticQuorumShardFactory",
-    "ReconfigurableShardFactory",
-    "shard_factory",
     "ShardedRecord",
     "ShardedStore",
 ]
@@ -154,126 +137,6 @@ def shard_config(template: SystemConfig, shard: int) -> SystemConfig:
         for pid, weight in template.initial_weights.items()
     }
     return SystemConfig(servers=servers, f=template.f, initial_weights=weights)
-
-
-# ---------------------------------------------------------------------------
-# Per-flavour shard factories
-# ---------------------------------------------------------------------------
-
-
-class ShardFactory:
-    """Builds one shard's server group and per-client storage handles.
-
-    :meth:`build_servers` wires the shard's replica group onto the shared
-    network, and :meth:`build_client` creates one logical client's handle
-    into that shard.  Every storage flavour supplies a concrete factory, so
-    the one cluster builder is flavour-agnostic.
-    """
-
-    flavour = "abstract"
-
-    def build_servers(
-        self, config: SystemConfig, network: Network
-    ) -> Dict[ProcessId, Any]:
-        """Create and register the shard's servers (keyed by full pid)."""
-        raise NotImplementedError
-
-    def build_client(
-        self, pid: ProcessId, network: Network, config: SystemConfig
-    ) -> Any:
-        """Create one client handle (full ``c1#k`` pid) into the shard."""
-        raise NotImplementedError
-
-
-class DynamicWeightedShardFactory(ShardFactory):
-    """The paper's dynamic-weighted storage (Algorithms 5/6) per shard.
-
-    Every shard runs its own reassignment protocol instance: weights
-    transferred inside one shard are invisible to the others.
-    """
-
-    flavour = "dynamic-weighted"
-
-    def build_servers(
-        self, config: SystemConfig, network: Network
-    ) -> Dict[ProcessId, DynamicWeightedStorageServer]:
-        return {
-            pid: DynamicWeightedStorageServer(pid, network, config)
-            for pid in config.servers
-        }
-
-    def build_client(
-        self, pid: ProcessId, network: Network, config: SystemConfig
-    ) -> DynamicWeightedStorageClient:
-        return DynamicWeightedStorageClient(pid, network, config)
-
-
-class StaticQuorumShardFactory(ShardFactory):
-    """Classical ABD over a static (majority or weighted-majority) system."""
-
-    def __init__(self, weighted: bool = False) -> None:
-        self.weighted = weighted
-        self.flavour = "static-weighted" if weighted else "static-majority"
-
-    def _quorum_system(self, config: SystemConfig) -> QuorumSystem:
-        if self.weighted:
-            return WeightedMajorityQuorumSystem(config.initial_weights)
-        return MajorityQuorumSystem(config.servers)
-
-    def build_servers(
-        self, config: SystemConfig, network: Network
-    ) -> Dict[ProcessId, StaticQuorumStorageServer]:
-        return {
-            pid: StaticQuorumStorageServer(pid, network) for pid in config.servers
-        }
-
-    def build_client(
-        self, pid: ProcessId, network: Network, config: SystemConfig
-    ) -> StaticQuorumStorageClient:
-        return StaticQuorumStorageClient(pid, network, self._quorum_system(config))
-
-
-class ReconfigurableShardFactory(ShardFactory):
-    """The Section VIII reconfigurable comparator, one instance per shard.
-
-    The shard's server set doubles as the universe of addressable servers;
-    reconfigurations within a shard (``client.reconfigure``) therefore pick
-    subsets of that shard's group, matching how the E8 comparison deploys it.
-    """
-
-    flavour = "reconfigurable"
-
-    def build_servers(
-        self, config: SystemConfig, network: Network
-    ) -> Dict[ProcessId, ReconfigurableStorageServer]:
-        return {
-            pid: ReconfigurableStorageServer(pid, network, config.servers)
-            for pid in config.servers
-        }
-
-    def build_client(
-        self, pid: ProcessId, network: Network, config: SystemConfig
-    ) -> ReconfigurableStorageClient:
-        return ReconfigurableStorageClient(pid, network, config.servers, config.servers)
-
-
-_FACTORIES = {
-    "dynamic-weighted": DynamicWeightedShardFactory,
-    "static-majority": lambda: StaticQuorumShardFactory(weighted=False),
-    "static-weighted": lambda: StaticQuorumShardFactory(weighted=True),
-    "reconfigurable": ReconfigurableShardFactory,
-}
-
-
-def shard_factory(flavour: str) -> ShardFactory:
-    """Look up the :class:`ShardFactory` for a storage ``flavour``."""
-    try:
-        return _FACTORIES[flavour]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown sharded storage flavour {flavour!r}; "
-            f"expected one of {tuple(sorted(_FACTORIES))}"
-        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -405,10 +405,10 @@ class TestExactCounts:
 #: 10.62 up to 3.11, 16.79 and 10.62 from 3.12): a rise fails, a fall is
 #: reported so that the pin can follow it down.
 STEADY_CALLS = {
-    (3, 10): (107834, 67965),
-    (3, 11): (107834, 67965),
-    (3, 12): (107482, 67965),
-    (3, 13): (107482, 67965),
+    (3, 10): (107824, 67965),
+    (3, 11): (107824, 67965),
+    (3, 12): (107472, 67965),
+    (3, 13): (107472, 67965),
 }
 
 #: ``(Python calls, C calls)`` of the counted sweep: ``quickstart`` without
@@ -419,10 +419,10 @@ STEADY_CALLS = {
 #: build, its ``SpecRun`` and result), which the one spec above does not.
 #: Measured like ``STEADY_CALLS``; 3.13 differs from 3.12 here.
 SWEEP_CALLS = {
-    (3, 10): (86386, 53872),
-    (3, 11): (86386, 53872),
-    (3, 12): (85921, 53872),
-    (3, 13): (85905, 53872),
+    (3, 10): (86346, 53872),
+    (3, 11): (86346, 53872),
+    (3, 12): (85881, 53872),
+    (3, 13): (85865, 53872),
 }
 
 

@@ -341,17 +341,14 @@ class TestReachability:
 #: A synthetic ``src/`` tree: driver calls in and out of place, and imports
 #: used, unused, deliberately re-exported and function-local.
 _SYNTHETIC_MODULES = {
-    "sim/cluster.py": "network = Network(loop)\n"
-                      "factory = shard_factory(flavour)\n",
+    "sim/cluster.py": "network = Network(loop)\n",
     "experiments/spec.py":
         "def run(cluster, workload):\n"
         "    install_monitoring(cluster)\n"
         "    WorkloadGenerator(keys=None)\n"
         "    return run_workload(cluster, workload)\n",
     "lab.py": "from repro.net.network import Network\n"
-              "from repro.storage import sharded\n"
-              "def run(loop):\n    return Network(loop)\n"
-              "def wire(flavour):\n    return sharded.shard_factory(flavour)\n",
+              "def run(loop):\n    return Network(loop)\n",
     "bench/rig.py": "from repro.net import network\n"
                     "def run(loop):\n    return network.Network(loop)\n",
     "experiments/catalogue/shift.py":
@@ -399,7 +396,6 @@ class TestOneOwnerPerDriverCall:
             ("repro.experiments.catalogue.shift", "install_monitoring"),
             ("repro.experiments.catalogue.shift", "run_workload"),
             ("repro.lab", "Network"),
-            ("repro.lab", "shard_factory"),
             ("repro.workloads.generator", "WorkloadGenerator"),
         ]
 

@@ -29,17 +29,15 @@ from repro.experiments import (
     get_scenario,
     run_spec,
 )
-from repro.sim.cluster import build_cluster
+from repro.sim.cluster import FLAVOURS, build_cluster
 from repro.sim.metrics import imbalance_summary, summarize_shard_loads
 from repro.sim.runner import run_workload
 from repro.storage.abd import StaticQuorumStorageClient
-from repro.storage.reconfigurable import ReconfigurableStorageClient
 from repro.storage.sharded import (
     ShardedStore,
     base_process_name,
     expand_process_names,
     shard_config,
-    shard_factory,
     shard_for_key,
     shard_process_name,
 )
@@ -93,9 +91,21 @@ def test_shard_config_renames_and_isolates():
     assert template.servers == ("s1", "s2", "s3")
 
 
-def test_unknown_shard_flavour_rejected():
-    with pytest.raises(ConfigurationError):
-        shard_factory("paxos-flavoured")
+@pytest.mark.parametrize("flavour", ClusterSpec._bounds["flavour"])
+def test_every_admitted_flavour_builds(flavour):
+    # One list of flavours: what the spec admits is what the builder builds.
+    assert ClusterSpec._bounds["flavour"] == tuple(FLAVOURS)
+    ClusterSpec(flavour=flavour).validate()
+    with build_cluster(SystemConfig.uniform(3, f=1), flavour) as cluster:
+        assert (cluster.flavour, list(cluster.servers)) == (flavour, ["s1", "s2", "s3"])
+
+
+@pytest.mark.parametrize("flavour", ["reconfigurable", "paxos-flavoured"])
+def test_a_flavour_outside_the_table_is_refused_by_spec_and_builder(flavour):
+    with pytest.raises(ConfigurationError, match="cluster.flavour"):
+        ClusterSpec(flavour=flavour).validate("cluster.")
+    with pytest.raises(ConfigurationError, match=f"unknown storage flavour '{flavour}'"):
+        build_cluster(SystemConfig.uniform(3, f=1), flavour)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +126,7 @@ def _keys_on_distinct_shards(shards: int):
 
 @pytest.mark.parametrize(
     "flavour",
-    ["dynamic-weighted", "static-majority", "static-weighted", "reconfigurable"],
+    ["dynamic-weighted", "static-majority", "static-weighted"],
 )
 def test_sharded_store_isolates_keys_per_flavour(flavour):
     cluster = build_cluster(
@@ -205,7 +215,6 @@ def test_sharded_history_per_shard_is_atomic():
     [
         ("dynamic-weighted", DynamicWeightedStorageClient),
         ("static-majority", StaticQuorumStorageClient),
-        ("reconfigurable", ReconfigurableStorageClient),
     ],
 )
 def test_one_shard_is_one_group_under_canonical_names(flavour, client_class):

@@ -191,6 +191,47 @@ class TestSimLoopBasics:
         assert loop.pending_event_count() == 2
 
 
+class TestClosingTheLoop:
+    """``close()`` drops the queued events; a task that never started has its
+    coroutine closed (no "never awaited" warning), a suspended one is left
+    alone, so its ``finally`` does not run after the run."""
+
+    def test_a_task_that_never_started_is_closed_without_a_warning(self):
+        import warnings
+
+        loop = SimLoop()
+        ran = []
+
+        async def body():
+            ran.append("body")
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loop.create_task(body())
+            loop.close()
+            gc.collect()
+        assert [str(warning.message) for warning in caught] == []
+        assert ran == [] and loop.pending_event_count() == 0
+
+    def test_a_suspended_task_keeps_its_finally_unrun(self):
+        loop = SimLoop()
+        ran = []
+        future = SimFuture(name="gate")
+
+        async def body():
+            try:
+                await future
+            finally:
+                ran.append("finally")
+
+        task = loop.create_task(body())
+        loop.run()
+        future.set_result(None)  # queues the suspended task's next step
+        assert loop.pending_event_count() == 1
+        loop.close()
+        assert ran == [] and not task.done()
+
+
 class TestTimeout:
     def test_timeout_fires_when_future_is_slow(self):
         loop = SimLoop()

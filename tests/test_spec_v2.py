@@ -627,19 +627,25 @@ class TestFaultWindowValidation:
         ):
             run_spec(spec)
 
-    @pytest.mark.parametrize("refused", ["fault target", "trace client"])
+    @pytest.mark.parametrize(
+        "refused", ["fault target", "trace client", "monitoring trace client"])
     def test_a_refused_run_leaves_no_transfer_unstarted(self, refused, tmp_path):
-        # The transfer tasks exist when arm() refuses a fault target, or
-        # run_workload() a replayed trace's client: they are closed, not
-        # left to warn that their coroutine was never awaited.
+        # The transfer tasks (and the monitoring control loop) exist when
+        # arm() refuses a fault target, or run_workload() a replayed trace's
+        # client: closing the world's loop closes their coroutines, so none
+        # warns that it was never awaited.
         import gc
         import warnings
 
         trace = tmp_path / "trace.jsonl"
         trace.write_text('{"client": "c9", "kind": "read"}\n', encoding="utf-8")
-        params = {"fault target": {"faults.crashes": (("s9", 1.0),)},
-                  "trace client": {"workload.trace": str(trace)}}[refused]
-        spec = load_spec_file(str(SPEC_DIR / "quickstart.json"))
+        name, params = {
+            "fault target": ("quickstart", {"faults.crashes": (("s9", 1.0),)}),
+            "trace client": ("quickstart", {"workload.trace": str(trace)}),
+            "monitoring trace client": ("hotspot-shift-monitoring",
+                                        {"workload.trace": str(trace), "transfers": ()}),
+        }[refused]
+        spec = load_spec_file(str(SPEC_DIR / f"{name}.json"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(ConfigurationError, match="unknown"):

@@ -250,7 +250,6 @@ def unreached_modules(src: Path = SRC_ROOT) -> List[str]:
 OWNERS: Dict[str, str] = {
     "Network": "repro.sim.cluster",
     "ShardedStore": "repro.sim.cluster",
-    "shard_factory": "repro.sim.cluster",
     "run_workload": "repro.experiments.spec",
     "install_monitoring": "repro.experiments.spec",
     "WorkloadGenerator": "repro.experiments.spec",
