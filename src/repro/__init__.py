@@ -45,7 +45,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "net.process": ("Process",),
     "net.latency": (
         "ConstantLatency", "UniformLatency", "LogNormalLatency", "PerLinkLatency",
-        "WanMatrixLatency", "SlowdownLatency",
+        "SlowdownLatency",
     ),
     "quorum.majority": ("MajorityQuorumSystem",),
     "quorum.weighted": ("WeightedMajorityQuorumSystem", "smallest_quorum_size"),

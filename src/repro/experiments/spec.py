@@ -11,7 +11,7 @@ others:
 * :class:`WorkloadSpec` — key popularity × arrivals × mix × phases (or a
   recorded trace), every leaf sweepable (``workload.keys.zipf_s``);
 * :class:`LatencySpec` — the latency model (per-link delays included),
-  plus the slowdown and gray-failure wrappers;
+  plus a slowdown window and a gray-failure window;
 * :class:`MonitoringSpec` — the probe → policy → controller feedback loop
   (interval, window, policy kind + threshold, controller gain, per-shard vs
   global scope), built by :func:`repro.monitoring.loop.install_monitoring`
@@ -59,7 +59,6 @@ from repro.experiments.sections import (
 )
 from repro.net.latency import (
     ConstantLatency,
-    GrayFailureLatency,
     LatencyModel,
     LogNormalLatency,
     PerLinkLatency,
@@ -152,23 +151,20 @@ class LatencySpec(SpecSection):
     each server listed in ``delays`` a one-way delay: a link takes the larger
     delay of its listed endpoints, a link with no listed endpoint (or a
     process's link to itself) takes ``value``, and every message pays a
-    seeded factor in ``[1, 1 + PER_LINK_JITTER]``.  A non-empty ``slow``
-    tuple wraps the model in :class:`~repro.net.latency.SlowdownLatency`,
-    degrading the listed processes by ``slow_factor`` from ``slow_start``
-    on.  On a sharded cluster a canonical name in ``slow`` (``s1``) degrades
-    that server's instance in every shard; a qualified name (``s1#2``)
-    degrades one shard's instance only; ``delays`` names resolve the same
-    way.
+    seeded factor in ``[1, 1 + PER_LINK_JITTER]``.
 
-    A non-empty ``degraded`` tuple additionally wraps the model in
-    :class:`~repro.net.latency.GrayFailureLatency`: the listed processes
-    suffer a *gray failure* — slow but alive — paying ``degraded_factor``
-    times the base delay plus a flat ``degraded_stall`` per message during
-    ``[degraded_start, degraded_end)``.  Every gray knob is a sweepable
-    dotted path (``latency.degraded``, ``latency.degraded_factor``, ...),
-    which is how chaos campaigns (:mod:`repro.chaos`) sample the gray
-    region of the fault space.  Name resolution follows the same
-    canonical/qualified rule as ``slow``.
+    A non-empty ``slow`` tuple wraps the model in
+    :class:`~repro.net.latency.SlowdownLatency`, degrading the listed
+    processes by ``slow_factor`` during ``[slow_start, slow_end)``.  A
+    non-empty ``degraded`` tuple wraps it once more, outside the first: the
+    listed processes suffer a *gray failure* — slow but alive — paying
+    ``degraded_factor`` times the base delay plus a flat ``degraded_stall``
+    per message during ``[degraded_start, degraded_end)``.  Every gray knob
+    is a sweepable dotted path (``latency.degraded``, ...), which is how
+    chaos campaigns (:mod:`repro.chaos`) sample the gray region of the fault
+    space.  On a sharded cluster a canonical name in ``slow``, ``degraded``
+    or ``delays`` (``s1``) names that server's instance in every shard; a
+    qualified name (``s1#2``) names one shard's instance only.
     """
 
     kind: str = "constant"
@@ -228,23 +224,19 @@ class LatencySpec(SpecSection):
         when swept over ``cluster.shards``.
         """
         model = _LATENCY_MODELS[self.kind](self, seed, shards)
-        if self.slow:
-            model = SlowdownLatency(
-                model,
-                slow=expand_process_names(self.slow, shards),
-                factor=self.slow_factor,
-                start_at=self.slow_start,
-                end_at=self.slow_end,
-            )
-        if self.degraded:
-            model = GrayFailureLatency(
-                model,
-                degraded=expand_process_names(self.degraded, shards),
-                factor=self.degraded_factor,
-                stall=self.degraded_stall,
-                start_at=self.degraded_start,
-                end_at=self.degraded_end,
-            )
+        # One wrapper per non-empty window, slow inside and degraded outside:
+        # each is a frame below Network.send, and until ROADMAP item 1 lands
+        # that depth decides where a recursion-limited run aborts.
+        for names, factor, stall, start, end in (
+            (self.slow, self.slow_factor, 0.0, self.slow_start, self.slow_end),
+            (self.degraded, self.degraded_factor, self.degraded_stall,
+             self.degraded_start, self.degraded_end),
+        ):
+            if names:
+                model = SlowdownLatency(
+                    model, expand_process_names(names, shards), factor, start, end,
+                    stall,
+                )
         return model
 
 

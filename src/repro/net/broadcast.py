@@ -1,4 +1,4 @@
-"""Broadcast primitives used by the protocols.
+"""The broadcast primitive the protocols use.
 
 Algorithm 4 of the paper RB-broadcasts transfer messages using a *reliable
 broadcast* primitive [25].  Under crash faults reliable broadcast guarantees:
@@ -11,11 +11,9 @@ broadcast* primitive [25].  Under crash faults reliable broadcast guarantees:
   broadcast.
 
 The classical crash-fault implementation is *echo on first delivery*: the
-broadcaster best-effort-broadcasts ``m``; every process relays ``m`` to all
+broadcaster sends ``m`` to every peer; every process relays ``m`` to all
 peers the first time it receives it, then delivers it locally.  That is what
-:class:`ReliableBroadcast` implements.  :class:`BestEffortBroadcast` is the
-trivial send-to-all building block, exposed separately because several
-baselines only need best-effort guarantees.
+:class:`ReliableBroadcast` implements.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from repro.net.message import Message
 from repro.net.process import Process
 from repro.types import ProcessId
 
-__all__ = ["BestEffortBroadcast", "ReliableBroadcast"]
+__all__ = ["ReliableBroadcast"]
 
 #: Delivery callback; it may be a plain function or a coroutine function — in
 #: the latter case the delivery is spawned as a task on the process loop.
@@ -41,43 +39,6 @@ def _invoke_deliver(
     result = callback(origin, payload)
     if inspect.iscoroutine(result):
         process.loop.create_task(result, name=f"{process.pid}.deliver")
-
-
-class BestEffortBroadcast:
-    """Send-to-all broadcast with no guarantees beyond reliable links.
-
-    If the broadcaster stays correct, every correct peer eventually receives
-    the message; if the broadcaster crashes mid-broadcast, an arbitrary subset
-    receives it.
-    """
-
-    KIND = "BEB"
-
-    def __init__(
-        self,
-        process: Process,
-        peers: Iterable[ProcessId],
-        on_deliver: DeliverCallback,
-        kind: Optional[str] = None,
-    ) -> None:
-        self.process = process
-        self.peers: List[ProcessId] = list(peers)
-        self.on_deliver = on_deliver
-        self.kind = kind or self.KIND
-        process.register_handler(self.kind, self._on_message)
-
-    def broadcast(self, payload: Dict[str, Any]) -> None:
-        """Best-effort broadcast ``payload`` to every peer (including self)."""
-        for peer in self.peers:
-            if peer == self.process.pid:
-                # Local delivery happens immediately; a process always
-                # "receives" its own broadcast.
-                _invoke_deliver(self.process, self.on_deliver, self.process.pid, dict(payload))
-            else:
-                self.process.send(peer, self.kind, dict(payload))
-
-    def _on_message(self, message: Message) -> None:
-        _invoke_deliver(self.process, self.on_deliver, message.sender, message.payload)
 
 
 class ReliableBroadcast:

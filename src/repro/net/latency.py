@@ -7,17 +7,15 @@ serve different purposes:
 
 * :class:`ConstantLatency` / :class:`UniformLatency` / :class:`LogNormalLatency`
   — simple homogeneous clusters, used by most unit tests.
-* :class:`PerLinkLatency` and :class:`WanMatrixLatency` — heterogeneous
-  wide-area deployments, the setting that motivates weighted quorums in the
-  first place (Section I).
-* :class:`SlowdownLatency` — a wrapper that slows selected processes down from
-  a given virtual time, used to emulate the run-time performance variation the
-  monitoring/reassignment machinery reacts to.
-* :class:`GrayFailureLatency` — a wrapper modelling *gray failures*: nodes
-  that stay alive (they answer probes, they vote in quorums) but serve every
-  message slowly.  Unlike a crash the failure detector never fires, which is
-  exactly the regime where weighted quorums out- or under-perform — and what
-  the chaos campaigns in :mod:`repro.chaos` search over.
+* :class:`PerLinkLatency` — heterogeneous wide-area deployments, the setting
+  that motivates weighted quorums in the first place (Section I).
+* :class:`SlowdownLatency` — a wrapper that degrades selected processes inside
+  a window of virtual time: the run-time slowdowns the monitoring/reassignment
+  machinery reacts to, and the *gray failures* (slow but alive, so the failure
+  detector never fires) the chaos campaigns in :mod:`repro.chaos` search over.
+
+Every range check is written ``not x >= 0`` so that it refuses NaN too: a
+bad value fails at construction instead of making every delay of a run NaN.
 
 Every stochastic model takes an explicit ``seed``; the simulation kernel
 itself never introduces randomness.
@@ -34,7 +32,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import ProcessId, VirtualTime
@@ -49,10 +47,7 @@ __all__ = [
     "UniformLatency",
     "LogNormalLatency",
     "PerLinkLatency",
-    "WanMatrixLatency",
     "SlowdownLatency",
-    "GrayFailureLatency",
-    "wan_latency_matrix",
 ]
 
 
@@ -70,7 +65,7 @@ class ConstantLatency(LatencyModel):
     """Every message takes exactly ``value`` time units."""
 
     def __init__(self, value: VirtualTime = 1.0) -> None:
-        if value < 0:
+        if not value >= 0:
             raise ConfigurationError(f"latency must be non-negative, got {value}")
         self.value = value
 
@@ -86,7 +81,7 @@ class UniformLatency(LatencyModel):
     def __init__(
         self, low: VirtualTime = 0.5, high: VirtualTime = 1.5, seed: int = 0
     ) -> None:
-        if low < 0 or high < low:
+        if not (low >= 0 and high >= low):
             raise ConfigurationError(
                 f"invalid uniform latency bounds: low={low}, high={high}"
             )
@@ -111,9 +106,9 @@ class LogNormalLatency(LatencyModel):
     def __init__(
         self, median: VirtualTime = 1.0, sigma: float = 0.3, seed: int = 0
     ) -> None:
-        if median <= 0:
+        if not median > 0:
             raise ConfigurationError(f"median must be positive, got {median}")
-        if sigma < 0:
+        if not sigma >= 0:
             raise ConfigurationError(f"sigma must be non-negative, got {sigma}")
         self.median = median
         self.sigma = sigma
@@ -184,58 +179,17 @@ class PerLinkLatency(LatencyModel):
         return value
 
 
-def wan_latency_matrix(
-    sites: Sequence[ProcessId],
-    one_way: Mapping[Tuple[str, str], VirtualTime],
-    site_of: Mapping[ProcessId, str],
-) -> Dict[Tuple[ProcessId, ProcessId], VirtualTime]:
-    """Expand a site-to-site latency table into a per-process link table.
-
-    ``one_way`` maps *site* pairs (e.g. ``("eu", "us")``) to one-way delays;
-    ``site_of`` assigns each process to a site.  Missing symmetric entries are
-    filled in from their mirror; intra-site latency defaults to 0.5.
-    """
-    table: Dict[Tuple[ProcessId, ProcessId], VirtualTime] = {}
-    for a in sites:
-        for b in sites:
-            if a == b:
-                continue
-            sa, sb = site_of[a], site_of[b]
-            if sa == sb:
-                table[(a, b)] = 0.5
-                continue
-            if (sa, sb) in one_way:
-                table[(a, b)] = one_way[(sa, sb)]
-            elif (sb, sa) in one_way:
-                table[(a, b)] = one_way[(sb, sa)]
-            else:
-                raise ConfigurationError(f"no latency entry for sites {sa}->{sb}")
-    return table
-
-
-class WanMatrixLatency(PerLinkLatency):
-    """Convenience model combining :func:`wan_latency_matrix` with jitter."""
-
-    def __init__(
-        self,
-        processes: Sequence[ProcessId],
-        site_of: Mapping[ProcessId, str],
-        site_latency: Mapping[Tuple[str, str], VirtualTime],
-        jitter: float = 0.05,
-        seed: int = 0,
-    ) -> None:
-        table = wan_latency_matrix(processes, site_latency, site_of)
-        super().__init__(base=table, default=1.0, jitter=jitter, seed=seed)
-        self.site_of = dict(site_of)
-
-
 class SlowdownLatency(LatencyModel):
-    """Wrap another model, slowing selected processes down from ``start_at``.
+    """Wrap another model, degrading selected processes inside a window.
 
-    Any message *to or from* a process listed in ``slow`` is multiplied by
-    ``factor`` once the virtual clock reaches ``start_at`` (and until
-    ``end_at`` if given).  This models the run-time performance degradation
-    that weight-reassignment reacts to.
+    Any message *to or from* a process listed in ``slow`` pays ``factor``
+    times the inner delay plus a flat per-message ``stall`` while the window
+    ``[start_at, end_at)`` is open (``end_at=None`` never closes).  With no
+    stall this is the run-time slowdown that weight reassignment reacts to;
+    with one it is a *gray failure*: even a near-zero base delay is dragged
+    up to ``stall``, the shape of a node grinding through I/O timeouts while
+    still answering — so crash detection never fires, quorums still count
+    its vote, and the operation latency quietly degrades.
     """
 
     def __init__(
@@ -245,81 +199,32 @@ class SlowdownLatency(LatencyModel):
         factor: float = 10.0,
         start_at: VirtualTime = 0.0,
         end_at: Optional[VirtualTime] = None,
+        stall: VirtualTime = 0.0,
     ) -> None:
-        if factor < 1.0:
-            raise ConfigurationError("slowdown factor must be >= 1")
+        if not factor >= 1.0:
+            raise ConfigurationError(f"slowdown factor must be >= 1, got {factor}")
+        if not stall >= 0:
+            raise ConfigurationError(f"slowdown stall must be non-negative, got {stall}")
+        if end_at is not None and not end_at > start_at:
+            raise ConfigurationError(
+                f"slowdown end_at={end_at} must be after start_at={start_at}"
+            )
         self.inner = inner
         self.slow = frozenset(slow)
         self.factor = factor
         self.start_at = start_at
         self.end_at = end_at
-
-    def _active(self, now: VirtualTime) -> bool:
-        if now < self.start_at:
-            return False
-        if self.end_at is not None and now >= self.end_at:
-            return False
-        return True
-
-    def delay(
-        self, sender: ProcessId, receiver: ProcessId, now: VirtualTime
-    ) -> VirtualTime:
-        base = self.inner.delay(sender, receiver, now)
-        if self._active(now) and (sender in self.slow or receiver in self.slow):
-            return base * self.factor
-        return base
-
-
-class GrayFailureLatency(LatencyModel):
-    """Wrap another model with a *gray failure*: slow-but-alive processes.
-
-    Any message to or from a process listed in ``degraded`` pays a
-    multiplicative ``factor`` plus an additive per-message ``stall`` while
-    the window ``[start_at, end_at)`` is open (``end_at=None`` never closes).
-    The additive stall is what distinguishes a gray failure from a plain
-    slowdown: even a near-zero base delay is dragged up to ``stall``, the
-    shape of a node grinding through I/O timeouts while still answering —
-    so crash detection never fires, quorums still count its vote, and the
-    operation latency quietly degrades.
-    """
-
-    def __init__(
-        self,
-        inner: LatencyModel,
-        degraded: Iterable[ProcessId],
-        factor: float = 4.0,
-        stall: VirtualTime = 0.0,
-        start_at: VirtualTime = 0.0,
-        end_at: Optional[VirtualTime] = None,
-    ) -> None:
-        if factor < 1.0:
-            raise ConfigurationError("gray-failure factor must be >= 1")
-        if stall < 0:
-            raise ConfigurationError("gray-failure stall must be non-negative")
-        if end_at is not None and end_at <= start_at:
-            raise ConfigurationError(
-                f"gray-failure end_at={end_at} must be after start_at={start_at}"
-            )
-        self.inner = inner
-        self.degraded = frozenset(degraded)
-        self.factor = factor
         self.stall = stall
-        self.start_at = start_at
-        self.end_at = end_at
-
-    def _active(self, now: VirtualTime) -> bool:
-        if now < self.start_at:
-            return False
-        if self.end_at is not None and now >= self.end_at:
-            return False
-        return True
 
     def delay(
         self, sender: ProcessId, receiver: ProcessId, now: VirtualTime
     ) -> VirtualTime:
         base = self.inner.delay(sender, receiver, now)
-        if self._active(now) and (
-            sender in self.degraded or receiver in self.degraded
+        end_at = self.end_at
+        if (
+            now >= self.start_at
+            and (end_at is None or now < end_at)
+            and (sender in self.slow or receiver in self.slow)
         ):
             return base * self.factor + self.stall
         return base

@@ -1,9 +1,9 @@
 """repro.serve — the experiment lab as a multi-user HTTP service.
 
-Three layers, stdlib only:
+Two layers, stdlib only, over the one request type the CLI builds too
+(:class:`~repro.experiments.plan.JobRequest`: strict unknown-key rejection,
+dotted-path validation errors):
 
-* :mod:`repro.serve.schemas` — typed request bodies on the Spec v2 section
-  protocol (strict unknown-key rejection, dotted-path validation errors);
 * :mod:`repro.serve.service` — the transport-free job store and scheduler
   running jobs on the resilient executor with per-job run journals, so a
   restarted server resumes interrupted jobs byte-identically;
@@ -26,6 +26,5 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "ExperimentService", "Job", "JobStateError", "QueueFullError",
         "UnknownJobError",
     ),
-    "schemas": ("JobRequest", "error_payload"),
-    "routes": ("Response", "dispatch"),
+    "routes": ("Response", "dispatch", "error_payload"),
 })

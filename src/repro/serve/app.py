@@ -32,8 +32,7 @@ from typing import Dict, Optional
 
 from repro.errors import ReproError
 from repro.experiments.resilience import GracefulInterrupt, interruptible
-from repro.serve.routes import Response, dispatch
-from repro.serve.schemas import error_payload
+from repro.serve.routes import Response, dispatch, error_payload
 from repro.serve.service import ExperimentService
 
 __all__ = ["ExperimentServer", "ExperimentHandler", "serve"]

@@ -18,12 +18,12 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ReproError
+from repro.experiments.plan import JobRequest
 from repro.experiments.registry import catalogue_payload
 from repro.experiments.spec import ScenarioSpec
-from repro.serve.schemas import JobRequest, error_payload
 from repro.serve.service import (
     ExperimentService,
     JobStateError,
@@ -31,7 +31,7 @@ from repro.serve.service import (
     UnknownJobError,
 )
 
-__all__ = ["Response", "dispatch"]
+__all__ = ["Response", "dispatch", "error_payload"]
 
 
 @dataclass
@@ -42,6 +42,20 @@ class Response:
     payload: Optional[Any] = None
     stream: Optional[Iterator[bytes]] = None
     content_type: str = "application/json"
+
+
+def error_payload(error: BaseException) -> Dict[str, Any]:
+    """The one error shape every endpoint renders.
+
+    ``path`` is the dotted section path structured validation errors carry
+    (:attr:`~repro.errors.ConfigurationError.path`); ``None`` when the
+    error has no location.
+    """
+    return {
+        "message": str(error),
+        "type": type(error).__name__,
+        "path": getattr(error, "path", None),
+    }
 
 
 def _error(status: int, error: BaseException) -> Response:

@@ -1,11 +1,11 @@
-"""Tests for broadcast primitives and the shared SWMR register array."""
+"""Tests for reliable broadcast and the shared SWMR register array."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.broadcast import BestEffortBroadcast, ReliableBroadcast
+from repro.net.broadcast import ReliableBroadcast
 from repro.net.latency import ConstantLatency
 from repro.net.process import Process
 from repro.net.registers import SharedRegister, SWMRRegisterArray
@@ -14,43 +14,16 @@ from tests.conftest import make_net
 
 
 class BroadcastNode(Process):
-    def __init__(self, pid, network, peers, reliable=True):
+    def __init__(self, pid, network, peers):
         super().__init__(pid, network)
         self.delivered = []
         callback = lambda origin, payload: self.delivered.append((origin, payload["v"]))
-        if reliable:
-            self.bcast = ReliableBroadcast(self, peers, callback)
-        else:
-            self.bcast = BestEffortBroadcast(self, peers, callback)
+        self.bcast = ReliableBroadcast(self, peers, callback)
 
 
-def build_nodes(net, count, reliable=True):
+def build_nodes(net, count):
     peers = [f"n{i}" for i in range(1, count + 1)]
-    return {pid: BroadcastNode(pid, net, peers, reliable=reliable) for pid in peers}
-
-
-class TestBestEffortBroadcast:
-    def test_delivers_to_everyone_including_self(self):
-        loop, net = make_net()
-        nodes = build_nodes(net, 4, reliable=False)
-        nodes["n1"].bcast.broadcast({"v": "hello"})
-        loop.run()
-        assert all(node.delivered == [("n1", "hello")] for node in nodes.values())
-
-    def test_self_delivery_is_immediate(self):
-        loop, net = make_net(ConstantLatency(10.0))
-        nodes = build_nodes(net, 3, reliable=False)
-        nodes["n1"].bcast.broadcast({"v": 1})
-        assert nodes["n1"].delivered == [("n1", 1)]
-
-    def test_crashed_receiver_misses_message(self):
-        loop, net = make_net()
-        nodes = build_nodes(net, 3, reliable=False)
-        net.crash("n3")
-        nodes["n1"].bcast.broadcast({"v": "x"})
-        loop.run()
-        assert nodes["n3"].delivered == []
-        assert nodes["n2"].delivered == [("n1", "x")]
+    return {pid: BroadcastNode(pid, net, peers) for pid in peers}
 
 
 class TestReliableBroadcast:

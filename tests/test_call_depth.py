@@ -22,7 +22,7 @@ from collections import Counter
 
 import pytest
 
-from repro.net.latency import GrayFailureLatency, SlowdownLatency, UniformLatency
+from repro.net.latency import SlowdownLatency, UniformLatency
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimLoop
@@ -84,7 +84,7 @@ def _uniform():
         lambda: SlowdownLatency(_uniform(), slow=["s1"], factor=3.0),
         None, id="slowdown"),
     pytest.param(
-        lambda: GrayFailureLatency(_uniform(), degraded=["s1"], factor=2.0, stall=0.5),
+        lambda: SlowdownLatency(_uniform(), slow=["s1"], factor=2.0, stall=0.5),
         None, id="gray-failure"),
     # A chaos campaign records with a trace-only observer: the hook and
     # TraceRecorder.emit sit beside the chain, one frame short of call_at.

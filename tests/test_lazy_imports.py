@@ -292,7 +292,7 @@ class TestImportBudget:
     def test_the_server_does_without_the_stdlib_http_stack(self, observed):
         assert _loaded(observed["serve"], "repro.serve") == [
             "repro.serve", "repro.serve.app", "repro.serve.routes",
-            "repro.serve.schemas", "repro.serve.service",
+            "repro.serve.service",
         ]
         assert _loaded(observed["serve"], "http.client", "email") == []
 

@@ -20,8 +20,6 @@ from repro.net.latency import (
     PerLinkLatency,
     SlowdownLatency,
     UniformLatency,
-    WanMatrixLatency,
-    wan_latency_matrix,
 )
 from repro.net.message import Message
 from repro.net.network import Network
@@ -44,6 +42,9 @@ class EchoServer(Process):
 
     def _on_ping(self, message):
         self.reply(message, "PONG", {"echo": message.payload["n"]})
+
+
+_NAN = float("nan")
 
 
 class TestLatencyModels:
@@ -85,32 +86,30 @@ class TestLatencyModels:
         with pytest.raises(ConfigurationError):
             PerLinkLatency({("a", "b"): -2.0})
 
-    def test_wan_matrix_symmetric_fill(self):
-        table = wan_latency_matrix(
-            ["s1", "s2"],
-            one_way={("eu", "us"): 40.0},
-            site_of={"s1": "eu", "s2": "us"},
-        )
-        assert table[("s1", "s2")] == 40.0
-        assert table[("s2", "s1")] == 40.0
-
-    def test_wan_matrix_missing_entry_rejected(self):
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: ConstantLatency(_NAN), id="constant-value"),
+        pytest.param(lambda: UniformLatency(_NAN, 1.5), id="uniform-low"),
+        pytest.param(lambda: UniformLatency(0.5, _NAN), id="uniform-high"),
+        pytest.param(lambda: LogNormalLatency(median=_NAN), id="lognormal-median"),
+        pytest.param(lambda: LogNormalLatency(sigma=_NAN), id="lognormal-sigma"),
+        pytest.param(lambda: PerLinkLatency({("a", "b"): _NAN}), id="per-link-base"),
+        pytest.param(lambda: PerLinkLatency({}, default=_NAN), id="per-link-default"),
+        pytest.param(lambda: PerLinkLatency({}, jitter=_NAN), id="per-link-jitter"),
+        pytest.param(
+            lambda: PerLinkLatency({}, endpoints={"a": _NAN}), id="per-link-endpoints"),
+        pytest.param(
+            lambda: SlowdownLatency(ConstantLatency(), ["s1"], factor=_NAN),
+            id="slowdown-factor"),
+        pytest.param(
+            lambda: SlowdownLatency(ConstantLatency(), ["s1"], stall=_NAN),
+            id="slowdown-stall"),
+        pytest.param(
+            lambda: SlowdownLatency(ConstantLatency(), ["s1"], end_at=_NAN),
+            id="slowdown-end_at"),
+    ])
+    def test_every_model_rejects_nan(self, build):
         with pytest.raises(ConfigurationError):
-            wan_latency_matrix(
-                ["s1", "s2"],
-                one_way={},
-                site_of={"s1": "eu", "s2": "us"},
-            )
-
-    def test_wan_model_intra_site_fast(self):
-        model = WanMatrixLatency(
-            processes=["s1", "s2", "s3"],
-            site_of={"s1": "eu", "s2": "eu", "s3": "us"},
-            site_latency={("eu", "us"): 40.0},
-            jitter=0.0,
-        )
-        assert model.delay("s1", "s2", 0.0) == 0.5
-        assert model.delay("s1", "s3", 0.0) == 40.0
+            build()
 
     def test_slowdown_applies_only_in_window_and_to_slow_processes(self):
         inner = ConstantLatency(1.0)
@@ -124,6 +123,30 @@ class TestLatencyModels:
     def test_slowdown_rejects_factor_below_one(self):
         with pytest.raises(ConfigurationError):
             SlowdownLatency(ConstantLatency(1.0), slow=["s1"], factor=0.5)
+
+    def test_slowdown_stall_window_edges_and_listed_endpoints(self):
+        model = SlowdownLatency(
+            ConstantLatency(2.0), slow=["s1", "s2"], factor=3.0,
+            start_at=5.0, end_at=15.0, stall=0.5,
+        )
+        assert model.delay("s1", "c1", 4.999) == 2.0  # before the window
+        assert model.delay("s1", "c1", 5.0) == 6.5  # start_at is inside
+        assert model.delay("c1", "s2", 14.999) == 6.5  # listed receiver
+        assert model.delay("s1", "s2", 10.0) == 6.5  # both listed: paid once
+        assert model.delay("c1", "s3", 10.0) == 2.0  # no listed endpoint
+        assert model.delay("s1", "c1", 15.0) == 2.0  # end_at is outside
+        assert SlowdownLatency(
+            ConstantLatency(0.0), slow=["s1"], stall=0.5).delay("s1", "c1", 0.0) == 0.5
+
+    def test_slowdown_window_must_end_after_it_starts(self):
+        with pytest.raises(ConfigurationError, match="must be after"):
+            SlowdownLatency(ConstantLatency(), ["s1"], start_at=5.0, end_at=5.0)
+
+    def test_slowdown_without_stall_is_the_bare_product(self):
+        inner, oracle = UniformLatency(seed=9), UniformLatency(seed=9)
+        model = SlowdownLatency(inner, slow=["s1"], factor=7.3)
+        for _ in range(200):
+            assert model.delay("s1", "c1", 0.0) == oracle.delay("s1", "c1", 0.0) * 7.3
 
 
 _DRAWS = 1000

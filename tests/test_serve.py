@@ -28,14 +28,13 @@ from repro.errors import ConfigurationError
 from repro.experiments import cli as repro_cli
 from repro.experiments.cli import main
 from repro.experiments import registry
-from repro.experiments.plan import plan
+from repro.experiments.plan import JobRequest, plan
 from repro.experiments.registry import catalogue_payload
 from repro.experiments.results import compare_payloads, load_payload
 from repro.serve import client as serve_client
 from repro.serve.app import ExperimentHandler, ExperimentServer
 from repro.serve.client import ServeClient, ServeClientError
-from repro.serve.routes import dispatch
-from repro.serve.schemas import JobRequest, error_payload
+from repro.serve.routes import dispatch, error_payload
 from repro.serve.service import (
     ExperimentService,
     JobStateError,

@@ -316,6 +316,32 @@ class TestPerLinkLatency:
         assert excinfo.value.path == "latency.delays[0]"
 
 
+class TestDegradationWindows:
+    """``slow`` and ``degraded`` each wrap the model once, slow inside."""
+
+    LATENCY = LatencySpec(
+        kind="constant", value=1.0, slow=("s1",), slow_factor=2.0,
+        degraded=("s1", "s2"), degraded_factor=3.0, degraded_stall=0.5,
+        degraded_start=5.0,
+    )
+
+    def test_both_windows_compose_in_closed_form(self):
+        model = self.LATENCY.validate().build()
+        assert model.delay("s1", "c1", 4.0) == 2.0
+        assert model.delay("s1", "c1", 5.0) == 2.0 * 3.0 + 0.5
+        assert model.delay("s2", "c1", 4.0) == 1.0
+        assert model.delay("s2", "c1", 5.0) == 3.5
+        assert model.delay("s3", "c1", 5.0) == 1.0
+
+    def test_canonical_degraded_names_hit_every_shard(self):
+        model = self.LATENCY.validate().build(shards=2)
+        for shard in ("s1#0", "s1#1"):
+            assert model.delay(shard, "c1", 4.0) == 2.0
+            assert model.delay("c1", shard, 6.0) == 6.5
+        assert model.delay("s2#1", "c1", 6.0) == 3.5
+        assert model.delay("s3#0", "c1", 6.0) == 1.0
+
+
 class TestMonitoringSpec:
     def test_spec_run_reproduces_hotspot_shift_monitoring_exactly(self):
         # The acceptance bar for the MonitoringSpec section: the declarative
