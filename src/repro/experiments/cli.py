@@ -62,7 +62,9 @@ import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.errors import INTERRUPT_EXIT_CODE, GracefulInterrupt, ReproError
+from repro.errors import (
+    INTERRUPT_EXIT_CODE, ConfigurationError, GracefulInterrupt, ReproError,
+)
 
 if TYPE_CHECKING:
     from repro.experiments.executor import (
@@ -70,16 +72,16 @@ if TYPE_CHECKING:
         RunResult,
         StreamTelemetry,
     )
-    from repro.experiments.plan import JobRequest
     from repro.experiments.registry import Scenario
     from repro.experiments.resilience import RunJournal
     from repro.experiments.sweep import RunSpec
 
-__all__ = ["main", "parse_value", "parse_params", "parse_grid"]
+__all__ = ["main", "parse_value", "parse_params", "parse_grid", "read_spec_file",
+           "job_body"]
 
 
-# The three argv parsers below are also `python -m repro.serve.client`'s, so
-# both front ends accept and reject the same text; they need only the stdlib.
+# The text-to-value layer below is also `python -m repro.serve.client`'s, so
+# both front ends build one body from the same argv; it needs only the stdlib.
 
 
 def parse_value(text: str) -> Any:
@@ -112,6 +114,50 @@ def parse_grid(axes: Sequence[str]) -> Dict[str, List[Any]]:
     return grid
 
 
+def read_spec_file(path: str) -> Dict[str, Any]:
+    """The JSON object a spec file holds, unparsed (an inline ``spec``)."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except OSError as error:
+        raise ConfigurationError(f"cannot read spec file {path!r}: {error}") from error
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise ConfigurationError(
+            f"spec file {path!r} is not valid JSON: {error}"
+        ) from error
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"spec file {path!r} must contain a JSON object, "
+            f"got {type(data).__name__}"
+        )
+    return data
+
+
+def job_body(
+    kind: str, scenario: Optional[str], spec_path: Optional[str],
+    params: Sequence[str] = (), grid: Sequence[str] = (), seeds: Optional[str] = None,
+    sample: Optional[int] = None, sample_seed: int = 0, sample_method: str = "uniform",
+) -> Dict[str, Any]:
+    """argv as a ``POST /jobs`` body, empty fields omitted.  ``spec_path``
+    becomes ``spec=<the file's object>``: planned like an uploaded spec."""
+    body: Dict[str, Any] = {"kind": kind}
+    if scenario is not None:
+        body["scenario"] = scenario
+    if spec_path:
+        body["spec"] = read_spec_file(spec_path)
+    if params:
+        body["params"] = parse_params(params)
+    if grid:
+        body["grid"] = parse_grid(grid)
+    if seeds:
+        body["seeds"] = parse_grid([f"seed={seeds}"])["seed"]
+    if sample is not None:
+        body["sample"] = sample
+        body["sample_seed"] = sample_seed
+        body["sample_method"] = sample_method
+    return body
+
+
 def _print_table(header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
     cells = [tuple(str(cell) for cell in row) for row in rows]
     names = tuple(str(cell) for cell in header)
@@ -135,11 +181,11 @@ def _write_json(path: str, document: Any) -> None:
 def _emit(results: List[RunResult], args: argparse.Namespace) -> None:
     from repro.experiments.results import dumps_json, write_csv, write_json
 
-    if getattr(args, "json", None):
+    if args.json:
         write_json(results, args.json)
-    if getattr(args, "csv", None):
+    if args.csv:
         write_csv(results, args.csv)
-    if not getattr(args, "quiet", False):
+    if not args.quiet:
         print(dumps_json(results))
 
 
@@ -166,24 +212,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _job_request(args: argparse.Namespace, **fields: Any) -> JobRequest:
-    """``argv`` as the request a ``POST /jobs`` body would carry.
-
-    ``--spec FILE`` becomes ``spec=<the file's object>``: the planner parses
-    and validates it like an uploaded spec, and nothing is registered.
-    """
-    from repro.experiments.plan import JobRequest
-    from repro.experiments.spec import read_spec_file
-
-    spec = read_spec_file(args.spec_path) if args.spec_path else None
-    return JobRequest(scenario=args.scenario, spec=spec, **fields)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.experiments.executor import execute_many
-    from repro.experiments.plan import plan
+    from repro.experiments.plan import JobRequest, plan
 
-    planned = plan(_job_request(args, params=parse_params(args.param)))
+    body = job_body("run", args.scenario, args.spec_path, args.param)
+    planned = plan(JobRequest.from_dict(body))
     if not args.trace and not args.metrics:
         results = execute_many(planned.runs, workers=1, entry=planned.entry)
         _emit(results, args)
@@ -209,15 +243,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"trace: {args.trace}", file=sys.stderr)
     _emit(results, args)
     return 0
-
-
-def _sweep_request(args: argparse.Namespace) -> JobRequest:
-    seeds = tuple(parse_grid([f"seed={args.seeds}"])["seed"]) if args.seeds else None
-    return _job_request(
-        args, kind="sweep", params=parse_params(args.param),
-        grid=parse_grid(args.grid), seeds=seeds, sample=args.sample,
-        sample_seed=args.sample_seed, sample_method=args.sample_method,
-    )
 
 
 def _traced_runs(
@@ -301,7 +326,7 @@ def _print_resilience_summary(
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.executor import execute_stream
-    from repro.experiments.plan import plan
+    from repro.experiments.plan import JobRequest, plan
     from repro.experiments.resilience import (
         Quarantine,
         RunJournal,
@@ -312,7 +337,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import expand_points
 
     policy, journal_path, resume, quarantine_path = _resilience_options(args)
-    request = _sweep_request(args)
+    request = JobRequest.from_dict(job_body(
+        "sweep", args.scenario, args.spec_path, args.param, args.grid,
+        args.seeds, args.sample, args.sample_seed, args.sample_method,
+    ))
     scenario, entry, runs = plan(request)
     # --point and --trace-dir have no request field: steps over the plan.
     if args.point:
@@ -377,7 +405,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _print_resilience_summary(telemetry, journal_path, quarantine_path)
     if buffer is not None:
         _emit([result for result in buffer if result is not None], args)
-    if getattr(args, "quiet", False):
+    if args.quiet:
         print(f"{done} run(s) completed")
     return 0
 
@@ -533,14 +561,13 @@ def _cmd_trace_series(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.chaos import run_campaign
-    from repro.experiments.plan import plan
+    from repro.experiments.plan import JobRequest, plan
     from repro.experiments.resilience import StreamTelemetry, interruptible
 
     policy, journal_path, resume, quarantine_path = _resilience_options(args)
-    scenario, entry, _ = plan(_job_request(args))
-    times = tuple(
-        parse_value(value) for value in args.times.split(",") if value != ""
-    )
+    body = job_body("run", args.scenario, args.spec_path)
+    scenario, entry, _ = plan(JobRequest.from_dict(body))
+    times = tuple(parse_grid([f"times={args.times}"])["times"])
     telemetry = StreamTelemetry()
     progress = None
     if not args.no_progress:

@@ -64,7 +64,7 @@ from typing import (
 
 from repro.errors import ConfigurationError, ReproError, WorkerError
 from repro.experiments.registry import Scenario, get_scenario
-from repro.experiments.sections import NON_NEGATIVE, POSITIVE, SpecSection, at_least
+from repro.experiments.sections import POSITIVE, SpecSection, at_least
 from repro.experiments.sweep import RunSpec
 from repro.obs.observer import current_observer, install_observer
 
@@ -224,6 +224,13 @@ def shutdown_pool() -> None:
 # ---------------------------------------------------------------------------
 
 
+#: Seconds before the ``k``-th retry of a run whose worker died (pacing only,
+#: results are unaffected): ``BACKOFF_BASE * BACKOFF_FACTOR**(k-1)``, capped.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+
+
 @dataclass(frozen=True)
 class ResiliencePolicy(SpecSection):
     """Watchdog and retry knobs for one execution stream.
@@ -231,20 +238,13 @@ class ResiliencePolicy(SpecSection):
     The default policy is inert — no deadline, one attempt — and is what
     :func:`execute_stream` runs under unless handed another.
     ``run_timeout`` is *wall-clock* seconds per run; ``max_attempts`` counts
-    total dispatches of one run across worker deaths.  Backoff before the
-    ``k``-th retry is ``backoff_base * backoff_factor**(k-1)``, capped at
-    ``backoff_max`` — wall-clock pacing only, results are unaffected.
+    total dispatches of one run across worker deaths.
     """
 
     run_timeout: Optional[float] = None
     max_attempts: int = 1
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
 
-    _bounds = {"run_timeout": POSITIVE, "max_attempts": at_least(1),
-               "backoff_base": NON_NEGATIVE, "backoff_factor": NON_NEGATIVE,
-               "backoff_max": NON_NEGATIVE}
+    _bounds = {"run_timeout": POSITIVE, "max_attempts": at_least(1)}
 
     @property
     def needs_pool(self) -> bool:
@@ -254,8 +254,7 @@ class ResiliencePolicy(SpecSection):
 
     def backoff(self, attempt: int) -> float:
         """Seconds to wait before re-dispatching after ``attempt`` failures."""
-        delay = self.backoff_base * self.backoff_factor ** max(0, attempt - 1)
-        return min(delay, self.backoff_max)
+        return min(BACKOFF_BASE * BACKOFF_FACTOR ** max(0, attempt - 1), BACKOFF_MAX)
 
     def as_dict(self) -> Dict[str, Any]:
         """The policy knobs for report metadata (deterministic)."""

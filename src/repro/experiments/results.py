@@ -68,8 +68,14 @@ def to_payload(results: Iterable[RunResult]) -> Payload:
 
 
 def dumps_json(results: Iterable[RunResult]) -> str:
-    """Serialise results as a stable (indented, key-sorted) JSON array."""
-    return json.dumps(to_payload(results), indent=2, sort_keys=True)
+    """Serialise results as a stable (indented, key-sorted) JSON array, one
+    entry at a time: an indented dump of the whole list holds all its chunks."""
+    body = ",\n  ".join(
+        json.dumps(payload_entry(result), indent=2, sort_keys=True)
+        .replace("\n", "\n  ")
+        for result in results
+    )
+    return "[\n  " + body + "\n]" if body else "[]"
 
 
 def write_json(results: Iterable[RunResult], path: str) -> None:

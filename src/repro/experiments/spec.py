@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Collection, Dict, List, Mapping, Optional, Tuple
@@ -112,7 +111,6 @@ __all__ = [
     "SpecRun",
     "run_spec",
     "load_spec_file",
-    "read_spec_file",
 ]
 
 MONITORING_SCOPES = ("per-shard", "global")
@@ -968,25 +966,6 @@ def _replace_path(obj: Any, full_key: str, parts: List[str], value: Any) -> Any:
         raise
 
 
-def read_spec_file(path: str) -> Dict[str, Any]:
-    """The JSON object a spec file holds, unparsed (an inline ``spec``)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as error:
-        raise ConfigurationError(f"cannot read spec file {path!r}: {error}") from error
-    except json.JSONDecodeError as error:
-        raise ConfigurationError(
-            f"spec file {path!r} is not valid JSON: {error}"
-        ) from error
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"spec file {path!r} must contain a JSON object, "
-            f"got {type(data).__name__}"
-        )
-    return data
-
-
 def load_spec_file(path: str) -> ScenarioSpec:
     """Load a :class:`ScenarioSpec` from a JSON spec file and validate it.
 
@@ -995,6 +974,8 @@ def load_spec_file(path: str) -> ScenarioSpec:
     nested sections may use the positional shorthand (``"transfers":
     [[5.0, "s1", "s2", 0.25]]``).
     """
+    from repro.experiments.cli import read_spec_file
+
     return ScenarioSpec.from_dict(read_spec_file(path)).validate()
 
 

@@ -205,6 +205,10 @@ class SlowdownLatency(LatencyModel):
             raise ConfigurationError(f"slowdown factor must be >= 1, got {factor}")
         if not stall >= 0:
             raise ConfigurationError(f"slowdown stall must be non-negative, got {stall}")
+        if not start_at >= 0:
+            raise ConfigurationError(
+                f"slowdown start_at must be non-negative, got {start_at}"
+            )
         if end_at is not None and not end_at > start_at:
             raise ConfigurationError(
                 f"slowdown end_at={end_at} must be after start_at={start_at}"

@@ -25,7 +25,7 @@ import urllib.parse
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.experiments.cli import parse_grid, parse_params
+from repro.experiments.cli import job_body, read_spec_file
 
 __all__ = ["ServeClient", "ServeClientError", "main"]
 
@@ -160,32 +160,6 @@ class ServeClient:
 # -- command line --------------------------------------------------------------
 
 
-def _build_request(args: argparse.Namespace) -> Dict[str, Any]:
-    """``argv`` as a ``POST /jobs`` body, parsed by the CLI's own helpers so
-    ``submit`` accepts and rejects exactly what ``run`` / ``sweep`` do."""
-    request: Dict[str, Any] = {"kind": "sweep" if args.sweep else "run"}
-    if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            request["spec"] = json.load(handle)
-    else:
-        request["scenario"] = args.scenario
-    params = parse_params(args.param)
-    if params:
-        request["params"] = params
-    grid = parse_grid(args.grid)
-    if grid:
-        request["grid"] = grid
-    if args.seeds:
-        request["seeds"] = parse_grid([f"seed={args.seeds}"])["seed"]
-    if args.sample is not None:
-        request["sample"] = args.sample
-        request["sample_seed"] = args.sample_seed
-        request["sample_method"] = args.sample_method
-    if args.workers is not None:
-        request["workers"] = args.workers
-    return request
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.client",
@@ -260,12 +234,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.command == "metrics":
             _print(client.metrics())
         elif args.command == "validate":
-            with open(args.spec, "r", encoding="utf-8") as handle:
-                verdict = client.validate_spec(json.load(handle))
+            verdict = client.validate_spec(read_spec_file(args.spec))
             _print(verdict)
             return 0 if verdict.get("ok") else 1
         elif args.command == "submit":
-            job = client.submit(_build_request(args))
+            # `run` / `sweep`'s own body, plus the per-job `workers` override.
+            body = job_body(
+                "sweep" if args.sweep else "run", args.scenario, args.spec,
+                args.param, args.grid, args.seeds, args.sample,
+                args.sample_seed, args.sample_method,
+            )
+            if args.workers is not None:
+                body["workers"] = args.workers
+            job = client.submit(body)
             if args.results or args.wait:
                 if args.results:
                     data = client.results_bytes(job["id"])
@@ -286,7 +267,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sys.stdout.buffer.write(data)
         elif args.command == "cancel":
             _print(client.cancel(args.id))
-    except (ReproError, OSError, json.JSONDecodeError) as error:
+    except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     return 0

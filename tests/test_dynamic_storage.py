@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import gc
+import pathlib
 import pickle
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from repro.experiments.spec import (
     MixSpec,
     ScenarioSpec,
     WorkloadSpec,
+    load_spec_file,
     run_spec,
 )
 from repro.net.latency import ConstantLatency, UniformLatency
@@ -293,6 +295,56 @@ class TestWeightAwareQuorums:
             return await servers["s3"].storage_read()
 
         assert loop.run_until_complete(go()) == "shared"
+
+
+# ---------------------------------------------------------------------------
+# The rejection schedule (ROADMAP 4(a'))
+# ---------------------------------------------------------------------------
+
+REJECTION_SCHEDULE = str(
+    pathlib.Path(__file__).parent / "specs" / "rejection-schedule.json")
+
+
+def c2_outcomes(spec):
+    """What a correct protocol reports for each scheduled transfer, replayed
+    on exact weights: the issuer's weight must stay above ``n / (2(n - f))``
+    after giving ``delta`` away (condition C2), else the transfer is null.
+    The schedule is sequential, so each transfer sees every earlier one."""
+    floor = Fraction(spec.cluster.n, 2 * (spec.cluster.n - spec.cluster.f))
+    weights = {f"s{index}": Fraction(1) for index in range(1, spec.cluster.n + 1)}
+    outcomes = []
+    for event in spec.transfers:
+        delta = Fraction(repr(event.delta))
+        remaining = weights[event.source] - delta
+        outcomes.append((remaining > floor, remaining - floor))
+        if remaining > floor:
+            weights[event.source] = remaining
+            weights[event.target] += delta
+    return outcomes
+
+
+class TestTheRejectionSchedule:
+    """Transfers C2 must reject, and only those, with no monitoring to move
+    weight on its own: the schedule `reassign-churn` will check."""
+
+    def test_the_schedule_reaches_the_floor_and_crosses_it(self):
+        outcomes = c2_outcomes(load_spec_file(REJECTION_SCHEDULE))
+        rejected = [margin for effective, margin in outcomes if not effective]
+        assert [effective for effective, _ in outcomes] == [
+            True, False, True, False, True, True]
+        assert sorted(rejected) == [Fraction(-1, 40), 0]  # below, and onto it
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 1: a gaining server never stores its gain, so "
+        "s2 and s3 cannot shed what only their gains allow",
+    )
+    def test_exactly_the_floor_crossing_transfers_are_rejected(self):
+        spec = load_spec_file(REJECTION_SCHEDULE)
+        result = run_spec(spec)
+        assert spec.monitoring.enabled is False
+        assert [entry["effective"] for entry in result["transfers"]] == [
+            effective for effective, _ in c2_outcomes(spec)]
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from repro.experiments import (
 )
 from repro.experiments.executor import (
     ResiliencePolicy,
+    RunResult,
     StreamTelemetry,
     WorkerPool,
     dispatch,
@@ -368,6 +369,17 @@ class TestResults:
         payload = load_payload(str(path))
         assert payload == to_payload(results)
         assert compare_payloads(payload, to_payload(results)) == []
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    def test_dumps_json_is_one_indented_dump_of_the_payload(self, count):
+        results = [
+            RunResult("s", (("note", f"line\nnext é {index}"),), {
+                "rows": [{"x": index, "label": "ü\n"}], "empty": {}, "none": [],
+            })
+            for index in range(count)
+        ]
+        assert dumps_json(results) == json.dumps(
+            to_payload(results), indent=2, sort_keys=True)
 
     def test_csv_sink_writes_flattened_columns(self, tmp_path):
         results = self._small_results()

@@ -268,7 +268,10 @@ class TestOnePlanner:
     @given(sweep_argv())
     def test_the_request_built_from_argv_plans_the_runs_the_cli_expanded(self, argv):
         args = cli.build_parser().parse_args(["sweep", "quickstart", *argv])
-        request = cli._sweep_request(args)
+        request = JobRequest.from_dict(cli.job_body(
+            "sweep", args.scenario, args.spec_path, args.param, args.grid,
+            args.seeds, args.sample, args.sample_seed, args.sample_method,
+        ))
         # Through the wire shape: what a POST /jobs body would carry.
         planned = plan(JobRequest.from_dict(request.to_dict()))
         assert planned.runs == _sweep_runs(args, "quickstart")

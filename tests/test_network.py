@@ -106,6 +106,9 @@ class TestLatencyModels:
         pytest.param(
             lambda: SlowdownLatency(ConstantLatency(), ["s1"], end_at=_NAN),
             id="slowdown-end_at"),
+        pytest.param(
+            lambda: SlowdownLatency(ConstantLatency(), ["s1"], start_at=_NAN),
+            id="slowdown-start_at"),
     ])
     def test_every_model_rejects_nan(self, build):
         with pytest.raises(ConfigurationError):

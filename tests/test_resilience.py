@@ -36,6 +36,9 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main
 from repro.experiments.executor import (
+    BACKOFF_BASE,
+    BACKOFF_FACTOR,
+    BACKOFF_MAX,
     execute_run,
     execute_run_captured,
     forks_workers,
@@ -227,13 +230,12 @@ class TestPolicy:
             ResiliencePolicy(max_attempts=0).validate()
 
     def test_backoff_grows_and_caps(self):
-        policy = ResiliencePolicy(
-            max_attempts=5, backoff_base=0.1, backoff_factor=2.0,
-            backoff_max=0.3,
-        )
-        assert policy.backoff(1) == pytest.approx(0.1)
-        assert policy.backoff(2) == pytest.approx(0.2)
-        assert policy.backoff(4) == pytest.approx(0.3)  # capped
+        policy = ResiliencePolicy(max_attempts=9)
+        assert policy.backoff(1) == BACKOFF_BASE
+        assert policy.backoff(2) == BACKOFF_BASE * BACKOFF_FACTOR
+        assert policy.backoff(3) == BACKOFF_BASE * BACKOFF_FACTOR ** 2
+        assert policy.backoff(9) == BACKOFF_MAX  # capped
+        assert (BACKOFF_BASE, BACKOFF_FACTOR, BACKOFF_MAX) == (0.05, 2.0, 2.0)
 
     def test_default_policy_is_inert(self):
         assert not ResiliencePolicy().needs_pool
@@ -388,7 +390,7 @@ class TestRetryAndQuarantine:
         telemetry = StreamTelemetry()
         results = dict(execute_stream_resilient(
             runs, workers=1,
-            policy=ResiliencePolicy(max_attempts=3, backoff_base=0.01),
+            policy=ResiliencePolicy(max_attempts=3),
             telemetry=telemetry,
         ))
         assert telemetry.retries == 1
@@ -408,7 +410,7 @@ class TestRetryAndQuarantine:
         quarantine = Quarantine(quarantine_path)
         results = dict(execute_stream_resilient(
             runs, workers=2,
-            policy=ResiliencePolicy(max_attempts=2, backoff_base=0.01),
+            policy=ResiliencePolicy(max_attempts=2),
             telemetry=telemetry, quarantine=quarantine,
         ))
         quarantine.close()

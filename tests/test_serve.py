@@ -21,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -1380,16 +1381,24 @@ def test_only_the_client_imports_the_stdlib_http_stack():
 
 
 def client_body(argv):
-    """The ``POST /jobs`` body `client submit --scenario quickstart --sweep` builds."""
-    args = serve_client.build_parser().parse_args(
-        ["submit", "--scenario", "quickstart", "--sweep", *argv])
-    return serve_client._build_request(args)
+    """The ``POST /jobs`` body `client submit --scenario quickstart --sweep` posts."""
+    sent = []
+    with mock.patch.object(
+        ServeClient, "submit", lambda self, body: sent.append(body) or {"id": "-"}
+    ):
+        assert serve_client.main(
+            ["submit", "--scenario", "quickstart", "--sweep", *argv]) == 0
+    return sent[0]
 
 
 def cli_body(argv):
-    """The request `python -m repro sweep quickstart` builds, as a body."""
+    """The request `python -m repro sweep quickstart` plans, as a body."""
     args = repro_cli.build_parser().parse_args(["sweep", "quickstart", *argv])
-    return repro_cli._sweep_request(args).to_dict()
+    body = repro_cli.job_body(
+        "sweep", args.scenario, args.spec_path, args.param, args.grid,
+        args.seeds, args.sample, args.sample_seed, args.sample_method,
+    )
+    return JobRequest.from_dict(body).to_dict()
 
 
 class TestClientArgvMatchesTheCli:
@@ -1442,6 +1451,33 @@ class TestClientArgvMatchesTheCli:
         assert serve_client.main([
             "--url", f"http://127.0.0.1:{free_port()}", "submit",
             "--scenario", "quickstart", *argv,
+        ]) == 2
+        assert capsys.readouterr().err == cli_error
+
+    @pytest.mark.parametrize("text, words", [
+        pytest.param("{not json", "is not valid JSON", id="not-json"),
+        pytest.param("[1, 2]", "must contain a JSON object", id="array"),
+        pytest.param("", "is not valid JSON", id="empty"),
+        pytest.param('"quickstart"', "must contain a JSON object", id="string"),
+        pytest.param(b"\xff\xfe{}", "is not valid JSON", id="not-utf8"),
+        pytest.param(None, "cannot read spec file", id="missing"),
+    ])
+    @pytest.mark.parametrize("command", [
+        pytest.param(["validate"], id="validate"),
+        pytest.param(["submit", "--spec"], id="submit"),
+    ])
+    def test_a_bad_spec_file_is_the_clis_error(
+        self, tmp_path, capsys, text, words, command
+    ):
+        path = tmp_path / "bad.json"
+        if text is not None:
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        assert main(["run", "--spec", str(path)]) == 2
+        cli_error = capsys.readouterr().err
+        assert words in cli_error
+        # No server is listening: the file must be refused before any send.
+        assert serve_client.main([
+            "--url", f"http://127.0.0.1:{free_port()}", *command, str(path),
         ]) == 2
         assert capsys.readouterr().err == cli_error
 
