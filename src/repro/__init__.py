@@ -50,7 +50,6 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "quorum.majority": ("MajorityQuorumSystem",),
     "quorum.weighted": ("WeightedMajorityQuorumSystem", "smallest_quorum_size"),
     "sim.cluster": ("build_dynamic_cluster",),
-    "sim.workload": ("uniform_workload",),
     "workloads.generator": ("WorkloadGenerator",),
     "workloads.stats": ("workload_stats",),
     "sim.runner": ("run_workload",),

@@ -10,7 +10,5 @@ MQS on heterogeneous WANs" claim.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "quorum_latency": (
-        "expected_quorum_latency", "quorum_latency_table", "fastest_quorum",
-    ),
+    "quorum_latency": ("expected_quorum_latency", "fastest_quorum"),
 })

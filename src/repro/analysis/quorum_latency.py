@@ -15,13 +15,13 @@ the fast servers, the client stops waiting earlier.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 from repro.errors import ConfigurationError
 from repro.quorum.base import QuorumSystem
 from repro.types import ProcessId, VirtualTime
 
-__all__ = ["fastest_quorum", "expected_quorum_latency", "quorum_latency_table"]
+__all__ = ["fastest_quorum", "expected_quorum_latency"]
 
 
 def fastest_quorum(
@@ -46,17 +46,3 @@ def expected_quorum_latency(
     """Completion latency of a one-phase quorum access under the model above."""
     quorum = fastest_quorum(quorum_system, rtt)
     return max(rtt[server] for server in quorum)
-
-
-def quorum_latency_table(
-    systems: Mapping[str, QuorumSystem],
-    rtt_by_client: Mapping[ProcessId, Mapping[ProcessId, VirtualTime]],
-) -> Dict[str, Dict[ProcessId, VirtualTime]]:
-    """Latency of each quorum system from each client's vantage point."""
-    table: Dict[str, Dict[ProcessId, VirtualTime]] = {}
-    for name, system in systems.items():
-        table[name] = {
-            client: expected_quorum_latency(system, rtt)
-            for client, rtt in rtt_by_client.items()
-        }
-    return table

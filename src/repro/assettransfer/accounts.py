@@ -59,9 +59,6 @@ class AccountBook:
     def owners(self, account: str) -> FrozenSet[ProcessId]:
         return self._owners[account]
 
-    def max_owner_count(self) -> int:
-        return max(len(owner_set) for owner_set in self._owners.values())
-
     def total(self) -> float:
         return sum(self._balances.values())
 

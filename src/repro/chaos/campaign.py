@@ -67,11 +67,6 @@ class Campaign:
         """Total oracle violations across every sampled run."""
         return sum(len(entry["violations"]) for entry in self.entries)
 
-    @property
-    def worst(self) -> Optional[Dict[str, Any]]:
-        """The rank-1 entry, or ``None`` for an empty campaign."""
-        return self.entries[0] if self.entries else None
-
     def jsonl_lines(self) -> Iterator[str]:
         """The report: one header line, then one line per entry, by rank."""
         yield json.dumps(self.header, sort_keys=True)

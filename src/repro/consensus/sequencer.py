@@ -107,7 +107,3 @@ class TotalOrderClient:
                 waiter = self._waiting.pop(ready["submit_id"], None)
                 if waiter is not None and not waiter.done():
                     waiter.set_result(result)
-
-    @property
-    def applied_count(self) -> int:
-        return self._applied_up_to

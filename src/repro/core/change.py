@@ -47,14 +47,6 @@ class Change:
     def __hash__(self) -> int:
         return hash((self.author, self.counter, self.server))
 
-    def is_null(self) -> bool:
-        """True for zero-weight changes (the outcome of aborted operations)."""
-        return self.delta == 0
-
-    def is_initial(self) -> bool:
-        """True for the conventional initial change ``<s, 1, s, w>``."""
-        return self.author == self.server and self.counter == 1
-
 
 def initial_changes(initial_weights: Mapping[ProcessId, Weight]) -> "ChangeSet":
     """The change set defining the initial weights (completed at ``t = 0``).
@@ -120,24 +112,17 @@ class ChangeSet:
         """Return a new set with ``changes`` added."""
         return ChangeSet(self._changes | frozenset(changes))
 
-    def difference(self, other: "ChangeSet") -> FrozenSet[Change]:
-        """Changes present here but not in ``other`` (``C' \\ C`` in Alg. 4)."""
-        return self._changes - other._changes
-
-    def issubset(self, other: "ChangeSet") -> bool:
-        return self._changes <= other._changes
-
     def covers(self, changes: Iterable[Change]) -> bool:
         """Whether every change in ``changes`` belongs to this set.
 
-        Equal to ``ChangeSet(changes).issubset(self)`` without building the
-        set.  A *tuple* found covered is remembered by identity, so asking
-        again about the same object is one dict lookup: storage servers
-        piggyback their cached :meth:`sorted` tuple on every reply, and a
-        reader sees the same handful of tuples thousands of times between
-        two reassignments.  Only tuples are remembered (they cannot change
-        afterwards); the memo holds at most one entry per distinct subset
-        the servers ever reported while this set was somebody's view.
+        Equal to ``self.as_frozenset().issuperset(changes)``.  A *tuple* found
+        covered is remembered by identity, so asking again about the same
+        object is one dict lookup: storage servers piggyback their cached
+        :meth:`sorted` tuple on every reply, and a reader sees the same
+        handful of tuples thousands of times between two reassignments.  Only
+        tuples are remembered (they cannot change afterwards); the memo holds
+        at most one entry per distinct subset the servers ever reported while
+        this set was somebody's view.
         """
         if self._covered.get(id(changes)) is changes:
             return True
@@ -202,19 +187,6 @@ class ChangeSet:
 
     def total_weight(self) -> Weight:
         return sum(self.weight_map().values())
-
-    def by_author(self, author: ProcessId) -> "ChangeSet":
-        """Changes issued by ``author`` (useful for completion checks)."""
-        return ChangeSet(c for c in self._changes if c.author == author)
-
-    def non_null(self) -> "ChangeSet":
-        """Only the effective (non-zero-weight) changes."""
-        return ChangeSet(c for c in self._changes if not c.is_null())
-
-    def max_counter(self, author: ProcessId) -> int:
-        """The largest counter used by ``author`` in this set (0 if none)."""
-        counters = [c.counter for c in self._changes if c.author == author]
-        return max(counters) if counters else 0
 
     # -- misc --------------------------------------------------------------------
     def as_frozenset(self) -> FrozenSet[Change]:

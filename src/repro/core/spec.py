@@ -10,8 +10,6 @@ each defined once:
   weight stays strictly above ``W_{S,0} / (2 (n - f))``.
 * :func:`c2_holds` — condition C2 of Algorithm 4: a server keeps more than
   that floor after giving ``delta`` away.
-* :func:`check_validity_one` / :func:`check_rp_validity_one` — the shape of
-  the changes an operation is allowed to create.
 
 They are pure functions over weight maps and change sets, so the protocols
 (for their local checks), the scenarios and the test-suite (for whole-trace
@@ -36,8 +34,6 @@ __all__ = [
     "check_integrity",
     "check_rp_integrity",
     "c2_holds",
-    "check_validity_one",
-    "check_rp_validity_one",
     "rp_minimum_weight",
 ]
 
@@ -82,45 +78,6 @@ def check_rp_integrity(
     n = len(weights)
     minimum = rp_minimum_weight(total_initial_weight, n, f)
     return all(c2_holds(weight, 0, minimum) for weight in weights.values())
-
-
-def check_validity_one(
-    requested_delta: Weight, created_delta: Weight, integrity_would_hold: bool
-) -> bool:
-    """Validity-I (Def. 3): the created change mirrors the request, or is null.
-
-    If completing the reassignment with the requested delta keeps Integrity,
-    the created change must carry exactly that delta; otherwise it must be a
-    zero-weight (null) change.
-    """
-    if requested_delta == 0:
-        # reassign(*, 0) is not a legal invocation.
-        return False
-    if integrity_would_hold:
-        return created_delta == requested_delta
-    return created_delta == 0
-
-
-def check_rp_validity_one(
-    source: ProcessId,
-    author: ProcessId,
-    requested_delta: Weight,
-    created_source_delta: Weight,
-    created_target_delta: Weight,
-    rp_integrity_would_hold: bool,
-) -> bool:
-    """RP-Validity-I (Def. 5): pairwise shape + C1 (only the source transfers)."""
-    if author != source:
-        # C1: only s_i may invoke transfer(s_i, *, *).
-        return False
-    if requested_delta == 0:
-        return False
-    if rp_integrity_would_hold:
-        return (
-            created_source_delta == -requested_delta
-            and created_target_delta == requested_delta
-        )
-    return created_source_delta == 0 and created_target_delta == 0
 
 
 @dataclass(frozen=True)
@@ -179,14 +136,6 @@ class SystemConfig:
     def initial_change_set(self) -> ChangeSet:
         """The conventional initial changes ``<s, 1, s, W_{s,0}>``."""
         return initial_changes(self.initial_weights)
-
-    def validate_rp_initial_weights(self) -> None:
-        """Ensure the initial weights already satisfy RP-Integrity."""
-        if not check_rp_integrity(self.initial_weights, self.total_initial_weight, self.f):
-            raise IntegrityViolation(
-                "initial weights violate RP-Integrity: some server starts at or "
-                f"below the bound {float(self.rp_min_weight)}"
-            )
 
     # -- convenience constructors ------------------------------------------------
     @classmethod

@@ -328,14 +328,6 @@ class DynamicWeightedStorageServer(ReassignmentServer, _ChangeView):
     async def merge_changes(self, new_changes: Iterable[Change]) -> None:
         await self.write_changes(new_changes)
 
-    # -- server-initiated operations (rarely needed, but part of the model) -------
-    async def storage_read(self) -> Any:
-        """A full atomic read performed by the server itself."""
-        record = await _read_write(
-            self, self.config, self, self._op_counter, value=None, is_write=False
-        )
-        return record.value
-
 
 class DynamicWeightedStorageClient(Process, _ChangeView):
     """Reader/writer side of the storage (Algorithm 5).

@@ -63,10 +63,9 @@ class SpecViolation(ReproError):
     """A safety property from the paper's problem definitions was violated.
 
     Raised only as :class:`IntegrityViolation`, by
-    :class:`repro.core.spec.SystemConfig`: on construction when the initial
-    weights violate Property 1 (Integrity at t=0), and by
-    :meth:`~repro.core.spec.SystemConfig.validate_rp_initial_weights` when they
-    violate RP-Integrity.  A running protocol never raises it.
+    :class:`repro.core.spec.SystemConfig` on construction when the initial
+    weights violate Property 1 (Integrity at t=0).  A running protocol never
+    raises it.
     """
 
 

@@ -34,12 +34,12 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     "spec": (
         "ScenarioSpec", "ClusterSpec", "WorkloadSpec", "KeySpec", "ArrivalSpec",
         "MixSpec", "PhaseSpec", "LatencySpec", "MonitoringSpec", "PolicySpec",
-        "FaultSpec", "FailureSpec", "OutageSpec", "PartitionSpec", "TransferEvent",
+        "FaultSpec", "OutageSpec", "PartitionSpec", "TransferEvent",
         "run_spec", "load_spec_file",
     ),
     "registry": (
         "Scenario", "FunctionScenario", "SpecScenario", "scenario", "register",
-        "register_spec", "unregister", "get_scenario", "scenario_names",
+        "register_spec", "get_scenario", "scenario_names",
         "all_scenarios",
     ),
     "sweep": ("RunSpec", "Sweep", "expand_grid", "expand_points"),
@@ -53,7 +53,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "run_digest",
     ),
     "results": (
-        "payload_entry", "to_payload", "dumps_json", "write_json", "write_jsonl_line",
-        "write_csv", "load_payload", "load_quarantine", "compare_payloads",
+        "payload_entry", "dumps_json", "write_json", "write_jsonl_line",
+        "write_csv", "load_payload", "compare_payloads",
     ),
 })

@@ -97,11 +97,11 @@ def plan(request: JobRequest) -> Plan:
 
     Every ``params`` value and every value of every ``grid`` / ``seeds``
     axis is checked with the rule execution itself applies
-    (:meth:`Scenario.check_params`: the spec's override paths, aliases
-    included, each value typed by the section it lands in — or the
-    function's keyword set); a rejected name or a malformed shape fails
-    here, before any run starts, with its request path (``params.<key>``,
-    ``grid.<axis>``, ``seeds``) attached.  Every point is then validated
+    (:meth:`Scenario.check_params`: the spec's override paths, each value
+    typed by the section it lands in — or the function's keyword set); a
+    rejected name or a malformed shape fails here, before any run starts,
+    with its request path (``params.<key>``, ``grid.<axis>``, ``seeds``)
+    attached.  Every point is then validated
     whole (:meth:`Scenario.check_point`: a spec's, or the section a function
     scenario builds), as execution will: a value out of its bound
     (``max_time=0``, ``ring_amount=-1``) fails here too, naming the run and

@@ -36,7 +36,6 @@ __all__ = [
     "scenario",
     "register",
     "register_spec",
-    "unregister",
     "get_scenario",
     "scenario_names",
     "all_scenarios",
@@ -215,11 +214,6 @@ def register_spec(
     entry = SpecScenario(spec, tags=tags)
     register(entry, replace=replace)
     return entry
-
-
-def unregister(name: str) -> None:
-    """Remove a scenario (used by tests; unknown names are ignored)."""
-    _REGISTRY.pop(name, None)
 
 
 def scenario(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from numbers import Number
 from typing import (
     TYPE_CHECKING,
@@ -38,12 +37,10 @@ if TYPE_CHECKING:  # annotations only: `compare` must not load the executor
 
 __all__ = [
     "payload_entry",
-    "to_payload",
     "dumps_json",
     "write_json",
     "write_jsonl_line",
     "load_payload",
-    "load_quarantine",
     "write_csv",
     "flatten_values",
     "compare_payloads",
@@ -60,11 +57,6 @@ def payload_entry(result: RunResult) -> Dict[str, Any]:
         "params": dict(result.params),
         "result": result.result,
     }
-
-
-def to_payload(results: Iterable[RunResult]) -> Payload:
-    """The canonical payload (one object per run) for a result collection."""
-    return [payload_entry(result) for result in results]
 
 
 def dumps_json(results: Iterable[RunResult]) -> str:
@@ -100,23 +92,6 @@ def load_payload(path: str) -> Payload:
     if not stripped or stripped.startswith("["):
         return json.loads(text)
     return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def load_quarantine(path: str) -> Payload:
-    """Load a quarantine sidecar written by a resilient sweep or campaign.
-
-    Each record carries ``index``, ``run_id``, ``scenario``, ``attempts``,
-    the final ``error`` and a ``spec`` block (``scenario`` plus the exact
-    parameter overrides) — everything needed to re-run the poisoned
-    configuration by hand.  It has no traceback: a record exists only for a
-    worker that died, which leaves no Python frame to report.  A missing file is an
-    empty quarantine (the sidecar is only created when something fails
-    every attempt).
-    """
-    if not os.path.exists(path):
-        return []
-    with open(path, "r", encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
 
 
 def flatten_values(value: Any, prefix: str = "") -> Dict[str, Any]:

@@ -281,15 +281,12 @@ class SpecSection:
       string field's :data:`NON_EMPTY` or the names it may take (a kind);
     * ``_non_sweepable`` — field names excluded from :meth:`flatten` (e.g.
       the root spec's ``name``/``description``);
-    * ``_aliases`` — legacy key spellings accepted by :meth:`from_dict` and
-      dotted-path overrides (the ``failures`` → ``faults`` deprecation shim);
     * ``_validate(path)`` — the section's cross-field rules, called by
       :meth:`validate` once every field is admitted.
     """
 
     _bounds: ClassVar[Dict[str, Union[Bound, Collection[str]]]] = {}
     _non_sweepable: ClassVar[Tuple[str, ...]] = ()
-    _aliases: ClassVar[Dict[str, str]] = {}
 
     def __post_init__(self) -> None:
         """Type every field: nested sections from dicts or sequences, tuples
@@ -320,33 +317,23 @@ class SpecSection:
     def from_dict(cls: Type[S], data: Mapping[str, Any]) -> S:
         """The inverse of :meth:`to_dict`; unknown keys are rejected.
 
-        Only the keys are checked here (unknown, aliased, duplicated); the
-        values take their types in the constructor, like any other input.
+        Only the keys are checked here; the values take their types in the
+        constructor, like any other input.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"{cls.__name__} expects a mapping, got {data!r}"
             )
         field_names = {field.name for field in dataclasses.fields(cls)}
-        kwargs: Dict[str, Any] = {}
         for key in data:
-            name = cls._aliases.get(key, key)
-            if name not in field_names:
+            if key not in field_names:
                 raise ConfigurationError(
                     f"unknown key {key!r} for {cls.__name__} "
                     f"(known keys: {', '.join(sorted(field_names))})",
                     path=key,
                 )
-            if name in kwargs:
-                # An alias and its canonical spelling (or a duplicate via
-                # aliasing) must not silently overwrite each other.
-                raise ConfigurationError(
-                    f"duplicate key for {cls.__name__}.{name}: {key!r} "
-                    "collides with an earlier spelling of the same section"
-                )
-            kwargs[name] = data[key]
         try:
-            return cls(**kwargs)
+            return cls(**data)
         except TypeError as error:
             raise ConfigurationError(
                 f"cannot build {cls.__name__} from {dict(data)!r}: {error}"

@@ -105,7 +105,6 @@ __all__ = [
     "OutageSpec",
     "PartitionSpec",
     "FaultSpec",
-    "FailureSpec",
     "TransferEvent",
     "ScenarioSpec",
     "SpecRun",
@@ -710,9 +709,7 @@ class FaultSpec(SpecSection):
     server's instance in every shard (the machine hosting them); a
     qualified name (``s4#2``) targets one shard's instance only — the same
     *per-group targeting* rule latency slowdowns use, so fault scenarios
-    sweep over ``cluster.shards`` unchanged.  (``failures`` is accepted as
-    a legacy alias for this section in spec files and dotted override
-    paths.)
+    sweep over ``cluster.shards`` unchanged.
 
     The section *is* the schedule: :meth:`_timeline` walks it once into
     sorted crash/recover fates and partition boundaries, and validation and
@@ -845,12 +842,6 @@ class FaultSpec(SpecSection):
                 loop.call_at(at, network.heal)
 
 
-# Deprecation shim: the pre-v2 name of the fault section.  ``FailureSpec(
-# crashes=...)`` keeps constructing, and ``failures.*`` override paths /
-# spec-file keys alias onto ``faults.*`` (see ScenarioSpec._aliases).
-FailureSpec = FaultSpec
-
-
 @dataclass(frozen=True)
 class TransferEvent(SpecSection):
     """A scheduled weight transfer: at ``at``, ``source`` sends ``delta`` to ``target``.
@@ -890,7 +881,6 @@ class ScenarioSpec(SpecSection):
 
     _bounds = {"name": NON_EMPTY, "max_time": POSITIVE}
     _non_sweepable = ("name", "description")
-    _aliases = {"failures": "faults"}
 
     def _validate(self, path: str) -> None:
         flavour = self.cluster.flavour
@@ -946,8 +936,6 @@ def _replace_path(obj: Any, full_key: str, parts: List[str], value: Any) -> Any:
         )
     field_names = {field.name for field in dataclasses.fields(obj)}
     head = parts[0]
-    if isinstance(obj, SpecSection):
-        head = type(obj)._aliases.get(head, head)
     if head not in field_names:
         raise ConfigurationError(
             f"unknown parameter {full_key!r}: {type(obj).__name__} has no field {head!r} "

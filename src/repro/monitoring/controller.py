@@ -112,12 +112,3 @@ class WeightController:
         )
         self.reports.append(report)
         return report
-
-    # -- convergence metric --------------------------------------------------------
-    def distance_to_targets(self) -> Weight:
-        """L1 distance between the locally-known weights and the targets."""
-        weights = self.server.local_weights()
-        return sum(
-            abs(weights[server] - self.targets[server])
-            for server in self.server.config.servers
-        )

@@ -128,9 +128,6 @@ class LatencyMonitor:
             return None
         return sum(samples) / len(samples)
 
-    def ewma(self, server: ProcessId) -> Optional[VirtualTime]:
-        return self._ewma.get(server)
-
     def summary(self, default: VirtualTime = 1.0) -> Dict[ProcessId, VirtualTime]:
         """EWMA latency per server, substituting ``default`` when unsampled."""
         result = {}
@@ -138,6 +135,3 @@ class LatencyMonitor:
             value = self._ewma.get(server)
             result[server] = default if value is None else value
         return result
-
-    def sample_count(self, server: ProcessId) -> int:
-        return len(self._samples.get(server, ()))

@@ -20,7 +20,7 @@ that the protocols need to run:
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(globals(), {
-    "simloop": ("SimFuture", "SimLoop", "SimTask", "Event", "Queue", "gather"),
+    "simloop": ("SimFuture", "SimLoop", "SimTask", "gather"),
     "latency": (
         "LatencyModel", "ConstantLatency", "UniformLatency", "LogNormalLatency",
         "PerLinkLatency", "SlowdownLatency",

@@ -5,7 +5,6 @@ A :class:`Process` owns a handler table mapping message kinds to callbacks
 protocols are built on:
 
 * :meth:`Process.send` — fire-and-forget message.
-* :meth:`Process.send_to_all` — fire-and-forget broadcast to a set of peers.
 * :meth:`Process.request_all` — send the same request to many peers and
   obtain a :class:`ResponseCollector`, on which the caller can await "more
   than f replies", "replies from a weighted quorum", or any other predicate —
@@ -200,16 +199,6 @@ class Process:
         self.network.send(
             Message(self.pid, to.sender, kind, payload, to.request_id, True)
         )
-
-    def send_to_all(
-        self,
-        receivers: Iterable[ProcessId],
-        kind: str,
-        payload: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Fire-and-forget the same message to every listed receiver."""
-        for receiver in receivers:
-            self.send(receiver, kind, payload)
 
     def request_all(
         self,

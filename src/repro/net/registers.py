@@ -78,7 +78,3 @@ class SWMRRegisterArray:
         if register is None:
             raise ConfigurationError(f"{owner!r} owns no register in this array")
         return register.read(reader)
-
-    def snapshot(self) -> Dict[ProcessId, Any]:
-        """A (non-atomic) read of every entry, for inspection in tests."""
-        return {owner: reg.read() for owner, reg in self._registers.items()}

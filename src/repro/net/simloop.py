@@ -33,8 +33,8 @@ The public surface mirrors a tiny subset of ``asyncio``:
 * :class:`SimTask` — a future driving a coroutine.
 * :class:`SimLoop` — ``create_task`` / ``call_later`` / ``sleep`` /
   ``run_until_complete`` / ``run`` with virtual time.
-* :func:`gather`, :class:`Event`, :class:`Queue` — the small amount of
-  synchronisation machinery the protocols need.
+* :func:`gather` — the one piece of synchronisation machinery the
+  protocols need.
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ __all__ = [
     "SimFuture",
     "SimTask",
     "SimLoop",
-    "Event",
-    "Queue",
     "gather",
 ]
 
@@ -482,10 +480,6 @@ class SimLoop:
             if observed:
                 obs.kernel_run(processed - heap_hits, heap_hits, max_depth)
 
-    def pending_event_count(self) -> int:
-        """Number of not-yet-processed events (useful for tests)."""
-        return len(self._events) + len(self._ready)
-
     def close(self) -> None:
         """Drop the events still queued: each holds a callback (a task's
         step, a network's delivery) that keeps the world alive.  Drop the
@@ -545,68 +539,3 @@ def gather(loop: SimLoop, awaitables: Iterable[Awaitable[Any]]) -> SimFuture:
     for child in children:
         child.add_done_callback(on_child_done)
     return combined
-
-
-class Event:
-    """A level-triggered event: tasks await :meth:`wait` until :meth:`set`."""
-
-    def __init__(self, name: str = "event") -> None:
-        self._name = name
-        self._is_set = False
-        self._waiters: Deque[SimFuture] = deque()
-
-    def is_set(self) -> bool:
-        return self._is_set
-
-    def set(self) -> None:
-        """Mark the event as set and wake every waiter."""
-        self._is_set = True
-        waiters, self._waiters = self._waiters, deque()
-        for waiter in waiters:
-            if not waiter.done():
-                waiter.set_result(None)
-
-    def clear(self) -> None:
-        self._is_set = False
-
-    def wait(self) -> SimFuture:
-        """Return a future resolved when (or as soon as) the event is set."""
-        future = SimFuture(name=f"{self._name}.wait")
-        if self._is_set:
-            future.set_result(None)
-        else:
-            self._waiters.append(future)
-        return future
-
-
-class Queue:
-    """An unbounded FIFO queue usable from coroutines (``await queue.get()``)."""
-
-    def __init__(self, name: str = "queue") -> None:
-        self._name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[SimFuture] = deque()
-
-    def put(self, item: Any) -> None:
-        """Enqueue ``item``, waking the oldest waiting getter if any."""
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.done():
-                getter.set_result(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> SimFuture:
-        """Return a future resolving with the next item (FIFO order)."""
-        future = SimFuture(name=f"{self._name}.get")
-        if self._items:
-            future.set_result(self._items.popleft())
-        else:
-            self._getters.append(future)
-        return future
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def empty(self) -> bool:
-        return not self._items

@@ -37,7 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
     ),
     "trace": (
         "TraceEvent", "TraceRecorder", "TRACE_PHASES", "TRACE_CATEGORIES",
-        "trace_lines", "trace_digest", "write_trace", "read_trace",
+        "trace_digest", "write_trace", "read_trace",
         "ValidatedTrace", "validate_record",
     ),
     "export": ("to_chrome_trace", "write_chrome_trace", "summarize_trace"),

@@ -55,7 +55,6 @@ __all__ = [
     "TraceRecorder",
     "TRACE_PHASES",
     "TRACE_CATEGORIES",
-    "trace_lines",
     "trace_digest",
     "write_trace",
     "read_trace",
@@ -111,10 +110,6 @@ class TraceEvent(NamedTuple):
     @property
     def is_span_end(self) -> bool:
         return self.ph == "E"
-
-    @property
-    def is_flow(self) -> bool:
-        return self.ph in ("s", "f")
 
     @classmethod
     def from_record(cls, record: Mapping[str, Any]) -> "TraceEvent":
@@ -224,11 +219,6 @@ class TraceRecorder:
 # which costs more than a short record does.
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _decode = json.JSONDecoder().raw_decode
-
-
-def trace_lines(records: Iterable[Dict[str, Any]]) -> List[str]:
-    """The canonical one-record-per-line serialisation."""
-    return [_encode(record) for record in records]
 
 
 def trace_digest(records: Iterable[Dict[str, Any]]) -> str:

@@ -2,15 +2,14 @@
 
 A quorum system over a server set ``S`` is a collection of subsets of ``S``
 (quorums) such that every two quorums intersect.  Protocols only ever need
-the membership test :meth:`QuorumSystem.is_quorum`, so that is the abstract
-core; enumeration helpers are provided for analysis and testing and may be
-expensive for large ``n``.
+the membership test :meth:`QuorumSystem.is_quorum`, so that is the whole
+interface; ``tests/test_quorum_systems.py`` enumerates quorums through it to
+check that any two intersect.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import FrozenSet, Iterable, Sequence, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.types import ProcessId
@@ -42,27 +41,6 @@ class QuorumSystem:
         if unknown:
             raise ConfigurationError(f"unknown servers in subset: {sorted(unknown)}")
         return members
-
-    def minimal_quorums(self) -> List[FrozenSet[ProcessId]]:
-        """Enumerate the inclusion-minimal quorums (exponential in ``n``)."""
-        minimal: List[FrozenSet[ProcessId]] = []
-        for size in range(1, len(self.servers) + 1):
-            for combo in itertools.combinations(self.servers, size):
-                candidate = frozenset(combo)
-                if not self.is_quorum(candidate):
-                    continue
-                if any(existing <= candidate for existing in minimal):
-                    continue
-                minimal.append(candidate)
-        return minimal
-
-    def check_intersection(self) -> bool:
-        """Verify the defining property: every two minimal quorums intersect."""
-        minimal = self.minimal_quorums()
-        for first, second in itertools.combinations(minimal, 2):
-            if not (first & second):
-                return False
-        return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} n={len(self.servers)}>"

@@ -25,7 +25,3 @@ class MajorityQuorumSystem(QuorumSystem):
     def quorum_size(self) -> int:
         """The (uniform) size of a minimal majority quorum: ``floor(n/2) + 1``."""
         return len(self.servers) // 2 + 1
-
-    def max_tolerable_failures(self) -> int:
-        """The optimal crash threshold ``f = ceil(n/2) - 1``."""
-        return (len(self.servers) - 1) // 2

@@ -1,11 +1,10 @@
 """The weighted majority quorum system (WMQS) of Definition 1.
 
 Each server carries a weight; a subset is a quorum when its total weight
-exceeds half of the total weight of all servers.  The weight map is
-*mutable*: the dynamic-weighted storage of Section VII re-points its quorum
-system at a new weight map whenever it learns of completed weight changes, so
-this class supports both an immutable construction (from a dict) and cheap
-re-derivation via :meth:`with_weights`.
+exceeds half of the total weight of all servers.  One instance holds one
+weight map: the static-weighted baseline and the quorum scenarios build one
+per map, while the dynamic-weighted storage of Section VII tests quorums
+against the weights of the change set it knows.
 """
 
 from __future__ import annotations
@@ -39,16 +38,6 @@ class WeightedMajorityQuorumSystem(QuorumSystem):
     def uniform(cls, servers: Sequence[ProcessId], weight: Weight = 1.0):
         """A WMQS where every server holds the same weight (equivalent to MQS)."""
         return cls({server: weight for server in servers})
-
-    def with_weights(
-        self, weights: Mapping[ProcessId, Weight]
-    ) -> "WeightedMajorityQuorumSystem":
-        """Return a new WMQS over the same servers with updated weights."""
-        if set(weights) != set(self.servers):
-            raise ConfigurationError(
-                "with_weights must cover exactly the same server set"
-            )
-        return WeightedMajorityQuorumSystem(weights)
 
     # -- weights ----------------------------------------------------------------
     def total_weight(self) -> Weight:

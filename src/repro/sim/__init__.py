@@ -19,7 +19,7 @@ __all__, __getattr__, __dir__ = lazy_exports(globals(), {
         "Cluster", "ReassignmentFleet", "ShardGroup", "World", "build_cluster",
         "build_dynamic_cluster", "build_reassignment_fleet", "build_world",
     ),
-    "workload": ("Operation", "Workload", "uniform_workload"),
+    "workload": ("Operation", "Workload"),
     "metrics": (
         "ImbalanceSummary", "LatencySummary", "ShardLoadSummary", "imbalance_summary",
         "summarize", "summarize_shard_loads",

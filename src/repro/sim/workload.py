@@ -6,23 +6,18 @@ a think time relative to the previous operation's completion) and open-loop
 slows down).  ``key`` names the logical datum an operation touches; the
 single-register stores treat it as workload metadata (popularity skew shapes
 *when* operations contend, not *where* they land), while keyed backends can
-route on it directly.
-
-:func:`uniform_workload` is the original closed-loop uniform mix; richer
-composable generators (zipfian keys, Poisson arrivals, phases, traces) live
-in :mod:`repro.workloads`.
+route on it directly.  The generators (zipfian keys, Poisson arrivals,
+phases, traces) live in :mod:`repro.workloads`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError
 from repro.types import ProcessId, VirtualTime
 
-__all__ = ["Operation", "Workload", "uniform_workload"]
+__all__ = ["Operation", "Workload"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,46 +86,3 @@ class Workload:
         reads = sum(1 for op in self.operations if op.kind == "read")
         return {"reads": reads, "writes": len(self.operations) - reads,
                 "total": len(self.operations)}
-
-
-def uniform_workload(
-    clients: Sequence[ProcessId],
-    operations_per_client: int,
-    read_ratio: float = 0.5,
-    mean_think_time: VirtualTime = 1.0,
-    seed: int = 0,
-) -> Workload:
-    """A uniformly random mix of reads and writes with exponential think times.
-
-    The first operation of the first client is always a write, so reads never
-    observe the "unwritten" initial value.
-    """
-    if not clients:
-        raise ConfigurationError("need at least one client")
-    if operations_per_client < 1:
-        raise ConfigurationError("need at least one operation per client")
-    if not 0.0 <= read_ratio <= 1.0:
-        raise ConfigurationError("read_ratio must be within [0, 1]")
-    rng = random.Random(seed)
-    operations: List[Operation] = []
-    value_counter = 0
-    for client_index, client in enumerate(clients):
-        for op_index in range(operations_per_client):
-            force_write = client_index == 0 and op_index == 0
-            is_read = (not force_write) and rng.random() < read_ratio
-            think = rng.expovariate(1.0 / mean_think_time) if mean_think_time > 0 else 0.0
-            if is_read:
-                operations.append(
-                    Operation(client=client, kind="read", value=None, issue_after=think)
-                )
-            else:
-                value_counter += 1
-                operations.append(
-                    Operation(
-                        client=client,
-                        kind="write",
-                        value=f"value-{client}-{value_counter}",
-                        issue_after=think,
-                    )
-                )
-    return Workload(operations=operations)

@@ -217,7 +217,3 @@ class ReconfigurableStorageClient(Process):
         )
         self.known_configs.add(members)
         await self._run_phase(RC_W, {"stored": max_stored})
-
-    @property
-    def pending_config_count(self) -> int:
-        return len(self.known_configs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import multiprocessing
+import random
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -10,12 +11,14 @@ import pytest
 
 from repro.core.spec import SystemConfig
 from repro.core.storage import OperationRecord
+from repro.errors import ConfigurationError
 from repro.experiments import registry
 from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.net.network import Network
 from repro.net.simloop import SimLoop
 from repro.obs import TraceRecorder
-from repro.types import Tag
+from repro.sim.workload import Operation, Workload
+from repro.types import ProcessId, Tag, VirtualTime
 
 
 @pytest.fixture
@@ -69,6 +72,59 @@ def make_net(latency: Optional[LatencyModel] = None) -> Tuple[SimLoop, Network]:
 def jittery_net(seed: int = 0, low: float = 0.5, high: float = 2.5) -> Tuple[SimLoop, Network]:
     loop = SimLoop()
     return loop, Network(loop, UniformLatency(low, high, seed=seed))
+
+
+def pending_events(loop: SimLoop) -> int:
+    """Events ``loop`` holds and has not dispatched (heap and ready deque)."""
+    return len(loop._events) + len(loop._ready)
+
+
+# ---------------------------------------------------------------------------
+# A seeded closed-loop workload (the determinism gate's abd-round runs it)
+# ---------------------------------------------------------------------------
+
+
+def uniform_workload(
+    clients: Sequence[ProcessId],
+    operations_per_client: int,
+    read_ratio: float = 0.5,
+    mean_think_time: VirtualTime = 1.0,
+    seed: int = 0,
+) -> Workload:
+    """A uniformly random mix of reads and writes with exponential think times.
+
+    The first operation of the first client is always a write, so reads never
+    observe the "unwritten" initial value.
+    """
+    if not clients:
+        raise ConfigurationError("need at least one client")
+    if operations_per_client < 1:
+        raise ConfigurationError("need at least one operation per client")
+    if not 0.0 <= read_ratio <= 1.0:
+        raise ConfigurationError("read_ratio must be within [0, 1]")
+    rng = random.Random(seed)
+    operations: List[Operation] = []
+    value_counter = 0
+    for client_index, client in enumerate(clients):
+        for op_index in range(operations_per_client):
+            force_write = client_index == 0 and op_index == 0
+            is_read = (not force_write) and rng.random() < read_ratio
+            think = rng.expovariate(1.0 / mean_think_time) if mean_think_time > 0 else 0.0
+            if is_read:
+                operations.append(
+                    Operation(client=client, kind="read", value=None, issue_after=think)
+                )
+            else:
+                value_counter += 1
+                operations.append(
+                    Operation(
+                        client=client,
+                        kind="write",
+                        value=f"value-{client}-{value_counter}",
+                        issue_after=think,
+                    )
+                )
+    return Workload(operations=operations)
 
 
 # ---------------------------------------------------------------------------

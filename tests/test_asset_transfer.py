@@ -50,11 +50,12 @@ class TestAccountBook:
         with pytest.raises(ConfigurationError):
             AccountBook({"a": 1.0}, {})
 
-    def test_max_owner_count(self):
+    def test_owners_are_kept_per_account(self):
         book = AccountBook(
             {"a": 1.0, "b": 1.0}, {"a": ["s1"], "b": ["s1", "s2", "s3"]}
         )
-        assert book.max_owner_count() == 3
+        assert book.owners("a") == frozenset({"s1"})
+        assert book.owners("b") == frozenset({"s1", "s2", "s3"})
 
 
 def build_one_asset(n, f, balance=10.0, latency=None):

@@ -104,10 +104,11 @@ class TestSWMRRegisterArray:
         assert array.read("s2") == "b"
         assert array.read("s3") is None
 
-    def test_snapshot(self):
+    def test_a_write_replaces_only_the_writers_entry(self):
         array = SWMRRegisterArray(["s1", "s2"])
         array.write("s1", 10)
-        assert array.snapshot() == {"s1": 10, "s2": None}
+        array.write("s1", 11)
+        assert [array.read(owner) for owner in ("s1", "s2")] == [11, None]
 
     def test_unknown_owner_rejected(self):
         array = SWMRRegisterArray(["s1"])

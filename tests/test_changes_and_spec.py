@@ -12,8 +12,6 @@ from repro.core.spec import (
     SystemConfig,
     check_integrity,
     check_rp_integrity,
-    check_rp_validity_one,
-    check_validity_one,
     rp_minimum_weight,
 )
 from repro.errors import ConfigurationError, IntegrityViolation
@@ -21,14 +19,17 @@ from repro.types import exact, server_set
 
 
 class TestChange:
-    def test_null_change(self):
-        assert Change("s1", 2, "s1", 0.0).is_null()
-        assert not Change("s1", 2, "s1", 0.5).is_null()
+    def test_a_null_change_moves_no_weight(self):
+        base = initial_changes({"s1": 1.0, "s2": 1.0})
+        with_null = base.add(Change("s1", 2, "s1", 0.0), Change("s1", 2, "s2", 0))
+        assert len(with_null) == 4  # a null change is still a change...
+        assert with_null.weights() == base.weights()  # ...that moves nothing
+        assert with_null.total_weight() == base.total_weight()
 
-    def test_initial_change_detection(self):
-        assert Change("s1", 1, "s1", 1.0).is_initial()
-        assert not Change("s1", 2, "s1", 1.0).is_initial()
-        assert not Change("s2", 1, "s1", 1.0).is_initial()
+    def test_initial_changes_are_self_authored_with_counter_one(self):
+        assert initial_changes({"s1": 1.0, "s2": 0.5}) == ChangeSet(
+            [Change("s1", 1, "s1", 1.0), Change("s2", 1, "s2", 0.5)]
+        )
 
     def test_delta_is_exact(self):
         """A float delta means its shortest repr: 0.1 is 1/10, not the
@@ -54,7 +55,7 @@ class TestChangeSet:
     def test_union_is_grow_only_and_idempotent(self):
         base = initial_changes({"s1": 1.0})
         extra = base.add(Change("s1", 2, "s1", 0.5))
-        assert base.issubset(extra)
+        assert base.as_frozenset() <= extra.as_frozenset()
         assert extra.union(extra) == extra
         assert len(base) == 1  # the original set is untouched
 
@@ -74,29 +75,26 @@ class TestChangeSet:
         )
         assert len(changes.for_server("s1")) == 1
 
-    def test_by_author_and_max_counter(self):
+    def test_changes_differ_by_author_and_counter(self):
+        """``(author, counter, server)`` names a change: one author's
+        counters, or two authors' equal counters, never collapse."""
         changes = ChangeSet(
             [
-                Change("s1", 1, "s1", 1.0),
                 Change("s1", 2, "s2", 0.5),
-                Change("s2", 7, "s2", 1.0),
+                Change("s1", 3, "s2", 0.5),
+                Change("s3", 2, "s2", 0.5),
             ]
         )
-        assert len(changes.by_author("s1")) == 2
-        assert changes.max_counter("s1") == 2
-        assert changes.max_counter("s2") == 7
-        assert changes.max_counter("s9") == 0
+        assert len(changes) == 3
+        assert changes.weight_of("s2") == Fraction(3, 2)
 
-    def test_non_null_filter(self):
-        changes = ChangeSet(
-            [Change("s1", 2, "s1", 0.0), Change("s1", 3, "s1", 0.5)]
-        )
-        assert len(changes.non_null()) == 1
-
-    def test_difference(self):
+    def test_a_set_covers_what_it_holds_and_not_what_it_lacks(self):
         small = ChangeSet([Change("s1", 1, "s1", 1.0)])
         big = small.add(Change("s2", 1, "s2", 1.0))
-        assert big.difference(small) == frozenset({Change("s2", 1, "s2", 1.0)})
+        assert big.covers(small)
+        assert not small.covers(big)
+        assert not small.covers([Change("s2", 1, "s2", 1.0)])
+        assert small.covers([])
 
     def test_weights_over_explicit_server_list(self):
         changes = initial_changes({"s1": 1.0})
@@ -130,8 +128,8 @@ class TestChangeSet:
         a = ChangeSet(Change("s1", i + 2, "s1", 0.1) for i in first)
         b = ChangeSet(Change("s1", i + 2, "s1", 0.1) for i in second)
         assert a.union(b) == b.union(a)
-        assert a.issubset(a.union(b))
-        assert b.issubset(a.union(b))
+        assert a.union(b).covers(a)
+        assert a.union(b).covers(b)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -142,7 +140,7 @@ class TestChangeSet:
         change = lambda i: Change(f"s{i % 3}", i + 2, f"s{i % 4}", 0.1)  # noqa: E731
         known_set = ChangeSet(change(i) for i in known)
         as_tuple = tuple(change(i) for i in asked)
-        expected = ChangeSet(as_tuple).issubset(known_set)
+        expected = set(as_tuple) <= known_set.as_frozenset()
         # Twice: the second answer about a covered tuple comes from the memo.
         assert known_set.covers(as_tuple) is expected
         assert known_set.covers(as_tuple) is expected
@@ -257,40 +255,6 @@ class TestIntegrityCheckers:
             assert check_integrity(weights, 2)
 
 
-class TestValidityCheckers:
-    def test_validity_one_effective(self):
-        assert check_validity_one(0.5, 0.5, integrity_would_hold=True)
-        assert not check_validity_one(0.5, 0.0, integrity_would_hold=True)
-
-    def test_validity_one_aborted(self):
-        assert check_validity_one(0.5, 0.0, integrity_would_hold=False)
-        assert not check_validity_one(0.5, 0.5, integrity_would_hold=False)
-
-    def test_validity_one_rejects_zero_request(self):
-        assert not check_validity_one(0.0, 0.0, integrity_would_hold=True)
-
-    def test_rp_validity_requires_c1(self):
-        assert not check_rp_validity_one(
-            source="s1", author="s2", requested_delta=0.5,
-            created_source_delta=-0.5, created_target_delta=0.5,
-            rp_integrity_would_hold=True,
-        )
-
-    def test_rp_validity_effective_shape(self):
-        assert check_rp_validity_one(
-            source="s1", author="s1", requested_delta=0.5,
-            created_source_delta=-0.5, created_target_delta=0.5,
-            rp_integrity_would_hold=True,
-        )
-
-    def test_rp_validity_null_shape(self):
-        assert check_rp_validity_one(
-            source="s1", author="s1", requested_delta=0.5,
-            created_source_delta=0.0, created_target_delta=0.0,
-            rp_integrity_would_hold=False,
-        )
-
-
 class TestSystemConfig:
     def test_uniform_defaults(self):
         config = SystemConfig.uniform(7)
@@ -330,20 +294,17 @@ class TestSystemConfig:
                 initial_weights={"s1": 5.0, "s2": 1.0, "s3": 1.0},
             )
 
-    def test_validate_rp_initial_weights(self):
-        config = SystemConfig(
-            servers=server_set(4),
-            f=1,
-            initial_weights={"s1": 1.3, "s2": 1.3, "s3": 0.7, "s4": 0.7},
-        )
-        config.validate_rp_initial_weights()  # 4/(2*3) = 0.666.. < 0.7: fine
-        tight = SystemConfig(
-            servers=server_set(4),
-            f=1,
-            initial_weights={"s1": 1.4, "s2": 1.3, "s3": 0.65, "s4": 0.65},
-        )
-        with pytest.raises(IntegrityViolation):
-            tight.validate_rp_initial_weights()
+    @pytest.mark.parametrize("weights, holds", [
+        # 4/(2*3) = 0.666.. < 0.7: every server starts above the bound
+        ({"s1": 1.3, "s2": 1.3, "s3": 0.7, "s4": 0.7}, True),
+        # 0.65 is below it
+        ({"s1": 1.4, "s2": 1.3, "s3": 0.65, "s4": 0.65}, False),
+    ])
+    def test_initial_weights_against_rp_integrity(self, weights, holds):
+        config = SystemConfig(servers=server_set(4), f=1, initial_weights=weights)
+        assert check_rp_integrity(
+            config.initial_weights, config.total_initial_weight, config.f
+        ) is holds
 
     def test_paper_example1_weights(self):
         """Example 1's setting is a legal configuration."""

@@ -87,7 +87,7 @@ class TestSequencer:
         first, second = loop.run_until_complete(go())
         assert (first, second) == (1, 2)
 
-    def test_sequencer_log_matches_applied_count(self):
+    def test_every_replica_applies_the_sequencer_log(self):
         loop, _, sequencer, replicas = build_sequencer_cluster(3)
 
         async def go():
@@ -97,7 +97,7 @@ class TestSequencer:
         loop.run_until_complete(go())
         loop.run()
         assert len(sequencer.ordered_log) == 5
-        assert all(replica.order.applied_count == 5 for replica in replicas.values())
+        assert all(len(replica.log) == 5 for replica in replicas.values())
 
     def test_crashed_sequencer_blocks_submissions(self):
         from repro.errors import DeadlockError

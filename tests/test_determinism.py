@@ -34,13 +34,12 @@ from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError, SimulationError
 from repro.net.latency import UniformLatency
 from repro.net.network import Network
-from repro.net.simloop import Event, Queue, SimFuture, SimLoop, gather
+from repro.net.simloop import SimFuture, SimLoop, gather
 from repro.sim.cluster import build_cluster
 from repro.sim.metrics import percentile, summarize
 from repro.sim.runner import run_workload
-from repro.sim.workload import uniform_workload
 from repro.workloads import WorkloadGenerator, ZipfianKeys
-from tests.conftest import synthetic_trace
+from tests.conftest import pending_events, synthetic_trace, uniform_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -115,16 +114,16 @@ _CONFIG = SystemConfig(servers=("s1", "s2", "s3", "s4", "s5"), f=1)
 
 
 def _event_loop():
-    """Kernel dispatch: zero-delay sleeps + queue handoffs, no network."""
+    """Kernel dispatch: zero-delay sleeps + resolved hand-offs, no network."""
     tasks, iterations = 10, 200
     loop = SimLoop()
-    queue = Queue()
 
     async def worker(index):
         for i in range(iterations):
             await loop.sleep(0)
-            queue.put(index * iterations + i)
-            await queue.get()
+            handoff = SimFuture()
+            handoff.set_result(index * iterations + i)
+            await handoff
 
     loop.run_until_complete(gather(loop, [worker(t) for t in range(tasks)]))
     return {
@@ -419,10 +418,10 @@ STEADY_CALLS = {
 #: build, its ``SpecRun`` and result), which the one spec above does not.
 #: Measured like ``STEADY_CALLS``; 3.13 differs from 3.12 here.
 SWEEP_CALLS = {
-    (3, 10): (86346, 53869),
-    (3, 11): (86346, 53869),
-    (3, 12): (85881, 53869),
-    (3, 13): (85865, 53869),
+    (3, 10): (86346, 53757),
+    (3, 11): (86346, 53757),
+    (3, 12): (85881, 53757),
+    (3, 13): (85865, 53757),
 }
 
 
@@ -644,7 +643,6 @@ class TestReadyDeque:
         loop.call_later(1.0, lambda: None)
         assert len(loop._ready) == 1
         assert len(loop._events) == 1
-        assert loop.pending_event_count() == 2
 
     def test_same_time_fifo_across_heap_and_deque(self):
         # Events landing at the same virtual time must run in scheduling
@@ -716,27 +714,22 @@ class TestReadyDeque:
         with pytest.raises(DeadlockError):
             loop.run_until_complete(SimFuture(name="never"))
 
-    def test_queue_and_event_wake_in_fifo_order(self):
+    def test_future_waiters_wake_in_fifo_order(self):
         loop = SimLoop()
-        queue = Queue()
-        event = Event()
+        first, second = SimFuture(), SimFuture()
         seen = []
 
-        async def getter(name):
-            seen.append((name, (await queue.get())))
+        async def waiter(name, future):
+            seen.append((name, await future))
 
-        async def waiter(name):
-            await event.wait()
-            seen.append(name)
-
-        loop.create_task(getter("g1"))
-        loop.create_task(getter("g2"))
-        loop.create_task(waiter("w1"))
-        loop.create_task(waiter("w2"))
-        loop.call_later(1.0, lambda: (queue.put("x"), queue.put("y")))
-        loop.call_later(2.0, event.set)
+        loop.create_task(waiter("a1", first))
+        loop.create_task(waiter("a2", first))
+        loop.create_task(waiter("b1", second))
+        loop.create_task(waiter("b2", second))
+        loop.call_later(1.0, lambda: first.set_result("x"))
+        loop.call_later(2.0, lambda: second.set_result("y"))
         loop.run()
-        assert seen == [("g1", "x"), ("g2", "y"), "w1", "w2"]
+        assert seen == [("a1", "x"), ("a2", "x"), ("b1", "y"), ("b2", "y")]
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +752,7 @@ class TestCancelDetach:
         assert future._callbacks == []
         # Resolving the future later schedules nothing into the dead task.
         future.set_result("late")
-        assert loop.pending_event_count() == 0
+        assert pending_events(loop) == 0
 
     def test_cancel_before_first_step_still_cancels(self):
         loop = SimLoop()

@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.experiments import (
     ArrivalSpec,
     ClusterSpec,
-    FailureSpec,
+    FaultSpec,
     KeySpec,
     LatencySpec,
     MixSpec,
@@ -35,13 +35,12 @@ from repro.experiments import (
     expand_grid,
     get_scenario,
     load_payload,
+    payload_entry,
     register,
     register_spec,
     run_spec,
     scenario,
     scenario_names,
-    to_payload,
-    unregister,
     write_csv,
     write_json,
 )
@@ -83,26 +82,20 @@ class TestRegistry:
         def demo(x: int = 1):
             return {"x": x}
 
-        try:
-            entry = get_scenario("test-registry-demo")
-            assert entry.name == "test-registry-demo"
-            assert entry.tags == ("test",)
-            assert entry.defaults == {"x": 1}
-            assert entry.execute() == {"x": 1}
-            assert entry.execute({"x": 5}) == {"x": 5}
-        finally:
-            unregister("test-registry-demo")
+        entry = get_scenario("test-registry-demo")
+        assert entry.name == "test-registry-demo"
+        assert entry.tags == ("test",)
+        assert entry.defaults == {"x": 1}
+        assert entry.execute() == {"x": 1}
+        assert entry.execute({"x": 5}) == {"x": 5}
 
     def test_duplicate_registration_rejected(self):
         @scenario("test-registry-dup")
         def first():
             return {}
 
-        try:
-            with pytest.raises(ConfigurationError, match="already registered"):
-                register(FunctionScenario(lambda: {}, "test-registry-dup"))
-        finally:
-            unregister("test-registry-dup")
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register(FunctionScenario(lambda: {}, "test-registry-dup"))
 
     def test_unknown_scenario_lists_known_names(self):
         with pytest.raises(ConfigurationError, match="quickstart"):
@@ -222,7 +215,7 @@ class TestScenarioSpec:
             workload=WorkloadSpec(
                 operations_per_client=5, arrivals=ArrivalSpec(mean_think_time=2.0)
             ),
-            faults=FailureSpec(crashes=(("s5", 4.0),)),
+            faults=FaultSpec(crashes=(("s5", 4.0),)),
             # Stay above the RP-Integrity bound W_{S,0}/(2(n-f)) = 5/6.
             transfers=(TransferEvent(at=2.0, source="s1", target="s2", delta=0.15),),
             max_time=10_000.0,
@@ -367,8 +360,9 @@ class TestResults:
         path = tmp_path / "results.json"
         write_json(results, str(path))
         payload = load_payload(str(path))
-        assert payload == to_payload(results)
-        assert compare_payloads(payload, to_payload(results)) == []
+        expected = [payload_entry(result) for result in results]
+        assert payload == expected
+        assert compare_payloads(payload, expected) == []
 
     @pytest.mark.parametrize("count", [0, 1, 4])
     def test_dumps_json_is_one_indented_dump_of_the_payload(self, count):
@@ -379,7 +373,7 @@ class TestResults:
             for index in range(count)
         ]
         assert dumps_json(results) == json.dumps(
-            to_payload(results), indent=2, sort_keys=True)
+            [payload_entry(result) for result in results], indent=2, sort_keys=True)
 
     def test_csv_sink_writes_flattened_columns(self, tmp_path):
         results = self._small_results()
@@ -394,7 +388,7 @@ class TestResults:
 
     def test_compare_detects_field_and_run_diffs(self):
         results = self._small_results()
-        current = to_payload(results)
+        current = [payload_entry(result) for result in results]
         baseline = json.loads(json.dumps(current))
         baseline[0]["result"]["operations"] += 1
         del baseline[1]
@@ -424,14 +418,11 @@ class TestResults:
 class TestRegisterSpec:
     def test_register_spec_round_trip(self):
         register_spec(SMALL_SPEC, tags=("test",))
-        try:
-            entry = get_scenario("test-small")
-            assert entry.kind == "spec"
-            assert entry.defaults["cluster.n"] == 4
-            result = entry.execute({"cluster.n": 5, "cluster.f": 2})
-            assert len(result["weights"]) == 5
-        finally:
-            unregister("test-small")
+        entry = get_scenario("test-small")
+        assert entry.kind == "spec"
+        assert entry.defaults["cluster.n"] == 4
+        result = entry.execute({"cluster.n": 5, "cluster.f": 2})
+        assert len(result["weights"]) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -707,8 +698,6 @@ class TestWarmPool:
         reason="spawned workers re-import only the built-in catalogue",
     )
     def test_scenario_registered_between_calls_is_visible_to_workers(self):
-        from repro.experiments.registry import register, unregister
-
         runs = expand_grid(
             "quickstart",
             grid={"seed": [0, 1, 2]},
@@ -718,15 +707,12 @@ class TestWarmPool:
         # Workers are forked per stream, so they see the registry as it is
         # when the stream starts, whatever ran before.
         register(FunctionScenario(lambda seed=0: {"ok": seed}, name="late-probe"))
-        try:
-            probes = [RunSpec("late-probe", params=(("seed", seed),))
-                      for seed in range(3)]
-            results = execute_many(probes, workers=3)
-            assert [result.result for result in results] == [
-                {"ok": 0}, {"ok": 1}, {"ok": 2},
-            ]
-        finally:
-            unregister("late-probe")
+        probes = [RunSpec("late-probe", params=(("seed", seed),))
+                  for seed in range(3)]
+        results = execute_many(probes, workers=3)
+        assert [result.result for result in results] == [
+            {"ok": 0}, {"ok": 1}, {"ok": 2},
+        ]
 
     def test_serial_execution_never_forks_a_pool(self):
         runs = expand_grid(

@@ -227,7 +227,7 @@ def _sweep_runs(args, scenario):
 
 
 _AXES = ("cluster.n", "cluster.f", "latency.low", "seed",
-         "workload.operations_per_client", "failures.crashes")
+         "workload.operations_per_client", "faults.crashes")
 _values = st.lists(st.integers(-3, 40), min_size=1, max_size=4)
 #: Bounds inside which every point of quickstart validates (n > 2f for any
 #: drawn pair, at least one operation, 0 <= latency.low <= latency.high =
@@ -241,7 +241,7 @@ _VALID = {"cluster.n": (5, 40), "cluster.f": (0, 2), "latency.low": (0, 1),
 def _axis_value(axis):
     # The planner applies every value, so a list field needs a list: two
     # spellings of "no crashes" (``-g`` splits on commas, so no pairs here).
-    if axis == "failures.crashes":
+    if axis == "faults.crashes":
         return st.sampled_from(["[]", "()"])
     return st.integers(*_VALID.get(axis, (-3, 40))).map(str)
 

@@ -34,6 +34,7 @@ from repro.net.process import Process, ResponseCollector
 from repro.net.simloop import SimLoop, SimTask
 from repro.obs import Observer, observing
 from repro.obs.trace import TraceEvent
+from tests.conftest import pending_events
 
 #: Kinds of object no finished run may leave to the collector.
 NONE_LEFT = (
@@ -166,7 +167,7 @@ def test_a_finished_run_leaves_no_frame_trace_or_task(saved_garbage, run):
     held = {id(o._loop) for o in saved_garbage if id(o) in unfinished}
     left["SimLoop"] = sum(
         1 for o in saved_garbage
-        if isinstance(o, SimLoop) and (id(o) not in held or o.pending_event_count())
+        if isinstance(o, SimLoop) and (id(o) not in held or pending_events(o))
     )
     assert sorted(unfinished.values()) == UNFINISHED.get(run, [])
     assert not any(left.values()), (

@@ -214,9 +214,10 @@ class TestFamilyIndex:
         assert every == sorted(set(registry.BUILTIN_FAMILIES.values()))
         assert names == sorted(registry.BUILTIN_FAMILIES)
 
-    def test_an_unregistered_builtin_stays_unregistered(self):
+    def test_a_removed_builtin_is_not_loaded_again(self):
+        # The autouse registry fixture puts it back after the test.
         registry.get_scenario("quickstart")
-        registry.unregister("quickstart")
+        del registry._REGISTRY["quickstart"]
         with pytest.raises(Exception, match="unknown scenario 'quickstart'"):
             registry.get_scenario("quickstart")
 
@@ -413,6 +414,81 @@ class TestNoUnusedImports:
             ("repro.quiet", "Network"),
             ("repro.quiet", "run_workload"),
         ]
+
+
+#: A synthetic repository: a ``src/repro`` package and the files that use
+#: it.  ``tests/`` is no user; every other directory is.
+_SYNTHETIC_REPO = {
+    "src/repro/__init__.py":
+        "from repro._lazy import lazy_exports\n"
+        "__all__, __getattr__, __dir__ = lazy_exports(globals(), {\n"
+        "    \"helpers\": (\"listed_only\", \"Box\"),\n"
+        "})\n",
+    "src/repro/helpers.py":
+        "__all__ = [\"listed_only\", \"test_only\"]\n"
+        "def registers(fn):\n    return fn\n"
+        "def test_only():\n    return 1\n"
+        "def listed_only():\n    return 2\n"
+        "def by_attribute():\n    return 3\n"
+        "def by_string():\n    return 4\n"
+        "@registers\n"
+        "def registered():\n    return 5\n"
+        "class Box:\n"
+        "    def __repr__(self):\n        return 'Box()'\n"
+        "    def only_dead_code_calls_me(self):\n        return 6\n"
+        "def unused_entry():\n    return Box().only_dead_code_calls_me()\n",
+    "tools/drive.py":
+        "import repro.helpers as helpers\n"
+        "from repro.helpers import Box\n"
+        "print(helpers.by_attribute(), Box())\n",
+    "examples/lookup.py":
+        "import repro.helpers\n"
+        "print(getattr(repro.helpers, \"by_string\")())\n",
+    "tests/test_helpers.py":
+        "from repro.helpers import test_only, unused_entry\n"
+        "def test_it():\n    assert test_only() == 1 and unused_entry() == 6\n",
+}
+
+
+class TestNoUnusedNames:
+    """Every function, class and method under ``src/repro`` is used by name
+    outside ``tests/`` (ARCHITECTURE "Reachability rule"), or deleted."""
+
+    def test_every_definition_is_used(self):
+        assert check_imports.unused_names() == []
+
+    @pytest.fixture
+    def synthetic_repo(self, tmp_path):
+        for name, text in _SYNTHETIC_REPO.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return tmp_path
+
+    def test_what_only_tests_facades_or_dead_code_use_is_reported(
+        self, synthetic_repo
+    ):
+        assert check_imports.unused_names(synthetic_repo) == [
+            # only the dead unused_entry calls it: found on the second round
+            "repro.helpers:Box.only_dead_code_calls_me",
+            "repro.helpers:listed_only",  # a facade's map is no use
+            "repro.helpers:test_only",  # only a test calls it
+            "repro.helpers:unused_entry",
+        ]
+
+    @pytest.mark.parametrize("name", [
+        "by_attribute",  # helpers.by_attribute() in tools/
+        "by_string",  # getattr(..., "by_string") in examples/
+        "registered",  # @registers: the decorator registers it
+        "registers",  # used as a decorator
+        "Box",  # imported by tools/
+        "Box.__repr__",  # a dunder
+    ])
+    def test_an_attribute_a_string_or_a_registering_decorator_reaches(
+        self, synthetic_repo, name
+    ):
+        assert f"repro.helpers:{name}" not in check_imports.unused_names(
+            synthetic_repo)
 
 
 # ---------------------------------------------------------------------------

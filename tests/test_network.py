@@ -28,7 +28,7 @@ from repro.net.simloop import SimFuture, SimLoop
 from repro.reassign.consensus_based import ConsensusBasedServer
 from repro.sim.cluster import World
 
-from tests.conftest import make_net
+from tests.conftest import make_net, pending_events
 
 
 class EchoServer(Process):
@@ -243,13 +243,13 @@ class TestNetworkDelivery:
         net.reset_stats()
         assert net.stats()["sent"] == 0
 
-    def test_send_to_all(self):
+    def test_a_send_reaches_only_its_receiver(self):
         loop, net = make_net()
         a = EchoServer("a", net)
         receivers = [EchoServer(f"r{i}", net) for i in range(3)]
-        a.send_to_all([r.pid for r in receivers], "NOTE", {"text": "x"})
+        a.send("r1", "NOTE", {"text": "x"})
         loop.run()
-        assert all(r.received == ["x"] for r in receivers)
+        assert [r.received for r in receivers] == [[], ["x"], []]
 
 
 class TestCrashSemantics:
@@ -617,7 +617,7 @@ class TestAClosedNetworkFreesItsWorld:
             loop.run()
             assert len(c._pending) == 1  # met, but "x" never answers
             a.send("c", "NOTE", {"text": "in flight at close"})
-            assert loop.pending_event_count() == 1
+            assert pending_events(loop) == 1
             refs = {
                 "loop": weakref.ref(loop),
                 "network": weakref.ref(net),

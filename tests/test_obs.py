@@ -26,7 +26,6 @@ from repro.obs import (
     summarize_trace,
     to_chrome_trace,
     trace_digest,
-    trace_lines,
     validate_record,
     write_chrome_trace,
     write_trace,
@@ -144,14 +143,15 @@ class TestTraceRecorder:
         write_trace(recorder.records, str(path))
         assert read_trace(str(path)) == recorder.records
 
-    def test_trace_lines_are_canonical_json(self):
+    def test_trace_lines_are_canonical_json(self, tmp_path):
         recorder = TraceRecorder()
         recorder.emit(ts=0.0, cat="kernel", name="run", ph="i",
                       args={"b": 1, "a": 2})
-        (line,) = trace_lines(recorder.records)
+        path = tmp_path / "t.jsonl"
+        write_trace(recorder.records, str(path))
         # sort_keys + compact separators: byte-stable regardless of insertion order
-        assert line == ('{"args":{"a":2,"b":1},"cat":"kernel","name":"run",'
-                        '"ph":"i","seq":0,"ts":0.0}')
+        assert path.read_text() == ('{"args":{"a":2,"b":1},"cat":"kernel","name":"run",'
+                                    '"ph":"i","seq":0,"ts":0.0}\n')
 
 
 class TestValidateRecord:

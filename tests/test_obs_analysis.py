@@ -80,7 +80,7 @@ class TestParseEvents:
         events = parse_events(_clean_op_trace())
         assert len(events) == 11
         assert events[0].cat == "op" and events[0].is_span_begin
-        assert events[1].ph == "s" and events[1].flow == 1 and events[1].is_flow
+        assert events[1].ph == "s" and events[1].flow == 1
         assert events[10].is_span_end
         assert events[9].args["size"] == 2
 

@@ -35,7 +35,7 @@ from repro.net.simloop import SimLoop
 from repro.obs import Observer, observing, read_trace, trace_digest
 from repro.sim.cluster import build_dynamic_cluster
 from repro.sim.runner import run_workload
-from repro.sim.workload import uniform_workload
+from tests.conftest import pending_events, uniform_workload
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN_TRACE_FILE = os.path.join(
@@ -255,7 +255,7 @@ class TestObservedAndUnobservedDispatchAgree:
             except Exception as error:  # compared, not swallowed
                 value = (type(error), str(error))
             outcomes.append((value, loop.now, loop.events_processed,
-                             loop.pending_event_count(), log))
+                             pending_events(loop), log))
             if spy is not None:
                 (ready, heap, depth), = spy.reports  # once per call
                 assert ready + heap == loop.events_processed

@@ -51,7 +51,7 @@ class TestTransferBasics:
 
         outcome = loop.run_until_complete(go())
         assert not outcome.effective
-        assert outcome.change.is_null()
+        assert outcome.change.delta == 0
         assert servers["s1"].weight() == pytest.approx(1.0)
 
     def test_null_transfer_does_not_broadcast(self):
@@ -63,6 +63,41 @@ class TestTransferBasics:
         loop.run_until_complete(go())
         loop.run()
         assert network.sent_by_kind["T_RB"] == 0
+
+    def test_an_effective_transfer_creates_the_pairwise_shape(self):
+        """RP-Validity-I: ``-delta`` for the source, ``+delta`` for the
+        target, both authored by the source under one counter."""
+        loop, _, config, servers = build_protocol_cluster(5, 1)
+        outcome = loop.run_until_complete(servers["s1"].transfer("s2", 0.25))
+        assert outcome.change == Change("s1", 2, "s1", -0.25)
+        assert outcome.counterpart == Change("s1", 2, "s2", 0.25)
+        assert outcome.change.delta == -0.25 and outcome.counterpart.delta == 0.25
+
+    def test_a_null_transfer_creates_zero_changes_for_both(self):
+        loop, _, config, servers = build_protocol_cluster(5, 2)
+        outcome = loop.run_until_complete(servers["s1"].transfer("s2", 0.25))
+        assert (outcome.change.author, outcome.counterpart.author) == ("s1", "s1")
+        assert outcome.change.delta == 0 and outcome.counterpart.delta == 0
+        assert outcome.counterpart.server == "s2"
+
+    def test_only_the_source_gives_weight_away(self):
+        """C1 over a whole run: every negative change any server learns of
+        lowers its author's own weight."""
+        loop, _, config, servers = build_protocol_cluster(5, 1)
+
+        async def go():
+            await gather(loop, [
+                servers["s1"].transfer("s2", 0.1),
+                servers["s3"].transfer("s1", 0.05),
+                servers["s4"].transfer("s5", 0.1),
+            ])
+
+        loop.run_until_complete(go())
+        loop.run()
+        for server in servers.values():
+            negative = [c for c in server.changes if c.delta < 0]
+            assert len(negative) == 3
+            assert all(c.server == c.author for c in negative)
 
     def test_boundary_transfer_is_rejected(self):
         """Giving away exactly down to the bound violates the strict inequality."""
@@ -346,7 +381,7 @@ class TestReadChanges:
             return first, second
 
         first, second = loop.run_until_complete(go())
-        assert first.issubset(second)
+        assert second.covers(first)
 
     def test_write_back_spreads_changes_to_lagging_servers(self):
         """Algorithm 3's write-back stores the union at >= n-f servers."""

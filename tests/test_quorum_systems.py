@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -35,10 +36,36 @@ class TestMajorityQuorumSystem:
         assert MajorityQuorumSystem(server_set(5)).quorum_size() == 3
         assert MajorityQuorumSystem(server_set(6)).quorum_size() == 4
 
-    def test_max_tolerable_failures(self):
-        assert MajorityQuorumSystem(server_set(5)).max_tolerable_failures() == 2
-        assert MajorityQuorumSystem(server_set(6)).max_tolerable_failures() == 2
-        assert MajorityQuorumSystem(server_set(7)).max_tolerable_failures() == 3
+    @pytest.mark.parametrize("n, tolerated", [(5, 2), (6, 2), (7, 3)])
+    def test_a_minority_of_crashes_leaves_a_quorum(self, n, tolerated):
+        """Up to ``tolerated`` crashed servers leave a quorum of survivors;
+        one more crash can leave none."""
+        servers = server_set(n)
+        mqs = MajorityQuorumSystem(servers)
+        assert all(
+            mqs.is_quorum(survivors)
+            for survivors in itertools.combinations(servers, n - tolerated)
+        )
+        assert not mqs.is_quorum(servers[: n - tolerated - 1])
+
+    def test_the_minimal_quorums_are_the_majorities(self):
+        servers = server_set(4)
+        mqs = MajorityQuorumSystem(servers)
+        assert all(mqs.is_quorum(q) for q in itertools.combinations(servers, 3))
+        assert not any(mqs.is_quorum(q) for q in itertools.combinations(servers, 2))
+
+    def test_any_two_majorities_intersect(self):
+        servers = server_set(5)
+        mqs = MajorityQuorumSystem(servers)
+        quorums = [
+            set(subset)
+            for size in range(1, 6)
+            for subset in itertools.combinations(servers, size)
+            if mqs.is_quorum(subset)
+        ]
+        assert len(quorums) == 16  # C(5,3) + C(5,4) + C(5,5)
+        for first, second in itertools.combinations(quorums, 2):
+            assert first & second
 
     def test_unknown_member_rejected(self):
         mqs = MajorityQuorumSystem(server_set(3))
@@ -67,15 +94,6 @@ class TestMajorityQuorumSystem:
         with pytest.raises(ConfigurationError):
             MajorityQuorumSystem(["s1", "s1"])
 
-    def test_minimal_quorums_all_majorities(self):
-        mqs = MajorityQuorumSystem(server_set(4))
-        minimal = mqs.minimal_quorums()
-        assert all(len(q) == 3 for q in minimal)
-        assert len(minimal) == 4  # C(4,3)
-
-    def test_intersection_property(self):
-        assert MajorityQuorumSystem(server_set(5)).check_intersection()
-
 
 class TestWeightedMajorityQuorumSystem:
     def test_example2_minority_quorum(self):
@@ -103,16 +121,17 @@ class TestWeightedMajorityQuorumSystem:
         with pytest.raises(ConfigurationError):
             WeightedMajorityQuorumSystem({"s1": -1.0, "s2": 1.0})
 
-    def test_with_weights_requires_same_servers(self):
+    def test_new_weights_change_which_sets_are_quorums(self):
+        servers = ("s1", "s2", "s3")
+        uniform = WeightedMajorityQuorumSystem.uniform(servers)
+        heavy = WeightedMajorityQuorumSystem({"s1": 3.0, "s2": 1.0, "s3": 1.0})
+        assert not uniform.is_quorum(["s1"]) and heavy.is_quorum(["s1"])
+        assert uniform.is_quorum(["s2", "s3"]) and not heavy.is_quorum(["s2", "s3"])
+
+    def test_weighted_unknown_member_rejected(self):
         wmqs = WeightedMajorityQuorumSystem({"s1": 1.0, "s2": 1.0})
         with pytest.raises(ConfigurationError):
-            wmqs.with_weights({"s1": 1.0, "s3": 1.0})
-
-    def test_with_weights_changes_quorums(self):
-        wmqs = WeightedMajorityQuorumSystem({"s1": 1.0, "s2": 1.0, "s3": 1.0})
-        assert not wmqs.is_quorum(["s1"])
-        heavy = wmqs.with_weights({"s1": 3.0, "s2": 1.0, "s3": 1.0})
-        assert heavy.is_quorum(["s1"])
+            wmqs.is_quorum(["s1", "s3"])
 
     def test_smallest_quorum_greedy(self):
         assert smallest_quorum_size({"s1": 5.0, "s2": 1.0, "s3": 1.0, "s4": 1.0}) == 1
@@ -130,10 +149,19 @@ class TestWeightedMajorityQuorumSystem:
         )
     )
     def test_any_two_quorums_intersect(self, weights):
-        """The defining property of quorum systems holds for arbitrary weights."""
+        """The defining property of quorum systems holds for arbitrary weights:
+        every subset ``is_quorum`` accepts meets every other one."""
         weight_map = {f"s{i+1}": w for i, w in enumerate(weights)}
         wmqs = WeightedMajorityQuorumSystem(weight_map)
-        assert wmqs.check_intersection()
+        quorums = [
+            set(subset)
+            for size in range(1, len(weight_map) + 1)
+            for subset in itertools.combinations(weight_map, size)
+            if wmqs.is_quorum(subset)
+        ]
+        assert quorums  # the whole server set, at least
+        for first, second in itertools.combinations(quorums, 2):
+            assert first & second, (first, second, weight_map)
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -31,7 +31,6 @@ from repro.experiments import (
     execute_stream_resilient,
     expand_grid,
     journalable,
-    load_quarantine,
     run_digest,
 )
 from repro.experiments.cli import main
@@ -48,7 +47,6 @@ from repro.experiments.registry import (
     get_scenario,
     register,
     register_spec,
-    unregister,
 )
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -100,11 +98,6 @@ def misbehaving_scenarios():
     ]
     for entry in entries:
         register(entry)
-    try:
-        yield
-    finally:
-        for entry in entries:
-            unregister(entry.name)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +417,8 @@ class TestRetryAndQuarantine:
         assert telemetry.quarantined == 1
         assert telemetry.retries == 1  # first death re-dispatched once
         assert not journalable(results[1])
-        records = load_quarantine(quarantine_path)
+        with open(quarantine_path, "r", encoding="utf-8") as handle:
+            records = [json.loads(line) for line in handle]
         assert len(records) == 1
         assert records[0]["attempts"] == 2
         assert records[0]["spec"]["scenario"] == "resilience-die"
@@ -435,7 +429,6 @@ class TestRetryAndQuarantine:
         quarantine = Quarantine(path)
         quarantine.close()
         assert not os.path.exists(path)
-        assert load_quarantine(path) == []
 
     def test_abandoned_resilient_stream_stops_workers(
         self, misbehaving_scenarios, leaked_children
@@ -577,21 +570,18 @@ class TestOnePool:
                 execute_stream(runs, workers=2), key=lambda pair: pair[0])
 
         register_spec(old)
-        try:
-            serial_old = list(execute_stream(runs, workers=1))
-            threads = [threading.Thread(target=first_tenant),
-                       threading.Thread(target=second_tenant)]
-            threads[0].start()
-            assert started.wait(30.0)
-            register_spec(new, replace=True)
-            replaced.set()
-            threads[1].start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-            assert not any(thread.is_alive() for thread in threads)
-            serial_new = list(execute_stream(runs, workers=1))
-        finally:
-            unregister("one-pool-probe")
+        serial_old = list(execute_stream(runs, workers=1))
+        threads = [threading.Thread(target=first_tenant),
+                   threading.Thread(target=second_tenant)]
+        threads[0].start()
+        assert started.wait(30.0)
+        register_spec(new, replace=True)
+        replaced.set()
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        serial_new = list(execute_stream(runs, workers=1))
         assert got["first"] == serial_old
         assert got["second"] == serial_new
         assert serial_old != serial_new
@@ -625,12 +615,9 @@ class TestCapturedUnexpectedErrors:
             raise RuntimeError("boom %d" % seed)
 
         register(FunctionScenario(_explodes, name="resilience-explodes"))
-        try:
-            result = execute_run_captured(
-                RunSpec("resilience-explodes", params=(("seed", 3),))
-            )
-        finally:
-            unregister("resilience-explodes")
+        result = execute_run_captured(
+            RunSpec("resilience-explodes", params=(("seed", 3),))
+        )
         assert result.result["error"] == {
             "type": "RuntimeError",
             "message": "boom 3",

@@ -468,34 +468,28 @@ class TestInlineSpecsArePerJob:
 
 
 class TestParameterNamesFollowExecution:
-    """The planner accepts exactly the names execution binds: a legacy alias
-    the CLI always ran (``failures.*``) is no longer a 400 from the service,
-    and a typo the CLI used to discover mid-run fails before any run."""
+    """The planner accepts exactly the names execution binds: the removed
+    ``failures.*`` spelling of ``faults.*`` is a 400 naming it, and a typo the
+    CLI used to discover mid-run fails before any run."""
 
     CRASH = [["s4", 10.0]]
 
-    def served_bytes(self, service, body):
-        job = service.submit(JobRequest.from_dict(
-            {"scenario": "crash-resilience", **body}))
-        assert service.wait(job, 120) and job.state == "done"
-        with open(job.results_path, "rb") as handle:
-            return handle.read()
-
-    def test_alias_as_a_param_runs_the_canonical_bytes(self, service):
-        alias = self.served_bytes(
-            service, {"kind": "run", "params": {"failures.crashes": self.CRASH}})
-        canonical = self.served_bytes(
-            service, {"kind": "run", "params": {"faults.crashes": self.CRASH}})
-        assert json.loads(alias)["result"] == json.loads(canonical)["result"]
-        assert alias == canonical.replace(b"faults.crashes", b"failures.crashes")
-
-    def test_alias_as_a_grid_axis_runs_the_canonical_bytes(self, service):
-        alias = self.served_bytes(
-            service, {"kind": "sweep", "grid": {"failures.crashes": [self.CRASH, []]}})
-        canonical = self.served_bytes(
-            service, {"kind": "sweep", "grid": {"faults.crashes": [self.CRASH, []]}})
-        assert alias.count(b"\n") == 2
-        assert alias == canonical.replace(b"faults.crashes", b"failures.crashes")
+    @pytest.mark.parametrize("body, path", [
+        ({"kind": "run", "params": {"failures.crashes": CRASH}},
+         "params.failures.crashes"),
+        ({"kind": "sweep", "grid": {"failures.crashes": [CRASH, []]}},
+         "grid.failures.crashes"),
+    ])
+    def test_the_removed_failures_spelling_is_a_400_that_names_it(
+        self, service, body, path
+    ):
+        job = {"scenario": "crash-resilience", **body}
+        response = dispatch(service, "POST", "/jobs", json.dumps(job).encode())
+        assert response.status == 400
+        error = response.payload["error"]
+        assert error["path"] == path
+        assert error["message"].startswith("unknown parameter 'failures.crashes'")
+        assert dispatch(service, "GET", "/jobs").payload == []
 
     @pytest.mark.parametrize("body, path", [
         ({"kind": "run", "params": {"cluster.bogus": 3}}, "params.cluster.bogus"),

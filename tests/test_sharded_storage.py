@@ -417,7 +417,7 @@ def test_expand_process_names_canonical_vs_qualified():
 
 
 def test_sharded_crash_schedule_with_canonical_names():
-    # Regression: `failures.crashes` naming canonical servers must keep
+    # Regression: `faults.crashes` naming canonical servers must keep
     # working when the scenario is swept over cluster.shards — the crash
     # takes that server's instance in every shard, and the store stays live
     # as long as each shard loses at most f servers.

@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import (
-    expected_quorum_latency,
-    fastest_quorum,
-    quorum_latency_table,
-)
+from repro.analysis import expected_quorum_latency, fastest_quorum
 from repro.core.spec import SystemConfig, check_integrity
 from repro.errors import ConfigurationError
 from repro.experiments.spec import FaultSpec
@@ -16,15 +12,10 @@ from repro.monitoring.policy import inverse_latency_weights
 from repro.net.latency import ConstantLatency, UniformLatency
 from repro.quorum.majority import MajorityQuorumSystem
 from repro.quorum.weighted import WeightedMajorityQuorumSystem, smallest_quorum_size
-from repro.sim import (
-    build_cluster,
-    build_dynamic_cluster,
-    run_workload,
-    summarize,
-    uniform_workload,
-)
+from repro.sim import build_cluster, build_dynamic_cluster, run_workload, summarize
 from repro.sim.metrics import percentile
 from repro.types import server_set
+from tests.conftest import uniform_workload
 
 
 class TestWorkloadGeneration:
@@ -211,17 +202,12 @@ class TestQuorumLatencyAnalysis:
         wmqs = WeightedMajorityQuorumSystem.uniform(server_set(5))
         assert expected_quorum_latency(wmqs, rtt) == expected_quorum_latency(mqs, rtt)
 
-    def test_latency_table_covers_all_systems_and_clients(self):
-        rtt_by_client = {"c1": self.wan_rtt(), "c2": {s: 20.0 for s in server_set(5)}}
-        table = quorum_latency_table(
-            {
-                "mqs": MajorityQuorumSystem(server_set(5)),
-                "wmqs": WeightedMajorityQuorumSystem.uniform(server_set(5)),
-            },
-            rtt_by_client,
-        )
-        assert set(table) == {"mqs", "wmqs"}
-        assert set(table["mqs"]) == {"c1", "c2"}
+    def test_each_client_waits_for_its_own_slowest_quorum_member(self):
+        mqs = MajorityQuorumSystem(server_set(5))
+        near_s1 = self.wan_rtt()
+        near_s5 = {server: 100.0 - rtt for server, rtt in near_s1.items()}
+        assert expected_quorum_latency(mqs, near_s1) == 15.0
+        assert expected_quorum_latency(mqs, near_s5) == 85.0
 
     def test_missing_rtt_rejected(self):
         mqs = MajorityQuorumSystem(server_set(3))

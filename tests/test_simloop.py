@@ -10,7 +10,8 @@ import pytest
 
 from repro.errors import DeadlockError, SimTimeoutError, SimulationError
 from repro.net import simloop
-from repro.net.simloop import Event, Queue, SimFuture, SimLoop, SimTask, gather
+from repro.net.simloop import SimFuture, SimLoop, SimTask, gather
+from tests.conftest import pending_events
 
 
 class TestSimFuture:
@@ -184,11 +185,13 @@ class TestSimLoopBasics:
         with pytest.raises((SimulationError, TypeError)):
             loop.run_until_complete(broken())
 
-    def test_pending_event_count(self):
+    def test_call_later_queues_one_event_each(self):
         loop = SimLoop()
         loop.call_later(1.0, lambda: None)
         loop.call_later(2.0, lambda: None)
-        assert loop.pending_event_count() == 2
+        assert pending_events(loop) == 2
+        loop.run()
+        assert pending_events(loop) == 0
 
 
 class TestClosingTheLoop:
@@ -211,7 +214,7 @@ class TestClosingTheLoop:
             loop.close()
             gc.collect()
         assert [str(warning.message) for warning in caught] == []
-        assert ran == [] and loop.pending_event_count() == 0
+        assert ran == [] and pending_events(loop) == 0
 
     def test_a_suspended_task_keeps_its_finally_unrun(self):
         loop = SimLoop()
@@ -227,7 +230,7 @@ class TestClosingTheLoop:
         task = loop.create_task(body())
         loop.run()
         future.set_result(None)  # queues the suspended task's next step
-        assert loop.pending_event_count() == 1
+        assert pending_events(loop) == 1
         loop.close()
         assert ran == [] and not task.done()
 
@@ -295,67 +298,73 @@ class TestGather:
         assert loop.now == 10.0
 
 
-class TestEventAndQueue:
-    def test_event_wakes_all_waiters(self):
+class TestAwaitingAFuture:
+    """A future is the loop's one hand-off: it wakes whoever awaits it."""
+
+    def test_a_future_wakes_every_waiter(self):
         loop = SimLoop()
-        event = Event()
-        results = []
+        future = SimFuture()
+        woken = []
 
         async def waiter(tag):
-            await event.wait()
-            results.append(tag)
+            await future
+            woken.append((tag, loop.now))
 
         for tag in range(3):
             loop.create_task(waiter(tag))
-        loop.call_later(2.0, event.set)
+        loop.call_later(2.0, lambda: future.set_result(None))
         loop.run()
-        assert sorted(results) == [0, 1, 2]
-        assert event.is_set()
+        assert sorted(woken) == [(0, 2.0), (1, 2.0), (2, 2.0)]
 
-    def test_event_wait_after_set_resolves_immediately(self):
+    def test_awaiting_a_resolved_future_takes_no_time(self):
         loop = SimLoop()
-        event = Event()
-        event.set()
+        future = SimFuture()
+        future.set_result("ready")
 
         async def waiter():
-            await event.wait()
-            return loop.now
+            return await future, loop.now
 
-        assert loop.run_until_complete(waiter()) == 0.0
+        assert loop.run_until_complete(waiter()) == ("ready", 0.0)
 
-    def test_event_clear(self):
-        event = Event()
-        event.set()
-        event.clear()
-        assert not event.is_set()
-
-    def test_queue_fifo_order(self):
+    def test_a_waiter_resumes_when_the_future_is_set(self):
         loop = SimLoop()
-        queue = Queue()
-        for item in ("a", "b", "c"):
-            queue.put(item)
-
-        async def drain():
-            return [await queue.get() for _ in range(3)]
-
-        assert loop.run_until_complete(drain()) == ["a", "b", "c"]
-
-    def test_queue_get_waits_for_put(self):
-        loop = SimLoop()
-        queue = Queue()
+        future = SimFuture()
 
         async def consumer():
-            return await queue.get()
+            return await future
 
-        loop.call_later(4.0, lambda: queue.put("late"))
+        loop.call_later(4.0, lambda: future.set_result("late"))
         assert loop.run_until_complete(consumer()) == "late"
         assert loop.now == 4.0
 
-    def test_queue_len_and_empty(self):
-        queue = Queue()
-        assert queue.empty()
-        queue.put(1)
-        assert len(queue) == 1
+    def test_a_failed_future_raises_in_every_waiter(self):
+        loop = SimLoop()
+        future = SimFuture()
+        caught = []
+
+        async def waiter():
+            try:
+                await future
+            except ValueError as exc:
+                caught.append(str(exc))
+
+        for _ in range(2):
+            loop.create_task(waiter())
+        loop.call_later(1.0, lambda: future.set_exception(ValueError("gone")))
+        loop.run()
+        assert caught == ["gone", "gone"]
+
+    def test_hand_offs_are_taken_in_the_order_awaited(self):
+        loop = SimLoop()
+        futures = [SimFuture() for _ in range(3)]
+        for delay, future, item in zip((3.0, 1.0, 2.0), futures, "abc"):
+            loop.call_later(delay, lambda f=future, v=item: f.set_result(v))
+
+        async def drain():
+            return [await future for future in futures]
+
+        assert loop.run_until_complete(drain()) == ["a", "b", "c"]
+        assert loop.now == 3.0
 
 
 class TestDeterminism:

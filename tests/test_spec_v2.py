@@ -3,7 +3,8 @@
 Covers the acceptance surface of the Spec v2 redesign:
 
 * per-section serialization round trips (``to_dict``/``from_dict`` inverses),
-* unknown-key rejection and the ``failures`` → ``faults`` deprecation shim,
+* unknown-key rejection, the removed ``failures`` spelling of ``faults``
+  included,
 * dotted-path flatten/expand inverses shared by every section,
 * ``validate()`` catching semantic problems without building anything,
 * the declarative :class:`MonitoringSpec` reproducing the registered
@@ -32,7 +33,6 @@ from repro.experiments.sections import SpecSection, unflatten
 from repro.experiments.spec import (
     ArrivalSpec,
     ClusterSpec,
-    FailureSpec,
     FaultSpec,
     KeySpec,
     LatencySpec,
@@ -48,6 +48,7 @@ from repro.experiments.spec import (
     run_spec,
 )
 from repro.net.latency import PerLinkLatency
+from tests.conftest import pending_events
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SPEC_DIR = REPO_ROOT / "examples" / "specs"
@@ -179,30 +180,32 @@ class TestFlattenExpand:
         assert "faults.crashes" in defaults
 
 
-class TestDeprecationShim:
-    def test_failure_spec_is_fault_spec(self):
-        assert FailureSpec is FaultSpec
-        assert FailureSpec(crashes=(("s1", 2.0),)).crashes == (("s1", 2.0),)
+class TestTheFailuresSpellingIsGone:
+    """``failures`` was a legacy alias of ``faults``; it is now an unknown
+    name like any other, in a spec file, an override and on the CLI."""
 
-    def test_failures_key_aliases_to_faults_in_from_dict(self):
-        spec = ScenarioSpec.from_dict(
-            {"name": "t", "failures": {"crashes": [["s5", 4.0]]}}
-        )
-        assert spec.faults.crashes == (("s5", 4.0),)
+    def test_a_spec_file_with_a_failures_key_is_refused(self, tmp_path):
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(
+            {"name": "t", "failures": {"crashes": [["s5", 4.0]]}}))
+        with pytest.raises(ConfigurationError, match="unknown key 'failures'"):
+            load_spec_file(str(path))
 
-    def test_failures_path_aliases_in_overrides(self):
-        spec = ScenarioSpec(name="t").with_overrides(
-            {"failures.crashes": [["s5", 4.0]]}
-        )
-        assert spec.faults.crashes == (("s5", 4.0),)
+    def test_a_failures_override_is_refused(self):
+        with pytest.raises(ConfigurationError,
+                           match="unknown parameter 'failures.crashes'"):
+            ScenarioSpec(name="t").with_overrides({"failures.crashes": []})
 
-    def test_alias_and_canonical_key_together_rejected(self):
-        with pytest.raises(ConfigurationError, match="duplicate key"):
-            ScenarioSpec.from_dict({
-                "name": "t",
-                "failures": {"crashes": [["s1", 1.0]]},
-                "faults": {"crashes": [["s2", 1.0]]},
-            })
+    def test_the_cli_exits_2_on_a_failures_param(self, capsys):
+        assert main(["run", "crash-resilience", "-p", "failures.crashes=[]"]) == 2
+        assert "unknown parameter 'failures.crashes'" in capsys.readouterr().err
+
+    def test_the_facade_exports_no_failure_spec(self):
+        import repro.experiments
+
+        assert "FailureSpec" not in repro.experiments.__all__
+        with pytest.raises(ImportError):
+            from repro.experiments import FailureSpec  # noqa: F401
 
 
 class TestValidate:
@@ -700,7 +703,7 @@ class TestFaultWindowValidation:
             FaultSpec(partitions=(
                 PartitionSpec(at=1.0, groups=(("s1",), ("gone",)), heal_at=2.0),
             )).arm(cluster)
-        assert cluster.loop.pending_event_count() == 0  # refused whole
+        assert pending_events(cluster.loop) == 0  # refused whole
 
     def test_arm_expands_sharded_names(self):
         # The shard count is the cluster's: a canonical name crashes the

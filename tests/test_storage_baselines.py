@@ -174,7 +174,7 @@ class TestReconfigurableStorage:
             return await clients["c2"].read()
 
         assert loop.run_until_complete(go()) == "carried-over"
-        assert clients["c1"].pending_config_count == 2
+        assert len(clients["c1"].known_configs) == 2
 
     def test_other_clients_learn_new_config_through_replies(self):
         loop, _, _, clients = build_reconfigurable(3, 5)

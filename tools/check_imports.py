@@ -36,12 +36,25 @@ under ``src/repro`` whose name the module never uses (as a name, or in
 ``__all__``).  A deliberate re-export says so with ``# noqa: F401`` on the
 import's line.
 
+**Reachability by name** (ARCHITECTURE "Reachability rule").  Every
+top-level function or class under ``src/repro``, and every method of a
+top-level class, is used by name — as a name, an attribute, an import alias
+or an identifier string — somewhere under ``src/``, ``examples/``,
+``benchmarks/`` or ``tools/``, or it is printed as ``module:Qual.name`` and
+fails the gate.  ``tests/`` is no user: code only a test calls is not part
+of the lab.  A facade's map (``__all__``, ``lazy_exports``) is no use
+either; dunders and definitions a decorator registers (anything but
+``property``, ``staticmethod``, ``classmethod`` and ``.setter``) are
+always reached.  A use inside a definition found unused does not count, so
+code only dead code calls is found too.  There is no exception list.
+
 Run from anywhere (``src`` is put on the child's path automatically)::
 
     python tools/check_imports.py            # print counts, exit 1 on drift,
                                              # an unreached module, a driver
-                                             # call out of place or an
-                                             # unused import
+                                             # call out of place, an
+                                             # unused import or an unused
+                                             # definition
     python tools/check_imports.py --update   # rewrite the budget
 """
 
@@ -301,6 +314,102 @@ def unused_imports(src: Path = SRC_ROOT) -> List[Tuple[str, str]]:
     return sorted(found)
 
 
+#: Where a use of a ``src/repro`` name counts: the code that runs, drives or
+#: measures a run.  ``tests/`` is not one of them.
+USERS = ("src", "examples", "benchmarks", "tools")
+
+#: Decorators that only shape a definition; any other one registers it (as
+#: ``@scenario`` does), so the definition is reached through the registry.
+_SHAPING = {"property", "staticmethod", "classmethod", "setter"}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_exports(node: ast.AST) -> bool:
+    """An ``__all__`` assignment or a ``lazy_exports(...)`` call: a facade's
+    map of names, which is not a use of them."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "lazy_exports"
+    return isinstance(node, ast.Assign) and any(
+        getattr(sub, "id", None) == "__all__"
+        for target in node.targets for sub in ast.walk(target)
+    )
+
+
+def _names(*nodes: ast.AST) -> Set[str]:
+    """Every name ``nodes`` use: as a name, an attribute, an import alias or
+    an identifier string (a ``getattr`` or a dispatch table)."""
+    found: Set[str] = set()
+    pending = list(nodes)
+    while pending:
+        sub = pending.pop()
+        if _is_exports(sub):
+            continue
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.add(sub.name)
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and sub.value.isidentifier()):
+            found.add(sub.value)
+        pending.extend(ast.iter_child_nodes(sub))
+    return found
+
+
+def _registered(node: ast.AST) -> bool:
+    """A dunder, or a definition a decorator other than :data:`_SHAPING`
+    registers: reached whether or not its name is used."""
+    if node.name.startswith("__") and node.name.endswith("__"):
+        return True
+    return any(
+        (getattr(target, "id", None) or getattr(target, "attr", None)) not in _SHAPING
+        for target in (getattr(d, "func", d) for d in node.decorator_list)
+    )
+
+
+def unused_names(root: Path = REPO_ROOT) -> List[str]:
+    """``module:Qual.name`` of each top-level function or class under
+    ``root/src/repro``, and each method of a top-level class, whose name no
+    file under :data:`USERS` uses.  A use inside a definition found unused
+    does not count, so the rule is applied until nothing new is found."""
+    definitions: Dict[str, Tuple[str, bool]] = {}  # qualname -> (name, reached)
+    uses: List[Tuple[Tuple[str, ...], Set[str]]] = []  # (owners, names)
+    modules = {path: name for name, path in source_modules(root / "src").items()}
+    for user in USERS:
+        for path in sorted((root / user).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            module = modules.get(path)
+            for top in tree.body:
+                if module is None or not isinstance(top, (*_FUNCTIONS, ast.ClassDef)):
+                    uses.append(((), _names(top)))
+                    continue
+                owner = f"{module}:{top.name}"
+                definitions[owner] = (top.name, _registered(top))
+                if isinstance(top, _FUNCTIONS):
+                    uses.append(((owner,), _names(top)))
+                    continue
+                own = [*top.decorator_list, *top.bases, *top.keywords]
+                for sub in top.body:
+                    if isinstance(sub, _FUNCTIONS):
+                        qualname = f"{owner}.{sub.name}"
+                        definitions[qualname] = (sub.name, _registered(sub))
+                        uses.append(((owner, qualname), _names(sub)))
+                    else:
+                        own.append(sub)
+                uses.append(((owner,), _names(*own)))
+    unused: Set[str] = set()
+    while True:
+        used = set().union(*(names for owners, names in uses
+                             if unused.isdisjoint(owners)))
+        found = {qualname for qualname, (name, reached) in definitions.items()
+                 if not reached and name not in used}
+        if found == unused:
+            return sorted(found)
+        unused = found
+
+
 def main(argv: Sequence[str] = ()) -> int:
     observed = observe()
     for label, modules in observed.items():
@@ -327,13 +436,19 @@ def main(argv: Sequence[str] = ()) -> int:
         f"{module} imports {name} and never uses it"
         for module, name in unused_imports()
     ]
+    found += [
+        f"{name} is used by nothing under {', '.join(USERS)} "
+        "(reach it or delete it)"
+        for name in unused_names()
+    ]
     for problem in found:
         print(f"error: {problem}", file=sys.stderr)
     if found:
         print(f"{len(found)} import problem(s)", file=sys.stderr)
         return 1
     print("import budget ok; every module under src/repro is reached; "
-          "every driver call is made by its owner; no import is unused")
+          "every driver call is made by its owner; no import is unused; "
+          "every definition is used outside tests/")
     return 0
 
 
