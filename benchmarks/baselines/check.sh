@@ -6,13 +6,12 @@
 # change that must be intentional (regenerate with regen.sh and commit the
 # new baseline alongside the code change).
 #
-# hotspot-shift-monitoring.json and specs/hotspot-shift-monitoring.json and
-# specs/sharded-global-monitoring.json were generated at the commit before
-# the three monitoring loops became one; specs/sharded-hotspot-reassignment
-# .json when that scenario became its spec plus a row (same operations,
-# duration, messages, shard weights and workload as the function baseline).
-# Like quickstart, skewed-reassignment and sharded-hotspot-reassignment,
-# all four regenerate when ROADMAP item 1 (the weight-gain refresh) lands.
+# The five monitored baselines (hotspot-shift-monitoring,
+# sharded-hotspot-reassignment and the three under specs/) were regenerated
+# when the policies' targets became exact shares of W on a grid: only
+# weight-valued fields moved, by about 1e-9.  Like quickstart and
+# skewed-reassignment, all five regenerate when ROADMAP item 1 (the
+# weight-gain refresh) lands.
 #
 # Every built-in scenario has a file here (tests/test_paper_claims.py holds
 # the two listings equal).  The twelve added with the E1-E11 catalogue were
@@ -25,19 +24,32 @@
 # baselines issue no transfer; epoch-vs-epochless, limitation-vc,
 # protocol-costs, example1-semantics, reduction-alg1/2 and wmqs-vs-mqs run
 # reassignment servers, oracles or closed forms with no storage register.
+#
+# compare (rel_tol 1e-9) gives the verdict; each line also says whether the
+# fresh output is byte-identical to the file (cmp), and the last line counts
+# them, so a change that must move no byte can be read off the gate.
 set -e
 cd "$(dirname "$0")/../.."
 status=0
+checked=0
+identical=0
 check() {  # check <label> <baseline> <run arguments...>
     label=$1
     baseline=$2
     shift 2
     fresh="${TMPDIR:-/tmp}/repro-baseline-$(echo "$label" | tr / -).json"
     PYTHONPATH=src python -m repro run "$@" --json "$fresh" --quiet
-    if PYTHONPATH=src python -m repro compare "$fresh" "$baseline"; then
-        echo "ok: $label"
+    checked=$((checked + 1))
+    if cmp -s "$fresh" "$baseline"; then
+        bytes=identical
+        identical=$((identical + 1))
     else
-        echo "REGRESSION: $label diverges from $baseline" >&2
+        bytes=differ
+    fi
+    if PYTHONPATH=src python -m repro compare "$fresh" "$baseline"; then
+        echo "ok: $label (bytes: $bytes)"
+    else
+        echo "REGRESSION: $label diverges from $baseline (bytes: $bytes)" >&2
         status=1
     fi
 }
@@ -49,4 +61,5 @@ for baseline in benchmarks/baselines/specs/*.json; do
     name=$(basename "$baseline" .json)
     check "specs/$name" "$baseline" --spec "examples/specs/$name.json"
 done
+echo "bytes: $identical of $checked outputs identical to their files"
 exit $status

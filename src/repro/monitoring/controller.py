@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.core.protocol import ReassignmentServer, TransferOutcome
 from repro.errors import ConfigurationError
-from repro.types import ProcessId, VirtualTime, Weight
+from repro.types import ProcessId, VirtualTime, Weight, exact
 
 __all__ = ["WeightController"]
 
@@ -33,7 +33,7 @@ class ControllerReport:
     attempted: bool
     outcome: Optional[TransferOutcome] = None
     target: Optional[ProcessId] = None
-    delta: Weight = 0.0
+    delta: Weight = exact(0)
 
 
 class WeightController:
@@ -42,14 +42,14 @@ class WeightController:
     def __init__(
         self,
         server: ReassignmentServer,
-        tolerance: Weight = 0.05,
-        max_step: Optional[Weight] = None,
+        tolerance: float = 0.05,
+        max_step: Optional[float] = None,
     ) -> None:
-        if tolerance <= 0:
-            raise ConfigurationError("tolerance must be positive")
+        if tolerance <= 0 or (max_step is not None and max_step <= 0):
+            raise ConfigurationError("tolerance and max_step must be positive")
         self.server = server
-        self.tolerance = tolerance
-        self.max_step = max_step
+        self.tolerance = exact(tolerance)
+        self.max_step = None if max_step is None else exact(max_step)
         self.targets: Dict[ProcessId, Weight] = dict(server.config.initial_weights)
         self.reports: List[ControllerReport] = []
 
@@ -58,7 +58,7 @@ class WeightController:
         """Install new target weights (typically produced by a policy)."""
         if set(targets) != set(self.server.config.servers):
             raise ConfigurationError("targets must cover exactly the server set")
-        self.targets = dict(targets)
+        self.targets = {server: exact(weight) for server, weight in targets.items()}
 
     # -- one control step ------------------------------------------------------------
     def _excess(self) -> Weight:
@@ -94,14 +94,8 @@ class WeightController:
         )
         if self.max_step is not None:
             delta = min(delta, self.max_step)
-        # Never dip to the RP-Integrity bound: cap at what C2 allows.
-        allowance = self.server.weight() - self.server.config.rp_min_weight
-        delta = min(delta, allowance * 0.99)
-        if delta <= 0:
-            report = ControllerReport(at=self.server.loop.now, attempted=False)
-            self.reports.append(report)
-            return report
-
+        # At most the excess: the issuer stays at or above its target, and a
+        # transfer C2 rejects (a target at or below the bound) is reported null.
         outcome = await self.server.transfer(target, delta)
         report = ControllerReport(
             at=self.server.loop.now,

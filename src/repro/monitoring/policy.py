@@ -1,8 +1,8 @@
 """Weight-assignment policies.
 
 Policies translate a latency summary into *target weights* whose total equals
-the system's initial total weight (pairwise reassignment cannot change the
-total).  Two schemes are provided:
+the system's initial total weight ``W`` exactly (pairwise reassignment cannot
+change the total).  Two schemes are provided:
 
 * :func:`proportional_inverse_latency_weights` — weight proportional to
   ``1 / latency``, the natural "faster servers get more voting power" rule
@@ -10,19 +10,22 @@ total).  Two schemes are provided:
 * :func:`wheat_style_weights` — the binary scheme of WHEAT [20]: the ``u``
   fastest servers get ``wmax`` and the rest ``wmin``.
 
-Both clip their targets to a floor of ``(1 + margin) * W_{S,0} / (2(n-f))``
-— otherwise the controller could never reach them with
-RP-Integrity-preserving transfers.  Experiment E5 (``wmqs-vs-mqs``) calls
+Both hand out whole shares of ``GRID`` in their proportions, each at least a
+floor of ``(1 + margin) * W_{S,0} / (2(n-f))`` — otherwise the controller
+could never reach them with RP-Integrity-preserving transfers — and return
+``W * share / GRID``, so the weights' denominators (which the quorum test
+sums on every reply) stay small.  Experiment E5 (``wmqs-vs-mqs``) calls
 :func:`inverse_latency_weights` with a floor of its own.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping
 
 from repro.core.spec import SystemConfig
 from repro.errors import ConfigurationError
-from repro.types import ProcessId, VirtualTime, Weight
+from repro.types import ProcessId, VirtualTime, Weight, exact
 
 __all__ = [
     "inverse_latency_weights",
@@ -30,37 +33,46 @@ __all__ = [
     "wheat_style_weights",
 ]
 
+#: Targets are whole multiples of ``W / GRID``.
+GRID = 10**9
+
+
+def _apportion(amount: int, parts: Mapping[ProcessId, int]) -> Dict[ProcessId, int]:
+    """``amount`` whole units in proportion to ``parts``: quotas rounded down,
+    the rest to the largest remainders (ties to the earlier server)."""
+    whole = sum(parts.values())
+    split = {server: divmod(amount * part, whole) for server, part in parts.items()}
+    units = {server: quotient for server, (quotient, _) in split.items()}
+    leftover = amount - sum(units.values())
+    for server in sorted(split, key=lambda server: -split[server][1])[:leftover]:
+        units[server] += 1
+    return units
+
 
 def _clip(
-    targets: Mapping[ProcessId, Weight], total: Weight, floor: Weight
+    proportions: Mapping[ProcessId, int], total: Weight, floor: Weight
 ) -> Dict[ProcessId, Weight]:
-    """Raise every target to at least ``floor``, keeping the sum at ``total``.
-
-    The weight added by clipping is removed from the servers above the
-    floor, in proportion to their headroom over it.
-    """
-    if floor * len(targets) >= total:
+    """``total`` split in proportion to ``proportions`` on the grid, no target
+    below ``floor``: the shares raised to it are paid for by the servers above
+    it, in proportion to their headroom over it (none gives up more)."""
+    total = exact(total)
+    least = math.ceil(exact(floor) * GRID / total)
+    if least * len(proportions) >= GRID:
         raise ConfigurationError(
-            f"floor {floor} too high: the floors exceed the total weight {total}"
+            f"floor {float(floor)} too high: the floors exceed the total weight "
+            f"{float(total)}"
         )
-    clipped = {server: max(weight, floor) for server, weight in targets.items()}
-    excess = sum(clipped.values()) - total
-    if excess <= 0:
-        # Numerically the total can only grow through clipping; if it did not,
-        # the targets were already feasible.
-        return clipped
-    headroom = {server: clipped[server] - floor for server in clipped}
-    total_headroom = sum(headroom.values())
-    result = {}
-    for server in clipped:
-        share = headroom[server] / total_headroom if total_headroom else 0.0
-        result[server] = clipped[server] - excess * share
-    return result
+    shares = _apportion(GRID, proportions)
+    shares = {server: max(share, least) for server, share in shares.items()}
+    headroom = {server: share - least for server, share in shares.items()}
+    cuts = _apportion(sum(shares.values()) - GRID, headroom)
+    unit = total / GRID
+    return {server: unit * (shares[server] - cuts[server]) for server in shares}
 
 
 def _floor(config: SystemConfig, margin: float) -> Weight:
     """The policies' floor: ``margin`` above the RP-Integrity bound."""
-    return config.rp_min_weight * (1.0 + margin)
+    return config.rp_min_weight * (1 + exact(margin))
 
 
 def inverse_latency_weights(
@@ -70,13 +82,11 @@ def inverse_latency_weights(
     below ``floor``."""
     if not latencies:
         raise ConfigurationError("need at least one server latency")
-    inverse = {
-        server: 1.0 / max(latency, 1e-6) for server, latency in latencies.items()
-    }
-    scale = total / sum(inverse.values())
-    return _clip(
-        {server: value * scale for server, value in inverse.items()}, total, floor
-    )
+    # 1 / latency times the lcm of the latencies' numerators: whole numbers.
+    ratios = [max(latency, 1e-6).as_integer_ratio() for latency in latencies.values()]
+    common = math.lcm(*(num for num, _ in ratios))
+    inverse = [common // num * den for num, den in ratios]
+    return _clip(dict(zip(latencies, inverse)), total, floor)
 
 
 def proportional_inverse_latency_weights(
@@ -101,8 +111,8 @@ def wheat_style_weights(
 
     WHEAT deploys extra replicas and gives ``wmax`` to ``n - 2f`` of them;
     here we keep the server set fixed and simply give the ``n - 2f`` fastest
-    servers the large weight, scaled so the total matches the initial total
-    weight.
+    servers the large weight, in proportion to ``wmin`` so the total matches
+    the initial total weight.
     """
     if set(latencies) != set(config.servers):
         raise ConfigurationError("latencies must cover exactly the server set")
@@ -112,11 +122,6 @@ def wheat_style_weights(
     fast = set(ranked[:fast_count])
     # WHEAT's wmax/wmin ratio: wmax = 1 + delta, wmin = 1, with delta chosen so
     # that f wmax-servers can be replaced by 2f wmin-servers; delta = f / (n - 2f)
-    # keeps Property 1 tight.  Scale to the initial total weight afterwards.
-    delta = f / fast_count if fast_count else 0.0
-    raw = {
-        server: (1.0 + delta) if server in fast else 1.0 for server in config.servers
-    }
-    scale = config.total_initial_weight / sum(raw.values())
-    scaled = {server: weight * scale for server, weight in raw.items()}
-    return _clip(scaled, config.total_initial_weight, _floor(config, margin))
+    # keeps Property 1 tight.  Times n - 2f, that is n - f against n - 2f.
+    raw = {s: fast_count + (f if s in fast else 0) for s in config.servers}
+    return _clip(raw, config.total_initial_weight, _floor(config, margin))

@@ -4,7 +4,7 @@ The paper's system model (Section II) distinguishes *servers* (a finite set
 ``S`` of ``n`` processes, at most ``f`` of which may crash) from *clients*
 (an unbounded set ``Pi``).  Throughout the code base both are identified by a
 :class:`ProcessId`, a plain string such as ``"s1"`` or ``"c3"``.  Weights are
-plain floats (the paper allows arbitrary reals subject to the Integrity
+exact rationals (the paper allows arbitrary reals subject to the Integrity
 properties).
 """
 

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.protocol import ReassignmentServer
 from repro.core.spec import SystemConfig, check_integrity, check_rp_integrity
@@ -18,11 +23,12 @@ from repro.monitoring import (
     proportional_inverse_latency_weights,
     wheat_style_weights,
 )
+from repro.monitoring.policy import GRID
 from repro.net.latency import PerLinkLatency
 from repro.net.network import Network
 from repro.net.process import Process
 from repro.net.simloop import SimLoop
-from repro.types import server_set
+from repro.types import exact, server_set
 
 from tests.conftest import make_net
 
@@ -130,7 +136,7 @@ class TestPolicies:
         config = self.make_config()
         latencies = {"s1": 1.0, "s2": 1.0, "s3": 2.0, "s4": 4.0, "s5": 8.0}
         targets = proportional_inverse_latency_weights(latencies, config)
-        assert sum(targets.values()) == pytest.approx(config.total_initial_weight)
+        assert sum(targets.values()) == config.total_initial_weight
         assert targets["s1"] > targets["s3"] > targets["s5"]
 
     def test_proportional_weights_respect_rp_floor(self):
@@ -143,11 +149,38 @@ class TestPolicies:
         config = self.make_config()
         latencies = {"s1": 1.0, "s2": 2.0, "s3": 3.0, "s4": 4.0, "s5": 5.0}
         targets = wheat_style_weights(latencies, config)
-        assert sum(targets.values()) == pytest.approx(config.total_initial_weight)
+        assert sum(targets.values()) == config.total_initial_weight
         # n - 2f = 3 fast servers share the larger weight.
         values = sorted(set(round(v, 6) for v in targets.values()))
         assert len(values) == 2
         assert check_integrity(targets, config.f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        latencies=st.lists(
+            st.floats(min_value=0.0, max_value=1e9, exclude_min=True),
+            min_size=3, max_size=9,
+        ),
+        f=st.integers(min_value=0, max_value=4),
+        margin=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @example(latencies=[10.0, 10.0, 1.0, 1.0, 3.0], f=1, margin=0.05)
+    def test_targets_sum_to_w_exactly_and_clear_the_floor(self, latencies, f, margin):
+        n = len(latencies)
+        if 2 * f >= n:
+            f = (n - 1) // 2
+        config = SystemConfig.uniform(n, f=f)
+        total = config.total_initial_weight
+        floor = config.rp_min_weight * (1 + exact(margin))
+        for policy in (proportional_inverse_latency_weights, wheat_style_weights):
+            try:
+                targets = policy(dict(zip(config.servers, latencies)), config, margin)
+            except ConfigurationError:
+                # Only a floor that leaves no room once rounded up to the grid.
+                assert floor * n > total * (1 - Fraction(n, GRID))
+                continue
+            assert sum(targets.values()) == total
+            assert min(targets.values()) >= floor
 
     def test_clip_rejects_impossible_margin(self):
         config = self.make_config()
@@ -183,12 +216,13 @@ class TestWeightController:
         report = loop.run_until_complete(go())
         assert report.attempted
         assert report.outcome is not None and report.outcome.effective
-        assert servers["s1"].weight() == pytest.approx(0.7)
+        assert servers["s1"].weight() == Fraction(7, 10)
 
     def test_controller_never_violates_rp_integrity(self):
         loop, config, servers = self.build()
-        controller = WeightController(servers["s1"], tolerance=0.01)
-        # An infeasible target far below the RP bound: the controller must cap.
+        controller = WeightController(servers["s1"], tolerance=0.01, max_step=0.2)
+        # An infeasible target far below the RP bound (5/8): C2 rejects every
+        # step that would reach it, and the transfer is null.
         controller.set_targets({"s1": 0.1, "s2": 1.9, "s3": 1.0, "s4": 1.0, "s5": 1.0})
 
         async def go():
@@ -199,6 +233,10 @@ class TestWeightController:
         loop.run()
         weights = servers["s1"].local_weights()
         assert check_rp_integrity(weights, config.total_initial_weight, config.f)
+        assert [report.outcome.effective for report in controller.reports] == [
+            True, False, False, False, False
+        ]
+        assert weights["s1"] == Fraction(4, 5)
 
     def test_no_step_when_within_tolerance(self):
         loop, config, servers = self.build()
@@ -573,3 +611,116 @@ class TestTheLoopOutlivesACrash:
         assert isinstance(first.exception(), CrashedProcessError)
         outcome = loop.run_until_complete(servers["s5"].transfer("s4", 0.1))
         assert outcome.effective
+
+
+# ---------------------------------------------------------------------------
+# Weights scale with W (ROADMAP item 27(b), the weight relation)
+# ---------------------------------------------------------------------------
+
+MONITORED_SPECS = (
+    "hotspot-shift-monitoring",
+    "sharded-global-monitoring",
+    "sharded-hotspot-reassignment",
+    "wan-adaptive",
+)
+SPECS_DIR = Path(__file__).resolve().parents[1] / "examples" / "specs"
+
+
+def _spec_data(name):
+    return json.loads((SPECS_DIR / f"{name}.json").read_text())
+
+
+def _times(value, k):
+    """``k * value`` computed in decimal, so ``exact`` reads it as exactly k×."""
+    return float(Decimal(repr(value)) * k)
+
+
+def _weights_scaled(data, k):
+    """The spec dict with every weight-valued input ×k: the initial weights,
+    each transfer's delta, the controllers' dead-band and step."""
+    data = copy.deepcopy(data)
+    cluster = data["cluster"]
+    weights = cluster.get("initial_weights") or [
+        [pid, 1.0] for pid in server_set(cluster["n"])
+    ]
+    cluster["initial_weights"] = [[pid, _times(weight, k)] for pid, weight in weights]
+    for event in data.get("transfers", ()):
+        event[3] = _times(event[3], k)
+    monitoring = data["monitoring"]
+    monitoring["policy"]["threshold"] = _times(monitoring["policy"]["threshold"], k)
+    monitoring["gain"] = _times(monitoring["gain"], k)
+    return data
+
+
+def _run_keeping_changes(data):
+    """``(result, changes)``: the run's result and each live server's change
+    set, read after the drain."""
+    changes = {}
+
+    def measure(cluster, workload):
+        crashed = cluster.network.is_crashed
+        changes.update(
+            (pid, server.changes)
+            for pid, server in cluster.servers.items()
+            if not crashed(pid)
+        )
+        return {}
+
+    spec = ScenarioSpec.from_dict(data).validate()
+    result = run_with_stable_stack(run_spec, spec, measure)
+    return result, changes
+
+
+def _without_weights(result):
+    result = {
+        key: value for key, value in result.items()
+        if key not in ("weights", "shard_weights")
+    }
+    result["transfers"] = [
+        {key: value for key, value in entry.items() if key != "delta"}
+        for entry in result["transfers"]
+    ]
+    return result
+
+
+@pytest.fixture(scope="module")
+def unscaled_runs():
+    cache = {}
+
+    def run(name):
+        if name not in cache:
+            cache[name] = _run_keeping_changes(_spec_data(name))
+        return cache[name]
+
+    return run
+
+
+class TestWeightsScaleWithW:
+    """Every predicate compares weights with sums of weights and fractions
+    of W, so a monitored run whose weight inputs are all ×k must end with
+    every weight ×k and every other result field unchanged — which holds
+    only if the policies' targets are exact shares of W."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("name", MONITORED_SPECS)
+    def test_weight_inputs_times_k_give_weights_times_k(self, unscaled_runs, name, k):
+        result, changes = unscaled_runs(name)
+        scaled = _weights_scaled(_spec_data(name), k)
+        scaled_result, scaled_changes = _run_keeping_changes(scaled)
+        assert _without_weights(scaled_result) == _without_weights(result)
+        assert scaled_changes.keys() == changes.keys()
+        for pid, change_set in changes.items():
+            weights = change_set.weight_map()
+            expected = {server: k * weight for server, weight in weights.items()}
+            assert scaled_changes[pid].weight_map() == expected, pid
+
+    @pytest.mark.parametrize("name", MONITORED_SPECS)
+    def test_weight_denominators_stay_bounded(self, unscaled_runs, name):
+        # Targets on the grid keep every weight a multiple of W / GRID (or of
+        # the controllers' decimal step): exact targets off a grid grow the
+        # denominators the quorum test sums on every reply by hundreds of
+        # digits.
+        _, changes = unscaled_runs(name)
+        assert changes
+        for pid, change_set in changes.items():
+            assert change_set.integer_weights()[1] <= 10**18, pid
